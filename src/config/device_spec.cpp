@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "memsim/sharded.hpp"
 #include "memsim/system.hpp"
 
 namespace comet::config {
@@ -32,20 +31,16 @@ std::unique_ptr<memsim::Engine> DeviceSpec::make_engine(
 std::unique_ptr<memsim::Engine> DeviceSpec::make_engine(
     const std::optional<sched::ControllerConfig>& controller,
     int run_threads) const {
-  const int threads = memsim::resolve_run_threads(run_threads);
   if (tiered) {
     return std::make_unique<hybrid::TieredSystem>(*tiered, controller,
-                                                  threads);
+                                                  run_threads);
   }
   if (flat) {
     if (controller) {
       return std::make_unique<sched::ScheduledSystem>(*flat, *controller,
-                                                      threads);
+                                                      run_threads);
     }
-    if (threads > 1) {
-      return std::make_unique<memsim::ShardedEngine>(*flat, threads);
-    }
-    return std::make_unique<memsim::MemorySystem>(*flat);
+    return std::make_unique<memsim::MemorySystem>(*flat, run_threads);
   }
   throw std::logic_error(
       "DeviceSpec::make_engine: empty spec '" + name +

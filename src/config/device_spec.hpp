@@ -55,11 +55,9 @@ struct DeviceSpec {
   std::unique_ptr<memsim::Engine> make_engine(
       const std::optional<sched::ControllerConfig>& controller) const;
 
-  /// Sharded variant: with run_threads > 1 (0 = one per hardware
-  /// thread, memsim::resolve_run_threads), replay shards into
-  /// per-channel lanes on a worker pool — memsim::ShardedEngine for a
-  /// plain flat spec, the sharded modes of ScheduledSystem /
-  /// TieredSystem otherwise — with results bit-identical to
+  /// Threaded variant: with run_threads > 1 (0 = one per hardware
+  /// thread, memsim::resolve_run_threads), every engine replays its
+  /// per-channel lanes on a worker pool, with results bit-identical to
   /// run_threads == 1 for every combination.
   std::unique_ptr<memsim::Engine> make_engine(
       const std::optional<sched::ControllerConfig>& controller,

@@ -1,7 +1,6 @@
 #include "hybrid/tiered_system.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -92,58 +91,122 @@ TieredSystem::TieredSystem(
 
 namespace {
 
-/// Both tier replays behind one LanePool: DRAM-tier channel lanes first
-/// ([0, D)), backend channel lanes after ([D, D+B)); the backend lanes
-/// carry the controller front-end when one is configured. With
-/// run_threads <= 1 the pool feeds inline on the caller's thread — the
-/// serial path and the sharded path are the same code, differing only
-/// in where lanes execute, which is what the bit-identity tests pin.
-class TierStage {
+/// The hybrid replay stage: the DRAM-cache filter splits each demand
+/// request into derived per-tier traffic, fed straight into one LanePool
+/// holding both tier replays — DRAM-tier channel lanes first ([0, D)),
+/// backend channel lanes after ([D, D+B)); the backend lanes carry the
+/// controller front-end when one is configured. Derived requests reuse
+/// the demand arrival time and are fed in demand order, so both
+/// sub-streams inherit the sorted-stream contract. The tag state is
+/// global across channels, so the filter runs on the caller's thread
+/// whatever run_threads says; with run_threads <= 1 the lanes run there
+/// too.
+class TierStage final : public memsim::ReplayStage {
  public:
-  TierStage(const memsim::MemorySystem& dram,
+  TierStage(const DramCacheConfig& cache, const memsim::MemorySystem& dram,
             const memsim::MemorySystem& backend,
             const std::optional<sched::ControllerConfig>& controller,
             const std::string& workload_name, int threads,
             telemetry::Recorder* dram_telemetry,
-            telemetry::Recorder* backend_telemetry,
-            prof::Profiler* profiler)
-      : dram_(dram),
-        backend_(backend),
-        dram_lanes_(static_cast<std::size_t>(dram.model().timing.channels)),
+            telemetry::Recorder* backend_telemetry, prof::Profiler* profiler,
+            memsim::SimStats& combined)
+      : cache_(cache),
+        line_bytes_(cache.line_bytes),
+        dram_timing_(dram.model().timing),
+        backend_timing_(backend.model().timing),
+        dram_lanes_(static_cast<std::size_t>(dram_timing_.channels)),
         pool_(make_lanes(dram, backend, controller, workload_name,
                          dram_telemetry, backend_telemetry),
-              threads, profiler ? profiler->add_pool("tiers") : nullptr) {}
+              threads, profiler ? profiler->add_pool("tiers") : nullptr),
+        combined_(combined) {}
 
-  void feed_dram(const memsim::Request& request) {
-    pool_.feed(
-        static_cast<std::size_t>(
-            memsim::place_request(dram_.model().timing, request).channel),
-        request);
+  std::uint64_t demand_start() const { return demand_start_; }
+
+  void feed(const memsim::Request* block, std::size_t count) override {
+    for (std::size_t i = 0; i < count; ++i) filter(block[i]);
   }
 
-  void feed_backend(const memsim::Request& request) {
-    pool_.feed(dram_lanes_ +
-                   static_cast<std::size_t>(
-                       memsim::place_request(backend_.model().timing, request)
-                           .channel),
-               request);
-  }
-
-  /// Joins the pool and merges each tier's lane slices in channel order
-  /// — the serial sessions' own reduction, so per-tier results are
-  /// bit-identical to unsharded replays of the same sub-streams.
-  void finish(memsim::ReplaySlice& dram_slice,
-              memsim::ReplaySlice& backend_slice) {
-    const std::vector<memsim::ReplaySlice> slices = pool_.finish();
-    for (std::size_t i = 0; i < dram_lanes_; ++i) {
-      memsim::merge_slice(dram_slice, slices[i]);
-    }
-    for (std::size_t i = dram_lanes_; i < slices.size(); ++i) {
-      memsim::merge_slice(backend_slice, slices[i]);
-    }
-  }
+  std::vector<memsim::ReplaySlice> drain() override { return pool_.finish(); }
 
  private:
+  void feed_dram(const memsim::Request& req) {
+    pool_.feed(static_cast<std::size_t>(
+                   memsim::place_request(dram_timing_, req).channel),
+               req);
+  }
+
+  void feed_backend(const memsim::Request& req) {
+    pool_.feed(dram_lanes_ +
+                   static_cast<std::size_t>(
+                       memsim::place_request(backend_timing_, req).channel),
+               req);
+  }
+
+  void filter(const memsim::Request& req) {
+    using memsim::Op;
+    if (combined_.reads + combined_.writes == 0) demand_start_ = req.arrival_ps;
+    const bool is_write = req.op == Op::kWrite;
+    if (is_write) {
+      ++combined_.writes;
+    } else {
+      ++combined_.reads;
+    }
+    combined_.bytes_transferred += req.size_bytes;
+    const auto derived = [&req](Op op, std::uint64_t address,
+                                std::uint32_t size, std::uint64_t id) {
+      return memsim::Request{.id = id,
+                             .arrival_ps = req.arrival_ps,
+                             .op = op,
+                             .address = address,
+                             .size_bytes = size};
+    };
+
+    // One demand request may straddle several (coarse) cache lines.
+    const std::uint64_t demand_end =
+        req.address + std::max<std::uint64_t>(req.size_bytes, 1);
+    const std::uint64_t first_line = req.address / line_bytes_;
+    const std::uint64_t last_line = (demand_end - 1) / line_bytes_;
+    for (std::uint64_t line = first_line; line <= last_line; ++line) {
+      const std::uint64_t line_address = line * line_bytes_;
+      const auto outcome = cache_.access(line_address, is_write);
+      // The demand bytes falling inside this cache line; fills, fetches
+      // and writebacks always move the whole (coarse) line.
+      const std::uint32_t portion = static_cast<std::uint32_t>(
+          std::min(demand_end, line_address + line_bytes_) -
+          std::max(req.address, line_address));
+
+      if (outcome.hit) {
+        ++combined_.cache_hits;
+        feed_dram(derived(req.op, std::max(req.address, line_address),
+                          portion, req.id));
+        continue;
+      }
+      ++combined_.cache_misses;
+      if (outcome.fill) {
+        ++combined_.cache_fills;
+        // The backend supplies the line (the latency path of a read
+        // miss; the fetch-on-write of a write-allocate miss) and the
+        // DRAM tier absorbs the fill. Installing the fetched line is an
+        // array *write* whatever the demand op was. A demand write that
+        // covers the whole line needs no fetch — every fetched byte
+        // would be overwritten.
+        if (!(is_write && portion == line_bytes_)) {
+          feed_backend(derived(Op::kRead, line_address, line_bytes_, req.id));
+        }
+        feed_dram(derived(Op::kWrite, line_address, line_bytes_, next_id_++));
+      } else {
+        // Write-no-allocate miss: the demand write goes straight down.
+        feed_backend(derived(Op::kWrite, std::max(req.address, line_address),
+                             portion, req.id));
+      }
+      if (outcome.writeback) {
+        ++combined_.writebacks;
+        feed_backend(derived(Op::kWrite, outcome.writeback_address,
+                             line_bytes_, next_id_++));
+      }
+    }
+  }
+
   static std::vector<std::unique_ptr<memsim::ShardLane>> make_lanes(
       const memsim::MemorySystem& dram, const memsim::MemorySystem& backend,
       const std::optional<sched::ControllerConfig>& controller,
@@ -169,32 +232,28 @@ class TierStage {
     return lanes;
   }
 
-  const memsim::MemorySystem& dram_;
-  const memsim::MemorySystem& backend_;
-  std::size_t dram_lanes_;
+  DramCache cache_;
+  const std::uint32_t line_bytes_;
+  const memsim::DeviceTiming& dram_timing_;
+  const memsim::DeviceTiming& backend_timing_;
+  const std::size_t dram_lanes_;
   memsim::LanePool pool_;
+  memsim::SimStats& combined_;  ///< Demand counters, cache breakdown.
+  std::uint64_t demand_start_ = 0;
+  // Derived-request ids live in their own (top-bit) namespace, above any
+  // realistic demand id space, for traceability.
+  std::uint64_t next_id_ = 1ull << 63;
 };
 
 }  // namespace
 
 TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
                                      const std::string& workload_name) const {
-  using memsim::Op;
-  using memsim::Request;
-
   TieredStats stats;
   stats.combined.device_name = config_.name;
   stats.combined.workload_name = workload_name;
   stats.combined.hybrid = true;
 
-  // Filter the demand stream through the cache tag model, feeding the
-  // derived traffic straight into one incremental replay lane per tier
-  // channel (TierStage). Derived requests reuse the demand arrival time
-  // and are fed in demand order, so both sub-streams inherit the
-  // sorted-stream contract. The tag state is global across channels, so
-  // the filter itself stays on this thread whatever run_threads says.
-  DramCache cache(config_.cache);
-  const std::uint32_t line_bytes = config_.cache.line_bytes;
   const memsim::MemorySystem dram_system(config_.dram);
   const memsim::MemorySystem backend_system(config_.backend);
   // Per-tier telemetry stages: the event budget splits evenly between
@@ -210,150 +269,27 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
         "backend", config_.backend.timing.channels,
         config_.backend.timing.banks_per_channel, limit - limit / 2);
   }
-  prof::Profiler* const profiler = this->profiler();
-  TierStage tiers(dram_system, backend_system, backend_controller_,
-                  workload_name, run_threads_, dram_recorder,
-                  backend_recorder, profiler);
-  // Derived-request ids live in their own (top-bit) namespace, above any
-  // realistic demand id space, for traceability.
-  std::uint64_t next_id = 1ull << 63;
-
-  auto& c = stats.combined;
-  std::uint64_t demand_index = 0;
-  std::uint64_t demand_start = 0;
-  std::uint64_t prev_arrival = 0;
-  const auto process_demand = [&](const Request& req) {
-    if (demand_index == 0) {
-      demand_start = req.arrival_ps;
-    } else {
-      memsim::check_arrival_order(demand_index, prev_arrival, req.arrival_ps);
-    }
-    prev_arrival = req.arrival_ps;
-    ++demand_index;
-
-    const bool is_write = req.op == Op::kWrite;
-    if (is_write) {
-      ++c.writes;
-    } else {
-      ++c.reads;
-    }
-    c.bytes_transferred += req.size_bytes;
-
-    // One demand request may straddle several (coarse) cache lines.
-    const std::uint64_t demand_end =
-        req.address + std::max<std::uint64_t>(req.size_bytes, 1);
-    const std::uint64_t first_line = req.address / line_bytes;
-    const std::uint64_t last_line = (demand_end - 1) / line_bytes;
-    for (std::uint64_t line = first_line; line <= last_line; ++line) {
-      const std::uint64_t line_address = line * line_bytes;
-      const auto outcome = cache.access(line_address, is_write);
-
-      const auto emit_dram = [&](Op op, std::uint64_t address,
-                                 std::uint32_t size, std::uint64_t id) {
-        tiers.feed_dram(Request{.id = id,
-                                .arrival_ps = req.arrival_ps,
-                                .op = op,
-                                .address = address,
-                                .size_bytes = size});
-      };
-      const auto emit_backend = [&](Op op, std::uint64_t address,
-                                    std::uint32_t size, std::uint64_t id) {
-        tiers.feed_backend(Request{.id = id,
-                                   .arrival_ps = req.arrival_ps,
-                                   .op = op,
-                                   .address = address,
-                                   .size_bytes = size});
-      };
-      // The demand bytes falling inside this cache line; fills, fetches
-      // and writebacks always move the whole (coarse) line.
-      const std::uint32_t portion = static_cast<std::uint32_t>(
-          std::min(demand_end, line_address + line_bytes) -
-          std::max(req.address, line_address));
-
-      if (outcome.hit) {
-        ++c.cache_hits;
-        emit_dram(req.op, std::max(req.address, line_address), portion,
-                  req.id);
-        continue;
-      }
-      ++c.cache_misses;
-      if (outcome.fill) {
-        ++c.cache_fills;
-        // The backend supplies the line (the latency path of a read
-        // miss; the fetch-on-write of a write-allocate miss) and the
-        // DRAM tier absorbs the fill. Installing the fetched line is an
-        // array *write* whatever the demand op was. A demand write that
-        // covers the whole line needs no fetch — every fetched byte
-        // would be overwritten.
-        if (!(is_write && portion == line_bytes)) {
-          emit_backend(Op::kRead, line_address, line_bytes, req.id);
-        }
-        emit_dram(Op::kWrite, line_address, line_bytes, next_id++);
-      } else {
-        // Write-no-allocate miss: the demand write goes straight down.
-        emit_backend(Op::kWrite, std::max(req.address, line_address), portion,
-                     req.id);
-      }
-      if (outcome.writeback) {
-        ++c.writebacks;
-        emit_backend(Op::kWrite, outcome.writeback_address, line_bytes,
-                     next_id++);
-      }
-    }
-  };
-
-  Request block[memsim::kFeedBlockRequests];
-  using ProfClock = std::chrono::steady_clock;
-  double pull_s = 0.0;
-  double feed_s = 0.0;
-  std::uint64_t batches = 0;
-  for (;;) {
-    ProfClock::time_point t0;
-    if (profiler) t0 = ProfClock::now();
-    const std::size_t pulled =
-        source.next_batch(block, memsim::kFeedBlockRequests);
-    if (pulled == 0) break;
-    if (profiler) {
-      pull_s += std::chrono::duration<double>(ProfClock::now() - t0).count();
-      ++batches;
-      t0 = ProfClock::now();
-    }
-    for (std::size_t i = 0; i < pulled; ++i) process_demand(block[i]);
-    if (profiler) {
-      feed_s += std::chrono::duration<double>(ProfClock::now() - t0).count();
-      profiler->add_progress(pulled);
-    }
-  }
-  if (profiler && batches > 0) {
-    profiler->record_stage("source_pull", pull_s, batches);
-    profiler->record_stage("engine_feed", feed_s, batches);
-  }
-
-  prof::StageTimer merge_timer(profiler, "shard_merge");
-  memsim::ReplaySlice dram_slice;
-  memsim::ReplaySlice backend_slice;
-  tiers.finish(dram_slice, backend_slice);
-  const std::uint64_t dram_first = dram_slice.first_arrival_ps;
-  const std::uint64_t backend_first = backend_slice.first_arrival_ps;
-  const bool dram_served = dram_slice.fed > 0;
-  const bool backend_served = backend_slice.fed > 0;
-  stats.dram = memsim::finalize_slice(std::move(dram_slice), config_.dram);
-  stats.backend =
-      memsim::finalize_slice(std::move(backend_slice), config_.backend);
-  merge_timer.stop();
-
+  TierStage stage(config_.cache, dram_system, backend_system,
+                  backend_controller_, workload_name, run_threads_,
+                  dram_recorder, backend_recorder, profiler(), stats.combined);
+  std::vector<memsim::ReplaySlice> tiers = memsim::run_replay(
+      source, stage,
+      {{&config_.dram,
+        static_cast<std::size_t>(config_.dram.timing.channels)},
+       {&config_.backend,
+        static_cast<std::size_t>(config_.backend.timing.channels)}},
+      profiler());
   // The demand wall-clock: first demand arrival to the last completion
-  // of either tier. Each tier's span is anchored at its own sub-stream's
-  // first arrival, so recover the absolute last-completion instants.
+  // of either tier.
+  const std::uint64_t demand_start = stage.demand_start();
   std::uint64_t last_completion = demand_start;
-  if (dram_served) {
-    last_completion =
-        std::max(last_completion, dram_first + stats.dram.span_ps);
+  for (const memsim::ReplaySlice& tier : tiers) {
+    if (tier.fed > 0) {
+      last_completion = std::max(last_completion, tier.last_completion_ps);
+    }
   }
-  if (backend_served) {
-    last_completion =
-        std::max(last_completion, backend_first + stats.backend.span_ps);
-  }
+  stats.dram = std::move(tiers[0].stats);
+  stats.backend = std::move(tiers[1].stats);
 
   // Both tiers are powered for the whole run, but each replay charged
   // its always-on background power over its own (possibly much shorter,
@@ -374,6 +310,7 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
   // writebacks) each tier served; bytes_transferred counts demand bytes
   // only, so bandwidth and EPB are per *demand* byte/bit while energy
   // honestly includes the tier-maintenance traffic.
+  auto& c = stats.combined;
   c.span_ps = combined_span;
   c.read_latency_ns = stats.dram.read_latency_ns;
   c.read_latency_ns.merge(stats.backend.read_latency_ns);
@@ -406,13 +343,6 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
     c.admit_stalls = stats.backend.admit_stalls;
   }
   return stats;
-}
-
-TieredStats TieredSystem::run_tiered(
-    const std::vector<memsim::Request>& requests,
-    const std::string& workload_name) const {
-  memsim::VectorSource source(requests);
-  return run_tiered(source, workload_name);
 }
 
 memsim::SimStats TieredSystem::run(memsim::RequestSource& source,

@@ -23,11 +23,12 @@
 /// fills) and a backend stream (demand misses, write-allocate fetches,
 /// dirty-eviction writebacks), each derived request inheriting the
 /// arrival time of the demand request that caused it — so both
-/// sub-streams stay sorted. The split is fully streaming: demand
-/// requests are pulled one at a time and the derived traffic is fed
-/// straight into two concurrent memsim::ReplaySessions, so neither the
-/// demand trace nor either sub-stream is ever materialized (O(1) memory,
-/// like the flat engine).
+/// sub-streams stay sorted. The split is fully streaming: the cache
+/// filter is this engine's stage in the one replay loop
+/// (memsim::run_replay), and the derived traffic is fed straight into
+/// per-channel replay lanes of both tiers, so neither the demand trace
+/// nor either sub-stream is ever materialized (O(1) memory, like the
+/// flat engine).
 namespace comet::hybrid {
 
 /// One hybrid design point: a DRAM cache tier fronting a backend.
@@ -85,10 +86,6 @@ class TieredSystem final : public memsim::Engine {
                int run_threads = 1);
 
   const TieredConfig& config() const { return config_; }
-  const std::optional<sched::ControllerConfig>& backend_controller() const {
-    return backend_controller_;
-  }
-  int run_threads() const { return run_threads_; }
 
   /// Streams the demand source (which must yield requests sorted by
   /// arrival time; throws std::invalid_argument naming the offending
@@ -97,10 +94,6 @@ class TieredSystem final : public memsim::Engine {
   /// concurrent sweeps over the same TieredSystem are bit-identical to
   /// serial ones.
   TieredStats run_tiered(memsim::RequestSource& source,
-                         const std::string& workload_name = "") const;
-
-  /// Materialized-vector adapter for run_tiered.
-  TieredStats run_tiered(const std::vector<memsim::Request>& requests,
                          const std::string& workload_name = "") const;
 
   using Engine::run;

@@ -3,11 +3,13 @@
 #include <string>
 #include <vector>
 
+#include "memsim/device.hpp"
 #include "memsim/source.hpp"
 #include "memsim/stats.hpp"
 
 namespace comet::telemetry {
 class Collector;
+class Recorder;
 }
 
 namespace comet::prof {
@@ -22,7 +24,10 @@ class Profiler;
 /// std::unique_ptr<Engine> and never branch on the concrete type.
 /// Engines are const and stateless across runs: all replay state lives
 /// on the stack of each run() call, so one Engine may serve concurrent
-/// sweep workers with bit-identical results.
+/// sweep workers with bit-identical results. Every run() drains its
+/// source through the one replay loop, memsim::run_replay
+/// (memsim/sharded.hpp); engines differ only in the stage that consumes
+/// the requests.
 namespace comet::memsim {
 
 class Engine {
@@ -66,6 +71,12 @@ class Engine {
   /// replays it, bit-identical to the streaming path.
   SimStats run(const std::vector<Request>& requests,
                const std::string& workload_name = "") const;
+
+ protected:
+  /// Registers the run's single telemetry stage, spanning `model`'s
+  /// channels and banks with the collector's whole event budget, and
+  /// returns its recorder; null when no collector is attached.
+  telemetry::Recorder* telemetry_stage(const DeviceModel& model) const;
 
  private:
   telemetry::Collector* telemetry_ = nullptr;

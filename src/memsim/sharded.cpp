@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "prof/profiler.hpp"
-#include "telemetry/telemetry.hpp"
 #include "util/ring.hpp"
 
 namespace comet::memsim {
@@ -279,17 +278,9 @@ void LanePool::feed(std::size_t lane, const Request& request) {
 
 std::vector<ReplaySlice> LanePool::finish() { return impl_->finish(); }
 
-SimStats run_sharded(const MemorySystem& system,
-                     std::vector<std::unique_ptr<ShardLane>> lanes,
-                     int threads, RequestSource& source,
-                     prof::Profiler* profiler) {
-  const DeviceTiming& timing = system.model().timing;
-  if (lanes.size() != static_cast<std::size_t>(timing.channels)) {
-    throw std::invalid_argument("run_sharded: one lane per channel required");
-  }
-  prof::PoolProfile* pool_profile =
-      profiler ? profiler->add_pool("") : nullptr;
-  LanePool pool(std::move(lanes), threads, pool_profile);
+std::vector<ReplaySlice> run_replay(RequestSource& source, ReplayStage& stage,
+                                    const std::vector<ReplayTier>& tiers,
+                                    prof::Profiler* profiler) {
   Request block[kFeedBlockRequests];
   std::uint64_t fed = 0;
   std::uint64_t prev_arrival = 0;
@@ -303,20 +294,23 @@ SimStats run_sharded(const MemorySystem& system,
     ProfClock::time_point t0;
     if (profiler) t0 = ProfClock::now();
     const std::size_t pulled = source.next_batch(block, kFeedBlockRequests);
-    if (profiler && pulled > 0) pull_s += seconds_since(t0);
     if (pulled == 0) break;
     ++batches;
-    if (profiler) t0 = ProfClock::now();
-    for (std::size_t i = 0; i < pulled; ++i) {
-      const Request& req = block[i];
-      // The global sorted-stream contract, with serial-identical
-      // diagnostics; lanes re-check their own subsequences a fortiori.
-      if (fed > 0) check_arrival_order(fed, prev_arrival, req.arrival_ps);
-      prev_arrival = req.arrival_ps;
-      ++fed;
-      pool.feed(static_cast<std::size_t>(place_request(timing, req).channel),
-                req);
+    if (profiler) {
+      pull_s += seconds_since(t0);
+      t0 = ProfClock::now();
     }
+    // The global sorted-stream contract; lanes re-check their own
+    // subsequences a fortiori. The first request passes trivially
+    // against prev_arrival == 0.
+    for (std::size_t i = 0; i < pulled; ++i) {
+      if (block[i].arrival_ps < prev_arrival) {
+        check_arrival_order(fed + i, prev_arrival, block[i].arrival_ps);
+      }
+      prev_arrival = block[i].arrival_ps;
+    }
+    fed += pulled;
+    stage.feed(block, pulled);
     if (profiler) {
       feed_s += seconds_since(t0);
       profiler->add_progress(pulled);
@@ -326,34 +320,66 @@ SimStats run_sharded(const MemorySystem& system,
     profiler->record_stage("source_pull", pull_s, batches);
     profiler->record_stage("engine_feed", feed_s, batches);
   }
+
+  prof::StageTimer drain_timer(profiler, "lane_drain");
+  const std::vector<ReplaySlice> slices = stage.drain();
+  drain_timer.stop();
+
   prof::StageTimer merge_timer(profiler, "shard_merge");
-  std::vector<ReplaySlice> slices = pool.finish();
-  ReplaySlice total;
-  for (const ReplaySlice& slice : slices) merge_slice(total, slice);
-  return finalize_slice(std::move(total), system.model());
+  std::vector<ReplaySlice> merged(tiers.size());
+  std::size_t lane = 0;
+  for (std::size_t t = 0; t < tiers.size(); ++t) {
+    ReplaySlice& tier = merged[t];
+    for (const std::size_t end = lane + tiers[t].lanes; lane < end; ++lane) {
+      merge_slice(tier, slices.at(lane));
+    }
+    tier.stats = finalize_slice(std::move(tier), *tiers[t].model);
+  }
+  return merged;
 }
 
-ShardedEngine::ShardedEngine(DeviceModel model, int run_threads)
-    : system_(std::move(model)),
-      run_threads_(resolve_run_threads(run_threads)) {}
+namespace {
 
-SimStats ShardedEngine::run(RequestSource& source,
-                            const std::string& workload_name) const {
-  telemetry::Recorder* recorder = nullptr;
-  if (telemetry::Collector* collector = telemetry()) {
-    recorder = collector->add_stage("", system_.model().timing.channels,
-                                    system_.model().timing.banks_per_channel,
-                                    collector->spec().trace_limit);
+/// One lane per device channel on a LanePool.
+class ChannelStage final : public ReplayStage {
+ public:
+  ChannelStage(const DeviceTiming& timing,
+               std::vector<std::unique_ptr<ShardLane>> lanes, int threads,
+               prof::PoolProfile* profile)
+      : timing_(timing), pool_(std::move(lanes), threads, profile) {}
+
+  void feed(const Request* block, std::size_t count) override {
+    for (std::size_t i = 0; i < count; ++i) {
+      const Request& req = block[i];
+      pool_.feed(static_cast<std::size_t>(place_request(timing_, req).channel),
+                 req);
+    }
   }
-  std::vector<std::unique_ptr<ShardLane>> lanes;
-  const int channels = system_.model().timing.channels;
-  lanes.reserve(static_cast<std::size_t>(channels));
-  for (int c = 0; c < channels; ++c) {
-    lanes.push_back(
-        std::make_unique<SessionLane>(system_, workload_name, recorder));
+
+  std::vector<ReplaySlice> drain() override { return pool_.finish(); }
+
+ private:
+  const DeviceTiming& timing_;
+  LanePool pool_;
+};
+
+}  // namespace
+
+SimStats run_sharded(const MemorySystem& system,
+                     std::vector<std::unique_ptr<ShardLane>> lanes,
+                     int threads, RequestSource& source,
+                     prof::Profiler* profiler) {
+  const DeviceTiming& timing = system.model().timing;
+  const std::size_t channels = static_cast<std::size_t>(timing.channels);
+  if (lanes.size() != channels) {
+    throw std::invalid_argument("run_sharded: one lane per channel required");
   }
-  return run_sharded(system_, std::move(lanes), run_threads_, source,
-                     profiler());
+  ChannelStage stage(timing, std::move(lanes), threads,
+                     profiler ? profiler->add_pool("") : nullptr);
+  return std::move(
+      run_replay(source, stage, {{&system.model(), channels}}, profiler)
+          .front()
+          .stats);
 }
 
 }  // namespace comet::memsim

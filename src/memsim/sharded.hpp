@@ -5,32 +5,41 @@
 #include <string>
 #include <vector>
 
-#include "memsim/engine.hpp"
+#include "memsim/source.hpp"
 #include "memsim/system.hpp"
 
-/// Sharded per-channel parallel replay.
+/// The replay pipeline: one loop for every engine, plus the sharded
+/// per-channel lanes most engines feed through it.
 ///
-/// The controller address hash makes every channel an island: placement,
-/// bank timing, the outstanding window and all per-request statistics
-/// are channel-local, and the serial engines already accumulate their
-/// statistics in per-channel lanes merged in channel order (see
-/// ReplaySlice). Sharding exploits that: partition the incoming stream
-/// by serving channel, run one full replay pipeline per channel lane on
-/// a small worker pool, and merge the lanes' finish_slice() results in
-/// channel order — the exact reduction the serial path performs, so the
-/// result is bit-identical to a serial run for any thread count. That
-/// bit-identity is a hard test gate (tests/test_sharded.cpp), not a
-/// best-effort property.
+/// run_replay is the only place a RequestSource is drained. It pulls
+/// the stream in kFeedBlockRequests blocks (sources are single-pass and
+/// stay on the caller's thread), enforces the global sorted-by-arrival
+/// contract, hands each block to the engine's ReplayStage, times the
+/// stages and ticks progress for an attached profiler, then drains the
+/// stage and merges its lane slices into finalized per-tier results.
+/// Engines supply only the stage that consumes the requests: a
+/// whole-device ReplaySession (flat, one thread), per-channel lanes on
+/// a LanePool (run_sharded), or the hybrid cache filter feeding both
+/// tiers' lanes.
 ///
-/// Threading model: the caller's thread is the producer — it pulls the
-/// source in blocks (sources are single-pass and stay single-threaded),
-/// routes each request to its lane, and hands ~kFeedBlockRequests-sized
+/// Sharding rests on the controller address hash making every channel
+/// an island: placement, bank timing, the outstanding window and all
+/// per-request statistics are channel-local, and sessions accumulate
+/// their statistics in per-channel lanes merged in channel order (see
+/// ReplaySlice). A per-channel lane therefore reproduces its channel's
+/// share of a whole-stream replay exactly, and merging the lanes'
+/// finish_slice() results in channel order is the same reduction, so
+/// the result is bit-identical to a whole-stream ReplaySession or
+/// sched::Controller for any thread count. That bit-identity is a hard
+/// test gate (tests/test_sharded.cpp), not a best-effort property.
+///
+/// LanePool threading model: the caller's thread is the producer — it
+/// routes each request to its lane and hands ~kFeedBlockRequests-sized
 /// blocks to the lane's worker over a bounded queue. Lanes map to
 /// workers round-robin (lane % workers); each lane is only ever touched
 /// by one worker, so lanes need no locking of their own. With
 /// threads <= 1 the pool degenerates to inline feeding on the caller's
-/// thread — zero threading overhead, same code path as the tests'
-/// reference runs.
+/// thread — zero threading overhead, same lanes.
 namespace comet::prof {
 class Profiler;
 struct PoolProfile;
@@ -59,7 +68,7 @@ class ShardLane {
 /// device. The optional telemetry recorder is shared by every lane of
 /// a stage: each lane only writes the recorder lane of the channel it
 /// serves, so the sharing is race-free and the recorded telemetry is
-/// byte-identical to a serial session's (see telemetry.hpp).
+/// byte-identical to a whole-stream session's (see telemetry.hpp).
 class SessionLane final : public ShardLane {
  public:
   SessionLane(const MemorySystem& system, std::string workload_name,
@@ -105,38 +114,49 @@ class LanePool {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Shared driver loop for sharded engines: streams `source` through one
-/// lane per device channel (routing by the same place_request hash the
-/// replay uses), enforcing the global sorted-by-arrival contract with
-/// serial-identical diagnostics, then merges the slices in channel
-/// order and finalizes against `system`'s model.
-/// A non-null `profiler` receives a pool profile plus "source_pull" /
-/// "engine_feed" / "shard_merge" stage timings and live progress ticks.
+/// An engine's request consumer behind run_replay. feed() receives the
+/// stream in order, one arrival-checked block at a time, on the
+/// caller's thread; drain() is called once, after every feed.
+class ReplayStage {
+ public:
+  virtual ~ReplayStage() = default;
+
+  /// Consumes `count` requests of the stream.
+  virtual void feed(const Request* block, std::size_t count) = 0;
+
+  /// Flushes and drains everything fed (lane queues, controller queues,
+  /// pool workers) and returns every lane's slice in lane order.
+  virtual std::vector<ReplaySlice> drain() = 0;
+};
+
+/// One device behind a stage: the next `lanes` slices of drain() replay
+/// against `model`.
+struct ReplayTier {
+  const DeviceModel* model = nullptr;
+  std::size_t lanes = 0;
+};
+
+/// The replay loop. Streams `source` into `stage`, throwing the
+/// check_arrival_order diagnostic (global index, both timestamps) on an
+/// unsorted stream, then merges the drained slices tier by tier, in
+/// lane order, and finalizes each tier against its model. Returns one
+/// slice per tier: `stats` finalized, the arrival/completion window and
+/// request count kept for composite engines.
+/// A non-null `profiler` receives the "source_pull", "engine_feed",
+/// "lane_drain" (stage drain) and "shard_merge" (merge and finalize)
+/// stage timings and live progress ticks.
+std::vector<ReplaySlice> run_replay(RequestSource& source, ReplayStage& stage,
+                                    const std::vector<ReplayTier>& tiers,
+                                    prof::Profiler* profiler = nullptr);
+
+/// run_replay over one lane per device channel, routed by the same
+/// place_request hash the replay uses, on a LanePool of `threads`
+/// workers. Throws std::invalid_argument unless there is exactly one
+/// lane per channel. A non-null `profiler` also receives the pool
+/// profile.
 SimStats run_sharded(const MemorySystem& system,
                      std::vector<std::unique_ptr<ShardLane>> lanes,
                      int threads, RequestSource& source,
                      prof::Profiler* profiler = nullptr);
-
-/// Engine adapter: a flat MemorySystem replayed across per-channel
-/// worker threads — the parallel twin of MemorySystem itself, returning
-/// bit-identical statistics. Const and stateless across runs like every
-/// Engine; each run() builds its lanes and pool on the stack.
-class ShardedEngine final : public Engine {
- public:
-  /// Validates the model; `run_threads` as in resolve_run_threads.
-  ShardedEngine(DeviceModel model, int run_threads);
-
-  const MemorySystem& system() const { return system_; }
-  int run_threads() const { return run_threads_; }
-
-  using Engine::run;
-
-  SimStats run(RequestSource& source,
-               const std::string& workload_name = "") const override;
-
- private:
-  MemorySystem system_;
-  int run_threads_;
-};
 
 }  // namespace comet::memsim

@@ -1,11 +1,10 @@
 #include "memsim/system.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 #include <stdexcept>
 
-#include "prof/profiler.hpp"
+#include "memsim/sharded.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/ring.hpp"
 
@@ -20,11 +19,11 @@ struct BankState {
 
 /// Per-channel statistics lane. Every per-request accumulation is
 /// channel-local; finish_slice() merges the lanes in channel order.
-/// This is what the sharded engine's bit-identity rests on: a session
+/// This is what the per-channel lanes' bit-identity rests on: a session
 /// fed only channel k's requests populates exactly this lane (its other
 /// lanes stay empty, and empty-side RunningStats merges are exact), so
 /// merging shard slices in channel order performs the same reduction,
-/// operand for operand, as the serial session's own lane merge.
+/// operand for operand, as a whole-stream session's own lane merge.
 struct LaneTotals {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
@@ -81,12 +80,6 @@ void check_arrival_order(std::uint64_t index, std::uint64_t prev_ps,
       << arrival_ps << " ps, before the previous request's " << prev_ps
       << " ps";
   throw std::invalid_argument(msg.str());
-}
-
-void require_sorted_by_arrival(const std::vector<Request>& requests) {
-  for (std::size_t i = 1; i < requests.size(); ++i) {
-    check_arrival_order(i, requests[i - 1].arrival_ps, requests[i].arrival_ps);
-  }
 }
 
 RequestPlacement place_request(const DeviceTiming& timing,
@@ -196,7 +189,6 @@ struct ReplaySession::Impl {
   SimStats stats;  ///< Carries only the names until finish_slice().
   std::vector<ChannelState> channels;
   std::uint64_t fed = 0;
-  std::uint64_t first_arrival = 0;
   std::uint64_t prev_arrival = 0;
   bool finished = false;
 
@@ -219,14 +211,6 @@ struct ReplaySession::Impl {
     const DeviceModel& model = system.model_;
     const DeviceTiming& t = model.timing;
 
-    if (fed == 0) {
-      first_arrival = req.arrival_ps;
-    } else {
-      // A scheduled (reordered) stream can deliver an earlier arrival
-      // late; the span is still anchored at the true first arrival. On
-      // a sorted stream this is exactly the legacy "first fed" rule.
-      first_arrival = std::min(first_arrival, req.arrival_ps);
-    }
     prev_arrival = req.arrival_ps;
     ++fed;
 
@@ -434,10 +418,6 @@ FeedResult ReplaySession::feed_issued(const Request& request,
 
 std::uint64_t ReplaySession::fed() const { return impl_->fed; }
 
-std::uint64_t ReplaySession::first_arrival_ps() const {
-  return impl_->first_arrival;
-}
-
 SimStats ReplaySession::finish() {
   if (impl_->finished) {
     throw std::logic_error("ReplaySession: finish() called twice");
@@ -452,46 +432,52 @@ ReplaySlice ReplaySession::finish_slice() {
   return impl_->finish_slice();
 }
 
-MemorySystem::MemorySystem(DeviceModel model) : model_(std::move(model)) {
+MemorySystem::MemorySystem(DeviceModel model, int run_threads)
+    : model_(std::move(model)),
+      run_threads_(resolve_run_threads(run_threads)) {
   model_.validate();
 }
 
+namespace {
+
+/// The whole device as one consumer: no channel routing, no pool.
+class SessionStage final : public ReplayStage {
+ public:
+  SessionStage(const MemorySystem& system, const std::string& workload_name,
+               telemetry::Recorder* telemetry)
+      : session_(system, workload_name, telemetry) {}
+
+  void feed(const Request* block, std::size_t count) override {
+    for (std::size_t i = 0; i < count; ++i) session_.feed(block[i]);
+  }
+
+  std::vector<ReplaySlice> drain() override {
+    std::vector<ReplaySlice> slices;
+    slices.push_back(session_.finish_slice());
+    return slices;
+  }
+
+ private:
+  ReplaySession session_;
+};
+
+}  // namespace
+
 SimStats MemorySystem::run(RequestSource& source,
                            const std::string& workload_name) const {
-  telemetry::Recorder* recorder = nullptr;
-  if (telemetry::Collector* collector = telemetry()) {
-    recorder = collector->add_stage("", model_.timing.channels,
-                                    model_.timing.banks_per_channel,
-                                    collector->spec().trace_limit);
-  }
-  ReplaySession session(*this, workload_name, recorder);
-  Request block[kFeedBlockRequests];
-  prof::Profiler* const profiler = this->profiler();
-  using ProfClock = std::chrono::steady_clock;
-  double pull_s = 0.0;
-  double feed_s = 0.0;
-  std::uint64_t batches = 0;
-  for (;;) {
-    ProfClock::time_point t0;
-    if (profiler) t0 = ProfClock::now();
-    const std::size_t pulled = source.next_batch(block, kFeedBlockRequests);
-    if (pulled == 0) break;
-    if (profiler) {
-      pull_s += std::chrono::duration<double>(ProfClock::now() - t0).count();
-      ++batches;
-      t0 = ProfClock::now();
+  telemetry::Recorder* recorder = telemetry_stage(model_);
+  if (run_threads_ > 1) {
+    std::vector<std::unique_ptr<ShardLane>> lanes;
+    for (int c = 0; c < model_.timing.channels; ++c) {
+      lanes.push_back(
+          std::make_unique<SessionLane>(*this, workload_name, recorder));
     }
-    for (std::size_t i = 0; i < pulled; ++i) session.feed(block[i]);
-    if (profiler) {
-      feed_s += std::chrono::duration<double>(ProfClock::now() - t0).count();
-      profiler->add_progress(pulled);
-    }
+    return run_sharded(*this, std::move(lanes), run_threads_, source,
+                       profiler());
   }
-  if (profiler && batches > 0) {
-    profiler->record_stage("source_pull", pull_s, batches);
-    profiler->record_stage("engine_feed", feed_s, batches);
-  }
-  return session.finish();
+  SessionStage stage(*this, workload_name, recorder);
+  return std::move(
+      run_replay(source, stage, {{&model_, 1}}, profiler()).front().stats);
 }
 
 }  // namespace comet::memsim

@@ -25,26 +25,21 @@ class Recorder;
 /// charged per-bit dynamic energy plus always-on background power.
 ///
 /// Streaming contract: replay is incremental. MemorySystem::run pulls
-/// one Request at a time from a RequestSource and feeds it to a
-/// ReplaySession, which keeps only O(channels x banks) scheduler state —
-/// never the trace itself — so arbitrarily long streams (multi-million-
-/// request NVMain traces, lazy generator sources) replay in constant
-/// memory. The stream must arrive sorted by arrival_ps: each feed
-/// verifies monotonicity against its predecessor and throws
-/// std::invalid_argument naming the offending (0-based) index and both
-/// out-of-order timestamps. Results are bit-identical whether a trace is
-/// streamed or materialized first: the vector entry point is a thin
-/// VectorSource adapter over the same session.
+/// the RequestSource in blocks through the replay loop (run_replay,
+/// memsim/sharded.hpp) and feeds a ReplaySession, which keeps only
+/// O(channels x banks) scheduler state — never the trace itself — so
+/// arbitrarily long streams (multi-million-request NVMain traces, lazy
+/// generator sources) replay in constant memory. The stream must arrive
+/// sorted by arrival_ps: the loop and each session verify monotonicity
+/// and throw std::invalid_argument naming the offending (0-based) index
+/// and both out-of-order timestamps. Results are bit-identical whether a
+/// trace is streamed or materialized first: the vector entry point is a
+/// thin VectorSource adapter over the same loop.
 namespace comet::memsim {
 
-/// Throws std::invalid_argument naming the offending index and the two
-/// out-of-order timestamps if `requests` is not sorted by arrival time.
-/// Shared by MemorySystem and hybrid::TieredSystem, whose replay engines
-/// both rely on the sorted-stream contract.
-void require_sorted_by_arrival(const std::vector<Request>& requests);
-
-/// Incremental form of the same check: throws the identical diagnostic
-/// for request `index` arriving at `arrival_ps` before `prev_ps`.
+/// The sorted-stream check: throws std::invalid_argument naming request
+/// `index` and both timestamps if it arrives at `arrival_ps`, before its
+/// predecessor's `prev_ps`.
 void check_arrival_order(std::uint64_t index, std::uint64_t prev_ps,
                          std::uint64_t arrival_ps);
 
@@ -80,7 +75,7 @@ struct FeedResult {
 /// every per-request statistic in per-channel lanes and merge the lanes
 /// in channel order (see finish_slice), so a slice covering only one
 /// channel's traffic is bit-identical to that channel's lane inside a
-/// full serial replay — the property the sharded engine's merge relies
+/// full whole-stream replay — the property the sharded merge relies
 /// on. span_ps and background_energy_pj stay zero until finalize_slice
 /// derives them from the merged arrival/completion window.
 struct ReplaySlice {
@@ -94,14 +89,14 @@ struct ReplaySlice {
 /// sums add, latency/queue/sched RunningStats merge (exact when either
 /// side is empty — the case the bit-identity guarantee rests on), the
 /// arrival/completion window widens, and names/flags fill in when
-/// `into` lacks them. Merging slices in channel order reproduces the
-/// serial reduction bit for bit.
+/// `into` lacks them. Merging slices in channel order reproduces a
+/// whole-stream session's own lane reduction bit for bit.
 void merge_slice(ReplaySlice& into, const ReplaySlice& from);
 
 /// Closes a merged slice into final statistics: derives span_ps from
 /// the arrival/completion window and charges span-proportional
 /// background energy (always-on plus activity-gated) for `model`.
-/// Identical, expression for expression, to what a serial
+/// Identical, expression for expression, to what a whole-stream
 /// ReplaySession::finish computes.
 SimStats finalize_slice(ReplaySlice slice, const DeviceModel& model);
 
@@ -110,11 +105,12 @@ class MemorySystem;
 /// Push-mode incremental replay against one MemorySystem: feed()
 /// schedules one request at a time (verifying the sorted-stream
 /// contract), finish() closes the run and returns the aggregate
-/// statistics. This is the primitive composite engines build on —
-/// hybrid::TieredSystem streams its derived per-tier traffic into two
-/// concurrent sessions without materializing either sub-stream, and
-/// memsim::ShardedEngine runs one session per channel lane and merges
-/// their finish_slice() results. The MemorySystem must outlive the
+/// statistics. This is the primitive every engine builds on: a flat
+/// MemorySystem replays through one whole-device session on one thread
+/// and through one session per channel lane (SessionLane) on more,
+/// merging their finish_slice() results; hybrid::TieredSystem streams
+/// its derived per-tier traffic into per-channel sessions without
+/// materializing either sub-stream. The MemorySystem must outlive the
 /// session.
 class ReplaySession {
  public:
@@ -150,9 +146,6 @@ class ReplaySession {
   /// Number of requests fed so far.
   std::uint64_t fed() const;
 
-  /// Arrival time of the first fed request (0 before any feed).
-  std::uint64_t first_arrival_ps() const;
-
   /// Closes the run: charges span-proportional background energy and
   /// returns the statistics. May be called once; throws std::logic_error
   /// on a second call. Equivalent to finalize_slice(finish_slice()).
@@ -171,20 +164,24 @@ class ReplaySession {
 
 class MemorySystem final : public Engine {
  public:
-  explicit MemorySystem(DeviceModel model);
+  /// Validates the model; `run_threads` as in resolve_run_threads.
+  explicit MemorySystem(DeviceModel model, int run_threads = 1);
 
   const DeviceModel& model() const { return model_; }
 
   using Engine::run;
 
-  /// Streams the source through a ReplaySession (see the header comment
-  /// for the streaming contract).
+  /// Streams the source (see the header comment for the streaming
+  /// contract) through one whole-device ReplaySession at run_threads 1,
+  /// else through one SessionLane per channel on that many workers
+  /// (run_sharded). Both are bit-identical.
   SimStats run(RequestSource& source,
                const std::string& workload_name = "") const override;
 
  private:
   friend class ReplaySession;
   DeviceModel model_;
+  int run_threads_;
 };
 
 }  // namespace comet::memsim

@@ -1,13 +1,11 @@
 #include "sched/controller.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "prof/profiler.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/ring.hpp"
 
@@ -176,8 +174,8 @@ struct Controller::Impl {
     // Fairness-policy state, indexed by Request::tenant (0, the
     // untagged stream, included) and grown on demand — untagged legacy
     // runs under legacy policies never allocate. Strictly channel-local
-    // like every other scheduling input, so sharded runs reproduce the
-    // serial decisions exactly.
+    // like every other scheduling input, so per-channel lanes reproduce
+    // a whole-stream controller's decisions exactly.
     std::vector<int> tokens;  ///< token-budget: issues left this epoch.
     std::vector<std::uint64_t> starved;  ///< frfcfs-cap: passes endured.
     std::vector<std::uint64_t> queued_per_tenant;  ///< frfcfs-cap.
@@ -192,7 +190,7 @@ struct Controller::Impl {
     /// retroactively. Per channel — not global — because a channel's
     /// scheduling depends on nothing outside the channel; this is what
     /// lets a sharded run drive each channel on its own worker and
-    /// still match the serial controller decision for decision. The
+    /// still match a whole-stream controller decision for decision. The
     /// session's issue-sorted contract is per-channel to match.
     std::uint64_t last_issue = 0;
     // Per-channel scheduler statistics, merged in channel order at
@@ -211,7 +209,6 @@ struct Controller::Impl {
 
   std::uint64_t next_seq = 0;
   std::uint64_t admitted = 0;
-  std::uint64_t first_arrival = 0;
   std::uint64_t prev_arrival = 0;
   bool finished = false;
 
@@ -230,12 +227,8 @@ struct Controller::Impl {
       ch.bank_free.assign(banks, 0);
       ch.open_row.assign(banks, ~0ull);
       ch.open_region.assign(banks, ~0ull);
-      if (config.read_queue_depth > 0) {
-        ch.reads.reserve(static_cast<std::size_t>(config.read_queue_depth));
-      }
-      if (config.write_queue_depth > 0) {
-        ch.writes.reserve(static_cast<std::size_t>(config.write_queue_depth));
-      }
+      // Queues grow on first use: a per-channel lane allocates only for
+      // the one channel it serves.
     }
   }
 
@@ -475,7 +468,7 @@ struct Controller::Impl {
   /// issue instant is <= limit. Channel state is channel-local, so the
   /// per-channel issue subsequence (and every statistic) is the same
   /// however arrivals on *other* channels interleave the calls — the
-  /// invariant the sharded engine's bit-identity rests on. Per-channel
+  /// invariant the per-channel lanes' bit-identity rests on. Per-channel
   /// issue instants only move forward (bank mirrors monotonically
   /// advance, overflow admits at the freeing issue), so the session's
   /// per-channel issue-sorted contract holds.
@@ -497,9 +490,7 @@ struct Controller::Impl {
   }
 
   void feed(const memsim::Request& req) {
-    if (admitted == 0) {
-      first_arrival = req.arrival_ps;
-    } else {
+    if (admitted > 0) {
       memsim::check_arrival_order(admitted, prev_arrival, req.arrival_ps);
     }
     prev_arrival = req.arrival_ps;
@@ -601,12 +592,6 @@ void Controller::feed(const memsim::Request& request) {
   impl_->feed(request);
 }
 
-std::uint64_t Controller::fed() const { return impl_->admitted; }
-
-std::uint64_t Controller::first_arrival_ps() const {
-  return impl_->first_arrival;
-}
-
 memsim::SimStats Controller::finish() {
   if (impl_->finished) {
     throw std::logic_error("sched::Controller: finish() called twice");
@@ -632,52 +617,14 @@ ScheduledSystem::ScheduledSystem(memsim::DeviceModel model,
 
 memsim::SimStats ScheduledSystem::run(memsim::RequestSource& source,
                                       const std::string& workload_name) const {
-  telemetry::Recorder* recorder = nullptr;
-  if (telemetry::Collector* collector = telemetry()) {
-    recorder = collector->add_stage("", system_.model().timing.channels,
-                                    system_.model().timing.banks_per_channel,
-                                    collector->spec().trace_limit);
+  telemetry::Recorder* recorder = telemetry_stage(system_.model());
+  std::vector<std::unique_ptr<memsim::ShardLane>> lanes;
+  for (int c = 0; c < system_.model().timing.channels; ++c) {
+    lanes.push_back(std::make_unique<ControllerLane>(system_, config_,
+                                                     workload_name, recorder));
   }
-  if (run_threads_ > 1) {
-    std::vector<std::unique_ptr<memsim::ShardLane>> lanes;
-    const int channels = system_.model().timing.channels;
-    lanes.reserve(static_cast<std::size_t>(channels));
-    for (int c = 0; c < channels; ++c) {
-      lanes.push_back(std::make_unique<ControllerLane>(
-          system_, config_, workload_name, recorder));
-    }
-    return memsim::run_sharded(system_, std::move(lanes), run_threads_,
-                               source, profiler());
-  }
-  Controller controller(system_, config_, workload_name, recorder);
-  memsim::Request block[memsim::kFeedBlockRequests];
-  prof::Profiler* const profiler = this->profiler();
-  using ProfClock = std::chrono::steady_clock;
-  double pull_s = 0.0;
-  double feed_s = 0.0;
-  std::uint64_t batches = 0;
-  for (;;) {
-    ProfClock::time_point t0;
-    if (profiler) t0 = ProfClock::now();
-    const std::size_t pulled =
-        source.next_batch(block, memsim::kFeedBlockRequests);
-    if (pulled == 0) break;
-    if (profiler) {
-      pull_s += std::chrono::duration<double>(ProfClock::now() - t0).count();
-      ++batches;
-      t0 = ProfClock::now();
-    }
-    for (std::size_t i = 0; i < pulled; ++i) controller.feed(block[i]);
-    if (profiler) {
-      feed_s += std::chrono::duration<double>(ProfClock::now() - t0).count();
-      profiler->add_progress(pulled);
-    }
-  }
-  if (profiler && batches > 0) {
-    profiler->record_stage("source_pull", pull_s, batches);
-    profiler->record_stage("engine_feed", feed_s, batches);
-  }
-  return controller.finish();
+  return memsim::run_sharded(system_, std::move(lanes), run_threads_, source,
+                             profiler());
 }
 
 }  // namespace comet::sched

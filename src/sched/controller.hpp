@@ -64,8 +64,8 @@
 /// per queue (a real controller's finite CAM window), so even unbounded
 /// queues schedule in O(1) amortized work per transaction.
 ///
-/// Everything is deterministic and single-threaded per run; Controller
-/// instances live on the stack of each Engine::run call, so sweeps stay
+/// Everything is deterministic; each Controller is single-threaded and
+/// lives on the stack of one Engine::run call, so sweeps stay
 /// bit-identical for any thread count.
 namespace comet::sched {
 
@@ -161,12 +161,6 @@ class Controller {
   /// arrives before its predecessor, std::logic_error after finish().
   void feed(const memsim::Request& request);
 
-  /// Number of demand requests admitted so far.
-  std::uint64_t fed() const;
-
-  /// Arrival time of the first admitted request (0 before any feed).
-  std::uint64_t first_arrival_ps() const;
-
   /// Drains every queue, closes the run and returns the statistics.
   /// May be called once; throws std::logic_error on a second call.
   /// Equivalent to memsim::finalize_slice(finish_slice()).
@@ -183,10 +177,10 @@ class Controller {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Shard-lane adapter over a Controller, for sharded scheduled replay:
+/// Shard-lane adapter over a Controller, the unit of scheduled replay:
 /// one full controller per channel lane, fed only that channel's
 /// subsequence. Scheduling decisions, issue clocks and every scheduler
-/// statistic are channel-local, so the lane reproduces the serial
+/// statistic are channel-local, so the lane reproduces a whole-stream
 /// controller's per-channel behaviour decision for decision.
 class ControllerLane final : public memsim::ShardLane {
  public:
@@ -206,22 +200,21 @@ class ControllerLane final : public memsim::ShardLane {
   Controller controller_;
 };
 
-/// Engine adapter: a flat MemorySystem behind a Controller front-end.
-/// Const and stateless across runs like every Engine — the controller
-/// lives on the stack of each run() call. With run_threads > 1 the run
-/// shards into per-channel ControllerLanes on a worker pool instead of
-/// one serial controller, with bit-identical results (the test gate in
-/// tests/test_sharded.cpp covers every policy).
+/// Engine adapter: a flat MemorySystem behind Controller front-ends.
+/// Const and stateless across runs like every Engine — the controllers
+/// live on the stack of each run() call. Every run replays through one
+/// ControllerLane per channel (memsim::run_sharded) on run_threads
+/// workers, inline on the caller's thread at 1; the results are
+/// bit-identical to one whole-stream Controller for every thread count
+/// (the test gate in tests/test_sharded.cpp covers every policy). Even
+/// on one thread the lanes are the cheaper form: each controller scans
+/// only its own channel's picks.
 class ScheduledSystem final : public memsim::Engine {
  public:
   /// Validates both the model and the controller config; `run_threads`
   /// as in memsim::resolve_run_threads.
   ScheduledSystem(memsim::DeviceModel model, ControllerConfig config,
                   int run_threads = 1);
-
-  const memsim::MemorySystem& system() const { return system_; }
-  const ControllerConfig& config() const { return config_; }
-  int run_threads() const { return run_threads_; }
 
   using Engine::run;
 

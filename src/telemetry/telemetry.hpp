@@ -20,10 +20,10 @@
 /// Recorder per engine *stage* (a flat replay is one stage; a hybrid
 /// run has a "dram" and a "backend" stage), holding one Lane per
 /// channel. Every record lands in the lane of the serving channel, and
-/// both the serial engines and the sharded per-channel workers only
-/// ever touch the lane of the channel they serve — so lanes need no
-/// locking (the LanePool join publishes them), and a traced sharded run
-/// produces byte-identical telemetry to the serial run. Reading a
+/// both whole-device sessions and the per-channel lanes only ever
+/// touch the lane of the channel they serve — so lanes need no locking
+/// (the LanePool join publishes them), and a traced run produces
+/// byte-identical telemetry for every run-thread count. Reading a
 /// Recorder back (timeline(), the trace writer) always walks stages in
 /// creation order and lanes in channel order, keeping every export
 /// deterministic.
@@ -110,7 +110,7 @@ struct EpochAccum {
 };
 
 /// One channel's recordings inside one stage. Touched by exactly one
-/// thread (the channel's lane worker, or the serial engine).
+/// thread (the channel's lane worker, or the replay loop's thread).
 struct LaneTelemetry {
   std::vector<RequestEvent> events;
   std::vector<Mark> marks;

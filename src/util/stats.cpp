@@ -69,6 +69,21 @@ void RunningStats::merge(const RunningStats& other) {
   }
 }
 
+bool RunningStats::operator==(const RunningStats& other) const {
+  if (n_ != other.n_ || mean_ != other.mean_ || m2_ != other.m2_ ||
+      sum_ != other.sum_ || min_ != other.min_ || max_ != other.max_) {
+    return false;
+  }
+  if (histogram_.size() == other.histogram_.size()) {
+    return histogram_ == other.histogram_;
+  }
+  const auto all_zero = [](const std::vector<std::uint64_t>& h) {
+    return std::all_of(h.begin(), h.end(),
+                       [](std::uint64_t count) { return count == 0; });
+  };
+  return all_zero(histogram_) && all_zero(other.histogram_);
+}
+
 double RunningStats::percentile(double p) const {
   if (n_ == 0) return 0.0;
   if (p <= 0.0) return min_;

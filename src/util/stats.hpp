@@ -40,6 +40,11 @@ class RunningStats {
   double p95() const { return percentile(0.95); }
   double p99() const { return percentile(0.99); }
 
+  /// Exact equality of the observable state: count, moments, min, max,
+  /// sum and every histogram bucket. A never-allocated histogram equals
+  /// an all-zero one, so this is not a member-wise comparison.
+  bool operator==(const RunningStats& other) const;
+
  private:
   std::uint64_t n_ = 0;
   double mean_ = 0.0;

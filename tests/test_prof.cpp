@@ -1,8 +1,9 @@
 // Host-side observability tests (src/prof + driver/slo_eval). The
 // load-bearing gate mirrors test_sharded.cpp: attaching a Profiler must
-// never change the simulated statistics — exact ==, every field, for
-// every registry device (flat and hybrid), scheduled and direct, at
-// thread counts {1, 2, 8}. Around it: the SLO grammar (parse errors,
+// never change the simulated statistics — exact SimStats ==, for every
+// registry device (flat and hybrid), scheduled and direct, at thread
+// counts {1, 2, 8} — and every engine kind must report the same replay
+// stages. Around it: the SLO grammar (parse errors,
 // round-trip printing, registry/evaluator agreement), degenerate runs
 // (zero and single-request sweeps with profiling and heartbeat on,
 // empty-stats gating without division blowups) and the heartbeat
@@ -28,13 +29,11 @@
 #include "prof/profiler.hpp"
 #include "prof/slo.hpp"
 #include "sched/controller.hpp"
-#include "util/stats.hpp"
 
 namespace ms = comet::memsim;
 namespace pf = comet::prof;
 namespace dr = comet::driver;
 namespace sc = comet::sched;
-namespace cu = comet::util;
 
 namespace {
 
@@ -42,49 +41,6 @@ pf::ProfSpec profiling_spec() {
   pf::ProfSpec spec;
   spec.profile = true;
   return spec;
-}
-
-/// Exact comparison of every SimStats field (the test_sharded.cpp
-/// contract, reused for the profiled-vs-unprofiled gate).
-void expect_identical(const ms::SimStats& a, const ms::SimStats& b,
-                      const std::string& label) {
-  EXPECT_EQ(a.device_name, b.device_name) << label;
-  EXPECT_EQ(a.workload_name, b.workload_name) << label;
-  EXPECT_EQ(a.reads, b.reads) << label;
-  EXPECT_EQ(a.writes, b.writes) << label;
-  EXPECT_EQ(a.bytes_transferred, b.bytes_transferred) << label;
-  EXPECT_EQ(a.span_ps, b.span_ps) << label;
-  const auto same_dist = [&](const cu::RunningStats& x,
-                             const cu::RunningStats& y, const char* which) {
-    EXPECT_EQ(x.count(), y.count()) << label << " " << which;
-    EXPECT_EQ(x.mean(), y.mean()) << label << " " << which;
-    EXPECT_EQ(x.stddev(), y.stddev()) << label << " " << which;
-    EXPECT_EQ(x.min(), y.min()) << label << " " << which;
-    EXPECT_EQ(x.max(), y.max()) << label << " " << which;
-    EXPECT_EQ(x.sum(), y.sum()) << label << " " << which;
-    EXPECT_EQ(x.p50(), y.p50()) << label << " " << which;
-    EXPECT_EQ(x.p95(), y.p95()) << label << " " << which;
-    EXPECT_EQ(x.p99(), y.p99()) << label << " " << which;
-  };
-  same_dist(a.read_latency_ns, b.read_latency_ns, "read");
-  same_dist(a.write_latency_ns, b.write_latency_ns, "write");
-  same_dist(a.queue_delay_ns, b.queue_delay_ns, "queue");
-  EXPECT_EQ(a.dynamic_energy_pj, b.dynamic_energy_pj) << label;
-  EXPECT_EQ(a.background_energy_pj, b.background_energy_pj) << label;
-  EXPECT_EQ(a.total_bank_busy_ns, b.total_bank_busy_ns) << label;
-  EXPECT_EQ(a.hybrid, b.hybrid) << label;
-  EXPECT_EQ(a.cache_hits, b.cache_hits) << label;
-  EXPECT_EQ(a.cache_misses, b.cache_misses) << label;
-  EXPECT_EQ(a.writebacks, b.writebacks) << label;
-  EXPECT_EQ(a.dram_tier_energy_pj, b.dram_tier_energy_pj) << label;
-  EXPECT_EQ(a.backend_tier_energy_pj, b.backend_tier_energy_pj) << label;
-  EXPECT_EQ(a.scheduled, b.scheduled) << label;
-  EXPECT_EQ(a.sched_policy, b.sched_policy) << label;
-  same_dist(a.sched_queue_delay_ns, b.sched_queue_delay_ns, "sched-queue");
-  same_dist(a.service_latency_ns, b.service_latency_ns, "service");
-  EXPECT_EQ(a.write_drains, b.write_drains) << label;
-  EXPECT_EQ(a.drain_stalls, b.drain_stalls) << label;
-  EXPECT_EQ(a.admit_stalls, b.admit_stalls) << label;
 }
 
 const std::vector<ms::Request>& shared_trace() {
@@ -347,8 +303,8 @@ TEST(ProfiledBitIdentity, EveryFlatRegistryDeviceEveryThreadCount) {
     const ms::SimStats plain = run_spec(spec, std::nullopt, 1, nullptr);
     for (const int threads : {1, 2, 8}) {
       pf::Profiler profiler(profiling_spec());
-      expect_identical(plain, run_spec(spec, std::nullopt, threads, &profiler),
-                       token + "/t" + std::to_string(threads));
+      EXPECT_TRUE(run_spec(spec, std::nullopt, threads, &profiler) == plain)
+          << token << "/t" << threads;
       EXPECT_EQ(profiler.progress(), shared_trace().size()) << token;
     }
   }
@@ -360,8 +316,8 @@ TEST(ProfiledBitIdentity, EveryHybridRegistryDeviceEveryThreadCount) {
     const ms::SimStats plain = run_spec(spec, std::nullopt, 1, nullptr);
     for (const int threads : {1, 2, 8}) {
       pf::Profiler profiler(profiling_spec());
-      expect_identical(plain, run_spec(spec, std::nullopt, threads, &profiler),
-                       token + "/t" + std::to_string(threads));
+      EXPECT_TRUE(run_spec(spec, std::nullopt, threads, &profiler) == plain)
+          << token << "/t" << threads;
     }
   }
 }
@@ -373,8 +329,8 @@ TEST(ProfiledBitIdentity, ScheduledEnginesMatchWithProfilingOn) {
   const ms::SimStats plain = run_spec(spec, controller, 1, nullptr);
   for (const int threads : {1, 2, 8}) {
     pf::Profiler profiler(profiling_spec());
-    expect_identical(plain, run_spec(spec, controller, threads, &profiler),
-                     "sched/t" + std::to_string(threads));
+    EXPECT_TRUE(run_spec(spec, controller, threads, &profiler) == plain)
+        << "sched/t" << threads;
   }
 }
 
@@ -392,4 +348,43 @@ TEST(ProfiledBitIdentity, PoolProfileAccountsForEveryRequest) {
   const double utilization = pool.utilization();
   EXPECT_GE(utilization, 0.0);
   EXPECT_LE(utilization, 1.0);
+}
+
+TEST(ProfiledStages, EveryEngineKindRecordsTheSameStageSet) {
+  // One replay loop times every engine: the pulls, the feeds, the stage
+  // drain (lane flush, controller queues, worker join) and the merge.
+  struct Kind {
+    const char* token;
+    std::optional<sc::ControllerConfig> controller;
+    int run_threads;
+  };
+  const Kind kinds[] = {
+      {"comet", std::nullopt, 1},
+      {"comet", std::nullopt, 4},
+      {"comet", sc::ControllerConfig::with_depths(sc::Policy::kFrFcfs, 8, 8),
+       1},
+      {"hybrid-comet", std::nullopt, 1},
+  };
+  const std::uint64_t blocks =
+      (shared_trace().size() + ms::kFeedBlockRequests - 1) /
+      ms::kFeedBlockRequests;
+  for (const Kind& kind : kinds) {
+    pf::Profiler profiler(profiling_spec());
+    run_spec(dr::make_device_spec(kind.token), kind.controller,
+             kind.run_threads, &profiler);
+    const std::string label = std::string(kind.token) + "/" +
+                              (kind.controller ? "sched" : "direct") + "/t" +
+                              std::to_string(kind.run_threads);
+    std::vector<std::string> names;
+    for (const auto& [name, stage] : profiler.stages()) names.push_back(name);
+    EXPECT_EQ(names, (std::vector<std::string>{"engine_feed", "lane_drain",
+                                               "shard_merge", "source_pull"}))
+        << label;
+    const auto& stages = profiler.stages();
+    ASSERT_EQ(stages.count("source_pull"), 1u) << label;
+    EXPECT_EQ(stages.at("source_pull").calls, blocks) << label;
+    EXPECT_EQ(stages.at("engine_feed").calls, blocks) << label;
+    EXPECT_EQ(stages.at("lane_drain").calls, 1u) << label;
+    EXPECT_EQ(stages.at("shard_merge").calls, 1u) << label;
+  }
 }

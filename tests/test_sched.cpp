@@ -92,39 +92,23 @@ ms::SimStats run_with(const ms::DeviceModel& model,
   return system.run(requests, "crafted");
 }
 
-/// Exhaustive SimStats comparison for the bit-identity anchors (the
-/// scheduler-breakdown fields are intentionally excluded: the legacy
-/// path has none).
-void expect_bit_identical(const ms::SimStats& a, const ms::SimStats& b,
-                          const std::string& label) {
-  EXPECT_EQ(a.reads, b.reads) << label;
-  EXPECT_EQ(a.writes, b.writes) << label;
-  EXPECT_EQ(a.bytes_transferred, b.bytes_transferred) << label;
-  EXPECT_EQ(a.span_ps, b.span_ps) << label;
-  const auto same_dist = [&](const cu::RunningStats& x,
-                             const cu::RunningStats& y, const char* which) {
-    EXPECT_EQ(x.count(), y.count()) << label << " " << which;
-    EXPECT_EQ(x.mean(), y.mean()) << label << " " << which;
-    EXPECT_EQ(x.stddev(), y.stddev()) << label << " " << which;
-    EXPECT_EQ(x.min(), y.min()) << label << " " << which;
-    EXPECT_EQ(x.max(), y.max()) << label << " " << which;
-    EXPECT_EQ(x.sum(), y.sum()) << label << " " << which;
-    EXPECT_EQ(x.p50(), y.p50()) << label << " " << which;
-    EXPECT_EQ(x.p95(), y.p95()) << label << " " << which;
-    EXPECT_EQ(x.p99(), y.p99()) << label << " " << which;
-  };
-  same_dist(a.read_latency_ns, b.read_latency_ns, "read");
-  same_dist(a.write_latency_ns, b.write_latency_ns, "write");
-  same_dist(a.queue_delay_ns, b.queue_delay_ns, "queue");
-  EXPECT_EQ(a.dynamic_energy_pj, b.dynamic_energy_pj) << label;
-  EXPECT_EQ(a.background_energy_pj, b.background_energy_pj) << label;
-  EXPECT_EQ(a.total_bank_busy_ns, b.total_bank_busy_ns) << label;
-  EXPECT_EQ(a.cache_hits, b.cache_hits) << label;
-  EXPECT_EQ(a.cache_misses, b.cache_misses) << label;
-  EXPECT_EQ(a.cache_fills, b.cache_fills) << label;
-  EXPECT_EQ(a.writebacks, b.writebacks) << label;
-  EXPECT_EQ(a.dram_tier_energy_pj, b.dram_tier_energy_pj) << label;
-  EXPECT_EQ(a.backend_tier_energy_pj, b.backend_tier_energy_pj) << label;
+/// `legacy` with the scheduler breakdown of `scheduled` copied in. The
+/// bit-identity anchors compare an unscheduled run (which has no
+/// breakdown) with a scheduled one; every other field must match
+/// exactly.
+ms::SimStats with_sched_breakdown(ms::SimStats legacy,
+                                  const ms::SimStats& scheduled) {
+  legacy.scheduled = scheduled.scheduled;
+  legacy.sched_policy = scheduled.sched_policy;
+  legacy.sched_queue_delay_ns = scheduled.sched_queue_delay_ns;
+  legacy.service_latency_ns = scheduled.service_latency_ns;
+  legacy.read_queue_occupancy = scheduled.read_queue_occupancy;
+  legacy.write_queue_occupancy = scheduled.write_queue_occupancy;
+  legacy.write_drains = scheduled.write_drains;
+  legacy.drained_writes = scheduled.drained_writes;
+  legacy.drain_stalls = scheduled.drain_stalls;
+  legacy.admit_stalls = scheduled.admit_stalls;
+  return legacy;
 }
 
 }  // namespace
@@ -203,8 +187,8 @@ TEST(SchedFcfs, UnboundedIsBitIdenticalOnEveryRegistryDevice) {
       // fcfs hands off at arrival: zero controller-queue time, and the
       // device service interval is the whole end-to-end latency.
       EXPECT_EQ(scheduled.sched_queue_delay_ns.max(), 0.0) << token;
-      expect_bit_identical(legacy, scheduled,
-                           token + std::string("/") + workload);
+      EXPECT_TRUE(with_sched_breakdown(legacy, scheduled) == scheduled)
+          << token << "/" << workload;
     }
   }
 }
@@ -378,7 +362,7 @@ TEST(SchedEngine, ScheduledSystemIsStatelessAcrossRuns) {
   }
   const auto first = system.run(reqs);
   const auto second = system.run(reqs);
-  expect_bit_identical(first, second, "rerun");
+  EXPECT_TRUE(first == second);
 }
 
 // -------------------------------------------------- hybrid integration
@@ -395,7 +379,7 @@ TEST(SchedHybrid, FcfsUnboundedBackendMatchesDirectTiering) {
   const auto b = scheduled.run(sched_source, "mcf_like");
   EXPECT_FALSE(a.is_scheduled());
   EXPECT_TRUE(b.is_scheduled());
-  expect_bit_identical(a, b, "hybrid-fcfs");
+  EXPECT_TRUE(with_sched_breakdown(a, b) == b);
 }
 
 TEST(SchedHybrid, BackendControllerSurfacesOnCombinedStats) {
@@ -489,14 +473,8 @@ TEST(SchedSweep, ThreadedMatchesSerialForEveryPolicy) {
   const auto threaded = comet::driver::run_sweep(jobs, 4);
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_bit_identical(serial[i], threaded[i],
-                         jobs[i].device.name + "/" +
-                             serial[i].sched_policy);
-    EXPECT_EQ(serial[i].sched_queue_delay_ns.mean(),
-              threaded[i].sched_queue_delay_ns.mean())
-        << i;
-    EXPECT_EQ(serial[i].write_drains, threaded[i].write_drains) << i;
-    EXPECT_EQ(serial[i].admit_stalls, threaded[i].admit_stalls) << i;
+    EXPECT_TRUE(serial[i] == threaded[i])
+        << jobs[i].device.name << "/" << serial[i].sched_policy;
   }
 }
 

@@ -1,12 +1,15 @@
 // Sharded per-channel parallel replay tests. The load-bearing gate is
-// bit-identity: for every registry device (flat and hybrid), every
-// controller option (none, fcfs, frfcfs, read-first with bounded
-// queues, so admit stalls and write drains actually fire) and thread
-// counts {1, 2, 8}, the sharded engines must reproduce the serial
-// result field for field — exact ==, no tolerances, on every counter,
-// every latency distribution moment and every energy sum. Plus the
-// LanePool mechanics: inline mode, worker-error propagation, and the
-// run_threads resolution rules.
+// bit-identity against independent references: for every flat registry
+// device and every controller option (none, then every policy with
+// bounded queues, so admit stalls and write drains actually fire), one
+// lane per channel at thread counts {1, 2, 8} — fed through run_sharded
+// directly and through the engines — must reproduce one whole-stream
+// ReplaySession or one whole-stream Controller fed the same trace
+// directly: exact SimStats ==, no tolerances, on every counter, every
+// latency distribution and every energy sum. Hybrid engines have no
+// whole-stream equivalent and are pinned across thread counts instead.
+// Plus the replay-loop contracts and the LanePool mechanics: inline
+// mode, worker-error propagation, and the run_threads resolution rules.
 
 #include <gtest/gtest.h>
 
@@ -25,58 +28,9 @@
 
 namespace ms = comet::memsim;
 namespace sc = comet::sched;
-namespace cu = comet::util;
 namespace dr = comet::driver;
 
 namespace {
-
-/// Exact comparison of every SimStats field, scheduler breakdown
-/// included. Any drift — a reordered merge, a lost request, a
-/// float-summation order change — fails here.
-void expect_identical(const ms::SimStats& a, const ms::SimStats& b,
-                      const std::string& label) {
-  EXPECT_EQ(a.device_name, b.device_name) << label;
-  EXPECT_EQ(a.workload_name, b.workload_name) << label;
-  EXPECT_EQ(a.reads, b.reads) << label;
-  EXPECT_EQ(a.writes, b.writes) << label;
-  EXPECT_EQ(a.bytes_transferred, b.bytes_transferred) << label;
-  EXPECT_EQ(a.span_ps, b.span_ps) << label;
-  const auto same_dist = [&](const cu::RunningStats& x,
-                             const cu::RunningStats& y, const char* which) {
-    EXPECT_EQ(x.count(), y.count()) << label << " " << which;
-    EXPECT_EQ(x.mean(), y.mean()) << label << " " << which;
-    EXPECT_EQ(x.stddev(), y.stddev()) << label << " " << which;
-    EXPECT_EQ(x.min(), y.min()) << label << " " << which;
-    EXPECT_EQ(x.max(), y.max()) << label << " " << which;
-    EXPECT_EQ(x.sum(), y.sum()) << label << " " << which;
-    EXPECT_EQ(x.p50(), y.p50()) << label << " " << which;
-    EXPECT_EQ(x.p95(), y.p95()) << label << " " << which;
-    EXPECT_EQ(x.p99(), y.p99()) << label << " " << which;
-  };
-  same_dist(a.read_latency_ns, b.read_latency_ns, "read");
-  same_dist(a.write_latency_ns, b.write_latency_ns, "write");
-  same_dist(a.queue_delay_ns, b.queue_delay_ns, "queue");
-  EXPECT_EQ(a.dynamic_energy_pj, b.dynamic_energy_pj) << label;
-  EXPECT_EQ(a.background_energy_pj, b.background_energy_pj) << label;
-  EXPECT_EQ(a.total_bank_busy_ns, b.total_bank_busy_ns) << label;
-  EXPECT_EQ(a.hybrid, b.hybrid) << label;
-  EXPECT_EQ(a.cache_hits, b.cache_hits) << label;
-  EXPECT_EQ(a.cache_misses, b.cache_misses) << label;
-  EXPECT_EQ(a.cache_fills, b.cache_fills) << label;
-  EXPECT_EQ(a.writebacks, b.writebacks) << label;
-  EXPECT_EQ(a.dram_tier_energy_pj, b.dram_tier_energy_pj) << label;
-  EXPECT_EQ(a.backend_tier_energy_pj, b.backend_tier_energy_pj) << label;
-  EXPECT_EQ(a.scheduled, b.scheduled) << label;
-  EXPECT_EQ(a.sched_policy, b.sched_policy) << label;
-  same_dist(a.sched_queue_delay_ns, b.sched_queue_delay_ns, "sched-queue");
-  same_dist(a.service_latency_ns, b.service_latency_ns, "service");
-  same_dist(a.read_queue_occupancy, b.read_queue_occupancy, "read-occ");
-  same_dist(a.write_queue_occupancy, b.write_queue_occupancy, "write-occ");
-  EXPECT_EQ(a.write_drains, b.write_drains) << label;
-  EXPECT_EQ(a.drained_writes, b.drained_writes) << label;
-  EXPECT_EQ(a.drain_stalls, b.drain_stalls) << label;
-  EXPECT_EQ(a.admit_stalls, b.admit_stalls) << label;
-}
 
 /// A shared demand trace: the mixed profile exercises bursts, Zipf-hot
 /// jumps and both ops, so transaction queues, drains and both latency
@@ -105,24 +59,43 @@ std::string axis_name(const std::optional<sc::ControllerConfig>& controller) {
   return controller ? sc::policy_name(controller->policy) : "none";
 }
 
+/// One ReplaySession, or one Controller, over the whole device, fed the
+/// whole trace by hand — no replay loop, no lanes, no pool.
+ms::SimStats whole_stream_reference(
+    const ms::MemorySystem& system,
+    const std::optional<sc::ControllerConfig>& controller) {
+  if (controller) {
+    sc::Controller whole(system, *controller, "gcc_like");
+    for (const ms::Request& req : shared_trace()) whole.feed(req);
+    return whole.finish();
+  }
+  ms::ReplaySession whole(system, "gcc_like");
+  for (const ms::Request& req : shared_trace()) whole.feed(req);
+  return whole.finish();
+}
+
+/// One SessionLane or ControllerLane per channel through run_sharded.
+ms::SimStats run_channel_lanes(
+    const ms::MemorySystem& system,
+    const std::optional<sc::ControllerConfig>& controller, int threads) {
+  std::vector<std::unique_ptr<ms::ShardLane>> lanes;
+  for (int c = 0; c < system.model().timing.channels; ++c) {
+    if (controller) {
+      lanes.push_back(std::make_unique<sc::ControllerLane>(
+          system, *controller, "gcc_like"));
+    } else {
+      lanes.push_back(std::make_unique<ms::SessionLane>(system, "gcc_like"));
+    }
+  }
+  ms::VectorSource source(shared_trace());
+  return ms::run_sharded(system, std::move(lanes), threads, source);
+}
+
 ms::SimStats run_spec(const dr::DeviceSpec& spec,
                       const std::optional<sc::ControllerConfig>& controller,
                       int threads) {
   const auto engine = spec.make_engine(controller, threads);
   return engine->run(shared_trace(), "gcc_like");
-}
-
-void expect_sharded_matches_serial(const std::string& token) {
-  const dr::DeviceSpec spec = dr::make_device_spec(token);
-  for (const auto& controller : controller_axis()) {
-    const ms::SimStats serial = run_spec(spec, controller, 1);
-    for (const int threads : {1, 2, 8}) {
-      const ms::SimStats sharded = run_spec(spec, controller, threads);
-      expect_identical(serial, sharded,
-                       token + "/" + axis_name(controller) + "/t" +
-                           std::to_string(threads));
-    }
-  }
 }
 
 }  // namespace
@@ -131,43 +104,86 @@ void expect_sharded_matches_serial(const std::string& token) {
 
 TEST(ShardedBitIdentity, EveryFlatRegistryDeviceEveryPolicyEveryThreadCount) {
   for (const auto& token : dr::known_devices()) {
-    expect_sharded_matches_serial(token);
+    const dr::DeviceSpec spec = dr::make_device_spec(token);
+    const ms::MemorySystem system(*spec.flat);
+    for (const auto& controller : controller_axis()) {
+      const ms::SimStats reference = whole_stream_reference(system, controller);
+      for (const int threads : {1, 2, 8}) {
+        const std::string label = token + "/" + axis_name(controller) +
+                                  "/t" + std::to_string(threads);
+        EXPECT_TRUE(run_channel_lanes(system, controller, threads) ==
+                    reference)
+            << label << " (run_sharded)";
+        EXPECT_TRUE(run_spec(spec, controller, threads) == reference)
+            << label << " (engine)";
+      }
+    }
   }
 }
 
 TEST(ShardedBitIdentity, EveryHybridRegistryDeviceEveryPolicyEveryThreadCount) {
   for (const auto& token : dr::known_hybrid_devices()) {
-    expect_sharded_matches_serial(token);
+    const dr::DeviceSpec spec = dr::make_device_spec(token);
+    for (const auto& controller : controller_axis()) {
+      const ms::SimStats inline_lanes = run_spec(spec, controller, 1);
+      for (const int threads : {2, 8}) {
+        EXPECT_TRUE(run_spec(spec, controller, threads) == inline_lanes)
+            << token << "/" << axis_name(controller) << "/t" << threads;
+      }
+    }
   }
 }
 
-TEST(ShardedBitIdentity, ShardedEngineMatchesMemorySystemDirectly) {
+TEST(ShardedBitIdentity, MemorySystemMatchesWholeStreamSession) {
   const ms::DeviceModel model = dr::make_device("comet");
-  const ms::MemorySystem serial(model);
-  const ms::SimStats reference = serial.run(shared_trace(), "gcc_like");
+  const ms::SimStats reference =
+      whole_stream_reference(ms::MemorySystem(model), std::nullopt);
   for (const int threads : {1, 2, 8}) {
-    const ms::ShardedEngine sharded(model, threads);
-    expect_identical(reference, sharded.run(shared_trace(), "gcc_like"),
-                     "comet/t" + std::to_string(threads));
+    const ms::MemorySystem engine(model, threads);
+    EXPECT_TRUE(engine.run(shared_trace(), "gcc_like") == reference)
+        << "comet/t" << threads;
   }
 }
 
 // --------------------------------------------------------- contracts
 
 TEST(ShardedContract, UnsortedStreamThrowsWithSerialDiagnostics) {
-  const ms::ShardedEngine sharded(dr::make_device("comet"), 2);
-  std::vector<ms::Request> requests = {
+  // The replay loop owns the global order check, so every engine kind
+  // names the global index, whichever lane the request would reach.
+  const std::vector<ms::Request> requests = {
       ms::Request{.id = 0, .arrival_ps = 100, .op = ms::Op::kRead,
                   .address = 0, .size_bytes = 64},
       ms::Request{.id = 1, .arrival_ps = 50, .op = ms::Op::kRead,
                   .address = 4096, .size_bytes = 64},
   };
-  try {
-    sharded.run(requests, "unsorted");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("index 1"), std::string::npos)
-        << e.what();
+  struct Kind {
+    const char* token;
+    std::optional<sc::ControllerConfig> controller;
+    int threads;
+  };
+  const Kind kinds[] = {
+      {"comet", std::nullopt, 1},
+      {"comet", std::nullopt, 2},
+      {"comet", sc::ControllerConfig::with_depths(sc::Policy::kFrFcfs, 8, 8),
+       1},
+      {"hybrid-comet", std::nullopt, 1},
+  };
+  for (const Kind& kind : kinds) {
+    const auto engine =
+        dr::make_device_spec(kind.token).make_engine(kind.controller,
+                                                     kind.threads);
+    const std::string label = std::string(kind.token) + "/" +
+                              axis_name(kind.controller) + "/t" +
+                              std::to_string(kind.threads);
+    try {
+      engine->run(requests, "unsorted");
+      ADD_FAILURE() << label << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("index 1"), std::string::npos) << label << what;
+      EXPECT_NE(what.find("arrives at 50 ps"), std::string::npos)
+          << label << what;
+    }
   }
 }
 
@@ -180,12 +196,14 @@ TEST(ShardedContract, ResolveRunThreads) {
 
 TEST(ShardedContract, RunShardedRejectsLaneCountMismatch) {
   const ms::MemorySystem system(dr::make_device("comet"));  // 8 channels
-  std::vector<std::unique_ptr<ms::ShardLane>> lanes;
-  lanes.push_back(std::make_unique<ms::SessionLane>(system, "w"));
-  ms::VectorSource source(shared_trace());
-  EXPECT_THROW(
-      ms::run_sharded(system, std::move(lanes), 2, source),
-      std::invalid_argument);
+  for (const int threads : {1, 2}) {
+    std::vector<std::unique_ptr<ms::ShardLane>> lanes;
+    lanes.push_back(std::make_unique<ms::SessionLane>(system, "w"));
+    ms::VectorSource source(shared_trace());
+    EXPECT_THROW(ms::run_sharded(system, std::move(lanes), threads, source),
+                 std::invalid_argument)
+        << "threads=" << threads;
+  }
 }
 
 // ------------------------------------------------------ lane pool

@@ -26,11 +26,9 @@
 #include "memsim/trace_gen.hpp"
 #include "sched/controller.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/stats.hpp"
 
 namespace ms = comet::memsim;
 namespace sc = comet::sched;
-namespace cu = comet::util;
 namespace dr = comet::driver;
 namespace tl = comet::telemetry;
 
@@ -79,60 +77,6 @@ ms::SimStats run_device(const dr::DeviceSpec& spec,
   const auto engine = spec.make_engine(controller, threads);
   if (collector != nullptr) engine->attach_telemetry(collector);
   return engine->run(shared_trace(), "gcc_like");
-}
-
-/// Exact comparison of every SimStats field (the test_sharded gate,
-/// applied traced-vs-untraced).
-void expect_identical(const ms::SimStats& a, const ms::SimStats& b,
-                      const std::string& label) {
-  EXPECT_EQ(a.reads, b.reads) << label;
-  EXPECT_EQ(a.writes, b.writes) << label;
-  EXPECT_EQ(a.bytes_transferred, b.bytes_transferred) << label;
-  EXPECT_EQ(a.span_ps, b.span_ps) << label;
-  const auto same_dist = [&](const cu::RunningStats& x,
-                             const cu::RunningStats& y, const char* which) {
-    EXPECT_EQ(x.count(), y.count()) << label << " " << which;
-    EXPECT_EQ(x.mean(), y.mean()) << label << " " << which;
-    EXPECT_EQ(x.stddev(), y.stddev()) << label << " " << which;
-    EXPECT_EQ(x.min(), y.min()) << label << " " << which;
-    EXPECT_EQ(x.max(), y.max()) << label << " " << which;
-    EXPECT_EQ(x.sum(), y.sum()) << label << " " << which;
-    EXPECT_EQ(x.p50(), y.p50()) << label << " " << which;
-    EXPECT_EQ(x.p95(), y.p95()) << label << " " << which;
-    EXPECT_EQ(x.p99(), y.p99()) << label << " " << which;
-  };
-  same_dist(a.read_latency_ns, b.read_latency_ns, "read");
-  same_dist(a.write_latency_ns, b.write_latency_ns, "write");
-  same_dist(a.queue_delay_ns, b.queue_delay_ns, "queue");
-  EXPECT_EQ(a.dynamic_energy_pj, b.dynamic_energy_pj) << label;
-  EXPECT_EQ(a.background_energy_pj, b.background_energy_pj) << label;
-  EXPECT_EQ(a.total_bank_busy_ns, b.total_bank_busy_ns) << label;
-  EXPECT_EQ(a.hybrid, b.hybrid) << label;
-  EXPECT_EQ(a.cache_hits, b.cache_hits) << label;
-  EXPECT_EQ(a.cache_misses, b.cache_misses) << label;
-  EXPECT_EQ(a.cache_fills, b.cache_fills) << label;
-  EXPECT_EQ(a.writebacks, b.writebacks) << label;
-  EXPECT_EQ(a.scheduled, b.scheduled) << label;
-  same_dist(a.sched_queue_delay_ns, b.sched_queue_delay_ns, "sched-queue");
-  same_dist(a.service_latency_ns, b.service_latency_ns, "service");
-  same_dist(a.read_queue_occupancy, b.read_queue_occupancy, "read-occ");
-  same_dist(a.write_queue_occupancy, b.write_queue_occupancy, "write-occ");
-  EXPECT_EQ(a.write_drains, b.write_drains) << label;
-  EXPECT_EQ(a.drained_writes, b.drained_writes) << label;
-  EXPECT_EQ(a.drain_stalls, b.drain_stalls) << label;
-  EXPECT_EQ(a.admit_stalls, b.admit_stalls) << label;
-}
-
-void expect_same_moments(const cu::RunningStats& x, const cu::RunningStats& y,
-                         const std::string& label) {
-  EXPECT_EQ(x.count(), y.count()) << label;
-  EXPECT_EQ(x.mean(), y.mean()) << label;
-  EXPECT_EQ(x.sum(), y.sum()) << label;
-  EXPECT_EQ(x.min(), y.min()) << label;
-  EXPECT_EQ(x.max(), y.max()) << label;
-  EXPECT_EQ(x.p50(), y.p50()) << label;
-  EXPECT_EQ(x.p95(), y.p95()) << label;
-  EXPECT_EQ(x.p99(), y.p99()) << label;
 }
 
 /// Byte-for-byte telemetry comparison: every stage, lane, event, mark,
@@ -185,12 +129,14 @@ void expect_same_telemetry(const tl::Collector& a, const tl::Collector& b,
         EXPECT_EQ(ita->second.writes, itb->second.writes) << ep;
         EXPECT_EQ(ita->second.bytes, itb->second.bytes) << ep;
         EXPECT_EQ(ita->second.bank_busy_ns, itb->second.bank_busy_ns) << ep;
-        expect_same_moments(ita->second.latency_ns, itb->second.latency_ns,
-                            ep + " latency");
-        expect_same_moments(ita->second.read_queue_occupancy,
-                            itb->second.read_queue_occupancy, ep + " rd-occ");
-        expect_same_moments(ita->second.write_queue_occupancy,
-                            itb->second.write_queue_occupancy, ep + " wr-occ");
+        EXPECT_TRUE(ita->second.latency_ns == itb->second.latency_ns)
+            << ep << " latency";
+        EXPECT_TRUE(ita->second.read_queue_occupancy ==
+                    itb->second.read_queue_occupancy)
+            << ep << " rd-occ";
+        EXPECT_TRUE(ita->second.write_queue_occupancy ==
+                    itb->second.write_queue_occupancy)
+            << ep << " wr-occ";
         EXPECT_EQ(ita->second.write_drains, itb->second.write_drains) << ep;
         EXPECT_EQ(ita->second.drained_writes, itb->second.drained_writes)
             << ep;
@@ -245,7 +191,7 @@ TEST(TelemetryBitIdentity, TracedRunMatchesUntracedEveryDeviceEveryPolicy) {
         tl::Collector collector(full_spec());
         const ms::SimStats traced =
             run_device(spec, controller, threads, &collector);
-        expect_identical(plain, traced, label);
+        EXPECT_TRUE(traced == plain) << label;
         EXPECT_GT(collector.recorded_events(), 0u) << label;
       }
     }
