@@ -11,13 +11,14 @@ once they land in the baseline. Cells that *improved* past the same
 threshold are flagged informationally (never failing) — a stale
 baseline under-gates every later change, so a refresh is suggested.
 
-Thread-count guard (PR 10): every bench cell records the host's
-resolved hardware thread count under ``config.hw_threads``. When the
-baseline cell was generated on a host with a different thread count
-than the current run, its throughput is not comparable (sharded cells
-scale with the core count), so that cell is warned about and skipped
-instead of gated. Cells whose baselines predate the field compare as
-before.
+Thread-count guard: every bench cell records the host's resolved
+hardware thread count under ``config.hw_threads``. A sharded cell
+(``config.run_threads`` other than 1) scales with the core count, so
+when its baseline was generated on a host with a different thread
+count it is warned about and skipped instead of gated. A serial cell
+(no ``config.run_threads``, or ``run_threads == 1``) runs on one core
+whatever the host has, so it is gated across a thread-count mismatch.
+Cells whose baselines predate ``hw_threads`` compare as before.
 
 Report mode (PR 10): ``--report [DIR]`` pairs every
 ``BASELINE_<x>.json`` with its ``BENCH_<x>.json`` in DIR (default: the
@@ -58,8 +59,13 @@ def load(path):
 
 
 def hw_threads_of(result):
-    """The recorded host thread count, or None for pre-PR-10 cells."""
+    """The recorded host thread count, or None for cells without one."""
     return result.get("config", {}).get("hw_threads")
+
+
+def is_serial(result):
+    """True for a cell that replays on one thread whatever the host has."""
+    return result.get("config", {}).get("run_threads", 1) == 1
 
 
 def compare_cells(baseline, current, max_regression):
@@ -67,7 +73,8 @@ def compare_cells(baseline, current, max_regression):
 
     Each row is a dict with name / base_rps / cur_rps / delta / status,
     where status is one of: ok, regression, improved, missing, new,
-    skipped (hw_threads mismatch — note carries the detail).
+    skipped (a sharded cell across an hw_threads mismatch — note
+    carries the detail).
     """
     rows = []
     for name in sorted(baseline):
@@ -81,7 +88,8 @@ def compare_cells(baseline, current, max_regression):
             base_hw = hw_threads_of(base)
             cur_hw = hw_threads_of(cur)
             if (base_hw is not None and cur_hw is not None
-                    and base_hw != cur_hw):
+                    and base_hw != cur_hw
+                    and not (is_serial(base) and is_serial(cur))):
                 row["status"] = "skipped"
                 row["note"] = (f"hw_threads {base_hw} -> {cur_hw}: "
                                "not comparable")
@@ -147,9 +155,9 @@ def run_gate(args):
               f"{row['cur_rps']:>12.0f}  {row['delta']:>+7.1%}{flag}")
 
     if skips:
-        print(f"\nwarning: {len(skips)} cell(s) skipped — the baseline "
-              "was recorded on a host with a different hardware thread "
-              "count, so its throughput does not gate this run:")
+        print(f"\nwarning: {len(skips)} sharded cell(s) skipped — the "
+              "baseline was recorded on a host with a different hardware "
+              "thread count, so its throughput does not gate this run:")
         for skip in skips:
             print(f"  ~ {skip}")
     if improvements:
@@ -202,9 +210,9 @@ def run_report(args):
 
     lines = ["# COMET perf trajectory", "",
              f"Per-cell replay throughput vs the committed baseline "
-             f"(gate threshold {args.max_regression:.0%}; rows whose "
-             "baseline host had a different `hw_threads` are skipped, "
-             "not gated).", ""]
+             f"(gate threshold {args.max_regression:.0%}; sharded rows "
+             "whose baseline host had a different `hw_threads` are "
+             "skipped, not gated).", ""]
     for base_path, cur_path in pairs:
         bench_base, baseline = load(base_path)
         bench_cur, current = load(cur_path)

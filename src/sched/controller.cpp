@@ -110,18 +110,35 @@ namespace {
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
-/// Policies consider at most this many of the oldest entries per queue
-/// — the finite scheduler window of a real controller's CAM. It only
-/// binds for unbounded (depth-0) queues deeper than any built-in
-/// configuration, and keeps each issue decision O(window) instead of
-/// O(queued), so saturating unbounded runs stay linear overall.
+/// Policies consider only the 256 oldest entries of each queue — the
+/// finite scheduling window of a real controller. It binds only for
+/// unbounded (depth-0) queues deeper than any built-in configuration;
+/// entries past it wait, in order, until issues inside it make room.
 constexpr std::size_t kScanWindow = 256;
 
+/// Queue kinds, indexing every per-queue array below.
+constexpr std::size_t kReads = 0;
+constexpr std::size_t kWrites = 1;
+
+/// An admitted transaction waiting outside the scheduling window, or an
+/// arrival waiting for a queue slot (admission overflow).
 struct QueuedTx {
   std::uint64_t seq = 0;
   memsim::Request request;
   std::uint64_t admit_ps = 0;  ///< When it entered the transaction queue.
   memsim::RequestPlacement placement;
+};
+
+/// A schedulable transaction as arbitration sees it: everything its
+/// rank depends on, and nothing else, so the per-bank scans stay dense.
+/// The Request itself rides in a parallel array (BankQueue::requests)
+/// that only issue touches.
+struct Candidate {
+  std::uint64_t seq = 0;
+  std::uint64_t admit_ps = 0;
+  std::uint64_t row = 0;
+  std::uint64_t region = 0;
+  std::uint16_t tenant = 0;
 };
 
 }  // namespace
@@ -132,45 +149,87 @@ struct Controller::Impl {
   telemetry::Recorder* const telemetry;  ///< Null = no observability cost.
   memsim::ReplaySession session;
 
-  struct Pick {
-    bool valid = false;
-    bool from_writes = false;
-    std::size_t index = 0;
-    std::uint64_t issue_ps = 0;
-    /// Starvation boost (frfcfs-cap): 0 = the candidate's tenant hit
-    /// its cap and outranks everything un-starved. Policies that do
-    /// not rank tenants leave every pick at 0, so the comparison below
-    /// degenerates to the legacy order bit for bit.
-    int tenant_rank = 0;
-    int hit_rank = 1;  ///< 0 = open-row/-region hit (preferred).
-    std::uint64_t seq = 0;
+  // Policy traits and the timing inputs of every rank, hoisted out of
+  // the scans.
+  const bool striped;
+  const bool has_row_buffer;
+  const bool has_regions;
+  const bool prefer_hits;
+  const bool use_tokens;
+  const bool use_starvation;
+  const std::uint64_t cap;  ///< frfcfs-cap: config.starvation_cap.
 
-    bool beats(const Pick& other) const {
-      if (!other.valid) return true;
-      if (tenant_rank != other.tenant_rank) {
-        return tenant_rank < other.tenant_rank;
-      }
-      if (issue_ps != other.issue_ps) return issue_ps < other.issue_ps;
-      if (hit_rank != other.hit_rank) return hit_rank < other.hit_rank;
-      return seq < other.seq;
+  /// A candidate's arbitration rank, packed so that one unsigned
+  /// compare orders two candidates and the smaller issues first, from
+  /// the most significant field down:
+  ///   bit 127      tenant rank — 0 when frfcfs-cap boosts a tenant at
+  ///                its starvation cap (every other policy leaves all
+  ///                candidates at 0, so the field never decides);
+  ///   bits 63-126  issue instant in ps;
+  ///   bit 62       hit rank — 0 for an open-row/-region hit;
+  ///   bits 0-61    admission seq, unique, so ranks never tie (a run
+  ///                would need 2^62 requests to overflow it).
+  using Rank = unsigned __int128;
+  static constexpr Rank kNoRank = ~Rank{0};  ///< Nothing to issue.
+  static constexpr std::uint64_t kSeqMask = (1ull << 62) - 1;
+
+  struct Pick {
+    Rank rank = kNoRank;
+    std::uint32_t bank = 0;  ///< Lead bank the candidate is filed under.
+    bool from_writes = false;
+
+    bool valid() const { return rank != kNoRank; }
+    std::uint64_t issue_ps() const {
+      return static_cast<std::uint64_t>(rank >> 63);
     }
+    std::uint64_t seq() const {
+      return static_cast<std::uint64_t>(rank) & kSeqMask;
+    }
+    bool beats(const Pick& other) const { return rank < other.rank; }
+  };
+
+  /// One queue's schedulable candidates on one bank, unordered (a
+  /// pick's rank ends in its seq, so scan order never matters), with
+  /// the best of them cached until something it depends on changes.
+  struct BankQueue {
+    std::vector<Candidate> candidates;
+    std::vector<memsim::Request> requests;  ///< Parallel to candidates.
+    Pick pick;
+    bool dirty = false;
+  };
+
+  /// A bank's state mirror, rebuilt from feed feedback so arbitration
+  /// and the device timing always agree on busy windows and open
+  /// rows/regions, plus the candidates filed under it. Striped devices
+  /// occupy every bank of the channel at once, so they keep all state
+  /// and every candidate on lead bank 0.
+  struct Bank {
+    std::uint64_t free_ps = 0;
+    std::uint64_t open_row = ~0ull;
+    std::uint64_t open_region = ~0ull;
+    BankQueue queues[2];  ///< Indexed by kReads / kWrites.
+  };
+
+  /// One transaction queue: the oldest (up to kScanWindow) admitted
+  /// entries are candidates filed under their banks; younger admitted
+  /// entries wait in `beyond`, oldest first, and slide in one per
+  /// in-window issue. `stalled` is the admission overflow: arrivals
+  /// that found the (bounded) queue full, entering FIFO when an issue
+  /// frees a slot.
+  struct TxQueue {
+    std::size_t in_window = 0;
+    util::RingQueue<QueuedTx> beyond;
+    util::RingQueue<QueuedTx> stalled;
+
+    std::size_t size() const { return in_window + beyond.size(); }
   };
 
   struct Channel {
     int index = 0;  ///< The channel's own number (telemetry lane).
-    util::RingQueue<QueuedTx> reads;
-    util::RingQueue<QueuedTx> writes;
-    // Admission overflow: arrivals that found their (bounded) queue
-    // full wait here, entering FIFO when an issue frees a slot.
-    util::RingQueue<QueuedTx> stalled_reads;
-    util::RingQueue<QueuedTx> stalled_writes;
-    // Bank-state mirror rebuilt from feed feedback, so arbitration and
-    // the device timing always agree on busy windows and open
-    // rows/regions.
-    std::vector<std::uint64_t> bank_free;
-    std::vector<std::uint64_t> open_row;
-    std::vector<std::uint64_t> open_region;
+    TxQueue queues[2];  ///< Indexed by kReads / kWrites.
+    std::vector<Bank> banks;
     bool draining = false;
+    bool active = false;  ///< Listed in Impl::active (has queued work).
     // Fairness-policy state, indexed by Request::tenant (0, the
     // untagged stream, included) and grown on demand — untagged legacy
     // runs under legacy policies never allocate. Strictly channel-local
@@ -179,9 +238,13 @@ struct Controller::Impl {
     std::vector<int> tokens;  ///< token-budget: issues left this epoch.
     std::vector<std::uint64_t> starved;  ///< frfcfs-cap: passes endured.
     std::vector<std::uint64_t> queued_per_tenant;  ///< frfcfs-cap.
-    // A channel's pick depends only on its own queues/mirror/drain
-    // state, so it stays valid until this channel issues or admits —
-    // advance_until then rescans only the touched channel.
+    // The channel pick: the best of its banks' cached picks over the
+    // queue(s) the policy currently counts. An issue marks it dirty,
+    // and recomputing it rescans only the dirty bank queues, then takes
+    // the minimum over the banks. An admit folds its one new candidate
+    // in instead, except under read-first (the counted queue may
+    // switch) and when that leaves no valid pick (token-budget may
+    // have to refill).
     Pick cached_pick;
     bool pick_dirty = true;
     /// The channel's issue clock: only ever moves forward. A deferred
@@ -206,6 +269,9 @@ struct Controller::Impl {
     std::uint64_t admit_stalls = 0;
   };
   std::vector<Channel> channels;
+  /// Channels with queued work, in no particular order: advance_until
+  /// looks only at these (a per-channel lane has at most one).
+  std::vector<std::size_t> active;
 
   std::uint64_t next_seq = 0;
   std::uint64_t admitted = 0;
@@ -217,49 +283,83 @@ struct Controller::Impl {
       : system(sys),
         config(cfg),
         telemetry(recorder),
-        session(sys, std::move(workload_name), recorder) {
+        session(sys, std::move(workload_name), recorder),
+        striped(sys.model().timing.line_striped_across_banks),
+        has_row_buffer(sys.model().timing.has_row_buffer),
+        has_regions(sys.model().timing.region_size_bytes != 0),
+        prefer_hits(cfg.policy != Policy::kReadFirst),
+        use_tokens(cfg.policy == Policy::kTokenBudget),
+        use_starvation(cfg.policy == Policy::kFrFcfsCap),
+        cap(static_cast<std::uint64_t>(cfg.starvation_cap)) {
     const auto& t = sys.model().timing;
     channels.resize(static_cast<std::size_t>(t.channels));
     for (std::size_t c = 0; c < channels.size(); ++c) {
-      auto& ch = channels[c];
-      ch.index = static_cast<int>(c);
-      const auto banks = static_cast<std::size_t>(t.banks_per_channel);
-      ch.bank_free.assign(banks, 0);
-      ch.open_row.assign(banks, ~0ull);
-      ch.open_region.assign(banks, ~0ull);
-      // Queues grow on first use: a per-channel lane allocates only for
-      // the one channel it serves.
+      channels[c].index = static_cast<int>(c);
+      // Bank lists and queues grow on first use: a per-channel lane
+      // allocates only for the one channel it serves.
+      channels[c].banks.resize(
+          striped ? 1 : static_cast<std::size_t>(t.banks_per_channel));
     }
   }
 
-  /// Earliest instant `tx` could start on its target bank(s) — striped
-  /// devices occupy every bank of the channel, so all must be free.
-  std::uint64_t ready_time(const Channel& ch, const QueuedTx& tx) const {
-    const auto& t = system.model().timing;
-    std::uint64_t bank_free = 0;
-    if (t.line_striped_across_banks) {
-      for (const auto free_ps : ch.bank_free) {
-        bank_free = std::max(bank_free, free_ps);
+  std::size_t lead_bank(const memsim::RequestPlacement& placement) const {
+    return striped ? 0 : static_cast<std::size_t>(placement.bank);
+  }
+
+  /// Candidate `c`'s rank on `bank`, or kNoRank if it may not issue.
+  /// The rank reads only the bank's mirror and the channel's tenant
+  /// state: ready once the bank frees (never before admission),
+  /// preferring FR-FCFS open-row / open-region hits (a photonic GST
+  /// region's switch penalty behaves like a row miss). token-budget
+  /// skips tenants with an empty bucket (one the channel has not seen
+  /// yet is full); frfcfs-cap boosts tenants at the starvation cap.
+  Rank rank_of(const Channel& ch, const Bank& bank, const Candidate& c) const {
+    const std::size_t tenant = c.tenant;
+    if (use_tokens && tenant < ch.tokens.size() && ch.tokens[tenant] <= 0) {
+      return kNoRank;
+    }
+    const bool hit = (has_row_buffer && bank.open_row == c.row) ||
+                     (has_regions && bank.open_region == c.region);
+    const bool miss = !prefer_hits || !hit;
+    const bool unboosted = use_starvation && ch.starved[tenant] < cap;
+    const Rank issue_ps = std::max(c.admit_ps, bank.free_ps);
+    return Rank{unboosted} << 127 | issue_ps << 63 | Rank{miss} << 62 | c.seq;
+  }
+
+  /// Bank `b`'s best `kind` candidate, rescanning only if stale.
+  const Pick& bank_pick(Channel& ch, std::size_t b, std::size_t kind) {
+    Bank& bank = ch.banks[b];
+    BankQueue& bq = bank.queues[kind];
+    if (bq.dirty) {
+      Rank best = kNoRank;
+      for (const Candidate& c : bq.candidates) {
+        best = std::min(best, rank_of(ch, bank, c));
       }
-    } else {
-      bank_free = ch.bank_free[static_cast<std::size_t>(tx.placement.bank)];
+      bq.pick = Pick{best, static_cast<std::uint32_t>(b), kind == kWrites};
+      bq.dirty = false;
     }
-    return std::max(tx.admit_ps, bank_free);
+    return bq.pick;
   }
 
-  /// FR-FCFS preference: the open DRAM row, or the currently selected
-  /// photonic GST region (whose switch penalty behaves like a row miss).
-  bool open_hit(const Channel& ch, const QueuedTx& tx) const {
-    const auto& t = system.model().timing;
-    const auto lead = static_cast<std::size_t>(
-        t.line_striped_across_banks ? 0 : tx.placement.bank);
-    if (t.has_row_buffer && ch.open_row[lead] == tx.placement.row) {
-      return true;
+  void invalidate_bank(Bank& bank) {
+    bank.queues[kReads].dirty = true;
+    bank.queues[kWrites].dirty = true;
+  }
+
+  /// A rank flipped for a whole tenant (token bucket emptied or
+  /// refilled, starvation cap crossed or reset): every bank may hold
+  /// its candidates.
+  void invalidate_banks(Channel& ch) {
+    for (Bank& bank : ch.banks) invalidate_bank(bank);
+  }
+
+  /// The better of `best` and every bank's `kind` pick.
+  const Pick* best_of_banks(Channel& ch, std::size_t kind, const Pick* best) {
+    for (std::size_t b = 0; b < ch.banks.size(); ++b) {
+      const Pick& p = bank_pick(ch, b, kind);
+      if (p.beats(*best)) best = &p;
     }
-    if (t.region_size_bytes && ch.open_region[lead] == tx.placement.region) {
-      return true;
-    }
-    return false;
+    return best;
   }
 
   /// The transaction this channel's policy would issue next (and when),
@@ -268,92 +368,35 @@ struct Controller::Impl {
   /// token-budget refills the channel's buckets when every queued
   /// tenant is spent (channel-local, so still deterministic).
   Pick next_issue(Channel& ch) {
-    Pick best;
-    // use_tokens skips candidates whose tenant bucket is empty (a
-    // tenant the channel has not seen yet has an untouched full
-    // bucket); use_starvation boosts candidates whose tenant endured
-    // starvation_cap cross-tenant issues (see Pick::tenant_rank).
-    const auto consider = [&](const util::RingQueue<QueuedTx>& q,
-                              bool from_writes, bool prefer_hits,
-                              bool use_tokens = false,
-                              bool use_starvation = false) {
-      const std::size_t window = std::min(q.size(), kScanWindow);
-      for (std::size_t i = 0; i < window; ++i) {
-        const QueuedTx& tx = q[i];
-        const std::size_t tenant = tx.request.tenant;
-        if (use_tokens && tenant < ch.tokens.size() &&
-            ch.tokens[tenant] <= 0) {
-          continue;
-        }
-        Pick p;
-        p.valid = true;
-        p.from_writes = from_writes;
-        p.index = i;
-        p.issue_ps = ready_time(ch, tx);
-        p.hit_rank = prefer_hits && open_hit(ch, tx) ? 0 : 1;
-        if (use_starvation) {
-          p.tenant_rank =
-              tenant < ch.starved.size() &&
-                      ch.starved[tenant] >=
-                          static_cast<std::uint64_t>(config.starvation_cap)
-                  ? 0
-                  : 1;
-        }
-        p.seq = tx.seq;
-        if (p.beats(best)) best = p;
-      }
-    };
-    switch (config.policy) {
-      case Policy::kFcfs:
-        break;
-      case Policy::kFrFcfs:
-        consider(ch.reads, /*from_writes=*/false, /*prefer_hits=*/true);
-        consider(ch.writes, /*from_writes=*/true, /*prefer_hits=*/true);
-        break;
-      case Policy::kReadFirst: {
-        // Strict read priority: writes issue only while draining or
-        // when no read is pending (opportunistic background writes).
-        const bool writes_first = ch.draining || ch.reads.empty();
-        const auto& preferred = writes_first ? ch.writes : ch.reads;
-        if (!preferred.empty()) {
-          consider(preferred, writes_first, /*prefer_hits=*/false);
-        } else {
-          consider(writes_first ? ch.reads : ch.writes, !writes_first,
-                   /*prefer_hits=*/false);
-        }
-        break;
-      }
-      case Policy::kTokenBudget:
-        consider(ch.reads, /*from_writes=*/false, /*prefer_hits=*/true,
-                 /*use_tokens=*/true);
-        consider(ch.writes, /*from_writes=*/true, /*prefer_hits=*/true,
-                 /*use_tokens=*/true);
-        if (!best.valid && !(ch.reads.empty() && ch.writes.empty())) {
-          // Every in-window candidate is out of tokens: refill the
-          // buckets and open the next epoch. The rescan is guaranteed
-          // a pick, so a non-empty channel never deadlocks.
-          std::fill(ch.tokens.begin(), ch.tokens.end(),
-                    config.tenant_tokens);
-          consider(ch.reads, /*from_writes=*/false, /*prefer_hits=*/true,
-                   /*use_tokens=*/true);
-          consider(ch.writes, /*from_writes=*/true, /*prefer_hits=*/true,
-                   /*use_tokens=*/true);
-        }
-        break;
-      case Policy::kFrFcfsCap:
-        consider(ch.reads, /*from_writes=*/false, /*prefer_hits=*/true,
-                 /*use_tokens=*/false, /*use_starvation=*/true);
-        consider(ch.writes, /*from_writes=*/true, /*prefer_hits=*/true,
-                 /*use_tokens=*/false, /*use_starvation=*/true);
-        break;
+    static constexpr Pick kNone{};
+    if (config.policy == Policy::kReadFirst) {
+      // Strict read priority: writes issue only while draining or when
+      // no read is pending (opportunistic background writes).
+      const bool writes_first = ch.draining || ch.queues[kReads].size() == 0;
+      const std::size_t preferred = writes_first ? kWrites : kReads;
+      const std::size_t counted =
+          ch.queues[preferred].size() != 0 ? preferred : 1 - preferred;
+      return *best_of_banks(ch, counted, &kNone);
     }
-    return best;
+    const Pick* best =
+        best_of_banks(ch, kWrites, best_of_banks(ch, kReads, &kNone));
+    if (use_tokens && !best->valid() &&
+        ch.queues[kReads].size() + ch.queues[kWrites].size() != 0) {
+      // Every in-window candidate is out of tokens: refill the buckets
+      // and open the next epoch. The rescan is guaranteed a pick, so a
+      // non-empty channel never deadlocks.
+      std::fill(ch.tokens.begin(), ch.tokens.end(), config.tenant_tokens);
+      invalidate_banks(ch);
+      best = best_of_banks(ch, kWrites, best_of_banks(ch, kReads, &kNone));
+    }
+    return *best;
   }
 
   void update_drain(Channel& ch, std::uint64_t at_ps) {
     if (config.policy != Policy::kReadFirst) return;
+    const auto writes = static_cast<int>(ch.queues[kWrites].size());
     if (!ch.draining) {
-      if (static_cast<int>(ch.writes.size()) >= config.drain_high_watermark) {
+      if (writes >= config.drain_high_watermark) {
         ch.draining = true;
         ++ch.write_drains;
         if (telemetry) {
@@ -361,8 +404,7 @@ struct Controller::Impl {
                                  at_ps);
         }
       }
-    } else if (static_cast<int>(ch.writes.size()) <=
-               config.drain_low_watermark) {
+    } else if (writes <= config.drain_low_watermark) {
       ch.draining = false;
       if (telemetry) {
         telemetry->record_mark(ch.index, telemetry::MarkKind::kDrainEnd,
@@ -371,89 +413,150 @@ struct Controller::Impl {
     }
   }
 
-  /// frfcfs-cap bookkeeping: a transaction of `tenant` became
-  /// schedulable on `ch` (stalled arrivals count only once admitted —
-  /// starvation boosts are pointless while nothing can be picked).
-  void note_queued(Channel& ch, std::size_t tenant) {
-    if (ch.queued_per_tenant.size() <= tenant) {
-      ch.queued_per_tenant.resize(tenant + 1, 0);
-      ch.starved.resize(tenant + 1, 0);
+  /// Files `tx` as a candidate under its lead bank and returns its pick
+  /// (invalid if its tenant has no tokens). A new candidate can only
+  /// improve its bank's cached pick, so a clean pick absorbs it without
+  /// a rescan.
+  Pick file_candidate(Channel& ch, std::size_t kind, const QueuedTx& tx) {
+    const std::size_t b = lead_bank(tx.placement);
+    Bank& bank = ch.banks[b];
+    BankQueue& bq = bank.queues[kind];
+    const Candidate c{tx.seq, tx.admit_ps, tx.placement.row,
+                      tx.placement.region, tx.request.tenant};
+    bq.candidates.push_back(c);
+    bq.requests.push_back(tx.request);
+    ++ch.queues[kind].in_window;
+    const Pick p{rank_of(ch, bank, c), static_cast<std::uint32_t>(b),
+                 kind == kWrites};
+    if (!bq.dirty && p.beats(bq.pick)) bq.pick = p;
+    return p;
+  }
+
+  /// Admits `tx` into its queue: a candidate while the window has room,
+  /// else behind the window in arrival order. Returns the pick of the
+  /// new candidate, invalid if there is none.
+  Pick enqueue(Channel& ch, std::size_t kind, QueuedTx&& tx) {
+    if (config.policy == Policy::kFrFcfsCap) {
+      // Stalled arrivals count only once admitted — starvation boosts
+      // are pointless while nothing can be picked.
+      const std::size_t tenant = tx.request.tenant;
+      if (ch.queued_per_tenant.size() <= tenant) {
+        ch.queued_per_tenant.resize(tenant + 1, 0);
+        ch.starved.resize(tenant + 1, 0);
+      }
+      ++ch.queued_per_tenant[tenant];
     }
-    ++ch.queued_per_tenant[tenant];
+    if (!ch.active) {
+      ch.active = true;
+      active.push_back(static_cast<std::size_t>(ch.index));
+    }
+    TxQueue& q = ch.queues[kind];
+    if (q.beyond.empty() && q.in_window < kScanWindow) {
+      return file_candidate(ch, kind, tx);
+    }
+    q.beyond.push_back(std::move(tx));
+    return Pick{};
   }
 
   /// Moves stalled arrivals into the queue a just-freed slot belongs
   /// to; they entered the controller at `at_ps` (the freeing issue).
-  void admit_overflow(Channel& ch, bool from_writes, std::uint64_t at_ps) {
-    auto& stalled = from_writes ? ch.stalled_writes : ch.stalled_reads;
-    auto& q = from_writes ? ch.writes : ch.reads;
+  void admit_overflow(Channel& ch, std::size_t kind, std::uint64_t at_ps) {
+    TxQueue& q = ch.queues[kind];
     const int depth =
-        from_writes ? config.write_queue_depth : config.read_queue_depth;
-    while (!stalled.empty() &&
+        kind == kWrites ? config.write_queue_depth : config.read_queue_depth;
+    while (!q.stalled.empty() &&
            (depth == 0 || static_cast<int>(q.size()) < depth)) {
-      QueuedTx tx = std::move(stalled.front());
-      stalled.pop_front();
+      QueuedTx tx = std::move(q.stalled.front());
+      q.stalled.pop_front();
       tx.admit_ps = std::max(tx.request.arrival_ps, at_ps);
-      if (config.policy == Policy::kFrFcfsCap) {
-        note_queued(ch, tx.request.tenant);
-      }
-      q.push_back(std::move(tx));
+      enqueue(ch, kind, std::move(tx));
     }
   }
 
-  void issue(Channel& ch, bool from_writes, std::size_t index,
-             std::uint64_t ready_ps) {
-    auto& q = from_writes ? ch.writes : ch.reads;
-    const QueuedTx tx = std::move(q[index]);
-    q.erase_at(index);
+  /// Hands `request` to the device at the channel's next issue instant
+  /// (no earlier than `ready_ps`) and commits the bank mirror.
+  void dispatch(Channel& ch, const memsim::Request& request, Bank& bank,
+                std::uint64_t row, std::uint64_t region,
+                std::uint64_t ready_ps) {
+    const std::uint64_t issue_ps = std::max(ready_ps, ch.last_issue);
+    ch.last_issue = issue_ps;
+    const memsim::FeedResult result = session.feed_issued(request, issue_ps);
+    ch.queue_delay_ns.add(
+        static_cast<double>(issue_ps - request.arrival_ps) * 1e-3);
+    ch.service_ns.add(
+        static_cast<double>(result.completion_ps - issue_ps) * 1e-3);
+    // Mirror commit — the same rule the replay engine applies.
+    bank.free_ps = result.bank_busy_until_ps;
+    bank.open_row = row;
+    bank.open_region = region;
+    invalidate_bank(bank);
+  }
 
-    const std::size_t tenant = tx.request.tenant;
+  /// Issues the candidate `pick` names (found by seq in its bank
+  /// queue), then updates the fairness state — invalidating every bank
+  /// only when a tenant's rank flips — refills the window and the
+  /// queue from behind, and re-evaluates write-drain hysteresis.
+  void issue(Channel& ch, const Pick& pick) {
+    const std::size_t kind = pick.from_writes ? kWrites : kReads;
+    Bank& bank = ch.banks[pick.bank];
+    BankQueue& bq = bank.queues[kind];
+    std::size_t i = 0;
+    while (bq.candidates[i].seq != pick.seq()) ++i;
+    const Candidate c = bq.candidates[i];
+    const memsim::Request request = bq.requests[i];
+    bq.candidates[i] = bq.candidates.back();
+    bq.candidates.pop_back();
+    bq.requests[i] = bq.requests.back();
+    bq.requests.pop_back();
+    TxQueue& q = ch.queues[kind];
+    --q.in_window;
+
+    const std::size_t tenant = c.tenant;
     if (config.policy == Policy::kTokenBudget) {
       if (ch.tokens.size() <= tenant) {
         ch.tokens.resize(tenant + 1, config.tenant_tokens);
       }
       --ch.tokens[tenant];
+      if (ch.tokens[tenant] == 0) invalidate_banks(ch);
     } else if (config.policy == Policy::kFrFcfsCap) {
       // The issuer's patience resets; every other tenant still holding
       // schedulable work on this channel was passed over once more.
+      bool flipped = ch.starved[tenant] >= cap;
       --ch.queued_per_tenant[tenant];
       ch.starved[tenant] = 0;
       for (std::size_t t = 0; t < ch.queued_per_tenant.size(); ++t) {
-        if (t != tenant && ch.queued_per_tenant[t] > 0) ++ch.starved[t];
+        if (t == tenant || ch.queued_per_tenant[t] == 0) continue;
+        ++ch.starved[t];
+        if (ch.starved[t] == cap) flipped = true;
       }
+      if (flipped) invalidate_banks(ch);
     }
 
-    const std::uint64_t issue_ps = std::max(ready_ps, ch.last_issue);
-    ch.last_issue = issue_ps;
-    const memsim::FeedResult result = session.feed_issued(tx.request, issue_ps);
-    ch.queue_delay_ns.add(
-        static_cast<double>(issue_ps - tx.request.arrival_ps) * 1e-3);
-    ch.service_ns.add(
-        static_cast<double>(result.completion_ps - issue_ps) * 1e-3);
+    dispatch(ch, request, bank, c.row, c.region, pick.issue_ps());
 
-    // Mirror commit — the same rule the replay engine applies.
-    const auto& t = system.model().timing;
-    if (t.line_striped_across_banks) {
-      for (std::size_t b = 0; b < ch.bank_free.size(); ++b) {
-        ch.bank_free[b] = result.bank_busy_until_ps;
-        ch.open_row[b] = tx.placement.row;
-        ch.open_region[b] = tx.placement.region;
-      }
-    } else {
-      const auto b = static_cast<std::size_t>(tx.placement.bank);
-      ch.bank_free[b] = result.bank_busy_until_ps;
-      ch.open_row[b] = tx.placement.row;
-      ch.open_region[b] = tx.placement.region;
-    }
-
-    if (from_writes && ch.draining) {
+    if (pick.from_writes && ch.draining) {
       ++ch.drained_writes;
-      if (telemetry) telemetry->record_drained_write(ch.index, issue_ps);
-      if (!ch.reads.empty()) ++ch.drain_stalls;
+      if (telemetry) telemetry->record_drained_write(ch.index, ch.last_issue);
+      if (ch.queues[kReads].size() != 0) ++ch.drain_stalls;
     }
-    admit_overflow(ch, from_writes, issue_ps);
-    update_drain(ch, issue_ps);
-    ch.pick_dirty = true;
+    if (!q.beyond.empty()) {
+      // The oldest entry behind the window slides into the freed slot.
+      file_candidate(ch, kind, q.beyond.front());
+      q.beyond.pop_front();
+    }
+    admit_overflow(ch, kind, ch.last_issue);
+    update_drain(ch, ch.last_issue);
+    if (ch.queues[kReads].size() == 0 && ch.queues[kWrites].size() == 0) {
+      // Nothing left to pick: skip the recompute a light load would
+      // otherwise pay on every request.
+      ch.cached_pick = Pick{};
+      ch.pick_dirty = false;
+      ch.active = false;
+      active.erase(std::find(active.begin(), active.end(),
+                             static_cast<std::size_t>(ch.index)));
+    } else {
+      ch.pick_dirty = true;
+    }
   }
 
   const Pick& channel_pick(Channel& ch) {
@@ -475,17 +578,16 @@ struct Controller::Impl {
   void advance_until(std::uint64_t limit) {
     for (;;) {
       Pick best;
-      std::size_t best_channel = 0;
-      for (std::size_t c = 0; c < channels.size(); ++c) {
+      Channel* best_channel = nullptr;
+      for (const std::size_t c : active) {
         const Pick& p = channel_pick(channels[c]);
-        if (p.valid && p.beats(best)) {
+        if (p.beats(best)) {
           best = p;
-          best_channel = c;
+          best_channel = &channels[c];
         }
       }
-      if (!best.valid || best.issue_ps > limit) return;
-      issue(channels[best_channel], best.from_writes, best.index,
-            best.issue_ps);
+      if (!best.valid() || best.issue_ps() > limit) return;
+      issue(*best_channel, best);
     }
   }
 
@@ -507,43 +609,48 @@ struct Controller::Impl {
     tx.placement = memsim::place_request(t, req);
 
     auto& ch = channels[static_cast<std::size_t>(tx.placement.channel)];
-    const bool is_write = req.op == memsim::Op::kWrite;
+    const std::size_t kind = req.op == memsim::Op::kWrite ? kWrites : kReads;
+    const std::size_t reads = ch.queues[kReads].size();
+    const std::size_t writes = ch.queues[kWrites].size();
     // The queue state each arrival observes (before joining it).
-    ch.read_occupancy.add(static_cast<double>(ch.reads.size()));
-    ch.write_occupancy.add(static_cast<double>(ch.writes.size()));
+    ch.read_occupancy.add(static_cast<double>(reads));
+    ch.write_occupancy.add(static_cast<double>(writes));
     if (telemetry) {
-      telemetry->record_queue_sample(ch.index, req.arrival_ps,
-                                     ch.reads.size(), ch.writes.size());
+      telemetry->record_queue_sample(ch.index, req.arrival_ps, reads, writes);
     }
 
-    auto& q = is_write ? ch.writes : ch.reads;
     if (config.policy == Policy::kFcfs) {
       // In-order immediate handoff: the device's own outstanding window
       // does all buffering — exactly the legacy arrival-order replay,
       // so unbounded-queue fcfs is bit-identical to no controller.
-      q.push_back(std::move(tx));
-      issue(ch, is_write, q.size() - 1, req.arrival_ps);
+      dispatch(ch, req, ch.banks[lead_bank(tx.placement)], tx.placement.row,
+               tx.placement.region, req.arrival_ps);
       return;
     }
 
-    auto& stalled = is_write ? ch.stalled_writes : ch.stalled_reads;
+    TxQueue& q = ch.queues[kind];
     const int depth =
-        is_write ? config.write_queue_depth : config.read_queue_depth;
+        kind == kWrites ? config.write_queue_depth : config.read_queue_depth;
     if (depth > 0 &&
-        (static_cast<int>(q.size()) >= depth || !stalled.empty())) {
+        (static_cast<int>(q.size()) >= depth || !q.stalled.empty())) {
       ++ch.admit_stalls;
       if (telemetry) {
         telemetry->record_mark(ch.index, telemetry::MarkKind::kAdmitStall,
                                req.arrival_ps);
       }
-      stalled.push_back(std::move(tx));
+      q.stalled.push_back(std::move(tx));
     } else {
-      if (config.policy == Policy::kFrFcfsCap) {
-        note_queued(ch, tx.request.tenant);
-      }
-      q.push_back(std::move(tx));
+      const Pick p = enqueue(ch, kind, std::move(tx));
       update_drain(ch, req.arrival_ps);
-      ch.pick_dirty = true;
+      // Under the FR-FCFS ranks an admit only adds a candidate, so a
+      // clean channel pick absorbs it. read-first may switch the queue
+      // it counts, and a token-starved channel may need a refill: those
+      // recompute.
+      if (config.policy != Policy::kReadFirst && !ch.pick_dirty && p.valid()) {
+        if (p.beats(ch.cached_pick)) ch.cached_pick = p;
+      } else {
+        ch.pick_dirty = true;
+      }
     }
   }
 

@@ -60,9 +60,24 @@
 /// queue full waits (an admit stall) until the scheduler issues enough
 /// queued transactions to free a slot. fcfs never holds transactions,
 /// so its queues never fill and the bounds only bind for the reordering
-/// policies. Reordering policies scan at most the 256 oldest entries
-/// per queue (a real controller's finite CAM window), so even unbounded
-/// queues schedule in O(1) amortized work per transaction.
+/// policies. Reordering policies consider only the 256 oldest entries
+/// of each queue (the scheduling window, which binds only for
+/// unbounded queues).
+///
+/// Arbitration is incremental. Each schedulable transaction is filed
+/// under its target bank (bank 0 on line-striped devices), each bank
+/// caches its best pick per queue, and a channel's pick is the best
+/// over its banks. A cached bank pick is recomputed, by scanning only
+/// that bank's candidates, when:
+///   - a transaction issues from the bank (its busy window and open
+///     row/region move);
+///   - a tenant's rank flips, which invalidates every bank of the
+///     channel: a token-budget bucket empties or the buckets refill, or
+///     a frfcfs-cap starvation count reaches the cap or resets.
+/// An admitted transaction, or one sliding into the window, only
+/// competes with its bank's cached pick. Apart from rank flips, a
+/// decision thus costs O(banks + candidates on the issuing bank) rather
+/// than O(window), and only channels with queued work are looked at.
 ///
 /// Everything is deterministic; each Controller is single-threaded and
 /// lives on the stack of one Engine::run call, so sweeps stay
@@ -207,8 +222,8 @@ class ControllerLane final : public memsim::ShardLane {
 /// workers, inline on the caller's thread at 1; the results are
 /// bit-identical to one whole-stream Controller for every thread count
 /// (the test gate in tests/test_sharded.cpp covers every policy). Even
-/// on one thread the lanes are the cheaper form: each controller scans
-/// only its own channel's picks.
+/// on one thread the lanes are the cheaper form: each controller holds
+/// one channel, so it never compares picks across channels.
 class ScheduledSystem final : public memsim::Engine {
  public:
   /// Validates both the model and the controller config; `run_threads`

@@ -13,10 +13,7 @@ namespace comet::util {
 /// std::deque here, paying a node allocation every few dozen
 /// transactions; a ring touches the allocator only when it outgrows its
 /// capacity, which a preallocating caller (reserve(queue_depth)) never
-/// does. erase_at() exists for the controller's scheduling window: it
-/// shifts the elements *in front of* the victim back by one slot, so
-/// removing inside the first kScanWindow entries moves at most that
-/// many elements regardless of queue length.
+/// does.
 template <typename T>
 class RingQueue {
  public:
@@ -58,15 +55,6 @@ class RingQueue {
   /// i-th element counted from the front (0 = front()).
   T& operator[](std::size_t i) { return buffer_[mask(head_ + i)]; }
   const T& operator[](std::size_t i) const { return buffer_[mask(head_ + i)]; }
-
-  /// Removes the i-th element from the front by shifting the i elements
-  /// ahead of it back one slot — O(i), independent of size().
-  void erase_at(std::size_t i) {
-    for (std::size_t j = i; j > 0; --j) {
-      buffer_[mask(head_ + j)] = std::move(buffer_[mask(head_ + j - 1)]);
-    }
-    pop_front();
-  }
 
   void clear() {
     head_ = 0;

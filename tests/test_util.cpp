@@ -353,17 +353,6 @@ TEST(RingQueue, IndexingCountsFromFront) {
   EXPECT_EQ(q.front(), 99);
 }
 
-TEST(RingQueue, EraseAtShiftsOnlyElementsAheadOfVictim) {
-  comet::util::RingQueue<int> q;
-  for (int i = 0; i < 6; ++i) q.push_back(i);
-  q.erase_at(3);  // remove value 3
-  ASSERT_EQ(q.size(), 5u);
-  const int expected[] = {0, 1, 2, 4, 5};
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(q[i], expected[i]);
-  q.erase_at(0);  // victim at the front degenerates to pop_front
-  EXPECT_EQ(q.front(), 1);
-}
-
 TEST(RingQueue, ClearResetsToEmpty) {
   comet::util::RingQueue<int> q(2);
   q.push_back(1);
