@@ -7,6 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "config/knobs.hpp"
+
 namespace comet::config {
 
 void ExperimentSpec::validate() const {
@@ -94,102 +96,6 @@ void ExperimentSpec::validate() const {
   profile.validate();
 }
 
-ExperimentBuilder& ExperimentBuilder::name(std::string value) {
-  spec_.name = std::move(value);
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::device(std::string token) {
-  spec_.device_tokens.push_back(std::move(token));
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::device(DeviceSpec spec) {
-  spec_.devices.push_back(std::move(spec));
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::workload(std::string profile_name) {
-  spec_.workload_names.push_back(std::move(profile_name));
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::workload(
-    memsim::WorkloadProfile profile) {
-  spec_.workloads.push_back(std::move(profile));
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::requests(
-    std::vector<std::uint64_t> values) {
-  spec_.requests = std::move(values);
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::seeds(std::vector<std::uint64_t> values) {
-  spec_.seeds = std::move(values);
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::channels(std::vector<int> values) {
-  spec_.channels = std::move(values);
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::schedule(
-    std::vector<sched::Policy> policies) {
-  spec_.policies = std::move(policies);
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::controller_config(
-    sched::ControllerConfig config) {
-  spec_.controller = config;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::run_threads(std::vector<int> values) {
-  spec_.run_threads = std::move(values);
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::telemetry(
-    comet::telemetry::TelemetrySpec spec) {
-  spec_.telemetry = std::move(spec);
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::profile(comet::prof::ProfSpec spec) {
-  spec_.profile = std::move(spec);
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::tenant(TenantSpec spec) {
-  spec_.tenants.push_back(std::move(spec));
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::tenant_mapping(TenantMapping mapping) {
-  spec_.tenant_mapping = mapping;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::line_bytes(std::uint32_t value) {
-  spec_.line_bytes = value;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::trace(std::string path, double cpu_ghz) {
-  spec_.trace_file = std::move(path);
-  spec_.cpu_ghz = cpu_ghz;
-  return *this;
-}
-
-ExperimentSpec ExperimentBuilder::build() const {
-  spec_.validate();
-  return spec_;
-}
-
 ExperimentSpec parse_experiment(const toml::Document& doc,
                                 const DeviceResolver& resolver) {
   ExperimentSpec spec;
@@ -202,8 +108,30 @@ ExperimentSpec parse_experiment(const toml::Document& doc,
     anchor_line = experiment->line;
     TableReader reader(*experiment, doc.source, "[experiment]");
     if (auto v = reader.get_string("name")) spec.name = *v;
-    if (auto v = reader.get_string_list("devices")) spec.device_tokens = *v;
-    if (auto v = reader.get_string_list("workloads")) spec.workload_names = *v;
+    // Names expand later (driver::resolve_experiment); a typo fails here,
+    // at its line. `all` / `hybrid-all` name several registry devices.
+    if (auto v = reader.get_string_list("devices")) {
+      for (const auto& token : *v) {
+        if (!resolver || token == "all" || token == "hybrid-all") continue;
+        try {
+          (void)resolver(token);
+        } catch (const std::exception& e) {
+          reader.fail_at(reader.key_line("devices"), e.what());
+        }
+      }
+      spec.device_tokens = *v;
+    }
+    if (auto v = reader.get_string_list("workloads")) {
+      for (const auto& name : *v) {
+        if (name == "all") continue;
+        try {
+          (void)memsim::profile_by_name(name);
+        } catch (const std::exception& e) {
+          reader.fail_at(reader.key_line("workloads"), e.what());
+        }
+      }
+      spec.workload_names = *v;
+    }
     if (auto v = reader.get_u64_list("requests", 1, SIZE_MAX)) {
       spec.requests = *v;
     }
@@ -215,7 +143,7 @@ ExperimentSpec parse_experiment(const toml::Document& doc,
     if (auto v = reader.get_u64("line_bytes", 1, UINT32_MAX)) {
       spec.line_bytes = std::uint32_t(*v);
     }
-    if (auto v = reader.get_string("trace_file")) spec.trace_file = *v;
+    if (auto v = reader.get_path("trace_file")) spec.trace_file = *v;
     if (auto v = reader.get_double("cpu_ghz", 1e-6, 1e6)) spec.cpu_ghz = *v;
     reader.finish();
   }
@@ -323,14 +251,19 @@ void write_experiment(std::ostream& os, const ExperimentSpec& spec) {
       write_axis(os, "policy", spec.policies, [](sched::Policy policy) {
         return toml::format_string(sched::policy_name(policy));
       });
-      os << "read_queue_depth = " << spec.controller.read_queue_depth << "\n"
-         << "write_queue_depth = " << spec.controller.write_queue_depth << "\n"
-         << "drain_high_watermark = " << spec.controller.drain_high_watermark
-         << "\n"
-         << "drain_low_watermark = " << spec.controller.drain_low_watermark
-         << "\n"
-         << "tenant_tokens = " << spec.controller.tenant_tokens << "\n"
-         << "starvation_cap = " << spec.controller.starvation_cap << "\n";
+      // Only the keys some policy on the axis uses: the reader rejects
+      // the others.
+      const auto key = [&](const char* name, int value) {
+        if (applies_to(knob_for("controller", name), spec.policies)) {
+          os << name << " = " << value << "\n";
+        }
+      };
+      key("read_queue_depth", spec.controller.read_queue_depth);
+      key("write_queue_depth", spec.controller.write_queue_depth);
+      key("drain_high_watermark", spec.controller.drain_high_watermark);
+      key("drain_low_watermark", spec.controller.drain_low_watermark);
+      key("tenant_tokens", spec.controller.tenant_tokens);
+      key("starvation_cap", spec.controller.starvation_cap);
     }
     if (sharded) {
       write_axis(os, "run_threads", spec.run_threads,

@@ -9,10 +9,11 @@
 #include "config/serialize.hpp"
 #include "memsim/trace_gen.hpp"
 
-/// The declarative experiment API: one document (or one builder chain)
-/// describes a full comet_sim run — devices, workloads, request counts,
-/// seeds, channel overrides and trace files — and expands into the
-/// sweep matrix without touching C++.
+/// The declarative experiment API: one document describes a full
+/// comet_sim run — devices, workloads, request counts, seeds, channel
+/// overrides and trace files — and expands into the sweep matrix
+/// without touching C++. The comet_sim flags are a second spelling of
+/// the same document (config/knobs.hpp maps each flag to its key).
 ///
 /// Document shape (`--config`):
 ///
@@ -37,11 +38,11 @@
 ///     pattern = "streaming"
 ///
 ///     [controller]                          # scheduled replay (optional)
-///     policy = ["fcfs", "frfcfs"]           # scalar or array (axis)
+///     policy = ["fcfs", "read-first"]       # scalar or array (axis)
 ///     read_queue_depth = 32                 # 0 = unbounded
 ///     write_queue_depth = 32
-///     drain_high_watermark = 28
-///     drain_low_watermark = 12
+///     drain_high_watermark = 28             # keys that refine a policy
+///     drain_low_watermark = 12              # need it on the axis
 ///     run_threads = [1, 8]                  # scalar or array (axis);
 ///                                           # 0 = hardware threads
 ///
@@ -143,60 +144,12 @@ struct ExperimentSpec {
   void validate() const;
 };
 
-/// Fluent construction of an ExperimentSpec — the programmatic face of
-/// the same API the config files use.
-///
-///     auto spec = ExperimentBuilder()
-///                     .name("ablation")
-///                     .device("comet")
-///                     .workload("gcc_like")
-///                     .channels({4, 8, 16})
-///                     .requests({10000})
-///                     .build();
-class ExperimentBuilder {
- public:
-  ExperimentBuilder& name(std::string value);
-  ExperimentBuilder& device(std::string token);
-  ExperimentBuilder& device(DeviceSpec spec);
-  ExperimentBuilder& workload(std::string profile_name);
-  ExperimentBuilder& workload(memsim::WorkloadProfile profile);
-  ExperimentBuilder& requests(std::vector<std::uint64_t> values);
-  ExperimentBuilder& seeds(std::vector<std::uint64_t> values);
-  ExperimentBuilder& channels(std::vector<int> values);
-
-  /// Engages the scheduler stage: one matrix cell per policy.
-  ExperimentBuilder& schedule(std::vector<sched::Policy> policies);
-
-  /// Queue depths / drain watermarks shared by every policy cell (the
-  /// config's own `policy` field is overwritten per cell).
-  ExperimentBuilder& controller_config(sched::ControllerConfig config);
-
-  /// Sharded-replay thread axis (0 = hardware threads).
-  ExperimentBuilder& run_threads(std::vector<int> values);
-
-  /// Observability spec applied to every cell (see ExperimentSpec).
-  ExperimentBuilder& telemetry(comet::telemetry::TelemetrySpec spec);
-
-  /// Host-side observability spec applied to every cell.
-  ExperimentBuilder& profile(comet::prof::ProfSpec spec);
-
-  /// Appends one tenant stream (engages the multi-tenant front-end).
-  ExperimentBuilder& tenant(TenantSpec spec);
-  ExperimentBuilder& tenant_mapping(TenantMapping mapping);
-  ExperimentBuilder& line_bytes(std::uint32_t value);
-  ExperimentBuilder& trace(std::string path, double cpu_ghz = 2.0);
-
-  /// Validates and returns the spec (throws std::invalid_argument).
-  ExperimentSpec build() const;
-
- private:
-  ExperimentSpec spec_;
-};
-
 /// Parses a whole experiment document. `resolver` resolves `base`
-/// references inside inline [[device]] tables (registry tokens in the
-/// `devices` list are left for resolve_experiment / the driver). Throws
-/// toml::ParseError with source:line diagnostics.
+/// references inside inline [[device]] tables and checks the registry
+/// tokens of the `devices` list, which stay symbolic until the driver's
+/// resolve_experiment (an empty resolver skips the check). Profile
+/// names in `workloads` are checked too. Throws toml::ParseError with
+/// source:line diagnostics.
 ExperimentSpec parse_experiment(const toml::Document& doc,
                                 const DeviceResolver& resolver);
 

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "config/knobs.hpp"
+
 namespace comet::config {
 
 namespace {
@@ -84,6 +86,14 @@ std::optional<std::string> TableReader::get_string(const std::string& key) {
   const toml::Value* v = find_value(key, toml::Value::Type::kString);
   if (!v) return std::nullopt;
   return v->str;
+}
+
+std::optional<std::string> TableReader::get_path(const std::string& key) {
+  auto path = get_string(key);
+  if (path && path->empty()) {
+    fail_at(key_line(key), "'" + key + "' must be a non-empty path");
+  }
+  return path;
 }
 
 std::optional<bool> TableReader::get_bool(const std::string& key) {
@@ -717,17 +727,8 @@ void parse_controller_section(const toml::Table& table,
     for (const auto t : *threads) run_threads.push_back(int(t));
   }
   // A section that only shards (run_threads alone) does not engage the
-  // scheduler: the replay stays direct. Any scheduling key does.
-  const bool scheduling =
-      reader.has("policy") || reader.has("read_queue_depth") ||
-      reader.has("write_queue_depth") || reader.has("drain_high_watermark") ||
-      reader.has("drain_low_watermark") || reader.has("tenant_tokens") ||
-      reader.has("starvation_cap");
+  // scheduler: the replay stays direct. `policy` does.
   policies.clear();
-  if (!scheduling) {
-    reader.finish();
-    return;
-  }
   if (auto names = reader.get_string_list("policy")) {
     if (names->empty()) {
       reader.fail_at(reader.key_line("policy"),
@@ -740,8 +741,30 @@ void parse_controller_section(const toml::Table& table,
         reader.fail_at(reader.key_line("policy"), e.what());
       }
     }
-  } else {
-    policies.push_back(sched::Policy::kFcfs);
+  }
+  // Every other scheduling key refines the policy axis, so it needs one
+  // — and some policy on it that uses the key, or the run would
+  // silently ignore it.
+  for (const Knob& knob : knobs()) {
+    if (knob.policies == 0 || std::string(knob.section) != "controller" ||
+        !reader.has(knob.key)) {
+      continue;
+    }
+    const std::string key = knob.key;
+    if (policies.empty()) {
+      reader.fail_at(reader.key_line(key),
+                     "'" + key + "' requires 'policy' (it refines the "
+                     "scheduling policy axis)");
+    }
+    if (!applies_to(knob, policies)) {
+      reader.fail_at(reader.key_line(key),
+                     "'" + key + "' applies to " + policy_names(knob.policies) +
+                         " only; no policy on the axis uses it");
+    }
+  }
+  if (policies.empty()) {
+    reader.finish();
+    return;
   }
   config.policy = policies.front();
 
@@ -754,8 +777,7 @@ void parse_controller_section(const toml::Table& table,
   }
   // A document that bounds the write queue wants watermarks scaled to
   // that bound, not left at the depth-32 defaults; explicit watermark
-  // keys below then override the derived values — the same semantics
-  // as the --write-q/--drain-* CLI flags.
+  // keys below then override the derived values.
   if (depth_given) {
     const auto derived = sched::ControllerConfig::with_depths(
         config.policy, config.read_queue_depth, config.write_queue_depth);
@@ -782,7 +804,7 @@ void parse_telemetry_section(const toml::Table& table,
                              const std::string& source,
                              telemetry::TelemetrySpec& spec) {
   TableReader reader(table, source, "[telemetry]");
-  if (auto v = reader.get_string("trace_out")) spec.trace_path = *v;
+  if (auto v = reader.get_path("trace_out")) spec.trace_path = *v;
   if (auto v = reader.get_u64("trace_limit")) {
     if (spec.trace_path.empty()) {
       reader.fail_at(reader.key_line("trace_limit"),
@@ -796,7 +818,14 @@ void parse_telemetry_section(const toml::Table& table,
   if (auto v = reader.get_u64("metrics_interval_ns", 1, UINT64_MAX / 1000)) {
     spec.metrics_interval_ps = *v * 1000;
   }
-  if (auto v = reader.get_string("metrics_csv")) spec.metrics_csv = *v;
+  if (auto v = reader.get_path("metrics_csv")) {
+    if (spec.metrics_interval_ps == 0) {
+      reader.fail_at(reader.key_line("metrics_csv"),
+                     "'metrics_csv' requires 'metrics_interval_ns'; there is "
+                     "no timeline to write without an epoch length");
+    }
+    spec.metrics_csv = *v;
+  }
   reader.finish();
   validated(reader, table.line, [&] { spec.validate(); });
 }
@@ -815,12 +844,18 @@ void parse_slo_section(const toml::Table& table, const std::string& source,
   TableReader reader(table, source, "[slo]");
   if (auto lists = reader.get_string_list("assert")) {
     for (const std::string& text : lists.value()) {
+      std::vector<prof::SloPredicate> parsed;
       try {
-        std::vector<prof::SloPredicate> parsed = prof::parse_slo(text);
-        spec.slo.insert(spec.slo.end(), parsed.begin(), parsed.end());
+        parsed = prof::parse_slo(text);
       } catch (const std::exception& e) {
         reader.fail_at(reader.key_line("assert"), e.what());
       }
+      if (parsed.empty()) {
+        reader.fail_at(reader.key_line("assert"),
+                       "'assert' needs a predicate list, e.g. "
+                       "\"p99_read_ns<=2500,requests_per_s>=5e6\"");
+      }
+      spec.slo.insert(spec.slo.end(), parsed.begin(), parsed.end());
     }
   }
   reader.finish();

@@ -54,6 +54,8 @@ class TableReader {
   std::uint64_t key_line(const std::string& key) const;
 
   std::optional<std::string> get_string(const std::string& key);
+  /// A string naming a file; an empty one is rejected.
+  std::optional<std::string> get_path(const std::string& key);
   std::optional<bool> get_bool(const std::string& key);
   std::optional<std::int64_t> get_int(const std::string& key,
                                       std::int64_t min, std::int64_t max);
@@ -155,13 +157,14 @@ memsim::WorkloadProfile parse_workload(const toml::Table& table,
 /// template and the `run_threads` sharding axis (scalar or array;
 /// 0 = one worker per hardware thread). A section holding *only*
 /// `run_threads` does not engage scheduling — `policies` stays empty
-/// and the replay stays direct, just sharded. Any scheduling key
-/// (policy, a queue depth, a watermark) engages it, with `policy`
-/// defaulting to `{fcfs}` when absent. When only `write_queue_depth`
-/// is given, the drain watermarks are re-derived from it (7/8 and 3/8
-/// of a bounded depth) instead of keeping the depth-32 defaults.
-/// Schema violations and inconsistent watermarks raise
-/// toml::ParseError anchored to the offending line.
+/// and the replay stays direct, just sharded. `policy` engages it, and
+/// every other scheduling key refines it: a queue depth, watermark or
+/// fairness key without an explicit `policy`, or one that no policy on
+/// the axis uses (the knob table's applies-to sets), is rejected. When
+/// only `write_queue_depth` is given, the drain watermarks are
+/// re-derived from it (7/8 and 3/8 of a bounded depth) instead of
+/// keeping the depth-32 defaults. Schema violations and inconsistent
+/// watermarks raise toml::ParseError anchored to the offending line.
 void parse_controller_section(const toml::Table& table,
                               const std::string& source,
                               std::vector<sched::Policy>& policies,

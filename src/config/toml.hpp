@@ -28,10 +28,13 @@ class ParseError : public std::runtime_error {
              const std::string& message)
       : std::runtime_error(format(source, line, message)),
         source_(source),
-        line_(line) {}
+        line_(line),
+        message_(message) {}
 
   const std::string& source() const { return source_; }
   std::uint64_t line() const { return line_; }
+  /// The diagnostic without its `source:line: ` prefix.
+  const std::string& message() const { return message_; }
 
  private:
   static std::string format(const std::string& source, std::uint64_t line,
@@ -48,6 +51,7 @@ class ParseError : public std::runtime_error {
 
   std::string source_;
   std::uint64_t line_;
+  std::string message_;
 };
 
 struct Value {

@@ -18,7 +18,6 @@
 #include "memsim/trace_gen.hpp"
 #include "prof/heartbeat.hpp"
 #include "prof/profiler.hpp"
-#include "sched/controller.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -48,19 +47,18 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (options.list_policies) {
-    for (const auto& info : comet::sched::known_policies()) {
-      std::cout << info.name << "\n  " << info.summary << "\n  knobs: "
-                << info.knobs << "\n";
-    }
+    std::cout << policy_list();
     return 0;
   }
+  const comet::config::ExperimentSpec& spec = options.spec;
   if (!options.dump_trace.empty()) {
     // Stream the synthesized workload straight to the NVMain text format
     // (no materialized vector), so even huge traces dump in O(1) memory.
     try {
-      const auto profile = comet::memsim::profile_by_name(options.workload);
-      auto source = comet::memsim::TraceGenerator(profile, options.seed)
-                        .stream(options.requests, options.line_bytes);
+      const auto& profile = spec.workloads.front();
+      const std::size_t requests = spec.requests.front();
+      auto source = comet::memsim::TraceGenerator(profile, spec.seeds.front())
+                        .stream(requests, spec.line_bytes);
       std::ofstream out(options.dump_trace);
       if (!out) {
         std::cerr << "comet_sim: cannot open '" << options.dump_trace
@@ -69,15 +67,15 @@ int main(int argc, char** argv) {
       }
       comet::memsim::write_trace(
           out, source,
-          comet::memsim::TraceConfig{.cpu_clock_ghz = options.cpu_ghz,
-                                     .line_bytes = options.line_bytes});
+          comet::memsim::TraceConfig{.cpu_clock_ghz = spec.cpu_ghz,
+                                     .line_bytes = spec.line_bytes});
       out.close();
       if (out.fail()) {
         std::cerr << "comet_sim: error writing '" << options.dump_trace
                   << "' (disk full?)\n";
         return 1;
       }
-      std::cout << "wrote " << options.dump_trace << " (" << options.requests
+      std::cout << "wrote " << options.dump_trace << " (" << requests
                 << " requests, " << profile.name << ")\n";
     } catch (const std::exception& e) {
       std::cerr << "comet_sim: " << e.what() << "\n";
@@ -87,12 +85,10 @@ int main(int argc, char** argv) {
   }
   if (!options.dump_config.empty()) {
     // Round-trip the resolved experiment back to disk: registry tokens
-    // and profile names are expanded to fully inline definitions, so the
-    // dumped spec replays anywhere `--config` does — the config analogue
-    // of --dump-trace.
+    // and profile names are already expanded to fully inline
+    // definitions, so the dumped spec replays anywhere `--config` does —
+    // the config analogue of --dump-trace.
     try {
-      const auto spec =
-          resolve_experiment(experiment_from_options(options));
       std::ofstream out(options.dump_config);
       if (!out) {
         std::cerr << "comet_sim: cannot open '" << options.dump_config
@@ -132,7 +128,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    const auto jobs = build_matrix(options);
+    const auto jobs = build_matrix(spec);
     const auto start = std::chrono::steady_clock::now();
     std::vector<std::unique_ptr<comet::telemetry::Collector>> collectors;
 

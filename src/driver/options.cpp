@@ -1,26 +1,31 @@
 #include "driver/options.hpp"
 
-#include <algorithm>
-#include <cerrno>
 #include <climits>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
-#include "config/experiment.hpp"
+#include "config/knobs.hpp"
 #include "config/serialize.hpp"
 #include "driver/registry.hpp"
+#include "driver/sweep.hpp"
 #include "memsim/trace_gen.hpp"
 
 namespace comet::driver {
 
 namespace {
 
+namespace toml = config::toml;
+using config::Knob;
+using config::KnobKind;
+
+/// Diagnostics label of the document the flags spell.
+const char* const kCommandLine = "command line";
+
 std::uint64_t parse_u64(const std::string& flag, const std::string& value,
-                        std::uint64_t max = UINT64_MAX) {
+                        std::uint64_t max) {
   std::uint64_t parsed = 0;
   try {
     // Digits only: stoull would skip whitespace and accept '-'/'+' signs
@@ -42,25 +47,139 @@ std::uint64_t parse_u64(const std::string& flag, const std::string& value,
   return parsed;
 }
 
-double parse_positive_double(const std::string& flag,
-                             const std::string& value) {
-  // Plain decimal only: no signs, exponents, hex floats, inf/nan or
-  // locale surprises — the same strictness as parse_u64.
-  if (value.empty() ||
-      value.find_first_not_of("0123456789.") != std::string::npos ||
-      value.find('.') != value.rfind('.')) {
-    throw std::invalid_argument(flag + " expects a positive decimal number, "
-                                "got '" + value + "'");
-  }
-  errno = 0;
+/// Plain decimal only: no signs, exponents, hex floats, inf/nan or
+/// locale surprises — the same strictness as parse_u64.
+double parse_decimal(const std::string& flag, const std::string& value) {
   char* end = nullptr;
   const double parsed = std::strtod(value.c_str(), &end);
-  if (errno != 0 || end != value.c_str() + value.size() ||
-      !std::isfinite(parsed) || parsed <= 0.0) {
-    throw std::invalid_argument(flag + " expects a positive decimal number, "
-                                "got '" + value + "'");
+  if (value.find_first_not_of("0123456789.") != std::string::npos ||
+      value.find('.') != value.rfind('.') ||
+      end != value.c_str() + value.size() || value.empty()) {
+    throw std::invalid_argument(
+        flag + " expects a non-negative decimal number, got '" + value + "'");
   }
   return parsed;
+}
+
+toml::Value make_value(toml::Value::Type type, std::uint64_t line) {
+  toml::Value value;
+  value.type = type;
+  value.line = line;
+  return value;
+}
+
+toml::Value string_value(const std::string& text, std::uint64_t line) {
+  toml::Value value = make_value(toml::Value::Type::kString, line);
+  value.str = text;
+  return value;
+}
+
+toml::Value float_value(double number, std::uint64_t line) {
+  toml::Value value = make_value(toml::Value::Type::kFloat, line);
+  value.number = number;
+  return value;
+}
+
+/// The document value `text` spells for `knob`. Only the kind is checked
+/// here; ranges and cross-key rules are the section readers' job.
+toml::Value knob_value(const Knob& knob, const std::string& text,
+                       std::uint64_t line) {
+  switch (knob.kind) {
+    case KnobKind::kString:
+      return string_value(text, line);
+    case KnobKind::kDecimal:
+      return float_value(parse_decimal(knob.flag, text), line);
+    case KnobKind::kFlag: {
+      toml::Value value = make_value(toml::Value::Type::kBoolean, line);
+      value.boolean = true;
+      return value;
+    }
+    case KnobKind::kInteger:
+    case KnobKind::kOptional:
+      break;
+  }
+  toml::Value value = make_value(toml::Value::Type::kInteger, line);
+  value.integer =
+      static_cast<std::int64_t>(parse_u64(knob.flag, text, INT64_MAX));
+  value.number = static_cast<double>(value.integer);
+  return value;
+}
+
+/// The --tenants list as the [tenant.NAME] tables it abbreviates:
+/// `name=workload[:interarrival_ns[:burstiness]]` or `name=@trace-file`.
+void add_tenant_tables(toml::Table& tenant, const std::string& list,
+                       std::uint64_t line) {
+  if (list.empty()) {
+    throw std::invalid_argument("--tenants requires a non-empty list");
+  }
+  const std::string shape =
+      "--tenants entries look like name=workload[:interarrival_ns"
+      "[:burstiness]] or name=@trace-file";
+  tenant.children.clear();  // A repeated --tenants replaces the list.
+  std::stringstream entries(list);
+  std::string entry;
+  while (std::getline(entries, entry, ',')) {
+    const std::size_t eq = entry.find('=');
+    if (eq == std::string::npos || eq == 0 || eq + 1 >= entry.size()) {
+      throw std::invalid_argument(shape + "; got '" + entry + "'");
+    }
+    const std::string name = entry.substr(0, eq);
+    const std::string body = entry.substr(eq + 1);
+    toml::Table stream;
+    stream.line = line;
+    if (body.front() == '@') {
+      if (body.size() == 1) {
+        throw std::invalid_argument("--tenants: tenant '" + name +
+                                    "': '@' needs a trace-file path");
+      }
+      stream.values["trace_file"] = string_value(body.substr(1), line);
+    } else {
+      std::vector<std::string> parts;
+      std::stringstream fields(body);
+      for (std::string part; std::getline(fields, part, ':');) {
+        parts.push_back(part);
+      }
+      if (parts.empty() || parts.size() > 3) {
+        throw std::invalid_argument(shape + "; got '" + entry + "'");
+      }
+      stream.values["workload"] = string_value(parts[0], line);
+      if (parts.size() > 1) {
+        stream.values["interarrival_ns"] = float_value(
+            parse_decimal("--tenants: interarrival_ns", parts[1]), line);
+      }
+      if (parts.size() > 2) {
+        stream.values["burstiness"] = float_value(
+            parse_decimal("--tenants: burstiness", parts[2]), line);
+      }
+    }
+    if (!tenant.children.emplace(name, std::move(stream)).second) {
+      throw std::invalid_argument("--tenants: duplicate tenant name '" + name +
+                                  "'");
+    }
+  }
+}
+
+/// A schema error in the flags' document, re-spelled for the command
+/// line: quoted keys become their flags, and a value's line — its argv
+/// position — names the flag that set it.
+std::invalid_argument flag_error(const toml::ParseError& error,
+                                 const std::vector<std::string>& args) {
+  std::string message = error.message();
+  for (const Knob& knob : config::knobs()) {
+    const std::string quoted = "'" + std::string(knob.key) + "'";
+    for (auto at = message.find(quoted); at != std::string::npos;
+         at = message.find(quoted, at)) {
+      message.replace(at, quoted.size(), knob.flag);
+    }
+  }
+  if (error.line() > 0 && error.line() <= args.size()) {
+    const std::string& arg = args[error.line() - 1];
+    const std::string flag = arg.substr(0, arg.find('='));
+    if (message.find(flag) == std::string::npos) {
+      message = flag + ": " + message;
+    }
+  }
+  return std::invalid_argument(message);
 }
 
 /// True when `path` names an openable, readable file. peek() forces a
@@ -73,597 +192,262 @@ bool file_readable(const std::string& path) {
   return probe.is_open() && !probe.bad();
 }
 
+/// Fails every unreadable trace file of the spec at parse time (exit 2),
+/// not deep inside a sweep, whichever front end named it. `config` is
+/// the --config path, empty for flags.
+void check_trace_files(const config::ExperimentSpec& spec,
+                       const std::string& config) {
+  const auto check = [&](const std::string& path, const std::string& flag,
+                         const std::string& key) {
+    if (path.empty() || file_readable(path)) return;
+    throw std::invalid_argument(
+        (config.empty() ? flag : config + ": " + key) + ": cannot open '" +
+        path + "'");
+  };
+  check(spec.trace_file, "--trace-file", "trace_file");
+  for (const auto& tenant : spec.tenants) {
+    check(tenant.trace_file, "--tenants: tenant '" + tenant.name + "'",
+          "[tenant." + tenant.name + "] trace_file");
+  }
+}
+
 }  // namespace
 
 Options parse_args(const std::vector<std::string>& args) {
   Options opt;
-  // First matrix-defining flag seen, for the --config conflict
-  // diagnostic: a config file owns the whole matrix.
+  toml::Document doc;
+  doc.source = kCommandLine;
+  // First flag that describes the experiment, for the --config conflict
+  // diagnostic: a config file owns the whole experiment.
   std::string matrix_flag;
-  const auto matrix = [&](const std::string& flag) {
-    if (matrix_flag.empty()) matrix_flag = flag;
-  };
+  HybridOverrides cache;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& flag = args[i];
-    if (flag == "--help" || flag == "-h") {
-      opt.help = true;
-      return opt;
-    }
-    if (flag == "--csv") {
-      opt.csv = true;
-      continue;
-    }
-    if (flag == "--list-devices") {
-      opt.list_devices = true;
-      continue;
-    }
-    if (flag == "--list-workloads") {
-      opt.list_workloads = true;
-      continue;
-    }
-    if (flag == "--list-policies") {
-      opt.list_policies = true;
-      continue;
-    }
-    if (flag == "--profile") {
-      opt.profile = true;
-      matrix(flag);
-      continue;
-    }
-    // --progress takes an optional =ms value (there is no way to make a
-    // space-separated value optional), defaulting to two ticks a second.
-    if (flag == "--progress") {
-      opt.progress_ms = 500;
-      matrix(flag);
-      continue;
-    }
-    if (flag.rfind("--progress=", 0) == 0) {
-      opt.progress_ms =
-          parse_u64("--progress", flag.substr(std::string("--progress=").size()));
-      if (opt.progress_ms == 0) {
-        throw std::invalid_argument(
-            "--progress interval must be >= 1 (milliseconds between updates)");
-      }
-      matrix("--progress");
-      continue;
-    }
+    const std::uint64_t line = i + 1;
     const auto next = [&]() -> const std::string& {
       if (i + 1 >= args.size()) {
         throw std::invalid_argument(flag + " requires a value");
       }
       return args[++i];
     };
-    if (flag == "--device") {
-      opt.device = next();
-      opt.device_given = true;
-      matrix(flag);
-    } else if (flag == "--workload") {
-      opt.workload = next();
-      opt.workload_given = true;
-      matrix(flag);
-    } else if (flag == "--channels") {
-      opt.channels = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-      if (opt.channels <= 0) {
-        throw std::invalid_argument("--channels must be >= 1");
+    const auto path = [&]() -> const std::string& {
+      const std::string& value = next();
+      if (value.empty()) {
+        throw std::invalid_argument(flag + " requires a non-empty path");
       }
-      matrix(flag);
-    } else if (flag == "--requests") {
-      opt.requests =
-          static_cast<std::size_t>(parse_u64(flag, next(), SIZE_MAX));
-      if (opt.requests == 0) {
-        throw std::invalid_argument("--requests must be >= 1");
-      }
-      matrix(flag);
+      return value;
+    };
+    if (flag == "--help" || flag == "-h") {
+      opt.help = true;
+      return opt;
+    }
+    if (flag == "--csv") {
+      opt.csv = true;
+    } else if (flag == "--list-devices") {
+      opt.list_devices = true;
+    } else if (flag == "--list-workloads") {
+      opt.list_workloads = true;
+    } else if (flag == "--list-policies") {
+      opt.list_policies = true;
+    } else if (flag == "--json") {
+      opt.json_path = path();
     } else if (flag == "--threads") {
       opt.threads = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-    } else if (flag == "--run-threads") {
-      opt.run_threads = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-      matrix(flag);
-    } else if (flag == "--seed") {
-      opt.seed = parse_u64(flag, next());
-      matrix(flag);
-    } else if (flag == "--line-bytes") {
-      opt.line_bytes =
-          static_cast<std::uint32_t>(parse_u64(flag, next(), UINT32_MAX));
-      if (opt.line_bytes == 0) {
-        throw std::invalid_argument("--line-bytes must be >= 1");
-      }
-      matrix(flag);
-    } else if (flag == "--cache-mb") {
-      // Bounded so the capacity in bytes fits comfortably in 64 bits.
-      opt.cache_mb = parse_u64(flag, next(), 1ull << 30);
-      if (*opt.cache_mb == 0) {
-        throw std::invalid_argument("--cache-mb must be >= 1");
-      }
-      matrix(flag);
-    } else if (flag == "--cache-ways") {
-      opt.cache_ways = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-      if (*opt.cache_ways == 0) {
-        throw std::invalid_argument("--cache-ways must be >= 1");
-      }
-      matrix(flag);
-    } else if (flag == "--cache-policy") {
-      opt.cache_policy = next();
-      (void)parse_cache_policy(*opt.cache_policy);
-      matrix(flag);
-    } else if (flag == "--schedule") {
-      opt.schedule = next();
-      (void)sched::policy_from_name(opt.schedule);
-      matrix(flag);
-    } else if (flag == "--read-q") {
-      opt.read_q = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-      matrix(flag);
-    } else if (flag == "--write-q") {
-      opt.write_q = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-      matrix(flag);
-    } else if (flag == "--drain-high") {
-      opt.drain_high = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-      matrix(flag);
-    } else if (flag == "--drain-low") {
-      opt.drain_low = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-      matrix(flag);
     } else if (flag == "--config") {
-      opt.config = next();
-      if (opt.config.empty()) {
-        throw std::invalid_argument("--config requires a non-empty path");
-      }
-    } else if (flag == "--device-file") {
-      const std::string& path = next();
-      if (path.empty()) {
-        throw std::invalid_argument("--device-file requires a non-empty path");
-      }
-      opt.device_files.push_back(path);
-      matrix(flag);
+      opt.config = path();
     } else if (flag == "--dump-config") {
-      opt.dump_config = next();
-      if (opt.dump_config.empty()) {
-        throw std::invalid_argument("--dump-config requires a non-empty path");
-      }
-    } else if (flag == "--trace-file") {
-      opt.trace_file = next();
-      if (opt.trace_file.empty()) {
-        throw std::invalid_argument("--trace-file requires a non-empty path");
-      }
-      matrix(flag);
-    } else if (flag == "--cpu-ghz") {
-      opt.cpu_ghz = parse_positive_double(flag, next());
-      matrix(flag);
-    } else if (flag == "--dump-trace") {
-      opt.dump_trace = next();
-      if (opt.dump_trace.empty()) {
-        throw std::invalid_argument("--dump-trace requires a non-empty path");
-      }
-      matrix(flag);
-    } else if (flag == "--tenants") {
-      opt.tenants = next();
-      if (opt.tenants.empty()) {
-        throw std::invalid_argument("--tenants requires a non-empty list");
-      }
-      matrix(flag);
-    } else if (flag == "--tenant-mapping") {
-      opt.tenant_mapping = next();
-      (void)config::tenant_mapping_from_name(opt.tenant_mapping);
-      matrix(flag);
-    } else if (flag == "--tenant-tokens") {
-      opt.tenant_tokens = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-      if (*opt.tenant_tokens == 0) {
-        throw std::invalid_argument("--tenant-tokens must be >= 1");
-      }
-      matrix(flag);
-    } else if (flag == "--starvation-cap") {
-      opt.starvation_cap = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-      if (*opt.starvation_cap == 0) {
-        throw std::invalid_argument("--starvation-cap must be >= 1");
-      }
-      matrix(flag);
-    } else if (flag == "--trace-out") {
-      opt.trace_out = next();
-      if (opt.trace_out.empty()) {
-        throw std::invalid_argument("--trace-out requires a non-empty path");
-      }
-      matrix(flag);
-    } else if (flag == "--trace-limit") {
-      opt.trace_limit = parse_u64(flag, next());
-      matrix(flag);
-    } else if (flag == "--metrics-interval") {
-      opt.metrics_interval_ns = parse_u64(flag, next(), UINT64_MAX / 1000);
-      if (*opt.metrics_interval_ns == 0) {
-        throw std::invalid_argument(
-            "--metrics-interval must be >= 1 (nanoseconds per epoch)");
-      }
-      matrix(flag);
-    } else if (flag == "--metrics-csv") {
-      opt.metrics_csv = next();
-      if (opt.metrics_csv.empty()) {
-        throw std::invalid_argument("--metrics-csv requires a non-empty path");
-      }
-      matrix(flag);
-    } else if (flag == "--assert-slo") {
-      opt.assert_slo = next();
-      if (opt.assert_slo.empty()) {
-        throw std::invalid_argument(
-            "--assert-slo requires a predicate list, e.g. "
-            "\"p99_read_ns<=2500,requests_per_s>=5e6\"");
-      }
-      matrix(flag);
-    } else if (flag == "--json") {
-      opt.json_path = next();
-      if (opt.json_path.empty()) {
-        throw std::invalid_argument("--json requires a non-empty path");
-      }
+      opt.dump_config = path();
     } else {
-      throw std::invalid_argument("unknown flag '" + flag +
-                                  "' (see --help)");
+      // Everything else describes the experiment.
+      const std::string name = flag.substr(0, flag.find('='));
+      const Knob* knob = config::find_knob(name);
+      if (knob && (name == flag || knob->kind == KnobKind::kOptional)) {
+        std::string text;
+        if (knob->kind == KnobKind::kOptional) {
+          text = name == flag ? knob->implied : flag.substr(name.size() + 1);
+        } else if (knob->kind != KnobKind::kFlag) {
+          text = next();
+        }
+        doc.root.children[knob->section].values[knob->key] =
+            knob_value(*knob, text, line);
+      } else if (flag == "--tenants") {
+        add_tenant_tables(doc.root.children["tenant"], next(), line);
+      } else if (flag == "--device-file") {
+        const std::string& file = path();
+        // Checked on its own first, so its errors carry its own file:line.
+        (void)config::parse_device_file(file, registry_resolver());
+        doc.root.arrays["device"].push_back(
+            toml::parse_file(file).root.children.at("device"));
+      } else if (flag == "--cache-mb") {
+        // Bounded so the capacity in bytes fits comfortably in 64 bits.
+        cache.cache_mb = parse_u64(flag, next(), 1ull << 30);
+        if (*cache.cache_mb == 0) {
+          throw std::invalid_argument("--cache-mb must be >= 1");
+        }
+      } else if (flag == "--cache-ways") {
+        cache.cache_ways = static_cast<int>(parse_u64(flag, next(), INT_MAX));
+        if (*cache.cache_ways == 0) {
+          throw std::invalid_argument("--cache-ways must be >= 1");
+        }
+      } else if (flag == "--cache-policy") {
+        cache.cache_policy = next();
+        (void)parse_cache_policy(*cache.cache_policy);
+      } else if (flag == "--dump-trace") {
+        opt.dump_trace = path();
+      } else {
+        throw std::invalid_argument("unknown flag '" + flag +
+                                    "' (see --help)");
+      }
+      if (matrix_flag.empty()) matrix_flag = name;
     }
   }
 
-  // Validate names, files and flag combinations eagerly so a typo, an
-  // inconsistent cache geometry or a malformed config document fails
-  // with exit 2 before any simulation runs. `all` is flat-only, so
-  // cache overrides cannot invalidate it.
-  if (!opt.config.empty() && !matrix_flag.empty()) {
-    throw std::invalid_argument(
-        "--config cannot be combined with " + matrix_flag +
-        " (the config file defines the whole experiment)");
-  }
   if (!opt.config.empty()) {
-    // Parse and schema-check the document now, including the pieces the
-    // schema alone cannot settle: registry tokens, profile names and the
-    // trace file must all resolve so every typo is an exit-2 parse
-    // failure, exactly like its CLI-flag equivalent. The sweep re-reads
-    // the file later — config documents are small, and re-parsing keeps
-    // Options a plain value struct.
-    const auto spec =
-        config::parse_experiment_file(opt.config, registry_resolver());
-    try {
-      for (const auto& token : spec.device_tokens) {
-        (void)resolve_device_specs(token);
-      }
-      for (const auto& name : spec.workload_names) {
-        if (name != "all") (void)memsim::profile_by_name(name);
-      }
-    } catch (const std::exception& e) {
-      throw std::invalid_argument(opt.config + ": " + e.what());
-    }
-    if (!spec.trace_file.empty() && !file_readable(spec.trace_file)) {
-      throw std::invalid_argument(opt.config + ": trace_file: cannot open '" +
-                                  spec.trace_file + "'");
-    }
-  }
-  for (const auto& path : opt.device_files) {
-    (void)config::parse_device_file(path, registry_resolver());
-  }
-  if (opt.tenants.empty()) {
-    if (!opt.tenant_mapping.empty()) {
+    if (!matrix_flag.empty()) {
       throw std::invalid_argument(
-          "--tenant-mapping requires --tenants (there are no streams to map)");
+          "--config cannot be combined with " + matrix_flag +
+          " (the config file defines the whole experiment)");
     }
+    opt.spec = config::parse_experiment_file(opt.config, registry_resolver());
   } else {
-    if (opt.workload_given) {
-      throw std::invalid_argument(
-          "--tenants and --workload cannot be combined (the tenant list "
-          "defines the demand; give each tenant its own workload)");
+    // What the flags leave implicit: every device unless --device or
+    // --device-file names some, every workload unless --workload,
+    // --trace-file or --tenants defines the demand.
+    toml::Table& experiment = doc.root.children["experiment"];
+    experiment.values["name"] = string_value("cli", 0);
+    if (!experiment.values.count("devices") &&
+        !doc.root.arrays.count("device")) {
+      experiment.values["devices"] = string_value("all", 0);
     }
-    if (!opt.trace_file.empty()) {
-      throw std::invalid_argument(
-          "--tenants and --trace-file cannot be combined (use the "
-          "name=@trace-file tenant form instead)");
+    if (!experiment.values.count("workloads") &&
+        !experiment.values.count("trace_file") &&
+        !doc.root.children.count("tenant")) {
+      experiment.values["workloads"] = string_value("all", 0);
     }
-    if (!opt.dump_trace.empty()) {
-      throw std::invalid_argument(
-          "--tenants and --dump-trace cannot be combined (a trace file holds "
-          "one request stream)");
-    }
-    // Parse the list now so malformed entries, unknown profiles,
-    // duplicate names and unreadable trace tenants all exit 2.
-    for (const auto& tenant : tenants_from_options(opt)) {
-      if (!tenant.trace_file.empty() && !file_readable(tenant.trace_file)) {
-        throw std::invalid_argument("--tenants: tenant '" + tenant.name +
-                                    "': cannot open '" + tenant.trace_file +
-                                    "'");
-      }
-    }
-  }
-  if (!opt.trace_file.empty() && !opt.dump_trace.empty()) {
-    throw std::invalid_argument(
-        "--trace-file and --dump-trace cannot be combined (one replays a "
-        "trace, the other writes one)");
-  }
-  if (!opt.dump_trace.empty() && !opt.dump_config.empty()) {
-    throw std::invalid_argument(
-        "--dump-trace and --dump-config cannot be combined");
-  }
-  if (!opt.trace_file.empty() && !file_readable(opt.trace_file)) {
-    // Fail a bad path at parse time (exit 2), not deep inside a sweep.
-    throw std::invalid_argument("--trace-file: cannot open '" +
-                                opt.trace_file + "'");
-  }
-  if (!opt.dump_trace.empty() && opt.workload == "all") {
-    throw std::invalid_argument(
-        "--dump-trace requires a single --workload (a trace file holds one "
-        "request stream, not a matrix)");
-  }
-  if (opt.device != "all") {
-    (void)resolve_device_specs(
-        opt.device, HybridOverrides{.cache_mb = opt.cache_mb,
-                                    .cache_ways = opt.cache_ways,
-                                    .cache_policy = opt.cache_policy});
-  }
-  if (opt.workload != "all") (void)memsim::profile_by_name(opt.workload);
-  // Inconsistent scheduler flags (depths/watermarks without --schedule,
-  // watermarks the bounded queue can never reach) also exit 2 here.
-  (void)scheduler_from_options(opt);
-  // Same for the telemetry flags (--trace-limit without --trace-out,
-  // --metrics-csv without --metrics-interval).
-  (void)telemetry_from_options(opt);
-  // And the host-observability flags: a malformed or unknown-metric
-  // --assert-slo expression exits 2 before any simulation.
-  (void)prof_from_options(opt);
-  return opt;
-}
-
-std::optional<sched::ControllerConfig> scheduler_from_options(
-    const Options& options) {
-  if (options.schedule.empty()) {
-    if (options.read_q || options.write_q || options.drain_high ||
-        options.drain_low) {
-      throw std::invalid_argument(
-          "--read-q/--write-q/--drain-high/--drain-low require --schedule");
-    }
-    if (options.tenant_tokens || options.starvation_cap) {
-      throw std::invalid_argument(
-          "--tenant-tokens/--starvation-cap require --schedule");
-    }
-    return std::nullopt;
-  }
-  auto config = sched::ControllerConfig::with_depths(
-      sched::policy_from_name(options.schedule), options.read_q.value_or(32),
-      options.write_q.value_or(32));
-  // Only read-first drains writes; accepting watermarks for the other
-  // policies would silently ignore them (the --cache-* precedent).
-  if (config.policy != sched::Policy::kReadFirst &&
-      (options.drain_high || options.drain_low)) {
-    throw std::invalid_argument(
-        "--drain-high/--drain-low apply to --schedule read-first only "
-        "(the " + options.schedule + " policy never drains writes)");
-  }
-  if (options.drain_high) config.drain_high_watermark = *options.drain_high;
-  if (options.drain_low) config.drain_low_watermark = *options.drain_low;
-  // The fairness knobs refine their own policy only, for the same
-  // reason: every other policy would silently ignore them.
-  if (options.tenant_tokens && config.policy != sched::Policy::kTokenBudget) {
-    throw std::invalid_argument(
-        "--tenant-tokens applies to --schedule token-budget only (the " +
-        options.schedule + " policy keeps no token buckets)");
-  }
-  if (options.starvation_cap && config.policy != sched::Policy::kFrFcfsCap) {
-    throw std::invalid_argument(
-        "--starvation-cap applies to --schedule frfcfs-cap only (the " +
-        options.schedule + " policy keeps no starvation counters)");
-  }
-  if (options.tenant_tokens) config.tenant_tokens = *options.tenant_tokens;
-  if (options.starvation_cap) config.starvation_cap = *options.starvation_cap;
-  config.validate();
-  return config;
-}
-
-std::vector<config::TenantSpec> tenants_from_options(const Options& options) {
-  std::vector<config::TenantSpec> tenants;
-  if (options.tenants.empty()) return tenants;
-  const char* const shape =
-      "--tenants entries look like name=workload[:interarrival_ns"
-      "[:burstiness]] or name=@trace-file";
-  // Decimal fields: the parse_positive_double grammar, zero included
-  // (a zero rate/burstiness just keeps the spec's default meaning).
-  const auto parse_decimal = [&](const std::string& what,
-                                 const std::string& value) {
-    if (value.empty() ||
-        value.find_first_not_of("0123456789.") != std::string::npos ||
-        value.find('.') != value.rfind('.')) {
-      throw std::invalid_argument("--tenants: " + what +
-                                  " expects a non-negative decimal number, "
-                                  "got '" + value + "'");
-    }
-    return std::strtod(value.c_str(), nullptr);
-  };
-  std::stringstream list(options.tenants);
-  std::string entry;
-  while (std::getline(list, entry, ',')) {
-    const std::size_t eq = entry.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= entry.size()) {
-      throw std::invalid_argument(std::string(shape) + "; got '" + entry +
-                                  "'");
-    }
-    config::TenantSpec spec;
-    spec.name = entry.substr(0, eq);
-    const std::string body = entry.substr(eq + 1);
-    if (body.front() == '@') {
-      if (body.size() == 1) {
-        throw std::invalid_argument("--tenants: tenant '" + spec.name +
-                                    "': '@' needs a trace-file path");
-      }
-      spec.trace_file = body.substr(1);
-    } else {
-      std::vector<std::string> parts;
-      std::stringstream fields(body);
-      std::string part;
-      while (std::getline(fields, part, ':')) parts.push_back(part);
-      if (parts.empty() || parts.size() > 3) {
-        throw std::invalid_argument(std::string(shape) + "; got '" + entry +
-                                    "'");
-      }
-      try {
-        spec.profile = memsim::profile_by_name(parts[0]);
-      } catch (const std::exception& e) {
-        throw std::invalid_argument("--tenants: tenant '" + spec.name +
-                                    "': " + e.what());
-      }
-      if (parts.size() > 1) {
-        spec.interarrival_ns = parse_decimal("interarrival_ns", parts[1]);
-      }
-      if (parts.size() > 2) {
-        spec.burstiness = parse_decimal("burstiness", parts[2]);
-      }
-    }
-    tenants.push_back(std::move(spec));
-  }
-  // Name order — the same deterministic stream ordering the [tenant]
-  // config sections get, so ids and seeds never depend on list order.
-  std::sort(tenants.begin(), tenants.end(),
-            [](const config::TenantSpec& a, const config::TenantSpec& b) {
-              return a.name < b.name;
-            });
-  try {
-    config::validate_tenants(tenants);
-  } catch (const std::exception& e) {
-    throw std::invalid_argument(std::string("--tenants: ") + e.what());
-  }
-  return tenants;
-}
-
-telemetry::TelemetrySpec telemetry_from_options(const Options& options) {
-  telemetry::TelemetrySpec spec;
-  spec.trace_path = options.trace_out;
-  if (options.trace_limit) {
-    if (options.trace_out.empty()) {
-      throw std::invalid_argument(
-          "--trace-limit requires --trace-out (there is no event budget to "
-          "cap without a trace)");
-    }
-    spec.trace_limit = *options.trace_limit;
-  }
-  if (options.metrics_interval_ns) {
-    spec.metrics_interval_ps = *options.metrics_interval_ns * 1000;
-  }
-  if (!options.metrics_csv.empty()) {
-    if (!options.metrics_interval_ns) {
-      throw std::invalid_argument(
-          "--metrics-csv requires --metrics-interval (there is no timeline "
-          "to write without an epoch length)");
-    }
-    spec.metrics_csv = options.metrics_csv;
-  }
-  spec.validate();
-  return spec;
-}
-
-prof::ProfSpec prof_from_options(const Options& options) {
-  prof::ProfSpec spec;
-  spec.profile = options.profile;
-  spec.progress_ms = options.progress_ms;
-  if (!options.assert_slo.empty()) {
     try {
-      spec.slo = prof::parse_slo(options.assert_slo);
-    } catch (const std::exception& e) {
-      throw std::invalid_argument(std::string("--assert-slo: ") + e.what());
+      opt.spec = config::parse_experiment(doc, registry_resolver());
+    } catch (const toml::ParseError& e) {
+      throw flag_error(e, args);
+    }
+    opt.spec.source.clear();  // Flag runs name no config file.
+  }
+
+  // The readers checked every name; expand them to inline definitions.
+  opt.spec = resolve_experiment(std::move(opt.spec));
+  for (auto& device : opt.spec.devices) {
+    device = apply_hybrid_overrides(std::move(device), cache);
+  }
+  check_trace_files(opt.spec, opt.config);
+
+  if (!opt.dump_trace.empty()) {
+    if (!opt.dump_config.empty()) {
+      throw std::invalid_argument(
+          "--dump-trace and --dump-config cannot be combined");
+    }
+    if (!opt.spec.tenants.empty() || !opt.spec.trace_file.empty()) {
+      throw std::invalid_argument(
+          "--dump-trace cannot be combined with --tenants or --trace-file (a "
+          "trace file holds one synthesized request stream)");
+    }
+    if (opt.spec.workloads.size() != 1) {
+      throw std::invalid_argument(
+          "--dump-trace requires a single --workload (a trace file holds one "
+          "request stream, not a matrix)");
     }
   }
-  spec.validate();
-  return spec;
+  return opt;
 }
 
 std::string usage() {
   std::ostringstream os;
+  // One option: its spelling in a 25-column gutter, then the help lines.
+  const auto option = [&](const std::string& spelling,
+                          const std::string& help) {
+    std::string margin = "  " + spelling;
+    margin.resize(25, ' ');
+    std::stringstream lines(help);
+    for (std::string line; std::getline(lines, line);
+         margin.assign(25, ' ')) {
+      os << margin << line << "\n";
+    }
+  };
   os << "comet_sim — trace-driven sweep driver for the COMET memory study\n"
      << "\n"
      << "Usage: comet_sim [options]\n"
-     << "  --device <name|all>    architecture to simulate (default: all)\n"
-     << "                         one of: all";
+     << "\n"
+     << "Experiment options. Each knob flag spells the config key named\n"
+     << "under it, so a --config document says the same thing; --config\n"
+     << "conflicts with every option in this group.\n";
+  for (const Knob& knob : config::knobs()) {
+    std::string spelling = knob.flag;
+    if (*knob.metavar) {
+      spelling += knob.kind == KnobKind::kOptional ? "" : " ";
+      spelling += knob.metavar;
+    }
+    std::string help = knob.help;
+    if (knob.policies != 0 && knob.policies != config::kAllPolicies) {
+      help += "\npolicy: " + config::policy_names(knob.policies);
+    }
+    help += "\nconfig: [" + std::string(knob.section) + "] " + knob.key;
+    option(spelling, help);
+  }
+  option("--tenants <list>",
+         "multi-tenant run: comma-separated streams\n"
+         "name=workload[:interarrival_ns[:burst]]\n"
+         "or name=@trace-file, merged into one\n"
+         "interleaved run with per-tenant latency,\n"
+         "slowdown-vs-alone and Jain fairness stats\n"
+         "config: one [tenant.NAME] table per stream");
+  option("--device-file <path>",
+         "add a device defined in a [device] TOML\n"
+         "file to the sweep (repeatable; replaces the\n"
+         "default --device all)\n"
+         "config: one [[device]] table per file");
+  option("--cache-mb N", "hybrid devices: DRAM cache capacity [MiB]");
+  option("--cache-ways N", "hybrid devices: cache associativity");
+  option("--cache-policy <p>",
+         "hybrid devices: write-allocate (default)\nor write-no-allocate");
+  option("--dump-trace <path>",
+         "write the synthesized trace for a single\n--workload to <path> and "
+         "exit");
+  os << "\n--device takes: all";
   for (const auto& name : known_devices()) os << ", " << name;
-  os << ",\n                         hybrid-all";
+  os << ", hybrid-all";
   for (const auto& name : known_hybrid_devices()) os << ", " << name;
-  os << "\n"
-     << "  --workload <name|all>  SPEC-like profile (default: all)\n"
-     << "                         one of: all";
+  os << "\n--workload takes: all";
   for (const auto& profile : memsim::spec_like_profiles()) {
     os << ", " << profile.name;
   }
-  os << "\n"
-     << "  --config <path>        run the experiment described by a TOML\n"
-     << "                         spec (devices, workloads, sweep axes);\n"
-     << "                         conflicts with the matrix flags above\n"
-     << "  --device-file <path>   add a device defined in a [device] TOML\n"
-     << "                         file to the sweep (repeatable)\n"
-     << "  --dump-config <path>   write the fully resolved experiment spec\n"
-     << "                         (config analogue of --dump-trace) and exit\n"
-     << "  --channels N           override the device channel count\n"
-     << "  --requests N           requests per run (default: 20000)\n"
-     << "  --threads N            sweep worker threads (default: hardware)\n"
-     << "  --run-threads N        per-channel replay worker threads inside\n"
-     << "                         each run (default: 1 = serial; 0 =\n"
-     << "                         hardware threads); results are\n"
-     << "                         bit-identical for any value\n"
-     << "  --seed N               trace RNG seed (default: 42)\n"
-     << "  --line-bytes N         request line size (default: 128)\n"
-     << "  --cache-mb N           hybrid devices: DRAM cache capacity [MiB]\n"
-     << "  --cache-ways N         hybrid devices: cache associativity\n"
-     << "  --cache-policy <p>     hybrid devices: write-allocate (default)\n"
-     << "                         or write-no-allocate\n"
-     << "  --schedule <policy>    engage the memory-controller scheduler:\n"
-     << "                         fcfs (in-order), frfcfs (open-row reuse),\n"
-     << "                         read-first (write-drain watermarks),\n"
-     << "                         token-budget or frfcfs-cap (fairness-aware\n"
-     << "                         FR-FCFS variants; see --list-policies)\n"
-     << "  --read-q N             scheduler read-queue depth per channel\n"
-     << "                         (default: 32; 0 = unbounded)\n"
-     << "  --write-q N            scheduler write-queue depth per channel\n"
-     << "                         (default: 32; 0 = unbounded)\n"
-     << "  --drain-high N         write-drain high watermark, read-first\n"
-     << "                         only (default: 7/8 of the write-queue\n"
-     << "                         depth)\n"
-     << "  --drain-low N          write-drain low watermark, read-first\n"
-     << "                         only (default: 3/8 of the write-queue\n"
-     << "                         depth)\n"
-     << "  --tenants <list>       multi-tenant run: comma-separated streams\n"
-     << "                         name=workload[:interarrival_ns[:burst]]\n"
-     << "                         or name=@trace-file, merged into one\n"
-     << "                         interleaved run with per-tenant latency,\n"
-     << "                         slowdown-vs-alone and Jain fairness stats\n"
-     << "  --tenant-mapping <m>   tenant address spaces: partition (default,\n"
-     << "                         disjoint 1 TiB slabs) or interleave\n"
-     << "                         (line-granular sharing, maximal contention)\n"
-     << "  --tenant-tokens N      token-budget policy: per-tenant scheduling\n"
-     << "                         tokens per refill (default: 64)\n"
-     << "  --starvation-cap N     frfcfs-cap policy: times a queued tenant\n"
-     << "                         may be passed over before it outranks row\n"
-     << "                         hits (default: 16)\n"
-     << "  --trace-file <path>    replay an on-disk NVMain trace (streamed,\n"
-     << "                         O(1) memory) instead of a synthetic\n"
-     << "                         workload; ignores --workload/--requests\n"
-     << "  --cpu-ghz X            CPU clock for trace cycle->time\n"
-     << "                         conversion (default: 2.0)\n"
-     << "  --dump-trace <path>    write the synthesized trace for a single\n"
-     << "                         --workload to <path> and exit\n"
-     << "  --trace-out <path>     write a Chrome trace-event JSON of every\n"
-     << "                         request's lifecycle (open in Perfetto:\n"
-     << "                         one track per channel and bank)\n"
-     << "  --trace-limit N        cap on recorded trace events per run\n"
-     << "                         (default: 1000000; 0 = unlimited); the\n"
-     << "                         trace records what was dropped\n"
-     << "  --metrics-interval N   sample an epoch metrics time-series every\n"
-     << "                         N ns (bandwidth, queue occupancy, drain\n"
-     << "                         activity, latency percentiles) into the\n"
-     << "                         --json report's timeline array\n"
-     << "  --metrics-csv <path>   also write the timeline as CSV\n"
-     << "  --profile              record a host-side run profile (stage wall\n"
-     << "                         times, lane utilization, queue stalls,\n"
-     << "                         peak RSS) into each record's JSON host\n"
-     << "                         object and a console table; never changes\n"
-     << "                         the simulated results\n"
-     << "  --progress[=ms]        live heartbeat on stderr while the sweep\n"
-     << "                         runs: completed/total requests, req/s,\n"
-     << "                         ETA, RSS (default period: 500 ms)\n"
-     << "  --assert-slo <list>    comma-separated run health gates over\n"
-     << "                         the report metrics, e.g.\n"
-     << "                         \"p99_read_ns<=2500,requests_per_s>=5e6\";\n"
-     << "                         any violated predicate exits 3\n"
-     << "  --json <path>          also write machine-readable JSON\n"
-     << "  --csv                  print CSV instead of aligned tables\n"
-     << "  --list-devices         print every device token and exit\n"
-     << "  --list-workloads       print every workload name and exit\n"
-     << "  --list-policies        print every scheduling policy (token,\n"
-     << "                         behaviour, knobs) and exit\n"
-     << "  --help                 this text\n";
+  os << "\n\nDriver options:\n";
+  option("--config <path>",
+         "run the experiment described by a TOML\nspec (devices, workloads, "
+         "sweep axes)");
+  option("--dump-config <path>",
+         "write the fully resolved experiment spec\n(config analogue of "
+         "--dump-trace) and exit");
+  option("--threads N", "sweep worker threads (default: hardware)");
+  option("--json <path>", "also write machine-readable JSON");
+  option("--csv", "print CSV instead of aligned tables");
+  option("--list-devices", "print every device token and exit");
+  option("--list-workloads", "print every workload name and exit");
+  option("--list-policies",
+         "print every scheduling policy (token,\nbehaviour, knobs) and exit");
+  option("--help", "this text");
+  return os.str();
+}
+
+std::string policy_list() {
+  std::ostringstream os;
+  for (const auto& info : sched::known_policies()) {
+    os << info.name << "\n  " << info.summary << "\n  knobs:";
+    const char* separator = " ";
+    for (const Knob& knob : config::knobs()) {
+      if (!(knob.policies & config::policy_bit(info.policy))) continue;
+      os << separator << knob.flag << " / " << knob.key;
+      separator = ", ";
+    }
+    os << "\n";
+  }
   return os.str();
 }
 

@@ -134,16 +134,13 @@ bool parse_cache_policy(const std::string& policy) {
                               "write-no-allocate");
 }
 
-DeviceSpec make_device_spec(const std::string& token,
-                            const HybridOverrides& overrides) {
+DeviceSpec make_device_spec(const std::string& token) {
   if (auto model = try_make_device(token)) {
     return DeviceSpec(*std::move(model));
   }
   for (const auto& table : builtin_hybrid_tables()) {
     if (hybrid_table_name(table) != token) continue;
-    return apply_hybrid_overrides(
-        config::parse_device(table, "<registry>", resolve_flat_base),
-        overrides);
+    return config::parse_device(table, "<registry>", resolve_flat_base);
   }
   throw unknown_token(token, /*include_hybrid=*/true);
 }
@@ -163,20 +160,19 @@ DeviceSpec apply_hybrid_overrides(DeviceSpec spec,
       spec.name, std::move(spec.tiered->backend), cache));
 }
 
-std::vector<DeviceSpec> resolve_device_specs(const std::string& spec,
-                                             const HybridOverrides& overrides) {
+std::vector<DeviceSpec> resolve_device_specs(const std::string& spec) {
   std::vector<DeviceSpec> specs;
   if (spec == "all") {
     for (const auto& token : known_devices()) {
       if (token == "hbm") continue;  // Alias of ddr4_3d, not an 8th device.
-      specs.push_back(make_device_spec(token, overrides));
+      specs.push_back(make_device_spec(token));
     }
   } else if (spec == "hybrid-all") {
     for (const auto& token : known_hybrid_devices()) {
-      specs.push_back(make_device_spec(token, overrides));
+      specs.push_back(make_device_spec(token));
     }
   } else {
-    specs.push_back(make_device_spec(spec, overrides));
+    specs.push_back(make_device_spec(spec));
   }
   return specs;
 }

@@ -61,11 +61,9 @@ memsim::DeviceModel make_device(const std::string& token);
 /// registry.
 bool parse_cache_policy(const std::string& policy);
 
-/// Builds the spec for any token, flat or hybrid, applying the
-/// overrides to hybrid ones. Throws std::invalid_argument on unknown
-/// tokens or invalid override combinations.
-DeviceSpec make_device_spec(const std::string& token,
-                            const HybridOverrides& overrides = {});
+/// Builds the spec for any token, flat or hybrid. Throws
+/// std::invalid_argument on unknown tokens.
+DeviceSpec make_device_spec(const std::string& token);
 
 /// Applies the `--cache-*` overrides to a hybrid spec, re-deriving the
 /// DRAM tier model from the adjusted cache capacity; flat specs pass
@@ -79,8 +77,7 @@ DeviceSpec apply_hybrid_overrides(DeviceSpec spec,
 /// Expands a `--device` argument: `all` → every flat device,
 /// `hybrid-all` → every hybrid design point, otherwise the single named
 /// one. Throws std::invalid_argument on unknown tokens.
-std::vector<DeviceSpec> resolve_device_specs(
-    const std::string& spec, const HybridOverrides& overrides = {});
+std::vector<DeviceSpec> resolve_device_specs(const std::string& spec);
 
 /// The registry as a config-layer base resolver: maps any single
 /// flat/hybrid token to its spec (no CLI overrides). Hand this to

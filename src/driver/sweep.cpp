@@ -22,60 +22,6 @@ std::string trace_display_name(const std::string& path) {
 
 }  // namespace
 
-config::ExperimentSpec experiment_from_options(const Options& options) {
-  if (!options.config.empty()) {
-    return config::parse_experiment_file(options.config, registry_resolver());
-  }
-
-  config::ExperimentBuilder builder;
-  builder.name("cli");
-
-  // Registry tokens resolve here (with the cache overrides) so the spec
-  // is already inline; --device-file definitions follow. The default
-  // `--device all` steps aside when only files define the matrix.
-  const HybridOverrides overrides{.cache_mb = options.cache_mb,
-                                  .cache_ways = options.cache_ways,
-                                  .cache_policy = options.cache_policy};
-  if (options.device_given || options.device_files.empty()) {
-    for (auto& spec : resolve_device_specs(options.device, overrides)) {
-      builder.device(std::move(spec));
-    }
-  }
-  for (const auto& path : options.device_files) {
-    builder.device(apply_hybrid_overrides(
-        config::parse_device_file(path, registry_resolver()), overrides));
-  }
-
-  const auto tenants = tenants_from_options(options);
-  if (!tenants.empty()) {
-    for (auto tenant : tenants) builder.tenant(std::move(tenant));
-    builder.tenant_mapping(config::tenant_mapping_from_name(
-        options.tenant_mapping.empty() ? "partition" : options.tenant_mapping));
-  } else if (!options.trace_file.empty()) {
-    builder.trace(options.trace_file, options.cpu_ghz);
-  } else if (options.workload == "all") {
-    for (auto& profile : memsim::spec_like_profiles()) {
-      builder.workload(std::move(profile));
-    }
-  } else {
-    builder.workload(memsim::profile_by_name(options.workload));
-  }
-
-  if (const auto controller = scheduler_from_options(options)) {
-    builder.schedule({controller->policy});
-    builder.controller_config(*controller);
-  }
-  builder.telemetry(telemetry_from_options(options));
-  builder.profile(prof_from_options(options));
-
-  builder.requests({options.requests})
-      .seeds({options.seed})
-      .channels({options.channels})
-      .run_threads({options.run_threads})
-      .line_bytes(options.line_bytes);
-  return builder.build();
-}
-
 config::ExperimentSpec resolve_experiment(config::ExperimentSpec spec) {
   std::vector<DeviceSpec> devices;
   for (const auto& token : spec.device_tokens) {
@@ -184,10 +130,6 @@ std::vector<SweepJob> build_matrix(const config::ExperimentSpec& spec) {
     }
   }
   return jobs;
-}
-
-std::vector<SweepJob> build_matrix(const Options& options) {
-  return build_matrix(experiment_from_options(options));
 }
 
 memsim::SimStats run_job(const SweepJob& job, telemetry::Collector* collector,

@@ -32,8 +32,9 @@
 /// *during* a run are the atomic progress counters the heartbeat polls.
 namespace comet::prof {
 
-/// What a run should observe; the [profile] + [slo] config sections and
-/// the --profile/--progress/--assert-slo flags both build one of these.
+/// What a run should observe; the [profile] + [slo] config sections
+/// build one (the --profile/--progress/--assert-slo flags spell their
+/// keys).
 struct ProfSpec {
   /// Record the host profile (stage timers, pool counters, RSS) and
   /// report it as the JSON `host` object and the console table.

@@ -36,25 +36,18 @@ Policy policy_from_name(const std::string& name) {
 const std::vector<PolicyInfo>& known_policies() {
   static const std::vector<PolicyInfo> policies = {
       {Policy::kFcfs, "fcfs",
-       "in-order immediate handoff (the legacy arrival-order replay)",
-       "read-queue-depth, write-queue-depth (never fill: fcfs holds "
-       "nothing)"},
+       "in-order immediate handoff (the legacy arrival-order replay)"},
       {Policy::kFrFcfs, "frfcfs",
        "first-ready FCFS: oldest ready transaction first, preferring "
-       "open-row / open-region hits",
-       "read-queue-depth, write-queue-depth"},
+       "open-row / open-region hits"},
       {Policy::kReadFirst, "read-first",
-       "reads issue ahead of writes, with write-drain hysteresis",
-       "read-queue-depth, write-queue-depth, drain-high-watermark, "
-       "drain-low-watermark"},
+       "reads issue ahead of writes, with write-drain hysteresis"},
       {Policy::kTokenBudget, "token-budget",
        "FR-FCFS limited to tenants with scheduling tokens left; buckets "
-       "refill when every queued tenant is spent",
-       "read-queue-depth, write-queue-depth, tenant-tokens"},
+       "refill when every queued tenant is spent"},
       {Policy::kFrFcfsCap, "frfcfs-cap",
        "FR-FCFS with a per-tenant starvation cap: tenants passed over "
-       "too often outrank row hits until they issue",
-       "read-queue-depth, write-queue-depth, starvation-cap"},
+       "too often outrank row hits until they issue"},
   };
   return policies;
 }

@@ -98,14 +98,13 @@ const char* policy_name(Policy policy);
 /// Throws std::invalid_argument naming the valid set on unknown names.
 Policy policy_from_name(const std::string& name);
 
-/// One documentable scheduling policy: its CLI/TOML token, a one-line
-/// behavioural summary, and the ControllerConfig knobs that bind for
-/// it. What `comet_sim --list-policies` prints.
+/// One documentable scheduling policy: its CLI/TOML token and a
+/// one-line behavioural summary. `comet_sim --list-policies` prints it
+/// with the knobs that refine the policy (config/knobs.hpp).
 struct PolicyInfo {
   Policy policy;
   const char* name;
   const char* summary;
-  const char* knobs;
 };
 
 /// Every policy the build knows, in token order. The single source of

@@ -34,9 +34,9 @@
 /// 15% gate keeps that honest.
 namespace comet::telemetry {
 
-/// What a run should record; the [telemetry] config section and the
-/// --trace-out/--trace-limit/--metrics-interval/--metrics-csv flags
-/// both build one of these.
+/// What a run should record; the [telemetry] config section builds one
+/// (the --trace-out/--trace-limit/--metrics-interval/--metrics-csv
+/// flags spell its keys).
 struct TelemetrySpec {
   std::string trace_path;  ///< Non-empty: write Chrome trace JSON here.
 

@@ -5,7 +5,9 @@
 #         -DEXAMPLES_DIR=<repo>/examples/configs -P config_cli_test.cmake
 #
 # Covers: --dump-config → --config round-trips to bit-identical JSON
-# (modulo the config-provenance fields) for a flat and a hybrid device;
+# (modulo the config-provenance fields) for a flat and a hybrid device,
+# every scheduling policy with its refining flag and a traced
+# multi-tenant run;
 # a custom device defined only in a config file runs end-to-end with no
 # registry edit; the committed example specs stay valid; missing files
 # and schema errors exit 2 with file:line diagnostics; --config rejects
@@ -100,6 +102,54 @@ if(NOT sched_from_flags STREQUAL sched_from_config)
   message(FATAL_ERROR "scheduled config run diverged from the flag run:\n"
                       "${sched_from_flags}\n--- vs ---\n${sched_from_config}")
 endif()
+
+# --- 1c. Every flag spelling through the real binary: each policy with
+# ---     the flag that refines it, plus a multi-tenant traced run, must
+# ---     dump a config that replays bit-identically (modulo provenance).
+function(expect_round_trip label)
+  execute_process(
+    COMMAND ${COMET_SIM} ${ARGN} --json ${WORK_DIR}/${label}_flags.json
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  expect_rc("${label} flag run" "${rc}" 0)
+  execute_process(
+    COMMAND ${COMET_SIM} ${ARGN} --dump-config ${WORK_DIR}/${label}.toml
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  expect_rc("${label} dump-config" "${rc}" 0)
+  execute_process(
+    COMMAND ${COMET_SIM} --config ${WORK_DIR}/${label}.toml
+            --json ${WORK_DIR}/${label}_config.json
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  expect_rc("${label} config run" "${rc}" 0)
+  file(READ ${WORK_DIR}/${label}_flags.json from_flags)
+  file(READ ${WORK_DIR}/${label}_config.json from_config)
+  strip_provenance("${from_flags}" from_flags)
+  strip_provenance("${from_config}" from_config)
+  if(NOT from_flags STREQUAL from_config)
+    message(FATAL_ERROR "${label}: config run diverged from the flag run:\n"
+                        "${from_flags}\n--- vs ---\n${from_config}")
+  endif()
+endfunction()
+
+set(run --device comet --workload gcc_like --requests 600 --seed 5)
+expect_round_trip(rt_fcfs ${run} --schedule fcfs --read-q 4)
+expect_round_trip(rt_frfcfs ${run} --schedule frfcfs --write-q 8)
+expect_round_trip(rt_read_first ${run} --schedule read-first --write-q 16
+                  --drain-high 12 --drain-low 2)
+expect_round_trip(rt_token_budget ${run} --schedule token-budget
+                  --tenant-tokens 8)
+expect_round_trip(rt_frfcfs_cap ${run} --schedule frfcfs-cap
+                  --starvation-cap 4)
+expect_round_trip(rt_tenants --device comet --requests 400
+                  --tenants a=mcf_like:40:0.5,b=lbm_like
+                  --tenant-mapping interleave
+                  --trace-out ${WORK_DIR}/rt_tenants_trace.json
+                  --trace-limit 5000 --metrics-interval 1000)
+file(READ ${WORK_DIR}/rt_read_first.toml read_first_toml)
+expect_contains("read-first dump" "${read_first_toml}"
+                "drain_high_watermark = 12")
+file(READ ${WORK_DIR}/rt_tenants.toml tenants_toml)
+expect_contains("tenants dump" "${tenants_toml}" "[tenant.a]")
+expect_contains("tenants dump" "${tenants_toml}" "[telemetry]")
 
 # --- 2. A custom device defined only in a file runs with no registry
 # ---    edit (the committed example specs double as the fixtures).

@@ -2,7 +2,7 @@
 // of tables, line-numbered diagnostics), two-way device/workload
 // serialization (every registry device round-trips through
 // --dump-config-equivalent API with identical sweep results), and the
-// declarative ExperimentSpec/ExperimentBuilder matrix expansion.
+// declarative ExperimentSpec matrix expansion.
 
 #include <gtest/gtest.h>
 
@@ -14,13 +14,14 @@
 #include "config/experiment.hpp"
 #include "config/serialize.hpp"
 #include "config/toml.hpp"
+#include "driver/options.hpp"
 #include "driver/registry.hpp"
 #include "driver/sweep.hpp"
 
 namespace {
 
 using comet::config::DeviceSpec;
-using comet::config::ExperimentBuilder;
+using comet::config::ExperimentSpec;
 using comet::config::parse_device;
 using comet::config::parse_workload;
 using comet::driver::make_device_spec;
@@ -323,40 +324,29 @@ TEST(WorkloadSerialization, RangeAndPatternDiagnostics) {
 // --- Experiment API ------------------------------------------------------
 
 TEST(ExperimentApi, BuilderValidates) {
-  EXPECT_THROW(ExperimentBuilder().build(), std::invalid_argument);
-  EXPECT_THROW(ExperimentBuilder().device("comet").build(),
-               std::invalid_argument);
-  EXPECT_THROW(ExperimentBuilder()
-                   .device("comet")
-                   .workload("gcc_like")
-                   .trace("x.trace")
-                   .build(),
-               std::invalid_argument);
-  EXPECT_THROW(ExperimentBuilder()
-                   .device("comet")
-                   .workload("gcc_like")
-                   .requests({})
-                   .build(),
-               std::invalid_argument);
-  const auto spec = ExperimentBuilder()
-                        .name("ok")
-                        .device("comet")
-                        .workload("gcc_like")
-                        .channels({4, 8})
-                        .build();
-  EXPECT_EQ(spec.name, "ok");
-  EXPECT_EQ(spec.channels.size(), 2u);
+  ExperimentSpec spec;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);  // No devices.
+  spec.device_tokens = {"comet"};
+  EXPECT_THROW(spec.validate(), std::invalid_argument);  // No demand.
+  spec.workload_names = {"gcc_like"};
+  spec.trace_file = "x.trace";
+  EXPECT_THROW(spec.validate(), std::invalid_argument);  // Two demands.
+  spec.trace_file.clear();
+  spec.requests.clear();
+  EXPECT_THROW(spec.validate(), std::invalid_argument);  // Empty axis.
+  spec.requests = {20000};
+  spec.name = "ok";
+  spec.channels = {4, 8};
+  EXPECT_NO_THROW(spec.validate());
 }
 
 TEST(ExperimentApi, AxesMultiplyTheMatrix) {
-  const auto spec = ExperimentBuilder()
-                        .device("comet")
-                        .device("epcm")
-                        .workload("gcc_like")
-                        .channels({0, 4})
-                        .requests({500, 1000})
-                        .seeds({1, 2, 3})
-                        .build();
+  ExperimentSpec spec;
+  spec.device_tokens = {"comet", "epcm"};
+  spec.workload_names = {"gcc_like"};
+  spec.channels = {0, 4};
+  spec.requests = {500, 1000};
+  spec.seeds = {1, 2, 3};
   const auto jobs = comet::driver::build_matrix(spec);
   EXPECT_EQ(jobs.size(), 2u * 2u * 1u * 2u * 3u);
   // Nesting order: devices × channels × workloads × requests × seeds.
@@ -422,7 +412,7 @@ TEST(ExperimentApi, ConfigMatrixMatchesCliFlagMatrix) {
   const auto cli_options = comet::driver::parse_args(
       {"--device", "hybrid-comet", "--workload", "milc_like", "--requests",
        "700", "--seed", "5", "--channels", "8"});
-  const auto cli_jobs = comet::driver::build_matrix(cli_options);
+  const auto cli_jobs = comet::driver::build_matrix(cli_options.spec);
 
   const std::string text =
       "[experiment]\n"
@@ -449,8 +439,7 @@ TEST(ExperimentApi, ResolvedExperimentRoundTripsThroughToml) {
   const auto options = comet::driver::parse_args(
       {"--device", "hybrid-comet-small", "--workload", "lbm_like",
        "--requests", "500"});
-  const auto resolved = comet::driver::resolve_experiment(
-      comet::driver::experiment_from_options(options));
+  const auto& resolved = options.spec;  // parse_args resolves names.
   EXPECT_TRUE(resolved.device_tokens.empty());
   EXPECT_TRUE(resolved.workload_names.empty());
 
@@ -527,9 +516,31 @@ TEST(ExperimentApi, ControllerSectionDiagnostics) {
                "unknown scheduling policy 'lifo'");
   expect_error(header + "[controller]\nqueue = 4\n", "unknown key 'queue'");
   expect_error(header +
-                   "[controller]\nwrite_queue_depth = 8\n"
+                   "[controller]\npolicy = \"read-first\"\n"
+                   "write_queue_depth = 8\n"
                    "drain_high_watermark = 50\n",
                "drain_high_watermark 50 exceeds write_queue_depth 8");
+  // Scheduling keys refine an explicit policy axis...
+  expect_error(header + "[controller]\nread_queue_depth = 8\n",
+               "sched.toml:5: [controller]: 'read_queue_depth' requires "
+               "'policy'");
+  // ...and only keys some policy on the axis uses are accepted.
+  expect_error(header +
+                   "[controller]\npolicy = [\"fcfs\", \"frfcfs\"]\n"
+                   "drain_low_watermark = 4\n",
+               "sched.toml:6: [controller]: 'drain_low_watermark' applies to "
+               "read-first only");
+  expect_error(header +
+                   "[controller]\npolicy = \"token-budget\"\n"
+                   "starvation_cap = 4\n",
+               "'starvation_cap' applies to frfcfs-cap only");
+  EXPECT_NO_THROW(comet::config::parse_experiment(
+      toml::parse_string(header +
+                             "[controller]\n"
+                             "policy = [\"frfcfs\", \"token-budget\"]\n"
+                             "tenant_tokens = 4\n",
+                         "sched.toml"),
+      nullptr));
 }
 
 TEST(ExperimentApi, RunThreadsAloneShardsWithoutEngagingScheduling) {
@@ -594,13 +605,17 @@ TEST(ExperimentApi, ScheduledExperimentRoundTripsThroughToml) {
   const auto options = comet::driver::parse_args(
       {"--device", "comet", "--workload", "gcc_like", "--requests", "400",
        "--schedule", "frfcfs", "--read-q", "16", "--write-q", "16"});
-  const auto resolved = comet::driver::resolve_experiment(
-      comet::driver::experiment_from_options(options));
+  const auto& resolved = options.spec;
   ASSERT_EQ(resolved.policies.size(), 1u);
 
   const std::string text = comet::config::experiment_to_toml(resolved);
   EXPECT_NE(text.find("[controller]"), std::string::npos);
   EXPECT_NE(text.find("policy = \"frfcfs\""), std::string::npos);
+  // Only the keys frfcfs uses: the reader would reject the watermark
+  // and fairness keys, which refine other policies.
+  EXPECT_NE(text.find("write_queue_depth = 16"), std::string::npos);
+  EXPECT_EQ(text.find("drain_high_watermark"), std::string::npos) << text;
+  EXPECT_EQ(text.find("tenant_tokens"), std::string::npos) << text;
   const auto reparsed = comet::config::parse_experiment(
       toml::parse_string(text, "dump.toml"), nullptr);
   ASSERT_EQ(reparsed.policies, resolved.policies);
@@ -624,26 +639,19 @@ TEST(ExperimentApi, ScheduledExperimentRoundTripsThroughToml) {
 }
 
 TEST(ExperimentApi, TraceExperimentValidates) {
-  auto spec = ExperimentBuilder()
-                  .device("comet")
-                  .trace("some.trace", 3.0)
-                  .build();
-  EXPECT_EQ(spec.trace_file, "some.trace");
-  EXPECT_DOUBLE_EQ(spec.cpu_ghz, 3.0);
+  ExperimentSpec spec;
+  spec.device_tokens = {"comet"};
+  spec.trace_file = "some.trace";
+  spec.cpu_ghz = 3.0;
+  EXPECT_NO_THROW(spec.validate());
   // requests/seed are ignored during replay, so an axis alongside a
   // trace file is rejected instead of running N identical replays.
-  EXPECT_THROW(ExperimentBuilder()
-                   .device("comet")
-                   .trace("some.trace")
-                   .seeds({1, 2})
-                   .build(),
-               std::invalid_argument);
-  EXPECT_THROW(ExperimentBuilder()
-                   .device("comet")
-                   .trace("some.trace")
-                   .requests({100, 200})
-                   .build(),
-               std::invalid_argument);
+  ExperimentSpec seeds = spec;
+  seeds.seeds = {1, 2};
+  EXPECT_THROW(seeds.validate(), std::invalid_argument);
+  ExperimentSpec requests = spec;
+  requests.requests = {100, 200};
+  EXPECT_THROW(requests.validate(), std::invalid_argument);
   // parse path: trace_file + workloads is rejected with a line anchor.
   const std::string text =
       "[experiment]\n"
@@ -726,8 +734,7 @@ TEST(ExperimentApi, TelemetryExperimentRoundTripsThroughToml) {
       {"--device", "comet", "--workload", "gcc_like", "--requests", "400",
        "--trace-out", "run.json", "--trace-limit", "9000",
        "--metrics-interval", "500000", "--metrics-csv", "run.csv"});
-  const auto resolved = comet::driver::resolve_experiment(
-      comet::driver::experiment_from_options(options));
+  const auto& resolved = options.spec;
 
   const std::string text = comet::config::experiment_to_toml(resolved);
   EXPECT_NE(text.find("[telemetry]"), std::string::npos);
@@ -742,9 +749,9 @@ TEST(ExperimentApi, TelemetryExperimentRoundTripsThroughToml) {
   EXPECT_EQ(reparsed.telemetry.metrics_csv, resolved.telemetry.metrics_csv);
 
   // A telemetry-free spec writes no [telemetry] section at all.
-  const auto plain = comet::driver::resolve_experiment(
-      comet::driver::experiment_from_options(comet::driver::parse_args(
-          {"--device", "comet", "--workload", "gcc_like"})));
+  const auto plain =
+      comet::driver::parse_args({"--device", "comet", "--workload", "gcc_like"})
+          .spec;
   EXPECT_EQ(comet::config::experiment_to_toml(plain).find("[telemetry]"),
             std::string::npos);
 }
@@ -824,22 +831,18 @@ TEST(ExperimentApi, TenantStreamsConflictWithOtherDemandAxes) {
   comet::config::TenantSpec tenant;
   tenant.name = "web";
   tenant.profile = comet::memsim::profile_by_name("gcc_like");
+  ExperimentSpec spec;
+  spec.device_tokens = {"comet"};
+  spec.tenants = {tenant};
+  EXPECT_NO_THROW(spec.validate());
   // Tenants own the demand: a workload axis on top is ambiguous.
-  EXPECT_THROW(ExperimentBuilder()
-                   .device("comet")
-                   .workload(comet::memsim::profile_by_name("gcc_like"))
-                   .tenant(tenant)
-                   .build(),
-               std::invalid_argument);
+  ExperimentSpec with_workload = spec;
+  with_workload.workloads = {comet::memsim::profile_by_name("gcc_like")};
+  EXPECT_THROW(with_workload.validate(), std::invalid_argument);
   // So is a run-level trace file (trace tenants carry their own path).
-  EXPECT_THROW(ExperimentBuilder()
-                   .device("comet")
-                   .trace("demand.nvt", 2.0)
-                   .tenant(tenant)
-                   .build(),
-               std::invalid_argument);
-  EXPECT_NO_THROW(
-      ExperimentBuilder().device("comet").tenant(tenant).build());
+  ExperimentSpec with_trace = spec;
+  with_trace.trace_file = "demand.nvt";
+  EXPECT_THROW(with_trace.validate(), std::invalid_argument);
 }
 
 TEST(ExperimentApi, TenantExperimentRoundTripsThroughToml) {
@@ -849,8 +852,7 @@ TEST(ExperimentApi, TenantExperimentRoundTripsThroughToml) {
       {"--device", "comet", "--tenants", "web=gcc_like,batch=mcf_like:40:0.5",
        "--tenant-mapping", "interleave", "--schedule", "token-budget",
        "--tenant-tokens", "32", "--requests", "400"});
-  const auto resolved = comet::driver::resolve_experiment(
-      comet::driver::experiment_from_options(options));
+  const auto& resolved = options.spec;
 
   const std::string text = comet::config::experiment_to_toml(resolved);
   EXPECT_NE(text.find("[tenant]"), std::string::npos);
@@ -875,9 +877,9 @@ TEST(ExperimentApi, TenantExperimentRoundTripsThroughToml) {
   EXPECT_EQ(reparsed.controller.tenant_tokens, 32);
 
   // A tenant-free spec writes no [tenant] section at all.
-  const auto plain = comet::driver::resolve_experiment(
-      comet::driver::experiment_from_options(comet::driver::parse_args(
-          {"--device", "comet", "--workload", "gcc_like"})));
+  const auto plain =
+      comet::driver::parse_args({"--device", "comet", "--workload", "gcc_like"})
+          .spec;
   EXPECT_EQ(comet::config::experiment_to_toml(plain).find("[tenant]"),
             std::string::npos);
 }

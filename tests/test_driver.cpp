@@ -1,20 +1,25 @@
 // Driver subsystem tests: CLI parsing (including rejection of unknown
 // devices/workloads), registry expansion, sweep determinism across thread
-// counts, and the JSON emission shape.
+// counts, the JSON emission shape, and a property test per knob-table
+// row (each flag agrees with its config key).
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "config/knobs.hpp"
+#include "config/toml.hpp"
 #include "driver/options.hpp"
 #include "driver/registry.hpp"
 #include "driver/report.hpp"
@@ -33,9 +38,10 @@ using comet::driver::run_sweep;
 
 TEST(OptionsTest, DefaultsAreAllDevicesAllWorkloads) {
   const Options opt = parse_args({});
-  EXPECT_EQ(opt.device, "all");
-  EXPECT_EQ(opt.workload, "all");
-  EXPECT_EQ(opt.channels, 0);
+  EXPECT_EQ(opt.spec.devices.size(), resolve_device_specs("all").size());
+  EXPECT_EQ(opt.spec.workloads.size(),
+            comet::memsim::spec_like_profiles().size());
+  EXPECT_EQ(opt.spec.channels, std::vector<int>{0});
   EXPECT_FALSE(opt.help);
 }
 
@@ -45,14 +51,17 @@ TEST(OptionsTest, ParsesEveryFlag) {
                   "--channels", "4", "--requests", "1000", "--threads", "3",
                   "--run-threads", "2", "--seed", "7", "--line-bytes", "64",
                   "--json", "out.json", "--csv"});
-  EXPECT_EQ(opt.device, "comet");
-  EXPECT_EQ(opt.workload, "lbm_like");
-  EXPECT_EQ(opt.channels, 4);
-  EXPECT_EQ(opt.requests, 1000u);
+  ASSERT_EQ(opt.spec.devices.size(), 1u);
+  EXPECT_EQ(opt.spec.devices[0].name,
+            comet::driver::make_device_spec("comet").name);
+  ASSERT_EQ(opt.spec.workloads.size(), 1u);
+  EXPECT_EQ(opt.spec.workloads[0].name, "lbm_like");
+  EXPECT_EQ(opt.spec.channels, std::vector<int>{4});
+  EXPECT_EQ(opt.spec.requests, std::vector<std::uint64_t>{1000});
   EXPECT_EQ(opt.threads, 3);
-  EXPECT_EQ(opt.run_threads, 2);
-  EXPECT_EQ(opt.seed, 7u);
-  EXPECT_EQ(opt.line_bytes, 64u);
+  EXPECT_EQ(opt.spec.run_threads, std::vector<int>{2});
+  EXPECT_EQ(opt.spec.seeds, std::vector<std::uint64_t>{7});
+  EXPECT_EQ(opt.spec.line_bytes, 64u);
   EXPECT_EQ(opt.json_path, "out.json");
   EXPECT_TRUE(opt.csv);
 }
@@ -132,14 +141,14 @@ TEST(OptionsTest, TraceFileMustExistAtParseTime) {
   EXPECT_THROW(parse_args({"--trace-file", "/tmp"}), std::invalid_argument);
   const TempTraceFile file;
   const Options opt = parse_args({"--trace-file", file.path()});
-  EXPECT_EQ(opt.trace_file, file.path());
+  EXPECT_EQ(opt.spec.trace_file, file.path());
 }
 
 TEST(OptionsTest, CpuGhzParsesAndRejectsBadValues) {
   const TempTraceFile file;
   const Options opt =
       parse_args({"--trace-file", file.path(), "--cpu-ghz", "3.5"});
-  EXPECT_DOUBLE_EQ(opt.cpu_ghz, 3.5);
+  EXPECT_DOUBLE_EQ(opt.spec.cpu_ghz, 3.5);
   EXPECT_THROW(parse_args({"--cpu-ghz", "0"}), std::invalid_argument);
   EXPECT_THROW(parse_args({"--cpu-ghz", "-2"}), std::invalid_argument);
   EXPECT_THROW(parse_args({"--cpu-ghz", "2.0.0"}), std::invalid_argument);
@@ -225,14 +234,16 @@ TEST(OptionsTest, ConfigFileValidatedAtParseTime) {
         << e.what();
   }
   // Unknown tokens, profile names and a missing trace_file inside the
-  // document are parse-time (exit 2) failures too, naming the file.
+  // document are parse-time (exit 2) failures too, naming the file —
+  // names are schema errors of the [experiment] reader, so they carry
+  // the line as well.
   const TempTomlFile bad_token(
       "[experiment]\ndevices = [\"optane\"]\nworkloads = [\"gcc_like\"]\n");
   try {
     parse_args({"--config", bad_token.path()});
     FAIL() << "expected an unknown-device error";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find(bad_token.path()),
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(bad_token.path() + ":2"),
               std::string::npos)
         << e.what();
     EXPECT_NE(std::string(e.what()).find("unknown device 'optane'"),
@@ -242,12 +253,27 @@ TEST(OptionsTest, ConfigFileValidatedAtParseTime) {
   const TempTomlFile bad_workload(
       "[experiment]\ndevices = [\"comet\"]\nworkloads = [\"nope_like\"]\n");
   EXPECT_THROW(parse_args({"--config", bad_workload.path()}),
-               std::invalid_argument);
+               std::runtime_error);
   const TempTomlFile bad_trace(
       "[experiment]\ndevices = [\"comet\"]\n"
       "trace_file = \"/no/such.trace\"\n");
   EXPECT_THROW(parse_args({"--config", bad_trace.path()}),
                std::invalid_argument);
+  // So is an unreadable trace tenant: the same check the --tenants
+  // name=@path form gets, naming the file.
+  const TempTomlFile bad_tenant(
+      "[experiment]\ndevices = [\"comet\"]\n"
+      "[tenant.prod]\ntrace_file = \"/no/such.nvt\"\n");
+  try {
+    parse_args({"--config", bad_tenant.path()});
+    FAIL() << "expected an unreadable-tenant error";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(bad_tenant.path()),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("/no/such.nvt"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(OptionsTest, DeviceFilesAddDevicesToTheMatrix) {
@@ -256,14 +282,16 @@ TEST(OptionsTest, DeviceFilesAddDevicesToTheMatrix) {
       "[device.timing]\nchannels = 2\n");
   // Without an explicit --device, the file replaces the default `all`.
   const auto solo = build_matrix(
-      parse_args({"--device-file", custom.path(), "--workload", "gcc_like"}));
+      parse_args({"--device-file", custom.path(), "--workload", "gcc_like"})
+          .spec);
   ASSERT_EQ(solo.size(), 1u);
   EXPECT_EQ(solo[0].device.name, "comet-2ch");
   EXPECT_EQ(solo[0].device.channels(), 2);
   // With one, tokens come first and the file's devices follow.
   const auto both = build_matrix(
       parse_args({"--device", "epcm", "--device-file", custom.path(),
-                  "--workload", "gcc_like"}));
+                  "--workload", "gcc_like"})
+          .spec);
   ASSERT_EQ(both.size(), 2u);
   EXPECT_EQ(both[1].device.name, "comet-2ch");
   // A bad file fails at parse time.
@@ -280,7 +308,7 @@ TEST(OptionsTest, CacheOverridesReachDeviceFileHybrids) {
       "[device.cache]\ncapacity_mb = 32\n");
   const auto jobs = build_matrix(parse_args(
       {"--device-file", hybrid_file.path(), "--workload", "gcc_like",
-       "--cache-mb", "64", "--cache-policy", "write-no-allocate"}));
+       "--cache-mb", "64", "--cache-policy", "write-no-allocate"}).spec);
   ASSERT_EQ(jobs.size(), 1u);
   ASSERT_TRUE(jobs[0].device.is_hybrid());
   EXPECT_EQ(jobs[0].device.tiered->cache.capacity_bytes, 64ull << 20);
@@ -298,9 +326,10 @@ TEST(OptionsTest, DumpConfigConflictsWithDumpTrace) {
 }
 
 TEST(SweepTest, CliOptionsLiftIntoExperimentSpec) {
-  const auto spec = comet::driver::experiment_from_options(
+  const auto spec =
       parse_args({"--device", "comet", "--workload", "lbm_like",
-                  "--requests", "123", "--seed", "9", "--channels", "4"}));
+                  "--requests", "123", "--seed", "9", "--channels", "4"})
+          .spec;
   EXPECT_EQ(spec.name, "cli");
   EXPECT_TRUE(spec.device_tokens.empty());  // Resolved inline.
   ASSERT_EQ(spec.devices.size(), 1u);
@@ -336,7 +365,7 @@ TEST(RegistryTest, MakeEngineCoversEveryToken) {
 TEST(SweepTest, TraceFileModeBuildsOneJobPerDevice) {
   const TempTraceFile file;
   const Options opt = parse_args({"--trace-file", file.path()});
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(opt.spec);
   EXPECT_EQ(jobs.size(), 7u);  // devices x one trace pseudo-workload
   for (const auto& job : jobs) {
     EXPECT_EQ(job.trace_path, file.path());
@@ -348,12 +377,14 @@ TEST(SweepTest, TraceFileModeBuildsOneJobPerDevice) {
 TEST(SweepTest, TraceFileReplayThreadedMatchesSerial) {
   const TempTraceFile file;
   Options opt = parse_args({"--trace-file", file.path(), "--device", "all"});
-  auto jobs = build_matrix(opt);
+  auto jobs = build_matrix(opt.spec);
   // Mix a hybrid design point into the matrix.
   {
     Options hybrid_opt =
         parse_args({"--trace-file", file.path(), "--device", "hybrid-comet"});
-    for (auto& job : build_matrix(hybrid_opt)) jobs.push_back(std::move(job));
+    for (auto& job : build_matrix(hybrid_opt.spec)) {
+      jobs.push_back(std::move(job));
+    }
   }
   const auto serial = run_sweep(jobs, 1);
   const auto threaded = run_sweep(jobs, 4);
@@ -372,7 +403,7 @@ TEST(SweepTest, TraceFileReplayThreadedMatchesSerial) {
 TEST(ReportTest, JsonRecordsTraceFile) {
   const TempTraceFile file;
   Options opt = parse_args({"--trace-file", file.path(), "--device", "comet"});
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(opt.spec);
   const auto results = run_sweep(jobs, 1);
   std::ostringstream os;
   comet::driver::write_json(os, jobs, results);
@@ -412,14 +443,13 @@ TEST(RegistryTest, UnknownTokenThrows) {
 }
 
 TEST(SweepTest, MatrixIsDevicesTimesWorkloads) {
-  Options opt;
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(parse_args({}).spec);
   EXPECT_EQ(jobs.size(), 7u * 8u);
 }
 
 TEST(SweepTest, ChannelOverrideAppliesToEveryDevice) {
   Options opt = parse_args({"--device", "comet", "--channels", "2"});
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(opt.spec);
   ASSERT_FALSE(jobs.empty());
   for (const auto& job : jobs) EXPECT_EQ(job.device.channels(), 2);
 }
@@ -428,7 +458,7 @@ TEST(SweepTest, ChannelOverrideAppliesToEveryDevice) {
 // serial path for a fixed seed. Compare every stats field exactly.
 TEST(SweepTest, ThreadedMatchesSerialBitExactly) {
   Options opt = parse_args({"--requests", "2000"});
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(opt.spec);
   const auto serial = run_sweep(jobs, 1);
   const auto threaded = run_sweep(jobs, 4);
   ASSERT_EQ(serial.size(), threaded.size());
@@ -454,7 +484,7 @@ TEST(SweepTest, ThreadedMatchesSerialBitExactly) {
 TEST(SweepTest, RepeatedRunsAreDeterministic) {
   Options opt = parse_args({"--device", "comet", "--workload", "all",
                             "--requests", "1500"});
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(opt.spec);
   const auto first = run_sweep(jobs, 2);
   const auto second = run_sweep(jobs, 3);
   ASSERT_EQ(first.size(), second.size());
@@ -466,7 +496,7 @@ TEST(SweepTest, RepeatedRunsAreDeterministic) {
 
 TEST(ReportTest, JsonContainsOneRecordPerRunWithRequiredFields) {
   Options opt = parse_args({"--device", "comet", "--requests", "500"});
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(opt.spec);
   const auto results = run_sweep(jobs, 1);
   std::ostringstream os;
   comet::driver::write_json(os, jobs, results);
@@ -487,7 +517,7 @@ TEST(ReportTest, JsonContainsOneRecordPerRunWithRequiredFields) {
 
 TEST(ReportTest, TableReportCoversEveryDevice) {
   Options opt = parse_args({"--workload", "lbm_like", "--requests", "500"});
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(opt.spec);
   const auto results = run_sweep(jobs, 1);
   std::ostringstream os;
   comet::driver::print_report(os, jobs, results, /*csv=*/false);
@@ -503,22 +533,14 @@ TEST(OptionsTest, TelemetryFlagsParseAndConvert) {
   const Options opt = parse_args(
       {"--trace-out", "t.json", "--trace-limit", "500", "--metrics-interval",
        "1000000", "--metrics-csv", "t.csv"});
-  EXPECT_EQ(opt.trace_out, "t.json");
-  ASSERT_TRUE(opt.trace_limit.has_value());
-  EXPECT_EQ(*opt.trace_limit, 500u);
-  ASSERT_TRUE(opt.metrics_interval_ns.has_value());
-  EXPECT_EQ(*opt.metrics_interval_ns, 1'000'000u);
-  EXPECT_EQ(opt.metrics_csv, "t.csv");
-
-  const auto spec = comet::driver::telemetry_from_options(opt);
+  const auto& spec = opt.spec.telemetry;
   EXPECT_EQ(spec.trace_path, "t.json");
   EXPECT_EQ(spec.trace_limit, 500u);
   EXPECT_EQ(spec.metrics_interval_ps, 1'000'000'000u);  // ns -> ps.
   EXPECT_EQ(spec.metrics_csv, "t.csv");
 
   // Untraced default: a disabled spec, so jobs carry no collector.
-  const auto off = comet::driver::telemetry_from_options(parse_args({}));
-  EXPECT_FALSE(off.enabled());
+  EXPECT_FALSE(parse_args({}).spec.telemetry.enabled());
 }
 
 TEST(OptionsTest, TelemetryFlagDependenciesRejectedAtParseTime) {
@@ -553,20 +575,38 @@ TEST(OptionsTest, ListPoliciesParsesAndRegistryIsComplete) {
   EXPECT_FALSE(parse_args({}).list_policies);
   const auto& policies = comet::sched::known_policies();
   ASSERT_EQ(policies.size(), 5u);
+  const std::string listing = comet::driver::policy_list();
   for (const auto& info : policies) {
     // The printed token must round-trip through the scheduler's own
     // name mapping — the same token --schedule accepts.
     EXPECT_EQ(comet::sched::policy_name(info.policy), info.name);
     EXPECT_NE(std::string(info.summary), "");
-    EXPECT_NE(std::string(info.knobs), "");
+    // Each policy's knob line lists exactly the knob-table rows whose
+    // applies-to set holds it, in both spellings.
+    const std::size_t start = listing.find(std::string(info.name) + "\n");
+    ASSERT_NE(start, std::string::npos) << info.name;
+    const std::size_t knobs = listing.find("  knobs:", start);
+    ASSERT_NE(knobs, std::string::npos) << info.name;
+    const std::string line =
+        listing.substr(knobs, listing.find('\n', knobs) - knobs);
+    for (const auto& knob : comet::config::knobs()) {
+      const std::string entry =
+          std::string(knob.flag) + " / " + knob.key;
+      const bool listed = line.find(entry) != std::string::npos;
+      EXPECT_EQ(listed,
+                (knob.policies & comet::config::policy_bit(info.policy)) != 0)
+          << info.name << ": " << entry;
+    }
   }
+  EXPECT_NE(listing.find("--drain-high / drain_high_watermark"),
+            std::string::npos);
 }
 
 TEST(SweepTest, TelemetrySpecRidesIntoEveryJob) {
   const Options opt = parse_args(
       {"--device", "comet", "--workload", "all", "--requests", "200",
        "--trace-out", "t.json", "--metrics-interval", "1000000"});
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(opt.spec);
   ASSERT_FALSE(jobs.empty());
   for (const auto& job : jobs) {
     EXPECT_EQ(job.telemetry.trace_path, "t.json");
@@ -579,7 +619,7 @@ TEST(SweepTest, RunSweepBuildsOneCollectorPerEnabledJob) {
   Options opt = parse_args({"--device", "comet", "--workload", "gcc_like",
                             "--requests", "300", "--metrics-interval",
                             "1000000"});
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(opt.spec);
   std::vector<std::unique_ptr<comet::telemetry::Collector>> collectors;
   const auto results = run_sweep(jobs, 1, &collectors);
   ASSERT_EQ(collectors.size(), jobs.size());
@@ -595,7 +635,7 @@ TEST(SweepTest, RunSweepBuildsOneCollectorPerEnabledJob) {
   // Disabled telemetry: the slots stay null and nothing is recorded.
   Options plain = parse_args({"--device", "comet", "--workload", "gcc_like",
                               "--requests", "300"});
-  const auto plain_jobs = build_matrix(plain);
+  const auto plain_jobs = build_matrix(plain.spec);
   run_sweep(plain_jobs, 1, &collectors);
   ASSERT_EQ(collectors.size(), plain_jobs.size());
   for (const auto& collector : collectors) EXPECT_EQ(collector, nullptr);
@@ -605,7 +645,7 @@ TEST(ReportTest, JsonCarriesTelemetryProvenanceAndTimeline) {
   Options opt = parse_args({"--device", "comet", "--workload", "gcc_like",
                             "--requests", "300", "--trace-out", "t.json",
                             "--metrics-interval", "1000000"});
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(opt.spec);
   std::vector<std::unique_ptr<comet::telemetry::Collector>> collectors;
   const auto results = run_sweep(jobs, 1, &collectors);
   std::ostringstream os;
@@ -622,7 +662,7 @@ TEST(ReportTest, JsonCarriesTelemetryProvenanceAndTimeline) {
   // of the telemetry keys diffs traced vs untraced reports cleanly.
   Options off = parse_args({"--device", "comet", "--workload", "gcc_like",
                             "--requests", "300"});
-  const auto plain_jobs = build_matrix(off);
+  const auto plain_jobs = build_matrix(off.spec);
   std::ostringstream plain;
   comet::driver::write_json(plain, plain_jobs, results);
   for (const char* field :
@@ -638,7 +678,7 @@ TEST(OptionsTest, TenantListParsesAndSortsByName) {
       {"--device", "comet", "--tenants",
        "web=gcc_like,batch=mcf_like:40:0.5", "--tenant-mapping",
        "interleave"});
-  const auto tenants = comet::driver::tenants_from_options(opt);
+  const auto& tenants = opt.spec.tenants;
   ASSERT_EQ(tenants.size(), 2u);
   // Name order, not flag order: tenant ids and seeds must not depend
   // on how the user happened to type the list.
@@ -649,7 +689,8 @@ TEST(OptionsTest, TenantListParsesAndSortsByName) {
   EXPECT_EQ(tenants[1].name, "web");
   EXPECT_EQ(tenants[1].profile.name, "gcc_like");
   EXPECT_DOUBLE_EQ(tenants[1].interarrival_ns, 0.0);
-  EXPECT_EQ(opt.tenant_mapping, "interleave");
+  EXPECT_EQ(opt.spec.tenant_mapping,
+            comet::config::TenantMapping::kInterleave);
 }
 
 TEST(OptionsTest, TenantListDiagnostics) {
@@ -694,34 +735,34 @@ TEST(OptionsTest, TenantFlagDependenciesRejectedAtParseTime) {
 }
 
 TEST(OptionsTest, FairnessKnobsDemandTheirPolicy) {
-  using comet::driver::scheduler_from_options;
   // The knobs only mean something under their policy; anywhere else
   // they would silently gate nothing.
+  EXPECT_THROW(parse_args({"--tenant-tokens", "32"}), std::invalid_argument);
+  EXPECT_THROW(parse_args({"--schedule", "frfcfs", "--tenant-tokens", "32"}),
+               std::invalid_argument);
   EXPECT_THROW(
-      scheduler_from_options(parse_args({"--tenant-tokens", "32"})),
+      parse_args({"--schedule", "token-budget", "--starvation-cap", "8"}),
       std::invalid_argument);
-  EXPECT_THROW(scheduler_from_options(parse_args(
-                   {"--schedule", "frfcfs", "--tenant-tokens", "32"})),
-               std::invalid_argument);
-  EXPECT_THROW(scheduler_from_options(parse_args(
-                   {"--schedule", "token-budget", "--starvation-cap", "8"})),
-               std::invalid_argument);
   EXPECT_THROW(parse_args({"--tenant-tokens", "0"}), std::invalid_argument);
 
-  const auto budget = scheduler_from_options(parse_args(
-      {"--schedule", "token-budget", "--tenant-tokens", "32"}));
-  ASSERT_TRUE(budget.has_value());
-  EXPECT_EQ(budget->tenant_tokens, 32);
-  const auto capped = scheduler_from_options(parse_args(
-      {"--schedule", "frfcfs-cap", "--starvation-cap", "8"}));
-  ASSERT_TRUE(capped.has_value());
-  EXPECT_EQ(capped->starvation_cap, 8);
+  const auto budget =
+      parse_args({"--schedule", "token-budget", "--tenant-tokens", "32"}).spec;
+  ASSERT_EQ(budget.policies,
+            std::vector<comet::sched::Policy>{
+                comet::sched::Policy::kTokenBudget});
+  EXPECT_EQ(budget.controller.tenant_tokens, 32);
+  const auto capped =
+      parse_args({"--schedule", "frfcfs-cap", "--starvation-cap", "8"}).spec;
+  ASSERT_EQ(capped.policies,
+            std::vector<comet::sched::Policy>{
+                comet::sched::Policy::kFrFcfsCap});
+  EXPECT_EQ(capped.controller.starvation_cap, 8);
 }
 
 TEST(SweepTest, TenantSpecsRideIntoEveryJob) {
   const auto jobs = build_matrix(parse_args(
       {"--device", "comet", "--tenants", "web=gcc_like,batch=mcf_like",
-       "--schedule", "frfcfs-cap", "--requests", "500"}));
+       "--schedule", "frfcfs-cap", "--requests", "500"}).spec);
   ASSERT_EQ(jobs.size(), 1u);
   ASSERT_EQ(jobs[0].tenants.size(), 2u);
   EXPECT_EQ(jobs[0].tenants[0].name, "batch");
@@ -731,6 +772,367 @@ TEST(SweepTest, TenantSpecsRideIntoEveryJob) {
   ASSERT_TRUE(jobs[0].controller.has_value());
   EXPECT_EQ(jobs[0].controller->policy,
             comet::sched::Policy::kFrFcfsCap);
+}
+
+// ----------------------------------------------------------- knob table
+
+using comet::config::ExperimentSpec;
+using comet::config::Knob;
+using comet::config::KnobKind;
+using comet::sched::Policy;
+namespace toml = comet::config::toml;
+
+/// One knob-table row under test. `base` flags (and the `experiment`
+/// lines spelling them) give the run devices and demand; `needs` (and
+/// `section_lines`, written after the knob's key) are what the knob
+/// refines. "{trace}" stands for a readable trace file.
+struct KnobCase {
+  std::string flag;
+  std::string valid;  ///< A non-default value the row accepts.
+  std::vector<std::pair<std::string, bool>> bounds;  ///< Value, accepted?
+  std::function<bool(const ExperimentSpec&)> landed;
+  std::vector<std::string> needs = {};
+  std::string section_lines = "";
+  std::vector<std::string> base = {"--device", "comet", "--workload",
+                                   "gcc_like"};
+  std::string experiment =
+      "devices = [\"comet\"]\nworkloads = [\"gcc_like\"]\n";
+};
+
+void PrintTo(const KnobCase& knob_case, std::ostream* os) {
+  *os << knob_case.flag;
+}
+
+std::vector<KnobCase> knob_cases() {
+  const std::vector<std::string> device_only = {"--device", "comet"};
+  const std::string device_line = "devices = [\"comet\"]\n";
+  return {
+      {.flag = "--device",
+       .valid = "epcm",
+       .bounds = {{"ddr4", true}, {"optane", false}, {"", false}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.devices.size() == 1 &&
+                    spec.devices[0].name ==
+                        comet::driver::make_device_spec("epcm").name;
+           },
+       .base = {"--workload", "gcc_like"},
+       .experiment = "workloads = [\"gcc_like\"]\n"},
+      {.flag = "--workload",
+       .valid = "mcf_like",
+       .bounds = {{"all", true}, {"nope_like", false}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.workloads.size() == 1 &&
+                    spec.workloads[0].name == "mcf_like";
+           },
+       .base = device_only,
+       .experiment = device_line},
+      // 0 keeps each device's topology, as in [experiment] channels.
+      {.flag = "--channels",
+       .valid = "4",
+       .bounds = {{"0", true}, {"-1", false}, {"2147483648", false}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.channels == std::vector<int>{4};
+           }},
+      {.flag = "--requests",
+       .valid = "1234",
+       .bounds = {{"0", false}, {"1", true}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.requests == std::vector<std::uint64_t>{1234};
+           }},
+      {.flag = "--seed",
+       .valid = "7",
+       .bounds = {{"0", true},
+                  {"9223372036854775807", true},
+                  {"9223372036854775808", false}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.seeds == std::vector<std::uint64_t>{7};
+           }},
+      {.flag = "--line-bytes",
+       .valid = "64",
+       .bounds = {{"0", false}, {"4294967295", true}, {"4294967296", false}},
+       .landed =
+           [](const ExperimentSpec& spec) { return spec.line_bytes == 64u; }},
+      {.flag = "--trace-file",
+       .valid = "{trace}",
+       .bounds = {{"", false}, {"/no/such.nvt", false}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.trace_file.find("test_driver_tmp_") == 0;
+           },
+       .base = device_only,
+       .experiment = device_line},
+      // Capped at 1e6 GHz, as in [experiment] cpu_ghz.
+      {.flag = "--cpu-ghz",
+       .valid = "3.5",
+       .bounds = {{"0", false}, {"1000000", true}, {"2000000", false}},
+       .landed =
+           [](const ExperimentSpec& spec) { return spec.cpu_ghz == 3.5; },
+       .base = {"--device", "comet", "--trace-file", "{trace}"},
+       .experiment = device_line + "trace_file = \"{trace}\"\n"},
+      {.flag = "--run-threads",
+       .valid = "2",
+       .bounds = {{"0", true}, {"2147483648", false}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.run_threads == std::vector<int>{2};
+           }},
+      {.flag = "--schedule",
+       .valid = "frfcfs",
+       .bounds = {{"read-first", true}, {"lifo", false}, {"", false}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.policies == std::vector<Policy>{Policy::kFrFcfs};
+           }},
+      {.flag = "--read-q",
+       .valid = "16",
+       .bounds = {{"0", true}, {"2147483648", false}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.controller.read_queue_depth == 16;
+           },
+       .needs = {"--schedule", "fcfs"},
+       .section_lines = "policy = \"fcfs\"\n"},
+      {.flag = "--write-q",
+       .valid = "16",
+       .bounds = {{"0", true}, {"2147483648", false}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.controller.write_queue_depth == 16;
+           },
+       .needs = {"--schedule", "frfcfs"},
+       .section_lines = "policy = \"frfcfs\"\n"},
+      {.flag = "--drain-high",
+       .valid = "20",
+       .bounds = {{"0", false}, {"12", true}, {"32", true}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.controller.drain_high_watermark == 20;
+           },
+       .needs = {"--schedule", "read-first"},
+       .section_lines = "policy = \"read-first\"\n"},
+      {.flag = "--drain-low",
+       .valid = "4",
+       .bounds = {{"0", true}, {"-1", false}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.controller.drain_low_watermark == 4;
+           },
+       .needs = {"--schedule", "read-first"},
+       .section_lines = "policy = \"read-first\"\n"},
+      {.flag = "--tenant-tokens",
+       .valid = "8",
+       .bounds = {{"0", false}, {"1", true}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.controller.tenant_tokens == 8;
+           },
+       .needs = {"--schedule", "token-budget"},
+       .section_lines = "policy = \"token-budget\"\n"},
+      {.flag = "--starvation-cap",
+       .valid = "4",
+       .bounds = {{"0", false}, {"1", true}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.controller.starvation_cap == 4;
+           },
+       .needs = {"--schedule", "frfcfs-cap"},
+       .section_lines = "policy = \"frfcfs-cap\"\n"},
+      {.flag = "--tenant-mapping",
+       .valid = "interleave",
+       .bounds = {{"partition", true}, {"striped", false}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.tenant_mapping ==
+                    comet::config::TenantMapping::kInterleave;
+           },
+       .section_lines = "[tenant.web]\nworkload = \"gcc_like\"\n",
+       .base = {"--device", "comet", "--tenants", "web=gcc_like"},
+       .experiment = device_line},
+      {.flag = "--trace-out",
+       .valid = "t.json",
+       .bounds = {{"", false}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.telemetry.trace_path == "t.json";
+           }},
+      {.flag = "--trace-limit",
+       .valid = "500",
+       .bounds = {{"0", true}, {"-1", false}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.telemetry.trace_limit == 500u;
+           },
+       .needs = {"--trace-out", "t.json"},
+       .section_lines = "trace_out = \"t.json\"\n"},
+      {.flag = "--metrics-interval",
+       .valid = "1000",
+       .bounds = {{"0", false},
+                  {"1", true},
+                  {"18446744073709551", true},
+                  {"18446744073709552", false}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.telemetry.metrics_interval_ps == 1'000'000u;
+           }},
+      {.flag = "--metrics-csv",
+       .valid = "t.csv",
+       .bounds = {{"", false}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.telemetry.metrics_csv == "t.csv";
+           },
+       .needs = {"--metrics-interval", "1000"},
+       .section_lines = "metrics_interval_ns = 1000\n"},
+      {.flag = "--profile",
+       .valid = "",
+       .bounds = {},
+       .landed =
+           [](const ExperimentSpec& spec) { return spec.profile.profile; }},
+      {.flag = "--progress",
+       .valid = "250",
+       .bounds = {{"0", false}, {"1", true}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.profile.progress_ms == 250u;
+           }},
+      {.flag = "--assert-slo",
+       .valid = "p99_read_ns<=2500",
+       .bounds = {{"", false}, {"nope<=1", false}, {"wall_s<=3600", true}},
+       .landed =
+           [](const ExperimentSpec& spec) {
+             return spec.profile.slo.size() == 1;
+           }},
+  };
+}
+
+class KnobRow : public ::testing::TestWithParam<KnobCase> {
+ protected:
+  const Knob& knob() const {
+    const Knob* row = comet::config::find_knob(GetParam().flag);
+    if (!row) throw std::logic_error("no knob row for " + GetParam().flag);
+    return *row;
+  }
+
+  std::string fill(std::string text) const {
+    const std::string marker = "{trace}";
+    const auto at = text.find(marker);
+    if (at != std::string::npos) text.replace(at, marker.size(), trace_.path());
+    return text;
+  }
+
+  /// The row spelled as flags: base, needs, then the knob itself.
+  std::vector<std::string> flags(const std::string& value) const {
+    std::vector<std::string> out;
+    for (const auto& arg : GetParam().base) out.push_back(fill(arg));
+    for (const auto& arg : GetParam().needs) out.push_back(arg);
+    if (knob().kind == KnobKind::kFlag) {
+      out.push_back(knob().flag);
+    } else if (knob().kind == KnobKind::kOptional) {
+      out.push_back(std::string(knob().flag) + "=" + value);
+    } else {
+      out.push_back(knob().flag);
+      out.push_back(fill(value));
+    }
+    return out;
+  }
+
+  /// The same run spelled as a config document.
+  std::string document(const std::string& value) const {
+    std::string literal = value;
+    if (knob().kind == KnobKind::kString) {
+      literal = toml::format_string(fill(value));
+    }
+    if (knob().kind == KnobKind::kFlag) literal = "true";
+    const std::string line = std::string(knob().key) + " = " + literal + "\n";
+    std::string text = "[experiment]\n" + fill(GetParam().experiment);
+    if (std::string(knob().section) != "experiment") {
+      text += "[" + std::string(knob().section) + "]\n";
+    }
+    return text + line + GetParam().section_lines;
+  }
+
+ private:
+  TempTraceFile trace_;
+};
+
+// (a) flag -> write_experiment -> parse_experiment -> write_experiment
+// reaches a fixpoint, with the value in its spec field throughout.
+TEST_P(KnobRow, FlagRoundTripsThroughTheDocument) {
+  const Options opt = parse_args(flags(GetParam().valid));
+  EXPECT_TRUE(GetParam().landed(opt.spec));
+  const std::string written = comet::config::experiment_to_toml(opt.spec);
+  const auto reparsed = comet::config::parse_experiment(
+      toml::parse_string(written, "dump.toml"),
+      comet::driver::registry_resolver());
+  EXPECT_TRUE(GetParam().landed(reparsed)) << written;
+  EXPECT_EQ(comet::config::experiment_to_toml(reparsed), written);
+}
+
+// (b) Boundary values get the same verdict as a flag and as a key. Flag
+// errors are std::invalid_argument naming the flag; document errors
+// name the file (and the line, for schema errors).
+TEST_P(KnobRow, BoundsAgreeAcrossSpellings) {
+  for (const auto& [value, accepted] : GetParam().bounds) {
+    bool flag_accepted = true;
+    try {
+      (void)parse_args(flags(value));
+    } catch (const std::invalid_argument& e) {
+      flag_accepted = false;
+      EXPECT_NE(std::string(e.what()).find(knob().flag), std::string::npos)
+          << e.what();
+    }
+    const TempTomlFile file(document(value));
+    bool key_accepted = true;
+    try {
+      (void)parse_args({"--config", file.path()});
+    } catch (const toml::ParseError& e) {
+      key_accepted = false;
+      EXPECT_GT(e.line(), 0u) << e.what();
+      EXPECT_NE(std::string(e.what()).find(file.path() + ":" +
+                                           std::to_string(e.line())),
+                std::string::npos)
+          << e.what();
+    } catch (const std::invalid_argument& e) {
+      key_accepted = false;
+      EXPECT_NE(std::string(e.what()).find(file.path()), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(flag_accepted, accepted) << "'" << value << "' as a flag";
+    EXPECT_EQ(key_accepted, accepted) << "'" << value << "' as a key";
+  }
+}
+
+// (c) Every row's flag is in --help.
+TEST_P(KnobRow, FlagAppearsInUsage) {
+  EXPECT_NE(comet::driver::usage().find("  " + GetParam().flag),
+            std::string::npos);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KnobTable, KnobRow, ::testing::ValuesIn(knob_cases()),
+    [](const ::testing::TestParamInfo<KnobCase>& info) {
+      std::string name = info.param.flag.substr(2);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
+TEST(KnobTableTest, EveryRowHasAPropertyCase) {
+  const auto cases = knob_cases();
+  EXPECT_EQ(cases.size(), comet::config::knobs().size());
+  for (const Knob& knob : comet::config::knobs()) {
+    const bool covered =
+        std::any_of(cases.begin(), cases.end(), [&](const KnobCase& c) {
+          return c.flag == knob.flag;
+        });
+    EXPECT_TRUE(covered) << knob.flag;
+  }
 }
 
 }  // namespace

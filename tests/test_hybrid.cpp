@@ -390,14 +390,16 @@ TEST(HybridRegistry, OverridesApply) {
   overrides.cache_mb = 32;
   overrides.cache_ways = 16;
   overrides.cache_policy = "write-no-allocate";
-  const auto spec = comet::driver::make_device_spec("hybrid-comet", overrides);
+  const auto spec = comet::driver::apply_hybrid_overrides(
+      comet::driver::make_device_spec("hybrid-comet"), overrides);
   EXPECT_EQ(spec.tiered->cache.capacity_bytes, 32ull << 20);
   EXPECT_EQ(spec.tiered->cache.ways, 16);
   EXPECT_FALSE(spec.tiered->cache.write_allocate);
   EXPECT_EQ(spec.tiered->dram.capacity_bytes, 32ull << 20);
 
   overrides.cache_policy = "write-through";
-  EXPECT_THROW(comet::driver::make_device_spec("hybrid-comet", overrides),
+  EXPECT_THROW(comet::driver::apply_hybrid_overrides(
+                   comet::driver::make_device_spec("hybrid-comet"), overrides),
                std::invalid_argument);
 }
 
@@ -405,9 +407,11 @@ TEST(HybridOptions, CacheFlagsParseAndValidate) {
   const auto opt = comet::driver::parse_args(
       {"--device", "hybrid-comet", "--cache-mb", "32", "--cache-ways", "4",
        "--cache-policy", "write-no-allocate"});
-  EXPECT_EQ(opt.cache_mb, 32u);
-  EXPECT_EQ(opt.cache_ways, 4);
-  EXPECT_EQ(opt.cache_policy, "write-no-allocate");
+  ASSERT_EQ(opt.spec.devices.size(), 1u);
+  const auto& cache = opt.spec.devices[0].tiered->cache;
+  EXPECT_EQ(cache.capacity_bytes, 32ull << 20);
+  EXPECT_EQ(cache.ways, 4);
+  EXPECT_FALSE(cache.write_allocate);
   EXPECT_THROW(comet::driver::parse_args({"--cache-policy", "lru"}),
                std::invalid_argument);
   EXPECT_THROW(comet::driver::parse_args({"--cache-mb", "0"}),
@@ -419,7 +423,7 @@ TEST(HybridSweep, EveryWorkloadHitsTheCache) {
   // per-tier energy split on each of the eight workloads.
   const auto opt = comet::driver::parse_args(
       {"--device", "hybrid-comet", "--requests", "4000"});
-  const auto jobs = comet::driver::build_matrix(opt);
+  const auto jobs = comet::driver::build_matrix(opt.spec);
   EXPECT_EQ(jobs.size(), 8u);
   const auto results = comet::driver::run_sweep(jobs, 0);
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -432,7 +436,7 @@ TEST(HybridSweep, EveryWorkloadHitsTheCache) {
 TEST(HybridSweep, ThreadedMatchesSerialBitExactly) {
   const auto opt = comet::driver::parse_args(
       {"--device", "hybrid-all", "--requests", "1500"});
-  const auto jobs = comet::driver::build_matrix(opt);
+  const auto jobs = comet::driver::build_matrix(opt.spec);
   const auto serial = comet::driver::run_sweep(jobs, 1);
   const auto threaded = comet::driver::run_sweep(jobs, 4);
   ASSERT_EQ(serial.size(), threaded.size());
@@ -455,7 +459,7 @@ TEST(HybridSweep, ThreadedMatchesSerialBitExactly) {
 TEST(HybridSweep, ChannelOverrideTargetsTheBackend) {
   const auto opt = comet::driver::parse_args(
       {"--device", "hybrid-comet", "--channels", "4"});
-  const auto jobs = comet::driver::build_matrix(opt);
+  const auto jobs = comet::driver::build_matrix(opt.spec);
   ASSERT_FALSE(jobs.empty());
   for (const auto& job : jobs) {
     EXPECT_EQ(job.device.tiered->backend.timing.channels, 4);
