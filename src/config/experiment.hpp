@@ -57,7 +57,7 @@
 ///     progress_ms = 500                     # live stderr heartbeat
 ///
 ///     [slo]                                 # run health gates (optional)
-///     assert = "p99_read_ns<=2500"          # violation -> exit 3
+///     assert = "p99_read_latency_ns<=2500"  # violation -> exit 3
 ///
 ///     [tenant]                              # multi-tenant run (optional)
 ///     mapping = "partition"                 # or "interleave"

@@ -84,9 +84,9 @@ const std::vector<Knob>& knobs() {
        "requests, req/s,\nETA, RSS (default period: 500 ms)",
        "500"},
       {"--assert-slo", "<list>", "slo", "assert", KnobKind::kString, 0,
-       "comma-separated run health gates over\nthe report metrics, e.g.\n"
-       "\"p99_read_ns<=2500,requests_per_s>=5e6\";\nany violated predicate "
-       "exits 3"},
+       "comma-separated run health gates over\nthe report's JSON metrics, "
+       "e.g.\n\"p99_read_latency_ns<=2500,\nrequests_per_s>=5e6\";\n"
+       "any violated predicate exits 3"},
   };
   return rows;
 }

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "config/knobs.hpp"
+#include "memsim/metrics.hpp"
 
 namespace comet::config {
 
@@ -850,10 +851,19 @@ void parse_slo_section(const toml::Table& table, const std::string& source,
       } catch (const std::exception& e) {
         reader.fail_at(reader.key_line("assert"), e.what());
       }
+      for (const prof::SloPredicate& predicate : parsed) {
+        try {
+          memsim::metric_by_name(predicate.metric);
+        } catch (const std::exception& e) {
+          reader.fail_at(reader.key_line("assert"),
+                         "bad SLO predicate '" + predicate.to_string() +
+                             "': " + e.what());
+        }
+      }
       if (parsed.empty()) {
         reader.fail_at(reader.key_line("assert"),
                        "'assert' needs a predicate list, e.g. "
-                       "\"p99_read_ns<=2500,requests_per_s>=5e6\"");
+                       "\"p99_read_latency_ns<=2500,requests_per_s>=5e6\"");
       }
       spec.slo.insert(spec.slo.end(), parsed.begin(), parsed.end());
     }

@@ -206,8 +206,8 @@ void parse_profile_section(const toml::Table& table, const std::string& source,
 /// Parses an `[slo]` table: `assert` — one predicate list string or an
 /// array of them (the `--assert-slo` grammar, see prof/slo.hpp),
 /// concatenated into the spec's gate set. Malformed predicates and
-/// unknown metrics raise toml::ParseError anchored to the offending
-/// line.
+/// metric names outside the result-metric table (memsim/metrics.hpp)
+/// raise toml::ParseError anchored to the offending line.
 void parse_slo_section(const toml::Table& table, const std::string& source,
                        prof::ProfSpec& spec);
 

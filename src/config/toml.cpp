@@ -2,10 +2,11 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "util/format.hpp"
 
 namespace comet::config::toml {
 
@@ -371,19 +372,7 @@ Document parse_file(const std::string& path) {
 }
 
 std::string format_float(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  std::string shortest = buf;
-  for (int precision = 1; precision < 17; ++precision) {
-    char candidate[40];
-    std::snprintf(candidate, sizeof candidate, "%.*g", precision, v);
-    double parsed = 0.0;
-    std::sscanf(candidate, "%lf", &parsed);
-    if (parsed == v) {
-      shortest = candidate;
-      break;
-    }
-  }
+  std::string shortest = util::shortest_double(v);
   // Keep the float-ness visible so the value re-parses as a float.
   if (shortest.find_first_of(".eE") == std::string::npos) shortest += ".0";
   return shortest;

@@ -12,14 +12,15 @@
 #include "driver/options.hpp"
 #include "driver/registry.hpp"
 #include "driver/report.hpp"
-#include "driver/slo_eval.hpp"
 #include "driver/sweep.hpp"
+#include "memsim/metrics.hpp"
 #include "memsim/trace.hpp"
 #include "memsim/trace_gen.hpp"
 #include "prof/heartbeat.hpp"
 #include "prof/profiler.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/format.hpp"
 
 int main(int argc, char** argv) {
   using namespace comet::driver;
@@ -168,21 +169,22 @@ int main(int argc, char** argv) {
     // (plus each job's host wall clock). The report is still written in
     // full — exit 3 replaces exit 0 only after everything is on disk,
     // so CI can both archive the JSON and fail the build.
-    std::vector<std::vector<SloOutcome>> slo_outcomes(jobs.size());
+    std::vector<std::vector<comet::memsim::SloOutcome>> slo_outcomes(
+        jobs.size());
     bool slo_failed = false;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       const auto& predicates = jobs[i].profile_spec.slo;
       if (predicates.empty()) continue;
-      const double wall_s =
-          profilers[i] ? profilers[i]->wall_seconds() : 0.0;
-      slo_outcomes[i] = evaluate_slo(predicates, results[i], wall_s);
+      slo_outcomes[i] = comet::memsim::evaluate_slo(
+          predicates, {results[i], profilers[i].get()});
       for (const auto& outcome : slo_outcomes[i]) {
         if (outcome.pass) continue;
         slo_failed = true;
         std::cerr << "comet_sim: SLO violation: "
                   << outcome.predicate.to_string() << " (actual "
-                  << outcome.value << ") on " << jobs[i].device.name << "/"
-                  << jobs[i].profile.name << "\n";
+                  << comet::util::shortest_double(outcome.value) << ") on "
+                  << jobs[i].device.name << "/" << jobs[i].profile.name
+                  << "\n";
       }
     }
 

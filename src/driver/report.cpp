@@ -1,39 +1,67 @@
 #include "driver/report.hpp"
 
-#include <cstdio>
+#include <algorithm>
 #include <map>
 #include <stdexcept>
 #include <string>
 
+#include "memsim/metrics.hpp"
+#include "telemetry/export.hpp"
+#include "util/format.hpp"
 #include "util/table.hpp"
 
 namespace comet::driver {
 
 namespace {
 
-/// Shortest decimal form that round-trips a double (JSON-safe).
-std::string json_num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  // Trim to the shortest representation that still round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char candidate[32];
-    std::snprintf(candidate, sizeof candidate, "%.*g", precision, v);
-    double parsed = 0.0;
-    std::sscanf(candidate, "%lf", &parsed);
-    if (parsed == v) return candidate;
+using util::json_string;
+using util::shortest_double;
+
+/// The device × workload table over the console columns of the rows in
+/// `scope`, one line per record in that scope.
+util::Table metric_table(memsim::MetricScope scope,
+                         const std::vector<SweepJob>& jobs,
+                         const std::vector<memsim::SimStats>& results) {
+  std::vector<const memsim::Metric*> columns;
+  for (const memsim::Metric& metric : memsim::metrics()) {
+    if (metric.scope == scope && metric.column.header) {
+      columns.push_back(&metric);
+    }
   }
-  return buf;
+  std::sort(columns.begin(), columns.end(), [](const auto* a, const auto* b) {
+    return a->column.position < b->column.position;
+  });
+  std::vector<std::string> headers{"device", "workload"};
+  for (const auto* metric : columns) {
+    headers.emplace_back(metric->column.header);
+  }
+  util::Table table(std::move(headers));
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const memsim::MetricInput in{results[i]};
+    if (!columns.front()->applies(in)) continue;
+    std::vector<std::string> cells{jobs[i].device.name, jobs[i].profile.name};
+    for (const auto* metric : columns) cells.push_back(metric->cell(in));
+    table.add_row(std::move(cells));
+  }
+  return table;
 }
 
-std::string json_str(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
+void print_table(std::ostream& os, const char* title, const util::Table& table,
+                 bool csv) {
+  os << title;
+  if (csv) table.print_csv(os); else table.print(os);
+}
+
+/// The rows written at `place`, as `"name": value` pairs joined by ", "
+/// (with a leading ", " unless `lead` is false).
+void write_metrics(std::ostream& os, memsim::MetricPlace place,
+                   const memsim::MetricInput& in, bool lead = true) {
+  const char* separator = lead ? ", " : "";
+  for (const memsim::Metric& metric : memsim::metrics()) {
+    if (metric.place != place) continue;
+    os << separator << '"' << metric.name << "\": " << metric.json(in);
+    separator = ", ";
   }
-  out += '"';
-  return out;
 }
 
 }  // namespace
@@ -45,8 +73,6 @@ void print_report(std::ostream& os, const std::vector<SweepJob>& jobs,
   }
   using util::Table;
 
-  Table per_run({"device", "workload", "BW (GB/s)", "EPB (pJ/bit)",
-                 "read lat (ns)", "write lat (ns)", "queue (ns)"});
   struct Agg {
     double bw = 0.0, epb = 0.0, latency = 0.0;
     int n = 0;
@@ -56,12 +82,6 @@ void print_report(std::ostream& os, const std::vector<SweepJob>& jobs,
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const auto& stats = results[i];
-    per_run.add_row({jobs[i].device.name, jobs[i].profile.name,
-                     Table::num(stats.bandwidth_gbps(), 2),
-                     Table::num(stats.epb_pj_per_bit(), 2),
-                     Table::num(stats.read_latency_ns.mean(), 1),
-                     Table::num(stats.write_latency_ns.mean(), 1),
-                     Table::num(stats.queue_delay_ns.mean(), 1)});
     if (per_device.find(jobs[i].device.name) == per_device.end()) {
       device_order.push_back(jobs[i].device.name);
     }
@@ -71,9 +91,8 @@ void print_report(std::ostream& os, const std::vector<SweepJob>& jobs,
     agg.latency += stats.avg_latency_ns();
     ++agg.n;
   }
-
-  os << "=== Per-run results ===\n";
-  if (csv) per_run.print_csv(os); else per_run.print(os);
+  print_table(os, "=== Per-run results ===\n",
+              metric_table(memsim::MetricScope::kAlways, jobs, results), csv);
 
   Table summary({"device", "avg BW (GB/s)", "avg EPB (pJ/bit)", "BW/EPB",
                  "avg latency (ns)"});
@@ -85,25 +104,15 @@ void print_report(std::ostream& os, const std::vector<SweepJob>& jobs,
                      Table::num(epb > 0 ? bw / epb : 0.0, 3),
                      Table::num(agg.latency / agg.n, 1)});
   }
-  os << "\n=== Per-device averages over workloads ===\n";
-  if (csv) summary.print_csv(os); else summary.print(os);
+  print_table(os, "\n=== Per-device averages over workloads ===\n", summary,
+              csv);
 
   // Hybrid runs get a tier breakdown: the flat columns above stay
   // comparable across all devices, and the cache behaviour lives here.
-  Table hybrid({"device", "workload", "hit rate", "writebacks",
-                "DRAM tier (pJ)", "backend tier (pJ)"});
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto& stats = results[i];
-    if (!stats.is_hybrid()) continue;
-    hybrid.add_row({jobs[i].device.name, jobs[i].profile.name,
-                    Table::num(stats.hit_rate(), 3),
-                    std::to_string(stats.writebacks),
-                    Table::sci(stats.dram_tier_energy_pj, 3),
-                    Table::sci(stats.backend_tier_energy_pj, 3)});
-  }
+  const Table hybrid =
+      metric_table(memsim::MetricScope::kHybrid, jobs, results);
   if (hybrid.rows() > 0) {
-    os << "\n=== Hybrid tier breakdown ===\n";
-    if (csv) hybrid.print_csv(os); else hybrid.print(os);
+    print_table(os, "\n=== Hybrid tier breakdown ===\n", hybrid, csv);
   }
 
   // Scheduled runs get the controller breakdown: how much of the
@@ -127,8 +136,7 @@ void print_report(std::ostream& os, const std::vector<SweepJob>& jobs,
                    std::to_string(stats.admit_stalls)});
   }
   if (sched.rows() > 0) {
-    os << "\n=== Scheduler breakdown ===\n";
-    if (csv) sched.print_csv(os); else sched.print(os);
+    print_table(os, "\n=== Scheduler breakdown ===\n", sched, csv);
   }
 
   // Multi-tenant runs get the fairness breakdown: per-tenant latency
@@ -136,7 +144,6 @@ void print_report(std::ostream& os, const std::vector<SweepJob>& jobs,
   // and Jain index over the per-tenant slowdowns.
   Table tenants({"device", "workload", "tenant", "reqs", "avg (ns)",
                  "p99 (ns)", "alone (ns)", "slowdown"});
-  Table fairness({"device", "workload", "max slowdown", "Jain index"});
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const auto& stats = results[i];
     if (!stats.is_multi_tenant()) continue;
@@ -148,15 +155,12 @@ void print_report(std::ostream& os, const std::vector<SweepJob>& jobs,
                        Table::num(tenant.alone_avg_latency_ns, 1),
                        Table::num(tenant.slowdown, 3)});
     }
-    fairness.add_row({jobs[i].device.name, jobs[i].profile.name,
-                      Table::num(stats.max_slowdown, 3),
-                      Table::num(stats.fairness_index, 3)});
   }
   if (tenants.rows() > 0) {
-    os << "\n=== Tenant breakdown ===\n";
-    if (csv) tenants.print_csv(os); else tenants.print(os);
-    os << "\n=== Tenant fairness ===\n";
-    if (csv) fairness.print_csv(os); else fairness.print(os);
+    print_table(os, "\n=== Tenant breakdown ===\n", tenants, csv);
+    print_table(os, "\n=== Tenant fairness ===\n",
+                metric_table(memsim::MetricScope::kMultiTenant, jobs, results),
+                csv);
   }
 }
 
@@ -214,10 +218,9 @@ void print_host_profile(
 
   os << "\n=== Host profile (wall clock; peak RSS "
      << prof::peak_rss_bytes() / (1024 * 1024) << " MiB) ===\n";
-  if (csv) host.print_csv(os); else host.print(os);
+  print_table(os, "", host, csv);
   if (stages.rows() > 0) {
-    os << "\n=== Host stage timings ===\n";
-    if (csv) stages.print_csv(os); else stages.print(os);
+    print_table(os, "\n=== Host stage timings ===\n", stages, csv);
   }
 }
 
@@ -227,28 +230,23 @@ void write_timeline_json(std::ostream& os,
                          const telemetry::Collector& collector) {
   os << "[";
   bool first = true;
+  const auto& columns = telemetry::timeline_columns();
   for (const auto& point : collector.timeline()) {
-    os << (first ? "" : ", ") << "{"
-       << "\"epoch\": " << point.epoch
-       << ", \"start_ps\": " << point.start_ps
-       << ", \"end_ps\": " << point.end_ps
-       << ", \"reads\": " << point.reads
-       << ", \"writes\": " << point.writes
-       << ", \"bytes\": " << point.bytes
-       << ", \"bandwidth_gbps\": " << json_num(point.bandwidth_gbps)
-       << ", \"avg_latency_ns\": " << json_num(point.avg_latency_ns)
-       << ", \"p50_latency_ns\": " << json_num(point.p50_latency_ns)
-       << ", \"p95_latency_ns\": " << json_num(point.p95_latency_ns)
-       << ", \"p99_latency_ns\": " << json_num(point.p99_latency_ns)
-       << ", \"avg_read_queue_occupancy\": "
-       << json_num(point.avg_read_queue_occupancy)
-       << ", \"avg_write_queue_occupancy\": "
-       << json_num(point.avg_write_queue_occupancy)
-       << ", \"write_drains\": " << point.write_drains
-       << ", \"drained_writes\": " << point.drained_writes
-       << ", \"admit_stalls\": " << point.admit_stalls
-       << ", \"bank_busy_ns\": " << json_num(point.bank_busy_ns)
-       << ", \"channel_requests\": [";
+    os << (first ? "" : ", ") << "{";
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      const telemetry::TimelineColumn& column = columns[c];
+      os << (c ? ", \"" : "\"") << column.name << "\": ";
+      if (column.count) {
+        os << point.*column.count;
+      } else {
+        os << shortest_double(point.*column.real);
+      }
+      if (c == 0) {
+        os << ", \"start_ps\": " << point.start_ps
+           << ", \"end_ps\": " << point.end_ps;
+      }
+    }
+    os << ", \"channel_requests\": [";
     for (std::size_t c = 0; c < point.channel_requests.size(); ++c) {
       os << (c ? ", " : "") << point.channel_requests[c];
     }
@@ -268,7 +266,7 @@ void write_telemetry_json(std::ostream& os,
   bool first_stage = true;
   for (const auto& stage : collector.stages()) {
     os << (first_stage ? "" : ", ")
-       << "{\"stage\": " << json_str(stage->stage())
+       << "{\"stage\": " << json_string(stage->stage())
        << ", \"channels\": " << stage->channels()
        << ", \"banks\": " << stage->banks()
        << ", \"recorded_events\": " << stage->recorded_events()
@@ -290,44 +288,44 @@ void write_telemetry_json(std::ostream& os,
 
 /// The whole-job host profile: wall clock, throughput, RSS, stage
 /// timings and one entry per LanePool.
-void write_host_json(std::ostream& os, const prof::Profiler& profiler) {
-  os << "{\"wall_s\": " << json_num(profiler.wall_seconds())
-     << ", \"requests\": " << profiler.run_requests()
-     << ", \"requests_per_s\": " << json_num(profiler.requests_per_second())
-     << ", \"peak_rss_bytes\": " << prof::peak_rss_bytes()
+void write_host_json(std::ostream& os, const memsim::MetricInput& in) {
+  const prof::Profiler& profiler = *in.host;
+  os << "{";
+  write_metrics(os, memsim::MetricPlace::kHost, in, /*lead=*/false);
+  os << ", \"peak_rss_bytes\": " << prof::peak_rss_bytes()
      << ", \"stages\": [";
   bool first = true;
   for (const auto& [name, stage] : profiler.stages()) {
-    os << (first ? "" : ", ") << "{\"stage\": " << json_str(name)
+    os << (first ? "" : ", ") << "{\"stage\": " << json_string(name)
        << ", \"calls\": " << stage.calls
-       << ", \"wall_s\": " << json_num(stage.wall_s) << "}";
+       << ", \"wall_s\": " << shortest_double(stage.wall_s) << "}";
     first = false;
   }
   os << "], \"pools\": [";
   bool first_pool = true;
   for (const auto& pool : profiler.pools()) {
-    os << (first_pool ? "" : ", ") << "{\"stage\": " << json_str(pool->stage)
+    os << (first_pool ? "" : ", ") << "{\"stage\": " << json_string(pool->stage)
        << ", \"threads\": " << pool->threads
-       << ", \"wall_s\": " << json_num(pool->wall_s)
-       << ", \"utilization\": " << json_num(pool->utilization())
+       << ", \"wall_s\": " << shortest_double(pool->wall_s)
+       << ", \"utilization\": " << shortest_double(pool->utilization())
        << ", \"blocks_pushed\": " << pool->blocks_pushed
        << ", \"blocks_allocated\": " << pool->blocks_allocated
        << ", \"blocks_recycled\": " << pool->blocks_recycled
        << ", \"push_stalls\": " << pool->push_stalls
-       << ", \"push_wait_s\": " << json_num(pool->push_wait_s)
+       << ", \"push_wait_s\": " << shortest_double(pool->push_wait_s)
        << ", \"queue_high_water\": " << pool->queue_high_water
        << ", \"lanes\": [";
     for (std::size_t l = 0; l < pool->lanes.size(); ++l) {
       const auto& lane = pool->lanes[l];
-      os << (l ? ", " : "") << "{\"busy_s\": " << json_num(lane.busy_s)
+      os << (l ? ", " : "") << "{\"busy_s\": " << shortest_double(lane.busy_s)
          << ", \"blocks\": " << lane.blocks
          << ", \"requests\": " << lane.requests << "}";
     }
     os << "], \"workers\": [";
     for (std::size_t w = 0; w < pool->workers.size(); ++w) {
       const auto& worker = pool->workers[w];
-      os << (w ? ", " : "") << "{\"busy_s\": " << json_num(worker.busy_s)
-         << ", \"idle_s\": " << json_num(worker.idle_s)
+      os << (w ? ", " : "") << "{\"busy_s\": " << shortest_double(worker.busy_s)
+         << ", \"idle_s\": " << shortest_double(worker.idle_s)
          << ", \"pop_waits\": " << worker.pop_waits << "}";
     }
     os << "]}";
@@ -341,16 +339,16 @@ void write_host_json(std::ostream& os, const prof::Profiler& profiler) {
 /// applicable=false and pass=true so the reader can tell "held" from
 /// "not measured".
 void write_slo_json(std::ostream& os,
-                    const std::vector<SloOutcome>& outcomes) {
-  os << "{\"pass\": " << (slo_violated(outcomes) ? "false" : "true")
+                    const std::vector<memsim::SloOutcome>& outcomes) {
+  os << "{\"pass\": " << (memsim::slo_violated(outcomes) ? "false" : "true")
      << ", \"checks\": [";
   for (std::size_t c = 0; c < outcomes.size(); ++c) {
-    const SloOutcome& outcome = outcomes[c];
+    const memsim::SloOutcome& outcome = outcomes[c];
     os << (c ? ", " : "")
-       << "{\"predicate\": " << json_str(outcome.predicate.to_string())
-       << ", \"metric\": " << json_str(outcome.predicate.metric)
-       << ", \"threshold\": " << json_num(outcome.predicate.threshold)
-       << ", \"value\": " << json_num(outcome.value)
+       << "{\"predicate\": " << json_string(outcome.predicate.to_string())
+       << ", \"metric\": " << json_string(outcome.predicate.metric)
+       << ", \"threshold\": " << shortest_double(outcome.predicate.threshold)
+       << ", \"value\": " << shortest_double(outcome.value)
        << ", \"applicable\": " << (outcome.applicable ? "true" : "false")
        << ", \"pass\": " << (outcome.pass ? "true" : "false") << "}";
   }
@@ -364,7 +362,7 @@ void write_json(
     const std::vector<memsim::SimStats>& results,
     const std::vector<std::unique_ptr<telemetry::Collector>>* collectors,
     const std::vector<std::unique_ptr<prof::Profiler>>* profilers,
-    const std::vector<std::vector<SloOutcome>>* slo) {
+    const std::vector<std::vector<memsim::SloOutcome>>* slo) {
   if (jobs.size() != results.size()) {
     throw std::invalid_argument("jobs/results size mismatch");
   }
@@ -382,68 +380,43 @@ void write_json(
     const auto& job = jobs[i];
     const auto& stats = results[i];
     os << (i ? ",\n" : "\n") << "    {"
-       << "\"device\": " << json_str(job.device.name)
-       << ", \"workload\": " << json_str(job.profile.name)
+       << "\"device\": " << json_string(job.device.name)
+       << ", \"workload\": " << json_string(job.profile.name)
        << ", \"channels\": " << job.device.channels()
        << ", \"requests\": " << job.requests
        << ", \"seed\": " << job.seed
        << ", \"line_bytes\": " << job.line_bytes
        << ", \"run_threads\": " << job.run_threads
-       << ", \"trace_file\": " << json_str(job.trace_path)
-       << ", \"experiment\": " << json_str(job.experiment)
-       << ", \"config_file\": " << json_str(job.config_file)
-       << ", \"reads\": " << stats.reads
-       << ", \"writes\": " << stats.writes
-       << ", \"span_ps\": " << stats.span_ps
-       << ", \"avg_read_latency_ns\": "
-       << json_num(stats.read_latency_ns.mean())
-       << ", \"avg_write_latency_ns\": "
-       << json_num(stats.write_latency_ns.mean())
-       << ", \"p50_read_latency_ns\": " << json_num(stats.read_latency_ns.p50())
-       << ", \"p95_read_latency_ns\": " << json_num(stats.read_latency_ns.p95())
-       << ", \"p99_read_latency_ns\": " << json_num(stats.read_latency_ns.p99())
-       << ", \"p50_write_latency_ns\": "
-       << json_num(stats.write_latency_ns.p50())
-       << ", \"p95_write_latency_ns\": "
-       << json_num(stats.write_latency_ns.p95())
-       << ", \"p99_write_latency_ns\": "
-       << json_num(stats.write_latency_ns.p99())
-       << ", \"avg_queue_delay_ns\": " << json_num(stats.queue_delay_ns.mean())
-       << ", \"bandwidth_gbps\": " << json_num(stats.bandwidth_gbps())
-       << ", \"energy_pj_per_bit\": " << json_num(stats.epb_pj_per_bit())
-       << ", \"dynamic_energy_pj\": " << json_num(stats.dynamic_energy_pj)
-       << ", \"background_energy_pj\": " << json_num(stats.background_energy_pj)
-       << ", \"hybrid\": " << (stats.is_hybrid() ? "true" : "false")
-       << ", \"cache_hits\": " << stats.cache_hits
-       << ", \"cache_misses\": " << stats.cache_misses
-       << ", \"hit_rate\": " << json_num(stats.hit_rate())
-       << ", \"writebacks\": " << stats.writebacks
-       << ", \"dram_tier_energy_pj\": " << json_num(stats.dram_tier_energy_pj)
-       << ", \"backend_tier_energy_pj\": "
-       << json_num(stats.backend_tier_energy_pj);
+       << ", \"trace_file\": " << json_string(job.trace_path)
+       << ", \"experiment\": " << json_string(job.experiment)
+       << ", \"config_file\": " << json_string(job.config_file);
+    const prof::Profiler* profiler =
+        profilers ? (*profilers)[i].get() : nullptr;
+    const memsim::MetricInput in{stats, profiler};
+    write_metrics(os, memsim::MetricPlace::kRecord, in);
     // Every scheduler field lives under one "sched" object (null for
     // legacy runs), so a jq del(.results[].sched) compares a scheduled
     // run against the direct-replay path field for field.
     if (stats.is_scheduled() && job.controller) {
       const auto& c = *job.controller;
       os << ", \"sched\": {"
-         << "\"policy\": " << json_str(stats.sched_policy)
+         << "\"policy\": " << json_string(stats.sched_policy)
          << ", \"read_queue_depth\": " << c.read_queue_depth
          << ", \"write_queue_depth\": " << c.write_queue_depth
          << ", \"drain_high_watermark\": " << c.drain_high_watermark
          << ", \"drain_low_watermark\": " << c.drain_low_watermark
          << ", \"avg_queue_delay_ns\": "
-         << json_num(stats.sched_queue_delay_ns.mean())
+         << shortest_double(stats.sched_queue_delay_ns.mean())
          << ", \"p95_queue_delay_ns\": "
-         << json_num(stats.sched_queue_delay_ns.p95())
+         << shortest_double(stats.sched_queue_delay_ns.p95())
          << ", \"avg_service_latency_ns\": "
-         << json_num(stats.service_latency_ns.mean())
+         << shortest_double(stats.service_latency_ns.mean())
          << ", \"avg_read_queue_occupancy\": "
-         << json_num(stats.read_queue_occupancy.mean())
+         << shortest_double(stats.read_queue_occupancy.mean())
          << ", \"avg_write_queue_occupancy\": "
-         << json_num(stats.write_queue_occupancy.mean())
+         << shortest_double(stats.write_queue_occupancy.mean())
          << ", \"max_write_queue_occupancy\": "
-         << json_num(stats.write_queue_occupancy.max())
+         << shortest_double(stats.write_queue_occupancy.max())
          << ", \"write_drains\": " << stats.write_drains
          << ", \"drained_writes\": " << stats.drained_writes
          << ", \"drain_stalls\": " << stats.drain_stalls
@@ -457,24 +430,27 @@ void write_json(
     if (stats.is_multi_tenant()) {
       os << ", \"tenants\": {"
          << "\"mapping\": "
-         << json_str(config::tenant_mapping_name(job.tenant_mapping))
-         << ", \"max_slowdown\": " << json_num(stats.max_slowdown)
-         << ", \"fairness_index\": " << json_num(stats.fairness_index)
-         << ", \"streams\": [";
+         << json_string(config::tenant_mapping_name(job.tenant_mapping));
+      write_metrics(os, memsim::MetricPlace::kTenants, in);
+      os << ", \"streams\": [";
       for (std::size_t t = 0; t < stats.tenants.size(); ++t) {
         const auto& tenant = stats.tenants[t];
         os << (t ? ", " : "") << "{"
-           << "\"name\": " << json_str(tenant.name)
+           << "\"name\": " << json_string(tenant.name)
            << ", \"reads\": " << tenant.reads
            << ", \"writes\": " << tenant.writes
            << ", \"bytes\": " << tenant.bytes_transferred
-           << ", \"avg_latency_ns\": " << json_num(tenant.avg_latency_ns())
-           << ", \"p50_latency_ns\": " << json_num(tenant.latency_ns.p50())
-           << ", \"p95_latency_ns\": " << json_num(tenant.latency_ns.p95())
-           << ", \"p99_latency_ns\": " << json_num(tenant.latency_ns.p99())
+           << ", \"avg_latency_ns\": "
+           << shortest_double(tenant.avg_latency_ns())
+           << ", \"p50_latency_ns\": "
+           << shortest_double(tenant.latency_ns.p50())
+           << ", \"p95_latency_ns\": "
+           << shortest_double(tenant.latency_ns.p95())
+           << ", \"p99_latency_ns\": "
+           << shortest_double(tenant.latency_ns.p99())
            << ", \"alone_avg_latency_ns\": "
-           << json_num(tenant.alone_avg_latency_ns)
-           << ", \"slowdown\": " << json_num(tenant.slowdown)
+           << shortest_double(tenant.alone_avg_latency_ns)
+           << ", \"slowdown\": " << shortest_double(tenant.slowdown)
            << "}";
       }
       os << "]}";
@@ -484,7 +460,7 @@ void write_json(
     // Telemetry provenance: null when the feature is disabled, so
     // jq del(...) diffs traced against untraced reports cleanly.
     if (job.telemetry.tracing()) {
-      os << ", \"trace_out\": " << json_str(job.telemetry.trace_path)
+      os << ", \"trace_out\": " << json_string(job.telemetry.trace_path)
          << ", \"trace_limit\": " << job.telemetry.trace_limit;
     } else {
       os << ", \"trace_out\": null, \"trace_limit\": null";
@@ -496,7 +472,7 @@ void write_json(
       os << ", \"metrics_interval_ns\": null";
     }
     if (!job.telemetry.metrics_csv.empty()) {
-      os << ", \"metrics_csv\": " << json_str(job.telemetry.metrics_csv);
+      os << ", \"metrics_csv\": " << json_string(job.telemetry.metrics_csv);
     } else {
       os << ", \"metrics_csv\": null";
     }
@@ -517,11 +493,9 @@ void write_json(
     // Host profile and SLO verdict, same null contract: --profile off
     // (or a heartbeat/gate-only profiler) keeps "host" null, no
     // --assert-slo keeps "slo" null.
-    const prof::Profiler* profiler =
-        profilers ? (*profilers)[i].get() : nullptr;
     if (profiler && job.profile_spec.profiling()) {
       os << ", \"host\": ";
-      write_host_json(os, *profiler);
+      write_host_json(os, in);
     } else {
       os << ", \"host\": null";
     }

@@ -3,16 +3,19 @@
 #include <ostream>
 #include <vector>
 
-#include "driver/slo_eval.hpp"
 #include "driver/sweep.hpp"
+#include "memsim/metrics.hpp"
 #include "memsim/stats.hpp"
 
 /// Human tables and machine-readable JSON for comet_sim sweep results.
 namespace comet::driver {
 
 /// Per-run table (one row per device × workload) followed by a per-device
-/// summary averaged over workloads — the Fig. 9 presentation. `csv`
-/// switches both tables to CSV.
+/// summary averaged over workloads — the Fig. 9 presentation — and the
+/// hybrid, scheduler and tenant breakdowns of the records that have
+/// them. The per-run, hybrid-tier and fairness columns are the console
+/// columns of the metric table (memsim/metrics.hpp). `csv` switches
+/// every table to CSV.
 void print_report(std::ostream& os, const std::vector<SweepJob>& jobs,
                   const std::vector<memsim::SimStats>& results, bool csv);
 
@@ -26,11 +29,13 @@ void print_host_profile(
     const std::vector<std::unique_ptr<prof::Profiler>>* profilers, bool csv);
 
 /// BENCH_fig9.json-style record: `{"bench": "comet_sim_sweep",
-/// "results": [{device, workload, channels, requests, seed,
-/// experiment, config_file, avg_read_latency_ns, ..., bandwidth_gbps,
-/// energy_pj_per_bit}, ...]}`. The experiment/config_file pair is the
-/// run's config provenance (`"cli"` / `""` for flag-driven runs).
-/// Numbers are emitted with round-trip precision.
+/// "results": [{device, workload, channels, requests, seed, line_bytes,
+/// run_threads, trace_file, experiment, config_file, <metrics>, sched,
+/// tenants, ...}, ...]}`. The experiment/config_file pair is the run's
+/// config provenance (`"cli"` / `""` for flag-driven runs). `<metrics>`
+/// and the tenants/host scalars are the rows of the metric table, at
+/// their place and in table order. Numbers are emitted with round-trip
+/// precision.
 ///
 /// Telemetry provenance rides along in every record: trace_out /
 /// trace_limit / metrics_interval_ns / metrics_csv (null when the
@@ -58,6 +63,6 @@ void write_json(
     const std::vector<std::unique_ptr<telemetry::Collector>>* collectors =
         nullptr,
     const std::vector<std::unique_ptr<prof::Profiler>>* profilers = nullptr,
-    const std::vector<std::vector<SloOutcome>>* slo = nullptr);
+    const std::vector<std::vector<memsim::SloOutcome>>* slo = nullptr);
 
 }  // namespace comet::driver

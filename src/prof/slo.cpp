@@ -5,28 +5,10 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "util/format.hpp"
+
 namespace comet::prof {
 namespace {
-
-const std::vector<std::string> kMetrics = {
-    "avg_latency_ns",
-    "avg_queue_delay_ns",
-    "avg_read_ns",
-    "avg_write_ns",
-    "bandwidth_gbps",
-    "energy_pj_per_bit",
-    "fairness_index",
-    "hit_rate",
-    "max_slowdown",
-    "p50_read_ns",
-    "p50_write_ns",
-    "p95_read_ns",
-    "p95_write_ns",
-    "p99_read_ns",
-    "p99_write_ns",
-    "requests_per_s",
-    "wall_s",
-};
 
 [[noreturn]] void bad(const std::string& predicate, const std::string& why) {
   throw std::invalid_argument("bad SLO predicate '" + predicate + "': " + why);
@@ -62,9 +44,6 @@ SloPredicate parse_predicate(const std::string& text) {
         strip(text.substr(pos + std::string(candidate.token).size()));
 
     if (predicate.metric.empty()) bad(text, "missing metric name");
-    if (!known_slo_metric(predicate.metric)) {
-      bad(text, "unknown metric '" + predicate.metric + "'");
-    }
     if (rhs.empty()) bad(text, "missing threshold");
 
     const char* begin = rhs.c_str();
@@ -118,19 +97,15 @@ std::string SloPredicate::to_string() const {
       token = "==";
       break;
   }
-  // Shortest decimal form that parses back to exactly `threshold`, so
-  // predicates survive the --dump-config round trip unchanged. Integral
-  // thresholds print as plain integers ("2500", not "2.5e+03").
-  char buffer[64];
+  // Integral thresholds print as plain integers ("2500", not "2.5e+03"),
+  // the rest in the shortest form that parses back to exactly
+  // `threshold`, so predicates survive the --dump-config round trip.
   if (threshold == std::floor(threshold) && std::fabs(threshold) < 1e15) {
+    char buffer[32];
     std::snprintf(buffer, sizeof buffer, "%.0f", threshold);
-  } else {
-    for (int precision = 1; precision <= 17; ++precision) {
-      std::snprintf(buffer, sizeof buffer, "%.*g", precision, threshold);
-      if (std::strtod(buffer, nullptr) == threshold) break;
-    }
+    return metric + token + buffer;
   }
-  return metric + token + buffer;
+  return metric + token + util::shortest_double(threshold);
 }
 
 std::vector<SloPredicate> parse_slo(const std::string& text) {
@@ -160,14 +135,5 @@ std::string slo_to_string(const std::vector<SloPredicate>& predicates) {
   }
   return out;
 }
-
-bool known_slo_metric(const std::string& name) {
-  for (const std::string& metric : kMetrics) {
-    if (metric == name) return true;
-  }
-  return false;
-}
-
-const std::vector<std::string>& known_slo_metrics() { return kMetrics; }
 
 }  // namespace comet::prof

@@ -6,19 +6,11 @@
 #include <ostream>
 #include <string>
 
+#include "util/format.hpp"
+
 namespace comet::telemetry {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
 
 /// Trace-event timestamps are microseconds; our clock is picoseconds.
 /// Six fractional digits keep the full 1 ps resolution.
@@ -76,12 +68,12 @@ void write_chrome_trace(std::ostream& os, const std::vector<TraceRun>& runs) {
         const LaneTelemetry& lane = stage->lane(c);
         dropped_total += lane.dropped_events + lane.dropped_marks;
 
-        std::string process = json_escape(run.label);
+        std::string process = run.label;
         if (!stage->stage().empty()) process += " " + stage->stage();
         process += " channel " + std::to_string(c);
         sink.next() << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": "
-                    << pid << ", \"args\": {\"name\": \"" << process
-                    << "\"}}";
+                    << pid << ", \"args\": {\"name\": "
+                    << util::json_string(process) << "}}";
         const int channel_tid = stage->banks();
         sink.next() << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": "
                     << pid << ", \"tid\": " << channel_tid
@@ -169,24 +161,52 @@ void write_chrome_trace(std::ostream& os, const std::vector<TraceRun>& runs) {
   os << "\n  ]\n}\n";
 }
 
+const std::vector<TimelineColumn>& timeline_columns() {
+  static const std::vector<TimelineColumn> columns = {
+      {"epoch", &TimelinePoint::epoch},
+      {"reads", &TimelinePoint::reads},
+      {"writes", &TimelinePoint::writes},
+      {"bytes", &TimelinePoint::bytes},
+      {"bandwidth_gbps", nullptr, &TimelinePoint::bandwidth_gbps},
+      {"avg_latency_ns", nullptr, &TimelinePoint::avg_latency_ns},
+      {"p50_latency_ns", nullptr, &TimelinePoint::p50_latency_ns},
+      {"p95_latency_ns", nullptr, &TimelinePoint::p95_latency_ns},
+      {"p99_latency_ns", nullptr, &TimelinePoint::p99_latency_ns},
+      {"avg_read_queue_occupancy", nullptr,
+       &TimelinePoint::avg_read_queue_occupancy},
+      {"avg_write_queue_occupancy", nullptr,
+       &TimelinePoint::avg_write_queue_occupancy},
+      {"write_drains", &TimelinePoint::write_drains},
+      {"drained_writes", &TimelinePoint::drained_writes},
+      {"admit_stalls", &TimelinePoint::admit_stalls},
+      {"bank_busy_ns", nullptr, &TimelinePoint::bank_busy_ns},
+  };
+  return columns;
+}
+
 void write_timeline_csv(std::ostream& os, const std::vector<TraceRun>& runs) {
-  os << "run,epoch,start_ns,end_ns,reads,writes,bytes,bandwidth_gbps,"
-        "avg_latency_ns,p50_latency_ns,p95_latency_ns,p99_latency_ns,"
-        "avg_read_queue_occupancy,avg_write_queue_occupancy,write_drains,"
-        "drained_writes,admit_stalls,bank_busy_ns\n";
+  const auto& columns = timeline_columns();
+  os << "run";
+  for (std::size_t c = 0; c < columns.size(); ++c) {
+    os << ',' << columns[c].name;
+    if (c == 0) os << ",start_ns,end_ns";
+  }
+  os << '\n';
   for (const TraceRun& run : runs) {
     if (!run.collector) continue;
     for (const TimelinePoint& p : run.collector->timeline()) {
-      os << run.label << ',' << p.epoch << ',' << p.start_ps / 1000 << ','
-         << p.end_ps / 1000 << ',' << p.reads << ',' << p.writes << ','
-         << p.bytes << ',' << fmt_double(p.bandwidth_gbps) << ','
-         << fmt_double(p.avg_latency_ns) << ',' << fmt_double(p.p50_latency_ns)
-         << ',' << fmt_double(p.p95_latency_ns) << ','
-         << fmt_double(p.p99_latency_ns) << ','
-         << fmt_double(p.avg_read_queue_occupancy) << ','
-         << fmt_double(p.avg_write_queue_occupancy) << ',' << p.write_drains
-         << ',' << p.drained_writes << ',' << p.admit_stalls << ','
-         << fmt_double(p.bank_busy_ns) << '\n';
+      os << run.label;
+      for (std::size_t c = 0; c < columns.size(); ++c) {
+        const TimelineColumn& column = columns[c];
+        os << ',';
+        if (column.count) {
+          os << p.*column.count;
+        } else {
+          os << fmt_double(p.*column.real);
+        }
+        if (c == 0) os << ',' << p.start_ps / 1000 << ',' << p.end_ps / 1000;
+      }
+      os << '\n';
     }
   }
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -37,9 +38,23 @@ struct TraceRun {
 /// monotonically ordered — scripts/validate_trace.py checks both.
 void write_chrome_trace(std::ostream& os, const std::vector<TraceRun>& runs);
 
+/// One scalar TimelinePoint column as the report writers print it;
+/// exactly one of `count` and `real` is set.
+struct TimelineColumn {
+  const char* name;
+  std::uint64_t TimelinePoint::*count = nullptr;
+  double TimelinePoint::*real = nullptr;
+};
+
+/// `epoch`, then `reads` through `bank_busy_ns`: the columns the JSON
+/// report's `timeline` objects and the timeline CSV share. Each writer
+/// adds its own epoch bounds after `epoch` (`start_ps`/`end_ps` in JSON,
+/// `start_ns`/`end_ns` in CSV) and its own number format.
+const std::vector<TimelineColumn>& timeline_columns();
+
 /// Writes every run's merged timeline as one CSV (header + one row per
-/// run × epoch, runs in order, epochs ascending). Columns match the
-/// JSON report's `timeline` objects, prefixed by the run label.
+/// run × epoch, runs in order, epochs ascending): the run label, then
+/// timeline_columns() with the epoch bounds in nanoseconds.
 void write_timeline_csv(std::ostream& os, const std::vector<TraceRun>& runs);
 
 }  // namespace comet::telemetry

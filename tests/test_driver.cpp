@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -24,7 +25,10 @@
 #include "driver/registry.hpp"
 #include "driver/report.hpp"
 #include "driver/sweep.hpp"
+#include "memsim/metrics.hpp"
 #include "memsim/trace.hpp"
+#include "memsim/trace_gen.hpp"
+#include "prof/profiler.hpp"
 #include "sched/controller.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -410,6 +414,32 @@ TEST(ReportTest, JsonRecordsTraceFile) {
   EXPECT_NE(os.str().find("\"trace_file\": \"" + file.path() + "\""),
             std::string::npos)
       << os.str();
+}
+
+TEST(ReportTest, JsonEscapesControlCharactersInStrings) {
+  comet::driver::SweepJob job;
+  job.device = comet::driver::make_device_spec("comet");
+  job.profile = comet::memsim::profile_by_name("gcc_like");
+  job.trace_path = "dir/t\tab\nline\x01.nvt";
+  std::ostringstream os;
+  comet::driver::write_json(os, {job}, {comet::memsim::SimStats{}});
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"trace_file\": \"dir/t\\tab\\nline\\u0001.nvt\""),
+            std::string::npos)
+      << json;
+  // The only raw control characters are the layout newlines a plain
+  // path gets too.
+  job.trace_path = "plain.nvt";
+  std::ostringstream plain;
+  comet::driver::write_json(plain, {job}, {comet::memsim::SimStats{}});
+  for (const char c : json) {
+    if (static_cast<unsigned char>(c) < 0x20) {
+      EXPECT_EQ(c, '\n');
+    }
+  }
+  const std::string plain_json = plain.str();
+  EXPECT_EQ(std::count(json.begin(), json.end(), '\n'),
+            std::count(plain_json.begin(), plain_json.end(), '\n'));
 }
 
 TEST(RegistryTest, HybridTokensAreDistinctFromFlatOnes) {
@@ -1001,7 +1031,7 @@ std::vector<KnobCase> knob_cases() {
              return spec.profile.progress_ms == 250u;
            }},
       {.flag = "--assert-slo",
-       .valid = "p99_read_ns<=2500",
+       .valid = "p99_read_latency_ns<=2500",
        .bounds = {{"", false}, {"nope<=1", false}, {"wall_s<=3600", true}},
        .landed =
            [](const ExperimentSpec& spec) {
@@ -1133,6 +1163,194 @@ TEST(KnobTableTest, EveryRowHasAPropertyCase) {
         });
     EXPECT_TRUE(covered) << knob.flag;
   }
+}
+
+// ------------------------------------------------------ metric table
+//
+// One case per row of memsim::metrics(): the row's JSON placement, its
+// --assert-slo spelling, its applicability and its degenerate value are
+// checked against real write_json records.
+
+namespace ms = comet::memsim;
+
+/// One written record and the inputs that produced it.
+struct MetricRecord {
+  std::string label;
+  ms::SimStats stats;
+  std::unique_ptr<comet::prof::Profiler> host;
+  std::string json;
+
+  /// The text between `begin` and `end` (empty when `begin` is absent).
+  std::string region(const std::string& begin, const std::string& end) const {
+    const auto from = json.find(begin);
+    if (from == std::string::npos) return "";
+    return json.substr(from, json.find(end, from) - from);
+  }
+
+  /// The `"key": ` pairs written at `place`: the top-level metric block
+  /// between the provenance fields and "sched", the tenants object
+  /// before "streams" and the host object before "stages".
+  std::string at(ms::MetricPlace place) const {
+    switch (place) {
+      case ms::MetricPlace::kRecord:
+        return region("\"config_file\"", "\"sched\"");
+      case ms::MetricPlace::kTenants:
+        return region("\"tenants\": {", "\"streams\"");
+      case ms::MetricPlace::kHost:
+        return region("\"host\": {", "\"stages\"");
+      case ms::MetricPlace::kNone: return "";
+    }
+    return "";
+  }
+};
+
+/// A flat, a hybrid, a multi-tenant and a profiled record.
+const std::vector<MetricRecord>& metric_records() {
+  static const std::vector<MetricRecord> records = [] {
+    const std::pair<const char*, std::vector<std::string>> runs[] = {
+        {"flat", {"--device", "comet", "--workload", "gcc_like"}},
+        {"hybrid", {"--device", "hybrid-comet", "--workload", "gcc_like"}},
+        {"tenants",
+         {"--device", "comet", "--tenants", "a=gcc_like,b=lbm_like"}},
+        {"profiled",
+         {"--device", "comet", "--workload", "gcc_like", "--profile"}},
+    };
+    std::vector<MetricRecord> out;
+    for (auto [label, args] : runs) {
+      args.insert(args.end(), {"--requests", "300"});
+      const auto jobs = build_matrix(parse_args(args).spec);
+      auto profilers = comet::driver::make_profilers(jobs);
+      const auto results = run_sweep(jobs, 1, nullptr, &profilers);
+      std::ostringstream os;
+      comet::driver::write_json(os, jobs, results, nullptr, &profilers);
+      out.push_back({label, results.front(), std::move(profilers.front()),
+                     os.str()});
+    }
+    return out;
+  }();
+  return records;
+}
+
+std::size_t occurrences(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (auto at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+class MetricRow : public ::testing::TestWithParam<std::string> {
+ protected:
+  const ms::Metric& metric() const { return ms::metric_by_name(GetParam()); }
+};
+
+// (a) Written exactly once at its place, and at no other place.
+TEST_P(MetricRow, JsonWritesItOnceAtItsPlace) {
+  const std::string key = "\"" + GetParam() + "\": ";
+  bool written = false;
+  for (const MetricRecord& record : metric_records()) {
+    const ms::MetricInput in{record.stats, record.host.get()};
+    for (const auto place : {ms::MetricPlace::kRecord,
+                             ms::MetricPlace::kTenants,
+                             ms::MetricPlace::kHost}) {
+      const std::string region = record.at(place);
+      if (place != metric().place) {
+        EXPECT_EQ(occurrences(region, key), 0u) << record.label;
+      } else if (!region.empty()) {
+        EXPECT_EQ(occurrences(region, key), 1u) << record.label;
+        EXPECT_NE(region.find(key + metric().json(in)), std::string::npos)
+            << record.label;
+        written = true;
+      }
+    }
+    // Where the row applies, its object is in the record.
+    if (metric().place != ms::MetricPlace::kNone && metric().applies(in)) {
+      EXPECT_FALSE(record.at(metric().place).empty()) << record.label;
+    }
+  }
+  EXPECT_EQ(written, metric().place != ms::MetricPlace::kNone);
+}
+
+// (b) --assert-slo accepts the JSON name.
+TEST_P(MetricRow, AssertSloAcceptsTheName) {
+  const auto spec = parse_args({"--assert-slo", GetParam() + ">=0"}).spec;
+  ASSERT_EQ(spec.profile.slo.size(), 1u);
+  EXPECT_EQ(spec.profile.slo[0].metric, GetParam());
+}
+
+// (c) Outside its scope a predicate is skipped, not failed; inside it
+// the same impossible predicate fails.
+TEST_P(MetricRow, InapplicableRecordsSkipThePredicate) {
+  const auto impossible = comet::prof::parse_slo(GetParam() + "==-12345.5");
+  bool applied = false;
+  for (const MetricRecord& record : metric_records()) {
+    const auto outcome =
+        ms::evaluate_slo(impossible, {record.stats, record.host.get()}).front();
+    EXPECT_EQ(outcome.pass, !outcome.applicable) << record.label;
+    applied = applied || outcome.applicable;
+  }
+  EXPECT_TRUE(applied) << "no record in scope";
+  const ms::SimStats empty;
+  const auto outcome = ms::evaluate_slo(impossible, {empty}).front();
+  EXPECT_EQ(outcome.applicable,
+            metric().scope == ms::MetricScope::kAlways);
+  EXPECT_EQ(outcome.pass, !outcome.applicable);
+}
+
+// (d) Empty stats with zero wall time give finite values everywhere.
+TEST_P(MetricRow, EmptyStatsGiveFiniteValues) {
+  const ms::SimStats empty;
+  comet::prof::Profiler untimed{comet::prof::ProfSpec{}};
+  untimed.set_run_totals(0.0, 0);
+  for (const ms::MetricInput& in :
+       {ms::MetricInput{empty}, ms::MetricInput{empty, &untimed}}) {
+    EXPECT_TRUE(std::isfinite(metric().number(in)));
+    const std::string json = metric().json(in);
+    EXPECT_EQ(json.find_first_of("ni"), std::string::npos) << json;
+    EXPECT_FALSE(metric().cell(in).empty());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MetricTable, MetricRow,
+    ::testing::ValuesIn([] {
+      std::vector<std::string> names;
+      for (const ms::Metric& metric : ms::metrics()) {
+        names.emplace_back(metric.name);
+      }
+      return names;
+    }()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
+TEST(MetricTableTest, NamesAreUniqueAndConsoleColumnsAreOrdered) {
+  std::vector<std::string> names;
+  for (const ms::Metric& metric : ms::metrics()) {
+    names.emplace_back(metric.name);
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
+
+  // The console tables keep their headers: the per-run table and the
+  // hybrid tier table read the rows' columns.
+  std::ostringstream os;
+  const MetricRecord& flat = metric_records()[0];
+  const MetricRecord& hybrid = metric_records()[1];
+  comet::driver::SweepJob job;
+  job.device = comet::driver::make_device_spec("hybrid-comet");
+  job.profile = comet::memsim::profile_by_name("gcc_like");
+  comet::driver::print_report(os, {job, job}, {flat.stats, hybrid.stats},
+                              /*csv=*/true);
+  EXPECT_NE(os.str().find("device,workload,BW (GB/s),EPB (pJ/bit),"
+                          "read lat (ns),write lat (ns),queue (ns)\n"),
+            std::string::npos)
+      << os.str();
+  EXPECT_NE(os.str().find("device,workload,hit rate,writebacks,"
+                          "DRAM tier (pJ),backend tier (pJ)\n"),
+            std::string::npos)
+      << os.str();
 }
 
 }  // namespace

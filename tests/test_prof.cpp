@@ -1,10 +1,11 @@
-// Host-side observability tests (src/prof + driver/slo_eval). The
+// Host-side observability tests (src/prof + the SLO evaluation in
+// memsim/metrics). The
 // load-bearing gate mirrors test_sharded.cpp: attaching a Profiler must
 // never change the simulated statistics — exact SimStats ==, for every
 // registry device (flat and hybrid), scheduled and direct, at thread
 // counts {1, 2, 8} — and every engine kind must report the same replay
-// stages. Around it: the SLO grammar (parse errors,
-// round-trip printing, registry/evaluator agreement), degenerate runs
+// stages. Around it: the SLO grammar (parse errors, metric-name
+// validation, round-trip printing), SLO evaluation, degenerate runs
 // (zero and single-request sweeps with profiling and heartbeat on,
 // empty-stats gating without division blowups) and the heartbeat
 // thread's lifecycle including an unknown (0) request total.
@@ -19,9 +20,11 @@
 #include <string>
 #include <vector>
 
+#include "config/serialize.hpp"
+#include "config/toml.hpp"
 #include "driver/registry.hpp"
-#include "driver/slo_eval.hpp"
 #include "driver/sweep.hpp"
+#include "memsim/metrics.hpp"
 #include "memsim/sharded.hpp"
 #include "memsim/stats.hpp"
 #include "memsim/trace_gen.hpp"
@@ -36,6 +39,25 @@ namespace dr = comet::driver;
 namespace sc = comet::sched;
 
 namespace {
+
+/// An `[slo]` document read by the config reader both front ends use:
+/// the grammar plus the metric-name check.
+pf::ProfSpec read_slo(const std::string& assertion) {
+  const auto doc = comet::config::toml::parse_string(
+      "[slo]\nassert = \"" + assertion + "\"\n", "slo.toml");
+  pf::ProfSpec spec;
+  comet::config::parse_slo_section(doc.root.children.at("slo"), doc.source,
+                                   spec);
+  return spec;
+}
+
+/// A profiler that timed the job at `wall_s` seconds.
+std::unique_ptr<pf::Profiler> timed_host(double wall_s,
+                                         std::uint64_t requests) {
+  auto host = std::make_unique<pf::Profiler>(pf::ProfSpec{});
+  host->set_run_totals(wall_s, requests);
+  return host;
+}
 
 pf::ProfSpec profiling_spec() {
   pf::ProfSpec spec;
@@ -64,10 +86,10 @@ ms::SimStats run_spec(const dr::DeviceSpec& spec,
 
 TEST(SloParse, AcceptsEveryOperatorAndScientificThresholds) {
   const auto slo = pf::parse_slo(
-      " p99_read_ns <= 2500 , requests_per_s>=5e6, hit_rate>0.5,"
+      " p99_read_latency_ns <= 2500 , requests_per_s>=5e6, hit_rate>0.5,"
       "max_slowdown<3.0,wall_s==1.25e-1 ");
   ASSERT_EQ(slo.size(), 5u);
-  EXPECT_EQ(slo[0].metric, "p99_read_ns");
+  EXPECT_EQ(slo[0].metric, "p99_read_latency_ns");
   EXPECT_EQ(slo[0].op, pf::SloPredicate::Op::kLe);
   EXPECT_EQ(slo[0].threshold, 2500.0);
   EXPECT_EQ(slo[1].op, pf::SloPredicate::Op::kGe);
@@ -79,15 +101,60 @@ TEST(SloParse, AcceptsEveryOperatorAndScientificThresholds) {
 }
 
 TEST(SloParse, RejectsMalformedPredicates) {
-  EXPECT_THROW(pf::parse_slo("bogus_metric<=1"), std::invalid_argument);
-  EXPECT_THROW(pf::parse_slo("p99_read_ns"), std::invalid_argument);
-  EXPECT_THROW(pf::parse_slo("p99_read_ns<="), std::invalid_argument);
-  EXPECT_THROW(pf::parse_slo("p99_read_ns<=abc"), std::invalid_argument);
-  EXPECT_THROW(pf::parse_slo("p99_read_ns<=1e"), std::invalid_argument);
-  EXPECT_THROW(pf::parse_slo("p99_read_ns<=nan"), std::invalid_argument);
+  // The metric name is checked against the metric table when the config
+  // is read, still before any run starts.
+  EXPECT_THROW(read_slo("bogus_metric<=1"), comet::config::toml::ParseError);
+  EXPECT_THROW(pf::parse_slo("p99_read_latency_ns"), std::invalid_argument);
+  EXPECT_THROW(pf::parse_slo("p99_read_latency_ns<="), std::invalid_argument);
+  EXPECT_THROW(pf::parse_slo("p99_read_latency_ns<=abc"),
+               std::invalid_argument);
+  EXPECT_THROW(pf::parse_slo("p99_read_latency_ns<=1e"),
+               std::invalid_argument);
+  EXPECT_THROW(pf::parse_slo("p99_read_latency_ns<=nan"),
+               std::invalid_argument);
   EXPECT_THROW(pf::parse_slo("<=1"), std::invalid_argument);
   EXPECT_THROW(pf::parse_slo("a<=1,,b>=2"), std::invalid_argument);
-  EXPECT_THROW(pf::parse_slo("p99_read_ns<=1,"), std::invalid_argument);
+  EXPECT_THROW(pf::parse_slo("p99_read_latency_ns<=1,"),
+               std::invalid_argument);
+  // The same malformed predicates fail through the config reader.
+  EXPECT_THROW(read_slo("p99_read_latency_ns<=abc"),
+               comet::config::toml::ParseError);
+  EXPECT_EQ(read_slo("p99_read_latency_ns<=2500").slo.size(), 1u);
+}
+
+TEST(SloParse, OldNamesSuggestTheirJsonSpelling) {
+  const std::pair<const char*, const char*> renamed[] = {
+      {"avg_read_ns", "avg_read_latency_ns"},
+      {"avg_write_ns", "avg_write_latency_ns"},
+      {"p50_read_ns", "p50_read_latency_ns"},
+      {"p95_read_ns", "p95_read_latency_ns"},
+      {"p99_read_ns", "p99_read_latency_ns"},
+      {"p50_write_ns", "p50_write_latency_ns"},
+      {"p95_write_ns", "p95_write_latency_ns"},
+      {"p99_write_ns", "p99_write_latency_ns"},
+  };
+  for (const auto& [old_name, json_name] : renamed) {
+    try {
+      read_slo(std::string(old_name) + "<=1");
+      ADD_FAILURE() << old_name << " was accepted";
+    } catch (const comet::config::toml::ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("did you mean '") +
+                                           json_name + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // A name nothing resembles gets the full list and no guess.
+  try {
+    ms::metric_by_name("bogus_metric");
+    ADD_FAILURE() << "bogus_metric was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.find("did you mean"), std::string::npos) << what;
+    for (const ms::Metric& metric : ms::metrics()) {
+      EXPECT_NE(what.find(metric.name), std::string::npos) << metric.name;
+    }
+  }
 }
 
 TEST(SloParse, EmptyListMeansNoGating) {
@@ -96,7 +163,8 @@ TEST(SloParse, EmptyListMeansNoGating) {
 
 TEST(SloParse, ToStringRoundTripsThroughTheParser) {
   const std::string text =
-      "p99_read_ns<=2500,requests_per_s>=5e6,max_slowdown<3,hit_rate>0.55";
+      "p99_read_latency_ns<=2500,requests_per_s>=5e6,max_slowdown<3,"
+      "hit_rate>0.55";
   const auto first = pf::parse_slo(text);
   const auto second = pf::parse_slo(pf::slo_to_string(first));
   ASSERT_EQ(first.size(), second.size());
@@ -106,42 +174,13 @@ TEST(SloParse, ToStringRoundTripsThroughTheParser) {
     EXPECT_EQ(first[i].threshold, second[i].threshold);
   }
   // Integral thresholds print as integers, not scientific notation.
-  EXPECT_EQ(first[0].to_string(), "p99_read_ns<=2500");
+  EXPECT_EQ(first[0].to_string(), "p99_read_latency_ns<=2500");
+  // The rest print in their shortest round-trip form.
+  EXPECT_EQ(pf::parse_slo("hit_rate>0.1")[0].to_string(), "hit_rate>0.1");
+  EXPECT_EQ(pf::parse_slo("wall_s<1e20")[0].to_string(), "wall_s<1e+20");
 }
 
-// ------------------------------------- registry/evaluator agreement
-
-TEST(SloEval, EveryRegistryMetricHasAnEvaluatorMapping) {
-  // A record where every metric class is live: hybrid + multi-tenant
-  // stats and a nonzero host wall clock. Every name the grammar accepts
-  // must then evaluate as applicable — a metric added to kMetrics
-  // without a driver mapping fails here.
-  ms::SimStats stats;
-  stats.hybrid = true;
-  stats.tenants.emplace_back();
-  for (const auto& name : pf::known_slo_metrics()) {
-    const auto slo = pf::parse_slo(name + "<=1e300");
-    const auto outcomes = dr::evaluate_slo(slo, stats, /*wall_s=*/1.0);
-    ASSERT_EQ(outcomes.size(), 1u);
-    EXPECT_TRUE(outcomes[0].applicable) << name;
-    EXPECT_TRUE(outcomes[0].pass) << name;
-  }
-}
-
-TEST(SloEval, EmptyStatsNeverDivideByZero) {
-  // Degenerate gating: zero requests, zero wall clock. Every metric
-  // must produce a finite value (or be skipped), never NaN/inf.
-  const ms::SimStats stats;
-  for (const auto& name : pf::known_slo_metrics()) {
-    const auto slo = pf::parse_slo(name + ">=0");
-    const auto outcomes = dr::evaluate_slo(slo, stats, /*wall_s=*/0.0);
-    ASSERT_EQ(outcomes.size(), 1u);
-    EXPECT_TRUE(std::isfinite(outcomes[0].value)) << name;
-    if (outcomes[0].applicable) {
-      EXPECT_TRUE(outcomes[0].pass) << name;
-    }
-  }
-}
+// ------------------------------------------------- SLO evaluation
 
 TEST(SloEval, InapplicableMetricsAreSkippedNotViolated) {
   // Flat single-stream record: hit_rate / max_slowdown / fairness and
@@ -151,25 +190,27 @@ TEST(SloEval, InapplicableMetricsAreSkippedNotViolated) {
   const auto slo = pf::parse_slo(
       "hit_rate>=1,max_slowdown<=0,fairness_index>=1,"
       "requests_per_s>=1e12,wall_s<=0");
-  const auto outcomes = dr::evaluate_slo(slo, stats, /*wall_s=*/0.0);
+  const auto outcomes = ms::evaluate_slo(slo, {stats});
   for (const auto& outcome : outcomes) {
     EXPECT_FALSE(outcome.applicable) << outcome.predicate.metric;
     EXPECT_TRUE(outcome.pass) << outcome.predicate.metric;
   }
-  EXPECT_FALSE(dr::slo_violated(outcomes));
+  EXPECT_FALSE(ms::slo_violated(outcomes));
 }
 
 TEST(SloEval, ViolationIsDetectedAndNamed) {
   ms::SimStats stats;
   stats.reads = 100;
   stats.read_latency_ns.add(5000.0);
-  const auto slo = pf::parse_slo("p99_read_ns<=1,avg_queue_delay_ns>=0");
-  const auto outcomes = dr::evaluate_slo(slo, stats, /*wall_s=*/0.5);
+  const auto slo =
+      pf::parse_slo("p99_read_latency_ns<=1,avg_queue_delay_ns>=0");
+  const auto host = timed_host(0.5, 100);
+  const auto outcomes = ms::evaluate_slo(slo, {stats, host.get()});
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_FALSE(outcomes[0].pass);
   EXPECT_TRUE(outcomes[1].pass);
-  EXPECT_TRUE(dr::slo_violated(outcomes));
-  EXPECT_EQ(outcomes[0].predicate.to_string(), "p99_read_ns<=1");
+  EXPECT_TRUE(ms::slo_violated(outcomes));
+  EXPECT_EQ(outcomes[0].predicate.to_string(), "p99_read_latency_ns<=1");
 }
 
 // -------------------------------------------------- ProfSpec basics
@@ -248,8 +289,8 @@ TEST(DegenerateRuns, ZeroAndSingleRequestAcrossEngineShapes) {
 
       // Gating an empty/near-empty record must not divide by zero.
       const auto outcomes =
-          dr::evaluate_slo(pf::parse_slo("requests_per_s>=0,wall_s>=0"),
-                           stats, profiler.wall_seconds());
+          ms::evaluate_slo(pf::parse_slo("requests_per_s>=0,wall_s>=0"),
+                           {stats, &profiler});
       for (const auto& outcome : outcomes) {
         EXPECT_TRUE(std::isfinite(outcome.value)) << label;
       }

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "driver/registry.hpp"
 #include "memsim/trace_gen.hpp"
 #include "sched/controller.hpp"
+#include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace ms = comet::memsim;
@@ -372,4 +374,35 @@ TEST(TelemetryRecorder, MarksBinIntoEpochCounters) {
   EXPECT_EQ(timeline[1].epoch, 1u);
   EXPECT_EQ(timeline[1].write_drains, 1u);
   EXPECT_EQ(timeline[1].drained_writes, 1u);
+}
+
+// ------------------------------------------------------------ export
+
+TEST(TelemetryExport, ChromeTraceEscapesControlCharactersInRunLabels) {
+  tl::Collector collector(full_spec());
+  collector.add_stage("", 1, 2, 0);
+  std::ostringstream os;
+  tl::write_chrome_trace(os, {{"job0\tcomet/gcc\nlike", &collector}});
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"name\": \"job0\\tcomet/gcc\\nlike channel 0\""),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find('\t'), std::string::npos);
+  EXPECT_EQ(json.find("gcc\nlike"), std::string::npos);
+}
+
+TEST(TelemetryExport, TimelineCsvHeaderListsTheSharedColumns) {
+  tl::TelemetrySpec spec;
+  spec.metrics_interval_ps = 1'000;
+  tl::Collector collector(spec);
+  collector.add_stage("", 1, 2, 0)->record_mark(0, tl::MarkKind::kAdmitStall,
+                                                1'500);
+  std::ostringstream os;
+  tl::write_timeline_csv(os, {{"run", &collector}});
+  EXPECT_EQ(os.str(),
+            "run,epoch,start_ns,end_ns,reads,writes,bytes,bandwidth_gbps,"
+            "avg_latency_ns,p50_latency_ns,p95_latency_ns,p99_latency_ns,"
+            "avg_read_queue_occupancy,avg_write_queue_occupancy,write_drains,"
+            "drained_writes,admit_stalls,bank_busy_ns\n"
+            "run,1,1,2,0,0,0,0,0,0,0,0,0,0,0,0,1,0\n");
 }

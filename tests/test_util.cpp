@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <sstream>
+#include <string>
 
+#include "util/format.hpp"
 #include "util/interp.hpp"
 #include "util/ring.hpp"
 #include "util/rng.hpp"
@@ -362,4 +365,26 @@ TEST(RingQueue, ClearResetsToEmpty) {
   EXPECT_EQ(q.size(), 0u);
   q.push_back(7);
   EXPECT_EQ(q.front(), 7);
+}
+
+TEST(Format, ShortestDoubleRoundTrips) {
+  EXPECT_EQ(comet::util::shortest_double(0.1), "0.1");
+  EXPECT_EQ(comet::util::shortest_double(2500.0), "2.5e+03");
+  EXPECT_EQ(comet::util::shortest_double(1e20), "1e+20");
+  EXPECT_EQ(comet::util::shortest_double(0.0), "0");
+  for (const double v : {1.0 / 3.0, 6596.5683996641455, -2.5e-300, 1e308}) {
+    EXPECT_EQ(std::strtod(comet::util::shortest_double(v).c_str(), nullptr),
+              v);
+  }
+}
+
+TEST(Format, JsonStringEscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(comet::util::json_string("plain"), "\"plain\"");
+  EXPECT_EQ(comet::util::json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(comet::util::json_string("\b\f\n\r\t"),
+            "\"\\b\\f\\n\\r\\t\"");
+  EXPECT_EQ(comet::util::json_string(std::string("\x01\x1f\0", 3)),
+            "\"\\u0001\\u001f\\u0000\"");
+  EXPECT_EQ(comet::util::json_string("caf\xc3\xa9 \x7f"),
+            "\"caf\xc3\xa9 \x7f\"");
 }
