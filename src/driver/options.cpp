@@ -1,5 +1,6 @@
 #include "driver/options.hpp"
 
+#include <cctype>
 #include <climits>
 #include <cstdint>
 #include <cstdlib>
@@ -159,17 +160,39 @@ void add_tenant_tables(toml::Table& tenant, const std::string& list,
   }
 }
 
+/// True when `text[at]` exists and can continue a config key.
+bool key_char(const std::string& text, std::size_t at) {
+  return at < text.size() &&
+         (std::isalnum(static_cast<unsigned char>(text[at])) != 0 ||
+          text[at] == '_');
+}
+
 /// A schema error in the flags' document, re-spelled for the command
-/// line: quoted keys become their flags, and a value's line — its argv
-/// position — names the flag that set it.
+/// line: keys become their flags, and a value's line — its argv
+/// position — names the flag that set it. Quoted keys are re-spelled
+/// always; bare ones (a section validator's "drain_high_watermark 16
+/// exceeds write_queue_depth 8") only when they are snake_case, which
+/// no English word in a message is.
 std::invalid_argument flag_error(const toml::ParseError& error,
                                  const std::vector<std::string>& args) {
   std::string message = error.message();
   for (const Knob& knob : config::knobs()) {
-    const std::string quoted = "'" + std::string(knob.key) + "'";
-    for (auto at = message.find(quoted); at != std::string::npos;
-         at = message.find(quoted, at)) {
-      message.replace(at, quoted.size(), knob.flag);
+    const std::string key(knob.key), flag(knob.flag);
+    const bool bare = key.find('_') != std::string::npos;
+    for (auto at = message.find(key); at != std::string::npos;
+         at = message.find(key, at)) {
+      const std::size_t end = at + key.size();
+      if (at > 0 && message[at - 1] == '\'' && end < message.size() &&
+          message[end] == '\'') {
+        message.replace(at - 1, key.size() + 2, flag);
+        at += flag.size() - 1;
+      } else if (bare && (at == 0 || !key_char(message, at - 1)) &&
+                 !key_char(message, end)) {
+        message.replace(at, key.size(), flag);
+        at += flag.size();
+      } else {
+        at = end;
+      }
     }
   }
   if (error.line() > 0 && error.line() <= args.size()) {

@@ -1,6 +1,8 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace comet::util {
 namespace {
@@ -79,34 +81,79 @@ double Rng::next_exponential(double mean) {
   return -mean * std::log(u);
 }
 
-std::uint64_t Rng::next_zipf(std::uint64_t n, double s) {
-  if (n <= 1) return 0;
-  // Rejection-inversion sampling (Hörmann & Derflinger) is overkill for the
-  // small ranks trace generators use; inverse-CDF over a harmonic prefix is
-  // exact and fast enough since n here is the hot-set size (<= a few 1000).
-  if (s <= 0.0) return next_below(n);
-  // The k^-s weights (and their left-to-right harmonic sum) depend only
-  // on (n, s), which trace generators hold fixed across millions of
-  // draws — memoize them. The subtraction scan below performs exactly
-  // the same floating-point operations in the same order as computing
-  // the powers inline, so cached and uncached sampling are bit-identical;
-  // only the ~2n std::pow calls per draw disappear.
-  if (zipf_n_ != n || zipf_s_ != s) {
-    zipf_weights_.resize(n);
-    zipf_h_ = 0.0;
-    for (std::uint64_t k = 1; k <= n; ++k) {
-      zipf_weights_[k - 1] = std::pow(double(k), -s);
-      zipf_h_ += zipf_weights_[k - 1];
-    }
-    zipf_n_ = n;
-    zipf_s_ = s;
-  }
-  double u = next_double() * zipf_h_;
+// Why index() may answer for the scan. Write ulp = ulp(H), the spacing
+// of doubles in H's binade, and S_k = w_0 + ... + w_{k-1} exactly.
+//  - Every value either side computes lies in [-H, H]: the prefix sums
+//    only grow up to P_n = H (fl(x + w) is monotone in x), and the
+//    scan's running value u_k = fl(u_{k-1} - w_{k-1}) only falls from
+//    u <= H by steps w <= 1 <= H. So each rounding errs by at most
+//    ulp / 2, and after k steps |u_k - (u - S_k)| <= k * ulp / 2 and
+//    |P_k - S_k| <= k * ulp / 2; hence |u_k - (u - P_k)| <= k * ulp.
+//  - index() finds i with P_i < u <= P_{i+1} and accepts it only when
+//    fl(u - P_i) > tol and fl(P_{i+1} - u) > tol, tol = n * ulp.
+//    Rounding is monotone and tol is a double, so the exact
+//    differences exceed tol too.
+//  - Then for every step k <= i, P_k <= P_i gives
+//    u_k >= u - P_k - k * ulp >= u - P_i - n * ulp > 0: the scan goes
+//    on. At step i + 1, u_{i+1} <= u - P_{i+1} + n * ulp < 0: it stops
+//    at i.
+// So an accepted rank is the scan's rank whatever the guide table says:
+// a poor guide entry only lengthens the search or sends the draw to the
+// scan. The margin is ~1e-11 at n = 4096, so for the built-in profiles
+// the scan runs on a few draws in 10^9.
+ZipfTable::ZipfTable(std::uint64_t n, double s)
+    : s_(s), weights_(n), prefix_(n + 1) {
+  // The left-to-right sum is the scan's H: P_n must equal it bit for bit.
+  prefix_[0] = 0.0;
   for (std::uint64_t k = 1; k <= n; ++k) {
-    u -= zipf_weights_[k - 1];
+    weights_[k - 1] = std::pow(double(k), -s);
+    prefix_[k] = prefix_[k - 1] + weights_[k - 1];
+  }
+  const double h = prefix_[n];
+  if (!std::isfinite(h) || n > std::numeric_limits<std::uint32_t>::max()) {
+    return;
+  }
+  tol_ = double(n) * (std::nextafter(h, HUGE_VAL) - h);
+  // One guide entry per rank. guide_[g] is the first rank whose upper
+  // edge lands in bucket g or later; bucket() is monotone, so no u of
+  // bucket g has a smaller rank. The last edge, H, is in the last
+  // bucket, so the search for each g stops.
+  guide_.resize(n);
+  guide_scale_ = double(n) / h;
+  std::uint32_t i = 0;
+  for (std::uint64_t g = 0; g < n; ++g) {
+    while (bucket(prefix_[i + 1]) < g) ++i;
+    guide_[g] = i;
+  }
+}
+
+std::uint64_t ZipfTable::bucket(double u) const {
+  return std::min<std::uint64_t>(std::uint64_t(u * guide_scale_),
+                                 guide_.size() - 1);
+}
+
+std::uint64_t ZipfTable::index(double u) const {
+  if (guide_.empty()) return kUnsure;
+  std::uint64_t i = guide_[bucket(u)];
+  while (prefix_[i + 1] < u) ++i;  // Stops at P_n = H >= u.
+  if (u - prefix_[i] > tol_ && prefix_[i + 1] - u > tol_) return i;
+  return kUnsure;
+}
+
+std::uint64_t ZipfTable::scan(double u) const {
+  const std::uint64_t n = weights_.size();
+  for (std::uint64_t k = 1; k <= n; ++k) {
+    u -= weights_[k - 1];
     if (u <= 0.0) return k - 1;
   }
   return n - 1;
+}
+
+std::uint64_t Rng::next_zipf(std::uint64_t n, double s) {
+  if (n <= 1) return 0;
+  if (s <= 0.0) return next_below(n);
+  if (zipf_.n() != n || zipf_.s() != s) zipf_ = ZipfTable(n, s);
+  return zipf_.rank(next_double() * zipf_.total());
 }
 
 }  // namespace comet::util

@@ -11,7 +11,8 @@
 # a custom device defined only in a config file runs end-to-end with no
 # registry edit; the committed example specs stay valid; missing files
 # and schema errors exit 2 with file:line diagnostics; --config rejects
-# matrix flags.
+# matrix flags; a section validator's error on the command line names
+# the flags.
 
 if(NOT DEFINED COMET_SIM OR NOT DEFINED WORK_DIR OR NOT DEFINED EXAMPLES_DIR)
   message(FATAL_ERROR "pass -DCOMET_SIM=..., -DWORK_DIR=... and -DEXAMPLES_DIR=...")
@@ -226,5 +227,19 @@ execute_process(
 expect_rc("config/schedule conflict" "${rc}" 2)
 expect_contains("config/schedule conflict" "${err}"
                 "--config cannot be combined")
+
+# --- 7. A section validator's error names the flags, not the keys.
+execute_process(
+  COMMAND ${COMET_SIM} --schedule read-first --write-q 8 --drain-high 16
+  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+expect_rc("watermark above depth" "${rc}" 2)
+expect_contains("watermark above depth" "${err}"
+                "--drain-high 16 exceeds --write-q 8")
+execute_process(
+  COMMAND ${COMET_SIM} --schedule read-first --drain-high 4 --drain-low 6
+  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+expect_rc("inverted watermarks" "${rc}" 2)
+expect_contains("inverted watermarks" "${err}"
+                "0 <= --drain-low <= --drain-high")
 
 message(STATUS "config CLI tests passed")

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/format.hpp"
 #include "util/interp.hpp"
@@ -12,7 +16,9 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
+#include "zipf_scan_reference.hpp"
 
+namespace ct = comet::test;
 namespace cu = comet::util;
 
 // ---------------------------------------------------------------- units
@@ -137,6 +143,138 @@ TEST(Rng, ZipfZeroExponentIsUniformish) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) first_bucket += (rng.next_zipf(10, 0.0) == 0);
   EXPECT_NEAR(first_bucket / double(n), 0.1, 0.02);
+}
+
+// ---------------------------------------------------------------- zipf
+
+namespace {
+
+constexpr std::uint64_t kUnsure = cu::ZipfTable::kUnsure;
+
+// Every built-in profile's (hot set, exponent) at the common line sizes
+// (the generator's hot set is 4096 lines, capped by the working set),
+// plus the smallest and some odd table sizes at the same exponents.
+std::vector<std::pair<std::uint64_t, double>> zipf_cases() {
+  std::set<std::pair<std::uint64_t, double>> cases;
+  for (const auto& profile : comet::memsim::spec_like_profiles()) {
+    if (profile.zipf_exponent <= 0.0) continue;
+    for (const std::uint64_t line_bytes : {64u, 128u}) {
+      cases.emplace(
+          std::min<std::uint64_t>(4096, profile.working_set_bytes / line_bytes),
+          profile.zipf_exponent);
+    }
+  }
+  for (const std::uint64_t n : {2, 3, 64, 1000}) {
+    for (const double s : ct::profile_exponents()) cases.emplace(n, s);
+  }
+  return {cases.begin(), cases.end()};
+}
+
+}  // namespace
+
+TEST(ZipfTable, TotalIsTheScansSum) {
+  for (const auto& [n, s] : zipf_cases()) {
+    const cu::ZipfTable table(n, s);
+    const ct::ScanZipf ref(n, s);
+    ASSERT_EQ(table.prefix().size(), n + 1);
+    EXPECT_EQ(table.total(), ref.h) << "n=" << n << " s=" << s;
+    EXPECT_EQ(table.tolerance(),
+              double(n) * (std::nextafter(ref.h, HUGE_VAL) - ref.h));
+  }
+}
+
+// Walks every bucket edge P_k of every case: at P_k, 1..4 ulps either
+// side, at P_k +- tolerance and just beyond it, the rank equals the
+// scan's. Inside the tolerance index() must defer to the scan; in the
+// middle of a wide bucket it must answer by itself.
+TEST(ZipfTable, EveryBucketEdgeMatchesTheScan) {
+  std::uint64_t deferred = 0, answered = 0;
+  for (const auto& [n, s] : zipf_cases()) {
+    const cu::ZipfTable table(n, s);
+    const ct::ScanZipf ref(n, s);
+    const auto& p = table.prefix();
+    const double h = table.total(), tol = table.tolerance();
+    const auto probe = [&](double edge, double u) {
+      if (!(u >= 0.0 && u <= h)) return;
+      const std::uint64_t expected = ref.scan(u);
+      ASSERT_EQ(table.rank(u), expected)
+          << "n=" << n << " s=" << s << " u=" << u;
+      const std::uint64_t fast = table.index(u);
+      if (std::fabs(u - edge) <= tol) {
+        EXPECT_EQ(fast, kUnsure) << "n=" << n << " s=" << s << " u=" << u;
+        deferred += fast == kUnsure;
+      } else if (fast != kUnsure) {
+        EXPECT_EQ(fast, expected) << "n=" << n << " s=" << s << " u=" << u;
+      }
+    };
+    for (std::uint64_t k = 0; k <= n; ++k) {
+      probe(p[k], p[k]);
+      double up = p[k], down = p[k];
+      for (int step = 1; step <= 4; ++step) {
+        up = std::nextafter(up, HUGE_VAL);
+        down = std::nextafter(down, -HUGE_VAL);
+        probe(p[k], up);
+        probe(p[k], down);
+      }
+      for (const double u : {p[k] + tol, p[k] - tol}) {
+        probe(p[k], u);
+        probe(p[k], std::nextafter(u, HUGE_VAL));
+        probe(p[k], std::nextafter(u, -HUGE_VAL));
+      }
+      if (k == n) continue;
+      const double mid = p[k] + (p[k + 1] - p[k]) / 2;
+      probe(p[k], mid);
+      if (mid - p[k] > tol && p[k + 1] - mid > tol) {
+        EXPECT_EQ(table.index(mid), k) << "n=" << n << " s=" << s;
+        ++answered;
+      }
+    }
+  }
+  EXPECT_GT(deferred, 0u);  // The scan fallback fired.
+  EXPECT_GT(answered, 0u);  // So did the indexed search.
+}
+
+// Seeded draws of next_zipf against the scan over the old cached table,
+// at every profile exponent on the generator's 4096-line hot set. The
+// two generators must also stay in step: one uniform per draw.
+class ZipfDraws : public ::testing::TestWithParam<double> {};
+
+TEST_P(ZipfDraws, MatchTheScan) {
+  const double s = GetParam();
+  const std::uint64_t n = 4096;
+  const ct::ScanZipf ref(n, s);
+  const std::uint64_t seed = 42 + std::uint64_t(s * 100);
+  cu::Rng rng(seed), ref_rng(seed);
+  std::uint64_t mismatches = 0;
+  for (int i = 0; i < 2'000'000; ++i) {
+    mismatches += rng.next_zipf(n, s) != ref.draw(ref_rng);
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());
+}
+
+INSTANTIATE_TEST_SUITE_P(ProfileExponents, ZipfDraws,
+                         ::testing::ValuesIn(ct::profile_exponents()));
+
+// One Rng switching between (n, s) pairs rebuilds its table each time;
+// n <= 1 and s <= 0 bypass the table and must not disturb it.
+TEST(Rng, ZipfAlternatingParametersMatchTheScan) {
+  const std::vector<std::uint64_t> ns = {4096, 4096, 64, 1, 3, 4096, 2, 1000};
+  const std::vector<double> ss = {0.9, 0.6, 0.6, 0.9, 0.8, 0.0, 1.1, 0.8};
+  std::vector<ct::ScanZipf> refs;
+  for (std::size_t c = 0; c < ns.size(); ++c) refs.emplace_back(ns[c], ss[c]);
+  cu::Rng rng(5), ref_rng(5);
+  for (int i = 0; i < 200'000; ++i) {
+    const std::size_t c = (i / 97) % ns.size();
+    const std::uint64_t n = ns[c];
+    const double s = ss[c];
+    std::uint64_t expected = 0;
+    if (n > 1) {
+      expected = s > 0.0 ? refs[c].draw(ref_rng) : ref_rng.next_below(n);
+    }
+    ASSERT_EQ(rng.next_zipf(n, s), expected) << "draw " << i;
+  }
+  EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());
 }
 
 // ---------------------------------------------------------------- interp
