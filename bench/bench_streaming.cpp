@@ -9,7 +9,10 @@
 //     (any mismatch exits 1) — the same invariant tests/test_sharded.cpp
 //     proves on small traces, re-checked here at bench scale;
 //   - the sharded-vs-serial speedup on the 8-channel COMET is printed
-//     but not gated.
+//     but not gated;
+//   - flat_serial_tracefile replays the same trace from an NVMain text
+//     file, written before timing, so its cell measures the trace
+//     reader; its stats must equal flat_serial's.
 //
 // Every phase lands in BENCH_streaming.json (bench/bench_json.hpp
 // schema); CI's perf lane diffs requests_per_s against the committed
@@ -17,10 +20,14 @@
 //
 // Usage: bench_streaming [requests]   (default: 10,000,000)
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -30,6 +37,7 @@
 #include "bench_json.hpp"
 #include "driver/registry.hpp"
 #include "memsim/sharded.hpp"
+#include "memsim/trace.hpp"
 #include "memsim/trace_gen.hpp"
 #include "prof/profiler.hpp"
 #include "telemetry/telemetry.hpp"
@@ -127,6 +135,31 @@ int main(int argc, char** argv) {
     return engine->run(trace, profile.name);
   }));
 
+  // Trace-file replay: the same trace written as an NVMain text file
+  // (outside the timed region) and streamed back through
+  // TraceFileSource. At 1000 GHz a cycle is one picosecond, so the text
+  // round trip is exact and the stats must equal flat_serial's; its
+  // req/s against flat_serial is the cost of parsing the file.
+  const ms::TraceConfig text_config{.cpu_clock_ghz = 1000.0,
+                                    .line_bytes = kLineBytes};
+  const std::string trace_path =
+      (std::filesystem::temp_directory_path() /
+       ("bench_streaming_" + std::to_string(::getpid()) + ".nvt"))
+          .string();
+  {
+    std::ofstream out(trace_path);
+    ms::write_trace(out, trace, text_config);
+    if (!out) {
+      std::cerr << "cannot write " << trace_path << "\n";
+      return 1;
+    }
+  }
+  phases.push_back(timed_phase("flat_serial_tracefile", 1, [&] {
+    ms::TraceFileSource source(trace_path, text_config);
+    return flat.make_engine(std::nullopt, 1)->run(source, profile.name);
+  }));
+  std::remove(trace_path.c_str());
+
   Table table({"phase", "threads", "time (s)", "req/s", "BW (GB/s)",
                "EPB (pJ/bit)"});
   for (const auto& phase : phases) {
@@ -150,8 +183,10 @@ int main(int argc, char** argv) {
     ok = ok && match;
   }
   // Observation must not perturb: the instrumented replays reproduce
-  // the uninstrumented stats exactly.
-  for (const std::size_t observed : {std::size_t{4}, std::size_t{5}}) {
+  // the uninstrumented stats exactly, and so does the replay of the
+  // same trace read back from its text file.
+  for (const std::size_t observed : {std::size_t{4}, std::size_t{5},
+                                     std::size_t{6}}) {
     const bool match = phases[0].stats == phases[observed].stats;
     std::cout << "\nflat_serial vs " << phases[observed].label << ": "
               << (match ? "bit-identical" : "MISMATCH");

@@ -1,6 +1,8 @@
 #include "memsim/trace.hpp"
 
+#include <cstring>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -55,11 +57,13 @@ TraceRecord parse_record(const std::string& context, std::uint64_t line_no,
 }
 
 /// The cycle-count analogue of check_arrival_order, with the trace
-/// line's position and text in place of the request index.
-void check_cycle_order(const std::string& context, std::uint64_t line_no,
-                       const std::string& line, std::uint64_t prev_cycle,
-                       std::uint64_t cycle) {
-  if (cycle >= prev_cycle) return;
+/// line's position and text in place of the request index. Called only
+/// once the order has failed, so a good line never builds its text.
+[[noreturn]] void cycle_order_error(const std::string& context,
+                                    std::uint64_t line_no,
+                                    const std::string& line,
+                                    std::uint64_t prev_cycle,
+                                    std::uint64_t cycle) {
   std::ostringstream msg;
   msg << context << ": non-monotonic cycle at line " << line_no << ": '"
       << line << "' arrives at cycle " << cycle
@@ -67,8 +71,96 @@ void check_cycle_order(const std::string& context, std::uint64_t line_no,
   throw std::runtime_error(msg.str());
 }
 
+/// 2^64: the first picosecond count an arrival_ps cannot hold.
+constexpr double kArrivalLimitPs = 18446744073709551616.0;
+
+[[noreturn]] void arrival_overflow_error(const std::string& context,
+                                         std::uint64_t line_no,
+                                         const std::string& line,
+                                         std::uint64_t cycle,
+                                         double cpu_clock_ghz) {
+  std::ostringstream msg;
+  msg << context << ": arrival overflow at line " << line_no << ": '" << line
+      << "' arrives at cycle " << cycle << ", which at " << cpu_clock_ghz
+      << " GHz is past 2^64 ps";
+  throw std::runtime_error(msg.str());
+}
+
+bool is_blank(char c) { return c == ' ' || c == '\t'; }
+
+int hex_value(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
+
+/// The fast path: parses a record line of the canonical form
+///
+///     <1-19 decimal digits> [ \t]+ <R|r|W|w> [ \t]+ [0x|0X]<1-16 hex digits>
+///
+/// followed by the end of the line, a space, a tab or '\r' (anything
+/// after that is ignored). Returns false, leaving `rec` untouched, for
+/// every other line; those go to parse_record.
+///
+/// Why the two paths agree. The fast path only answers lines it
+/// accepts, so it suffices that parse_record returns the same record
+/// for each of them (it then cannot throw either):
+///   - `ls >> rec.cycle` has no whitespace to skip (the line starts with
+///     a digit) and reads the digit run up to the space or tab after it.
+///     At most 19 digits are below 10^19 < 2^64, so it cannot overflow
+///     and its value is the one accumulated here. No sign is accepted
+///     here, so stream extraction's sign handling never arises, and the
+///     program never leaves the classic "C" locale, so no grouping.
+///   - `>> op` skips the spaces and tabs and reads to the next
+///     whitespace. A space or tab must follow the letter, so the token
+///     is that one letter, which parse_record maps to the same Op.
+///   - `>> addr` skips the spaces and tabs and reads to the next
+///     whitespace or the end of the line. Space, tab and '\r' are
+///     whitespace, so the token is exactly the optional prefix and the
+///     hex digits. `stoull(addr, &consumed, 16)` takes a 0x or 0X that is
+///     followed by a hex digit as the base prefix, consumes every digit
+///     (consumed == addr.size()) and cannot overflow (16 hex digits fit
+///     in 64 bits), so its value is the one accumulated here.
+///   - Both ignore whatever follows the address.
+bool parse_canonical(const char* p, const char* end, TraceRecord& rec) {
+  const char* const cycle_begin = p;
+  std::uint64_t cycle = 0;
+  while (p < end && *p >= '0' && *p <= '9') {
+    cycle = cycle * 10 + static_cast<std::uint64_t>(*p - '0');
+    ++p;
+  }
+  if (p == cycle_begin || p - cycle_begin > 19) return false;
+  if (p == end || !is_blank(*p)) return false;
+  while (p < end && is_blank(*p)) ++p;
+  if (p == end) return false;
+  Op op;
+  if (*p == 'R' || *p == 'r') {
+    op = Op::kRead;
+  } else if (*p == 'W' || *p == 'w') {
+    op = Op::kWrite;
+  } else {
+    return false;
+  }
+  ++p;
+  if (p == end || !is_blank(*p)) return false;
+  while (p < end && is_blank(*p)) ++p;
+  if (end - p >= 2 && p[0] == '0' && (p[1] == 'x' || p[1] == 'X')) p += 2;
+  const char* const hex_begin = p;
+  std::uint64_t address = 0;
+  for (int digit; p < end && (digit = hex_value(*p)) >= 0; ++p) {
+    address = address << 4 | static_cast<std::uint64_t>(digit);
+  }
+  if (p == hex_begin || p - hex_begin > 16) return false;
+  if (p != end && !is_blank(*p) && *p != '\r') return false;
+  rec.cycle = cycle;
+  rec.op = op;
+  rec.address = address;
+  return true;
+}
+
 void validate_config(const TraceConfig& config) {
-  if (config.cpu_clock_ghz <= 0.0) {
+  if (!(config.cpu_clock_ghz > 0.0)) {  // NaN too
     throw std::invalid_argument("read_trace: bad cpu clock");
   }
   if (config.line_bytes == 0) {
@@ -100,42 +192,117 @@ TraceFileSource::TraceFileSource(std::istream& in, const TraceConfig& config,
   validate_config(config_);
 }
 
-std::optional<Request> TraceFileSource::next() {
-  std::string line;
-  while (std::getline(*in_, line)) {
-    ++line_no_;
-    if (line.empty() || line[0] == '#') continue;
-    const TraceRecord rec = parse_record(name_, line_no_, line);
-    if (emitted_ > 0) {
-      check_cycle_order(name_, line_no_, line, prev_cycle_, rec.cycle);
+void TraceFileSource::refill() {
+  if (!block_) {
+    block_ = std::make_unique_for_overwrite<char[]>(kBlockBytes);
+    capacity_ = kBlockBytes;
+  }
+  const std::size_t carry = end_ - begin_;
+  std::memmove(block_.get(), block_.get() + begin_, carry);
+  scanned_ -= begin_;
+  begin_ = 0;
+  end_ = carry;
+  if (end_ == capacity_) {  // One line fills the block: grow the carry.
+    auto grown = std::make_unique_for_overwrite<char[]>(2 * capacity_);
+    std::memcpy(grown.get(), block_.get(), carry);
+    block_ = std::move(grown);
+    capacity_ *= 2;
+  }
+  // readsome() copies only what the streambuf already holds and peek()
+  // forces each underflow on its own, so a streambuf that throws from
+  // underflow (istream turns that into badbit) loses none of the bytes
+  // it served before. istream::read would: gcount() is 0 when the
+  // sgetn inside it throws.
+  while (end_ < capacity_) {
+    if (in_->peek() == std::char_traits<char>::eof()) {
+      drained_ = true;  // End of stream, or a fault: next_line tells.
+      return;
     }
-    prev_cycle_ = rec.cycle;
-    Request req;
-    req.id = emitted_++;
-    req.arrival_ps = static_cast<std::uint64_t>(
-        static_cast<double>(rec.cycle) * ps_per_cycle_);
-    req.op = rec.op;
-    req.address = rec.address;
-    req.size_bytes = config_.line_bytes;
-    return req;
+    std::streamsize got = in_->readsome(block_.get() + end_,
+                                        static_cast<std::streamsize>(
+                                            capacity_ - end_));
+    if (got == 0) {  // An unbuffered streambuf: take one char at a time.
+      const int c = in_->get();
+      if (c == std::char_traits<char>::eof()) continue;  // peek decides.
+      block_[end_] = static_cast<char>(c);
+      got = 1;
+    }
+    end_ += static_cast<std::size_t>(got);
+  }
+}
+
+bool TraceFileSource::next_line(const char*& begin, const char*& end) {
+  for (;;) {
+    if (scanned_ < end_) {
+      char* const base = block_.get();
+      const void* const newline =
+          std::memchr(base + scanned_, '\n', end_ - scanned_);
+      if (newline != nullptr) {
+        begin = base + begin_;
+        end = static_cast<const char*>(newline);
+        begin_ = scanned_ = static_cast<std::size_t>(end - base) + 1;
+        ++line_no_;
+        return true;
+      }
+      scanned_ = end_;
+    }
+    if (drained_) break;
+    refill();
   }
   // Distinguish clean EOF from an I/O error (unreadable path, disk
   // fault mid-file): the latter must fail loudly, never replay as a
-  // silently truncated trace.
+  // silently truncated trace. Like std::getline, a fault drops the
+  // partial line it interrupted.
   if (in_->bad()) {
     throw std::runtime_error(name_ + ": read error after line " +
                              std::to_string(line_no_));
   }
-  return std::nullopt;
+  if (begin_ == end_) return false;
+  begin = block_.get() + begin_;  // A last line without '\n'.
+  end = block_.get() + end_;
+  begin_ = scanned_ = end_;
+  ++line_no_;
+  return true;
+}
+
+bool TraceFileSource::pull(Request& out) {
+  const char* begin = nullptr;
+  const char* end = nullptr;
+  do {
+    if (!next_line(begin, end)) return false;
+  } while (begin == end || *begin == '#');
+  TraceRecord rec;
+  if (!parse_canonical(begin, end, rec)) {
+    rec = parse_record(name_, line_no_, std::string(begin, end));
+  }
+  if (emitted_ > 0 && rec.cycle < prev_cycle_) {
+    cycle_order_error(name_, line_no_, std::string(begin, end), prev_cycle_,
+                      rec.cycle);
+  }
+  const double arrival_ps = static_cast<double>(rec.cycle) * ps_per_cycle_;
+  if (!(arrival_ps < kArrivalLimitPs)) {
+    arrival_overflow_error(name_, line_no_, std::string(begin, end),
+                           rec.cycle, config_.cpu_clock_ghz);
+  }
+  prev_cycle_ = rec.cycle;
+  out = Request{};
+  out.id = emitted_++;
+  out.arrival_ps = static_cast<std::uint64_t>(arrival_ps);
+  out.op = rec.op;
+  out.address = rec.address;
+  out.size_bytes = config_.line_bytes;
+  return true;
+}
+
+std::optional<Request> TraceFileSource::next() {
+  Request req;
+  if (!pull(req)) return std::nullopt;
+  return req;
 }
 
 std::size_t TraceFileSource::next_batch(Request* out, std::size_t max) {
   std::size_t filled = 0;
-  while (filled < max) {
-    const auto request = next();  // Devirtualized: the class is final.
-    if (!request) break;
-    out[filled++] = *request;
-  }
+  while (filled < max && pull(out[filled])) ++filled;
   return filled;
 }
 

@@ -5,9 +5,9 @@
 #         -P trace_cli_test.cmake
 #
 # Covers: missing trace file exits 2 (bad-args class) naming the path;
-# parse errors name the 1-based line number and offending text and exit
-# 1; --dump-trace then --trace-file round-trips through a flat and a
-# hybrid device, emitting valid JSON.
+# parse errors, unsorted cycles and overflowing arrivals name the 1-based
+# line number and exit 1; --dump-trace then --trace-file round-trips
+# through a flat and a hybrid device, emitting valid JSON.
 
 if(NOT DEFINED COMET_SIM OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "pass -DCOMET_SIM=... and -DWORK_DIR=...")
@@ -51,6 +51,16 @@ execute_process(
 expect_rc("unsorted trace" "${rc}" 1)
 expect_contains("unsorted trace" "${err}" "non-monotonic")
 expect_contains("unsorted trace" "${err}" "line 3")
+
+# --- 3b. A cycle whose picosecond arrival overflows 64 bits: exit 1
+# naming the line, never a wrapped arrival time.
+file(WRITE ${WORK_DIR}/big.trace "100 R 0x10\n18446744073709551615 W 0x20\n")
+execute_process(
+  COMMAND ${COMET_SIM} --device comet --trace-file ${WORK_DIR}/big.trace
+  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+expect_rc("overflowing cycle" "${rc}" 1)
+expect_contains("overflowing cycle" "${err}" "line 2")
+expect_contains("overflowing cycle" "${err}" "arrival overflow")
 
 # --- 4. Dump a generated trace, replay it flat and hybrid, check JSON.
 execute_process(

@@ -4,12 +4,15 @@
 // materialized-vector path for every registry device, flat and hybrid.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "memsim/system.hpp"
 #include "memsim/trace.hpp"
 #include "memsim/trace_gen.hpp"
+#include "trace_reader_reference.hpp"
 
 namespace ms = comet::memsim;
 
@@ -251,6 +255,161 @@ TEST(TraceFileSource, NonMonotonicCycleRejectedIncrementally) {
   }
 }
 
+TEST(TraceFileSource, OverflowingArrivalRejectedWithLineAndClock) {
+  const TempTrace file("100 R 0x10\n18446744073709551615 W 0x20\n");
+  ms::TraceFileSource source(file.path(), ms::TraceConfig{});
+  ASSERT_TRUE(source.next().has_value());
+  try {
+    (void)source.next();
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              file.path() +
+                  ": arrival overflow at line 2: '18446744073709551615 W "
+                  "0x20' arrives at cycle 18446744073709551615, which at 2 "
+                  "GHz is past 2^64 ps");
+  }
+  // The same cycle fits at a clock fast enough to keep it below 2^64 ps.
+  std::istringstream fast("18446744073709551615 W 0x20\n");
+  const auto reqs =
+      ms::read_trace(fast, ms::TraceConfig{.cpu_clock_ghz = 1e6});
+  ASSERT_EQ(reqs.size(), 1u);
+  EXPECT_EQ(reqs[0].arrival_ps, 18446744073709552u);
+}
+
+namespace {
+
+/// Reads every record of `text` through a TraceFileSource on a file.
+std::vector<ms::Request> read_file(const std::string& text,
+                                   std::uint64_t* lines = nullptr) {
+  const TempTrace file(text);
+  ms::TraceFileSource source(file.path(), ms::TraceConfig{});
+  std::vector<ms::Request> out;
+  while (const auto req = source.next()) out.push_back(*req);
+  if (lines != nullptr) *lines = source.line_number();
+  return out;
+}
+
+/// Serves `data` from its get area, then throws from underflow, like a
+/// disk that faults after handing over part of a file.
+class FaultingBuf : public std::streambuf {
+ public:
+  explicit FaultingBuf(std::string data) : data_(std::move(data)) {
+    setg(data_.data(), data_.data(), data_.data() + data_.size());
+  }
+
+ protected:
+  int_type underflow() override { throw std::runtime_error("disk fault"); }
+
+ private:
+  std::string data_;
+};
+
+}  // namespace
+
+TEST(TraceFileSource, RecordStraddlingARefillParsesWhole) {
+  constexpr std::size_t kBlock = ms::TraceFileSource::kBlockBytes;
+  const std::string record = "12345 W 0xabcdef\n";
+  for (std::size_t cut = 1; cut < record.size(); ++cut) {
+    // A comment line ends `cut` bytes before the block boundary, so the
+    // record's first `cut` bytes come from the first fill.
+    std::string text(kBlock - cut - 1, 'x');
+    text[0] = '#';
+    text += '\n' + record + "12346 R 0x10\n";
+    std::uint64_t lines = 0;
+    const auto reqs = read_file(text, &lines);
+    ASSERT_EQ(reqs.size(), 2u) << cut;
+    EXPECT_EQ(reqs[0].arrival_ps, 12345u * 500) << cut;
+    EXPECT_EQ(reqs[0].op, ms::Op::kWrite) << cut;
+    EXPECT_EQ(reqs[0].address, 0xabcdefu) << cut;
+    EXPECT_EQ(reqs[1].address, 0x10u) << cut;
+    EXPECT_EQ(lines, 3u) << cut;
+  }
+}
+
+TEST(TraceFileSource, LinesLongerThanTheBlockGrowTheCarry) {
+  const std::size_t n = 200 * 1024;
+  const std::string text = "# " + std::string(n, 'c') + "\n" +
+                           "100 R 0x40\n" +
+                           "200 W 0x80 " + std::string(n, 'f') + "\n" +
+                           "300 R 0xc0";  // No final newline.
+  std::uint64_t lines = 0;
+  const auto reqs = read_file(text, &lines);
+  ASSERT_EQ(reqs.size(), 3u);
+  EXPECT_EQ(reqs[0].address, 0x40u);
+  EXPECT_EQ(reqs[1].address, 0x80u);
+  EXPECT_EQ(reqs[1].op, ms::Op::kWrite);
+  EXPECT_EQ(reqs[2].address, 0xc0u);
+  EXPECT_EQ(reqs[2].arrival_ps, 300u * 500);
+  EXPECT_EQ(lines, 4u);
+}
+
+TEST(TraceFileSource, CrlfAcceptedButABareCarriageReturnLineIsNot) {
+  const auto reqs = read_file("100 R 0x40\r\n200 W 0x80\r\n");
+  ASSERT_EQ(reqs.size(), 2u);
+  EXPECT_EQ(reqs[1].address, 0x80u);
+
+  const TempTrace file("100 R 0x40\n\r\n200 W 0x80\n");
+  ms::TraceFileSource source(file.path(), ms::TraceConfig{});
+  ASSERT_TRUE(source.next().has_value());
+  try {
+    (void)source.next();
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              file.path() + ": malformed line 2: '\r' (expected '<cycle> "
+                            "<R|W> <hex address>')");
+  }
+}
+
+// stoull negates a leading '-', so "-1" has always read as 2^64 - 1.
+TEST(TraceFileSource, MinusOneAddressReadsAsTheLargestAddress) {
+  const auto reqs = read_file("100 R -1\n");
+  ASSERT_EQ(reqs.size(), 1u);
+  EXPECT_EQ(reqs[0].address, ~std::uint64_t{0});
+}
+
+// A fault mid-read yields every complete line before it, drops the
+// partial line it cut, then throws; the old getline reader agrees.
+TEST(TraceFileSource, ReadFaultAfterTwoLinesNamesLineTwo) {
+  const std::string data = "100 R 0x1\n200 W 0x2\n300 R 0x";
+  for (const bool reference : {false, true}) {
+    FaultingBuf buf(data);
+    std::istream in(&buf);
+    ms::TraceFileSource source(in, ms::TraceConfig{}, "faulty");
+    comet::test::ReferenceTraceReader old(in, ms::TraceConfig{}, "faulty");
+    const auto next = [&] { return reference ? old.next() : source.next(); };
+    const auto first = next();
+    ASSERT_TRUE(first.has_value()) << reference;
+    EXPECT_EQ(first->address, 0x1u);
+    const auto second = next();
+    ASSERT_TRUE(second.has_value()) << reference;
+    EXPECT_EQ(second->address, 0x2u);
+    try {
+      (void)next();
+      FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "faulty: read error after line 2")
+          << reference;
+    }
+  }
+}
+
+TEST(TraceFileSource, DirectoryReadsAsAReadErrorAfterLineZero) {
+  const std::string dir =
+      "test_source_dir_" + std::to_string(::getpid()) + ".trace";
+  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+  std::string what;
+  try {
+    ms::TraceFileSource source(dir, ms::TraceConfig{});
+    (void)source.next();
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  ::rmdir(dir.c_str());
+  EXPECT_EQ(what, dir + ": read error after line 0");
+}
+
 // Round-trip acceptance: a trace written to disk replays bit-identically
 // whether materialized through read_trace or streamed through
 // TraceFileSource — flat and hybrid.
@@ -346,13 +505,16 @@ TEST(NextBatch, GeneratorSourceMatchesScalarPulls) {
   }
 }
 
+// 100k records span many reader blocks, so batch boundaries and
+// refills interleave.
 TEST(NextBatch, TraceFileSourceMatchesScalarPulls) {
   const ms::TraceConfig config{.cpu_clock_ghz = 2.0, .line_bytes = 64};
   std::ostringstream text;
-  ms::write_trace(
-      text,
-      ms::TraceGenerator(ms::profile_by_name("lbm_like"), 19).generate(100, 64),
-      config);
+  ms::write_trace(text,
+                  ms::TraceGenerator(ms::profile_by_name("lbm_like"), 19)
+                      .generate(100'000, 64),
+                  config);
+  ASSERT_GT(text.str().size(), 10 * ms::TraceFileSource::kBlockBytes);
   const TempTrace file(text.str());
   ms::TraceFileSource reference(file.path(), config);
   ms::TraceFileSource batched(file.path(), config);
