@@ -279,16 +279,12 @@ memsim::Pattern pattern_from_name(const std::string& name) {
 
 namespace {
 
-const char* kWriteAllocate = "write-allocate";
-const char* kWriteNoAllocate = "write-no-allocate";
-
 void write_cache_body(std::ostream& os, const hybrid::DramCacheConfig& cache) {
   os << "capacity_bytes = " << cache.capacity_bytes << "\n"
      << "ways = " << cache.ways << "\n"
      << "line_bytes = " << cache.line_bytes << "\n"
      << "policy = "
-     << toml::format_string(cache.write_allocate ? kWriteAllocate
-                                                 : kWriteNoAllocate)
+     << toml::format_string(hybrid::cache_policy_name(cache.write_allocate))
      << "\n";
 }
 
@@ -430,7 +426,7 @@ void apply_model_keys(TableReader& reader, memsim::DeviceModel& model,
     if (auto v = t.get_u64("read_tail_ps")) m.read_tail_ps = *v;
     if (auto v = t.get_u64("write_tail_ps")) m.write_tail_ps = *v;
     if (auto v = t.get_bool("has_row_buffer")) m.has_row_buffer = *v;
-    if (auto v = t.get_u64("row_size_bytes")) m.row_size_bytes = *v;
+    if (auto v = t.get_u64("row_size_bytes", 1)) m.row_size_bytes = *v;
     if (auto v = t.get_u64("row_hit_saving_ps")) m.row_hit_saving_ps = *v;
     if (auto v = t.get_u64("refresh_interval_ps")) m.refresh_interval_ps = *v;
     if (auto v = t.get_u64("refresh_duration_ps")) m.refresh_duration_ps = *v;
@@ -528,14 +524,10 @@ void apply_cache_keys(const toml::Table& table, const std::string& source,
     cache.line_bytes = std::uint32_t(*v);
   }
   if (auto policy = reader.get_string("policy")) {
-    if (*policy == kWriteAllocate) {
-      cache.write_allocate = true;
-    } else if (*policy == kWriteNoAllocate) {
-      cache.write_allocate = false;
-    } else {
-      reader.fail_at(reader.key_line("policy"),
-                     "unknown cache policy '" + *policy + "'; expected " +
-                         kWriteAllocate + " or " + kWriteNoAllocate);
+    try {
+      cache.write_allocate = hybrid::parse_cache_policy(*policy);
+    } catch (const std::invalid_argument& e) {
+      reader.fail_at(reader.key_line("policy"), e.what());
     }
   }
   reader.finish();

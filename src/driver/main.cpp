@@ -22,6 +22,28 @@
 #include "telemetry/telemetry.hpp"
 #include "util/format.hpp"
 
+namespace {
+
+/// Creates `path` and fills it with `write(stream)`. An unopenable path
+/// or a failed write is reported on stderr and returns false.
+template <typename Write>
+bool write_file(const std::string& path, Write&& write) {
+  std::ofstream out(path);
+  if (!out) {
+    std::cerr << "comet_sim: cannot open '" << path << "' for writing\n";
+    return false;
+  }
+  write(out);
+  out.close();
+  if (out.fail()) {
+    std::cerr << "comet_sim: error writing '" << path << "' (disk full?)\n";
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace comet::driver;
 
@@ -60,20 +82,12 @@ int main(int argc, char** argv) {
       const std::size_t requests = spec.requests.front();
       auto source = comet::memsim::TraceGenerator(profile, spec.seeds.front())
                         .stream(requests, spec.line_bytes);
-      std::ofstream out(options.dump_trace);
-      if (!out) {
-        std::cerr << "comet_sim: cannot open '" << options.dump_trace
-                  << "' for writing\n";
-        return 1;
-      }
-      comet::memsim::write_trace(
-          out, source,
-          comet::memsim::TraceConfig{.cpu_clock_ghz = spec.cpu_ghz,
-                                     .line_bytes = spec.line_bytes});
-      out.close();
-      if (out.fail()) {
-        std::cerr << "comet_sim: error writing '" << options.dump_trace
-                  << "' (disk full?)\n";
+      if (!write_file(options.dump_trace, [&](std::ostream& out) {
+            comet::memsim::write_trace(
+                out, source,
+                comet::memsim::TraceConfig{.cpu_clock_ghz = spec.cpu_ghz,
+                                           .line_bytes = spec.line_bytes});
+          })) {
         return 1;
       }
       std::cout << "wrote " << options.dump_trace << " (" << requests
@@ -90,17 +104,9 @@ int main(int argc, char** argv) {
     // definitions, so the dumped spec replays anywhere `--config` does —
     // the config analogue of --dump-trace.
     try {
-      std::ofstream out(options.dump_config);
-      if (!out) {
-        std::cerr << "comet_sim: cannot open '" << options.dump_config
-                  << "' for writing\n";
-        return 1;
-      }
-      comet::config::write_experiment(out, spec);
-      out.close();
-      if (out.fail()) {
-        std::cerr << "comet_sim: error writing '" << options.dump_config
-                  << "' (disk full?)\n";
+      if (!write_file(options.dump_config, [&](std::ostream& out) {
+            comet::config::write_experiment(out, spec);
+          })) {
         return 1;
       }
       std::cout << "wrote " << options.dump_config << " ("
@@ -201,16 +207,9 @@ int main(int argc, char** argv) {
     }
     if (!trace_runs.empty() && jobs.front().telemetry.tracing()) {
       const std::string& path = jobs.front().telemetry.trace_path;
-      std::ofstream trace_out(path);
-      if (!trace_out) {
-        std::cerr << "comet_sim: cannot open '" << path << "' for writing\n";
-        return 1;
-      }
-      comet::telemetry::write_chrome_trace(trace_out, trace_runs);
-      trace_out.close();
-      if (trace_out.fail()) {
-        std::cerr << "comet_sim: error writing '" << path
-                  << "' (disk full?)\n";
+      if (!write_file(path, [&](std::ostream& out) {
+            comet::telemetry::write_chrome_trace(out, trace_runs);
+          })) {
         return 1;
       }
       std::uint64_t events = 0;
@@ -225,16 +224,9 @@ int main(int argc, char** argv) {
     }
     if (!trace_runs.empty() && !jobs.front().telemetry.metrics_csv.empty()) {
       const std::string& path = jobs.front().telemetry.metrics_csv;
-      std::ofstream csv_out(path);
-      if (!csv_out) {
-        std::cerr << "comet_sim: cannot open '" << path << "' for writing\n";
-        return 1;
-      }
-      comet::telemetry::write_timeline_csv(csv_out, trace_runs);
-      csv_out.close();
-      if (csv_out.fail()) {
-        std::cerr << "comet_sim: error writing '" << path
-                  << "' (disk full?)\n";
+      if (!write_file(path, [&](std::ostream& out) {
+            comet::telemetry::write_timeline_csv(out, trace_runs);
+          })) {
         return 1;
       }
       std::cout << "wrote " << path << "\n";

@@ -314,7 +314,7 @@ Options parse_args(const std::vector<std::string>& args) {
         }
       } else if (flag == "--cache-policy") {
         cache.cache_policy = next();
-        (void)parse_cache_policy(*cache.cache_policy);
+        (void)hybrid::parse_cache_policy(*cache.cache_policy);
       } else if (flag == "--dump-trace") {
         opt.dump_trace = path();
       } else {

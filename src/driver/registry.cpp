@@ -126,14 +126,6 @@ memsim::DeviceModel make_device(const std::string& token) {
   throw unknown_token(token, /*include_hybrid=*/false);
 }
 
-bool parse_cache_policy(const std::string& policy) {
-  if (policy == "write-allocate") return true;
-  if (policy == "write-no-allocate") return false;
-  throw std::invalid_argument("unknown cache policy '" + policy +
-                              "'; expected write-allocate or "
-                              "write-no-allocate");
-}
-
 DeviceSpec make_device_spec(const std::string& token) {
   if (auto model = try_make_device(token)) {
     return DeviceSpec(*std::move(model));
@@ -154,7 +146,7 @@ DeviceSpec apply_hybrid_overrides(DeviceSpec spec,
   if (overrides.cache_mb) cache.capacity_bytes = *overrides.cache_mb << 20;
   if (overrides.cache_ways) cache.ways = *overrides.cache_ways;
   if (overrides.cache_policy) {
-    cache.write_allocate = parse_cache_policy(*overrides.cache_policy);
+    cache.write_allocate = hybrid::parse_cache_policy(*overrides.cache_policy);
   }
   return DeviceSpec(hybrid::make_tiered_config(
       spec.name, std::move(spec.tiered->backend), cache));

@@ -55,12 +55,6 @@ struct HybridOverrides {
 /// otherwise (hybrid tokens resolve through make_device_spec).
 memsim::DeviceModel make_device(const std::string& token);
 
-/// Parses a `--cache-policy` value to the write_allocate flag; throws
-/// std::invalid_argument on anything but "write-allocate" /
-/// "write-no-allocate". Single source of truth for the CLI and the
-/// registry.
-bool parse_cache_policy(const std::string& policy);
-
 /// Builds the spec for any token, flat or hybrid. Throws
 /// std::invalid_argument on unknown tokens.
 DeviceSpec make_device_spec(const std::string& token);

@@ -5,6 +5,18 @@
 
 namespace comet::hybrid {
 
+const char* cache_policy_name(bool write_allocate) {
+  return write_allocate ? "write-allocate" : "write-no-allocate";
+}
+
+bool parse_cache_policy(const std::string& policy) {
+  if (policy == cache_policy_name(true)) return true;
+  if (policy == cache_policy_name(false)) return false;
+  throw std::invalid_argument("unknown cache policy '" + policy +
+                              "'; expected write-allocate or "
+                              "write-no-allocate");
+}
+
 std::uint64_t DramCacheConfig::sets() const {
   const std::uint64_t set_bytes =
       static_cast<std::uint64_t>(line_bytes) * static_cast<std::uint64_t>(ways);

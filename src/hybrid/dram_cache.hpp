@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 /// Functional set-associative DRAM cache model for the hybrid tier.
@@ -36,6 +37,15 @@ struct DramCacheConfig {
   /// capacity that does not divide evenly into sets.
   void validate() const;
 };
+
+/// The write-miss policy's spelling: "write-allocate" or
+/// "write-no-allocate". The --cache-policy flag and the [cache] policy
+/// key read and write these.
+const char* cache_policy_name(bool write_allocate);
+
+/// Parses a policy spelling to the write_allocate flag; throws
+/// std::invalid_argument naming both spellings on anything else.
+bool parse_cache_policy(const std::string& policy);
 
 class DramCache {
  public:

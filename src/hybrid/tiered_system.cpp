@@ -279,23 +279,38 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
        {&config_.backend,
         static_cast<std::size_t>(config_.backend.timing.channels)}},
       profiler());
-  // The demand wall-clock: first demand arrival to the last completion
-  // of either tier.
-  const std::uint64_t demand_start = stage.demand_start();
-  std::uint64_t last_completion = demand_start;
+  // Fold the tier replays into the combined demand-level view with the
+  // one slice reduction. Latency distributions, energies, busy time and
+  // a scheduled backend's controller breakdown (the DRAM tier is always
+  // direct, so there is only one) include the carry traffic each tier
+  // served: fills, fetches and writebacks. The combined view keeps its
+  // own demand counters, so the tier copies' request, byte and tenant
+  // counts are zeroed first: bandwidth and EPB are per *demand*
+  // byte/bit while energy honestly includes the tier-maintenance
+  // traffic.
+  memsim::ReplaySlice combined;
+  combined.stats = std::move(stats.combined);
   for (const memsim::ReplaySlice& tier : tiers) {
-    if (tier.fed > 0) {
-      last_completion = std::max(last_completion, tier.last_completion_ps);
-    }
+    memsim::ReplaySlice carry = tier;
+    carry.stats.reads = 0;
+    carry.stats.writes = 0;
+    carry.stats.bytes_transferred = 0;
+    carry.stats.tenants.clear();
+    memsim::merge_slice(combined, carry);
   }
+  stats.combined = std::move(combined.stats);
   stats.dram = std::move(tiers[0].stats);
   stats.backend = std::move(tiers[1].stats);
 
-  // Both tiers are powered for the whole run, but each replay charged
-  // its always-on background power over its own (possibly much shorter,
-  // possibly empty) sub-stream span only — top it up over the idle
-  // remainder. Activity-gated power stays off while idle by definition.
-  const std::uint64_t combined_span = last_completion - demand_start;
+  // The demand wall-clock: first demand arrival to the last completion
+  // of either tier. Both tiers are powered for the whole run, but each
+  // replay charged its always-on background power over its own
+  // (possibly much shorter, possibly empty) sub-stream span only — top
+  // it up over the idle remainder. Activity-gated power stays off while
+  // idle by definition.
+  const std::uint64_t demand_start = stage.demand_start();
+  const std::uint64_t combined_span =
+      std::max(demand_start, combined.last_completion_ps) - demand_start;
   const auto top_up = [combined_span](memsim::SimStats& tier,
                                       const memsim::DeviceModel& model) {
     tier.background_energy_pj +=
@@ -305,43 +320,16 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
   top_up(stats.dram, config_.dram);
   top_up(stats.backend, config_.backend);
 
-  // Merge the tier replays into the combined demand-level view. Latency
-  // distributions include the carry traffic (fills, fetches,
-  // writebacks) each tier served; bytes_transferred counts demand bytes
-  // only, so bandwidth and EPB are per *demand* byte/bit while energy
-  // honestly includes the tier-maintenance traffic.
+  // What merge_slice does not derive: the demand span and the
+  // span-dependent energies.
   auto& c = stats.combined;
   c.span_ps = combined_span;
-  c.read_latency_ns = stats.dram.read_latency_ns;
-  c.read_latency_ns.merge(stats.backend.read_latency_ns);
-  c.write_latency_ns = stats.dram.write_latency_ns;
-  c.write_latency_ns.merge(stats.backend.write_latency_ns);
-  c.queue_delay_ns = stats.dram.queue_delay_ns;
-  c.queue_delay_ns.merge(stats.backend.queue_delay_ns);
-  c.dynamic_energy_pj =
-      stats.dram.dynamic_energy_pj + stats.backend.dynamic_energy_pj;
   c.background_energy_pj =
       stats.dram.background_energy_pj + stats.backend.background_energy_pj;
-  c.total_bank_busy_ns =
-      stats.dram.total_bank_busy_ns + stats.backend.total_bank_busy_ns;
   c.dram_tier_energy_pj =
       stats.dram.dynamic_energy_pj + stats.dram.background_energy_pj;
   c.backend_tier_energy_pj =
       stats.backend.dynamic_energy_pj + stats.backend.background_energy_pj;
-  // A scheduled backend's controller breakdown surfaces on the combined
-  // view (the DRAM tier is always direct, so there is only one).
-  if (stats.backend.is_scheduled()) {
-    c.scheduled = true;
-    c.sched_policy = stats.backend.sched_policy;
-    c.sched_queue_delay_ns = stats.backend.sched_queue_delay_ns;
-    c.service_latency_ns = stats.backend.service_latency_ns;
-    c.read_queue_occupancy = stats.backend.read_queue_occupancy;
-    c.write_queue_occupancy = stats.backend.write_queue_occupancy;
-    c.write_drains = stats.backend.write_drains;
-    c.drained_writes = stats.backend.drained_writes;
-    c.drain_stalls = stats.backend.drain_stalls;
-    c.admit_stalls = stats.backend.admit_stalls;
-  }
   return stats;
 }
 

@@ -19,8 +19,10 @@ void DeviceModel::validate() const {
   if (timing.queue_depth < 1) {
     throw std::invalid_argument("DeviceModel: queue_depth < 1");
   }
-  if (timing.has_row_buffer && timing.row_size_bytes == 0) {
-    throw std::invalid_argument("DeviceModel: row buffer without row size");
+  // Every device places requests by row (place_request divides by it),
+  // row buffer or not.
+  if (timing.row_size_bytes == 0) {
+    throw std::invalid_argument("DeviceModel: row_size_bytes must be > 0");
   }
   if (timing.refresh_interval_ps != 0 &&
       timing.refresh_duration_ps >= timing.refresh_interval_ps) {

@@ -17,36 +17,23 @@ struct BankState {
   std::uint64_t current_region = ~0ull;
 };
 
-/// Per-channel statistics lane. Every per-request accumulation is
-/// channel-local; finish_slice() merges the lanes in channel order.
-/// This is what the per-channel lanes' bit-identity rests on: a session
-/// fed only channel k's requests populates exactly this lane (its other
-/// lanes stay empty, and empty-side RunningStats merges are exact), so
-/// merging shard slices in channel order performs the same reduction,
-/// operand for operand, as a whole-stream session's own lane merge.
-struct LaneTotals {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t first_arrival = 0;
-  std::uint64_t last_completion = 0;
-  util::RunningStats read_latency_ns;
-  util::RunningStats write_latency_ns;
-  util::RunningStats queue_delay_ns;
-  double dynamic_energy_pj = 0.0;
-  double total_bank_busy_ns = 0.0;
-  /// Per-tenant accumulation follows the same lane discipline: indexed
-  /// tenant-1, grown on demand, and only ever touched for tagged
-  /// requests — untagged runs never allocate. merge_slice() reduces the
-  /// vectors element-wise, so sharded tenant stats stay bit-identical.
-  std::vector<TenantBreakdown> tenants;
-};
-
 struct ChannelState {
   std::vector<BankState> banks;
   util::RingQueue<std::uint64_t> inflight_completions;
   std::uint64_t prev_issue = 0;
-  LaneTotals totals;
+  /// The channel's statistics lane: every per-request accumulation is
+  /// channel-local, and finish_slice() folds the lanes into the result
+  /// with merge_slice in channel order. This is what the per-channel
+  /// lanes' bit-identity rests on. A session fed only channel k's
+  /// requests populates exactly this lane; its other lanes stay empty.
+  /// Merging an empty lane is exact: RunningStats::merge into an empty
+  /// accumulator is a plain copy, merging an empty one is a no-op, and
+  /// 0.0 + x == x. So merging shard slices in channel order performs
+  /// the same operations, in the same order, on the same operands as a
+  /// whole-stream session's own lane merge. Per-tenant breakdowns
+  /// follow the same discipline: indexed tenant-1, grown on demand and
+  /// touched only for tagged requests, so untagged runs never allocate.
+  ReplaySlice totals;
 };
 
 /// Controller address hash (NVMain-style bank/channel interleaving):
@@ -220,7 +207,7 @@ struct ReplaySession::Impl {
     // Issue order is a per-channel contract (see feed_issued): replay
     // state is channel-local, and a controller with independent
     // per-channel issue clocks may interleave channels arbitrarily.
-    if (check_issue_order && (ch.totals.reads | ch.totals.writes) != 0 &&
+    if (check_issue_order && ch.totals.fed != 0 &&
         issue_ps < ch.prev_issue) {
       throw std::logic_error(
           "ReplaySession: scheduler issued requests out of order");
@@ -302,36 +289,38 @@ struct ReplaySession::Impl {
     }
     ch.inflight_completions.push_back(completion);
 
-    // Statistics (all channel-local: see LaneTotals).
-    LaneTotals& lane = ch.totals;
+    // Statistics (all channel-local: see ChannelState::totals).
+    ReplaySlice& lane = ch.totals;
+    SimStats& lane_stats = lane.stats;
     const double latency_ns =
         static_cast<double>(completion - req.arrival_ps) * 1e-3;
     const double queue_ns =
         static_cast<double>(start - req.arrival_ps) * 1e-3;
     const double bits = static_cast<double>(req.size_bytes) * 8.0;
-    if ((lane.reads | lane.writes) == 0) {
-      lane.first_arrival = req.arrival_ps;
-    } else {
-      lane.first_arrival = std::min(lane.first_arrival, req.arrival_ps);
-    }
-    lane.queue_delay_ns.add(queue_ns);
-    lane.total_bank_busy_ns +=
+    lane.first_arrival_ps = lane.fed == 0
+                                ? req.arrival_ps
+                                : std::min(lane.first_arrival_ps,
+                                           req.arrival_ps);
+    ++lane.fed;
+    lane.last_completion_ps = std::max(lane.last_completion_ps, completion);
+    lane_stats.queue_delay_ns.add(queue_ns);
+    lane_stats.total_bank_busy_ns +=
         static_cast<double>(bank_busy_until - start) * 1e-3 *
         (t.line_striped_across_banks ? t.banks_per_channel : 1);
     if (req.op == Op::kRead) {
-      ++lane.reads;
-      lane.read_latency_ns.add(latency_ns);
-      lane.dynamic_energy_pj += bits * model.energy.read_pj_per_bit;
+      ++lane_stats.reads;
+      lane_stats.read_latency_ns.add(latency_ns);
+      lane_stats.dynamic_energy_pj += bits * model.energy.read_pj_per_bit;
     } else {
-      ++lane.writes;
-      lane.write_latency_ns.add(latency_ns);
-      lane.dynamic_energy_pj += bits * model.energy.write_pj_per_bit;
+      ++lane_stats.writes;
+      lane_stats.write_latency_ns.add(latency_ns);
+      lane_stats.dynamic_energy_pj += bits * model.energy.write_pj_per_bit;
     }
-    lane.bytes += req.size_bytes;
-    lane.last_completion = std::max(lane.last_completion, completion);
+    lane_stats.bytes_transferred += req.size_bytes;
     if (req.tenant != 0) {
-      if (lane.tenants.size() < req.tenant) lane.tenants.resize(req.tenant);
-      TenantBreakdown& tenant = lane.tenants[req.tenant - 1u];
+      std::vector<TenantBreakdown>& tenants = lane_stats.tenants;
+      if (tenants.size() < req.tenant) tenants.resize(req.tenant);
+      TenantBreakdown& tenant = tenants[req.tenant - 1u];
       if (req.op == Op::kRead) {
         ++tenant.reads;
       } else {
@@ -362,22 +351,7 @@ struct ReplaySession::Impl {
     finished = true;
     ReplaySlice merged;
     merged.stats = std::move(stats);
-    for (const auto& ch : channels) {
-      ReplaySlice lane;
-      lane.fed = ch.totals.reads + ch.totals.writes;
-      lane.first_arrival_ps = ch.totals.first_arrival;
-      lane.last_completion_ps = ch.totals.last_completion;
-      lane.stats.reads = ch.totals.reads;
-      lane.stats.writes = ch.totals.writes;
-      lane.stats.bytes_transferred = ch.totals.bytes;
-      lane.stats.read_latency_ns = ch.totals.read_latency_ns;
-      lane.stats.write_latency_ns = ch.totals.write_latency_ns;
-      lane.stats.queue_delay_ns = ch.totals.queue_delay_ns;
-      lane.stats.dynamic_energy_pj = ch.totals.dynamic_energy_pj;
-      lane.stats.total_bank_busy_ns = ch.totals.total_bank_busy_ns;
-      lane.stats.tenants = ch.totals.tenants;
-      merge_slice(merged, lane);
-    }
+    for (const auto& ch : channels) merge_slice(merged, ch.totals);
     return merged;
   }
 };

@@ -90,7 +90,10 @@ struct ReplaySlice {
 /// side is empty — the case the bit-identity guarantee rests on), the
 /// arrival/completion window widens, and names/flags fill in when
 /// `into` lacks them. Merging slices in channel order reproduces a
-/// whole-stream session's own lane reduction bit for bit.
+/// whole-stream session's own lane reduction bit for bit. This is the
+/// only code that combines per-request statistics — session and
+/// controller channels, shard lanes and the hybrid combined view all
+/// reduce through it — so a new SimStats field needs one line here.
 void merge_slice(ReplaySlice& into, const ReplaySlice& from);
 
 /// Closes a merged slice into final statistics: derives span_ps from

@@ -249,17 +249,11 @@ struct Controller::Impl {
     /// still match a whole-stream controller decision for decision. The
     /// session's issue-sorted contract is per-channel to match.
     std::uint64_t last_issue = 0;
-    // Per-channel scheduler statistics, merged in channel order at
-    // finish — the same lane discipline as the replay session itself
-    // (see memsim::ReplaySlice), and for the same reason.
-    util::RunningStats queue_delay_ns;
-    util::RunningStats service_ns;
-    util::RunningStats read_occupancy;
-    util::RunningStats write_occupancy;
-    std::uint64_t write_drains = 0;
-    std::uint64_t drained_writes = 0;
-    std::uint64_t drain_stalls = 0;
-    std::uint64_t admit_stalls = 0;
+    /// Per-channel scheduler statistics (the sched_* / queue / drain
+    /// fields of its SimStats), merged in channel order at finish — the
+    /// same lane discipline as the replay session's own channel totals,
+    /// and for the same reason.
+    memsim::ReplaySlice totals;
   };
   std::vector<Channel> channels;
   /// Channels with queued work, in no particular order: advance_until
@@ -391,7 +385,7 @@ struct Controller::Impl {
     if (!ch.draining) {
       if (writes >= config.drain_high_watermark) {
         ch.draining = true;
-        ++ch.write_drains;
+        ++ch.totals.stats.write_drains;
         if (telemetry) {
           telemetry->record_mark(ch.index, telemetry::MarkKind::kDrainBegin,
                                  at_ps);
@@ -474,9 +468,9 @@ struct Controller::Impl {
     const std::uint64_t issue_ps = std::max(ready_ps, ch.last_issue);
     ch.last_issue = issue_ps;
     const memsim::FeedResult result = session.feed_issued(request, issue_ps);
-    ch.queue_delay_ns.add(
+    ch.totals.stats.sched_queue_delay_ns.add(
         static_cast<double>(issue_ps - request.arrival_ps) * 1e-3);
-    ch.service_ns.add(
+    ch.totals.stats.service_latency_ns.add(
         static_cast<double>(result.completion_ps - issue_ps) * 1e-3);
     // Mirror commit — the same rule the replay engine applies.
     bank.free_ps = result.bank_busy_until_ps;
@@ -528,9 +522,9 @@ struct Controller::Impl {
     dispatch(ch, request, bank, c.row, c.region, pick.issue_ps());
 
     if (pick.from_writes && ch.draining) {
-      ++ch.drained_writes;
+      ++ch.totals.stats.drained_writes;
       if (telemetry) telemetry->record_drained_write(ch.index, ch.last_issue);
-      if (ch.queues[kReads].size() != 0) ++ch.drain_stalls;
+      if (ch.queues[kReads].size() != 0) ++ch.totals.stats.drain_stalls;
     }
     if (!q.beyond.empty()) {
       // The oldest entry behind the window slides into the freed slot.
@@ -606,8 +600,8 @@ struct Controller::Impl {
     const std::size_t reads = ch.queues[kReads].size();
     const std::size_t writes = ch.queues[kWrites].size();
     // The queue state each arrival observes (before joining it).
-    ch.read_occupancy.add(static_cast<double>(reads));
-    ch.write_occupancy.add(static_cast<double>(writes));
+    ch.totals.stats.read_queue_occupancy.add(static_cast<double>(reads));
+    ch.totals.stats.write_queue_occupancy.add(static_cast<double>(writes));
     if (telemetry) {
       telemetry->record_queue_sample(ch.index, req.arrival_ps, reads, writes);
     }
@@ -626,7 +620,7 @@ struct Controller::Impl {
         kind == kWrites ? config.write_queue_depth : config.read_queue_depth;
     if (depth > 0 &&
         (static_cast<int>(q.size()) >= depth || !q.stalled.empty())) {
-      ++ch.admit_stalls;
+      ++ch.totals.stats.admit_stalls;
       if (telemetry) {
         telemetry->record_mark(ch.index, telemetry::MarkKind::kAdmitStall,
                                req.arrival_ps);
@@ -657,18 +651,7 @@ struct Controller::Impl {
     // that saw only channel k's traffic produces exactly channel k's
     // accumulators, so merging shard slices in channel order is the
     // same reduction.
-    for (const auto& ch : channels) {
-      memsim::ReplaySlice lane;
-      lane.stats.sched_queue_delay_ns = ch.queue_delay_ns;
-      lane.stats.service_latency_ns = ch.service_ns;
-      lane.stats.read_queue_occupancy = ch.read_occupancy;
-      lane.stats.write_queue_occupancy = ch.write_occupancy;
-      lane.stats.write_drains = ch.write_drains;
-      lane.stats.drained_writes = ch.drained_writes;
-      lane.stats.drain_stalls = ch.drain_stalls;
-      lane.stats.admit_stalls = ch.admit_stalls;
-      memsim::merge_slice(slice, lane);
-    }
+    for (const auto& ch : channels) memsim::merge_slice(slice, ch.totals);
     return slice;
   }
 };

@@ -215,6 +215,24 @@ expect_rc("bad type" "${rc}" 2)
 expect_contains("bad type" "${err}" "badtype.toml:4")
 expect_contains("bad type" "${err}" "expects integer")
 
+# A zero row size is rejected at its line, flat or as a hybrid's
+# backend, instead of dividing by zero in the replay.
+file(WRITE ${WORK_DIR}/zero_row.toml
+     "[device]\nbase = \"comet\"\nname = \"z\"\n[device.timing]\n"
+     "row_size_bytes = 0\n")
+file(WRITE ${WORK_DIR}/zero_row_backend.toml
+     "[device]\nbase = \"hybrid-comet\"\nname = \"hz\"\n"
+     "[device.backend.timing]\nrow_size_bytes = 0\n")
+foreach(file zero_row zero_row_backend)
+  execute_process(
+    COMMAND ${COMET_SIM} --device-file ${WORK_DIR}/${file}.toml
+            --workload gcc_like --requests 100
+    RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  expect_rc("${file}" "${rc}" 2)
+  expect_contains("${file}" "${err}" "${file}.toml:5")
+  expect_contains("${file}" "${err}" "'row_size_bytes' must be between 1")
+endforeach()
+
 # --- 6. --config owns the matrix: combining with matrix flags exits 2.
 execute_process(
   COMMAND ${COMET_SIM} --config ${WORK_DIR}/comet.toml --device comet

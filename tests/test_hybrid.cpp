@@ -317,9 +317,27 @@ TEST(TieredSystem, CombinedStatsMergeBothTiers) {
   EXPECT_EQ(c.read_latency_ns.count(),
             stats.dram.read_latency_ns.count() +
                 stats.backend.read_latency_ns.count());
+  EXPECT_EQ(c.write_latency_ns.count(),
+            stats.dram.write_latency_ns.count() +
+                stats.backend.write_latency_ns.count());
+  EXPECT_EQ(c.queue_delay_ns.count(),
+            stats.dram.queue_delay_ns.count() +
+                stats.backend.queue_delay_ns.count());
   EXPECT_DOUBLE_EQ(
       c.dynamic_energy_pj,
       stats.dram.dynamic_energy_pj + stats.backend.dynamic_energy_pj);
+  EXPECT_DOUBLE_EQ(
+      c.total_bank_busy_ns,
+      stats.dram.total_bank_busy_ns + stats.backend.total_bank_busy_ns);
+  // Request and byte counts stay demand-level although the tiers also
+  // served fills, fetches and writebacks.
+  std::uint64_t demand_bytes = 0;
+  for (const auto& r : reqs) demand_bytes += r.size_bytes;
+  EXPECT_EQ(c.reads + c.writes, 64u);
+  EXPECT_EQ(c.bytes_transferred, demand_bytes);
+  EXPECT_GT(stats.dram.reads + stats.dram.writes + stats.backend.reads +
+                stats.backend.writes,
+            64u);
   EXPECT_DOUBLE_EQ(c.dram_tier_energy_pj, stats.dram.dynamic_energy_pj +
                                               stats.dram.background_energy_pj);
   EXPECT_DOUBLE_EQ(

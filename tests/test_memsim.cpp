@@ -219,6 +219,12 @@ TEST(DeviceModel, ValidateCatchesBadness) {
   bad = d;
   bad.capacity_bytes = 0;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
+  // Placement divides by the row size on every device, so a device
+  // without a row buffer must still carry a non-zero one.
+  bad = d;
+  bad.timing.has_row_buffer = false;
+  bad.timing.row_size_bytes = 0;
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
 }
 
 // ------------------------------------------------------------- system

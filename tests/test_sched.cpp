@@ -398,6 +398,17 @@ TEST(SchedHybrid, BackendControllerSurfacesOnCombinedStats) {
   // The backend served traffic through the controller queues.
   EXPECT_EQ(tiered.combined.sched_queue_delay_ns.count(),
             tiered.backend.reads + tiered.backend.writes);
+  // Every scheduler field of the combined view is the backend's, exactly.
+  const auto& c = tiered.combined;
+  const auto& b = tiered.backend;
+  EXPECT_TRUE(c.sched_queue_delay_ns == b.sched_queue_delay_ns);
+  EXPECT_TRUE(c.service_latency_ns == b.service_latency_ns);
+  EXPECT_TRUE(c.read_queue_occupancy == b.read_queue_occupancy);
+  EXPECT_TRUE(c.write_queue_occupancy == b.write_queue_occupancy);
+  EXPECT_EQ(c.write_drains, b.write_drains);
+  EXPECT_EQ(c.drained_writes, b.drained_writes);
+  EXPECT_EQ(c.drain_stalls, b.drain_stalls);
+  EXPECT_EQ(c.admit_stalls, b.admit_stalls);
 }
 
 // ------------------------------------------------- driver integration
