@@ -12,7 +12,11 @@
 //     but not gated;
 //   - flat_serial_tracefile replays the same trace from an NVMain text
 //     file, written before timing, so its cell measures the trace
-//     reader; its stats must equal flat_serial's.
+//     reader; its stats must equal flat_serial's;
+//   - sched_serial replays an lbm_like trace of the same length,
+//     materialized the same way, through COMET behind an frfcfs
+//     controller with 32-entry queues, on one thread: the scheduled
+//     replay cell (controller arbitration plus per-request statistics).
 //
 // Every phase lands in BENCH_streaming.json (bench/bench_json.hpp
 // schema); CI's perf lane diffs requests_per_s against the committed
@@ -40,6 +44,7 @@
 #include "memsim/trace.hpp"
 #include "memsim/trace_gen.hpp"
 #include "prof/profiler.hpp"
+#include "sched/controller.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/table.hpp"
 
@@ -88,8 +93,7 @@ int main(int argc, char** argv) {
 
   std::cout << "materializing " << requests << " requests of " << profile.name
             << " (outside every timed region)...\n";
-  const auto trace =
-      ms::TraceGenerator(profile, 42).generate(requests, kLineBytes);
+  auto trace = ms::TraceGenerator(profile, 42).generate(requests, kLineBytes);
   std::cout << "replaying through " << flat.name << " / " << hybrid.name
             << ", serial vs sharded x" << shard_threads << " ("
             << hw_threads << " hardware thread(s))\n\n";
@@ -159,6 +163,22 @@ int main(int argc, char** argv) {
     return flat.make_engine(std::nullopt, 1)->run(source, profile.name);
   }));
   std::remove(trace_path.c_str());
+
+  // Scheduled replay: the write-heavy lbm_like stream behind an frfcfs
+  // controller, serial. Materialized outside the timed region like the
+  // gcc_like trace, which is released first so that the two never
+  // share memory.
+  trace.clear();
+  trace.shrink_to_fit();
+  constexpr int kQueueDepth = 32;
+  const auto sched_profile = ms::profile_by_name("lbm_like");
+  const auto sched_trace =
+      ms::TraceGenerator(sched_profile, 42).generate(requests, kLineBytes);
+  const auto frfcfs = comet::sched::ControllerConfig::with_depths(
+      comet::sched::Policy::kFrFcfs, kQueueDepth, kQueueDepth);
+  phases.push_back(timed_phase("sched_serial", 1, [&] {
+    return flat.make_engine(frfcfs, 1)->run(sched_trace, sched_profile.name);
+  }));
 
   Table table({"phase", "threads", "time (s)", "req/s", "BW (GB/s)",
                "EPB (pJ/bit)"});
@@ -232,14 +252,17 @@ int main(int argc, char** argv) {
       r.requests = requests;
       r.wall_s = phase.seconds;
       r.requests_per_s = double(requests) / phase.seconds;
-      r.config = {{"device", cb::json_str(phase.label.rfind("flat", 0) == 0
-                                              ? flat.name
-                                              : hybrid.name)},
-                  {"workload", cb::json_str(profile.name)},
+      r.config = {{"device", cb::json_str(phase.stats.device_name)},
+                  {"workload", cb::json_str(phase.stats.workload_name)},
                   {"run_threads", std::to_string(phase.threads)},
                   {"hw_threads", std::to_string(hw_threads)},
                   {"line_bytes", std::to_string(kLineBytes)},
                   {"seed", "42"}};
+      if (phase.stats.scheduled) {
+        r.config.emplace_back("schedule",
+                              cb::json_str(phase.stats.sched_policy));
+        r.config.emplace_back("queue_depth", std::to_string(kQueueDepth));
+      }
       results.push_back(std::move(r));
     }
     cb::write_bench_json(json, "bench_streaming", results);

@@ -112,9 +112,9 @@ class TierStage final : public memsim::ReplayStage {
             memsim::SimStats& combined)
       : cache_(cache),
         line_bytes_(cache.line_bytes),
-        dram_timing_(dram.model().timing),
-        backend_timing_(backend.model().timing),
-        dram_lanes_(static_cast<std::size_t>(dram_timing_.channels)),
+        dram_map_(dram.address_map()),
+        backend_map_(backend.address_map()),
+        dram_lanes_(static_cast<std::size_t>(dram.model().timing.channels)),
         pool_(make_lanes(dram, backend, controller, workload_name,
                          dram_telemetry, backend_telemetry),
               threads, profiler ? profiler->add_pool("tiers") : nullptr),
@@ -130,16 +130,12 @@ class TierStage final : public memsim::ReplayStage {
 
  private:
   void feed_dram(const memsim::Request& req) {
-    pool_.feed(static_cast<std::size_t>(
-                   memsim::place_request(dram_timing_, req).channel),
-               req);
+    pool_.feed(static_cast<std::size_t>(dram_map_.channel(req)), req);
   }
 
   void feed_backend(const memsim::Request& req) {
-    pool_.feed(dram_lanes_ +
-                   static_cast<std::size_t>(
-                       memsim::place_request(backend_timing_, req).channel),
-               req);
+    pool_.feed(
+        dram_lanes_ + static_cast<std::size_t>(backend_map_.channel(req)), req);
   }
 
   void filter(const memsim::Request& req) {
@@ -234,8 +230,8 @@ class TierStage final : public memsim::ReplayStage {
 
   DramCache cache_;
   const std::uint32_t line_bytes_;
-  const memsim::DeviceTiming& dram_timing_;
-  const memsim::DeviceTiming& backend_timing_;
+  const memsim::AddressMap& dram_map_;
+  const memsim::AddressMap& backend_map_;
   const std::size_t dram_lanes_;
   memsim::LanePool pool_;
   memsim::SimStats& combined_;  ///< Demand counters, cache breakdown.

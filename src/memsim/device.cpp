@@ -19,7 +19,7 @@ void DeviceModel::validate() const {
   if (timing.queue_depth < 1) {
     throw std::invalid_argument("DeviceModel: queue_depth < 1");
   }
-  // Every device places requests by row (place_request divides by it),
+  // Every device places requests by row (AddressMap divides by it),
   // row buffer or not.
   if (timing.row_size_bytes == 0) {
     throw std::invalid_argument("DeviceModel: row_size_bytes must be > 0");

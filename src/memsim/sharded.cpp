@@ -343,23 +343,22 @@ namespace {
 /// One lane per device channel on a LanePool.
 class ChannelStage final : public ReplayStage {
  public:
-  ChannelStage(const DeviceTiming& timing,
+  ChannelStage(const AddressMap& map,
                std::vector<std::unique_ptr<ShardLane>> lanes, int threads,
                prof::PoolProfile* profile)
-      : timing_(timing), pool_(std::move(lanes), threads, profile) {}
+      : map_(map), pool_(std::move(lanes), threads, profile) {}
 
   void feed(const Request* block, std::size_t count) override {
     for (std::size_t i = 0; i < count; ++i) {
       const Request& req = block[i];
-      pool_.feed(static_cast<std::size_t>(place_request(timing_, req).channel),
-                 req);
+      pool_.feed(static_cast<std::size_t>(map_.channel(req)), req);
     }
   }
 
   std::vector<ReplaySlice> drain() override { return pool_.finish(); }
 
  private:
-  const DeviceTiming& timing_;
+  const AddressMap& map_;
   LanePool pool_;
 };
 
@@ -369,12 +368,12 @@ SimStats run_sharded(const MemorySystem& system,
                      std::vector<std::unique_ptr<ShardLane>> lanes,
                      int threads, RequestSource& source,
                      prof::Profiler* profiler) {
-  const DeviceTiming& timing = system.model().timing;
-  const std::size_t channels = static_cast<std::size_t>(timing.channels);
+  const std::size_t channels =
+      static_cast<std::size_t>(system.model().timing.channels);
   if (lanes.size() != channels) {
     throw std::invalid_argument("run_sharded: one lane per channel required");
   }
-  ChannelStage stage(timing, std::move(lanes), threads,
+  ChannelStage stage(system.address_map(), std::move(lanes), threads,
                      profiler ? profiler->add_pool("") : nullptr);
   return std::move(
       run_replay(source, stage, {{&system.model(), channels}}, profiler)

@@ -149,11 +149,11 @@ std::vector<ReplaySlice> run_replay(RequestSource& source, ReplayStage& stage,
                                     const std::vector<ReplayTier>& tiers,
                                     prof::Profiler* profiler = nullptr);
 
-/// run_replay over one lane per device channel, routed by the same
-/// place_request hash the replay uses, on a LanePool of `threads`
-/// workers. Throws std::invalid_argument unless there is exactly one
-/// lane per channel. A non-null `profiler` also receives the pool
-/// profile.
+/// run_replay over one lane per device channel, routed by the channel
+/// lookup of the system's AddressMap (the hash the replay places by),
+/// on a LanePool of `threads` workers. Throws std::invalid_argument
+/// unless there is exactly one lane per channel. A non-null `profiler`
+/// also receives the pool profile.
 SimStats run_sharded(const MemorySystem& system,
                      std::vector<std::unique_ptr<ShardLane>> lanes,
                      int threads, RequestSource& source,

@@ -36,17 +36,6 @@ struct ChannelState {
   ReplaySlice totals;
 };
 
-/// Controller address hash (NVMain-style bank/channel interleaving):
-/// spreads hot lines over channels and banks so that Zipf-skewed streams
-/// do not serialize on one bank. Applied identically to every device.
-std::uint64_t mix_line_index(std::uint64_t line) {
-  std::uint64_t x = line;
-  x ^= x >> 13;
-  x *= 0x9e3779b97f4a7c15ULL;
-  x ^= x >> 29;
-  return x;
-}
-
 /// Pushes `t` past any refresh window it falls into.
 std::uint64_t avoid_refresh(std::uint64_t t, const DeviceTiming& timing) {
   if (timing.refresh_interval_ps == 0) return t;
@@ -69,22 +58,12 @@ void check_arrival_order(std::uint64_t index, std::uint64_t prev_ps,
   throw std::invalid_argument(msg.str());
 }
 
-RequestPlacement place_request(const DeviceTiming& timing,
-                               const Request& request) {
-  const std::uint64_t line_index =
-      mix_line_index(request.address / timing.line_bytes);
-  RequestPlacement placement;
-  placement.channel = static_cast<int>(
-      line_index % static_cast<std::uint64_t>(timing.channels));
-  placement.bank = static_cast<int>(
-      (line_index / static_cast<std::uint64_t>(timing.channels)) %
-      static_cast<std::uint64_t>(timing.banks_per_channel));
-  placement.row = request.address / timing.row_size_bytes;
-  placement.region = timing.region_size_bytes
-                         ? request.address / timing.region_size_bytes
-                         : 0;
-  return placement;
-}
+AddressMap::AddressMap(const DeviceTiming& timing)
+    : line_(timing.line_bytes),
+      channels_(static_cast<std::uint64_t>(timing.channels)),
+      banks_(static_cast<std::uint64_t>(timing.banks_per_channel)),
+      row_(timing.row_size_bytes),
+      region_(timing.region_size_bytes) {}
 
 void merge_slice(ReplaySlice& into, const ReplaySlice& from) {
   SimStats& a = into.stats;
@@ -193,15 +172,14 @@ struct ReplaySession::Impl {
     }
   }
 
-  FeedResult feed(const Request& req, std::uint64_t issue_ps,
-                  bool check_issue_order) {
+  FeedResult feed(const Request& req, const RequestPlacement& placement,
+                  std::uint64_t issue_ps, bool check_issue_order) {
     const DeviceModel& model = system.model_;
     const DeviceTiming& t = model.timing;
 
     prev_arrival = req.arrival_ps;
     ++fed;
 
-    const RequestPlacement placement = place_request(t, req);
     auto& ch = channels[static_cast<std::size_t>(placement.channel)];
 
     // Issue order is a per-channel contract (see feed_issued): replay
@@ -217,10 +195,9 @@ struct ReplaySession::Impl {
     // One request may need several device accesses: large requests span
     // lines, and narrow-subarray architectures (corrected COSMOS) need
     // several accesses per line.
-    const std::uint64_t lines_needed =
-        (req.size_bytes + t.line_bytes - 1) / t.line_bytes;
     const std::uint64_t accesses =
-        lines_needed * static_cast<std::uint64_t>(t.accesses_per_line);
+        system.map_.lines_needed(req.size_bytes) *
+        static_cast<std::uint64_t>(t.accesses_per_line);
 
     std::uint64_t earliest = issue_ps;
     // Bounded outstanding window: with queue_depth requests in flight,
@@ -233,8 +210,6 @@ struct ReplaySession::Impl {
 
     // Resolve the serving bank set.
     const auto bank_index = static_cast<std::size_t>(placement.bank);
-    const std::uint64_t row = placement.row;
-    const std::uint64_t region = placement.region;
 
     std::uint64_t bank_free = 0;
     if (t.line_striped_across_banks) {
@@ -253,12 +228,12 @@ struct ReplaySession::Impl {
                                                    : t.write_occupancy_ps;
     BankState& lead_bank =
         t.line_striped_across_banks ? ch.banks.front() : ch.banks[bank_index];
-    if (t.has_row_buffer && lead_bank.open_row == row &&
+    if (t.has_row_buffer && lead_bank.open_row == placement.row &&
         per_access > t.row_hit_saving_ps) {
       per_access -= t.row_hit_saving_ps;
     }
     std::uint64_t occupancy = per_access * accesses;
-    if (t.region_size_bytes && lead_bank.current_region != region) {
+    if (t.region_size_bytes && lead_bank.current_region != placement.region) {
       occupancy += t.region_switch_ps;
     }
 
@@ -278,14 +253,14 @@ struct ReplaySession::Impl {
     if (t.line_striped_across_banks) {
       for (auto& bank : ch.banks) {
         bank.free_ps = bank_busy_until;
-        bank.open_row = row;
-        bank.current_region = region;
+        bank.open_row = placement.row;
+        bank.current_region = placement.region;
       }
     } else {
       auto& bank = ch.banks[bank_index];
       bank.free_ps = bank_busy_until;
-      bank.open_row = row;
-      bank.current_region = region;
+      bank.open_row = placement.row;
+      bank.current_region = placement.region;
     }
     ch.inflight_completions.push_back(completion);
 
@@ -374,10 +349,12 @@ FeedResult ReplaySession::feed(const Request& request) {
     check_arrival_order(impl_->fed, impl_->prev_arrival, request.arrival_ps);
   }
   // A sorted stream is per-channel sorted a fortiori; skip the check.
-  return impl_->feed(request, request.arrival_ps, false);
+  return impl_->feed(request, impl_->system.map_.place(request),
+                     request.arrival_ps, false);
 }
 
 FeedResult ReplaySession::feed_issued(const Request& request,
+                                      const RequestPlacement& placement,
                                       std::uint64_t issue_ps) {
   if (impl_->finished) {
     throw std::logic_error("ReplaySession: feed_issued() after finish()");
@@ -387,7 +364,13 @@ FeedResult ReplaySession::feed_issued(const Request& request,
     throw std::logic_error(
         "ReplaySession: request issued before its arrival");
   }
-  return impl_->feed(request, issue_ps, true);
+#ifndef NDEBUG
+  if (placement != impl_->system.map_.place(request)) {
+    throw std::logic_error(
+        "ReplaySession: request issued with a stale placement");
+  }
+#endif
+  return impl_->feed(request, placement, issue_ps, true);
 }
 
 std::uint64_t ReplaySession::fed() const { return impl_->fed; }
@@ -408,7 +391,8 @@ ReplaySlice ReplaySession::finish_slice() {
 
 MemorySystem::MemorySystem(DeviceModel model, int run_threads)
     : model_(std::move(model)),
-      run_threads_(resolve_run_threads(run_threads)) {
+      run_threads_(resolve_run_threads(run_threads)),
+      map_(model_.timing) {
   model_.validate();
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -46,18 +47,76 @@ void check_arrival_order(std::uint64_t index, std::uint64_t prev_ps,
 /// Where the controller address hash places one request: the serving
 /// channel, the bank within it (the lead bank for striped devices,
 /// which occupy every bank of the channel), and the row / photonic
-/// region the first line falls into. Single source of truth shared by
-/// the replay engine and the sched::Controller front-end, so queue
-/// arbitration and bank timing always agree on the mapping.
+/// region the first line falls into. The sched::Controller carries the
+/// AddressMap::place result from admission to ReplaySession::feed_issued,
+/// so queue arbitration and bank timing always agree on the mapping.
 struct RequestPlacement {
   int channel = 0;
   int bank = 0;
   std::uint64_t row = 0;
   std::uint64_t region = 0;
+
+  bool operator==(const RequestPlacement&) const = default;
 };
 
-RequestPlacement place_request(const DeviceTiming& timing,
-                               const Request& request);
+/// The controller address hash of one device (NVMain-style bank/channel
+/// interleaving: it spreads hot lines over channels and banks so that
+/// Zipf-skewed streams do not serialize on one bank), with each divisor
+/// of the mapping fixed at construction: a shift and a mask when it is
+/// a power of two, else the exact divisor. Each MemorySystem builds one,
+/// the single source of placement, channel routing and line counts.
+class AddressMap {
+ public:
+  /// Only derives shifts, so an unvalidated timing is safe to map.
+  explicit AddressMap(const DeviceTiming& timing);
+
+  RequestPlacement place(const Request& request) const {
+    const std::uint64_t line = hashed_line(request);
+    return {static_cast<int>(channels_.mod(line)),
+            static_cast<int>(banks_.mod(channels_.div(line))),
+            row_.div(request.address),
+            region_.d != 0 ? region_.div(request.address) : 0};
+  }
+
+  /// The serving channel alone: what a lane router needs.
+  int channel(const Request& request) const {
+    return static_cast<int>(channels_.mod(hashed_line(request)));
+  }
+
+  /// Device lines a request of `size_bytes` spans, rounded up. The sum
+  /// wraps in 32 bits, as the session's count always has.
+  std::uint64_t lines_needed(std::uint32_t size_bytes) const {
+    return line_.div(static_cast<std::uint32_t>(size_bytes + line_.d - 1));
+  }
+
+ private:
+  /// x / d and x % d for a divisor fixed at construction.
+  struct Divisor {
+    explicit Divisor(std::uint64_t divisor)
+        : d(divisor),
+          shift(std::has_single_bit(d) ? std::countr_zero(d) : -1) {}
+
+    std::uint64_t div(std::uint64_t x) const {
+      return shift >= 0 ? x >> shift : x / d;
+    }
+    std::uint64_t mod(std::uint64_t x) const {
+      return shift >= 0 ? x & (d - 1) : x % d;
+    }
+
+    std::uint64_t d;
+    int shift;  ///< log2(d) when d is a power of two, else -1.
+  };
+
+  std::uint64_t hashed_line(const Request& request) const {
+    std::uint64_t x = line_.div(request.address);
+    x ^= x >> 13;
+    x *= 0x9e3779b97f4a7c15ULL;
+    x ^= x >> 29;
+    return x;
+  }
+
+  Divisor line_, channels_, banks_, row_, region_;  ///< Region 0: none.
+};
 
 /// Per-request scheduling feedback returned by ReplaySession::feed /
 /// feed_issued: when service began (post bank-busy / window / refresh
@@ -143,8 +202,12 @@ class ReplaySession {
   /// Violations (issue before arrival, non-monotonic issue times on a
   /// channel) are controller bugs and throw std::logic_error. With
   /// issue_ps == arrival_ps on a sorted stream this is exactly feed(),
-  /// bit for bit.
-  FeedResult feed_issued(const Request& request, std::uint64_t issue_ps);
+  /// bit for bit. `placement` is the request's AddressMap::place result,
+  /// which the controller computed at admission; builds without NDEBUG
+  /// recompute it and throw std::logic_error on a stale one.
+  FeedResult feed_issued(const Request& request,
+                         const RequestPlacement& placement,
+                         std::uint64_t issue_ps);
 
   /// Number of requests fed so far.
   std::uint64_t fed() const;
@@ -171,6 +234,7 @@ class MemorySystem final : public Engine {
   explicit MemorySystem(DeviceModel model, int run_threads = 1);
 
   const DeviceModel& model() const { return model_; }
+  const AddressMap& address_map() const { return map_; }
 
   using Engine::run;
 
@@ -185,6 +249,7 @@ class MemorySystem final : public Engine {
   friend class ReplaySession;
   DeviceModel model_;
   int run_threads_;
+  AddressMap map_;
 };
 
 }  // namespace comet::memsim

@@ -123,15 +123,16 @@ struct QueuedTx {
 };
 
 /// A schedulable transaction as arbitration sees it: everything its
-/// rank depends on, and nothing else, so the per-bank scans stay dense.
-/// The Request itself rides in a parallel array (BankQueue::requests)
-/// that only issue touches.
+/// rank depends on, plus the bank that completes its placement for
+/// issue, so the per-bank scans stay dense. The Request itself rides in
+/// a parallel array (BankQueue::requests) that only issue touches.
 struct Candidate {
   std::uint64_t seq = 0;
   std::uint64_t admit_ps = 0;
   std::uint64_t row = 0;
   std::uint64_t region = 0;
   std::uint16_t tenant = 0;
+  int bank = 0;  ///< The placement's bank (not the lead bank if striped).
 };
 
 }  // namespace
@@ -408,8 +409,9 @@ struct Controller::Impl {
     const std::size_t b = lead_bank(tx.placement);
     Bank& bank = ch.banks[b];
     BankQueue& bq = bank.queues[kind];
-    const Candidate c{tx.seq, tx.admit_ps, tx.placement.row,
-                      tx.placement.region, tx.request.tenant};
+    Candidate c{tx.seq, tx.admit_ps, tx.placement.row, tx.placement.region,
+                tx.request.tenant};
+    c.bank = tx.placement.bank;
     bq.candidates.push_back(c);
     bq.requests.push_back(tx.request);
     ++ch.queues[kind].in_window;
@@ -460,22 +462,24 @@ struct Controller::Impl {
     }
   }
 
-  /// Hands `request` to the device at the channel's next issue instant
-  /// (no earlier than `ready_ps`) and commits the bank mirror.
-  void dispatch(Channel& ch, const memsim::Request& request, Bank& bank,
-                std::uint64_t row, std::uint64_t region,
+  /// Hands the placed `request` to the device at the channel's next issue
+  /// instant (no earlier than `ready_ps`) and commits the bank mirror.
+  void dispatch(Channel& ch, const memsim::Request& request,
+                const memsim::RequestPlacement& placement,
                 std::uint64_t ready_ps) {
     const std::uint64_t issue_ps = std::max(ready_ps, ch.last_issue);
     ch.last_issue = issue_ps;
-    const memsim::FeedResult result = session.feed_issued(request, issue_ps);
+    const memsim::FeedResult result =
+        session.feed_issued(request, placement, issue_ps);
     ch.totals.stats.sched_queue_delay_ns.add(
         static_cast<double>(issue_ps - request.arrival_ps) * 1e-3);
     ch.totals.stats.service_latency_ns.add(
         static_cast<double>(result.completion_ps - issue_ps) * 1e-3);
     // Mirror commit — the same rule the replay engine applies.
+    Bank& bank = ch.banks[lead_bank(placement)];
     bank.free_ps = result.bank_busy_until_ps;
-    bank.open_row = row;
-    bank.open_region = region;
+    bank.open_row = placement.row;
+    bank.open_region = placement.region;
     invalidate_bank(bank);
   }
 
@@ -519,7 +523,7 @@ struct Controller::Impl {
       if (flipped) invalidate_banks(ch);
     }
 
-    dispatch(ch, request, bank, c.row, c.region, pick.issue_ps());
+    dispatch(ch, request, {ch.index, c.bank, c.row, c.region}, pick.issue_ps());
 
     if (pick.from_writes && ch.draining) {
       ++ch.totals.stats.drained_writes;
@@ -588,12 +592,11 @@ struct Controller::Impl {
     // Bring the controller up to this arrival instant.
     advance_until(req.arrival_ps);
 
-    const auto& t = system.model().timing;
     QueuedTx tx;
     tx.seq = next_seq++;
     tx.request = req;
     tx.admit_ps = req.arrival_ps;
-    tx.placement = memsim::place_request(t, req);
+    tx.placement = system.address_map().place(req);
 
     auto& ch = channels[static_cast<std::size_t>(tx.placement.channel)];
     const std::size_t kind = req.op == memsim::Op::kWrite ? kWrites : kReads;
@@ -610,8 +613,7 @@ struct Controller::Impl {
       // In-order immediate handoff: the device's own outstanding window
       // does all buffering — exactly the legacy arrival-order replay,
       // so unbounded-queue fcfs is bit-identical to no controller.
-      dispatch(ch, req, ch.banks[lead_bank(tx.placement)], tx.placement.row,
-               tx.placement.region, req.arrival_ps);
+      dispatch(ch, req, tx.placement, req.arrival_ps);
       return;
     }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -7,10 +8,17 @@
 /// Streaming statistics used by the memory simulator and the benches.
 namespace comet::util {
 
+/// The percentile-histogram bucket of `x`: 0 below 2^-20 (zero,
+/// negatives, NaN), else 1 + floor((log2 x + 20) * 8) rounded as
+/// written, clamped to the last bucket (480) from 2^40 up, +inf
+/// included. Read from the exponent bits and a table built once per
+/// process, without calling log2.
+std::size_t histogram_bucket(double x);
+
 /// Welford-style running mean/variance plus min/max, and a fixed-size
 /// log2-bucketed histogram (HDR-histogram style: 8 sub-buckets per
-/// octave over [2^-20, 2^40)) for approximate percentiles — O(1) memory
-/// regardless of sample count, and exactly mergeable.
+/// octave over [2^-20, 2^40), see histogram_bucket) for approximate
+/// percentiles — O(1) memory, exactly mergeable, one lookup per add().
 class RunningStats {
  public:
   void add(double x);

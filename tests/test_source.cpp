@@ -22,8 +22,11 @@
 #include "memsim/system.hpp"
 #include "memsim/trace.hpp"
 #include "memsim/trace_gen.hpp"
+#include "place_request_reference.hpp"
 #include "trace_reader_reference.hpp"
+#include "util/rng.hpp"
 
+namespace ct = comet::test;
 namespace ms = comet::memsim;
 
 namespace {
@@ -157,6 +160,100 @@ TEST(ReplaySession, RejectsOutOfOrderFeeds) {
     EXPECT_NE(msg.find("index 1"), std::string::npos) << msg;
     EXPECT_NE(msg.find("500"), std::string::npos) << msg;
     EXPECT_NE(msg.find("1000"), std::string::npos) << msg;
+  }
+}
+
+TEST(ReplaySession, FeedIssuedRejectsAStalePlacement) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the placement guard is compiled only without NDEBUG";
+#else
+  const ms::MemorySystem system(comet::driver::make_device("comet"));
+  ms::ReplaySession session(system, "test");
+  const ms::Request req{.arrival_ps = 1000, .address = 0x12345680};
+  ms::RequestPlacement stale = system.address_map().place(req);
+  stale.bank ^= 1;
+  EXPECT_THROW(session.feed_issued(req, stale, 1000), std::logic_error);
+  session.feed_issued(req, system.address_map().place(req), 1000);
+  EXPECT_EQ(session.fed(), 1u);
+#endif
+}
+
+// ------------------------------------------------------- AddressMap
+
+namespace {
+
+struct Geometry {
+  std::string name;
+  ms::DeviceTiming timing;
+};
+
+/// Every registry device, both tiers of every hybrid, and COMET with
+/// each divisor moved off a power of two (and all of them at once).
+std::vector<Geometry> placement_geometries() {
+  std::vector<Geometry> out;
+  for (const auto& token : comet::driver::known_devices()) {
+    out.push_back({token, comet::driver::make_device(token).timing});
+  }
+  for (const auto& token : comet::driver::known_hybrid_devices()) {
+    const auto spec = comet::driver::make_device_spec(token);
+    out.push_back({token + " dram tier", spec.tiered->dram.timing});
+    out.push_back({token + " backend tier", spec.tiered->backend.timing});
+  }
+  const ms::DeviceTiming base = comet::driver::make_device("comet").timing;
+  const auto variant = [&](const std::string& name, auto edit) {
+    ms::DeviceTiming t = base;
+    edit(t);
+    out.push_back({"comet, " + name, t});
+  };
+  variant("3 channels", [](ms::DeviceTiming& t) { t.channels = 3; });
+  variant("6 channels", [](ms::DeviceTiming& t) { t.channels = 6; });
+  variant("5 banks", [](ms::DeviceTiming& t) { t.banks_per_channel = 5; });
+  variant("3000 B rows", [](ms::DeviceTiming& t) { t.row_size_bytes = 3000; });
+  variant("no regions", [](ms::DeviceTiming& t) { t.region_size_bytes = 0; });
+  variant("3 MiB regions",
+          [](ms::DeviceTiming& t) { t.region_size_bytes = 3ull << 20; });
+  variant("96 B lines", [](ms::DeviceTiming& t) { t.line_bytes = 96; });
+  for (const std::uint64_t region :
+       {std::uint64_t{0}, std::uint64_t{3} << 20}) {
+    variant("every divisor odd, region " + std::to_string(region),
+            [region](ms::DeviceTiming& t) {
+              t.channels = 6;
+              t.banks_per_channel = 5;
+              t.row_size_bytes = 3000;
+              t.region_size_bytes = region;
+              t.line_bytes = 96;
+            });
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(AddressMap, MatchesTheOldPlacementOnEveryGeometry) {
+  for (const Geometry& g : placement_geometries()) {
+    const ms::AddressMap map(g.timing);
+    comet::util::Rng rng(7);
+    for (int i = 0; i < 20000; ++i) {
+      // Full-range addresses and sizes, then small ones near zero.
+      const bool wide = i % 2 == 0;
+      const ms::Request req{
+          .address = wide ? rng.next_u64() : rng.next_below(1u << 20),
+          .size_bytes = static_cast<std::uint32_t>(
+              wide ? rng.next_u64() : rng.next_below(4096))};
+      const ms::RequestPlacement want = ct::place_request(g.timing, req);
+      ASSERT_EQ(map.place(req), want) << g.name << ", address " << req.address;
+      ASSERT_EQ(map.channel(req), want.channel) << g.name;
+      ASSERT_EQ(map.lines_needed(req.size_bytes),
+                ct::lines_needed(g.timing, req))
+          << g.name << ", size " << req.size_bytes;
+    }
+    // The largest sizes, where the rounded-up line count wraps.
+    for (std::uint32_t k = 0; k <= g.timing.line_bytes; ++k) {
+      const ms::Request req{.size_bytes = ~std::uint32_t{0} - k};
+      ASSERT_EQ(map.lines_needed(req.size_bytes),
+                ct::lines_needed(g.timing, req))
+          << g.name << ", size " << req.size_bytes;
+    }
   }
 }
 

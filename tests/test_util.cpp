@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -16,6 +18,7 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
+#include "stats_bucket_reference.hpp"
 #include "zipf_scan_reference.hpp"
 
 namespace ct = comet::test;
@@ -397,6 +400,87 @@ TEST(RunningStats, MergeCoversPercentiles) {
   const double before = combined.p95();
   combined.merge(cu::RunningStats{});
   EXPECT_DOUBLE_EQ(combined.p95(), before);
+}
+
+// The percentile bucket against a verbatim copy of the log2 formula it
+// replaced (stats_bucket_reference.hpp). stats_equivalence runs the
+// same comparison on 10^8 samples.
+
+namespace {
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+double from_bits(std::uint64_t b) { return std::bit_cast<double>(b); }
+
+/// The least double the reference formula puts in bucket >= i (i >= 2),
+/// bisected over every double in [2^-20, 2^41] — independently of the
+/// library's own bounds.
+double reference_bound(std::size_t i) {
+  std::uint64_t lo = bits_of(std::ldexp(1.0, -20));
+  std::uint64_t hi = bits_of(std::ldexp(1.0, 41));
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    (ct::histogram_bucket(from_bits(mid)) >= i ? hi : lo) = mid;
+  }
+  return from_bits(hi);
+}
+
+}  // namespace
+
+TEST(HistogramBucket, MatchesTheLog2FormulaAroundEveryBound) {
+  std::size_t checked = 0;
+  for (std::size_t i = 2; i < ct::kHistogramBuckets; ++i) {
+    const std::uint64_t bound = bits_of(reference_bound(i));
+    ASSERT_EQ(ct::histogram_bucket(from_bits(bound)), i);
+    for (std::uint64_t b = bound - 4; b <= bound + 4; ++b, ++checked) {
+      const double x = from_bits(b);
+      ASSERT_EQ(cu::histogram_bucket(x), ct::histogram_bucket(x))
+          << "bucket " << i << ", x = " << x << " (" << int(b - bound)
+          << " ulp from the bound)";
+    }
+  }
+  EXPECT_EQ(checked, (ct::kHistogramBuckets - 2) * 9);
+}
+
+TEST(HistogramBucket, MatchesTheLog2FormulaOnSpecialValues) {
+  using limits = std::numeric_limits<double>;
+  constexpr double kInf = limits::infinity();
+  const double low = std::ldexp(1.0, -20);
+  const double high = std::ldexp(1.0, 40);
+  const auto same = [](double x) {
+    EXPECT_EQ(cu::histogram_bucket(x), ct::histogram_bucket(x)) << x;
+  };
+  // Underflow: zero, negatives, NaN, subnormals, everything below 2^-20.
+  for (const double x : {0.0, -0.0, -1.0, -1e300, -kInf}) same(x);
+  for (const double x : {limits::quiet_NaN(), limits::denorm_min()}) same(x);
+  for (const double x : {std::ldexp(1.0, -1030), limits::min()}) same(x);
+  for (const double x : {std::ldexp(1.0, -21), std::nextafter(low, 0.0)}) {
+    same(x);
+  }
+  // The edges of the histogram range, and far above it.
+  for (const double x : {low, std::nextafter(low, 1.0), 1.0}) same(x);
+  for (const double x : {std::nextafter(high, 0.0), high}) same(x);
+  for (const double x : {std::nextafter(high, kInf), std::ldexp(1.0, 41)}) {
+    same(x);
+  }
+  for (const double x : {1e15, 1e300, limits::max()}) same(x);
+  // The formula's float-to-integer conversion of +inf is undefined
+  // behaviour (x86-64 yields bucket 1); the table clamps +inf into the
+  // last bucket, like every other sample from 2^40 up.
+  EXPECT_EQ(cu::histogram_bucket(kInf), ct::kHistogramBuckets - 1);
+}
+
+TEST(HistogramBucket, MatchesTheLog2FormulaOnSeededSamples) {
+  cu::Rng rng(42);
+  std::uint64_t mismatches = 0;
+  double first = 0.0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double x = ct::bucket_sample(rng);
+    if (cu::histogram_bucket(x) != ct::histogram_bucket(x) &&
+        mismatches++ == 0) {
+      first = x;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first mismatch at " << first;
 }
 
 TEST(Histogram, BucketsAndPercentile) {
