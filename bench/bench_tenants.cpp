@@ -8,11 +8,14 @@
 // reports per-tenant p99 latency, slowdown vs running alone, the run's
 // max slowdown and Jain's fairness index — the partition mapping
 // isolates address spaces (interference through shared queues only),
-// the interleave mapping forces line-granular contention. Each cell is
-// timed individually (serial execution, so wall clocks don't contend)
-// and the matrix lands in BENCH_tenants.json (bench/bench_json.hpp
-// schema); CI's perf lane diffs requests_per_s per cell against the
-// committed baseline.
+// the interleave mapping forces line-granular contention. One more cell
+// runs the pair on hybrid-comet behind frfcfs-cap with 3 run threads:
+// the threaded pipeline (source producer, cache filter on the caller,
+// lanes finished on their workers) that multi-tenant hybrid runs take.
+// Each cell is timed individually (cells run one after another, so
+// wall clocks don't contend) and the matrix lands in BENCH_tenants.json
+// (bench/bench_json.hpp schema); CI's perf lane diffs requests_per_s
+// per cell against the committed baseline.
 //
 // Usage: bench_tenants [requests-per-tenant]   (default: 20,000)
 
@@ -35,6 +38,13 @@
 namespace {
 
 constexpr std::uint32_t kLineBytes = 128;
+
+/// The threaded hybrid cell replays this many times the requests per
+/// tenant of the other cells: on a 4-thread host the source producer
+/// only pays for its thread once a run lasts ~0.1 s (50,000 requests
+/// per tenant break even, 200,000 run ~1.5x faster), the scale
+/// perfbench's tenants-hybrid workload runs at.
+constexpr std::size_t kThreadedCellScale = 10;
 
 std::vector<comet::config::TenantSpec> two_tenants() {
   namespace cf = comet::config;
@@ -64,29 +74,34 @@ int main(int argc, char** argv) {
   // variants bound what one tenant can take from the other. No
   // controller-less cell: direct replay is so fast per cell that its
   // wall clock is all noise, and bench_streaming already gates it.
-  const std::vector<std::optional<sc::Policy>> policies = {
+  const std::vector<sc::Policy> policies = {
       sc::Policy::kFrFcfs, sc::Policy::kTokenBudget, sc::Policy::kFrFcfsCap};
   const std::vector<cf::TenantMapping> mappings = {
       cf::TenantMapping::kPartition, cf::TenantMapping::kInterleave};
 
   std::vector<comet::driver::SweepJob> jobs;
-  const auto device = comet::driver::make_device_spec("comet");
+  std::vector<std::string> device_tokens;  ///< Indexed like jobs.
+  const auto add_job = [&](const std::string& token, sc::Policy policy,
+                           cf::TenantMapping mapping, int run_threads) {
+    comet::driver::SweepJob job;
+    job.device = comet::driver::make_device_spec(token);
+    job.profile.name = "batch+web";
+    job.requests =
+        requests_per_tenant * (run_threads > 1 ? kThreadedCellScale : 1);
+    job.seed = 42;
+    job.line_bytes = kLineBytes;
+    job.controller = sc::ControllerConfig::with_depths(policy, 32, 32);
+    job.run_threads = run_threads;
+    job.tenants = two_tenants();
+    job.tenant_mapping = mapping;
+    jobs.push_back(std::move(job));
+    device_tokens.push_back(token);
+  };
   for (const auto& policy : policies) {
-    for (const auto mapping : mappings) {
-      comet::driver::SweepJob job;
-      job.device = device;
-      job.profile.name = "batch+web";
-      job.requests = requests_per_tenant;
-      job.seed = 42;
-      job.line_bytes = kLineBytes;
-      if (policy) {
-        job.controller = sc::ControllerConfig::with_depths(*policy, 32, 32);
-      }
-      job.tenants = two_tenants();
-      job.tenant_mapping = mapping;
-      jobs.push_back(std::move(job));
-    }
+    for (const auto mapping : mappings) add_job("comet", policy, mapping, 1);
   }
+  add_job("hybrid-comet", sc::Policy::kFrFcfsCap,
+          cf::TenantMapping::kPartition, 3);
 
   // Serial per-cell timing: each cell's wall clock is uncontended, so
   // requests_per_s is a clean gated metric (scripts/check_perf.py).
@@ -107,13 +122,13 @@ int main(int argc, char** argv) {
                           : std::string("direct");
   };
 
-  Table table({"policy", "mapping", "tenant", "BW (GB/s)", "avg (ns)",
+  Table table({"device", "policy", "mapping", "tenant", "BW (GB/s)", "avg (ns)",
                "p99 (ns)", "alone (ns)", "slowdown", "max slowdown",
                "Jain index"});
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const auto& s = stats[i];
     for (const auto& tenant : s.tenants) {
-      table.add_row({policy_label(jobs[i]),
+      table.add_row({device_tokens[i], policy_label(jobs[i]),
                      cf::tenant_mapping_name(jobs[i].tenant_mapping),
                      tenant.name, Table::num(s.bandwidth_gbps(), 2),
                      Table::num(tenant.avg_latency_ns(), 1),
@@ -131,12 +146,15 @@ int main(int argc, char** argv) {
   if (json) {
     namespace cb = comet::bench;
     const int hw_threads = comet::memsim::resolve_run_threads(0);
-    const std::size_t shared_requests = 2 * requests_per_tenant;
     std::vector<cb::BenchResult> results;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const std::size_t shared_requests = 2 * jobs[i].requests;
       cb::BenchResult r;
-      r.name = "comet/batch+web/" + policy_label(jobs[i]) + "/" +
-               cf::tenant_mapping_name(jobs[i].tenant_mapping);
+      r.name = device_tokens[i] + "/batch+web/" + policy_label(jobs[i]) +
+               "/" + cf::tenant_mapping_name(jobs[i].tenant_mapping);
+      if (jobs[i].run_threads > 1) {
+        r.name += "/t" + std::to_string(jobs[i].run_threads);
+      }
       r.requests = shared_requests;
       r.wall_s = cell_seconds[i];
       r.requests_per_s = double(shared_requests) / cell_seconds[i];
@@ -146,10 +164,16 @@ int main(int argc, char** argv) {
           {"policy", cb::json_str(policy_label(jobs[i]))},
           {"mapping",
            cb::json_str(cf::tenant_mapping_name(jobs[i].tenant_mapping))},
-          {"requests_per_tenant", std::to_string(requests_per_tenant)},
+          {"requests_per_tenant", std::to_string(jobs[i].requests)},
           {"hw_threads", std::to_string(hw_threads)},
           {"line_bytes", std::to_string(kLineBytes)},
           {"seed", "42"}};
+      // check_perf.py gates a sharded cell only against a baseline from
+      // a host with the same thread count.
+      if (jobs[i].run_threads > 1) {
+        r.config.emplace_back("run_threads",
+                              std::to_string(jobs[i].run_threads));
+      }
       results.push_back(std::move(r));
     }
     cb::write_bench_json(json, "bench_tenants", results);

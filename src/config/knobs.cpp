@@ -34,8 +34,8 @@ const std::vector<Knob>& knobs() {
        "CPU clock for trace cycle->time\nconversion (default: 2.0)"},
       {"--run-threads", "N", "controller", "run_threads", KnobKind::kInteger, 0,
        "per-channel replay worker threads inside\neach run (default: 1 = "
-       "serial; 0 =\nhardware threads); results are\nbit-identical for any "
-       "value"},
+       "serial; 0 =\nhardware threads); N > 1 adds one thread\nthat pulls "
+       "the source; results are\nbit-identical for any value"},
       {"--schedule", "<policy>", "controller", "policy", KnobKind::kString, 0,
        "engage the memory-controller scheduler:\nfcfs, frfcfs, read-first, "
        "token-budget or\nfrfcfs-cap (see --list-policies)"},

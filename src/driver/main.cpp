@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
         std::chrono::steady_clock::now() - start);
 
     print_report(std::cout, jobs, results, options.csv);
-    print_host_profile(std::cout, jobs, &profilers, options.csv);
+    print_host_profile(std::cout, jobs, results, &profilers, options.csv);
     std::cout << "\n" << jobs.size() << " run(s) in " << elapsed.count()
               << " s\n";
 

@@ -17,11 +17,8 @@ namespace {
 using util::json_string;
 using util::shortest_double;
 
-/// The device × workload table over the console columns of the rows in
-/// `scope`, one line per record in that scope.
-util::Table metric_table(memsim::MetricScope scope,
-                         const std::vector<SweepJob>& jobs,
-                         const std::vector<memsim::SimStats>& results) {
+/// The rows in `scope` that have a console column, in column order.
+std::vector<const memsim::Metric*> metric_columns(memsim::MetricScope scope) {
   std::vector<const memsim::Metric*> columns;
   for (const memsim::Metric& metric : memsim::metrics()) {
     if (metric.scope == scope && metric.column.header) {
@@ -31,11 +28,28 @@ util::Table metric_table(memsim::MetricScope scope,
   std::sort(columns.begin(), columns.end(), [](const auto* a, const auto* b) {
     return a->column.position < b->column.position;
   });
+  return columns;
+}
+
+/// "device", "workload", the columns' headers, then `extra`.
+std::vector<std::string> column_headers(
+    const std::vector<const memsim::Metric*>& columns,
+    std::vector<std::string> extra = {}) {
   std::vector<std::string> headers{"device", "workload"};
   for (const auto* metric : columns) {
     headers.emplace_back(metric->column.header);
   }
-  util::Table table(std::move(headers));
+  headers.insert(headers.end(), extra.begin(), extra.end());
+  return headers;
+}
+
+/// The device × workload table over the console columns of the rows in
+/// `scope`, one line per record in that scope.
+util::Table metric_table(memsim::MetricScope scope,
+                         const std::vector<SweepJob>& jobs,
+                         const std::vector<memsim::SimStats>& results) {
+  const auto columns = metric_columns(scope);
+  util::Table table(column_headers(columns));
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const memsim::MetricInput in{results[i]};
     if (!columns.front()->applies(in)) continue;
@@ -166,15 +180,19 @@ void print_report(std::ostream& os, const std::vector<SweepJob>& jobs,
 
 void print_host_profile(
     std::ostream& os, const std::vector<SweepJob>& jobs,
+    const std::vector<memsim::SimStats>& results,
     const std::vector<std::unique_ptr<prof::Profiler>>* profilers, bool csv) {
   if (!profilers) return;
-  if (profilers->size() != jobs.size()) {
-    throw std::invalid_argument("jobs/profilers size mismatch");
+  if (profilers->size() != jobs.size() || results.size() != jobs.size()) {
+    throw std::invalid_argument("jobs/results/profilers size mismatch");
   }
   using util::Table;
 
-  Table host({"device", "workload", "wall (s)", "req/s", "pool util",
-              "push stalls", "pop waits", "queue max"});
+  // Wall clock, throughput and source wait are host rows of the metric
+  // table; the pool pressure columns follow them.
+  const auto columns = metric_columns(memsim::MetricScope::kHostTimed);
+  Table host(column_headers(
+      columns, {"pool util", "push stalls", "pop waits", "queue max"}));
   Table stages({"device", "workload", "stage", "calls", "wall (s)", "share"});
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const prof::Profiler* profiler = (*profilers)[i].get();
@@ -198,12 +216,13 @@ void print_host_profile(
           pool->wall_s * static_cast<double>(pool->workers.size());
     }
     const double utilization = capacity_s > 0.0 ? busy_s / capacity_s : 0.0;
-    host.add_row({jobs[i].device.name, jobs[i].profile.name,
-                  Table::num(profiler->wall_seconds(), 3),
-                  Table::sci(profiler->requests_per_second(), 3),
-                  Table::num(utilization, 3),
-                  std::to_string(push_stalls), std::to_string(pop_waits),
-                  std::to_string(queue_high_water)});
+    const memsim::MetricInput in{results[i], profiler};
+    std::vector<std::string> cells{jobs[i].device.name, jobs[i].profile.name};
+    for (const auto* metric : columns) cells.push_back(metric->cell(in));
+    cells.insert(cells.end(),
+                 {Table::num(utilization, 3), std::to_string(push_stalls),
+                  std::to_string(pop_waits), std::to_string(queue_high_water)});
+    host.add_row(std::move(cells));
 
     const double wall_s = profiler->wall_seconds();
     for (const auto& [name, stage] : profiler->stages()) {

@@ -20,12 +20,14 @@ void print_report(std::ostream& os, const std::vector<SweepJob>& jobs,
                   const std::vector<memsim::SimStats>& results, bool csv);
 
 /// "Host profile" tables for the --profile runs: per-record wall time,
-/// throughput, pool utilization and queue pressure, followed by the
-/// per-stage wall-time breakdown. Prints nothing when no record was
-/// profiled (`profilers` null, or no entry with spec().profiling()).
+/// throughput and source wait (the host rows of the metric table), pool
+/// utilization and queue pressure, followed by the per-stage wall-time
+/// breakdown. Prints nothing when no record was profiled (`profilers`
+/// null, or no entry with spec().profiling()). `results` and
 /// `profilers`, when given, must be indexed like `jobs`.
 void print_host_profile(
     std::ostream& os, const std::vector<SweepJob>& jobs,
+    const std::vector<memsim::SimStats>& results,
     const std::vector<std::unique_ptr<prof::Profiler>>* profilers, bool csv);
 
 /// BENCH_fig9.json-style record: `{"bench": "comet_sim_sweep",

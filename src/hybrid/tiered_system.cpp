@@ -99,8 +99,8 @@ namespace {
 /// the demand arrival time and are fed in demand order, so both
 /// sub-streams inherit the sorted-stream contract. The tag state is
 /// global across channels, so the filter runs on the caller's thread
-/// whatever run_threads says; with run_threads <= 1 the lanes run there
-/// too.
+/// whatever run_threads says; with run_threads <= 1 the lanes (and the
+/// source) run there too.
 class TierStage final : public memsim::ReplayStage {
  public:
   TierStage(const DramCacheConfig& cache, const memsim::MemorySystem& dram,
@@ -125,6 +125,8 @@ class TierStage final : public memsim::ReplayStage {
   void feed(const memsim::Request* block, std::size_t count) override {
     for (std::size_t i = 0; i < count; ++i) filter(block[i]);
   }
+
+  bool threaded() const override { return pool_.threaded(); }
 
   std::vector<memsim::ReplaySlice> drain() override { return pool_.finish(); }
 

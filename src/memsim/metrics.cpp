@@ -85,16 +85,26 @@ const std::vector<Metric>& metrics() {
       {"fairness_index", P::kTenants, S::kMultiTenant,
        {.header = "Jain index", .position = 2, .digits = 3},
        [](const MetricInput& in) { return in.stats.fairness_index; }},
-      {"wall_s", P::kHost, S::kHostTimed, {}, wall_s},
+      {"wall_s", P::kHost, S::kHostTimed,
+       {.header = "wall (s)", .position = 1, .digits = 3}, wall_s},
       // The requests the job served. The record's top-level `requests`
       // is a provenance field: the requests the job asked for.
       {"requests", P::kHost, S::kHostTimed, {},
        [](const MetricInput& in) -> std::uint64_t {
          return in.host ? in.host->run_requests() : 0;
        }},
-      {"requests_per_s", P::kHost, S::kHostTimed, {},
+      {"requests_per_s", P::kHost, S::kHostTimed,
+       {.header = "req/s", .position = 2, .digits = 3, .sci = true},
        [](const MetricInput& in) {
          return in.host ? in.host->requests_per_second() : 0.0;
+       }},
+      // The replay caller's wait for the source producer (threaded runs):
+      // host time the stage timings do not show, since source_pull
+      // overlaps the caller's stages there. 0 in a serial run.
+      {"source_wait_s", P::kHost, S::kHostTimed,
+       {.header = "src wait (s)", .position = 3, .digits = 3},
+       [](const MetricInput& in) {
+         return in.host ? in.host->source_wait_seconds() : 0.0;
        }},
   };
   return rows;

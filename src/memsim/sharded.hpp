@@ -12,15 +12,14 @@
 /// per-channel lanes most engines feed through it.
 ///
 /// run_replay is the only place a RequestSource is drained. It pulls
-/// the stream in kFeedBlockRequests blocks (sources are single-pass and
-/// stay on the caller's thread), enforces the global sorted-by-arrival
-/// contract, hands each block to the engine's ReplayStage, times the
-/// stages and ticks progress for an attached profiler, then drains the
-/// stage and merges its lane slices into finalized per-tier results.
-/// Engines supply only the stage that consumes the requests: a
-/// whole-device ReplaySession (flat, one thread), per-channel lanes on
-/// a LanePool (run_sharded), or the hybrid cache filter feeding both
-/// tiers' lanes.
+/// the stream in kFeedBlockRequests blocks (sources are single-pass),
+/// enforces the global sorted-by-arrival contract, hands each block to
+/// the engine's ReplayStage, times the stages and ticks progress for an
+/// attached profiler, then drains the stage and merges its lane slices
+/// into finalized per-tier results. Engines supply only the stage that
+/// consumes the requests: a whole-device ReplaySession (flat, one
+/// thread), per-channel lanes on a LanePool (run_sharded), or the
+/// hybrid cache filter feeding both tiers' lanes.
 ///
 /// Sharding rests on the controller address hash making every channel
 /// an island: placement, bank timing, the outstanding window and all
@@ -33,13 +32,29 @@
 /// sched::Controller for any thread count. That bit-identity is a hard
 /// test gate (tests/test_sharded.cpp), not a best-effort property.
 ///
-/// LanePool threading model: the caller's thread is the producer — it
-/// routes each request to its lane and hands ~kFeedBlockRequests-sized
-/// blocks to the lane's worker over a bounded queue. Lanes map to
-/// workers round-robin (lane % workers); each lane is only ever touched
-/// by one worker, so lanes need no locking of their own. With
-/// threads <= 1 the pool degenerates to inline feeding on the caller's
-/// thread — zero threading overhead, same lanes.
+/// Threading model. A serial run (run_threads <= 1) does everything on
+/// the caller's thread: pull a block, check it, feed it, and the
+/// LanePool feeds its lanes inline. A threaded run is a three-stage
+/// pipeline:
+///   1. a source producer thread pulls next_batch blocks into a small
+///      fixed ring and hands them over in stream order (an exception
+///      from the source is handed over in its place, after every block
+///      pulled before it);
+///   2. the caller takes the blocks in order, checks arrivals, runs the
+///      stage's routing (the hybrid cache filter, whose tag state is
+///      global) and hands ~kFeedBlockRequests-sized per-lane blocks to
+///      the lanes' workers over bounded queues (it is the pool's
+///      producer: PoolProfile's push stalls are its waits);
+///   3. the pool workers feed their lanes, and at the end each worker
+///      runs finish_slice() on its own lanes before it exits.
+/// Lanes map to workers round-robin (lane % workers); each lane is only
+/// ever touched by one thread, so lanes need no locking of their own.
+/// The source is touched only by the producer while the loop runs.
+namespace comet::prof {
+class Profiler;
+struct PoolProfile;
+}
+
 namespace comet::prof {
 class Profiler;
 struct PoolProfile;
@@ -55,8 +70,8 @@ int resolve_run_threads(int requested);
 /// One shard lane: a full replay pipeline (session, or a scheduler
 /// front-end over one) that consumes exactly one channel's subsequence
 /// of the run's stream. feed() is called in stream order by the lane's
-/// single worker; finish_slice() is called once, after every feed, from
-/// the merging thread.
+/// single worker; finish_slice() is called once, after every feed, by
+/// the same worker (by the caller in inline mode).
 class ShardLane {
  public:
   virtual ~ShardLane() = default;
@@ -84,9 +99,10 @@ class SessionLane final : public ShardLane {
 
 /// Runs N lanes on up to `threads` worker threads (bounded block queues,
 /// block recycling through a free list; see the header comment for the
-/// threading model). A lane exception is captured and rethrown on the
-/// caller's thread — from feed() as soon as it is noticed, else from
-/// finish(); the lowest-numbered worker's error wins when several fail.
+/// threading model). A lane exception, from feed() or finish_slice(),
+/// is captured and rethrown on the caller's thread — from feed() as
+/// soon as it is noticed, else from finish(), where the lowest-numbered
+/// failing lane's error wins when several fail.
 class LanePool {
  public:
   /// Takes ownership of the lanes. threads <= 1 selects inline mode.
@@ -102,11 +118,14 @@ class LanePool {
   LanePool(const LanePool&) = delete;
   LanePool& operator=(const LanePool&) = delete;
 
-  /// Routes one request to `lane` (producer thread only).
+  /// True when lanes run on worker threads (threads > 1).
+  bool threaded() const;
+
+  /// Routes one request to `lane` (the feeding thread only).
   void feed(std::size_t lane, const Request& request);
 
-  /// Flushes, joins the workers and returns every lane's slice in lane
-  /// order. May be called once.
+  /// Flushes, lets each worker finish its own lanes, joins the workers
+  /// and returns every lane's slice in lane order. May be called once.
   std::vector<ReplaySlice> finish();
 
  private:
@@ -120,6 +139,11 @@ class LanePool {
 class ReplayStage {
  public:
   virtual ~ReplayStage() = default;
+
+  /// True when the stage's lanes run on worker threads. run_replay then
+  /// pulls the source on a producer thread of its own; a serial stage
+  /// keeps the whole replay on the caller's thread.
+  virtual bool threaded() const { return false; }
 
   /// Consumes `count` requests of the stream.
   virtual void feed(const Request* block, std::size_t count) = 0;
@@ -142,9 +166,14 @@ struct ReplayTier {
 /// lane order, and finalizes each tier against its model. Returns one
 /// slice per tier: `stats` finalized, the arrival/completion window and
 /// request count kept for composite engines.
-/// A non-null `profiler` receives the "source_pull", "engine_feed",
-/// "lane_drain" (stage drain) and "shard_merge" (merge and finalize)
-/// stage timings and live progress ticks.
+/// A non-null `profiler` receives the "source_pull" (time inside
+/// next_batch, one call per block), "engine_feed", "lane_drain" (stage
+/// drain) and "shard_merge" (merge and finalize) stage timings and live
+/// progress ticks. In a threaded stage source_pull is timed on the
+/// producer thread, overlapping the caller's stages; the caller's wait
+/// for a filled block goes to Profiler::add_source_wait instead.
+/// Exceptions from the source, the arrival check or the stage reach the
+/// caller as in a serial run, and every thread is joined first.
 std::vector<ReplaySlice> run_replay(RequestSource& source, ReplayStage& stage,
                                     const std::vector<ReplayTier>& tiers,
                                     prof::Profiler* profiler = nullptr);

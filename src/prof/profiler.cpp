@@ -30,6 +30,16 @@ void Profiler::record_stage(const std::string& name, double wall_s,
   stage.wall_s += wall_s;
 }
 
+void Profiler::add_source_wait(double wall_s) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  source_wait_s_ += wall_s;
+}
+
+double Profiler::source_wait_seconds() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return source_wait_s_;
+}
+
 PoolProfile* Profiler::add_pool(std::string stage) {
   auto profile = std::make_unique<PoolProfile>();
   profile->stage = std::move(stage);

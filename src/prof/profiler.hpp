@@ -125,6 +125,15 @@ class Profiler {
   void record_stage(const std::string& name, double wall_s,
                     std::uint64_t calls = 1);
 
+  /// Adds `wall_s` seconds the replay loop's caller spent waiting for
+  /// the source producer to hand over a filled block (threaded runs
+  /// only). Kept apart from the stages: the source_pull it waits on is
+  /// timed on the producer thread, overlapping the caller's stages, so
+  /// the caller's stages plus this wait cover its run wall clock.
+  /// Thread-safe; called once per run.
+  void add_source_wait(double wall_s);
+  double source_wait_seconds() const;
+
   /// Registers one LanePool's profile and returns it, owned by the
   /// Profiler; the pool sizes the lane/worker vectors itself before its
   /// workers spawn. Thread-safe; called on the pool's producer thread.
@@ -158,8 +167,9 @@ class Profiler {
 
  private:
   ProfSpec spec_;
-  std::mutex mutex_;  ///< Guards stages_ and pools_ registration.
+  mutable std::mutex mutex_;  ///< Guards stages_, source_wait_s_, pools_.
   std::map<std::string, StageStats> stages_;
+  double source_wait_s_ = 0.0;
   std::vector<std::unique_ptr<PoolProfile>> pools_;
   std::atomic<std::uint64_t> progress_{0};
   double wall_s_ = 0.0;

@@ -1,5 +1,6 @@
 #include "tenant/multi_source.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -57,8 +58,17 @@ PacedSource::PacedSource(std::unique_ptr<memsim::RequestSource> inner,
 
 std::optional<memsim::Request> PacedSource::next() {
   auto pulled = inner_->next();
-  if (!pulled) return std::nullopt;
-  memsim::Request req = *pulled;
+  if (pulled) pace(*pulled);
+  return pulled;
+}
+
+std::size_t PacedSource::next_batch(memsim::Request* out, std::size_t max) {
+  const std::size_t pulled = inner_->next_batch(out, max);
+  for (std::size_t i = 0; i < pulled; ++i) pace(out[i]);
+  return pulled;
+}
+
+void PacedSource::pace(memsim::Request& req) {
   if (mean_ps_ > 0.0) {
     double gap_ps;
     if (burstiness_ <= 0.0) {
@@ -86,48 +96,95 @@ std::optional<memsim::Request> PacedSource::next() {
                     ? map_partition(tenant_, req.address)
                     : map_interleave(tenant_, tenant_count_, req.address,
                                      line_bytes_);
-  return req;
 }
 
-MultiSource::MultiSource(std::vector<memsim::RequestSource*> sources)
-    : sources_(std::move(sources)) {
-  if (sources_.empty()) {
+namespace {
+
+std::vector<memsim::RequestSource*> borrow(
+    const std::vector<std::unique_ptr<memsim::RequestSource>>& sources) {
+  std::vector<memsim::RequestSource*> borrowed;
+  borrowed.reserve(sources.size());
+  for (const auto& source : sources) borrowed.push_back(source.get());
+  return borrowed;
+}
+
+}  // namespace
+
+MultiSource::MultiSource(std::vector<memsim::RequestSource*> sources) {
+  if (sources.empty()) {
     throw std::invalid_argument("MultiSource: need at least one source");
   }
-  heads_.resize(sources_.size());
+  inputs_.resize(sources.size());
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    inputs_[i].source = sources[i];
+    inputs_[i].block.resize(memsim::kFeedBlockRequests);
+  }
 }
 
 MultiSource::MultiSource(
     std::vector<std::unique_ptr<memsim::RequestSource>> sources)
-    : owned_(std::move(sources)) {
-  sources_.reserve(owned_.size());
-  for (const auto& source : owned_) sources_.push_back(source.get());
-  if (sources_.empty()) {
-    throw std::invalid_argument("MultiSource: need at least one source");
-  }
-  heads_.resize(sources_.size());
+    : MultiSource(borrow(sources)) {
+  owned_ = std::move(sources);
+}
+
+bool MultiSource::refill(Input& input) {
+  if (input.pos < input.count) return true;
+  if (input.exhausted) return false;
+  input.pos = 0;
+  input.count = input.source->next_batch(input.block.data(),
+                                         input.block.size());
+  input.exhausted = input.count == 0;
+  return !input.exhausted;
 }
 
 std::optional<memsim::Request> MultiSource::next() {
-  if (!primed_) {
-    for (std::size_t i = 0; i < sources_.size(); ++i) {
-      heads_[i] = sources_[i]->next();
-    }
-    primed_ = true;
-  }
-  std::size_t best = sources_.size();
-  for (std::size_t i = 0; i < sources_.size(); ++i) {
-    if (!heads_[i]) continue;
-    if (best == sources_.size() ||
-        heads_[i]->arrival_ps < heads_[best]->arrival_ps) {
-      best = i;
-    }
-  }
-  if (best == sources_.size()) return std::nullopt;
-  memsim::Request req = *heads_[best];
-  heads_[best] = sources_[best]->next();
-  req.id = next_id_++;
+  memsim::Request req;
+  if (next_batch(&req, 1) == 0) return std::nullopt;
   return req;
+}
+
+std::size_t MultiSource::next_batch(memsim::Request* out, std::size_t max) {
+  const std::size_t none = inputs_.size();
+  std::size_t filled = 0;
+  while (filled < max) {
+    // The earliest head (ties to the lower index) and the head it must
+    // precede: the earliest of the others, again ties to the lower
+    // index.
+    std::size_t best = none;
+    std::size_t rival = none;
+    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+      if (!refill(inputs_[i])) continue;
+      const std::uint64_t arrival = inputs_[i].head_arrival();
+      if (best == none || arrival < inputs_[best].head_arrival()) {
+        rival = best;
+        best = i;
+      } else if (rival == none || arrival < inputs_[rival].head_arrival()) {
+        rival = i;
+      }
+    }
+    if (best == none) break;
+    // Copy best's requests while each would still win the per-request
+    // merge: other heads stay put while best's run is taken.
+    Input& input = inputs_[best];
+    const std::size_t end =
+        input.pos + std::min(input.count - input.pos, max - filled);
+    std::size_t pos = input.pos;
+    if (rival == none) {
+      pos = end;
+    } else {
+      const std::uint64_t limit = inputs_[rival].head_arrival();
+      const bool wins_ties = best < rival;
+      for (; pos < end; ++pos) {
+        const std::uint64_t arrival = input.block[pos].arrival_ps;
+        if (arrival > limit || (arrival == limit && !wins_ties)) break;
+      }
+    }
+    for (; input.pos < pos; ++input.pos) {
+      out[filled] = input.block[input.pos];
+      out[filled++].id = next_id_++;
+    }
+  }
+  return filled;
 }
 
 }  // namespace comet::tenant

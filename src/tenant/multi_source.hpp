@@ -63,8 +63,13 @@ class PacedSource final : public memsim::RequestSource {
               std::uint32_t line_bytes);
 
   std::optional<memsim::Request> next() override;
+  /// Pulls a block from the inner stream and paces it in place.
+  std::size_t next_batch(memsim::Request* out, std::size_t max) override;
 
  private:
+  /// Re-times, tags and maps one request pulled from the inner stream.
+  void pace(memsim::Request& req);
+
   std::unique_ptr<memsim::RequestSource> inner_;
   std::uint16_t tenant_;
   std::uint16_t tenant_count_;
@@ -100,13 +105,29 @@ class MultiSource final : public memsim::RequestSource {
   MultiSource& operator=(const MultiSource&) = delete;
 
   std::optional<memsim::Request> next() override;
+  /// The merge over per-source blocks pulled with next_batch: each step
+  /// copies the run of the earliest source's requests that precede
+  /// every other head.
+  std::size_t next_batch(memsim::Request* out, std::size_t max) override;
 
  private:
+  /// One input's pulled-ahead block; [pos, count) is not merged yet.
+  struct Input {
+    memsim::RequestSource* source = nullptr;
+    std::vector<memsim::Request> block;
+    std::size_t pos = 0;
+    std::size_t count = 0;
+    bool exhausted = false;
+
+    std::uint64_t head_arrival() const { return block[pos].arrival_ps; }
+  };
+
+  /// True when `input` has a head, pulling its next block if needed.
+  static bool refill(Input& input);
+
   std::vector<std::unique_ptr<memsim::RequestSource>> owned_;
-  std::vector<memsim::RequestSource*> sources_;
-  std::vector<std::optional<memsim::Request>> heads_;
+  std::vector<Input> inputs_;
   std::uint64_t next_id_ = 0;
-  bool primed_ = false;
 };
 
 }  // namespace comet::tenant

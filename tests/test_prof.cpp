@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -428,4 +429,51 @@ TEST(ProfiledStages, EveryEngineKindRecordsTheSameStageSet) {
     EXPECT_EQ(stages.at("lane_drain").calls, 1u) << label;
     EXPECT_EQ(stages.at("shard_merge").calls, 1u) << label;
   }
+}
+
+TEST(ProfiledStages, ThreadedHybridCallerStagesPlusSourceWaitCoverTheRun) {
+  // A threaded run pulls the source on a producer thread, so source_pull
+  // overlaps the caller's stages and is left out; the caller's own
+  // clock is the feed, the drain, the merge and the wait for filled
+  // blocks. Those must account for the run's wall time.
+  const auto trace = ms::TraceGenerator(ms::profile_by_name("mcf_like"), 9)
+                         .generate(200000, 64);
+  const auto engine = dr::make_device_spec("hybrid-comet")
+                          .make_engine(sc::ControllerConfig::with_depths(
+                                           sc::Policy::kFrFcfsCap, 32, 32),
+                                       3);
+  pf::Profiler profiler(profiling_spec());
+  engine->attach_profiler(&profiler);
+  const auto start = std::chrono::steady_clock::now();
+  engine->run(trace, "mcf_like");
+  const double wall_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+
+  const auto& stages = profiler.stages();
+  const double caller_s = stages.at("engine_feed").wall_s +
+                          stages.at("lane_drain").wall_s +
+                          stages.at("shard_merge").wall_s +
+                          profiler.source_wait_seconds();
+  EXPECT_GT(profiler.source_wait_seconds(), 0.0);
+  EXPECT_GT(stages.at("source_pull").wall_s, 0.0);
+  EXPECT_LE(caller_s, wall_s);
+  // Engine construction, lane setup and thread start-up are the rest.
+  EXPECT_GE(caller_s, 0.75 * wall_s)
+      << "caller " << caller_s << " s of " << wall_s << " s";
+
+  // Workers finish their own lanes, and that time is lane busy time.
+  ASSERT_EQ(profiler.pools().size(), 1u);
+  const pf::PoolProfile& pool = *profiler.pools()[0];
+  double lane_busy_s = 0.0, worker_busy_s = 0.0;
+  for (const auto& lane : pool.lanes) lane_busy_s += lane.busy_s;
+  for (const auto& worker : pool.workers) worker_busy_s += worker.busy_s;
+  EXPECT_GT(lane_busy_s, 0.0);
+  EXPECT_DOUBLE_EQ(lane_busy_s, worker_busy_s);
+}
+
+TEST(ProfiledStages, SerialRunsWaitForNoProducer) {
+  pf::Profiler profiler(profiling_spec());
+  run_spec(dr::make_device_spec("hybrid-comet"), std::nullopt, 1, &profiler);
+  EXPECT_EQ(profiler.source_wait_seconds(), 0.0);
 }

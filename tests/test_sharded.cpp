@@ -9,14 +9,19 @@
 // latency distribution and every energy sum. Hybrid engines have no
 // whole-stream equivalent and are pinned across thread counts instead.
 // Plus the replay-loop contracts and the LanePool mechanics: inline
-// mode, worker-error propagation, and the run_threads resolution rules.
+// mode, worker-error propagation, the run_threads resolution rules, and
+// the failure paths of the pipelined (threaded) replay.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <typeinfo>
 #include <vector>
 
 #include "config/device_spec.hpp"
@@ -24,6 +29,7 @@
 #include "memsim/sharded.hpp"
 #include "memsim/system.hpp"
 #include "memsim/trace_gen.hpp"
+#include "prof/profiler.hpp"
 #include "sched/controller.hpp"
 
 namespace ms = comet::memsim;
@@ -251,4 +257,239 @@ TEST(LanePool, WorkerExceptionReachesTheProducer) {
 
 TEST(LanePool, RejectsEmptyLaneSet) {
   EXPECT_THROW(ms::LanePool({}, 2), std::invalid_argument);
+}
+
+// ------------------------------------------ pipelined failure paths
+//
+// A threaded replay runs the source on a producer thread and finishes
+// lanes on their workers. Whatever fails there must reach the caller as
+// the serial run's exception (same type, same message) with every
+// thread joined: these cases would hang, leak a thread or terminate the
+// process otherwise, and the suite runs under a ctest timeout.
+
+namespace {
+
+/// Threads of this process (Linux /proc/self/status), or 0 if unknown.
+int live_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return 0;
+}
+
+/// Waits briefly for the thread count to settle back to `want`: a
+/// joined thread may leave the count a moment after join() returns.
+int settled_threads(int want) {
+  int now = live_threads();
+  for (int i = 0; i < 200 && now != want; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    now = live_threads();
+  }
+  return now;
+}
+
+/// What a failed run threw: its dynamic type and message.
+struct Failure {
+  std::string type;
+  std::string what;
+  bool operator==(const Failure&) const = default;
+};
+
+/// Runs `run` expecting an exception; empty type when none came.
+template <typename Run>
+Failure failure_of(Run&& run) {
+  try {
+    run();
+  } catch (const std::exception& e) {
+    return {typeid(e).name(), e.what()};
+  }
+  return {};
+}
+
+/// Serves `trace` in blocks, then throws after handing over `blocks`
+/// full blocks: a disk or generator fault mid-stream.
+class FailingSource final : public ms::RequestSource {
+ public:
+  FailingSource(const std::vector<ms::Request>& trace, std::size_t blocks)
+      : inner_(trace), blocks_left_(blocks) {}
+
+  std::optional<ms::Request> next() override {
+    ms::Request req;
+    return next_batch(&req, 1) == 1 ? std::optional<ms::Request>(req)
+                                    : std::nullopt;
+  }
+
+  std::size_t next_batch(ms::Request* out, std::size_t max) override {
+    if (blocks_left_ == 0) throw std::runtime_error("source fault at block");
+    --blocks_left_;
+    return inner_.next_batch(out, max);
+  }
+
+ private:
+  ms::VectorSource inner_;
+  std::size_t blocks_left_;
+};
+
+/// A long demand stream: many blocks, so the producer runs ahead.
+const std::vector<ms::Request>& long_trace() {
+  static const std::vector<ms::Request> trace =
+      ms::TraceGenerator(ms::profile_by_name("lbm_like"), 11).generate(60000,
+                                                                       64);
+  return trace;
+}
+
+/// The engine kinds a threaded run pipelines: direct lanes, controller
+/// lanes and the hybrid filter feeding both tiers' lanes.
+struct EngineKind {
+  const char* token;
+  std::optional<sc::ControllerConfig> controller;
+};
+
+std::vector<EngineKind> engine_kinds() {
+  return {
+      {"comet", std::nullopt},
+      {"comet", sc::ControllerConfig::with_depths(sc::Policy::kFrFcfs, 8, 8)},
+      {"hybrid-comet",
+       sc::ControllerConfig::with_depths(sc::Policy::kFrFcfsCap, 8, 8)}};
+}
+
+std::string kind_name(const EngineKind& kind) {
+  return std::string(kind.token) + "/" + axis_name(kind.controller);
+}
+
+/// Lane that fails at its `boom_at`-th request after stalling for
+/// `stall`, so the caller backs up behind its full queue and the
+/// producer behind the full ring before the failure lands.
+class StallingThrowingLane final : public ms::ShardLane {
+ public:
+  StallingThrowingLane(std::uint64_t boom_at, std::chrono::milliseconds stall)
+      : boom_at_(boom_at), stall_(stall) {}
+  void feed(const ms::Request&) override {
+    if (++fed_ != boom_at_) return;
+    std::this_thread::sleep_for(stall_);
+    throw std::logic_error("lane fault at request " + std::to_string(fed_));
+  }
+  ms::ReplaySlice finish_slice() override { return {}; }
+
+ private:
+  std::uint64_t boom_at_;
+  std::chrono::milliseconds stall_;
+  std::uint64_t fed_ = 0;
+};
+
+/// Lane whose finish_slice fails: a controller that cannot drain.
+class FailingFinishLane final : public ms::ShardLane {
+ public:
+  explicit FailingFinishLane(int channel) : channel_(channel) {}
+  void feed(const ms::Request&) override {}
+  ms::ReplaySlice finish_slice() override {
+    throw std::out_of_range("drain fault on lane " + std::to_string(channel_));
+  }
+
+ private:
+  int channel_;
+};
+
+}  // namespace
+
+TEST(PipelinedFailure, SourceThrowingAfterKBlocksReachesTheCaller) {
+  for (const EngineKind& kind : engine_kinds()) {
+    for (const std::size_t blocks : {0u, 1u, 5u}) {
+      const std::string label =
+          kind_name(kind) + " after " + std::to_string(blocks) + " blocks";
+      // Every block pulled before the fault is fed first, as in a
+      // serial run: the progress ticks count them.
+      const auto run = [&](int threads, std::uint64_t& fed) {
+        const auto engine = dr::make_device_spec(kind.token)
+                                .make_engine(kind.controller, threads);
+        comet::prof::Profiler profiler{comet::prof::ProfSpec{}};
+        engine->attach_profiler(&profiler);
+        FailingSource source(long_trace(), blocks);
+        const Failure failure =
+            failure_of([&] { engine->run(source, "failing"); });
+        fed = profiler.progress();
+        return failure;
+      };
+      std::uint64_t serial_fed = 0;
+      const Failure serial = run(1, serial_fed);
+      ASSERT_FALSE(serial.type.empty()) << label;
+      EXPECT_EQ(serial_fed, blocks * ms::kFeedBlockRequests) << label;
+      const int before = live_threads();
+      std::uint64_t threaded_fed = 0;
+      EXPECT_EQ(run(3, threaded_fed), serial) << label;
+      EXPECT_EQ(threaded_fed, serial_fed) << label;
+      EXPECT_EQ(settled_threads(before), before) << label;
+    }
+  }
+}
+
+TEST(PipelinedFailure, UnsortedStreamNamesTheSerialGlobalIndex) {
+  // The violation sits in the fourth block, behind the producer's ring.
+  std::vector<ms::Request> trace(long_trace().begin(),
+                                 long_trace().begin() + 5000);
+  const std::size_t bad = 3333;
+  trace[bad].arrival_ps = trace[bad - 1].arrival_ps - 1;
+  for (const EngineKind& kind : engine_kinds()) {
+    const auto run = [&](int threads) {
+      const auto engine = dr::make_device_spec(kind.token)
+                              .make_engine(kind.controller, threads);
+      return failure_of([&] { engine->run(trace, "unsorted"); });
+    };
+    const Failure serial = run(1);
+    EXPECT_NE(serial.what.find("index " + std::to_string(bad)),
+              std::string::npos)
+        << kind_name(kind) << ": " << serial.what;
+    const int before = live_threads();
+    EXPECT_EQ(run(3), serial) << kind_name(kind);
+    EXPECT_EQ(settled_threads(before), before) << kind_name(kind);
+  }
+}
+
+TEST(PipelinedFailure, LaneThrowingWhileTheProducerWaitsOnAFullRing) {
+  const ms::MemorySystem system(dr::make_device("comet"));
+  const auto run = [&](int threads) {
+    std::vector<std::unique_ptr<ms::ShardLane>> lanes;
+    for (int c = 0; c < system.model().timing.channels; ++c) {
+      lanes.push_back(std::make_unique<StallingThrowingLane>(
+          c == 0 ? 2000 : std::uint64_t{1} << 40,
+          std::chrono::milliseconds(threads > 1 ? 100 : 0)));
+    }
+    ms::VectorSource source(long_trace());
+    return failure_of([&] {
+      ms::run_sharded(system, std::move(lanes), threads, source);
+    });
+  };
+  const Failure serial = run(1);
+  EXPECT_EQ(serial.what, "lane fault at request 2000");
+  const int before = live_threads();
+  EXPECT_EQ(run(3), serial);
+  EXPECT_EQ(settled_threads(before), before);
+}
+
+TEST(PipelinedFailure, LaneFailingToFinishOnItsWorker) {
+  // Lanes 2 and 3 both fail; at 3 threads worker 0 owns lane 3 and
+  // worker 2 owns lane 2. The serial run reports lane 2, the first to
+  // finish, and so must the threaded one.
+  const ms::MemorySystem system(dr::make_device("comet"));
+  const auto run = [&](int threads) {
+    std::vector<std::unique_ptr<ms::ShardLane>> lanes;
+    for (int c = 0; c < system.model().timing.channels; ++c) {
+      if (c == 2 || c == 3) {
+        lanes.push_back(std::make_unique<FailingFinishLane>(c));
+      } else {
+        lanes.push_back(std::make_unique<ms::SessionLane>(system, "w"));
+      }
+    }
+    ms::VectorSource source(long_trace());
+    return failure_of([&] {
+      ms::run_sharded(system, std::move(lanes), threads, source);
+    });
+  };
+  const Failure serial = run(1);
+  EXPECT_EQ(serial.what, "drain fault on lane 2");
+  const int before = live_threads();
+  EXPECT_EQ(run(3), serial);
+  EXPECT_EQ(settled_threads(before), before);
 }

@@ -1,7 +1,8 @@
 // Streaming API tests: RequestSource implementations (vector, lazy
-// generator, on-disk trace file), the polymorphic Engine seam, and the
-// acceptance criterion that streamed replay is bit-identical to the
-// materialized-vector path for every registry device, flat and hybrid.
+// generator, on-disk trace file, the tenant pacer and merge), the
+// polymorphic Engine seam, and the acceptance criterion that streamed
+// replay is bit-identical to the materialized-vector path for every
+// registry device, flat and hybrid.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -10,6 +11,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <streambuf>
@@ -23,6 +26,7 @@
 #include "memsim/trace.hpp"
 #include "memsim/trace_gen.hpp"
 #include "place_request_reference.hpp"
+#include "tenant/multi_source.hpp"
 #include "trace_reader_reference.hpp"
 #include "util/rng.hpp"
 
@@ -546,40 +550,64 @@ TEST(WriteTrace, StreamingOverloadMatchesVectorOverload) {
 
 namespace {
 
-/// Drains `batched` through next_batch with an awkward non-divisor
-/// batch size (and one interleaved next() to prove mixing is safe) and
-/// checks it yields exactly the `reference` stream of next() calls.
-void expect_batches_match_next(ms::RequestSource& reference,
-                               ms::RequestSource& batched,
-                               const std::string& context) {
-  std::vector<ms::Request> expected;
-  while (const auto req = reference.next()) expected.push_back(*req);
+/// Fields a RequestSource yields, compared in one go.
+bool same_request(const ms::Request& a, const ms::Request& b) {
+  return a.id == b.id && a.arrival_ps == b.arrival_ps && a.op == b.op &&
+         a.address == b.address && a.size_bytes == b.size_bytes &&
+         a.tenant == b.tenant;
+}
 
+/// Drains `source` in blocks of `block_size`, taking a scalar next()
+/// instead of a block at every step where `scalar_every` divides the
+/// step number (0: blocks only). Then checks it stays exhausted.
+std::vector<ms::Request> drain_mixed(ms::RequestSource& source,
+                                     std::size_t block_size,
+                                     std::size_t scalar_every) {
   std::vector<ms::Request> got;
-  ms::Request block[7];  // deliberately not a divisor of typical sizes
-  bool interleaved = false;
-  for (;;) {
-    if (!interleaved && got.size() >= 3) {
-      interleaved = true;  // one scalar pull mid-stream
-      if (const auto req = batched.next()) got.push_back(*req);
+  std::vector<ms::Request> block(block_size);
+  for (std::size_t step = 1;; ++step) {
+    if (scalar_every != 0 && step % scalar_every == 0) {
+      const auto req = source.next();
+      if (!req) break;
+      got.push_back(*req);
       continue;
     }
-    const std::size_t pulled = batched.next_batch(block, 7);
+    const std::size_t pulled = source.next_batch(block.data(), block_size);
+    EXPECT_LE(pulled, block_size);
     if (pulled == 0) break;
-    ASSERT_LE(pulled, 7u) << context;
-    got.insert(got.end(), block, block + pulled);
+    got.insert(got.end(), block.begin(),
+               block.begin() + static_cast<std::ptrdiff_t>(pulled));
   }
-  EXPECT_EQ(batched.next_batch(block, 7), 0u) << context;  // stays drained
+  EXPECT_FALSE(source.next().has_value());  // stays drained
+  EXPECT_EQ(source.next_batch(block.data(), block_size), 0u);
+  return got;
+}
 
-  ASSERT_EQ(got.size(), expected.size()) << context;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].id, expected[i].id) << context << " #" << i;
-    EXPECT_EQ(got[i].arrival_ps, expected[i].arrival_ps)
-        << context << " #" << i;
-    EXPECT_EQ(got[i].op, expected[i].op) << context << " #" << i;
-    EXPECT_EQ(got[i].address, expected[i].address) << context << " #" << i;
-    EXPECT_EQ(got[i].size_bytes, expected[i].size_bytes)
-        << context << " #" << i;
+/// A fresh source per call: the same stream every time.
+using SourceFactory = std::function<std::unique_ptr<ms::RequestSource>()>;
+
+/// next_batch at block sizes 1, 7 and 1024, alone and interleaved with
+/// next() every 2nd or 3rd step, must yield exactly the stream of
+/// repeated next() calls.
+void expect_every_pull_pattern_matches_next(const SourceFactory& make,
+                                            const std::string& context) {
+  std::vector<ms::Request> expected;
+  {
+    const auto reference = make();
+    while (const auto req = reference->next()) expected.push_back(*req);
+  }
+  for (const std::size_t block_size : {1u, 7u, 1024u}) {
+    for (const std::size_t scalar_every : {0u, 2u, 3u}) {
+      const auto source = make();
+      const std::string label = context + " block " +
+                                std::to_string(block_size) + " next every " +
+                                std::to_string(scalar_every);
+      const auto got = drain_mixed(*source, block_size, scalar_every);
+      ASSERT_EQ(got.size(), expected.size()) << label;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_TRUE(same_request(got[i], expected[i])) << label << " #" << i;
+      }
+    }
   }
 }
 
@@ -588,17 +616,19 @@ void expect_batches_match_next(ms::RequestSource& reference,
 TEST(NextBatch, VectorSourceMatchesScalarPulls) {
   const auto trace =
       ms::TraceGenerator(ms::profile_by_name("gcc_like"), 13).generate(100, 64);
-  ms::VectorSource reference(trace);
-  ms::VectorSource batched(trace);
-  expect_batches_match_next(reference, batched, "VectorSource");
+  expect_every_pull_pattern_matches_next(
+      [&] { return std::make_unique<ms::VectorSource>(trace); },
+      "VectorSource");
 }
 
 TEST(NextBatch, GeneratorSourceMatchesScalarPulls) {
   for (const auto& profile : ms::spec_like_profiles()) {
     const ms::TraceGenerator gen(profile, 17);
-    auto reference = gen.stream(100, 64);
-    auto batched = gen.stream(100, 64);
-    expect_batches_match_next(reference, batched, profile.name);
+    expect_every_pull_pattern_matches_next(
+        [&] {
+          return std::make_unique<ms::GeneratorSource>(gen.stream(100, 64));
+        },
+        profile.name);
   }
 }
 
@@ -613,9 +643,11 @@ TEST(NextBatch, TraceFileSourceMatchesScalarPulls) {
                   config);
   ASSERT_GT(text.str().size(), 10 * ms::TraceFileSource::kBlockBytes);
   const TempTrace file(text.str());
-  ms::TraceFileSource reference(file.path(), config);
-  ms::TraceFileSource batched(file.path(), config);
-  expect_batches_match_next(reference, batched, "TraceFileSource");
+  expect_every_pull_pattern_matches_next(
+      [&] {
+        return std::make_unique<ms::TraceFileSource>(file.path(), config);
+      },
+      "TraceFileSource");
 }
 
 TEST(NextBatch, ZeroCapacityReturnsZeroWithoutConsuming) {
@@ -626,4 +658,195 @@ TEST(NextBatch, ZeroCapacityReturnsZeroWithoutConsuming) {
   std::size_t drained = 0;
   while (source.next()) ++drained;
   EXPECT_EQ(drained, trace.size());  // nothing was lost
+}
+
+// ------------------------------ next_batch contract: tenant sources
+
+namespace {
+
+std::unique_ptr<ms::RequestSource> generator(const char* profile,
+                                             std::uint64_t seed,
+                                             std::uint64_t count) {
+  return std::make_unique<ms::GeneratorSource>(
+      ms::TraceGenerator(ms::profile_by_name(profile), seed).stream(count,
+                                                                     64));
+}
+
+std::unique_ptr<ms::RequestSource> vector_source(
+    std::vector<ms::Request> requests) {
+  return std::make_unique<ms::VectorSource>(std::move(requests));
+}
+
+/// Tenant `tenant` of `count` around `inner`.
+std::unique_ptr<ms::RequestSource> paced(
+    std::unique_ptr<ms::RequestSource> inner, std::uint16_t tenant,
+    std::uint16_t count, comet::config::TenantMapping mapping,
+    double mean_ns, double burstiness) {
+  return std::make_unique<comet::tenant::PacedSource>(
+      std::move(inner), tenant, count, mapping, mean_ns, burstiness,
+      /*seed=*/1000 + tenant, /*line_bytes=*/64);
+}
+
+/// `count` requests arriving in pairs at 0, 0, 10, 10, 20, 20, ...
+std::vector<ms::Request> tied_requests(std::uint64_t count,
+                                       std::uint64_t address) {
+  std::vector<ms::Request> out;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    out.push_back(ms::Request{.id = i, .arrival_ps = i / 2 * 10,
+                              .op = i % 3 ? ms::Op::kRead : ms::Op::kWrite,
+                              .address = address + i * 64,
+                              .size_bytes = 64});
+  }
+  return out;
+}
+
+/// The per-request k-way merge MultiSource must reproduce, on streams
+/// drained up front: the earliest head, ties to the lower index, ids
+/// re-stamped in output order.
+std::vector<ms::Request> merge_reference(
+    const std::vector<std::vector<ms::Request>>& streams) {
+  std::vector<std::size_t> pos(streams.size(), 0);
+  std::vector<ms::Request> out;
+  for (;;) {
+    std::size_t best = streams.size();
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+      if (pos[i] == streams[i].size()) continue;
+      if (best == streams.size() ||
+          streams[i][pos[i]].arrival_ps <
+              streams[best][pos[best]].arrival_ps) {
+        best = i;
+      }
+    }
+    if (best == streams.size()) return out;
+    out.push_back(streams[best][pos[best]++]);
+    out.back().id = out.size() - 1;
+  }
+}
+
+}  // namespace
+
+TEST(NextBatch, PacedSourceMatchesScalarPulls) {
+  using comet::config::TenantMapping;
+  for (const auto mapping :
+       {TenantMapping::kPartition, TenantMapping::kInterleave}) {
+    for (const double burstiness : {0.0, 0.5}) {
+      expect_every_pull_pattern_matches_next(
+          [=] {
+            return paced(generator("mcf_like", 31, 3000), 2, 3, mapping, 40.0,
+                         burstiness);
+          },
+          std::string("paced ") + comet::config::tenant_mapping_name(mapping) +
+              " burstiness " + std::to_string(burstiness));
+    }
+  }
+}
+
+TEST(NextBatch, PacedSourceOverEmptyAndShortInnerStreams) {
+  for (const std::uint64_t count : {0u, 1u, 6u}) {
+    expect_every_pull_pattern_matches_next(
+        [=] {
+          return paced(generator("gcc_like", 33, count), 1, 1,
+                       comet::config::TenantMapping::kPartition, 25.0, 0.0);
+        },
+        "paced over " + std::to_string(count) + " requests");
+  }
+}
+
+// A trace tenant keeps its native timing: mean 0 passes the trace's
+// arrivals through untouched, in next() and next_batch alike.
+TEST(NextBatch, PacedTraceTenantWithMeanZeroKeepsNativeTiming) {
+  const ms::TraceConfig config{.cpu_clock_ghz = 2.0, .line_bytes = 64};
+  std::ostringstream text;
+  const auto trace = ms::TraceGenerator(ms::profile_by_name("lbm_like"), 35)
+                         .generate(5000, 64);
+  ms::write_trace(text, trace, config);
+  const TempTrace file(text.str());
+  const auto make = [&] {
+    return paced(std::make_unique<ms::TraceFileSource>(file.path(), config), 1,
+                 2, comet::config::TenantMapping::kInterleave, 0.0, 0.5);
+  };
+  expect_every_pull_pattern_matches_next(make, "paced trace tenant");
+
+  ms::TraceFileSource native(file.path(), config);
+  const auto source = make();
+  const auto got = drain_mixed(*source, 1024, 0);
+  ASSERT_EQ(got.size(), trace.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const auto want = native.next();
+    ASSERT_TRUE(want.has_value());
+    EXPECT_EQ(got[i].arrival_ps, want->arrival_ps) << i;
+    EXPECT_EQ(got[i].tenant, 1u) << i;
+  }
+}
+
+TEST(NextBatch, MultiSourceMatchesScalarPulls) {
+  const auto tenant = [](std::uint16_t id) {
+    return id == 1 ? paced(generator("mcf_like", 41, 2500), 1, 2,
+                           comet::config::TenantMapping::kPartition, 30.0, 0.0)
+                   : paced(generator("lbm_like", 43, 2000), 2, 2,
+                           comet::config::TenantMapping::kPartition, 20.0, 0.5);
+  };
+  const auto make = [&] {
+    std::vector<std::unique_ptr<ms::RequestSource>> tenants;
+    tenants.push_back(tenant(1));
+    tenants.push_back(tenant(2));
+    return std::make_unique<comet::tenant::MultiSource>(std::move(tenants));
+  };
+  expect_every_pull_pattern_matches_next(make, "two paced tenants");
+
+  std::vector<std::vector<ms::Request>> streams;
+  for (const std::uint16_t id : {1, 2}) {
+    const auto alone = tenant(id);
+    streams.push_back(drain_mixed(*alone, 1, 0));
+  }
+  const auto want = merge_reference(streams);
+  const auto source = make();
+  const auto got = drain_mixed(*source, 1024, 0);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(same_request(got[i], want[i])) << i;
+  }
+}
+
+// Three tenants whose arrivals tie pairwise within and across streams:
+// every tie goes to the lower tenant index, as in the per-request merge.
+TEST(NextBatch, MultiSourceThreeTenantsWithTiedArrivals) {
+  const std::vector<std::vector<ms::Request>> streams = {
+      tied_requests(2100, 0), tied_requests(1500, 1u << 20),
+      tied_requests(2050, 2u << 20)};
+  const auto make = [&] {
+    std::vector<std::unique_ptr<ms::RequestSource>> tenants;
+    for (const auto& stream : streams) tenants.push_back(vector_source(stream));
+    return std::make_unique<comet::tenant::MultiSource>(std::move(tenants));
+  };
+  expect_every_pull_pattern_matches_next(make, "three tied tenants");
+
+  const auto want = merge_reference(streams);
+  const auto source = make();
+  const auto got = drain_mixed(*source, 1024, 0);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(same_request(got[i], want[i])) << i;
+  }
+}
+
+TEST(NextBatch, MultiSourceWithEmptyAndExhaustedInputs) {
+  const std::vector<std::vector<ms::Request>> streams = {
+      {}, tied_requests(7, 0), {}, tied_requests(1, 1u << 20)};
+  const auto make = [&] {
+    std::vector<std::unique_ptr<ms::RequestSource>> tenants;
+    for (const auto& stream : streams) tenants.push_back(vector_source(stream));
+    return std::make_unique<comet::tenant::MultiSource>(std::move(tenants));
+  };
+  expect_every_pull_pattern_matches_next(make, "empty inputs");
+  const auto source = make();
+  EXPECT_EQ(drain_mixed(*source, 7, 0).size(), 8u);
+
+  const auto all_empty = [] {
+    std::vector<std::unique_ptr<ms::RequestSource>> tenants;
+    tenants.push_back(vector_source({}));
+    tenants.push_back(vector_source({}));
+    return std::make_unique<comet::tenant::MultiSource>(std::move(tenants));
+  };
+  expect_every_pull_pattern_matches_next(all_empty, "all inputs empty");
 }
