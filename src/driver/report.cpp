@@ -328,8 +328,6 @@ void write_host_json(std::ostream& os, const memsim::MetricInput& in) {
        << ", \"wall_s\": " << shortest_double(pool->wall_s)
        << ", \"utilization\": " << shortest_double(pool->utilization())
        << ", \"blocks_pushed\": " << pool->blocks_pushed
-       << ", \"blocks_allocated\": " << pool->blocks_allocated
-       << ", \"blocks_recycled\": " << pool->blocks_recycled
        << ", \"push_stalls\": " << pool->push_stalls
        << ", \"push_wait_s\": " << shortest_double(pool->push_wait_s)
        << ", \"queue_high_water\": " << pool->queue_high_water

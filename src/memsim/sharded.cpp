@@ -1,7 +1,6 @@
 #include "memsim/sharded.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <exception>
@@ -11,7 +10,6 @@
 #include <utility>
 
 #include "prof/profiler.hpp"
-#include "util/ring.hpp"
 
 namespace comet::memsim {
 
@@ -35,53 +33,123 @@ int resolve_run_threads(int requested) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+BlockRing::BlockRing(std::size_t slots) : slots_(slots) {
+  for (RequestBlock& slot : slots_) slot.requests.reserve(kFeedBlockRequests);
+}
+
+RequestBlock* BlockRing::reserve() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (!abandoned_ && committed_ - released_ == slots_.size()) {
+    const ProfClock::time_point start = ProfClock::now();
+    can_reserve_.wait(lock, [&] {
+      return abandoned_ || committed_ - released_ <= slots_.size() / 2;
+    });
+    ++stats_.full.count;
+    stats_.full.wall_s += seconds_since(start);
+  }
+  if (abandoned_) return nullptr;
+  // The slot is the producer's until `committed_` moves past it.
+  return &slots_[committed_ % slots_.size()];
+}
+
+void BlockRing::commit() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++committed_;
+    stats_.high_water = std::max(
+        stats_.high_water, static_cast<std::size_t>(committed_ - released_));
+  }
+  can_take_.notify_one();
+}
+
+void BlockRing::close(std::exception_ptr error) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    closed_ = true;
+    error_ = std::move(error);
+  }
+  can_take_.notify_one();
+}
+
+RequestBlock* BlockRing::take() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (!closed_ && committed_ == released_) {
+    const ProfClock::time_point start = ProfClock::now();
+    can_take_.wait(lock, [&] { return closed_ || committed_ != released_; });
+    ++stats_.empty.count;
+    stats_.empty.wall_s += seconds_since(start);
+  }
+  if (committed_ == released_) {
+    if (error_) std::rethrow_exception(error_);
+    return nullptr;
+  }
+  return &slots_[released_ % slots_.size()];
+}
+
+void BlockRing::release() {
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++released_;
+    wake = committed_ - released_ == slots_.size() / 2;
+  }
+  if (wake) can_reserve_.notify_one();
+}
+
+void BlockRing::abandon() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    abandoned_ = true;
+  }
+  can_reserve_.notify_one();
+}
+
+BlockRing::Stats BlockRing::stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Stats stats = stats_;
+  stats.commits = committed_;
+  return stats;
+}
+
 namespace {
 
-/// Blocks a worker may hold queued before the producer blocks on it:
-/// enough to ride out scheduling jitter, small enough that a slow lane
-/// backpressures the producer instead of buffering the whole stream.
-constexpr std::size_t kMaxQueuedBlocksPerWorker = 4;
+/// Blocks a worker's ring holds: enough to ride out scheduling jitter,
+/// small enough that a slow lane backpressures the caller instead of
+/// buffering the whole stream.
+constexpr std::size_t kWorkerRingBlocks = 4;
+
+/// Blocks the source producer may pull ahead of the caller (640 KiB).
+constexpr std::size_t kSourceRingBlocks = 16;
 
 }  // namespace
 
 struct LanePool::Impl {
-  struct Block {
-    std::size_t lane = 0;
-    std::vector<Request> requests;
-  };
-
   struct Worker {
-    std::size_t index = 0;  ///< Owns lanes index, index + workers, ...
-    std::thread thread;
-    std::mutex mutex;
-    std::condition_variable can_push;  ///< Producer waits: queue full.
-    std::condition_variable can_pull;  ///< Worker waits: queue empty.
-    util::RingQueue<std::unique_ptr<Block>> queue{kMaxQueuedBlocksPerWorker};
-    bool done = false;
-    bool failed = false;
+    explicit Worker(std::size_t index_in) : index(index_in) {}
+    const std::size_t index;  ///< Owns lanes index, index + workers, ...
+    BlockRing ring{kWorkerRingBlocks};
+    /// Set by the worker before it abandons its ring or exits: the
+    /// ring's lock or the join publishes them to the caller.
     std::exception_ptr error;
     std::size_t error_lane = 0;  ///< The lane whose feed or finish threw.
-    /// This worker's profile slot, or null. Written only by this worker
-    /// thread; the join in shutdown() publishes it to the reader.
-    prof::WorkerProfile* wprof = nullptr;
+    double busy_s = 0.0;
+    std::thread thread;  ///< Last: starts once the Worker is built.
   };
 
   std::vector<std::unique_ptr<ShardLane>> lanes;
-  /// One block per lane being filled by the producer (worker mode only).
-  std::vector<std::unique_ptr<Block>> pending;
+  /// One block per lane being filled by the caller (worker mode only).
+  std::vector<std::vector<Request>> pending;
   std::vector<std::unique_ptr<Worker>> workers;  ///< Empty = inline mode.
-  /// Set by finish() before it signals done: workers then run
+  /// Set by finish() before it closes the rings: workers then run
   /// finish_slice() on their own lanes into `slices` before exiting. An
   /// abandoned pool (an error, or destruction without finish) does not.
   bool finish_lanes = false;
   std::vector<ReplaySlice> slices;  ///< One per lane; worker mode only.
-  std::mutex free_mutex;
-  std::vector<std::unique_ptr<Block>> free_blocks;
-  /// Host profile, or null. Producer-side counters (push_*, block
-  /// accounting, high water) are producer-thread-only; each lane/worker
-  /// slot belongs to the worker owning that lane (lane % workers).
+  /// Each lane's slot belongs to the worker owning it (lane % workers);
+  /// an inline pool keeps them at zero.
+  std::vector<prof::LaneProfile> lane_profiles;
   prof::PoolProfile* profile = nullptr;
-  ProfClock::time_point profile_start;
+  ProfClock::time_point start = ProfClock::now();
 
   Impl(std::vector<std::unique_ptr<ShardLane>> lanes_in, int threads,
        prof::PoolProfile* profile_in)
@@ -89,23 +157,16 @@ struct LanePool::Impl {
     if (lanes.empty()) {
       throw std::invalid_argument("LanePool: at least one lane required");
     }
-    if (profile) {
-      profile->lanes.resize(lanes.size());
-      profile->threads = threads <= 1 ? 0 : static_cast<int>(std::min(
-                             static_cast<std::size_t>(threads), lanes.size()));
-      profile_start = ProfClock::now();
-    }
+    lane_profiles.resize(lanes.size());
     if (threads <= 1) return;  // Inline mode: feed on the caller's thread.
     const std::size_t worker_count =
         std::min(static_cast<std::size_t>(threads), lanes.size());
     pending.resize(lanes.size());
+    for (auto& block : pending) block.reserve(kFeedBlockRequests);
     slices.resize(lanes.size());
     workers.reserve(worker_count);
-    if (profile) profile->workers.resize(worker_count);
     for (std::size_t i = 0; i < worker_count; ++i) {
-      workers.push_back(std::make_unique<Worker>());
-      workers.back()->index = i;
-      if (profile) workers.back()->wprof = &profile->workers[i];
+      workers.push_back(std::make_unique<Worker>(i));
     }
     // Spawn only once every Worker is at its final address.
     for (auto& worker : workers) {
@@ -116,151 +177,59 @@ struct LanePool::Impl {
 
   ~Impl() { shutdown(); }
 
-  Worker& worker_for(std::size_t lane) {
-    return *workers[lane % workers.size()];
-  }
-
-  std::unique_ptr<Block> acquire_block(std::size_t lane) {
-    std::unique_ptr<Block> block;
-    {
-      std::lock_guard<std::mutex> lock(free_mutex);
-      if (!free_blocks.empty()) {
-        block = std::move(free_blocks.back());
-        free_blocks.pop_back();
-      }
-    }
-    if (profile) {
-      if (block) {
-        ++profile->blocks_recycled;
-      } else {
-        ++profile->blocks_allocated;
-      }
-    }
-    if (!block) {
-      block = std::make_unique<Block>();
-      block->requests.reserve(kFeedBlockRequests);
-    }
-    block->lane = lane;
-    return block;
-  }
-
-  void recycle(std::unique_ptr<Block> block) {
-    block->requests.clear();  // Keeps the capacity.
-    std::lock_guard<std::mutex> lock(free_mutex);
-    free_blocks.push_back(std::move(block));
-  }
-
+  /// Feeds the blocks of `w`'s ring until it closes, each swapped out
+  /// of its slot first so the ring queues kWorkerRingBlocks besides the
+  /// one being fed. When finishing, then runs finish_slice() on every
+  /// lane `w` owns, so the controllers drain their backlogs in parallel
+  /// instead of one after another on the caller. Both count as lane and
+  /// worker busy time. A failure abandons the ring: the caller's next
+  /// push to `w` rethrows it.
   void worker_loop(Worker& w) {
-    for (;;) {
-      std::unique_ptr<Block> block;
-      bool failed = false;
-      {
-        std::unique_lock<std::mutex> lock(w.mutex);
-        if (w.wprof && !w.done && w.queue.empty()) {
-          // Only a wait that actually blocks is counted as idle time —
-          // the common full-queue path stays untimed.
-          const ProfClock::time_point wait_start = ProfClock::now();
-          w.can_pull.wait(lock, [&] { return w.done || !w.queue.empty(); });
-          ++w.wprof->pop_waits;
-          w.wprof->idle_s += seconds_since(wait_start);
-        } else {
-          w.can_pull.wait(lock, [&] { return w.done || !w.queue.empty(); });
-        }
-        if (w.queue.empty()) {  // done, and fully drained.
-          const bool finish = finish_lanes && !w.failed;
-          lock.unlock();
-          if (finish) finish_own_lanes(w);
-          return;
-        }
-        block = std::move(w.queue.front());
-        w.queue.pop_front();
-        failed = w.failed;
+    std::size_t lane = w.index;  // The lane being fed or finished.
+    const auto charge = [&](ProfClock::time_point since) {
+      const double busy = seconds_since(since);
+      w.busy_s += busy;
+      lane_profiles[lane].busy_s += busy;
+    };
+    std::vector<Request> requests;  // The block being fed.
+    requests.reserve(kFeedBlockRequests);
+    try {
+      while (RequestBlock* block = w.ring.take()) {
+        lane = block->lane;
+        requests.swap(block->requests);
+        w.ring.release();
+        const ProfClock::time_point feed_start = ProfClock::now();
+        for (const Request& req : requests) lanes[lane]->feed(req);
+        charge(feed_start);
+        ++lane_profiles[lane].blocks;
+        lane_profiles[lane].requests += requests.size();
       }
-      w.can_push.notify_one();
-      // After a failure the worker keeps draining (and discarding) its
-      // queue so the producer never deadlocks on a full one.
-      if (!failed) {
-        try {
-          ShardLane& lane = *lanes[block->lane];
-          if (w.wprof) {
-            const ProfClock::time_point feed_start = ProfClock::now();
-            for (const Request& req : block->requests) lane.feed(req);
-            const double busy = seconds_since(feed_start);
-            w.wprof->busy_s += busy;
-            prof::LaneProfile& lprof = profile->lanes[block->lane];
-            lprof.busy_s += busy;
-            ++lprof.blocks;
-            lprof.requests += block->requests.size();
-          } else {
-            for (const Request& req : block->requests) lane.feed(req);
-          }
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(w.mutex);
-          w.failed = true;
-          w.error = std::current_exception();
-          w.error_lane = block->lane;
-        }
+      if (!finish_lanes) return;
+      for (lane = w.index; lane < lanes.size(); lane += workers.size()) {
+        const ProfClock::time_point finish_start = ProfClock::now();
+        slices[lane] = lanes[lane]->finish_slice();
+        charge(finish_start);
       }
-      recycle(std::move(block));
+    } catch (...) {
+      w.error = std::current_exception();
+      w.error_lane = lane;
+      w.ring.abandon();
     }
   }
 
-  /// Runs finish_slice() on every lane `w` owns: the controllers drain
-  /// their backlogs in parallel instead of one after another on the
-  /// caller. Counted as lane and worker busy time.
-  void finish_own_lanes(Worker& w) {
-    for (std::size_t lane = w.index; lane < lanes.size();
-         lane += workers.size()) {
-      try {
-        if (w.wprof) {
-          const ProfClock::time_point start = ProfClock::now();
-          slices[lane] = lanes[lane]->finish_slice();
-          const double busy = seconds_since(start);
-          w.wprof->busy_s += busy;
-          profile->lanes[lane].busy_s += busy;
-        } else {
-          slices[lane] = lanes[lane]->finish_slice();
-        }
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(w.mutex);
-        w.failed = true;
-        w.error = std::current_exception();
-        w.error_lane = lane;
-        return;
-      }
+  /// Hands `lane`'s pending block to its worker, taking the slot's
+  /// drained buffer in exchange.
+  void push(std::size_t lane) {
+    Worker& w = *workers[lane % workers.size()];
+    RequestBlock* slot = w.ring.reserve();
+    if (!slot) {
+      shutdown();
+      std::rethrow_exception(w.error);
     }
-  }
-
-  void push_block(std::unique_ptr<Block> block) {
-    Worker& w = worker_for(block->lane);
-    {
-      std::unique_lock<std::mutex> lock(w.mutex);
-      if (profile && w.queue.size() >= kMaxQueuedBlocksPerWorker) {
-        // The producer is about to stall on a full queue: the signature
-        // of a lane that cannot keep up with the stream.
-        const ProfClock::time_point wait_start = ProfClock::now();
-        w.can_push.wait(
-            lock, [&] { return w.queue.size() < kMaxQueuedBlocksPerWorker; });
-        ++profile->push_stalls;
-        profile->push_wait_s += seconds_since(wait_start);
-      } else {
-        w.can_push.wait(
-            lock, [&] { return w.queue.size() < kMaxQueuedBlocksPerWorker; });
-      }
-      if (w.failed) {
-        const std::exception_ptr error = w.error;
-        lock.unlock();
-        shutdown();
-        std::rethrow_exception(error);
-      }
-      w.queue.push_back(std::move(block));
-      if (profile) {
-        ++profile->blocks_pushed;
-        profile->queue_high_water =
-            std::max(profile->queue_high_water, w.queue.size());
-      }
-    }
-    w.can_pull.notify_one();
+    slot->lane = lane;
+    slot->requests.swap(pending[lane]);
+    pending[lane].clear();  // Keeps the capacity.
+    w.ring.commit();
   }
 
   void feed(std::size_t lane, const Request& req) {
@@ -268,26 +237,36 @@ struct LanePool::Impl {
       lanes[lane]->feed(req);
       return;
     }
-    auto& slot = pending[lane];
-    if (!slot) slot = acquire_block(lane);
-    slot->requests.push_back(req);
-    if (slot->requests.size() >= kFeedBlockRequests) {
-      push_block(std::move(slot));
+    pending[lane].push_back(req);
+    if (pending[lane].size() >= kFeedBlockRequests) push(lane);
+  }
+
+  /// Closes every ring and joins. Workers drain their rings first, so
+  /// after a clean flush this is a barrier on all fed work. Idempotent.
+  void shutdown() {
+    for (auto& worker : workers) worker->ring.close();
+    for (auto& worker : workers) {
+      if (worker->thread.joinable()) worker->thread.join();
     }
   }
 
-  /// Signals done and joins. Workers drain their queues first, so after
-  /// a clean flush this is a barrier on all fed work. Idempotent.
-  void shutdown() {
-    for (auto& worker : workers) {
-      {
-        std::lock_guard<std::mutex> lock(worker->mutex);
-        worker->done = true;
-      }
-      worker->can_pull.notify_one();
-    }
-    for (auto& worker : workers) {
-      if (worker->thread.joinable()) worker->thread.join();
+  /// Copies the counters into the profile; the workers are joined.
+  void publish_profile() {
+    profile->threads = static_cast<int>(workers.size());
+    profile->wall_s = seconds_since(start);
+    profile->lanes = lane_profiles;
+    profile->workers.resize(workers.size());
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+      const BlockRing::Stats ring = workers[i]->ring.stats();
+      prof::WorkerProfile& wprof = profile->workers[i];
+      wprof.busy_s = workers[i]->busy_s;
+      wprof.idle_s = ring.empty.wall_s;
+      wprof.pop_waits = ring.empty.count;
+      profile->blocks_pushed += ring.commits;
+      profile->push_stalls += ring.full.count;
+      profile->push_wait_s += ring.full.wall_s;
+      profile->queue_high_water =
+          std::max(profile->queue_high_water, ring.high_water);
     }
   }
 
@@ -296,25 +275,25 @@ struct LanePool::Impl {
       std::vector<ReplaySlice> out;
       out.reserve(lanes.size());
       for (auto& lane : lanes) out.push_back(lane->finish_slice());
-      if (profile) profile->wall_s = seconds_since(profile_start);
+      if (profile) publish_profile();
       return out;
     }
-    for (auto& slot : pending) {
-      if (slot && !slot->requests.empty()) push_block(std::move(slot));
+    for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+      if (!pending[lane].empty()) push(lane);
     }
-    // Published to each worker by the mutex shutdown() takes to set done.
+    // Published to each worker by the ring lock close() takes.
     finish_lanes = true;
     shutdown();
     // The lowest failing lane wins, as in an inline pool's finish.
     const Worker* failed = nullptr;
     for (const auto& worker : workers) {
-      if (worker->failed &&
+      if (worker->error &&
           (!failed || worker->error_lane < failed->error_lane)) {
         failed = worker.get();
       }
     }
     if (failed) std::rethrow_exception(failed->error);
-    if (profile) profile->wall_s = seconds_since(profile_start);
+    if (profile) publish_profile();
     return std::move(slices);
   }
 };
@@ -335,125 +314,54 @@ std::vector<ReplaySlice> LanePool::finish() { return impl_->finish(); }
 
 namespace {
 
-/// Blocks the source producer may pull ahead of the caller (640 KiB).
-/// A producer that fills the ring sleeps until half of it is free, so
-/// each wake-up comes with half a ring of work in hand: on a busy host
-/// a woken thread can wait for a CPU far longer than a block takes.
-constexpr std::size_t kSourceRingBlocks = 16;
-
-/// The source stage of a threaded replay: a producer thread pulls the
-/// stream into a fixed ring of blocks, and the caller takes them in
-/// stream order. An exception from the source ends the stream: the
-/// caller receives every block pulled before it, then the exception.
-/// The destructor stops and joins the producer, so a caller that
-/// unwinds early (a lane error, an unsorted stream) never leaks it.
+/// The source stage of a threaded replay: a thread that pulls the
+/// stream into one BlockRing, timing each next_batch call, and closes
+/// it at the end of the stream or with the source's exception. The
+/// destructor abandons the ring and joins, so a caller that unwinds
+/// early (a lane error, an unsorted stream) never leaks the thread.
 class SourceProducer {
  public:
-  SourceProducer(RequestSource& source, bool timed)
-      : source_(source), timed_(timed), thread_([this] { produce(); }) {}
+  explicit SourceProducer(RequestSource& source)
+      : source_(source), thread_([this] { produce(); }) {}
 
   ~SourceProducer() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    can_fill_.notify_one();
+    ring_.abandon();
     thread_.join();
   }
 
   SourceProducer(const SourceProducer&) = delete;
   SourceProducer& operator=(const SourceProducer&) = delete;
 
-  /// Waits for the next block and points `block` at it; returns its
-  /// size, 0 at the end of the stream. Rethrows the source's exception
-  /// in its place. The block stays valid until release().
-  std::size_t take(const Request*& block) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    can_take_.wait(lock, [&] { return filled_ != taken_ || done_; });
-    if (filled_ == taken_) {
-      if (error_) std::rethrow_exception(error_);
-      return 0;
-    }
-    const Slot& slot = ring_[taken_ % kSourceRingBlocks];
-    block = slot.requests.data();
-    return slot.count;
-  }
-
-  /// Hands the block take() returned back to the producer, waking it
-  /// when a full ring has drained to half.
-  void release() {
-    bool wake = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++taken_;
-      wake = filled_ - taken_ == kSourceRingBlocks / 2;
-    }
-    if (wake) can_fill_.notify_one();
-  }
+  BlockRing& ring() { return ring_; }
 
   /// Time inside next_batch and the blocks it filled. Read only after
-  /// take() returned 0: the producer has stopped writing them by then.
+  /// take() returned null: the producer has stopped writing them.
   double pull_s() const { return pull_s_; }
   std::uint64_t pulls() const { return pulls_; }
 
  private:
-  struct Slot {
-    std::array<Request, kFeedBlockRequests> requests;
-    std::size_t count = 0;
-  };
-
   void produce() {
-    for (std::uint64_t next = 0;; ++next) {
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (next - taken_ == kSourceRingBlocks) {
-          can_fill_.wait(lock, [&] {
-            return stop_ || next - taken_ <= kSourceRingBlocks / 2;
-          });
-        }
-        if (stop_) return;
+    std::exception_ptr error;
+    try {
+      while (RequestBlock* block = ring_.reserve()) {
+        block->requests.resize(kFeedBlockRequests);
+        const ProfClock::time_point start = ProfClock::now();
+        const std::size_t pulled =
+            source_.next_batch(block->requests.data(), kFeedBlockRequests);
+        if (pulled == 0) break;
+        pull_s_ += seconds_since(start);
+        ++pulls_;
+        block->requests.resize(pulled);
+        ring_.commit();
       }
-      // The slot is the producer's until `filled_` moves past it.
-      Slot& slot = ring_[next % kSourceRingBlocks];
-      std::exception_ptr error;
-      try {
-        ProfClock::time_point start;
-        if (timed_) start = ProfClock::now();
-        slot.count =
-            source_.next_batch(slot.requests.data(), slot.requests.size());
-        if (timed_ && slot.count > 0) {
-          pull_s_ += seconds_since(start);
-          ++pulls_;
-        }
-      } catch (...) {
-        error = std::current_exception();
-      }
-      const bool end = error || slot.count == 0;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (end) {
-          done_ = true;
-          error_ = error;
-        } else {
-          filled_ = next + 1;
-        }
-      }
-      can_take_.notify_one();
-      if (end) return;
+    } catch (...) {
+      error = std::current_exception();
     }
+    ring_.close(std::move(error));
   }
 
   RequestSource& source_;
-  const bool timed_;
-  std::vector<Slot> ring_ = std::vector<Slot>(kSourceRingBlocks);
-  std::mutex mutex_;
-  std::condition_variable can_fill_;  ///< Producer waits: ring full.
-  std::condition_variable can_take_;  ///< Caller waits: ring empty.
-  std::uint64_t filled_ = 0;  ///< Blocks handed over, in stream order.
-  std::uint64_t taken_ = 0;   ///< Blocks the caller released.
-  bool done_ = false;         ///< The stream ended (or the source threw).
-  bool stop_ = false;         ///< The caller is leaving.
-  std::exception_ptr error_;
+  BlockRing ring_{kSourceRingBlocks};
   double pull_s_ = 0.0;
   std::uint64_t pulls_ = 0;
   std::thread thread_;  ///< Last: starts once every member is built.
@@ -520,7 +428,8 @@ void feed_inline(RequestSource& source, ReplayStage& stage,
 /// either waiting for a block or feeding one.
 void feed_pipelined(RequestSource& source, ReplayStage& stage,
                     prof::Profiler* profiler) {
-  SourceProducer producer(source, profiler != nullptr);
+  SourceProducer producer(source);
+  BlockRing& ring = producer.ring();
   BlockFeeder feed(stage);
   double wait_s = 0.0;
   double feed_s = 0.0;
@@ -528,17 +437,17 @@ void feed_pipelined(RequestSource& source, ReplayStage& stage,
   ProfClock::time_point t0;
   if (profiler) t0 = ProfClock::now();
   for (;;) {
-    const Request* block = nullptr;
-    const std::size_t pulled = producer.take(block);
+    const RequestBlock* block = ring.take();
     if (profiler) {
       const ProfClock::time_point t1 = ProfClock::now();
       wait_s += std::chrono::duration<double>(t1 - t0).count();
       t0 = t1;
     }
-    if (pulled == 0) break;
+    if (!block) break;
     ++batches;
-    feed(block, pulled);
-    producer.release();
+    const std::size_t pulled = block->requests.size();
+    feed(block->requests.data(), pulled);
+    ring.release();
     if (profiler) {
       const ProfClock::time_point t1 = ProfClock::now();
       feed_s += std::chrono::duration<double>(t1 - t0).count();

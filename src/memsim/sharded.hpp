@@ -1,7 +1,11 @@
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -36,25 +40,24 @@
 /// the caller's thread: pull a block, check it, feed it, and the
 /// LanePool feeds its lanes inline. A threaded run is a three-stage
 /// pipeline:
-///   1. a source producer thread pulls next_batch blocks into a small
-///      fixed ring and hands them over in stream order (an exception
-///      from the source is handed over in its place, after every block
-///      pulled before it);
+///   1. a source producer thread pulls next_batch blocks into a 16-slot
+///      BlockRing (an exception from the source closes the ring, so the
+///      caller receives it after every block pulled before it);
 ///   2. the caller takes the blocks in order, checks arrivals, runs the
 ///      stage's routing (the hybrid cache filter, whose tag state is
-///      global) and hands ~kFeedBlockRequests-sized per-lane blocks to
-///      the lanes' workers over bounded queues (it is the pool's
+///      global) and commits ~kFeedBlockRequests-sized per-lane blocks
+///      to each pool worker's 4-slot BlockRing (it is the pool's
 ///      producer: PoolProfile's push stalls are its waits);
 ///   3. the pool workers feed their lanes, and at the end each worker
 ///      runs finish_slice() on its own lanes before it exits.
+/// Both handoffs are the one BlockRing and share its wake rule: a
+/// producer that finds its ring full sleeps until half of it is free
+/// (on a busy host a woken thread can wait for a CPU far longer than a
+/// block takes, so each wake-up comes with half a ring of work in
+/// hand), and a commit wakes a waiting consumer.
 /// Lanes map to workers round-robin (lane % workers); each lane is only
 /// ever touched by one thread, so lanes need no locking of their own.
 /// The source is touched only by the producer while the loop runs.
-namespace comet::prof {
-class Profiler;
-struct PoolProfile;
-}
-
 namespace comet::prof {
 class Profiler;
 struct PoolProfile;
@@ -97,20 +100,91 @@ class SessionLane final : public ShardLane {
   ReplaySession session_;
 };
 
-/// Runs N lanes on up to `threads` worker threads (bounded block queues,
-/// block recycling through a free list; see the header comment for the
-/// threading model). A lane exception, from feed() or finish_slice(),
-/// is captured and rethrown on the caller's thread — from feed() as
-/// soon as it is noticed, else from finish(), where the lowest-numbered
-/// failing lane's error wins when several fail.
+/// One slot of a BlockRing: a request buffer that keeps its capacity
+/// from lap to lap, so a ring in steady state allocates nothing.
+struct RequestBlock {
+  std::size_t lane = 0;  ///< The pool lane the block feeds.
+  std::vector<Request> requests;
+};
+
+/// A bounded single-producer/single-consumer ring of RequestBlocks, the
+/// one handoff between the replay's threads. The producer reserve()s
+/// the next free slot, fills or swaps its buffer and commit()s it; the
+/// consumer take()s committed blocks in order and release()s each one
+/// once it is done with it. Wake rule: a producer that finds the ring
+/// full sleeps until half of it is free, and a commit wakes a waiting
+/// consumer. Stream end: close(error) lets the consumer receive every
+/// committed block, then the error; abandon() is the consumer leaving
+/// early, which wakes a blocked producer and makes its next reserve()
+/// report it. Only waits that actually block are timed, so a ring
+/// costs the same whether anyone reads its stats or not.
+class BlockRing {
+ public:
+  /// Waits that blocked on one side of the ring, and their wall time.
+  struct Waits {
+    std::uint64_t count = 0;
+    double wall_s = 0.0;
+  };
+  struct Stats {
+    std::uint64_t commits = 0;
+    std::size_t high_water = 0;  ///< Most blocks committed, unreleased.
+    Waits full;   ///< The producer found the ring full.
+    Waits empty;  ///< The consumer found the ring empty.
+  };
+
+  /// Each slot's buffer starts with room for kFeedBlockRequests.
+  explicit BlockRing(std::size_t slots);
+
+  BlockRing(const BlockRing&) = delete;
+  BlockRing& operator=(const BlockRing&) = delete;
+
+  /// Producer: waits for a free slot and returns it, holding whatever
+  /// its last lap left; null once the consumer abandoned the ring.
+  RequestBlock* reserve();
+  /// Producer: hands the reserved slot to the consumer.
+  void commit();
+  /// Producer: ends the stream. A null error ends it cleanly.
+  void close(std::exception_ptr error = nullptr);
+
+  /// Consumer: waits for the next committed block; null at the end of
+  /// a cleanly closed stream. Rethrows the close() error in its place.
+  /// The block stays the consumer's until release().
+  RequestBlock* take();
+  /// Consumer: returns the taken block's slot to the producer.
+  void release();
+  /// Consumer: leaves early; the producer's reserve() returns null.
+  void abandon();
+
+  /// Thread-safe; totals are final once both sides are done.
+  Stats stats() const;
+
+ private:
+  std::vector<RequestBlock> slots_;
+  mutable std::mutex mutex_;
+  std::condition_variable can_reserve_;  ///< Producer waits: ring full.
+  std::condition_variable can_take_;     ///< Consumer waits: ring empty.
+  std::uint64_t committed_ = 0;  ///< Blocks handed over, in order.
+  std::uint64_t released_ = 0;   ///< Blocks the consumer is done with.
+  bool closed_ = false;
+  bool abandoned_ = false;
+  std::exception_ptr error_;
+  Stats stats_;  ///< All but commits, which stats() reads off committed_.
+};
+
+/// Runs N lanes on up to `threads` worker threads, each fed through
+/// its own BlockRing (see the header comment for the threading model).
+/// A lane exception, from feed() or finish_slice(), is captured and
+/// rethrown on the caller's thread — from feed() as soon as it is
+/// noticed (the failed worker abandons its ring, so the next push to
+/// it rethrows), else from finish(), where the lowest-numbered failing
+/// lane's error wins when several fail.
 class LanePool {
  public:
   /// Takes ownership of the lanes. threads <= 1 selects inline mode.
-  /// A non-null `profile` collects host-side wall-clock counters (lane
-  /// busy time, queue stalls, block recycling); the pool sizes its lane
-  /// and worker vectors before any worker spawns, and publishes every
-  /// counter by the time finish() returns. Null costs one pointer test
-  /// per block; the simulated results are bit-identical either way.
+  /// A non-null `profile` receives host-side wall-clock counters (lane
+  /// busy time, ring stalls), published by finish() once the workers
+  /// are joined. The pool keeps them either way; the simulated results
+  /// are bit-identical with or without a profile.
   LanePool(std::vector<std::unique_ptr<ShardLane>> lanes, int threads,
            prof::PoolProfile* profile = nullptr);
   ~LanePool();

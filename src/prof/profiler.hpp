@@ -16,7 +16,7 @@
 /// Telemetry observes *simulated* time — request lifecycles on the
 /// device's own clock. This layer observes the *simulator*: how long
 /// each replay stage took on the host, how busy the LanePool workers
-/// were, where the producer stalled on a full block queue, and how much
+/// were, where the producer stalled on a full block ring, and how much
 /// memory the process touched. None of it ever feeds back into the
 /// replay, so simulated statistics are bit-identical with profiling on
 /// or off — the same contract the telemetry seam keeps, enforced by the
@@ -26,9 +26,8 @@
 /// sweep job, created on the driver thread before any worker starts.
 /// Stage timings are accumulated under a mutex (a handful of calls per
 /// run, never per request); pool profiles are registered on the
-/// producer thread before lane workers spawn, their per-lane and
-/// per-worker slots are each written by exactly one thread, and the
-/// LanePool join publishes them before any read. The only fields read
+/// producer thread before lane workers spawn and filled on it by
+/// LanePool::finish after the workers are joined. The only fields read
 /// *during* a run are the atomic progress counters the heartbeat polls.
 namespace comet::prof {
 
@@ -65,27 +64,26 @@ struct StageStats {
   double wall_s = 0.0;
 };
 
-/// One shard lane's share of a pool's work, written only by the worker
-/// that owns the lane (lanes map to workers statically).
+/// One shard lane's share of a pool's work.
 struct LaneProfile {
   double busy_s = 0.0;  ///< Wall time inside this lane's feed() calls.
   std::uint64_t blocks = 0;
   std::uint64_t requests = 0;
 };
 
-/// One pool worker's time split, written only by that worker thread.
+/// One pool worker's time split.
 struct WorkerProfile {
   double busy_s = 0.0;       ///< Executing blocks (all of its lanes).
-  double idle_s = 0.0;       ///< Blocked on an empty queue.
-  std::uint64_t pop_waits = 0;  ///< Times the queue ran dry.
+  double idle_s = 0.0;       ///< Blocked on an empty ring.
+  std::uint64_t pop_waits = 0;  ///< Times the ring ran dry.
 };
 
-/// Wall-clock counters of one LanePool run. Producer-side fields
-/// (push_*, queue_high_water, block accounting) are written by the
-/// producer thread only; lanes/workers by their owning worker. In
-/// inline mode (threads <= 1) only the block accounting is kept —
-/// per-request timing on the caller's thread would cost on the hot
-/// path, and "worker utilization" has no meaning without workers.
+/// Wall-clock counters of one LanePool run, filled by LanePool::finish
+/// once its workers are joined. The push_* fields and queue_high_water
+/// are the caller's side of the workers' block rings. An inline pool
+/// (threads <= 1) keeps only wall_s and zeroed lanes: per-request
+/// timing on the caller's thread would cost on the hot path, and
+/// "worker utilization" has no meaning without workers.
 struct PoolProfile {
   std::string stage;   ///< "" for flat pools, "tiers" for hybrid.
   int threads = 0;     ///< Worker count; 0 = inline mode.
@@ -95,11 +93,9 @@ struct PoolProfile {
   std::vector<WorkerProfile> workers;
 
   std::uint64_t blocks_pushed = 0;
-  std::uint64_t blocks_allocated = 0;  ///< Fresh heap blocks.
-  std::uint64_t blocks_recycled = 0;   ///< Served from the free list.
-  std::uint64_t push_stalls = 0;  ///< Producer waits on a full queue.
+  std::uint64_t push_stalls = 0;  ///< Producer waits on a full ring.
   double push_wait_s = 0.0;
-  std::size_t queue_high_water = 0;  ///< Deepest queue ever observed.
+  std::size_t queue_high_water = 0;  ///< Deepest worker ring observed.
 
   /// Mean worker busy fraction in [0, 1]; 0 for inline pools.
   double utilization() const;
@@ -135,8 +131,8 @@ class Profiler {
   double source_wait_seconds() const;
 
   /// Registers one LanePool's profile and returns it, owned by the
-  /// Profiler; the pool sizes the lane/worker vectors itself before its
-  /// workers spawn. Thread-safe; called on the pool's producer thread.
+  /// Profiler; the pool fills it in finish(). Thread-safe; called on
+  /// the pool's producer thread.
   PoolProfile* add_pool(std::string stage);
 
   /// Live progress: requests pulled from the source so far, bumped once

@@ -386,7 +386,10 @@ TEST(ProfiledBitIdentity, PoolProfileAccountsForEveryRequest) {
   std::uint64_t lane_requests = 0;
   for (const auto& lane : pool.lanes) lane_requests += lane.requests;
   EXPECT_EQ(lane_requests, shared_trace().size());
-  EXPECT_EQ(pool.blocks_allocated + pool.blocks_recycled, pool.blocks_pushed);
+  // Every pushed block is fed exactly once.
+  std::uint64_t lane_blocks = 0;
+  for (const auto& lane : pool.lanes) lane_blocks += lane.blocks;
+  EXPECT_EQ(lane_blocks, pool.blocks_pushed);
   const double utilization = pool.utilization();
   EXPECT_GE(utilization, 0.0);
   EXPECT_LE(utilization, 1.0);

@@ -9,11 +9,13 @@
 // latency distribution and every energy sum. Hybrid engines have no
 // whole-stream equivalent and are pinned across thread counts instead.
 // Plus the replay-loop contracts and the LanePool mechanics: inline
-// mode, worker-error propagation, the run_threads resolution rules, and
-// the failure paths of the pipelined (threaded) replay.
+// mode, worker-error propagation, the run_threads resolution rules, the
+// failure paths of the pipelined (threaded) replay, and the BlockRing
+// that hands blocks between its threads.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <memory>
@@ -279,6 +281,15 @@ int live_threads() {
   return 0;
 }
 
+/// Threads of this process before a case starts its own. One thread is
+/// started and joined first: ThreadSanitizer's runtime starts a helper
+/// thread along with the process's first thread, and that one is not a
+/// thread the case left running.
+int threads_before() {
+  std::thread([] {}).join();
+  return live_threads();
+}
+
 /// Waits briefly for the thread count to settle back to `want`: a
 /// joined thread may leave the count a moment after join() returns.
 int settled_threads(int want) {
@@ -416,7 +427,7 @@ TEST(PipelinedFailure, SourceThrowingAfterKBlocksReachesTheCaller) {
       const Failure serial = run(1, serial_fed);
       ASSERT_FALSE(serial.type.empty()) << label;
       EXPECT_EQ(serial_fed, blocks * ms::kFeedBlockRequests) << label;
-      const int before = live_threads();
+      const int before = threads_before();
       std::uint64_t threaded_fed = 0;
       EXPECT_EQ(run(3, threaded_fed), serial) << label;
       EXPECT_EQ(threaded_fed, serial_fed) << label;
@@ -441,7 +452,7 @@ TEST(PipelinedFailure, UnsortedStreamNamesTheSerialGlobalIndex) {
     EXPECT_NE(serial.what.find("index " + std::to_string(bad)),
               std::string::npos)
         << kind_name(kind) << ": " << serial.what;
-    const int before = live_threads();
+    const int before = threads_before();
     EXPECT_EQ(run(3), serial) << kind_name(kind);
     EXPECT_EQ(settled_threads(before), before) << kind_name(kind);
   }
@@ -463,7 +474,7 @@ TEST(PipelinedFailure, LaneThrowingWhileTheProducerWaitsOnAFullRing) {
   };
   const Failure serial = run(1);
   EXPECT_EQ(serial.what, "lane fault at request 2000");
-  const int before = live_threads();
+  const int before = threads_before();
   EXPECT_EQ(run(3), serial);
   EXPECT_EQ(settled_threads(before), before);
 }
@@ -489,7 +500,136 @@ TEST(PipelinedFailure, LaneFailingToFinishOnItsWorker) {
   };
   const Failure serial = run(1);
   EXPECT_EQ(serial.what, "drain fault on lane 2");
-  const int before = live_threads();
+  const int before = threads_before();
   EXPECT_EQ(run(3), serial);
+  EXPECT_EQ(settled_threads(before), before);
+}
+
+// ------------------------------------------------------ block ring
+//
+// The one handoff between the threaded replay's threads. Each case runs
+// the other side of the ring on a thread of its own and checks that it
+// is gone at the end.
+
+namespace {
+
+/// Commits one block whose single request carries `id`; false once the
+/// consumer abandoned the ring.
+bool commit_block(ms::BlockRing& ring, std::uint64_t id) {
+  ms::RequestBlock* block = ring.reserve();
+  if (!block) return false;
+  block->requests.assign(1, ms::Request{});
+  block->requests[0].id = id;
+  ring.commit();
+  return true;
+}
+
+/// Takes the next block and returns its id; the block is released.
+std::uint64_t take_block(ms::BlockRing& ring) {
+  const ms::RequestBlock* block = ring.take();
+  EXPECT_NE(block, nullptr);
+  if (!block) return ~std::uint64_t{0};
+  const std::uint64_t id = block->requests.at(0).id;
+  ring.release();
+  return id;
+}
+
+/// Spins (sleeping) until `done()` holds; false after ~10 s.
+template <typename Pred>
+bool eventually(Pred done) {
+  for (int i = 0; i < 2000 && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return done();
+}
+
+}  // namespace
+
+TEST(BlockRing, KeepsBlockOrderAcrossLaps) {
+  const int before = threads_before();
+  ms::BlockRing ring(4);
+  constexpr std::uint64_t kBlocks = 4 * 3 + 1;  // Past a third lap.
+  std::thread producer([&] {
+    for (std::uint64_t id = 0; id < kBlocks; ++id) commit_block(ring, id);
+    ring.close();
+  });
+  for (std::uint64_t id = 0; id < kBlocks; ++id) {
+    EXPECT_EQ(take_block(ring), id);
+  }
+  EXPECT_EQ(ring.take(), nullptr);
+  producer.join();
+  EXPECT_EQ(ring.stats().commits, kBlocks);
+  EXPECT_LE(ring.stats().high_water, 4u);
+  EXPECT_EQ(settled_threads(before), before);
+}
+
+TEST(BlockRing, FullProducerSleepsUntilHalfTheSlotsAreReleased) {
+  const int before = threads_before();
+  ms::BlockRing ring(4);
+  std::atomic<int> committed{0};
+  std::thread producer([&] {
+    for (std::uint64_t id = 0; id < 5; ++id) {
+      commit_block(ring, id);
+      committed.fetch_add(1);
+    }
+    ring.close();
+  });
+  ASSERT_TRUE(eventually([&] { return committed.load() == 4; }));
+  // One slot free of four: the producer must stay asleep.
+  EXPECT_EQ(take_block(ring), 0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(committed.load(), 4);
+  // Two free, half the ring: it wakes and commits its fifth block.
+  EXPECT_EQ(take_block(ring), 1u);
+  EXPECT_TRUE(eventually([&] { return committed.load() == 5; }));
+  for (std::uint64_t id = 2; id < 5; ++id) EXPECT_EQ(take_block(ring), id);
+  EXPECT_EQ(ring.take(), nullptr);
+  producer.join();
+  EXPECT_EQ(ring.stats().full.count, 1u);
+  EXPECT_EQ(settled_threads(before), before);
+}
+
+TEST(BlockRing, CloseDeliversEveryCommittedBlockThenTheError) {
+  const int before = threads_before();
+  ms::BlockRing ring(4);
+  std::vector<std::uint64_t> taken;
+  std::string error;
+  std::thread consumer([&] {
+    try {
+      while (const ms::RequestBlock* block = ring.take()) {
+        taken.push_back(block->requests.at(0).id);
+        ring.release();
+      }
+    } catch (const std::runtime_error& e) {
+      error = e.what();
+    }
+  });
+  for (std::uint64_t id = 0; id < 3; ++id) commit_block(ring, id);
+  ring.close(std::make_exception_ptr(std::runtime_error("source fault")));
+  consumer.join();
+  EXPECT_EQ(taken, (std::vector<std::uint64_t>{0, 1, 2}));
+  EXPECT_EQ(error, "source fault");
+  EXPECT_THROW(ring.take(), std::runtime_error);  // It stays closed.
+  EXPECT_EQ(settled_threads(before), before);
+}
+
+TEST(BlockRing, AbandonReleasesABlockedProducer) {
+  const int before = threads_before();
+  ms::BlockRing ring(2);
+  std::atomic<int> committed{0};
+  std::atomic<bool> released{false};
+  std::thread producer([&] {
+    for (std::uint64_t id = 0; commit_block(ring, id); ++id) {
+      committed.fetch_add(1);
+    }
+    released = true;
+  });
+  ASSERT_TRUE(eventually([&] { return committed.load() == 2; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(released.load());  // Asleep on the full ring.
+  ring.abandon();
+  producer.join();
+  EXPECT_TRUE(released.load());
+  EXPECT_EQ(committed.load(), 2);
   EXPECT_EQ(settled_threads(before), before);
 }
