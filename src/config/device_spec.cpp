@@ -19,15 +19,6 @@ int DeviceSpec::channels() const {
                      : flat.value().timing.channels;
 }
 
-std::unique_ptr<memsim::Engine> DeviceSpec::make_engine() const {
-  return make_engine(std::nullopt);
-}
-
-std::unique_ptr<memsim::Engine> DeviceSpec::make_engine(
-    const std::optional<sched::ControllerConfig>& controller) const {
-  return make_engine(controller, 1);
-}
-
 std::unique_ptr<memsim::Engine> DeviceSpec::make_engine(
     const std::optional<sched::ControllerConfig>& controller,
     int run_threads) const {

@@ -44,24 +44,17 @@ struct DeviceSpec {
 
   /// Instantiates the replay engine for this architecture: a
   /// memsim::MemorySystem for flat specs, a hybrid::TieredSystem for
-  /// hybrid ones. Throws std::logic_error on a default-constructed spec
-  /// with neither alternative engaged.
-  std::unique_ptr<memsim::Engine> make_engine() const;
-
-  /// Scheduled variant: with a controller config, flat specs replay
-  /// behind a sched::ScheduledSystem front-end and hybrid specs route
-  /// their backend miss stream through the controller; nullopt is the
-  /// plain make_engine() above.
+  /// hybrid ones. With a controller config, flat specs replay behind a
+  /// sched::ScheduledSystem front-end and hybrid specs route their
+  /// backend miss stream through the controller. With run_threads > 1
+  /// (0 = one per hardware thread, memsim::resolve_run_threads), every
+  /// engine replays its per-channel lanes on a worker pool, with results
+  /// bit-identical to run_threads == 1 for every combination. Throws
+  /// std::logic_error on a default-constructed spec with neither
+  /// alternative engaged.
   std::unique_ptr<memsim::Engine> make_engine(
-      const std::optional<sched::ControllerConfig>& controller) const;
-
-  /// Threaded variant: with run_threads > 1 (0 = one per hardware
-  /// thread, memsim::resolve_run_threads), every engine replays its
-  /// per-channel lanes on a worker pool, with results bit-identical to
-  /// run_threads == 1 for every combination.
-  std::unique_ptr<memsim::Engine> make_engine(
-      const std::optional<sched::ControllerConfig>& controller,
-      int run_threads) const;
+      const std::optional<sched::ControllerConfig>& controller = std::nullopt,
+      int run_threads = 1) const;
 
   /// Applies a channel-count override to the main-memory part (the
   /// backend behind the cache tier for hybrid specs) and re-validates

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -367,102 +368,67 @@ class SourceProducer {
   std::thread thread_;  ///< Last: starts once every member is built.
 };
 
-/// The caller's share of every replay: the global sorted-stream check
-/// and the stage feed. Lanes re-check their own subsequences a
-/// fortiori; the first request passes trivially against 0.
-class BlockFeeder {
- public:
-  explicit BlockFeeder(ReplayStage& stage) : stage_(stage) {}
-
-  void operator()(const Request* block, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) {
-      if (block[i].arrival_ps < prev_arrival_) {
-        check_arrival_order(fed_ + i, prev_arrival_, block[i].arrival_ps);
-      }
-      prev_arrival_ = block[i].arrival_ps;
-    }
-    fed_ += count;
-    stage_.feed(block, count);
-  }
-
- private:
-  ReplayStage& stage_;
-  std::uint64_t fed_ = 0;
-  std::uint64_t prev_arrival_ = 0;
-};
-
-/// Serial feed: pull, check and feed each block on the caller's thread.
-/// Stage wall time is accumulated locally per batch and recorded once:
-/// two clock reads per block when profiling, nothing when not.
-void feed_inline(RequestSource& source, ReplayStage& stage,
+/// The one feed loop. A threaded stage takes each block from a
+/// SourceProducer's ring, a serial one pulls it inline with next_batch.
+/// Either way the loop checks arrival order (lanes re-check their own
+/// subsequences a fortiori; the first request passes trivially against
+/// 0), feeds the stage and ticks progress. A profiled loop's clock runs
+/// without gaps, two reads per block: every instant is either getting
+/// a block (source_pull inline, the producer wait when threaded) or
+/// feeding one.
+void feed_blocks(RequestSource& source, ReplayStage& stage,
                  prof::Profiler* profiler) {
-  Request block[kFeedBlockRequests];
-  BlockFeeder feed(stage);
-  double pull_s = 0.0;
-  double feed_s = 0.0;
-  std::uint64_t batches = 0;
-  for (;;) {
-    ProfClock::time_point t0;
-    if (profiler) t0 = ProfClock::now();
-    const std::size_t pulled = source.next_batch(block, kFeedBlockRequests);
-    if (pulled == 0) break;
-    ++batches;
-    if (profiler) {
-      pull_s += seconds_since(t0);
-      t0 = ProfClock::now();
-    }
-    feed(block, pulled);
-    if (profiler) {
-      feed_s += seconds_since(t0);
-      profiler->add_progress(pulled);
-    }
+  std::optional<SourceProducer> producer;
+  std::vector<Request> pulled;  // The inline block.
+  if (stage.threaded()) {
+    producer.emplace(source);
+  } else {
+    pulled.resize(kFeedBlockRequests);
   }
-  if (profiler && batches > 0) {
-    profiler->record_stage("source_pull", pull_s, batches);
-    profiler->record_stage("engine_feed", feed_s, batches);
-  }
-}
-
-/// Threaded feed: the producer pulls, the caller checks and feeds. The
-/// caller's clock runs without gaps — every instant of its loop is
-/// either waiting for a block or feeding one.
-void feed_pipelined(RequestSource& source, ReplayStage& stage,
-                    prof::Profiler* profiler) {
-  SourceProducer producer(source);
-  BlockRing& ring = producer.ring();
-  BlockFeeder feed(stage);
-  double wait_s = 0.0;
+  double get_s = 0.0;
   double feed_s = 0.0;
-  std::uint64_t batches = 0;
+  std::uint64_t blocks = 0;
+  std::uint64_t fed = 0;
+  std::uint64_t prev_arrival = 0;
   ProfClock::time_point t0;
   if (profiler) t0 = ProfClock::now();
+  const auto lap = [&t0](double& into) {
+    const ProfClock::time_point t1 = ProfClock::now();
+    into += std::chrono::duration<double>(t1 - t0).count();
+    t0 = t1;
+  };
   for (;;) {
-    const RequestBlock* block = ring.take();
-    if (profiler) {
-      const ProfClock::time_point t1 = ProfClock::now();
-      wait_s += std::chrono::duration<double>(t1 - t0).count();
-      t0 = t1;
+    const Request* block = pulled.data();
+    std::size_t count = 0;
+    if (!producer) {
+      count = source.next_batch(pulled.data(), kFeedBlockRequests);
+    } else if (const RequestBlock* taken = producer->ring().take()) {
+      block = taken->requests.data();
+      count = taken->requests.size();
     }
-    if (!block) break;
-    ++batches;
-    const std::size_t pulled = block->requests.size();
-    feed(block->requests.data(), pulled);
-    ring.release();
+    if (profiler) lap(get_s);
+    if (count == 0) break;
+    ++blocks;
+    for (std::size_t i = 0; i < count; ++i) {
+      if (block[i].arrival_ps < prev_arrival) {
+        check_arrival_order(fed + i, prev_arrival, block[i].arrival_ps);
+      }
+      prev_arrival = block[i].arrival_ps;
+    }
+    fed += count;
+    stage.feed(block, count);
+    if (producer) producer->ring().release();
     if (profiler) {
-      const ProfClock::time_point t1 = ProfClock::now();
-      feed_s += std::chrono::duration<double>(t1 - t0).count();
-      t0 = t1;
-      profiler->add_progress(pulled);
+      lap(feed_s);
+      profiler->add_progress(count);
     }
   }
-  if (profiler) {
-    profiler->add_source_wait(wait_s);
-    if (batches > 0) {
-      profiler->record_stage("source_pull", producer.pull_s(),
-                             producer.pulls());
-      profiler->record_stage("engine_feed", feed_s, batches);
-    }
-  }
+  if (!profiler) return;
+  if (producer) profiler->add_source_wait(get_s);
+  if (blocks == 0) return;
+  profiler->record_stage("source_pull", producer ? producer->pull_s() : get_s,
+                         producer ? producer->pulls() : blocks);
+  profiler->record_stage("engine_feed", feed_s, blocks);
 }
 
 }  // namespace
@@ -470,11 +436,7 @@ void feed_pipelined(RequestSource& source, ReplayStage& stage,
 std::vector<ReplaySlice> run_replay(RequestSource& source, ReplayStage& stage,
                                     const std::vector<ReplayTier>& tiers,
                                     prof::Profiler* profiler) {
-  if (stage.threaded()) {
-    feed_pipelined(source, stage, profiler);
-  } else {
-    feed_inline(source, stage, profiler);
-  }
+  feed_blocks(source, stage, profiler);
 
   prof::StageTimer drain_timer(profiler, "lane_drain");
   const std::vector<ReplaySlice> slices = stage.drain();

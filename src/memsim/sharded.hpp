@@ -36,18 +36,22 @@
 /// sched::Controller for any thread count. That bit-identity is a hard
 /// test gate (tests/test_sharded.cpp), not a best-effort property.
 ///
-/// Threading model. A serial run (run_threads <= 1) does everything on
-/// the caller's thread: pull a block, check it, feed it, and the
-/// LanePool feeds its lanes inline. A threaded run is a three-stage
-/// pipeline:
+/// Threading model. The stream moves in blocks from the source's
+/// next_batch to the stage's feed, through one feed loop on the
+/// caller's thread: get a block, check its arrivals, feed it. Only
+/// where the block comes from depends on the stage. A serial run
+/// (run_threads <= 1) pulls it inline, and the LanePool feeds its lanes
+/// inline too, so everything runs on the caller's thread. A threaded
+/// run is a three-stage pipeline:
 ///   1. a source producer thread pulls next_batch blocks into a 16-slot
-///      BlockRing (an exception from the source closes the ring, so the
-///      caller receives it after every block pulled before it);
-///   2. the caller takes the blocks in order, checks arrivals, runs the
-///      stage's routing (the hybrid cache filter, whose tag state is
-///      global) and commits ~kFeedBlockRequests-sized per-lane blocks
-///      to each pool worker's 4-slot BlockRing (it is the pool's
-///      producer: PoolProfile's push stalls are its waits);
+///      BlockRing, and the feed loop takes them in order (an exception
+///      from the source closes the ring, so the caller receives it
+///      after every block pulled before it);
+///   2. the feed loop runs the stage's routing (the hybrid cache
+///      filter, whose tag state is global) and commits
+///      ~kFeedBlockRequests-sized per-lane blocks to each pool worker's
+///      4-slot BlockRing (the caller is the pool's producer:
+///      PoolProfile's push stalls are its waits);
 ///   3. the pool workers feed their lanes, and at the end each worker
 ///      runs finish_slice() on its own lanes before it exits.
 /// Both handoffs are the one BlockRing and share its wake rule: a
@@ -241,7 +245,8 @@ struct ReplayTier {
 /// slice per tier: `stats` finalized, the arrival/completion window and
 /// request count kept for composite engines.
 /// A non-null `profiler` receives the "source_pull" (time inside
-/// next_batch, one call per block), "engine_feed", "lane_drain" (stage
+/// next_batch, one call per block; a serial run's time also holds the
+/// final, empty pull), "engine_feed", "lane_drain" (stage
 /// drain) and "shard_merge" (merge and finalize) stage timings and live
 /// progress ticks. In a threaded stage source_pull is timed on the
 /// producer thread, overlapping the caller's stages; the caller's wait

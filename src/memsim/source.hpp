@@ -9,12 +9,13 @@
 
 /// Pull-based request streams.
 ///
-/// A RequestSource yields one Request per next() call until exhaustion,
-/// so replay engines never need the whole trace in memory: a lazy
-/// generator source or an on-disk trace reader replays arbitrarily long
-/// streams in O(1) space, while VectorSource adapts the existing
-/// materialized-vector call sites. Sources are single-pass: once next()
-/// returns nullopt the stream is drained for good.
+/// A RequestSource fills caller-owned blocks of requests, one
+/// next_batch() call per block, until exhaustion, so replay engines
+/// never need the whole trace in memory: a lazy generator source or an
+/// on-disk trace reader replays arbitrarily long streams in O(1) space,
+/// while VectorSource adapts the existing materialized-vector call
+/// sites. Sources are single-pass: once next_batch() returns 0 the
+/// stream is drained for good.
 ///
 /// Requests must be yielded in non-decreasing arrival_ps order (the
 /// sorted-stream contract); engines verify this incrementally as they
@@ -28,26 +29,20 @@ class RequestSource {
  public:
   virtual ~RequestSource() = default;
 
-  /// The next request, or std::nullopt once the stream is exhausted.
-  virtual std::optional<Request> next() = 0;
-
   /// Fills `out[0 .. max)` with the next requests of the stream and
   /// returns how many were written; 0 means the stream is exhausted
-  /// (never before). The replay engines pull through this entry point
-  /// in ~1024-request blocks, so the per-request virtual dispatch (and
-  /// the optional<Request> round trip) of next() amortizes away on the
-  /// hot path. The default loops next(); concrete sources override it
-  /// with a direct block fill. Equivalence with repeated next() calls
-  /// is part of the contract (enforced per implementation in
-  /// tests/test_source.cpp), so callers may mix both freely.
-  virtual std::size_t next_batch(Request* out, std::size_t max) {
-    std::size_t filled = 0;
-    while (filled < max) {
-      const auto request = next();
-      if (!request) break;
-      out[filled++] = *request;
-    }
-    return filled;
+  /// (never before, unless `max` is 0). This is the one method a source
+  /// implements: the replay engines pull kFeedBlockRequests at a time,
+  /// so the virtual dispatch amortizes over a block, and a call may
+  /// return fewer than `max` without ending the stream.
+  virtual std::size_t next_batch(Request* out, std::size_t max) = 0;
+
+  /// The next request, or std::nullopt once the stream is exhausted: a
+  /// block of one. Virtual only so a wrapping source can time it.
+  virtual std::optional<Request> next() {
+    Request request;
+    if (next_batch(&request, 1) == 0) return std::nullopt;
+    return request;
   }
 };
 
@@ -61,12 +56,10 @@ class RequestSource {
 /// reallocate) or letting it die first leaves the source reading
 /// freed memory. The rvalue constructor OWNS: it moves the vector in
 /// and has no external lifetime dependency — prefer it whenever the
-/// caller is done with the data. Callers that aggregate borrowed
-/// sources (e.g. tenant::MultiSource, which holds RequestSource
-/// pointers per tenant stream) inherit the same obligation
-/// transitively: every borrowed vector must outlive the whole
-/// aggregate's drain. tests/test_tenant.cpp exercises MultiSource
-/// over both flavors.
+/// caller is done with the data. A source that wraps a borrowing
+/// VectorSource (a tenant::PacedSource or tenant::MultiSource owning
+/// it) inherits the same obligation: the vector must outlive the
+/// wrapper's drain.
 class VectorSource final : public RequestSource {
  public:
   explicit VectorSource(const std::vector<Request>& requests)
@@ -78,11 +71,6 @@ class VectorSource final : public RequestSource {
   // dangling at the old object.
   VectorSource(const VectorSource&) = delete;
   VectorSource& operator=(const VectorSource&) = delete;
-
-  std::optional<Request> next() override {
-    if (pos_ >= requests_->size()) return std::nullopt;
-    return (*requests_)[pos_++];
-  }
 
   std::size_t next_batch(Request* out, std::size_t max) override {
     const std::size_t available = requests_->size() - pos_;

@@ -294,12 +294,6 @@ bool TraceFileSource::pull(Request& out) {
   return true;
 }
 
-std::optional<Request> TraceFileSource::next() {
-  Request req;
-  if (!pull(req)) return std::nullopt;
-  return req;
-}
-
 std::size_t TraceFileSource::next_batch(Request* out, std::size_t max) {
   std::size_t filled = 0;
   while (filled < max && pull(out[filled])) ++filled;
@@ -309,18 +303,28 @@ std::size_t TraceFileSource::next_batch(Request* out, std::size_t max) {
 std::vector<Request> read_trace(std::istream& in, const TraceConfig& config) {
   TraceFileSource source(in, config, "read_trace");
   std::vector<Request> requests;
-  while (auto req = source.next()) requests.push_back(*req);
+  std::vector<Request> block(kFeedBlockRequests);
+  while (const std::size_t pulled =
+             source.next_batch(block.data(), block.size())) {
+    requests.insert(requests.end(), block.begin(),
+                    block.begin() + static_cast<std::ptrdiff_t>(pulled));
+  }
   return requests;
 }
 
 void write_trace(std::ostream& out, RequestSource& source,
                  const TraceConfig& config) {
   const double cycles_per_ps = config.cpu_clock_ghz / 1e3;
-  while (const auto req = source.next()) {
-    const auto cycle = static_cast<std::uint64_t>(
-        static_cast<double>(req->arrival_ps) * cycles_per_ps);
-    out << cycle << ' ' << (req->op == Op::kRead ? 'R' : 'W') << " 0x"
-        << std::hex << req->address << std::dec << '\n';
+  std::vector<Request> block(kFeedBlockRequests);
+  while (const std::size_t pulled =
+             source.next_batch(block.data(), block.size())) {
+    for (std::size_t i = 0; i < pulled; ++i) {
+      const Request& req = block[i];
+      const auto cycle = static_cast<std::uint64_t>(
+          static_cast<double>(req.arrival_ps) * cycles_per_ps);
+      out << cycle << ' ' << (req.op == Op::kRead ? 'R' : 'W') << " 0x"
+          << std::hex << req.address << std::dec << '\n';
+    }
   }
 }
 

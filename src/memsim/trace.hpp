@@ -59,7 +59,7 @@ struct TraceConfig {
 /// lines or non-monotonic cycle counts.
 std::vector<Request> read_trace(std::istream& in, const TraceConfig& config);
 
-/// Streaming trace reader: pulls one record per next() call — O(1)
+/// Streaming trace reader: parses records a block at a time — O(1)
 /// memory however long the file — and enforces the sorted-by-arrival
 /// contract incrementally as records are pulled, with the same
 /// line-numbered diagnostics as read_trace. read_trace is implemented on
@@ -83,10 +83,8 @@ class TraceFileSource final : public RequestSource {
   TraceFileSource(const TraceFileSource&) = delete;
   TraceFileSource& operator=(const TraceFileSource&) = delete;
 
-  std::optional<Request> next() override;
-
-  /// Block form of next(): parses up to `max` records straight into
-  /// `out`, same sequence and diagnostics.
+  /// Parses up to `max` records straight into `out`. Throws on a bad
+  /// line or a read fault, naming the line.
   std::size_t next_batch(Request* out, std::size_t max) override;
 
   /// 1-based number of the last line consumed (0 before the first).

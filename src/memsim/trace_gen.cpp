@@ -118,9 +118,7 @@ GeneratorSource::GeneratorSource(WorkloadProfile profile, std::uint64_t seed,
   stream_pos_ = rng_.next_below(lines_);
 }
 
-std::optional<Request> GeneratorSource::next() {
-  if (emitted_ >= count_) return std::nullopt;
-
+Request GeneratorSource::draw() {
   clock_ps_ += rng_.next_exponential(profile_.avg_interarrival_ns * 1e3);
 
   std::uint64_t line = 0;
@@ -194,13 +192,9 @@ std::optional<Request> GeneratorSource::next() {
 }
 
 std::size_t GeneratorSource::next_batch(Request* out, std::size_t max) {
-  std::size_t filled = 0;
-  while (filled < max) {
-    const auto request = next();  // Devirtualized: the class is final.
-    if (!request) break;
-    out[filled++] = *request;
-  }
-  return filled;
+  const std::size_t take = std::min(max, remaining());
+  for (std::size_t i = 0; i < take; ++i) out[i] = draw();
+  return take;
 }
 
 TraceGenerator::TraceGenerator(WorkloadProfile profile, std::uint64_t seed)
@@ -210,10 +204,8 @@ TraceGenerator::TraceGenerator(WorkloadProfile profile, std::uint64_t seed)
 
 std::vector<Request> TraceGenerator::generate(
     std::size_t count, std::uint32_t line_bytes) const {
-  GeneratorSource source = stream(count, line_bytes);
-  std::vector<Request> requests;
-  requests.reserve(count);
-  while (auto req = source.next()) requests.push_back(*req);
+  std::vector<Request> requests(count);
+  stream(count, line_bytes).next_batch(requests.data(), count);
   return requests;
 }
 

@@ -44,13 +44,14 @@ std::vector<WorkloadProfile> spec_like_profiles();
 /// if absent.
 WorkloadProfile profile_by_name(const std::string& name);
 
-/// Lazy one-request-at-a-time synthesis: the streaming form of
-/// TraceGenerator::generate, holding only the RNG and a few words of
-/// pattern state — O(1) memory for arbitrarily long runs. The emitted
-/// sequence is bit-identical to the materialized vector for the same
-/// (profile, seed, count, line_bytes); generate() is implemented on top
-/// of this class. Arrivals are non-decreasing by construction, so the
-/// stream satisfies the engines' sorted-by-arrival contract.
+/// Lazy block synthesis: the streaming form of TraceGenerator::generate,
+/// holding only the RNG and a few words of pattern state — O(1) memory
+/// for arbitrarily long runs. The emitted sequence is bit-identical to
+/// the materialized vector for the same (profile, seed, count,
+/// line_bytes), however it is split into blocks; generate() is one
+/// block pull from this class. Arrivals are non-decreasing by
+/// construction, so the stream satisfies the engines' sorted-by-arrival
+/// contract.
 class GeneratorSource final : public RequestSource {
  public:
   /// Throws std::invalid_argument on an invalid profile or a
@@ -58,17 +59,17 @@ class GeneratorSource final : public RequestSource {
   GeneratorSource(WorkloadProfile profile, std::uint64_t seed,
                   std::size_t count, std::uint32_t line_bytes);
 
-  std::optional<Request> next() override;
-
-  /// Block synthesis: emits the same sequence as repeated next() calls
-  /// (the class is final, so the loop devirtualizes) without the
-  /// per-request virtual dispatch.
+  /// Synthesizes min(max, remaining()) requests into `out`.
   std::size_t next_batch(Request* out, std::size_t max) override;
 
   /// Requests not yet emitted.
   std::size_t remaining() const { return count_ - emitted_; }
 
  private:
+  /// Synthesizes the next request; the caller checks remaining() first.
+  /// Its statements and their order fix the RNG draw sequence.
+  Request draw();
+
   WorkloadProfile profile_;
   util::Rng rng_;
   std::size_t count_;
@@ -89,7 +90,8 @@ class TraceGenerator {
   TraceGenerator(WorkloadProfile profile, std::uint64_t seed);
 
   /// Generates `count` requests with the given line size (materialized;
-  /// drains a GeneratorSource, so it is bit-identical to streaming).
+  /// one block pull from a GeneratorSource, so it is bit-identical to
+  /// streaming).
   std::vector<Request> generate(std::size_t count,
                                 std::uint32_t line_bytes) const;
 

@@ -56,12 +56,6 @@ PacedSource::PacedSource(std::unique_ptr<memsim::RequestSource> inner,
   }
 }
 
-std::optional<memsim::Request> PacedSource::next() {
-  auto pulled = inner_->next();
-  if (pulled) pace(*pulled);
-  return pulled;
-}
-
 std::size_t PacedSource::next_batch(memsim::Request* out, std::size_t max) {
   const std::size_t pulled = inner_->next_batch(out, max);
   for (std::size_t i = 0; i < pulled; ++i) pace(out[i]);
@@ -98,33 +92,16 @@ void PacedSource::pace(memsim::Request& req) {
                                      line_bytes_);
 }
 
-namespace {
-
-std::vector<memsim::RequestSource*> borrow(
-    const std::vector<std::unique_ptr<memsim::RequestSource>>& sources) {
-  std::vector<memsim::RequestSource*> borrowed;
-  borrowed.reserve(sources.size());
-  for (const auto& source : sources) borrowed.push_back(source.get());
-  return borrowed;
-}
-
-}  // namespace
-
-MultiSource::MultiSource(std::vector<memsim::RequestSource*> sources) {
+MultiSource::MultiSource(
+    std::vector<std::unique_ptr<memsim::RequestSource>> sources) {
   if (sources.empty()) {
     throw std::invalid_argument("MultiSource: need at least one source");
   }
   inputs_.resize(sources.size());
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    inputs_[i].source = sources[i];
+    inputs_[i].source = std::move(sources[i]);
     inputs_[i].block.resize(memsim::kFeedBlockRequests);
   }
-}
-
-MultiSource::MultiSource(
-    std::vector<std::unique_ptr<memsim::RequestSource>> sources)
-    : MultiSource(borrow(sources)) {
-  owned_ = std::move(sources);
 }
 
 bool MultiSource::refill(Input& input) {
@@ -135,12 +112,6 @@ bool MultiSource::refill(Input& input) {
                                          input.block.size());
   input.exhausted = input.count == 0;
   return !input.exhausted;
-}
-
-std::optional<memsim::Request> MultiSource::next() {
-  memsim::Request req;
-  if (next_batch(&req, 1) == 0) return std::nullopt;
-  return req;
 }
 
 std::size_t MultiSource::next_batch(memsim::Request* out, std::size_t max) {

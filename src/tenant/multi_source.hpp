@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "config/tenant_spec.hpp"
@@ -62,7 +61,6 @@ class PacedSource final : public memsim::RequestSource {
               double burstiness, std::uint64_t seed,
               std::uint32_t line_bytes);
 
-  std::optional<memsim::Request> next() override;
   /// Pulls a block from the inner stream and paces it in place.
   std::size_t next_batch(memsim::Request* out, std::size_t max) override;
 
@@ -86,25 +84,14 @@ class PacedSource final : public memsim::RequestSource {
 /// source order), re-stamping globally sequential request ids so
 /// telemetry ids stay unique across tenants. Inputs must each satisfy
 /// the sorted-by-arrival contract; the merged output then does too.
-///
-/// Mirrors VectorSource's borrowing convention: the pointer
-/// constructor borrows — every source must outlive the MultiSource —
-/// while the unique_ptr constructor owns. Sources are single-pass, so
-/// a MultiSource (like any source) is good for one run.
+/// The MultiSource owns its inputs. Sources are single-pass, so a
+/// MultiSource (like any source) is good for one run.
 class MultiSource final : public memsim::RequestSource {
  public:
-  /// Borrows; the pointed-to sources must outlive this object.
-  explicit MultiSource(std::vector<memsim::RequestSource*> sources);
-  /// Takes ownership.
+  /// Throws std::invalid_argument on an empty list.
   explicit MultiSource(
       std::vector<std::unique_ptr<memsim::RequestSource>> sources);
 
-  // sources_ may point into owned_; default copy/move would leave it
-  // dangling at the old object.
-  MultiSource(const MultiSource&) = delete;
-  MultiSource& operator=(const MultiSource&) = delete;
-
-  std::optional<memsim::Request> next() override;
   /// The merge over per-source blocks pulled with next_batch: each step
   /// copies the run of the earliest source's requests that precede
   /// every other head.
@@ -113,7 +100,7 @@ class MultiSource final : public memsim::RequestSource {
  private:
   /// One input's pulled-ahead block; [pos, count) is not merged yet.
   struct Input {
-    memsim::RequestSource* source = nullptr;
+    std::unique_ptr<memsim::RequestSource> source;
     std::vector<memsim::Request> block;
     std::size_t pos = 0;
     std::size_t count = 0;
@@ -125,7 +112,6 @@ class MultiSource final : public memsim::RequestSource {
   /// True when `input` has a head, pulling its next block if needed.
   static bool refill(Input& input);
 
-  std::vector<std::unique_ptr<memsim::RequestSource>> owned_;
   std::vector<Input> inputs_;
   std::uint64_t next_id_ = 0;
 };

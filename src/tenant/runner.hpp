@@ -35,7 +35,7 @@ struct MultiTenantJob {
 std::unique_ptr<memsim::RequestSource> make_tenant_stream(
     const MultiTenantJob& job, std::size_t index);
 
-/// The merged multi-tenant demand stream (owning MultiSource over
+/// The merged multi-tenant demand stream (a MultiSource over
 /// every tenant's make_tenant_stream).
 std::unique_ptr<memsim::RequestSource> make_multi_stream(
     const MultiTenantJob& job);

@@ -80,12 +80,10 @@ hy::TieredStats run_tiered(const hy::TieredSystem& sys,
 class TrickleSource final : public ms::RequestSource {
  public:
   explicit TrickleSource(const std::vector<ms::Request>& reqs) : reqs_(reqs) {}
-  std::optional<ms::Request> next() override {
-    if (next_ == reqs_.size()) return std::nullopt;
-    return reqs_[next_++];
-  }
   std::size_t next_batch(ms::Request* out, std::size_t max) override {
-    return ms::RequestSource::next_batch(out, std::min<std::size_t>(max, 1));
+    if (max == 0 || next_ == reqs_.size()) return 0;
+    out[0] = reqs_[next_++];
+    return 1;
   }
 
  private:

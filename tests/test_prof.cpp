@@ -475,6 +475,39 @@ TEST(ProfiledStages, ThreadedHybridCallerStagesPlusSourceWaitCoverTheRun) {
   EXPECT_DOUBLE_EQ(lane_busy_s, worker_busy_s);
 }
 
+TEST(ProfiledStages, SerialCallerStagesCoverTheRun) {
+  // A serial run pulls, feeds, drains and merges on the caller's thread,
+  // so those four stages must account for its wall time, with the
+  // generator in the loop and no producer to wait for.
+  const auto spec = dr::make_device_spec("comet");
+  const std::optional<sc::ControllerConfig> flat;
+  const std::optional<sc::ControllerConfig> frfcfs =
+      sc::ControllerConfig::with_depths(sc::Policy::kFrFcfs, 32, 32);
+  for (const auto& controller : {flat, frfcfs}) {
+    const std::string label = controller ? "frfcfs" : "flat";
+    const auto engine = spec.make_engine(controller);
+    ms::GeneratorSource source(ms::profile_by_name("lbm_like"), 5, 200000, 64);
+    pf::Profiler profiler(profiling_spec());
+    engine->attach_profiler(&profiler);
+    const auto start = std::chrono::steady_clock::now();
+    engine->run(source, "lbm_like");
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+
+    const auto& stages = profiler.stages();
+    const double caller_s = stages.at("source_pull").wall_s +
+                            stages.at("engine_feed").wall_s +
+                            stages.at("lane_drain").wall_s +
+                            stages.at("shard_merge").wall_s;
+    EXPECT_EQ(profiler.source_wait_seconds(), 0.0) << label;
+    EXPECT_LE(caller_s, wall_s) << label;
+    // Engine run set-up (sessions, lanes, telemetry stages) is the rest.
+    EXPECT_GE(caller_s, 0.75 * wall_s)
+        << label << ": caller " << caller_s << " s of " << wall_s << " s";
+  }
+}
+
 TEST(ProfiledStages, SerialRunsWaitForNoProducer) {
   pf::Profiler profiler(profiling_spec());
   run_spec(dr::make_device_spec("hybrid-comet"), std::nullopt, 1, &profiler);

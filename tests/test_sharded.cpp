@@ -326,12 +326,6 @@ class FailingSource final : public ms::RequestSource {
   FailingSource(const std::vector<ms::Request>& trace, std::size_t blocks)
       : inner_(trace), blocks_left_(blocks) {}
 
-  std::optional<ms::Request> next() override {
-    ms::Request req;
-    return next_batch(&req, 1) == 1 ? std::optional<ms::Request>(req)
-                                    : std::nullopt;
-  }
-
   std::size_t next_batch(ms::Request* out, std::size_t max) override {
     if (blocks_left_ == 0) throw std::runtime_error("source fault at block");
     --blocks_left_;
