@@ -1,5 +1,6 @@
 #include "driver/sweep.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -7,6 +8,7 @@
 #include <thread>
 
 #include "driver/registry.hpp"
+#include "memsim/sharded.hpp"
 #include "memsim/trace.hpp"
 #include "tenant/runner.hpp"
 
@@ -59,14 +61,10 @@ std::vector<SweepJob> build_matrix(const config::ExperimentSpec& spec) {
 
   std::vector<memsim::WorkloadProfile> profiles;
   if (!resolved.tenants.empty()) {
-    // Multi-tenant run: one pseudo-workload labelled "a+b+..." (the
-    // same label run_multi_tenant stamps on the shared run); the
-    // tenant specs carry the actual demand.
+    // Multi-tenant run: one pseudo-workload labelled like the shared
+    // run; the tenant specs carry the actual demand.
     memsim::WorkloadProfile pseudo;
-    for (const auto& tenant : resolved.tenants) {
-      if (!pseudo.name.empty()) pseudo.name += '+';
-      pseudo.name += tenant.name;
-    }
+    pseudo.name = tenant::multi_workload_name(resolved.tenants);
     profiles.push_back(std::move(pseudo));
   } else if (!resolved.trace_file.empty()) {
     // On-disk replay: one pseudo-workload per trace file, labelled with
@@ -224,13 +222,8 @@ std::vector<memsim::SimStats> run_sweep(
   };
   if (jobs.empty()) return results;
 
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  if (threads > static_cast<int>(jobs.size())) {
-    threads = static_cast<int>(jobs.size());
-  }
+  threads = std::min(memsim::resolve_run_threads(threads),
+                     static_cast<int>(jobs.size()));
 
   if (threads == 1) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {

@@ -110,7 +110,8 @@ std::vector<std::unique_ptr<prof::Profiler>> make_profilers(
 /// trace-only sweep reports progress without an ETA.
 std::uint64_t estimate_sweep_requests(const std::vector<SweepJob>& jobs);
 
-/// Runs every job across `threads` workers (0 → hardware concurrency,
+/// Runs every job across `threads` workers (resolved as in
+/// memsim::resolve_run_threads, so 0 → hardware concurrency, then
 /// clamped to the job count; 1 → fully serial in the calling thread).
 /// Results are indexed like `jobs` regardless of execution order. A
 /// throwing job aborts the sweep and rethrows on the calling thread.

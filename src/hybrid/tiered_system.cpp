@@ -271,12 +271,7 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
                   backend_controller_, workload_name, run_threads_,
                   dram_recorder, backend_recorder, profiler(), stats.combined);
   std::vector<memsim::ReplaySlice> tiers = memsim::run_replay(
-      source, stage,
-      {{&config_.dram,
-        static_cast<std::size_t>(config_.dram.timing.channels)},
-       {&config_.backend,
-        static_cast<std::size_t>(config_.backend.timing.channels)}},
-      profiler());
+      source, stage, {&config_.dram, &config_.backend}, profiler());
   // Fold the tier replays into the combined demand-level view with the
   // one slice reduction. Latency distributions, energies, busy time and
   // a scheduled backend's controller breakdown (the DRAM tier is always

@@ -433,9 +433,9 @@ void feed_blocks(RequestSource& source, ReplayStage& stage,
 
 }  // namespace
 
-std::vector<ReplaySlice> run_replay(RequestSource& source, ReplayStage& stage,
-                                    const std::vector<ReplayTier>& tiers,
-                                    prof::Profiler* profiler) {
+std::vector<ReplaySlice> run_replay(
+    RequestSource& source, ReplayStage& stage,
+    const std::vector<const DeviceModel*>& tiers, prof::Profiler* profiler) {
   feed_blocks(source, stage, profiler);
 
   prof::StageTimer drain_timer(profiler, "lane_drain");
@@ -447,10 +447,10 @@ std::vector<ReplaySlice> run_replay(RequestSource& source, ReplayStage& stage,
   std::size_t lane = 0;
   for (std::size_t t = 0; t < tiers.size(); ++t) {
     ReplaySlice& tier = merged[t];
-    for (const std::size_t end = lane + tiers[t].lanes; lane < end; ++lane) {
-      merge_slice(tier, slices.at(lane));
+    for (int c = 0; c < tiers[t]->timing.channels; ++c) {
+      merge_slice(tier, slices.at(lane++));
     }
-    tier.stats = finalize_slice(std::move(tier), *tiers[t].model);
+    tier.stats = finalize_slice(std::move(tier), *tiers[t]);
   }
   return merged;
 }
@@ -495,9 +495,7 @@ SimStats run_sharded(const MemorySystem& system,
   ChannelStage stage(system.address_map(), std::move(lanes), threads,
                      profiler ? profiler->add_pool("") : nullptr);
   return std::move(
-      run_replay(source, stage, {{&system.model(), channels}}, profiler)
-          .front()
-          .stats);
+      run_replay(source, stage, {&system.model()}, profiler).front().stats);
 }
 
 }  // namespace comet::memsim

@@ -19,22 +19,21 @@
 /// the stream in kFeedBlockRequests blocks (sources are single-pass),
 /// enforces the global sorted-by-arrival contract, hands each block to
 /// the engine's ReplayStage, times the stages and ticks progress for an
-/// attached profiler, then drains the stage and merges its lane slices
-/// into finalized per-tier results. Engines supply only the stage that
-/// consumes the requests: a whole-device ReplaySession (flat, one
-/// thread), per-channel lanes on a LanePool (run_sharded), or the
-/// hybrid cache filter feeding both tiers' lanes.
+/// attached profiler, then drains the stage and merges its per-channel
+/// slices into finalized per-tier results. Engines supply only the
+/// stage that consumes the requests: one ReplaySession per channel fed
+/// directly (flat, one thread), per-channel lanes on a LanePool
+/// (run_sharded), or the hybrid cache filter feeding both tiers' lanes.
 ///
-/// Sharding rests on the controller address hash making every channel
-/// an island: placement, bank timing, the outstanding window and all
-/// per-request statistics are channel-local, and sessions accumulate
-/// their statistics in per-channel lanes merged in channel order (see
-/// ReplaySlice). A per-channel lane therefore reproduces its channel's
-/// share of a whole-stream replay exactly, and merging the lanes'
-/// finish_slice() results in channel order is the same reduction, so
-/// the result is bit-identical to a whole-stream ReplaySession or
-/// sched::Controller for any thread count. That bit-identity is a hard
-/// test gate (tests/test_sharded.cpp), not a best-effort property.
+/// The channel is the unit of replay. The controller address hash makes
+/// every channel an island: placement, bank timing, the outstanding
+/// window, scheduling and all per-request statistics are channel-local,
+/// and each ReplaySession or sched::Controller serves exactly one
+/// channel. Every engine therefore produces one slice per channel and
+/// merges them in channel order with merge_slice, whatever its thread
+/// count, so results are bit-identical across thread counts. That
+/// bit-identity is a hard test gate (tests/test_sharded.cpp), not a
+/// best-effort property.
 ///
 /// Threading model. The stream moves in blocks from the source's
 /// next_batch to the stage's feed, through one feed loop on the
@@ -90,7 +89,7 @@ class ShardLane {
 /// device. The optional telemetry recorder is shared by every lane of
 /// a stage: each lane only writes the recorder lane of the channel it
 /// serves, so the sharing is race-free and the recorded telemetry is
-/// byte-identical to a whole-stream session's (see telemetry.hpp).
+/// byte-identical at every thread count (see telemetry.hpp).
 class SessionLane final : public ShardLane {
  public:
   SessionLane(const MemorySystem& system, std::string workload_name,
@@ -227,23 +226,20 @@ class ReplayStage {
   virtual void feed(const Request* block, std::size_t count) = 0;
 
   /// Flushes and drains everything fed (lane queues, controller queues,
-  /// pool workers) and returns every lane's slice in lane order.
+  /// pool workers) and returns one slice per channel, in channel order
+  /// (tier by tier for a multi-tier stage).
   virtual std::vector<ReplaySlice> drain() = 0;
-};
-
-/// One device behind a stage: the next `lanes` slices of drain() replay
-/// against `model`.
-struct ReplayTier {
-  const DeviceModel* model = nullptr;
-  std::size_t lanes = 0;
 };
 
 /// The replay loop. Streams `source` into `stage`, throwing the
 /// check_arrival_order diagnostic (global index, both timestamps) on an
-/// unsorted stream, then merges the drained slices tier by tier, in
-/// lane order, and finalizes each tier against its model. Returns one
-/// slice per tier: `stats` finalized, the arrival/completion window and
-/// request count kept for composite engines.
+/// unsorted stream, then merges the drained slices tier by tier and
+/// finalizes each tier against its model. Every stage drains one slice
+/// per channel of each tier, tiers in order, channels in order, so the
+/// next model->timing.channels slices belong to each `tiers` entry.
+/// Returns one slice per tier: `stats` finalized, the
+/// arrival/completion window and request count kept for composite
+/// engines.
 /// A non-null `profiler` receives the "source_pull" (time inside
 /// next_batch, one call per block; a serial run's time also holds the
 /// final, empty pull), "engine_feed", "lane_drain" (stage
@@ -253,9 +249,10 @@ struct ReplayTier {
 /// for a filled block goes to Profiler::add_source_wait instead.
 /// Exceptions from the source, the arrival check or the stage reach the
 /// caller as in a serial run, and every thread is joined first.
-std::vector<ReplaySlice> run_replay(RequestSource& source, ReplayStage& stage,
-                                    const std::vector<ReplayTier>& tiers,
-                                    prof::Profiler* profiler = nullptr);
+std::vector<ReplaySlice> run_replay(
+    RequestSource& source, ReplayStage& stage,
+    const std::vector<const DeviceModel*>& tiers,
+    prof::Profiler* profiler = nullptr);
 
 /// run_replay over one lane per device channel, routed by the channel
 /// lookup of the system's AddressMap (the hash the replay places by),

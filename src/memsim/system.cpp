@@ -1,6 +1,7 @@
 #include "memsim/system.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,25 +16,6 @@ struct BankState {
   std::uint64_t free_ps = 0;
   std::uint64_t open_row = ~0ull;
   std::uint64_t current_region = ~0ull;
-};
-
-struct ChannelState {
-  std::vector<BankState> banks;
-  util::RingQueue<std::uint64_t> inflight_completions;
-  std::uint64_t prev_issue = 0;
-  /// The channel's statistics lane: every per-request accumulation is
-  /// channel-local, and finish_slice() folds the lanes into the result
-  /// with merge_slice in channel order. This is what the per-channel
-  /// lanes' bit-identity rests on. A session fed only channel k's
-  /// requests populates exactly this lane; its other lanes stay empty.
-  /// Merging an empty lane is exact: RunningStats::merge into an empty
-  /// accumulator is a plain copy, merging an empty one is a no-op, and
-  /// 0.0 + x == x. So merging shard slices in channel order performs
-  /// the same operations, in the same order, on the same operands as a
-  /// whole-stream session's own lane merge. Per-tenant breakdowns
-  /// follow the same discipline: indexed tenant-1, grown on demand and
-  /// touched only for tagged requests, so untagged runs never allocate.
-  ReplaySlice totals;
 };
 
 /// Pushes `t` past any refresh window it falls into.
@@ -152,45 +134,42 @@ SimStats finalize_slice(ReplaySlice slice, const DeviceModel& model) {
 struct ReplaySession::Impl {
   const MemorySystem& system;
   telemetry::Recorder* const telemetry;  ///< Null on untraced runs.
-  SimStats stats;  ///< Carries only the names until finish_slice().
-  std::vector<ChannelState> channels;
-  std::uint64_t fed = 0;
+  int channel = 0;  ///< The one channel served: the first request's.
+  std::vector<BankState> banks;
+  util::RingQueue<std::uint64_t> inflight_completions;
   std::uint64_t prev_arrival = 0;
+  std::uint64_t prev_issue = 0;
+  /// Every per-request statistic, and the names from the start: what
+  /// finish_slice() returns. Per-tenant breakdowns are indexed tenant-1,
+  /// grown on demand and touched only for tagged requests, so untagged
+  /// runs never allocate.
+  ReplaySlice totals;
   bool finished = false;
 
   Impl(const MemorySystem& sys, std::string workload_name,
        telemetry::Recorder* recorder)
       : system(sys), telemetry(recorder) {
     const DeviceTiming& t = sys.model_.timing;
-    stats.device_name = sys.model_.name;
-    stats.workload_name = std::move(workload_name);
-    channels.resize(static_cast<std::size_t>(t.channels));
-    for (auto& ch : channels) {
-      ch.banks.resize(static_cast<std::size_t>(t.banks_per_channel));
-      ch.inflight_completions.reserve(
-          static_cast<std::size_t>(t.queue_depth));
-    }
+    totals.stats.device_name = sys.model_.name;
+    totals.stats.workload_name = std::move(workload_name);
+    banks.resize(static_cast<std::size_t>(t.banks_per_channel));
+    inflight_completions.reserve(static_cast<std::size_t>(t.queue_depth));
   }
 
   FeedResult feed(const Request& req, const RequestPlacement& placement,
-                  std::uint64_t issue_ps, bool check_issue_order) {
+                  std::uint64_t issue_ps) {
     const DeviceModel& model = system.model_;
     const DeviceTiming& t = model.timing;
 
-    prev_arrival = req.arrival_ps;
-    ++fed;
-
-    auto& ch = channels[static_cast<std::size_t>(placement.channel)];
-
-    // Issue order is a per-channel contract (see feed_issued): replay
-    // state is channel-local, and a controller with independent
-    // per-channel issue clocks may interleave channels arbitrarily.
-    if (check_issue_order && ch.totals.fed != 0 &&
-        issue_ps < ch.prev_issue) {
-      throw std::logic_error(
-          "ReplaySession: scheduler issued requests out of order");
+    if (totals.fed == 0) channel = placement.channel;
+    if (placement.channel != channel) {
+      throw std::logic_error("ReplaySession: request for another channel");
     }
-    ch.prev_issue = issue_ps;
+    if (issue_ps < prev_issue) {
+      throw std::logic_error("ReplaySession: requests issued out of order");
+    }
+    prev_arrival = req.arrival_ps;
+    prev_issue = issue_ps;
 
     // One request may need several device accesses: large requests span
     // lines, and narrow-subarray architectures (corrected COSMOS) need
@@ -202,10 +181,10 @@ struct ReplaySession::Impl {
     std::uint64_t earliest = issue_ps;
     // Bounded outstanding window: with queue_depth requests in flight,
     // service waits for the oldest to complete.
-    if (ch.inflight_completions.size() >=
+    if (inflight_completions.size() >=
         static_cast<std::size_t>(t.queue_depth)) {
-      earliest = std::max(earliest, ch.inflight_completions.front());
-      ch.inflight_completions.pop_front();
+      earliest = std::max(earliest, inflight_completions.front());
+      inflight_completions.pop_front();
     }
 
     // Resolve the serving bank set.
@@ -213,11 +192,11 @@ struct ReplaySession::Impl {
 
     std::uint64_t bank_free = 0;
     if (t.line_striped_across_banks) {
-      for (const auto& bank : ch.banks) {
+      for (const auto& bank : banks) {
         bank_free = std::max(bank_free, bank.free_ps);
       }
     } else {
-      bank_free = ch.banks[bank_index].free_ps;
+      bank_free = banks[bank_index].free_ps;
     }
 
     std::uint64_t start = std::max(earliest, bank_free);
@@ -227,7 +206,7 @@ struct ReplaySession::Impl {
     std::uint64_t per_access = req.op == Op::kRead ? t.read_occupancy_ps
                                                    : t.write_occupancy_ps;
     BankState& lead_bank =
-        t.line_striped_across_banks ? ch.banks.front() : ch.banks[bank_index];
+        t.line_striped_across_banks ? banks.front() : banks[bank_index];
     if (t.has_row_buffer && lead_bank.open_row == placement.row &&
         per_access > t.row_hit_saving_ps) {
       per_access -= t.row_hit_saving_ps;
@@ -251,49 +230,49 @@ struct ReplaySession::Impl {
 
     // Commit state.
     if (t.line_striped_across_banks) {
-      for (auto& bank : ch.banks) {
+      for (auto& bank : banks) {
         bank.free_ps = bank_busy_until;
         bank.open_row = placement.row;
         bank.current_region = placement.region;
       }
     } else {
-      auto& bank = ch.banks[bank_index];
+      auto& bank = banks[bank_index];
       bank.free_ps = bank_busy_until;
       bank.open_row = placement.row;
       bank.current_region = placement.region;
     }
-    ch.inflight_completions.push_back(completion);
+    inflight_completions.push_back(completion);
 
-    // Statistics (all channel-local: see ChannelState::totals).
-    ReplaySlice& lane = ch.totals;
-    SimStats& lane_stats = lane.stats;
+    // Statistics.
+    SimStats& stats = totals.stats;
     const double latency_ns =
         static_cast<double>(completion - req.arrival_ps) * 1e-3;
     const double queue_ns =
         static_cast<double>(start - req.arrival_ps) * 1e-3;
     const double bits = static_cast<double>(req.size_bytes) * 8.0;
-    lane.first_arrival_ps = lane.fed == 0
-                                ? req.arrival_ps
-                                : std::min(lane.first_arrival_ps,
-                                           req.arrival_ps);
-    ++lane.fed;
-    lane.last_completion_ps = std::max(lane.last_completion_ps, completion);
-    lane_stats.queue_delay_ns.add(queue_ns);
-    lane_stats.total_bank_busy_ns +=
+    totals.first_arrival_ps = totals.fed == 0
+                                  ? req.arrival_ps
+                                  : std::min(totals.first_arrival_ps,
+                                             req.arrival_ps);
+    ++totals.fed;
+    totals.last_completion_ps =
+        std::max(totals.last_completion_ps, completion);
+    stats.queue_delay_ns.add(queue_ns);
+    stats.total_bank_busy_ns +=
         static_cast<double>(bank_busy_until - start) * 1e-3 *
         (t.line_striped_across_banks ? t.banks_per_channel : 1);
     if (req.op == Op::kRead) {
-      ++lane_stats.reads;
-      lane_stats.read_latency_ns.add(latency_ns);
-      lane_stats.dynamic_energy_pj += bits * model.energy.read_pj_per_bit;
+      ++stats.reads;
+      stats.read_latency_ns.add(latency_ns);
+      stats.dynamic_energy_pj += bits * model.energy.read_pj_per_bit;
     } else {
-      ++lane_stats.writes;
-      lane_stats.write_latency_ns.add(latency_ns);
-      lane_stats.dynamic_energy_pj += bits * model.energy.write_pj_per_bit;
+      ++stats.writes;
+      stats.write_latency_ns.add(latency_ns);
+      stats.dynamic_energy_pj += bits * model.energy.write_pj_per_bit;
     }
-    lane_stats.bytes_transferred += req.size_bytes;
+    stats.bytes_transferred += req.size_bytes;
     if (req.tenant != 0) {
-      std::vector<TenantBreakdown>& tenants = lane_stats.tenants;
+      std::vector<TenantBreakdown>& tenants = stats.tenants;
       if (tenants.size() < req.tenant) tenants.resize(req.tenant);
       TenantBreakdown& tenant = tenants[req.tenant - 1u];
       if (req.op == Op::kRead) {
@@ -306,7 +285,7 @@ struct ReplaySession::Impl {
     }
     if (telemetry) {
       telemetry->record_request(
-          placement.channel,
+          channel,
           telemetry::RequestEvent{.id = req.id,
                                   .arrival_ps = req.arrival_ps,
                                   .issue_ps = issue_ps,
@@ -324,10 +303,7 @@ struct ReplaySession::Impl {
 
   ReplaySlice finish_slice() {
     finished = true;
-    ReplaySlice merged;
-    merged.stats = std::move(stats);
-    for (const auto& ch : channels) merge_slice(merged, ch.totals);
-    return merged;
+    return std::move(totals);
   }
 };
 
@@ -345,12 +321,12 @@ FeedResult ReplaySession::feed(const Request& request) {
   if (impl_->finished) {
     throw std::logic_error("ReplaySession: feed() after finish()");
   }
-  if (impl_->fed > 0) {
-    check_arrival_order(impl_->fed, impl_->prev_arrival, request.arrival_ps);
+  if (impl_->totals.fed > 0) {
+    check_arrival_order(impl_->totals.fed, impl_->prev_arrival,
+                        request.arrival_ps);
   }
-  // A sorted stream is per-channel sorted a fortiori; skip the check.
   return impl_->feed(request, impl_->system.map_.place(request),
-                     request.arrival_ps, false);
+                     request.arrival_ps);
 }
 
 FeedResult ReplaySession::feed_issued(const Request& request,
@@ -370,16 +346,13 @@ FeedResult ReplaySession::feed_issued(const Request& request,
         "ReplaySession: request issued with a stale placement");
   }
 #endif
-  return impl_->feed(request, placement, issue_ps, true);
+  return impl_->feed(request, placement, issue_ps);
 }
 
-std::uint64_t ReplaySession::fed() const { return impl_->fed; }
+std::uint64_t ReplaySession::fed() const { return impl_->totals.fed; }
 
 SimStats ReplaySession::finish() {
-  if (impl_->finished) {
-    throw std::logic_error("ReplaySession: finish() called twice");
-  }
-  return finalize_slice(impl_->finish_slice(), impl_->system.model_);
+  return finalize_slice(finish_slice(), impl_->system.model_);
 }
 
 ReplaySlice ReplaySession::finish_slice() {
@@ -398,25 +371,36 @@ MemorySystem::MemorySystem(DeviceModel model, int run_threads)
 
 namespace {
 
-/// The whole device as one consumer: no channel routing, no pool.
+/// A serial flat run: one ReplaySession per channel, each request placed
+/// once and handed straight to its channel's session, with no lane
+/// routing and no pool.
 class SessionStage final : public ReplayStage {
  public:
   SessionStage(const MemorySystem& system, const std::string& workload_name,
                telemetry::Recorder* telemetry)
-      : session_(system, workload_name, telemetry) {}
+      : map_(system.address_map()) {
+    for (int c = 0; c < system.model().timing.channels; ++c) {
+      sessions_.emplace_back(system, workload_name, telemetry);
+    }
+  }
 
   void feed(const Request* block, std::size_t count) override {
-    for (std::size_t i = 0; i < count; ++i) session_.feed(block[i]);
+    for (const Request& req : std::span(block, count)) {
+      const RequestPlacement placement = map_.place(req);
+      sessions_[static_cast<std::size_t>(placement.channel)].feed_issued(
+          req, placement, req.arrival_ps);
+    }
   }
 
   std::vector<ReplaySlice> drain() override {
     std::vector<ReplaySlice> slices;
-    slices.push_back(session_.finish_slice());
+    for (ReplaySession& s : sessions_) slices.push_back(s.finish_slice());
     return slices;
   }
 
  private:
-  ReplaySession session_;
+  const AddressMap& map_;
+  std::vector<ReplaySession> sessions_;
 };
 
 }  // namespace
@@ -435,7 +419,7 @@ SimStats MemorySystem::run(RequestSource& source,
   }
   SessionStage stage(*this, workload_name, recorder);
   return std::move(
-      run_replay(source, stage, {{&model_, 1}}, profiler()).front().stats);
+      run_replay(source, stage, {&model_}, profiler()).front().stats);
 }
 
 }  // namespace comet::memsim

@@ -27,8 +27,8 @@ class Recorder;
 ///
 /// Streaming contract: replay is incremental. MemorySystem::run pulls
 /// the RequestSource in blocks through the replay loop (run_replay,
-/// memsim/sharded.hpp) and feeds a ReplaySession, which keeps only
-/// O(channels x banks) scheduler state — never the trace itself — so
+/// memsim/sharded.hpp) and feeds one ReplaySession per channel, each
+/// keeping only O(banks) scheduler state — never the trace itself — so
 /// arbitrarily long streams (multi-million-request NVMain traces, lazy
 /// generator sources) replay in constant memory. The stream must arrive
 /// sorted by arrival_ps: the loop and each session verify monotonicity
@@ -130,12 +130,10 @@ struct FeedResult {
 };
 
 /// A partial replay result: the statistics of some subset of a run's
-/// requests, before span-dependent finalization. Sessions accumulate
-/// every per-request statistic in per-channel lanes and merge the lanes
-/// in channel order (see finish_slice), so a slice covering only one
-/// channel's traffic is bit-identical to that channel's lane inside a
-/// full whole-stream replay — the property the sharded merge relies
-/// on. span_ps and background_energy_pj stay zero until finalize_slice
+/// requests, before span-dependent finalization. Each ReplaySession and
+/// sched::Controller serves one channel and returns its channel's
+/// slice; every engine merges those slices in channel order.
+/// span_ps and background_energy_pj stay zero until finalize_slice
 /// derives them from the merged arrival/completion window.
 struct ReplaySlice {
   SimStats stats;
@@ -148,36 +146,36 @@ struct ReplaySlice {
 /// sums add, latency/queue/sched RunningStats merge (exact when either
 /// side is empty — the case the bit-identity guarantee rests on), the
 /// arrival/completion window widens, and names/flags fill in when
-/// `into` lacks them. Merging slices in channel order reproduces a
-/// whole-stream session's own lane reduction bit for bit. This is the
-/// only code that combines per-request statistics — session and
-/// controller channels, shard lanes and the hybrid combined view all
-/// reduce through it — so a new SimStats field needs one line here.
+/// `into` lacks them. This is the only code that combines per-request
+/// statistics — the per-channel slices of sessions and controllers and
+/// the hybrid combined view all reduce through it — so a new SimStats
+/// field needs one line here.
 void merge_slice(ReplaySlice& into, const ReplaySlice& from);
 
 /// Closes a merged slice into final statistics: derives span_ps from
 /// the arrival/completion window and charges span-proportional
 /// background energy (always-on plus activity-gated) for `model`.
-/// Identical, expression for expression, to what a whole-stream
-/// ReplaySession::finish computes.
+/// ReplaySession::finish is finalize_slice(finish_slice()).
 SimStats finalize_slice(ReplaySlice slice, const DeviceModel& model);
 
 class MemorySystem;
 
-/// Push-mode incremental replay against one MemorySystem: feed()
+/// Push-mode incremental replay of one channel of a MemorySystem: feed()
 /// schedules one request at a time (verifying the sorted-stream
-/// contract), finish() closes the run and returns the aggregate
-/// statistics. This is the primitive every engine builds on: a flat
-/// MemorySystem replays through one whole-device session on one thread
-/// and through one session per channel lane (SessionLane) on more,
-/// merging their finish_slice() results; hybrid::TieredSystem streams
-/// its derived per-tier traffic into per-channel sessions without
-/// materializing either sub-stream. The MemorySystem must outlive the
-/// session.
+/// contract), finish() closes the run and returns the channel's
+/// statistics. The session serves the channel the first request places
+/// on; a later request placed on any other channel is a routing bug and
+/// throws std::logic_error. This is the primitive every engine builds
+/// on: a flat MemorySystem feeds one session per channel directly on
+/// one thread and through one SessionLane per channel on more, merging
+/// their finish_slice() results in channel order; hybrid::TieredSystem
+/// streams its derived per-tier traffic into per-channel sessions
+/// without materializing either sub-stream. The MemorySystem must
+/// outlive the session.
 class ReplaySession {
  public:
   /// `telemetry`, when non-null, receives one RequestEvent per fed
-  /// request in the recorder lane of the serving channel (the
+  /// request in the recorder lane of the session's channel (the
   /// near-zero-cost observability hook: untraced sessions pay one null
   /// test per request). The recorder must outlive the session and span
   /// at least this system's channels/banks.
@@ -188,23 +186,23 @@ class ReplaySession {
   ~ReplaySession();
 
   /// Schedules one request. Throws std::invalid_argument if it arrives
-  /// before its predecessor, std::logic_error after finish().
+  /// before its predecessor, std::logic_error after finish() or if it
+  /// places on another channel than the first request.
   FeedResult feed(const Request& request);
 
   /// Scheduled-controller entry point: schedules `request` as if it
   /// were handed to the device at `issue_ps` (>= its arrival time),
   /// while all latency/queue-delay statistics stay anchored at the
   /// original arrival. A sched::Controller reorders its transaction
-  /// queues and feeds in issue order; the stream must be sorted by
-  /// issue_ps *within each channel* (replay state is channel-local, so
-  /// only per-channel order matters; a controller with independent
-  /// per-channel issue clocks may interleave channels arbitrarily).
-  /// Violations (issue before arrival, non-monotonic issue times on a
-  /// channel) are controller bugs and throw std::logic_error. With
-  /// issue_ps == arrival_ps on a sorted stream this is exactly feed(),
-  /// bit for bit. `placement` is the request's AddressMap::place result,
-  /// which the controller computed at admission; builds without NDEBUG
-  /// recompute it and throw std::logic_error on a stale one.
+  /// queues and feeds in issue order, so the stream must be sorted by
+  /// issue_ps. Violations (issue before arrival, non-monotonic issue
+  /// times, another channel) are caller bugs and throw
+  /// std::logic_error. With issue_ps == arrival_ps on a sorted stream
+  /// this is exactly feed(), bit for bit: the serial flat replay feeds
+  /// its sessions this way. `placement` is the request's
+  /// AddressMap::place result, computed once by the caller; builds
+  /// without NDEBUG recompute it and throw std::logic_error on a stale
+  /// one.
   FeedResult feed_issued(const Request& request,
                          const RequestPlacement& placement,
                          std::uint64_t issue_ps);
@@ -217,10 +215,9 @@ class ReplaySession {
   /// on a second call. Equivalent to finalize_slice(finish_slice()).
   SimStats finish();
 
-  /// Closes the run without finalizing: returns the per-channel lanes
-  /// merged in channel order, ready for merge_slice with other shards'
-  /// slices (then finalize_slice once). Same once-only contract as
-  /// finish().
+  /// Closes the run without finalizing: returns the channel's slice,
+  /// ready for merge_slice with the other channels' slices (then
+  /// finalize_slice once). Same once-only contract as finish().
   ReplaySlice finish_slice();
 
  private:
@@ -239,9 +236,9 @@ class MemorySystem final : public Engine {
   using Engine::run;
 
   /// Streams the source (see the header comment for the streaming
-  /// contract) through one whole-device ReplaySession at run_threads 1,
-  /// else through one SessionLane per channel on that many workers
-  /// (run_sharded). Both are bit-identical.
+  /// contract) into one ReplaySession per channel, called directly at
+  /// run_threads 1, else through one SessionLane per channel on that
+  /// many workers (run_sharded). Both are bit-identical.
   SimStats run(RequestSource& source,
                const std::string& workload_name = "") const override;
 

@@ -218,51 +218,37 @@ struct Controller::Impl {
     std::size_t size() const { return in_window + beyond.size(); }
   };
 
-  struct Channel {
-    int index = 0;  ///< The channel's own number (telemetry lane).
-    TxQueue queues[2];  ///< Indexed by kReads / kWrites.
-    std::vector<Bank> banks;
-    bool draining = false;
-    bool active = false;  ///< Listed in Impl::active (has queued work).
-    // Fairness-policy state, indexed by Request::tenant (0, the
-    // untagged stream, included) and grown on demand — untagged legacy
-    // runs under legacy policies never allocate. Strictly channel-local
-    // like every other scheduling input, so per-channel lanes reproduce
-    // a whole-stream controller's decisions exactly.
-    std::vector<int> tokens;  ///< token-budget: issues left this epoch.
-    std::vector<std::uint64_t> starved;  ///< frfcfs-cap: passes endured.
-    std::vector<std::uint64_t> queued_per_tenant;  ///< frfcfs-cap.
-    // The channel pick: the best of its banks' cached picks over the
-    // queue(s) the policy currently counts. An issue marks it dirty,
-    // and recomputing it rescans only the dirty bank queues, then takes
-    // the minimum over the banks. An admit folds its one new candidate
-    // in instead, except under read-first (the counted queue may
-    // switch) and when that leaves no valid pick (token-budget may
-    // have to refill).
-    Pick cached_pick;
-    bool pick_dirty = true;
-    /// The channel's issue clock: only ever moves forward. A deferred
-    /// transaction (a write held behind reads, say) whose bank has long
-    /// been idle still issues when the scheduler turns to it, not
-    /// retroactively. Per channel — not global — because a channel's
-    /// scheduling depends on nothing outside the channel; this is what
-    /// lets a sharded run drive each channel on its own worker and
-    /// still match a whole-stream controller decision for decision. The
-    /// session's issue-sorted contract is per-channel to match.
-    std::uint64_t last_issue = 0;
-    /// Per-channel scheduler statistics (the sched_* / queue / drain
-    /// fields of its SimStats), merged in channel order at finish — the
-    /// same lane discipline as the replay session's own channel totals,
-    /// and for the same reason.
-    memsim::ReplaySlice totals;
-  };
-  std::vector<Channel> channels;
-  /// Channels with queued work, in no particular order: advance_until
-  /// looks only at these (a per-channel lane has at most one).
-  std::vector<std::size_t> active;
+  // The state of the one channel served. None of it depends on another
+  // channel's traffic, which is what makes the channel the unit of
+  // replay.
+  int channel = 0;  ///< The channel served: the first request's.
+  TxQueue queues[2];  ///< Indexed by kReads / kWrites.
+  std::vector<Bank> banks;
+  bool draining = false;
+  // Fairness-policy state, indexed by Request::tenant (0, the untagged
+  // stream, included) and grown on demand — untagged legacy runs under
+  // legacy policies never allocate.
+  std::vector<int> tokens;  ///< token-budget: issues left this epoch.
+  std::vector<std::uint64_t> starved;  ///< frfcfs-cap: passes endured.
+  std::vector<std::uint64_t> queued_per_tenant;  ///< frfcfs-cap.
+  // The channel pick: the best of the banks' cached picks over the
+  // queue(s) the policy currently counts, invalid while nothing is
+  // queued. An issue marks it dirty, and recomputing it rescans only
+  // the dirty bank queues, then takes the minimum over the banks. An
+  // admit folds its one new candidate in instead, except under
+  // read-first (the counted queue may switch) and when that leaves no
+  // valid pick (token-budget may have to refill).
+  Pick cached_pick;
+  bool pick_dirty = false;
+  /// The issue clock: only ever moves forward. A deferred transaction
+  /// (a write held behind reads, say) whose bank has long been idle
+  /// still issues when the scheduler turns to it, not retroactively.
+  std::uint64_t last_issue = 0;
+  /// Scheduler statistics (the sched_* / queue / drain fields of its
+  /// SimStats), merged into the session's slice at finish.
+  memsim::ReplaySlice totals;
 
-  std::uint64_t next_seq = 0;
-  std::uint64_t admitted = 0;
+  std::uint64_t admitted = 0;  ///< Requests fed; the next one's seq.
   std::uint64_t prev_arrival = 0;
   bool finished = false;
 
@@ -278,50 +264,43 @@ struct Controller::Impl {
         prefer_hits(cfg.policy != Policy::kReadFirst),
         use_tokens(cfg.policy == Policy::kTokenBudget),
         use_starvation(cfg.policy == Policy::kFrFcfsCap),
-        cap(static_cast<std::uint64_t>(cfg.starvation_cap)) {
-    const auto& t = sys.model().timing;
-    channels.resize(static_cast<std::size_t>(t.channels));
-    for (std::size_t c = 0; c < channels.size(); ++c) {
-      channels[c].index = static_cast<int>(c);
-      // Bank lists and queues grow on first use: a per-channel lane
-      // allocates only for the one channel it serves.
-      channels[c].banks.resize(
-          striped ? 1 : static_cast<std::size_t>(t.banks_per_channel));
-    }
-  }
+        cap(static_cast<std::uint64_t>(cfg.starvation_cap)),
+        banks(striped ? 1
+                      : static_cast<std::size_t>(
+                            sys.model().timing.banks_per_channel)) {}
 
   std::size_t lead_bank(const memsim::RequestPlacement& placement) const {
     return striped ? 0 : static_cast<std::size_t>(placement.bank);
   }
 
   /// Candidate `c`'s rank on `bank`, or kNoRank if it may not issue.
-  /// The rank reads only the bank's mirror and the channel's tenant
-  /// state: ready once the bank frees (never before admission),
-  /// preferring FR-FCFS open-row / open-region hits (a photonic GST
-  /// region's switch penalty behaves like a row miss). token-budget
-  /// skips tenants with an empty bucket (one the channel has not seen
-  /// yet is full); frfcfs-cap boosts tenants at the starvation cap.
-  Rank rank_of(const Channel& ch, const Bank& bank, const Candidate& c) const {
+  /// The rank reads only the bank's mirror and the tenant state: ready
+  /// once the bank frees (never before admission), preferring FR-FCFS
+  /// open-row / open-region hits (a photonic GST region's switch
+  /// penalty behaves like a row miss). token-budget skips tenants with
+  /// an empty bucket (one the controller has not seen yet is full);
+  /// frfcfs-cap boosts tenants at the starvation cap.
+  Rank rank_of(const Bank& bank, const Candidate& c) const {
     const std::size_t tenant = c.tenant;
-    if (use_tokens && tenant < ch.tokens.size() && ch.tokens[tenant] <= 0) {
+    if (use_tokens && tenant < tokens.size() && tokens[tenant] <= 0) {
       return kNoRank;
     }
     const bool hit = (has_row_buffer && bank.open_row == c.row) ||
                      (has_regions && bank.open_region == c.region);
     const bool miss = !prefer_hits || !hit;
-    const bool unboosted = use_starvation && ch.starved[tenant] < cap;
+    const bool unboosted = use_starvation && starved[tenant] < cap;
     const Rank issue_ps = std::max(c.admit_ps, bank.free_ps);
     return Rank{unboosted} << 127 | issue_ps << 63 | Rank{miss} << 62 | c.seq;
   }
 
   /// Bank `b`'s best `kind` candidate, rescanning only if stale.
-  const Pick& bank_pick(Channel& ch, std::size_t b, std::size_t kind) {
-    Bank& bank = ch.banks[b];
+  const Pick& bank_pick(std::size_t b, std::size_t kind) {
+    Bank& bank = banks[b];
     BankQueue& bq = bank.queues[kind];
     if (bq.dirty) {
       Rank best = kNoRank;
       for (const Candidate& c : bq.candidates) {
-        best = std::min(best, rank_of(ch, bank, c));
+        best = std::min(best, rank_of(bank, c));
       }
       bq.pick = Pick{best, static_cast<std::uint32_t>(b), kind == kWrites};
       bq.dirty = false;
@@ -337,66 +316,63 @@ struct Controller::Impl {
   /// A rank flipped for a whole tenant (token bucket emptied or
   /// refilled, starvation cap crossed or reset): every bank may hold
   /// its candidates.
-  void invalidate_banks(Channel& ch) {
-    for (Bank& bank : ch.banks) invalidate_bank(bank);
+  void invalidate_banks() {
+    for (Bank& bank : banks) invalidate_bank(bank);
   }
 
   /// The better of `best` and every bank's `kind` pick.
-  const Pick* best_of_banks(Channel& ch, std::size_t kind, const Pick* best) {
-    for (std::size_t b = 0; b < ch.banks.size(); ++b) {
-      const Pick& p = bank_pick(ch, b, kind);
+  const Pick* best_of_banks(std::size_t kind, const Pick* best) {
+    for (std::size_t b = 0; b < banks.size(); ++b) {
+      const Pick& p = bank_pick(b, kind);
       if (p.beats(*best)) best = &p;
     }
     return best;
   }
 
-  /// The transaction this channel's policy would issue next (and when),
-  /// or an invalid pick when nothing is queued. fcfs never holds
-  /// transactions, so its channels never have picks. Non-const because
-  /// token-budget refills the channel's buckets when every queued
-  /// tenant is spent (channel-local, so still deterministic).
-  Pick next_issue(Channel& ch) {
+  /// The transaction the policy would issue next (and when), or an
+  /// invalid pick when nothing is queued. fcfs never holds
+  /// transactions, so it never has picks. Non-const because
+  /// token-budget refills the buckets when every queued tenant is spent.
+  Pick next_issue() {
     static constexpr Pick kNone{};
     if (config.policy == Policy::kReadFirst) {
       // Strict read priority: writes issue only while draining or when
       // no read is pending (opportunistic background writes).
-      const bool writes_first = ch.draining || ch.queues[kReads].size() == 0;
+      const bool writes_first = draining || queues[kReads].size() == 0;
       const std::size_t preferred = writes_first ? kWrites : kReads;
       const std::size_t counted =
-          ch.queues[preferred].size() != 0 ? preferred : 1 - preferred;
-      return *best_of_banks(ch, counted, &kNone);
+          queues[preferred].size() != 0 ? preferred : 1 - preferred;
+      return *best_of_banks(counted, &kNone);
     }
-    const Pick* best =
-        best_of_banks(ch, kWrites, best_of_banks(ch, kReads, &kNone));
+    const Pick* best = best_of_banks(kWrites, best_of_banks(kReads, &kNone));
     if (use_tokens && !best->valid() &&
-        ch.queues[kReads].size() + ch.queues[kWrites].size() != 0) {
+        queues[kReads].size() + queues[kWrites].size() != 0) {
       // Every in-window candidate is out of tokens: refill the buckets
       // and open the next epoch. The rescan is guaranteed a pick, so a
       // non-empty channel never deadlocks.
-      std::fill(ch.tokens.begin(), ch.tokens.end(), config.tenant_tokens);
-      invalidate_banks(ch);
-      best = best_of_banks(ch, kWrites, best_of_banks(ch, kReads, &kNone));
+      std::fill(tokens.begin(), tokens.end(), config.tenant_tokens);
+      invalidate_banks();
+      best = best_of_banks(kWrites, best_of_banks(kReads, &kNone));
     }
     return *best;
   }
 
-  void update_drain(Channel& ch, std::uint64_t at_ps) {
+  void update_drain(std::uint64_t at_ps) {
     if (config.policy != Policy::kReadFirst) return;
-    const auto writes = static_cast<int>(ch.queues[kWrites].size());
-    if (!ch.draining) {
+    const auto writes = static_cast<int>(queues[kWrites].size());
+    if (!draining) {
       if (writes >= config.drain_high_watermark) {
-        ch.draining = true;
-        ++ch.totals.stats.write_drains;
+        draining = true;
+        ++totals.stats.write_drains;
         if (telemetry) {
-          telemetry->record_mark(ch.index, telemetry::MarkKind::kDrainBegin,
+          telemetry->record_mark(channel, telemetry::MarkKind::kDrainBegin,
                                  at_ps);
         }
       }
     } else if (writes <= config.drain_low_watermark) {
-      ch.draining = false;
+      draining = false;
       if (telemetry) {
-        telemetry->record_mark(ch.index, telemetry::MarkKind::kDrainEnd,
-                               at_ps);
+        telemetry->record_mark(channel, telemetry::MarkKind::kDrainEnd, at_ps);
       }
     }
   }
@@ -405,17 +381,17 @@ struct Controller::Impl {
   /// (invalid if its tenant has no tokens). A new candidate can only
   /// improve its bank's cached pick, so a clean pick absorbs it without
   /// a rescan.
-  Pick file_candidate(Channel& ch, std::size_t kind, const QueuedTx& tx) {
+  Pick file_candidate(std::size_t kind, const QueuedTx& tx) {
     const std::size_t b = lead_bank(tx.placement);
-    Bank& bank = ch.banks[b];
+    Bank& bank = banks[b];
     BankQueue& bq = bank.queues[kind];
     Candidate c{tx.seq, tx.admit_ps, tx.placement.row, tx.placement.region,
                 tx.request.tenant};
     c.bank = tx.placement.bank;
     bq.candidates.push_back(c);
     bq.requests.push_back(tx.request);
-    ++ch.queues[kind].in_window;
-    const Pick p{rank_of(ch, bank, c), static_cast<std::uint32_t>(b),
+    ++queues[kind].in_window;
+    const Pick p{rank_of(bank, c), static_cast<std::uint32_t>(b),
                  kind == kWrites};
     if (!bq.dirty && p.beats(bq.pick)) bq.pick = p;
     return p;
@@ -424,24 +400,20 @@ struct Controller::Impl {
   /// Admits `tx` into its queue: a candidate while the window has room,
   /// else behind the window in arrival order. Returns the pick of the
   /// new candidate, invalid if there is none.
-  Pick enqueue(Channel& ch, std::size_t kind, QueuedTx&& tx) {
+  Pick enqueue(std::size_t kind, QueuedTx&& tx) {
     if (config.policy == Policy::kFrFcfsCap) {
       // Stalled arrivals count only once admitted — starvation boosts
       // are pointless while nothing can be picked.
       const std::size_t tenant = tx.request.tenant;
-      if (ch.queued_per_tenant.size() <= tenant) {
-        ch.queued_per_tenant.resize(tenant + 1, 0);
-        ch.starved.resize(tenant + 1, 0);
+      if (queued_per_tenant.size() <= tenant) {
+        queued_per_tenant.resize(tenant + 1, 0);
+        starved.resize(tenant + 1, 0);
       }
-      ++ch.queued_per_tenant[tenant];
+      ++queued_per_tenant[tenant];
     }
-    if (!ch.active) {
-      ch.active = true;
-      active.push_back(static_cast<std::size_t>(ch.index));
-    }
-    TxQueue& q = ch.queues[kind];
+    TxQueue& q = queues[kind];
     if (q.beyond.empty() && q.in_window < kScanWindow) {
-      return file_candidate(ch, kind, tx);
+      return file_candidate(kind, tx);
     }
     q.beyond.push_back(std::move(tx));
     return Pick{};
@@ -449,8 +421,8 @@ struct Controller::Impl {
 
   /// Moves stalled arrivals into the queue a just-freed slot belongs
   /// to; they entered the controller at `at_ps` (the freeing issue).
-  void admit_overflow(Channel& ch, std::size_t kind, std::uint64_t at_ps) {
-    TxQueue& q = ch.queues[kind];
+  void admit_overflow(std::size_t kind, std::uint64_t at_ps) {
+    TxQueue& q = queues[kind];
     const int depth =
         kind == kWrites ? config.write_queue_depth : config.read_queue_depth;
     while (!q.stalled.empty() &&
@@ -458,25 +430,25 @@ struct Controller::Impl {
       QueuedTx tx = std::move(q.stalled.front());
       q.stalled.pop_front();
       tx.admit_ps = std::max(tx.request.arrival_ps, at_ps);
-      enqueue(ch, kind, std::move(tx));
+      enqueue(kind, std::move(tx));
     }
   }
 
-  /// Hands the placed `request` to the device at the channel's next issue
-  /// instant (no earlier than `ready_ps`) and commits the bank mirror.
-  void dispatch(Channel& ch, const memsim::Request& request,
+  /// Hands the placed `request` to the device at the next issue instant
+  /// (no earlier than `ready_ps`) and commits the bank mirror.
+  void dispatch(const memsim::Request& request,
                 const memsim::RequestPlacement& placement,
                 std::uint64_t ready_ps) {
-    const std::uint64_t issue_ps = std::max(ready_ps, ch.last_issue);
-    ch.last_issue = issue_ps;
+    const std::uint64_t issue_ps = std::max(ready_ps, last_issue);
+    last_issue = issue_ps;
     const memsim::FeedResult result =
         session.feed_issued(request, placement, issue_ps);
-    ch.totals.stats.sched_queue_delay_ns.add(
+    totals.stats.sched_queue_delay_ns.add(
         static_cast<double>(issue_ps - request.arrival_ps) * 1e-3);
-    ch.totals.stats.service_latency_ns.add(
+    totals.stats.service_latency_ns.add(
         static_cast<double>(result.completion_ps - issue_ps) * 1e-3);
     // Mirror commit — the same rule the replay engine applies.
-    Bank& bank = ch.banks[lead_bank(placement)];
+    Bank& bank = banks[lead_bank(placement)];
     bank.free_ps = result.bank_busy_until_ps;
     bank.open_row = placement.row;
     bank.open_region = placement.region;
@@ -487,9 +459,9 @@ struct Controller::Impl {
   /// queue), then updates the fairness state — invalidating every bank
   /// only when a tenant's rank flips — refills the window and the
   /// queue from behind, and re-evaluates write-drain hysteresis.
-  void issue(Channel& ch, const Pick& pick) {
+  void issue(Pick pick) {
     const std::size_t kind = pick.from_writes ? kWrites : kReads;
-    Bank& bank = ch.banks[pick.bank];
+    Bank& bank = banks[pick.bank];
     BankQueue& bq = bank.queues[kind];
     std::size_t i = 0;
     while (bq.candidates[i].seq != pick.seq()) ++i;
@@ -499,86 +471,66 @@ struct Controller::Impl {
     bq.candidates.pop_back();
     bq.requests[i] = bq.requests.back();
     bq.requests.pop_back();
-    TxQueue& q = ch.queues[kind];
+    TxQueue& q = queues[kind];
     --q.in_window;
 
     const std::size_t tenant = c.tenant;
     if (config.policy == Policy::kTokenBudget) {
-      if (ch.tokens.size() <= tenant) {
-        ch.tokens.resize(tenant + 1, config.tenant_tokens);
+      if (tokens.size() <= tenant) {
+        tokens.resize(tenant + 1, config.tenant_tokens);
       }
-      --ch.tokens[tenant];
-      if (ch.tokens[tenant] == 0) invalidate_banks(ch);
+      --tokens[tenant];
+      if (tokens[tenant] == 0) invalidate_banks();
     } else if (config.policy == Policy::kFrFcfsCap) {
       // The issuer's patience resets; every other tenant still holding
-      // schedulable work on this channel was passed over once more.
-      bool flipped = ch.starved[tenant] >= cap;
-      --ch.queued_per_tenant[tenant];
-      ch.starved[tenant] = 0;
-      for (std::size_t t = 0; t < ch.queued_per_tenant.size(); ++t) {
-        if (t == tenant || ch.queued_per_tenant[t] == 0) continue;
-        ++ch.starved[t];
-        if (ch.starved[t] == cap) flipped = true;
+      // schedulable work was passed over once more.
+      bool flipped = starved[tenant] >= cap;
+      --queued_per_tenant[tenant];
+      starved[tenant] = 0;
+      for (std::size_t t = 0; t < queued_per_tenant.size(); ++t) {
+        if (t == tenant || queued_per_tenant[t] == 0) continue;
+        ++starved[t];
+        if (starved[t] == cap) flipped = true;
       }
-      if (flipped) invalidate_banks(ch);
+      if (flipped) invalidate_banks();
     }
 
-    dispatch(ch, request, {ch.index, c.bank, c.row, c.region}, pick.issue_ps());
+    dispatch(request, {channel, c.bank, c.row, c.region}, pick.issue_ps());
 
-    if (pick.from_writes && ch.draining) {
-      ++ch.totals.stats.drained_writes;
-      if (telemetry) telemetry->record_drained_write(ch.index, ch.last_issue);
-      if (ch.queues[kReads].size() != 0) ++ch.totals.stats.drain_stalls;
+    if (pick.from_writes && draining) {
+      ++totals.stats.drained_writes;
+      if (telemetry) telemetry->record_drained_write(channel, last_issue);
+      if (queues[kReads].size() != 0) ++totals.stats.drain_stalls;
     }
     if (!q.beyond.empty()) {
       // The oldest entry behind the window slides into the freed slot.
-      file_candidate(ch, kind, q.beyond.front());
+      file_candidate(kind, q.beyond.front());
       q.beyond.pop_front();
     }
-    admit_overflow(ch, kind, ch.last_issue);
-    update_drain(ch, ch.last_issue);
-    if (ch.queues[kReads].size() == 0 && ch.queues[kWrites].size() == 0) {
+    admit_overflow(kind, last_issue);
+    update_drain(last_issue);
+    if (queues[kReads].size() == 0 && queues[kWrites].size() == 0) {
       // Nothing left to pick: skip the recompute a light load would
       // otherwise pay on every request.
-      ch.cached_pick = Pick{};
-      ch.pick_dirty = false;
-      ch.active = false;
-      active.erase(std::find(active.begin(), active.end(),
-                             static_cast<std::size_t>(ch.index)));
+      cached_pick = Pick{};
+      pick_dirty = false;
     } else {
-      ch.pick_dirty = true;
+      pick_dirty = true;
     }
   }
 
-  const Pick& channel_pick(Channel& ch) {
-    if (ch.pick_dirty) {
-      ch.cached_pick = next_issue(ch);
-      ch.pick_dirty = false;
-    }
-    return ch.cached_pick;
-  }
-
-  /// Issues, globally in (time, age) order, every transaction whose
-  /// issue instant is <= limit. Channel state is channel-local, so the
-  /// per-channel issue subsequence (and every statistic) is the same
-  /// however arrivals on *other* channels interleave the calls — the
-  /// invariant the per-channel lanes' bit-identity rests on. Per-channel
-  /// issue instants only move forward (bank mirrors monotonically
-  /// advance, overflow admits at the freeing issue), so the session's
-  /// per-channel issue-sorted contract holds.
+  /// Issues, in (time, age) order, every transaction whose issue
+  /// instant is <= limit. Issue instants only move forward (bank
+  /// mirrors monotonically advance, overflow admits at the freeing
+  /// issue), so the session's issue-sorted contract holds.
   void advance_until(std::uint64_t limit) {
     for (;;) {
-      Pick best;
-      Channel* best_channel = nullptr;
-      for (const std::size_t c : active) {
-        const Pick& p = channel_pick(channels[c]);
-        if (p.beats(best)) {
-          best = p;
-          best_channel = &channels[c];
-        }
+      if (pick_dirty) {
+        cached_pick = next_issue();
+        pick_dirty = false;
       }
-      if (!best.valid() || best.issue_ps() > limit) return;
-      issue(*best_channel, best);
+      if (!cached_pick.valid() || cached_pick.issue_ps() > limit) return;
+      issue(cached_pick);
     }
   }
 
@@ -586,59 +538,63 @@ struct Controller::Impl {
     if (admitted > 0) {
       memsim::check_arrival_order(admitted, prev_arrival, req.arrival_ps);
     }
+    const memsim::RequestPlacement placement =
+        system.address_map().place(req);
+    if (admitted == 0) channel = placement.channel;
+    if (placement.channel != channel) {
+      throw std::logic_error("sched::Controller: request for another channel");
+    }
     prev_arrival = req.arrival_ps;
-    ++admitted;
 
     // Bring the controller up to this arrival instant.
     advance_until(req.arrival_ps);
 
     QueuedTx tx;
-    tx.seq = next_seq++;
+    tx.seq = admitted++;
     tx.request = req;
     tx.admit_ps = req.arrival_ps;
-    tx.placement = system.address_map().place(req);
+    tx.placement = placement;
 
-    auto& ch = channels[static_cast<std::size_t>(tx.placement.channel)];
     const std::size_t kind = req.op == memsim::Op::kWrite ? kWrites : kReads;
-    const std::size_t reads = ch.queues[kReads].size();
-    const std::size_t writes = ch.queues[kWrites].size();
+    const std::size_t reads = queues[kReads].size();
+    const std::size_t writes = queues[kWrites].size();
     // The queue state each arrival observes (before joining it).
-    ch.totals.stats.read_queue_occupancy.add(static_cast<double>(reads));
-    ch.totals.stats.write_queue_occupancy.add(static_cast<double>(writes));
+    totals.stats.read_queue_occupancy.add(static_cast<double>(reads));
+    totals.stats.write_queue_occupancy.add(static_cast<double>(writes));
     if (telemetry) {
-      telemetry->record_queue_sample(ch.index, req.arrival_ps, reads, writes);
+      telemetry->record_queue_sample(channel, req.arrival_ps, reads, writes);
     }
 
     if (config.policy == Policy::kFcfs) {
       // In-order immediate handoff: the device's own outstanding window
       // does all buffering — exactly the legacy arrival-order replay,
       // so unbounded-queue fcfs is bit-identical to no controller.
-      dispatch(ch, req, tx.placement, req.arrival_ps);
+      dispatch(req, tx.placement, req.arrival_ps);
       return;
     }
 
-    TxQueue& q = ch.queues[kind];
+    TxQueue& q = queues[kind];
     const int depth =
         kind == kWrites ? config.write_queue_depth : config.read_queue_depth;
     if (depth > 0 &&
         (static_cast<int>(q.size()) >= depth || !q.stalled.empty())) {
-      ++ch.totals.stats.admit_stalls;
+      ++totals.stats.admit_stalls;
       if (telemetry) {
-        telemetry->record_mark(ch.index, telemetry::MarkKind::kAdmitStall,
+        telemetry->record_mark(channel, telemetry::MarkKind::kAdmitStall,
                                req.arrival_ps);
       }
       q.stalled.push_back(std::move(tx));
     } else {
-      const Pick p = enqueue(ch, kind, std::move(tx));
-      update_drain(ch, req.arrival_ps);
+      const Pick p = enqueue(kind, std::move(tx));
+      update_drain(req.arrival_ps);
       // Under the FR-FCFS ranks an admit only adds a candidate, so a
-      // clean channel pick absorbs it. read-first may switch the queue
-      // it counts, and a token-starved channel may need a refill: those
+      // clean pick absorbs it. read-first may switch the queue it
+      // counts, and a token-starved controller may need a refill: those
       // recompute.
-      if (config.policy != Policy::kReadFirst && !ch.pick_dirty && p.valid()) {
-        if (p.beats(ch.cached_pick)) ch.cached_pick = p;
+      if (config.policy != Policy::kReadFirst && !pick_dirty && p.valid()) {
+        if (p.beats(cached_pick)) cached_pick = p;
       } else {
-        ch.pick_dirty = true;
+        pick_dirty = true;
       }
     }
   }
@@ -649,11 +605,7 @@ struct Controller::Impl {
     memsim::ReplaySlice slice = session.finish_slice();
     slice.stats.scheduled = true;
     slice.stats.sched_policy = policy_name(config.policy);
-    // Channel-ordered lane merge, mirroring the session's own: a shard
-    // that saw only channel k's traffic produces exactly channel k's
-    // accumulators, so merging shard slices in channel order is the
-    // same reduction.
-    for (const auto& ch : channels) memsim::merge_slice(slice, ch.totals);
+    memsim::merge_slice(slice, totals);
     return slice;
   }
 };
@@ -678,11 +630,7 @@ void Controller::feed(const memsim::Request& request) {
 }
 
 memsim::SimStats Controller::finish() {
-  if (impl_->finished) {
-    throw std::logic_error("sched::Controller: finish() called twice");
-  }
-  return memsim::finalize_slice(impl_->finish_slice(),
-                                impl_->system.model());
+  return memsim::finalize_slice(finish_slice(), impl_->system.model());
 }
 
 memsim::ReplaySlice Controller::finish_slice() {

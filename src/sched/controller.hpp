@@ -64,11 +64,16 @@
 /// of each queue (the scheduling window, which binds only for
 /// unbounded queues).
 ///
+/// Each Controller serves one channel: the channel the first request
+/// it admits places on. Scheduling reads nothing outside the channel,
+/// so every engine runs one controller per channel and merges their
+/// slices in channel order.
+///
 /// Arbitration is incremental. Each schedulable transaction is filed
 /// under its target bank (bank 0 on line-striped devices), each bank
-/// caches its best pick per queue, and a channel's pick is the best
-/// over its banks. A cached bank pick is recomputed, by scanning only
-/// that bank's candidates, when:
+/// caches its best pick per queue, and the controller's pick is the
+/// best over its banks. A cached bank pick is recomputed, by scanning
+/// only that bank's candidates, when:
 ///   - a transaction issues from the bank (its busy window and open
 ///     row/region move);
 ///   - a tenant's rank flips, which invalidates every bank of the
@@ -77,7 +82,8 @@
 /// An admitted transaction, or one sliding into the window, only
 /// competes with its bank's cached pick. Apart from rank flips, a
 /// decision thus costs O(banks + candidates on the issuing bank) rather
-/// than O(window), and only channels with queued work are looked at.
+/// than O(window), and a controller with nothing queued looks at no
+/// bank at all.
 ///
 /// Everything is deterministic; each Controller is single-threaded and
 /// lives on the stack of one Engine::run call, so sweeps stay
@@ -146,23 +152,24 @@ struct ControllerConfig {
                                       int write_queue_depth);
 };
 
-/// Push-mode scheduled replay against one MemorySystem — the
+/// Push-mode scheduled replay of one channel of a MemorySystem — the
 /// ReplaySession of the scheduler world, and the stage composite
 /// engines route streams through (hybrid::TieredSystem feeds its
 /// backend miss stream here). feed() admits demand requests in arrival
 /// order; the controller queues, reorders and issues them into an
 /// internal ReplaySession (in issue order, via feed_issued), and
 /// finish() drains every queue and returns the statistics with the
-/// scheduler breakdown filled in. The MemorySystem must outlive the
-/// controller.
+/// scheduler breakdown filled in. Like the session, it serves the
+/// channel its first request places on. The MemorySystem must outlive
+/// the controller.
 class Controller {
  public:
   /// Validates the config. `telemetry`, when non-null, receives one
   /// RequestEvent per issued request plus the scheduler-side signal:
   /// queue-occupancy samples at every admit, admit-stall and
   /// drain-begin/-end marks, and drained-write ticks — all in the
-  /// recorder lane of the serving channel, so a shared recorder stays
-  /// race-free across per-channel lanes (see telemetry.hpp). The
+  /// recorder lane of the controller's channel, so a shared recorder
+  /// stays race-free across per-channel lanes (see telemetry.hpp). The
   /// recorder must outlive the controller.
   Controller(const memsim::MemorySystem& system, ControllerConfig config,
              std::string workload_name,
@@ -172,7 +179,8 @@ class Controller {
   ~Controller();
 
   /// Admits one demand request. Throws std::invalid_argument if it
-  /// arrives before its predecessor, std::logic_error after finish().
+  /// arrives before its predecessor, std::logic_error after finish() or
+  /// if it places on another channel than the first request.
   void feed(const memsim::Request& request);
 
   /// Drains every queue, closes the run and returns the statistics.
@@ -180,10 +188,9 @@ class Controller {
   /// Equivalent to memsim::finalize_slice(finish_slice()).
   memsim::SimStats finish();
 
-  /// Closes the run without finalizing: the session's slice with the
-  /// scheduler breakdown merged in (per-channel accumulators, channel
-  /// order — the same reduction a sharded merge performs). Same
-  /// once-only contract as finish().
+  /// Closes the run without finalizing: the channel's slice, the
+  /// session's with the scheduler breakdown merged in. Same once-only
+  /// contract as finish().
   memsim::ReplaySlice finish_slice();
 
  private:
@@ -192,10 +199,8 @@ class Controller {
 };
 
 /// Shard-lane adapter over a Controller, the unit of scheduled replay:
-/// one full controller per channel lane, fed only that channel's
-/// subsequence. Scheduling decisions, issue clocks and every scheduler
-/// statistic are channel-local, so the lane reproduces a whole-stream
-/// controller's per-channel behaviour decision for decision.
+/// one controller per channel lane, fed only that channel's
+/// subsequence.
 class ControllerLane final : public memsim::ShardLane {
  public:
   ControllerLane(const memsim::MemorySystem& system, ControllerConfig config,
@@ -219,10 +224,8 @@ class ControllerLane final : public memsim::ShardLane {
 /// live on the stack of each run() call. Every run replays through one
 /// ControllerLane per channel (memsim::run_sharded) on run_threads
 /// workers, inline on the caller's thread at 1; the results are
-/// bit-identical to one whole-stream Controller for every thread count
-/// (the test gate in tests/test_sharded.cpp covers every policy). Even
-/// on one thread the lanes are the cheaper form: each controller holds
-/// one channel, so it never compares picks across channels.
+/// bit-identical for every thread count (the test gate in
+/// tests/test_sharded.cpp covers every policy).
 class ScheduledSystem final : public memsim::Engine {
  public:
   /// Validates both the model and the controller config; `run_threads`

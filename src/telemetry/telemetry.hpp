@@ -19,14 +19,13 @@
 /// The recording model mirrors the engines' own lane discipline: one
 /// Recorder per engine *stage* (a flat replay is one stage; a hybrid
 /// run has a "dram" and a "backend" stage), holding one Lane per
-/// channel. Every record lands in the lane of the serving channel, and
-/// both whole-device sessions and the per-channel lanes only ever
-/// touch the lane of the channel they serve — so lanes need no locking
-/// (the LanePool join publishes them), and a traced run produces
-/// byte-identical telemetry for every run-thread count. Reading a
-/// Recorder back (timeline(), the trace writer) always walks stages in
-/// creation order and lanes in channel order, keeping every export
-/// deterministic.
+/// channel. Every ReplaySession and sched::Controller serves one
+/// channel and records only into that channel's lane — so lanes need
+/// no locking (the LanePool join publishes them), and a traced run
+/// produces byte-identical telemetry for every run-thread count.
+/// Reading a Recorder back (timeline(), the trace writer) always walks
+/// stages in creation order and lanes in channel order, keeping every
+/// export deterministic.
 ///
 /// Cost discipline: engines hold a `telemetry::Collector*` that is
 /// nullptr on untraced runs, so the hot replay path pays one

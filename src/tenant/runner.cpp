@@ -73,9 +73,10 @@ std::unique_ptr<memsim::RequestSource> make_multi_stream(
   return std::make_unique<MultiSource>(std::move(streams));
 }
 
-std::string multi_workload_name(const MultiTenantJob& job) {
+std::string multi_workload_name(
+    const std::vector<config::TenantSpec>& tenants) {
   std::string name;
-  for (const auto& tenant : job.tenants) {
+  for (const auto& tenant : tenants) {
     if (!name.empty()) name += '+';
     name += tenant.name;
   }
@@ -90,7 +91,8 @@ memsim::SimStats run_multi_tenant(memsim::Engine& engine,
   }
 
   const auto multi = make_multi_stream(job);
-  memsim::SimStats stats = engine.run(*multi, multi_workload_name(job));
+  memsim::SimStats stats =
+      engine.run(*multi, multi_workload_name(job.tenants));
 
   // A tenant whose stream produced no requests never reached a lane;
   // make the breakdown dense before naming it.

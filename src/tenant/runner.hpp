@@ -40,8 +40,9 @@ std::unique_ptr<memsim::RequestSource> make_tenant_stream(
 std::unique_ptr<memsim::RequestSource> make_multi_stream(
     const MultiTenantJob& job);
 
-/// "a+b+c" — the workload label of the shared run.
-std::string multi_workload_name(const MultiTenantJob& job);
+/// "a+b+c" — the workload label of the shared run of `tenants`.
+std::string multi_workload_name(
+    const std::vector<config::TenantSpec>& tenants);
 
 /// Runs the interleaved stream through `engine` (recording into
 /// whatever telemetry collector is attached), then replays every

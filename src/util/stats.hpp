@@ -63,33 +63,4 @@ class RunningStats {
   std::vector<std::uint64_t> histogram_;  ///< Allocated on first add().
 };
 
-/// Fixed-width histogram over [lo, hi) with overflow/underflow buckets.
-/// Used for request-latency distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-
-  std::uint64_t total() const { return total_; }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-  std::size_t buckets() const { return counts_.size(); }
-  std::uint64_t bucket_count(std::size_t i) const { return counts_.at(i); }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-
-  /// Value below which the given fraction (0..1) of samples fall,
-  /// linearly interpolated within the bucket.
-  double percentile(double p) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
-};
-
 }  // namespace comet::util

@@ -334,6 +334,19 @@ TEST(SchedController, RejectsUnsortedDemandWithContext) {
   }
 }
 
+TEST(SchedController, RejectsASecondChannel) {
+  const ms::MemorySystem system(comet::driver::make_device("comet"));
+  const ms::Request first = make_req(0, 0, ms::Op::kRead, 0);
+  ms::Request other = make_req(1, 1000, ms::Op::kRead, 64);
+  while (system.address_map().channel(other) ==
+         system.address_map().channel(first)) {
+    other.address += 64;
+  }
+  sc::Controller controller(system, unbounded(sc::Policy::kFrFcfs), "t");
+  controller.feed(first);
+  EXPECT_THROW(controller.feed(other), std::logic_error);
+}
+
 TEST(SchedController, FeedAfterFinishAndDoubleFinishThrow) {
   const ms::MemorySystem system(asym_device());
   sc::Controller controller(system, unbounded(sc::Policy::kReadFirst), "t");

@@ -1,13 +1,14 @@
 // Sharded per-channel parallel replay tests. The load-bearing gate is
-// bit-identity against independent references: for every flat registry
-// device and every controller option (none, then every policy with
-// bounded queues, so admit stalls and write drains actually fire), one
-// lane per channel at thread counts {1, 2, 8} — fed through run_sharded
-// directly and through the engines — must reproduce one whole-stream
-// ReplaySession or one whole-stream Controller fed the same trace
-// directly: exact SimStats ==, no tolerances, on every counter, every
-// latency distribution and every energy sum. Hybrid engines have no
-// whole-stream equivalent and are pinned across thread counts instead.
+// bit-identity against a reference built by hand: for every flat
+// registry device and every controller option (none, then every policy
+// with bounded queues, so admit stalls and write drains actually fire),
+// one lane per channel at thread counts {1, 2, 8} — fed through
+// run_sharded directly and through the engines — must reproduce one
+// ReplaySession or one Controller per channel, each fed its channel's
+// requests directly, with the slices merged in channel order: exact
+// SimStats ==, no tolerances, on every counter, every latency
+// distribution and every energy sum. Hybrid engines have no such
+// reference and are pinned across thread counts instead.
 // Plus the replay-loop contracts and the LanePool mechanics: inline
 // mode, worker-error propagation, the run_threads resolution rules, the
 // failure paths of the pipelined (threaded) replay, and the BlockRing
@@ -67,19 +68,29 @@ std::string axis_name(const std::optional<sc::ControllerConfig>& controller) {
   return controller ? sc::policy_name(controller->policy) : "none";
 }
 
-/// One ReplaySession, or one Controller, over the whole device, fed the
-/// whole trace by hand — no replay loop, no lanes, no pool.
+/// One ReplaySession, or one Controller, per channel, each fed its
+/// channel's requests of the whole trace by hand, the slices merged in
+/// channel order — no replay loop, no lanes, no pool.
 ms::SimStats whole_stream_reference(
     const ms::MemorySystem& system,
     const std::optional<sc::ControllerConfig>& controller) {
-  if (controller) {
-    sc::Controller whole(system, *controller, "gcc_like");
-    for (const ms::Request& req : shared_trace()) whole.feed(req);
-    return whole.finish();
+  ms::ReplaySlice merged;
+  for (int c = 0; c < system.model().timing.channels; ++c) {
+    const auto feed_channel = [&](auto& replay) {
+      for (const ms::Request& req : shared_trace()) {
+        if (system.address_map().channel(req) == c) replay.feed(req);
+      }
+      ms::merge_slice(merged, replay.finish_slice());
+    };
+    if (controller) {
+      sc::Controller channel(system, *controller, "gcc_like");
+      feed_channel(channel);
+    } else {
+      ms::ReplaySession channel(system, "gcc_like");
+      feed_channel(channel);
+    }
   }
-  ms::ReplaySession whole(system, "gcc_like");
-  for (const ms::Request& req : shared_trace()) whole.feed(req);
-  return whole.finish();
+  return ms::finalize_slice(std::move(merged), system.model());
 }
 
 /// One SessionLane or ControllerLane per channel through run_sharded.

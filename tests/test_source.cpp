@@ -167,6 +167,19 @@ TEST(ReplaySession, RejectsOutOfOrderFeeds) {
   }
 }
 
+TEST(ReplaySession, RejectsASecondChannel) {
+  const ms::MemorySystem system(comet::driver::make_device("comet"));
+  const ms::Request first{.arrival_ps = 0, .address = 0};
+  ms::Request other{.arrival_ps = 1000, .address = 64};
+  while (system.address_map().channel(other) ==
+         system.address_map().channel(first)) {
+    other.address += 64;
+  }
+  ms::ReplaySession session(system, "test");
+  session.feed(first);
+  EXPECT_THROW(session.feed(other), std::logic_error);
+}
+
 TEST(ReplaySession, FeedIssuedRejectsAStalePlacement) {
 #ifdef NDEBUG
   GTEST_SKIP() << "the placement guard is compiled only without NDEBUG";

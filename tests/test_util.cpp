@@ -483,30 +483,6 @@ TEST(HistogramBucket, MatchesTheLog2FormulaOnSeededSamples) {
   EXPECT_EQ(mismatches, 0u) << "first mismatch at " << first;
 }
 
-TEST(Histogram, BucketsAndPercentile) {
-  cu::Histogram h(0.0, 100.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_EQ(h.total(), 100u);
-  EXPECT_EQ(h.bucket_count(0), 10u);
-  EXPECT_NEAR(h.percentile(0.5), 50.0, 1.0);
-  EXPECT_NEAR(h.percentile(0.95), 95.0, 1.5);
-}
-
-TEST(Histogram, OverUnderflow) {
-  cu::Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);
-  h.add(11.0);
-  h.add(5.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(cu::Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(cu::Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 // ---------------------------------------------------------------- table
 
 TEST(Table, AlignedOutputContainsCells) {
