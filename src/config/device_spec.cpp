@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "memsim/system.hpp"
-
 namespace comet::config {
 
 DeviceSpec::DeviceSpec(memsim::DeviceModel model)
@@ -27,11 +25,7 @@ std::unique_ptr<memsim::Engine> DeviceSpec::make_engine(
                                                   run_threads);
   }
   if (flat) {
-    if (controller) {
-      return std::make_unique<sched::ScheduledSystem>(*flat, *controller,
-                                                      run_threads);
-    }
-    return std::make_unique<memsim::MemorySystem>(*flat, run_threads);
+    return std::make_unique<sched::FlatSystem>(*flat, controller, run_threads);
   }
   throw std::logic_error(
       "DeviceSpec::make_engine: empty spec '" + name +

@@ -43,15 +43,16 @@ struct DeviceSpec {
   int channels() const;
 
   /// Instantiates the replay engine for this architecture: a
-  /// memsim::MemorySystem for flat specs, a hybrid::TieredSystem for
-  /// hybrid ones. With a controller config, flat specs replay behind a
-  /// sched::ScheduledSystem front-end and hybrid specs route their
-  /// backend miss stream through the controller. With run_threads > 1
-  /// (0 = one per hardware thread, memsim::resolve_run_threads), every
-  /// engine replays its per-channel lanes on a worker pool, with results
-  /// bit-identical to run_threads == 1 for every combination. Throws
-  /// std::logic_error on a default-constructed spec with neither
-  /// alternative engaged.
+  /// sched::FlatSystem for flat specs, a hybrid::TieredSystem for
+  /// hybrid ones, each handed `controller` and `run_threads` as they
+  /// are. Both engines choose their per-channel lanes with one builder,
+  /// sched::make_lanes: a Controller per channel when a controller
+  /// config is given (for hybrid specs, on the backend miss stream),
+  /// else a plain ReplaySession. With run_threads > 1 (0 = one per
+  /// hardware thread, memsim::resolve_run_threads) the lanes run on a
+  /// worker pool, with results bit-identical to run_threads == 1 for
+  /// every combination. Throws std::logic_error on a
+  /// default-constructed spec with neither alternative engaged.
   std::unique_ptr<memsim::Engine> make_engine(
       const std::optional<sched::ControllerConfig>& controller = std::nullopt,
       int run_threads = 1) const;

@@ -75,9 +75,6 @@ TieredConfig make_tiered_config(const std::string& name,
   return config;
 }
 
-TieredSystem::TieredSystem(TieredConfig config)
-    : TieredSystem(std::move(config), std::nullopt) {}
-
 TieredSystem::TieredSystem(
     TieredConfig config,
     std::optional<sched::ControllerConfig> backend_controller,
@@ -205,27 +202,17 @@ class TierStage final : public memsim::ReplayStage {
     }
   }
 
+  /// The DRAM tier's session lanes, then the backend's lanes.
   static std::vector<std::unique_ptr<memsim::ShardLane>> make_lanes(
       const memsim::MemorySystem& dram, const memsim::MemorySystem& backend,
       const std::optional<sched::ControllerConfig>& controller,
       const std::string& workload_name, telemetry::Recorder* dram_telemetry,
       telemetry::Recorder* backend_telemetry) {
-    std::vector<std::unique_ptr<memsim::ShardLane>> lanes;
-    const int dram_channels = dram.model().timing.channels;
-    const int backend_channels = backend.model().timing.channels;
-    lanes.reserve(static_cast<std::size_t>(dram_channels + backend_channels));
-    for (int c = 0; c < dram_channels; ++c) {
-      lanes.push_back(std::make_unique<memsim::SessionLane>(
-          dram, workload_name, dram_telemetry));
-    }
-    for (int c = 0; c < backend_channels; ++c) {
-      if (controller) {
-        lanes.push_back(std::make_unique<sched::ControllerLane>(
-            backend, *controller, workload_name, backend_telemetry));
-      } else {
-        lanes.push_back(std::make_unique<memsim::SessionLane>(
-            backend, workload_name, backend_telemetry));
-      }
+    std::vector<std::unique_ptr<memsim::ShardLane>> lanes = sched::make_lanes(
+        dram, std::nullopt, workload_name, dram_telemetry);
+    for (auto& lane : sched::make_lanes(backend, controller, workload_name,
+                                        backend_telemetry)) {
+      lanes.push_back(std::move(lane));
     }
     return lanes;
   }

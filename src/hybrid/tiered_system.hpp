@@ -66,24 +66,24 @@ TieredConfig make_tiered_config(const std::string& name,
 
 class TieredSystem final : public memsim::Engine {
  public:
-  explicit TieredSystem(TieredConfig config);  ///< Validates the config.
-
+  /// Validates both configs.
+  ///
   /// With a backend controller: the miss/fetch/writeback stream the
   /// cache filter derives is routed through a sched::Controller (its
   /// transaction queues and policy) in front of the backend replay,
   /// instead of straight into it — the tier where OPCM's asymmetric
   /// write latency actually bites. The DRAM tier stays direct. The
   /// combined stats then carry the scheduler breakdown of the backend.
-  /// Validates both configs.
   ///
   /// `run_threads` (as in memsim::resolve_run_threads) shards the two
   /// tier replays into per-channel lanes on a worker pool: the cache
   /// filter stays on the caller's thread (its tag state is global), the
   /// derived per-tier traffic fans out by serving channel. Results are
   /// bit-identical for any thread count.
-  TieredSystem(TieredConfig config,
-               std::optional<sched::ControllerConfig> backend_controller,
-               int run_threads = 1);
+  explicit TieredSystem(
+      TieredConfig config,
+      std::optional<sched::ControllerConfig> backend_controller = std::nullopt,
+      int run_threads = 1);
 
   const TieredConfig& config() const { return config_; }
 

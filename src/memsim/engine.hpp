@@ -18,10 +18,11 @@ class Profiler;
 
 /// The polymorphic replay-engine seam.
 ///
-/// Every architecture in the study — a flat MemorySystem, a hybrid
-/// TieredSystem, and any future backend — replays a RequestSource behind
-/// this one interface, so drivers, sweeps and benches hold a
-/// std::unique_ptr<Engine> and never branch on the concrete type.
+/// Every architecture in the study — a flat sched::FlatSystem, a
+/// hybrid TieredSystem, and any future backend — replays a
+/// RequestSource behind this one interface, so drivers, sweeps and
+/// benches hold a std::unique_ptr<Engine> and never branch on the
+/// concrete type.
 /// Engines are const and stateless across runs: all replay state lives
 /// on the stack of each run() call, so one Engine may serve concurrent
 /// sweep workers with bit-identical results. Every run() drains its

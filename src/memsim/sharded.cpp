@@ -6,6 +6,7 @@
 #include <exception>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -481,6 +482,37 @@ class ChannelStage final : public ReplayStage {
   LanePool pool_;
 };
 
+/// One ReplaySession per channel, each request placed once and handed
+/// straight to its channel's session, with no lane routing and no pool.
+class SessionStage final : public ReplayStage {
+ public:
+  SessionStage(const MemorySystem& system, const std::string& workload_name,
+               telemetry::Recorder* telemetry)
+      : map_(system.address_map()) {
+    for (int c = 0; c < system.model().timing.channels; ++c) {
+      sessions_.emplace_back(system, workload_name, telemetry);
+    }
+  }
+
+  void feed(const Request* block, std::size_t count) override {
+    for (const Request& req : std::span(block, count)) {
+      const RequestPlacement placement = map_.place(req);
+      sessions_[static_cast<std::size_t>(placement.channel)].feed_issued(
+          req, placement, req.arrival_ps);
+    }
+  }
+
+  std::vector<ReplaySlice> drain() override {
+    std::vector<ReplaySlice> slices;
+    for (ReplaySession& s : sessions_) slices.push_back(s.finish_slice());
+    return slices;
+  }
+
+ private:
+  const AddressMap& map_;
+  std::vector<ReplaySession> sessions_;
+};
+
 }  // namespace
 
 SimStats run_sharded(const MemorySystem& system,
@@ -494,6 +526,15 @@ SimStats run_sharded(const MemorySystem& system,
   }
   ChannelStage stage(system.address_map(), std::move(lanes), threads,
                      profiler ? profiler->add_pool("") : nullptr);
+  return std::move(
+      run_replay(source, stage, {&system.model()}, profiler).front().stats);
+}
+
+SimStats run_sessions(const MemorySystem& system, RequestSource& source,
+                      const std::string& workload_name,
+                      telemetry::Recorder* telemetry,
+                      prof::Profiler* profiler) {
+  SessionStage stage(system, workload_name, telemetry);
   return std::move(
       run_replay(source, stage, {&system.model()}, profiler).front().stats);
 }

@@ -22,8 +22,11 @@
 /// attached profiler, then drains the stage and merges its per-channel
 /// slices into finalized per-tier results. Engines supply only the
 /// stage that consumes the requests: one ReplaySession per channel fed
-/// directly (flat, one thread), per-channel lanes on a LanePool
-/// (run_sharded), or the hybrid cache filter feeding both tiers' lanes.
+/// directly (run_sessions: flat, unscheduled, one thread), per-channel
+/// lanes on a LanePool (run_sharded), or the hybrid cache filter
+/// feeding both tiers' lanes. The lanes are the replay objects
+/// themselves: ReplaySession and sched::Controller implement ShardLane,
+/// and sched::make_lanes builds one of them per channel.
 ///
 /// The channel is the unit of replay. The controller address hash makes
 /// every channel an island: placement, bank timing, the outstanding
@@ -73,35 +76,9 @@ namespace comet::memsim {
 /// std::invalid_argument on negative values.
 int resolve_run_threads(int requested);
 
-/// One shard lane: a full replay pipeline (session, or a scheduler
-/// front-end over one) that consumes exactly one channel's subsequence
-/// of the run's stream. feed() is called in stream order by the lane's
-/// single worker; finish_slice() is called once, after every feed, by
-/// the same worker (by the caller in inline mode).
-class ShardLane {
- public:
-  virtual ~ShardLane() = default;
-  virtual void feed(const Request& request) = 0;
-  virtual ReplaySlice finish_slice() = 0;
-};
-
-/// Plain ReplaySession lane — the shard unit of an unscheduled flat
-/// device. The optional telemetry recorder is shared by every lane of
-/// a stage: each lane only writes the recorder lane of the channel it
-/// serves, so the sharing is race-free and the recorded telemetry is
-/// byte-identical at every thread count (see telemetry.hpp).
-class SessionLane final : public ShardLane {
- public:
-  SessionLane(const MemorySystem& system, std::string workload_name,
-              telemetry::Recorder* telemetry = nullptr)
-      : session_(system, std::move(workload_name), telemetry) {}
-
-  void feed(const Request& request) override { session_.feed(request); }
-  ReplaySlice finish_slice() override { return session_.finish_slice(); }
-
- private:
-  ReplaySession session_;
-};
+/// The lane class's name before ReplaySession implemented ShardLane
+/// itself; perfbench/harness.cpp still constructs lanes under it.
+using SessionLane = ReplaySession;
 
 /// One slot of a BlockRing: a request buffer that keeps its capacity
 /// from lap to lap, so a ring in steady state allocates nothing.
@@ -263,5 +240,16 @@ SimStats run_sharded(const MemorySystem& system,
                      std::vector<std::unique_ptr<ShardLane>> lanes,
                      int threads, RequestSource& source,
                      prof::Profiler* profiler = nullptr);
+
+/// run_replay over one ReplaySession per device channel on the caller's
+/// thread, with no lanes and no pool: each request is placed once and
+/// handed straight to its channel's session (feed_issued at its
+/// arrival). Bit-identical to run_sharded over ReplaySession lanes, and
+/// the cheaper of the two when nothing runs on another thread. The
+/// sessions record into `telemetry` when it is non-null.
+SimStats run_sessions(const MemorySystem& system, RequestSource& source,
+                      const std::string& workload_name,
+                      telemetry::Recorder* telemetry = nullptr,
+                      prof::Profiler* profiler = nullptr);
 
 }  // namespace comet::memsim

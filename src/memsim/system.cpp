@@ -1,7 +1,6 @@
 #include "memsim/system.hpp"
 
 #include <algorithm>
-#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,12 +10,6 @@
 
 namespace comet::memsim {
 namespace {
-
-struct BankState {
-  std::uint64_t free_ps = 0;
-  std::uint64_t open_row = ~0ull;
-  std::uint64_t current_region = ~0ull;
-};
 
 /// Pushes `t` past any refresh window it falls into.
 std::uint64_t avoid_refresh(std::uint64_t t, const DeviceTiming& timing) {
@@ -100,18 +93,14 @@ void merge_slice(ReplaySlice& into, const ReplaySlice& from) {
   for (std::size_t i = 0; i < b.tenants.size(); ++i) {
     TenantBreakdown& ta = a.tenants[i];
     const TenantBreakdown& tb = b.tenants[i];
-    if (ta.name.empty()) ta.name = tb.name;
     ta.reads += tb.reads;
     ta.writes += tb.writes;
     ta.bytes_transferred += tb.bytes_transferred;
     ta.latency_ns.merge(tb.latency_ns);
-    if (ta.alone_avg_latency_ns == 0.0) {
-      ta.alone_avg_latency_ns = tb.alone_avg_latency_ns;
-    }
-    if (ta.slowdown == 0.0) ta.slowdown = tb.slowdown;
   }
-  // max_slowdown / fairness_index stay untouched: derived from the
-  // merged breakdowns by the multi-tenant runner, never merged.
+  // Tenant names, solo baselines, slowdowns, max_slowdown and
+  // fairness_index stay untouched: the multi-tenant runner sets them on
+  // the final result, after every merge.
 }
 
 SimStats finalize_slice(ReplaySlice slice, const DeviceModel& model) {
@@ -156,8 +145,9 @@ struct ReplaySession::Impl {
     inflight_completions.reserve(static_cast<std::size_t>(t.queue_depth));
   }
 
-  FeedResult feed(const Request& req, const RequestPlacement& placement,
-                  std::uint64_t issue_ps) {
+  /// Schedules one placed request; returns its completion time.
+  std::uint64_t feed(const Request& req, const RequestPlacement& placement,
+                     std::uint64_t issue_ps) {
     const DeviceModel& model = system.model_;
     const DeviceTiming& t = model.timing;
 
@@ -212,7 +202,7 @@ struct ReplaySession::Impl {
       per_access -= t.row_hit_saving_ps;
     }
     std::uint64_t occupancy = per_access * accesses;
-    if (t.region_size_bytes && lead_bank.current_region != placement.region) {
+    if (t.region_size_bytes && lead_bank.open_region != placement.region) {
       occupancy += t.region_switch_ps;
     }
 
@@ -233,13 +223,13 @@ struct ReplaySession::Impl {
       for (auto& bank : banks) {
         bank.free_ps = bank_busy_until;
         bank.open_row = placement.row;
-        bank.current_region = placement.region;
+        bank.open_region = placement.region;
       }
     } else {
       auto& bank = banks[bank_index];
       bank.free_ps = bank_busy_until;
       bank.open_row = placement.row;
-      bank.current_region = placement.region;
+      bank.open_region = placement.region;
     }
     inflight_completions.push_back(completion);
 
@@ -298,7 +288,7 @@ struct ReplaySession::Impl {
                                   .tenant = req.tenant,
                                   .op = req.op});
     }
-    return FeedResult{start, completion, bank_busy_until};
+    return completion;
   }
 
   ReplaySlice finish_slice() {
@@ -317,7 +307,7 @@ ReplaySession::ReplaySession(ReplaySession&&) noexcept = default;
 ReplaySession& ReplaySession::operator=(ReplaySession&&) noexcept = default;
 ReplaySession::~ReplaySession() = default;
 
-FeedResult ReplaySession::feed(const Request& request) {
+void ReplaySession::feed(const Request& request) {
   if (impl_->finished) {
     throw std::logic_error("ReplaySession: feed() after finish()");
   }
@@ -325,13 +315,12 @@ FeedResult ReplaySession::feed(const Request& request) {
     check_arrival_order(impl_->totals.fed, impl_->prev_arrival,
                         request.arrival_ps);
   }
-  return impl_->feed(request, impl_->system.map_.place(request),
-                     request.arrival_ps);
+  impl_->feed(request, impl_->system.map_.place(request), request.arrival_ps);
 }
 
-FeedResult ReplaySession::feed_issued(const Request& request,
-                                      const RequestPlacement& placement,
-                                      std::uint64_t issue_ps) {
+std::uint64_t ReplaySession::feed_issued(const Request& request,
+                                         const RequestPlacement& placement,
+                                         std::uint64_t issue_ps) {
   if (impl_->finished) {
     throw std::logic_error("ReplaySession: feed_issued() after finish()");
   }
@@ -351,6 +340,8 @@ FeedResult ReplaySession::feed_issued(const Request& request,
 
 std::uint64_t ReplaySession::fed() const { return impl_->totals.fed; }
 
+std::span<const BankState> ReplaySession::banks() const { return impl_->banks; }
+
 SimStats ReplaySession::finish() {
   return finalize_slice(finish_slice(), impl_->system.model_);
 }
@@ -362,64 +353,15 @@ ReplaySlice ReplaySession::finish_slice() {
   return impl_->finish_slice();
 }
 
-MemorySystem::MemorySystem(DeviceModel model, int run_threads)
-    : model_(std::move(model)),
-      run_threads_(resolve_run_threads(run_threads)),
-      map_(model_.timing) {
+MemorySystem::MemorySystem(DeviceModel model)
+    : model_(std::move(model)), map_(model_.timing) {
   model_.validate();
 }
 
-namespace {
-
-/// A serial flat run: one ReplaySession per channel, each request placed
-/// once and handed straight to its channel's session, with no lane
-/// routing and no pool.
-class SessionStage final : public ReplayStage {
- public:
-  SessionStage(const MemorySystem& system, const std::string& workload_name,
-               telemetry::Recorder* telemetry)
-      : map_(system.address_map()) {
-    for (int c = 0; c < system.model().timing.channels; ++c) {
-      sessions_.emplace_back(system, workload_name, telemetry);
-    }
-  }
-
-  void feed(const Request* block, std::size_t count) override {
-    for (const Request& req : std::span(block, count)) {
-      const RequestPlacement placement = map_.place(req);
-      sessions_[static_cast<std::size_t>(placement.channel)].feed_issued(
-          req, placement, req.arrival_ps);
-    }
-  }
-
-  std::vector<ReplaySlice> drain() override {
-    std::vector<ReplaySlice> slices;
-    for (ReplaySession& s : sessions_) slices.push_back(s.finish_slice());
-    return slices;
-  }
-
- private:
-  const AddressMap& map_;
-  std::vector<ReplaySession> sessions_;
-};
-
-}  // namespace
-
 SimStats MemorySystem::run(RequestSource& source,
                            const std::string& workload_name) const {
-  telemetry::Recorder* recorder = telemetry_stage(model_);
-  if (run_threads_ > 1) {
-    std::vector<std::unique_ptr<ShardLane>> lanes;
-    for (int c = 0; c < model_.timing.channels; ++c) {
-      lanes.push_back(
-          std::make_unique<SessionLane>(*this, workload_name, recorder));
-    }
-    return run_sharded(*this, std::move(lanes), run_threads_, source,
-                       profiler());
-  }
-  SessionStage stage(*this, workload_name, recorder);
-  return std::move(
-      run_replay(source, stage, {&model_}, profiler()).front().stats);
+  return run_sessions(*this, source, workload_name, telemetry_stage(model_),
+                      profiler());
 }
 
 }  // namespace comet::memsim

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,10 +26,11 @@ class Recorder;
 /// hits, refresh blocking and photonic region-switch penalties, and
 /// charged per-bit dynamic energy plus always-on background power.
 ///
-/// Streaming contract: replay is incremental. MemorySystem::run pulls
-/// the RequestSource in blocks through the replay loop (run_replay,
-/// memsim/sharded.hpp) and feeds one ReplaySession per channel, each
-/// keeping only O(banks) scheduler state — never the trace itself — so
+/// Streaming contract: replay is incremental. Every engine pulls the
+/// RequestSource in blocks through the replay loop (run_replay,
+/// memsim/sharded.hpp) and feeds one replay object per channel (a
+/// ReplaySession, or a sched::Controller in front of one), each keeping
+/// only O(banks) scheduler state — never the trace itself — so
 /// arbitrarily long streams (multi-million-request NVMain traces, lazy
 /// generator sources) replay in constant memory. The stream must arrive
 /// sorted by arrival_ps: the loop and each session verify monotonicity
@@ -118,17 +120,6 @@ class AddressMap {
   Divisor line_, channels_, banks_, row_, region_;  ///< Region 0: none.
 };
 
-/// Per-request scheduling feedback returned by ReplaySession::feed /
-/// feed_issued: when service began (post bank-busy / window / refresh
-/// arbitration), when the data returned, and how long the serving
-/// bank(s) stay busy (including off-latency-path restore/erase tails).
-/// The sched::Controller mirrors bank state from this.
-struct FeedResult {
-  std::uint64_t start_ps = 0;
-  std::uint64_t completion_ps = 0;
-  std::uint64_t bank_busy_until_ps = 0;
-};
-
 /// A partial replay result: the statistics of some subset of a run's
 /// requests, before span-dependent finalization. Each ReplaySession and
 /// sched::Controller serves one channel and returns its channel's
@@ -160,55 +151,83 @@ SimStats finalize_slice(ReplaySlice slice, const DeviceModel& model);
 
 class MemorySystem;
 
+/// One channel's replay object as the replay loop drives it: feed()
+/// is called in stream order by the lane's single worker, and
+/// finish_slice() once, after every feed, by the same worker (by the
+/// caller in inline mode). ReplaySession and sched::Controller are the
+/// lanes every engine runs; tests and benches wrap or fake them.
+class ShardLane {
+ public:
+  virtual ~ShardLane() = default;
+  virtual void feed(const Request& request) = 0;
+  virtual ReplaySlice finish_slice() = 0;
+};
+
+/// The timing state of one bank of a session's channel. A bank starts
+/// free at 0 with nothing open and changes only when a request is fed.
+struct BankState {
+  std::uint64_t free_ps = 0;          ///< Busy until (tails included).
+  std::uint64_t open_row = ~0ull;     ///< Row of the last access.
+  std::uint64_t open_region = ~0ull;  ///< Photonic region of the last.
+};
+
 /// Push-mode incremental replay of one channel of a MemorySystem: feed()
 /// schedules one request at a time (verifying the sorted-stream
 /// contract), finish() closes the run and returns the channel's
 /// statistics. The session serves the channel the first request places
 /// on; a later request placed on any other channel is a routing bug and
 /// throws std::logic_error. This is the primitive every engine builds
-/// on: a flat MemorySystem feeds one session per channel directly on
-/// one thread and through one SessionLane per channel on more, merging
-/// their finish_slice() results in channel order; hybrid::TieredSystem
-/// streams its derived per-tier traffic into per-channel sessions
-/// without materializing either sub-stream. The MemorySystem must
+/// on, and the lane of an unscheduled channel: a serial flat run feeds
+/// one session per channel directly (run_sessions), every other run
+/// feeds them as lanes (run_sharded, hybrid::TieredSystem) and merges
+/// their finish_slice() results in channel order. A sched::Controller
+/// ranks its queues on the session's bank state. The MemorySystem must
 /// outlive the session.
-class ReplaySession {
+class ReplaySession final : public ShardLane {
  public:
   /// `telemetry`, when non-null, receives one RequestEvent per fed
   /// request in the recorder lane of the session's channel (the
   /// near-zero-cost observability hook: untraced sessions pay one null
   /// test per request). The recorder must outlive the session and span
-  /// at least this system's channels/banks.
+  /// at least this system's channels/banks. Lanes of one stage may
+  /// share a recorder: each writes only its own channel's lane, so the
+  /// sharing is race-free and the recorded telemetry is byte-identical
+  /// at every thread count (see telemetry.hpp).
   ReplaySession(const MemorySystem& system, std::string workload_name,
                 telemetry::Recorder* telemetry = nullptr);
   ReplaySession(ReplaySession&&) noexcept;
   ReplaySession& operator=(ReplaySession&&) noexcept;
-  ~ReplaySession();
+  ~ReplaySession() override;
 
   /// Schedules one request. Throws std::invalid_argument if it arrives
   /// before its predecessor, std::logic_error after finish() or if it
   /// places on another channel than the first request.
-  FeedResult feed(const Request& request);
+  void feed(const Request& request) override;
 
   /// Scheduled-controller entry point: schedules `request` as if it
   /// were handed to the device at `issue_ps` (>= its arrival time),
   /// while all latency/queue-delay statistics stay anchored at the
-  /// original arrival. A sched::Controller reorders its transaction
-  /// queues and feeds in issue order, so the stream must be sorted by
-  /// issue_ps. Violations (issue before arrival, non-monotonic issue
-  /// times, another channel) are caller bugs and throw
-  /// std::logic_error. With issue_ps == arrival_ps on a sorted stream
-  /// this is exactly feed(), bit for bit: the serial flat replay feeds
-  /// its sessions this way. `placement` is the request's
-  /// AddressMap::place result, computed once by the caller; builds
-  /// without NDEBUG recompute it and throw std::logic_error on a stale
-  /// one.
-  FeedResult feed_issued(const Request& request,
-                         const RequestPlacement& placement,
-                         std::uint64_t issue_ps);
+  /// original arrival, and returns when its data returns. A
+  /// sched::Controller reorders its transaction queues and feeds in
+  /// issue order, so the stream must be sorted by issue_ps. Violations
+  /// (issue before arrival, non-monotonic issue times, another channel)
+  /// are caller bugs and throw std::logic_error. With issue_ps ==
+  /// arrival_ps on a sorted stream this is exactly feed(), bit for bit:
+  /// the serial flat replay feeds its sessions this way. `placement` is
+  /// the request's AddressMap::place result, computed once by the
+  /// caller; builds without NDEBUG recompute it and throw
+  /// std::logic_error on a stale one.
+  std::uint64_t feed_issued(const Request& request,
+                            const RequestPlacement& placement,
+                            std::uint64_t issue_ps);
 
   /// Number of requests fed so far.
   std::uint64_t fed() const;
+
+  /// The channel's banks, read-only; valid for the session's lifetime.
+  /// A line-striped device occupies every bank at once, so all of them
+  /// hold the same state and bank 0 speaks for the channel.
+  std::span<const BankState> banks() const;
 
   /// Closes the run: charges span-proportional background energy and
   /// returns the statistics. May be called once; throws std::logic_error
@@ -218,17 +237,21 @@ class ReplaySession {
   /// Closes the run without finalizing: returns the channel's slice,
   /// ready for merge_slice with the other channels' slices (then
   /// finalize_slice once). Same once-only contract as finish().
-  ReplaySlice finish_slice();
+  ReplaySlice finish_slice() override;
 
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 
+/// The device a run replays on: the validated model and its address
+/// map, shared read-only by every session and controller of the run.
+/// As an Engine it is the serial unscheduled replay (run_sessions);
+/// sched::FlatSystem chooses between that and per-channel lanes.
 class MemorySystem final : public Engine {
  public:
-  /// Validates the model; `run_threads` as in resolve_run_threads.
-  explicit MemorySystem(DeviceModel model, int run_threads = 1);
+  /// Validates the model.
+  explicit MemorySystem(DeviceModel model);
 
   const DeviceModel& model() const { return model_; }
   const AddressMap& address_map() const { return map_; }
@@ -236,16 +259,14 @@ class MemorySystem final : public Engine {
   using Engine::run;
 
   /// Streams the source (see the header comment for the streaming
-  /// contract) into one ReplaySession per channel, called directly at
-  /// run_threads 1, else through one SessionLane per channel on that
-  /// many workers (run_sharded). Both are bit-identical.
+  /// contract) into one ReplaySession per channel on the caller's
+  /// thread.
   SimStats run(RequestSource& source,
                const std::string& workload_name = "") const override;
 
  private:
   friend class ReplaySession;
   DeviceModel model_;
-  int run_threads_;
   AddressMap map_;
 };
 

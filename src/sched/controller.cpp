@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "memsim/sharded.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/ring.hpp"
 
@@ -142,6 +144,10 @@ struct Controller::Impl {
   const ControllerConfig config;
   telemetry::Recorder* const telemetry;  ///< Null = no observability cost.
   memsim::ReplaySession session;
+  /// The session's banks: the busy windows and open rows/regions every
+  /// rank reads. Striped devices rank on bank 0, which the session
+  /// keeps equal to every other bank.
+  const std::span<const memsim::BankState> bank_state;
 
   // Policy traits and the timing inputs of every rank, hoisted out of
   // the scans.
@@ -192,15 +198,10 @@ struct Controller::Impl {
     bool dirty = false;
   };
 
-  /// A bank's state mirror, rebuilt from feed feedback so arbitration
-  /// and the device timing always agree on busy windows and open
-  /// rows/regions, plus the candidates filed under it. Striped devices
-  /// occupy every bank of the channel at once, so they keep all state
-  /// and every candidate on lead bank 0.
+  /// The candidates filed under one bank. Striped devices occupy every
+  /// bank of the channel at once, so they file every candidate under
+  /// lead bank 0.
   struct Bank {
-    std::uint64_t free_ps = 0;
-    std::uint64_t open_row = ~0ull;
-    std::uint64_t open_region = ~0ull;
     BankQueue queues[2];  ///< Indexed by kReads / kWrites.
   };
 
@@ -258,6 +259,7 @@ struct Controller::Impl {
         config(cfg),
         telemetry(recorder),
         session(sys, std::move(workload_name), recorder),
+        bank_state(session.banks()),
         striped(sys.model().timing.line_striped_across_banks),
         has_row_buffer(sys.model().timing.has_row_buffer),
         has_regions(sys.model().timing.region_size_bytes != 0),
@@ -273,14 +275,15 @@ struct Controller::Impl {
     return striped ? 0 : static_cast<std::size_t>(placement.bank);
   }
 
-  /// Candidate `c`'s rank on `bank`, or kNoRank if it may not issue.
-  /// The rank reads only the bank's mirror and the tenant state: ready
-  /// once the bank frees (never before admission), preferring FR-FCFS
-  /// open-row / open-region hits (a photonic GST region's switch
-  /// penalty behaves like a row miss). token-budget skips tenants with
+  /// Candidate `c`'s rank on lead bank `b`, or kNoRank if it may not
+  /// issue. The rank reads only the session's bank state and the tenant
+  /// state: ready once the bank frees (never before admission),
+  /// preferring FR-FCFS open-row / open-region hits (a photonic GST
+  /// region's switch penalty behaves like a row miss). token-budget skips tenants with
   /// an empty bucket (one the controller has not seen yet is full);
   /// frfcfs-cap boosts tenants at the starvation cap.
-  Rank rank_of(const Bank& bank, const Candidate& c) const {
+  Rank rank_of(std::size_t b, const Candidate& c) const {
+    const memsim::BankState& bank = bank_state[b];
     const std::size_t tenant = c.tenant;
     if (use_tokens && tenant < tokens.size() && tokens[tenant] <= 0) {
       return kNoRank;
@@ -295,12 +298,11 @@ struct Controller::Impl {
 
   /// Bank `b`'s best `kind` candidate, rescanning only if stale.
   const Pick& bank_pick(std::size_t b, std::size_t kind) {
-    Bank& bank = banks[b];
-    BankQueue& bq = bank.queues[kind];
+    BankQueue& bq = banks[b].queues[kind];
     if (bq.dirty) {
       Rank best = kNoRank;
       for (const Candidate& c : bq.candidates) {
-        best = std::min(best, rank_of(bank, c));
+        best = std::min(best, rank_of(b, c));
       }
       bq.pick = Pick{best, static_cast<std::uint32_t>(b), kind == kWrites};
       bq.dirty = false;
@@ -383,15 +385,14 @@ struct Controller::Impl {
   /// a rescan.
   Pick file_candidate(std::size_t kind, const QueuedTx& tx) {
     const std::size_t b = lead_bank(tx.placement);
-    Bank& bank = banks[b];
-    BankQueue& bq = bank.queues[kind];
+    BankQueue& bq = banks[b].queues[kind];
     Candidate c{tx.seq, tx.admit_ps, tx.placement.row, tx.placement.region,
                 tx.request.tenant};
     c.bank = tx.placement.bank;
     bq.candidates.push_back(c);
     bq.requests.push_back(tx.request);
     ++queues[kind].in_window;
-    const Pick p{rank_of(bank, c), static_cast<std::uint32_t>(b),
+    const Pick p{rank_of(b, c), static_cast<std::uint32_t>(b),
                  kind == kWrites};
     if (!bq.dirty && p.beats(bq.pick)) bq.pick = p;
     return p;
@@ -435,24 +436,20 @@ struct Controller::Impl {
   }
 
   /// Hands the placed `request` to the device at the next issue instant
-  /// (no earlier than `ready_ps`) and commits the bank mirror.
+  /// (no earlier than `ready_ps`); its bank's picks go stale, since the
+  /// session just moved the bank's busy window and open row/region.
   void dispatch(const memsim::Request& request,
                 const memsim::RequestPlacement& placement,
                 std::uint64_t ready_ps) {
     const std::uint64_t issue_ps = std::max(ready_ps, last_issue);
     last_issue = issue_ps;
-    const memsim::FeedResult result =
+    const std::uint64_t completion_ps =
         session.feed_issued(request, placement, issue_ps);
     totals.stats.sched_queue_delay_ns.add(
         static_cast<double>(issue_ps - request.arrival_ps) * 1e-3);
     totals.stats.service_latency_ns.add(
-        static_cast<double>(result.completion_ps - issue_ps) * 1e-3);
-    // Mirror commit — the same rule the replay engine applies.
-    Bank& bank = banks[lead_bank(placement)];
-    bank.free_ps = result.bank_busy_until_ps;
-    bank.open_row = placement.row;
-    bank.open_region = placement.region;
-    invalidate_bank(bank);
+        static_cast<double>(completion_ps - issue_ps) * 1e-3);
+    invalidate_bank(banks[lead_bank(placement)]);
   }
 
   /// Issues the candidate `pick` names (found by seq in its bank
@@ -461,8 +458,7 @@ struct Controller::Impl {
   /// queue from behind, and re-evaluates write-drain hysteresis.
   void issue(Pick pick) {
     const std::size_t kind = pick.from_writes ? kWrites : kReads;
-    Bank& bank = banks[pick.bank];
-    BankQueue& bq = bank.queues[kind];
+    BankQueue& bq = banks[pick.bank].queues[kind];
     std::size_t i = 0;
     while (bq.candidates[i].seq != pick.seq()) ++i;
     const Candidate c = bq.candidates[i];
@@ -521,7 +517,7 @@ struct Controller::Impl {
 
   /// Issues, in (time, age) order, every transaction whose issue
   /// instant is <= limit. Issue instants only move forward (bank
-  /// mirrors monotonically advance, overflow admits at the freeing
+  /// states monotonically advance, overflow admits at the freeing
   /// issue), so the session's issue-sorted contract holds.
   void advance_until(std::uint64_t limit) {
     for (;;) {
@@ -640,24 +636,42 @@ memsim::ReplaySlice Controller::finish_slice() {
   return impl_->finish_slice();
 }
 
-ScheduledSystem::ScheduledSystem(memsim::DeviceModel model,
-                                 ControllerConfig config, int run_threads)
-    : system_(std::move(model)),
-      config_(config),
-      run_threads_(memsim::resolve_run_threads(run_threads)) {
-  config_.validate();
+std::vector<std::unique_ptr<memsim::ShardLane>> make_lanes(
+    const memsim::MemorySystem& system,
+    const std::optional<ControllerConfig>& controller,
+    const std::string& workload_name, telemetry::Recorder* telemetry) {
+  std::vector<std::unique_ptr<memsim::ShardLane>> lanes;
+  for (int c = 0; c < system.model().timing.channels; ++c) {
+    if (controller) {
+      lanes.push_back(std::make_unique<Controller>(system, *controller,
+                                                   workload_name, telemetry));
+    } else {
+      lanes.push_back(std::make_unique<memsim::ReplaySession>(
+          system, workload_name, telemetry));
+    }
+  }
+  return lanes;
 }
 
-memsim::SimStats ScheduledSystem::run(memsim::RequestSource& source,
-                                      const std::string& workload_name) const {
+FlatSystem::FlatSystem(memsim::DeviceModel model,
+                       std::optional<ControllerConfig> controller,
+                       int run_threads)
+    : system_(std::move(model)),
+      controller_(std::move(controller)),
+      run_threads_(memsim::resolve_run_threads(run_threads)) {
+  if (controller_) controller_->validate();
+}
+
+memsim::SimStats FlatSystem::run(memsim::RequestSource& source,
+                                 const std::string& workload_name) const {
   telemetry::Recorder* recorder = telemetry_stage(system_.model());
-  std::vector<std::unique_ptr<memsim::ShardLane>> lanes;
-  for (int c = 0; c < system_.model().timing.channels; ++c) {
-    lanes.push_back(std::make_unique<ControllerLane>(system_, config_,
-                                                     workload_name, recorder));
+  if (!controller_ && run_threads_ == 1) {
+    return memsim::run_sessions(system_, source, workload_name, recorder,
+                                profiler());
   }
-  return memsim::run_sharded(system_, std::move(lanes), run_threads_, source,
-                             profiler());
+  return memsim::run_sharded(
+      system_, make_lanes(system_, controller_, workload_name, recorder),
+      run_threads_, source, profiler());
 }
 
 }  // namespace comet::sched

@@ -9,7 +9,6 @@
 #include "memsim/device.hpp"
 #include "memsim/engine.hpp"
 #include "memsim/request.hpp"
-#include "memsim/sharded.hpp"
 #include "memsim/stats.hpp"
 #include "memsim/system.hpp"
 
@@ -67,7 +66,10 @@
 /// Each Controller serves one channel: the channel the first request
 /// it admits places on. Scheduling reads nothing outside the channel,
 /// so every engine runs one controller per channel and merges their
-/// slices in channel order.
+/// slices in channel order. Ranks read the bank state of the
+/// controller's own ReplaySession (ReplaySession::banks: busy windows,
+/// open rows and regions), so arbitration and the device timing never
+/// disagree; the controller keeps no copy of it.
 ///
 /// Arbitration is incremental. Each schedulable transaction is filed
 /// under its target bank (bank 0 on line-striped devices), each bank
@@ -153,16 +155,14 @@ struct ControllerConfig {
 };
 
 /// Push-mode scheduled replay of one channel of a MemorySystem — the
-/// ReplaySession of the scheduler world, and the stage composite
-/// engines route streams through (hybrid::TieredSystem feeds its
-/// backend miss stream here). feed() admits demand requests in arrival
-/// order; the controller queues, reorders and issues them into an
-/// internal ReplaySession (in issue order, via feed_issued), and
-/// finish() drains every queue and returns the statistics with the
-/// scheduler breakdown filled in. Like the session, it serves the
-/// channel its first request places on. The MemorySystem must outlive
-/// the controller.
-class Controller {
+/// ReplaySession of the scheduler world, and the lane of a scheduled
+/// channel (make_lanes). feed() admits demand requests in arrival
+/// order; the controller queues, reorders and issues them into its own
+/// ReplaySession (in issue order, via feed_issued), and finish() drains
+/// every queue and returns the statistics with the scheduler breakdown
+/// filled in. Like the session, it serves the channel its first request
+/// places on. The MemorySystem must outlive the controller.
+class Controller final : public memsim::ShardLane {
  public:
   /// Validates the config. `telemetry`, when non-null, receives one
   /// RequestEvent per issued request plus the scheduler-side signal:
@@ -176,12 +176,12 @@ class Controller {
              telemetry::Recorder* telemetry = nullptr);
   Controller(Controller&&) noexcept;
   Controller& operator=(Controller&&) noexcept;
-  ~Controller();
+  ~Controller() override;
 
   /// Admits one demand request. Throws std::invalid_argument if it
   /// arrives before its predecessor, std::logic_error after finish() or
   /// if it places on another channel than the first request.
-  void feed(const memsim::Request& request);
+  void feed(const memsim::Request& request) override;
 
   /// Drains every queue, closes the run and returns the statistics.
   /// May be called once; throws std::logic_error on a second call.
@@ -191,47 +191,41 @@ class Controller {
   /// Closes the run without finalizing: the channel's slice, the
   /// session's with the scheduler breakdown merged in. Same once-only
   /// contract as finish().
-  memsim::ReplaySlice finish_slice();
+  memsim::ReplaySlice finish_slice() override;
 
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 
-/// Shard-lane adapter over a Controller, the unit of scheduled replay:
-/// one controller per channel lane, fed only that channel's
-/// subsequence.
-class ControllerLane final : public memsim::ShardLane {
+/// The lane class's name before Controller implemented ShardLane
+/// itself; perfbench/harness.cpp still constructs lanes under it.
+using ControllerLane = Controller;
+
+/// The one lane builder: one lane per channel of `system`, a Controller
+/// when `controller` is set, else a plain ReplaySession. Every lane
+/// shares `telemetry` (each writes only its own channel's recorder
+/// lane).
+std::vector<std::unique_ptr<memsim::ShardLane>> make_lanes(
+    const memsim::MemorySystem& system,
+    const std::optional<ControllerConfig>& controller,
+    const std::string& workload_name, telemetry::Recorder* telemetry = nullptr);
+
+/// The flat engine: one device, optionally behind a Controller per
+/// channel, replayed on `run_threads` (as in
+/// memsim::resolve_run_threads). Const and stateless across runs like
+/// every Engine — the lanes live on the stack of each run() call. A
+/// serial unscheduled run feeds its sessions directly
+/// (memsim::run_sessions); every other run replays make_lanes' lanes
+/// through memsim::run_sharded, inline on the caller's thread at one
+/// run thread. The results are bit-identical for every thread count
+/// (the test gate in tests/test_sharded.cpp covers every policy).
+class FlatSystem final : public memsim::Engine {
  public:
-  ControllerLane(const memsim::MemorySystem& system, ControllerConfig config,
-                 std::string workload_name,
-                 telemetry::Recorder* telemetry = nullptr)
-      : controller_(system, config, std::move(workload_name), telemetry) {}
-
-  void feed(const memsim::Request& request) override {
-    controller_.feed(request);
-  }
-  memsim::ReplaySlice finish_slice() override {
-    return controller_.finish_slice();
-  }
-
- private:
-  Controller controller_;
-};
-
-/// Engine adapter: a flat MemorySystem behind Controller front-ends.
-/// Const and stateless across runs like every Engine — the controllers
-/// live on the stack of each run() call. Every run replays through one
-/// ControllerLane per channel (memsim::run_sharded) on run_threads
-/// workers, inline on the caller's thread at 1; the results are
-/// bit-identical for every thread count (the test gate in
-/// tests/test_sharded.cpp covers every policy).
-class ScheduledSystem final : public memsim::Engine {
- public:
-  /// Validates both the model and the controller config; `run_threads`
-  /// as in memsim::resolve_run_threads.
-  ScheduledSystem(memsim::DeviceModel model, ControllerConfig config,
-                  int run_threads = 1);
+  /// Validates the model and the controller config.
+  explicit FlatSystem(memsim::DeviceModel model,
+                      std::optional<ControllerConfig> controller = std::nullopt,
+                      int run_threads = 1);
 
   using Engine::run;
 
@@ -240,7 +234,7 @@ class ScheduledSystem final : public memsim::Engine {
 
  private:
   memsim::MemorySystem system_;
-  ControllerConfig config_;
+  std::optional<ControllerConfig> controller_;
   int run_threads_ = 1;
 };
 

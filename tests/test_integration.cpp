@@ -140,9 +140,7 @@ TEST(Integration, SimulationIsDeterministic) {
   const auto trace = gen.generate(8000, 128);
   const auto a = ms::MemorySystem(device).run(trace);
   const auto b = ms::MemorySystem(device).run(trace);
-  EXPECT_EQ(a.span_ps, b.span_ps);
-  EXPECT_DOUBLE_EQ(a.bandwidth_gbps(), b.bandwidth_gbps());
-  EXPECT_DOUBLE_EQ(a.epb_pj_per_bit(), b.epb_pj_per_bit());
+  EXPECT_TRUE(a == b);
 }
 
 // Capacity bookkeeping: the simulator device, the config arithmetic and

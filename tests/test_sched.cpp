@@ -88,7 +88,7 @@ sc::ControllerConfig unbounded(sc::Policy policy) {
 ms::SimStats run_with(const ms::DeviceModel& model,
                       const sc::ControllerConfig& config,
                       const std::vector<ms::Request>& requests) {
-  const sc::ScheduledSystem system(model, config);
+  const sc::FlatSystem system(model, config);
   return system.run(requests, "crafted");
 }
 
@@ -365,9 +365,8 @@ TEST(SchedController, EmptyStreamFinishes) {
   EXPECT_EQ(stats.reads + stats.writes, 0u);
 }
 
-TEST(SchedEngine, ScheduledSystemIsStatelessAcrossRuns) {
-  const sc::ScheduledSystem system(row_device(),
-                                   unbounded(sc::Policy::kFrFcfs));
+TEST(SchedEngine, FlatSystemIsStatelessAcrossRuns) {
+  const sc::FlatSystem system(row_device(), unbounded(sc::Policy::kFrFcfs));
   std::vector<ms::Request> reqs;
   for (int i = 0; i < 30; ++i) {
     reqs.push_back(make_req(std::uint64_t(i), std::uint64_t(i),

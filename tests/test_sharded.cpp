@@ -93,19 +93,12 @@ ms::SimStats whole_stream_reference(
   return ms::finalize_slice(std::move(merged), system.model());
 }
 
-/// One SessionLane or ControllerLane per channel through run_sharded.
+/// make_lanes' lanes (a ReplaySession or a Controller per channel)
+/// through run_sharded.
 ms::SimStats run_channel_lanes(
     const ms::MemorySystem& system,
     const std::optional<sc::ControllerConfig>& controller, int threads) {
-  std::vector<std::unique_ptr<ms::ShardLane>> lanes;
-  for (int c = 0; c < system.model().timing.channels; ++c) {
-    if (controller) {
-      lanes.push_back(std::make_unique<sc::ControllerLane>(
-          system, *controller, "gcc_like"));
-    } else {
-      lanes.push_back(std::make_unique<ms::SessionLane>(system, "gcc_like"));
-    }
-  }
+  auto lanes = sc::make_lanes(system, controller, "gcc_like");
   ms::VectorSource source(shared_trace());
   return ms::run_sharded(system, std::move(lanes), threads, source);
 }
@@ -158,7 +151,7 @@ TEST(ShardedBitIdentity, MemorySystemMatchesWholeStreamSession) {
   const ms::SimStats reference =
       whole_stream_reference(ms::MemorySystem(model), std::nullopt);
   for (const int threads : {1, 2, 8}) {
-    const ms::MemorySystem engine(model, threads);
+    const sc::FlatSystem engine(model, std::nullopt, threads);
     EXPECT_TRUE(engine.run(shared_trace(), "gcc_like") == reference)
         << "comet/t" << threads;
   }
@@ -217,7 +210,7 @@ TEST(ShardedContract, RunShardedRejectsLaneCountMismatch) {
   const ms::MemorySystem system(dr::make_device("comet"));  // 8 channels
   for (const int threads : {1, 2}) {
     std::vector<std::unique_ptr<ms::ShardLane>> lanes;
-    lanes.push_back(std::make_unique<ms::SessionLane>(system, "w"));
+    lanes.push_back(std::make_unique<ms::ReplaySession>(system, "w"));
     ms::VectorSource source(shared_trace());
     EXPECT_THROW(ms::run_sharded(system, std::move(lanes), threads, source),
                  std::invalid_argument)
@@ -292,15 +285,6 @@ int live_threads() {
   return 0;
 }
 
-/// Threads of this process before a case starts its own. One thread is
-/// started and joined first: ThreadSanitizer's runtime starts a helper
-/// thread along with the process's first thread, and that one is not a
-/// thread the case left running.
-int threads_before() {
-  std::thread([] {}).join();
-  return live_threads();
-}
-
 /// Waits briefly for the thread count to settle back to `want`: a
 /// joined thread may leave the count a moment after join() returns.
 int settled_threads(int want) {
@@ -310,6 +294,18 @@ int settled_threads(int want) {
     now = live_threads();
   }
   return now;
+}
+
+/// Threads of this process before a case starts its own. A probe
+/// thread is started first: ThreadSanitizer's runtime starts a helper
+/// thread along with the process's first thread, and that one is not a
+/// thread the case left running. The probe counts the threads while it
+/// runs, and the baseline is that count without the probe, once the
+/// joined probe has left it.
+int threads_before() {
+  int with_probe = 0;
+  std::thread([&with_probe] { with_probe = live_threads(); }).join();
+  return settled_threads(with_probe - 1);
 }
 
 /// What a failed run threw: its dynamic type and message.
@@ -495,7 +491,7 @@ TEST(PipelinedFailure, LaneFailingToFinishOnItsWorker) {
       if (c == 2 || c == 3) {
         lanes.push_back(std::make_unique<FailingFinishLane>(c));
       } else {
-        lanes.push_back(std::make_unique<ms::SessionLane>(system, "w"));
+        lanes.push_back(std::make_unique<ms::ReplaySession>(system, "w"));
       }
     }
     ms::VectorSource source(long_trace());

@@ -349,29 +349,7 @@ TEST(MultiTenantShardingTest, SerialAndShardedBreakdownsAreBitIdentical) {
     auto sharded_engine = spec.make_engine(config, 8);
     const ms::SimStats serial = tn::run_multi_tenant(*serial_engine, job);
     const ms::SimStats sharded = tn::run_multi_tenant(*sharded_engine, job);
-    const std::string label = info.name;
-    ASSERT_EQ(serial.tenants.size(), sharded.tenants.size()) << label;
-    EXPECT_EQ(serial.reads, sharded.reads) << label;
-    EXPECT_EQ(serial.writes, sharded.writes) << label;
-    EXPECT_EQ(serial.span_ps, sharded.span_ps) << label;
-    EXPECT_EQ(serial.dynamic_energy_pj, sharded.dynamic_energy_pj) << label;
-    for (std::size_t i = 0; i < serial.tenants.size(); ++i) {
-      const auto& a = serial.tenants[i];
-      const auto& b = sharded.tenants[i];
-      EXPECT_EQ(a.name, b.name) << label;
-      EXPECT_EQ(a.reads, b.reads) << label;
-      EXPECT_EQ(a.writes, b.writes) << label;
-      EXPECT_EQ(a.bytes_transferred, b.bytes_transferred) << label;
-      EXPECT_EQ(a.latency_ns.count(), b.latency_ns.count()) << label;
-      EXPECT_EQ(a.latency_ns.sum(), b.latency_ns.sum()) << label;
-      EXPECT_EQ(a.latency_ns.p50(), b.latency_ns.p50()) << label;
-      EXPECT_EQ(a.latency_ns.p95(), b.latency_ns.p95()) << label;
-      EXPECT_EQ(a.latency_ns.p99(), b.latency_ns.p99()) << label;
-      EXPECT_EQ(a.alone_avg_latency_ns, b.alone_avg_latency_ns) << label;
-      EXPECT_EQ(a.slowdown, b.slowdown) << label;
-    }
-    EXPECT_EQ(serial.max_slowdown, sharded.max_slowdown) << label;
-    EXPECT_EQ(serial.fairness_index, sharded.fairness_index) << label;
+    EXPECT_TRUE(serial == sharded) << info.name;
   }
 }
 
