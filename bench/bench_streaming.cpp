@@ -127,8 +127,9 @@ int main(int argc, char** argv) {
 
   // Profiler-on replay (PR 10): the same serial flat run with the host
   // run profiler attached. Its req/s against flat_serial is the
-  // profiling overhead — gated < 2% below, since the profiler reads
-  // two steady-clock samples per 1024-request block and nothing per
+  // profiling overhead — gated < 2% below, since the replay loop reads
+  // its two steady-clock samples per 1024-request block either way and
+  // the profiler adds a progress tick per block and nothing per
   // request — and its stats must still be bit-identical.
   comet::prof::ProfSpec pspec;
   pspec.profile = true;

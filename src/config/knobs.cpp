@@ -35,7 +35,8 @@ const std::vector<Knob>& knobs() {
       {"--run-threads", "N", "controller", "run_threads", KnobKind::kInteger, 0,
        "per-channel replay worker threads inside\neach run (default: 1 = "
        "serial; 0 =\nhardware threads); N > 1 adds one thread\nthat pulls "
-       "the source; results are\nbit-identical for any value"},
+       "the source, as does a serial\nflat run whose source is costly "
+       "while a\nCPU is spare; results are bit-identical\nfor any value"},
       {"--schedule", "<policy>", "controller", "policy", KnobKind::kString, 0,
        "engage the memory-controller scheduler:\nfcfs, frfcfs, read-first, "
        "token-budget or\nfrfcfs-cap (see --list-policies)"},

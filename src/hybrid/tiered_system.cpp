@@ -123,7 +123,9 @@ class TierStage final : public memsim::ReplayStage {
     for (std::size_t i = 0; i < count; ++i) filter(block[i]);
   }
 
-  bool threaded() const override { return pool_.threaded(); }
+  SourceMode source_mode() const override {
+    return pool_.threaded() ? SourceMode::kProducer : SourceMode::kInline;
+  }
 
   std::vector<memsim::ReplaySlice> drain() override { return pool_.finish(); }
 

@@ -1,7 +1,9 @@
 #include "memsim/sharded.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -23,6 +25,18 @@ double seconds_since(ProfClock::time_point start) {
   return std::chrono::duration<double>(ProfClock::now() - start).count();
 }
 
+std::atomic<int> g_running_replay_threads{0};
+
+/// Counts the constructing thread in running_replay_threads() until
+/// destruction.
+class ReplayThread {
+ public:
+  ReplayThread() { g_running_replay_threads.fetch_add(1); }
+  ~ReplayThread() { g_running_replay_threads.fetch_sub(1); }
+  ReplayThread(const ReplayThread&) = delete;
+  ReplayThread& operator=(const ReplayThread&) = delete;
+};
+
 }  // namespace
 
 int resolve_run_threads(int requested) {
@@ -34,6 +48,8 @@ int resolve_run_threads(int requested) {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
+
+int running_replay_threads() { return g_running_replay_threads.load(); }
 
 BlockRing::BlockRing(std::size_t slots) : slots_(slots) {
   for (RequestBlock& slot : slots_) slot.requests.reserve(kFeedBlockRequests);
@@ -120,8 +136,13 @@ namespace {
 /// buffering the whole stream.
 constexpr std::size_t kWorkerRingBlocks = 4;
 
-/// Blocks the source producer may pull ahead of the caller (640 KiB).
+/// Blocks the source producer of a threaded run may pull ahead of the
+/// caller (640 KiB).
 constexpr std::size_t kSourceRingBlocks = 16;
+
+/// The same for a serial run's producer (160 KiB). A flat serial run's
+/// whole peak RSS is about 4.5 MiB, which 16 blocks grew by 18%.
+constexpr std::size_t kSerialSourceRingBlocks = 4;
 
 }  // namespace
 
@@ -187,6 +208,7 @@ struct LanePool::Impl {
   /// worker busy time. A failure abandons the ring: the caller's next
   /// push to `w` rethrows it.
   void worker_loop(Worker& w) {
+    const ReplayThread counted;
     std::size_t lane = w.index;  // The lane being fed or finished.
     const auto charge = [&](ProfClock::time_point since) {
       const double busy = seconds_since(since);
@@ -316,15 +338,15 @@ std::vector<ReplaySlice> LanePool::finish() { return impl_->finish(); }
 
 namespace {
 
-/// The source stage of a threaded replay: a thread that pulls the
-/// stream into one BlockRing, timing each next_batch call, and closes
-/// it at the end of the stream or with the source's exception. The
-/// destructor abandons the ring and joins, so a caller that unwinds
+/// The source stage of a pipelined replay: a thread that pulls the rest
+/// of the stream into one BlockRing, timing each next_batch call, and
+/// closes it at the end of the stream or with the source's exception.
+/// The destructor abandons the ring and joins, so a caller that unwinds
 /// early (a lane error, an unsorted stream) never leaks the thread.
 class SourceProducer {
  public:
-  explicit SourceProducer(RequestSource& source)
-      : source_(source), thread_([this] { produce(); }) {}
+  SourceProducer(RequestSource& source, std::size_t slots)
+      : source_(source), ring_(slots), thread_([this] { produce(); }) {}
 
   ~SourceProducer() {
     ring_.abandon();
@@ -336,13 +358,13 @@ class SourceProducer {
 
   BlockRing& ring() { return ring_; }
 
-  /// Time inside next_batch and the blocks it filled. Read only after
-  /// take() returned null: the producer has stopped writing them.
+  /// Time inside next_batch. Read only after take() returned null: the
+  /// producer has stopped writing it.
   double pull_s() const { return pull_s_; }
-  std::uint64_t pulls() const { return pulls_; }
 
  private:
   void produce() {
+    const ReplayThread counted;
     std::exception_ptr error;
     try {
       while (RequestBlock* block = ring_.reserve()) {
@@ -352,7 +374,6 @@ class SourceProducer {
             source_.next_batch(block->requests.data(), kFeedBlockRequests);
         if (pulled == 0) break;
         pull_s_ += seconds_since(start);
-        ++pulls_;
         block->requests.resize(pulled);
         ring_.commit();
       }
@@ -363,41 +384,65 @@ class SourceProducer {
   }
 
   RequestSource& source_;
-  BlockRing ring_{kSourceRingBlocks};
+  BlockRing ring_;
   double pull_s_ = 0.0;
-  std::uint64_t pulls_ = 0;
   std::thread thread_;  ///< Last: starts once every member is built.
 };
 
-/// The one feed loop. A threaded stage takes each block from a
-/// SourceProducer's ring, a serial one pulls it inline with next_batch.
-/// Either way the loop checks arrival order (lanes re-check their own
-/// subsequences a fortiori; the first request passes trivially against
-/// 0), feeds the stage and ticks progress. A profiled loop's clock runs
-/// without gaps, two reads per block: every instant is either getting
-/// a block (source_pull inline, the producer wait when threaded) or
-/// feeding one.
+/// Blocks an adaptive stage pulls inline and times before it decides
+/// where to pull the rest.
+constexpr std::uint64_t kProbeBlocks = 4;
+
+/// An adaptive stage starts a producer when a pull takes at least this
+/// share of a feed's time, comparing the fastest probe pull with the
+/// fastest probe feed, so that one cold or preempted block cannot tip
+/// the choice. Flat replay measures about 0.05 for a pre-drawn vector,
+/// where a producer costs more than it saves, 0.4 to 0.9 for the
+/// generators and over 1 for an NVMain trace file.
+constexpr double kMinPullShare = 0.25;
+
+/// True while the running replay threads leave a hardware thread spare.
+bool spare_hardware_thread() {
+  return running_replay_threads() < resolve_run_threads(0);
+}
+
+/// The one feed loop. It takes each block from a SourceProducer's ring
+/// or pulls it inline with next_batch: a threaded stage starts the
+/// producer at once, an adaptive one after kProbeBlocks inline blocks
+/// if pulling pays for it. Either way the loop checks arrival order
+/// (lanes re-check their own subsequences a fortiori; the first request
+/// passes trivially against 0), feeds the stage and ticks progress. The
+/// loop's clock runs without gaps, two reads per block: every instant
+/// is either getting a block (source_pull inline, the producer wait
+/// once there is one) or feeding one.
 void feed_blocks(RequestSource& source, ReplayStage& stage,
                  prof::Profiler* profiler) {
+  using SourceMode = ReplayStage::SourceMode;
+  const SourceMode mode = stage.source_mode();
   std::optional<SourceProducer> producer;
   std::vector<Request> pulled;  // The inline block.
-  if (stage.threaded()) {
-    producer.emplace(source);
+  if (mode == SourceMode::kProducer) {
+    producer.emplace(source, kSourceRingBlocks);
   } else {
     pulled.resize(kFeedBlockRequests);
   }
-  double get_s = 0.0;
+  const std::uint64_t probe = mode == SourceMode::kAdaptive ? kProbeBlocks : 0;
+  double pull_s = 0.0;  // Inline next_batch calls.
+  double wait_s = 0.0;  // Waits for the producer's blocks.
   double feed_s = 0.0;
   std::uint64_t blocks = 0;
   std::uint64_t fed = 0;
   std::uint64_t prev_arrival = 0;
-  ProfClock::time_point t0;
-  if (profiler) t0 = ProfClock::now();
+  ProfClock::time_point t0 = ProfClock::now();
   const auto lap = [&t0](double& into) {
     const ProfClock::time_point t1 = ProfClock::now();
-    into += std::chrono::duration<double>(t1 - t0).count();
+    const double elapsed = std::chrono::duration<double>(t1 - t0).count();
+    into += elapsed;
     t0 = t1;
+    return elapsed;
   };
+  double fastest_pull_s = HUGE_VAL;  // Of the probe blocks.
+  double fastest_feed_s = HUGE_VAL;
   for (;;) {
     const Request* block = pulled.data();
     std::size_t count = 0;
@@ -407,7 +452,7 @@ void feed_blocks(RequestSource& source, ReplayStage& stage,
       block = taken->requests.data();
       count = taken->requests.size();
     }
-    if (profiler) lap(get_s);
+    const double got_s = lap(producer ? wait_s : pull_s);
     if (count == 0) break;
     ++blocks;
     for (std::size_t i = 0; i < count; ++i) {
@@ -419,16 +464,25 @@ void feed_blocks(RequestSource& source, ReplayStage& stage,
     fed += count;
     stage.feed(block, count);
     if (producer) producer->ring().release();
-    if (profiler) {
-      lap(feed_s);
-      profiler->add_progress(count);
+    const double fed_s = lap(feed_s);
+    if (blocks <= probe) {
+      fastest_pull_s = std::min(fastest_pull_s, got_s);
+      fastest_feed_s = std::min(fastest_feed_s, fed_s);
+    }
+    if (profiler) profiler->add_progress(count);
+    if (blocks == probe &&
+        fastest_pull_s >= kMinPullShare * fastest_feed_s &&
+        spare_hardware_thread()) {
+      producer.emplace(source, kSerialSourceRingBlocks);
     }
   }
   if (!profiler) return;
-  if (producer) profiler->add_source_wait(get_s);
+  profiler->add_source_wait(wait_s);
   if (blocks == 0) return;
-  profiler->record_stage("source_pull", producer ? producer->pull_s() : get_s,
-                         producer ? producer->pulls() : blocks);
+  // Every block was pulled once, inline or on the producer.
+  profiler->record_stage("source_pull",
+                         pull_s + (producer ? producer->pull_s() : 0.0),
+                         blocks);
   profiler->record_stage("engine_feed", feed_s, blocks);
 }
 
@@ -437,6 +491,7 @@ void feed_blocks(RequestSource& source, ReplayStage& stage,
 std::vector<ReplaySlice> run_replay(
     RequestSource& source, ReplayStage& stage,
     const std::vector<const DeviceModel*>& tiers, prof::Profiler* profiler) {
+  const ReplayThread counted;
   feed_blocks(source, stage, profiler);
 
   prof::StageTimer drain_timer(profiler, "lane_drain");
@@ -473,7 +528,9 @@ class ChannelStage final : public ReplayStage {
     }
   }
 
-  bool threaded() const override { return pool_.threaded(); }
+  SourceMode source_mode() const override {
+    return pool_.threaded() ? SourceMode::kProducer : SourceMode::kInline;
+  }
 
   std::vector<ReplaySlice> drain() override { return pool_.finish(); }
 
@@ -484,6 +541,8 @@ class ChannelStage final : public ReplayStage {
 
 /// One ReplaySession per channel, each request placed once and handed
 /// straight to its channel's session, with no lane routing and no pool.
+/// The sessions are cheap enough per request that a costly source is
+/// worth a producer thread, so the stage is adaptive.
 class SessionStage final : public ReplayStage {
  public:
   SessionStage(const MemorySystem& system, const std::string& workload_name,
@@ -493,6 +552,8 @@ class SessionStage final : public ReplayStage {
       sessions_.emplace_back(system, workload_name, telemetry);
     }
   }
+
+  SourceMode source_mode() const override { return SourceMode::kAdaptive; }
 
   void feed(const Request* block, std::size_t count) override {
     for (const Request& req : std::span(block, count)) {

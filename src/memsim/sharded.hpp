@@ -43,8 +43,12 @@
 /// caller's thread: get a block, check its arrivals, feed it. Only
 /// where the block comes from depends on the stage. A serial run
 /// (run_threads <= 1) pulls it inline, and the LanePool feeds its lanes
-/// inline too, so everything runs on the caller's thread. A threaded
-/// run is a three-stage pipeline:
+/// inline too, so everything runs on the caller's thread. The one
+/// exception is run_sessions: it pulls and times its first few blocks
+/// inline, then hands the rest of the stream to a source producer
+/// (stage 1 below, with a 4-slot ring) when pulling took at least a
+/// quarter of feeding and running_replay_threads() leaves a hardware
+/// thread spare. A threaded run is a three-stage pipeline:
 ///   1. a source producer thread pulls next_batch blocks into a 16-slot
 ///      BlockRing, and the feed loop takes them in order (an exception
 ///      from the source closes the ring, so the caller receives it
@@ -75,6 +79,13 @@ namespace comet::memsim {
 /// thread (at least 1), any positive value is taken as-is. Throws
 /// std::invalid_argument on negative values.
 int resolve_run_threads(int requested);
+
+/// Replay threads running in this process now: each run_replay caller,
+/// each source producer and each pool worker, counted while it runs. A
+/// serial run starts a source producer only while this count is below
+/// the hardware thread count, so a sweep that already keeps every CPU
+/// busy stays inline.
+int running_replay_threads();
 
 /// The lane class's name before ReplaySession implemented ShardLane
 /// itself; perfbench/harness.cpp still constructs lanes under it.
@@ -194,10 +205,16 @@ class ReplayStage {
  public:
   virtual ~ReplayStage() = default;
 
-  /// True when the stage's lanes run on worker threads. run_replay then
-  /// pulls the source on a producer thread of its own; a serial stage
-  /// keeps the whole replay on the caller's thread.
-  virtual bool threaded() const { return false; }
+  /// Where run_replay pulls the source for this stage.
+  enum class SourceMode {
+    kInline,    ///< Every block on the caller's thread.
+    kProducer,  ///< Every block on a producer thread (lanes on workers).
+    /// The first blocks inline and timed; the rest on a producer when
+    /// pulling cost at least a quarter of feeding and a hardware thread
+    /// is spare (running_replay_threads()).
+    kAdaptive,
+  };
+  virtual SourceMode source_mode() const { return SourceMode::kInline; }
 
   /// Consumes `count` requests of the stream.
   virtual void feed(const Request* block, std::size_t count) = 0;
@@ -218,12 +235,12 @@ class ReplayStage {
 /// arrival/completion window and request count kept for composite
 /// engines.
 /// A non-null `profiler` receives the "source_pull" (time inside
-/// next_batch, one call per block; a serial run's time also holds the
-/// final, empty pull), "engine_feed", "lane_drain" (stage
+/// next_batch, one call per block; an inline pull's time also holds
+/// the final, empty pull), "engine_feed", "lane_drain" (stage
 /// drain) and "shard_merge" (merge and finalize) stage timings and live
-/// progress ticks. In a threaded stage source_pull is timed on the
-/// producer thread, overlapping the caller's stages; the caller's wait
-/// for a filled block goes to Profiler::add_source_wait instead.
+/// progress ticks. Pulls on a producer thread add to source_pull too,
+/// overlapping the caller's stages; the caller's wait for their blocks
+/// goes to Profiler::add_source_wait instead.
 /// Exceptions from the source, the arrival check or the stage reach the
 /// caller as in a serial run, and every thread is joined first.
 std::vector<ReplaySlice> run_replay(
@@ -245,8 +262,11 @@ SimStats run_sharded(const MemorySystem& system,
 /// thread, with no lanes and no pool: each request is placed once and
 /// handed straight to its channel's session (feed_issued at its
 /// arrival). Bit-identical to run_sharded over ReplaySession lanes, and
-/// the cheaper of the two when nothing runs on another thread. The
-/// sessions record into `telemetry` when it is non-null.
+/// the cheaper of the two when the sessions run on one thread. Its
+/// stage is SourceMode::kAdaptive: a costly source, such as a generator
+/// or a trace file, moves to a producer thread after four inline blocks
+/// when a hardware thread is spare; results are the same either way.
+/// The sessions record into `telemetry` when it is non-null.
 SimStats run_sessions(const MemorySystem& system, RequestSource& source,
                       const std::string& workload_name,
                       telemetry::Recorder* telemetry = nullptr,

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <fstream>
@@ -344,6 +345,39 @@ class FailingSource final : public ms::RequestSource {
   std::size_t blocks_left_;
 };
 
+/// Sleeps `delay` before each block of `inner`: a source that costs far
+/// more per block than flat replay, as a generator or a trace file does,
+/// only more so. Records how the replay pulled it.
+class SlowSource final : public ms::RequestSource {
+ public:
+  SlowSource(ms::RequestSource& inner, std::chrono::milliseconds delay)
+      : inner_(inner), delay_(delay) {}
+
+  std::size_t next_batch(ms::Request* out, std::size_t max) override {
+    std::this_thread::sleep_for(delay_);
+    if (std::this_thread::get_id() != caller_) ++pulls_off_caller_;
+    most_replay_threads_ =
+        std::max(most_replay_threads_, ms::running_replay_threads());
+    return inner_.next_batch(out, max);
+  }
+
+  /// Pulls made on a thread other than the one that built the source.
+  int pulls_off_caller() const { return pulls_off_caller_; }
+  /// The most running replay threads any pull saw.
+  int most_replay_threads() const { return most_replay_threads_; }
+
+ private:
+  ms::RequestSource& inner_;
+  std::chrono::milliseconds delay_;
+  std::thread::id caller_ = std::this_thread::get_id();
+  int pulls_off_caller_ = 0;
+  int most_replay_threads_ = 0;
+};
+
+/// Long enough per block that a serial flat replay pipelines it, even
+/// in a sanitized build.
+constexpr std::chrono::milliseconds kSlowPull{5};
+
 /// A long demand stream: many blocks, so the producer runs ahead.
 const std::vector<ms::Request>& long_trace() {
   static const std::vector<ms::Request> trace =
@@ -506,6 +540,51 @@ TEST(PipelinedFailure, LaneFailingToFinishOnItsWorker) {
   EXPECT_EQ(settled_threads(before), before);
 }
 
+TEST(PipelinedFailure, SourceThrowingInAPipelinedSerialRunReachesTheCaller) {
+  // A slow source makes a serial flat run pull its first blocks inline,
+  // then hand the rest to a producer. A fault in the probe blocks is an
+  // inline one; a fault after them reaches the caller from the
+  // producer. Either must look like the inline run's.
+  if (std::thread::hardware_concurrency() < 2) {
+    GTEST_SKIP() << "no spare hardware thread for a source producer";
+  }
+  const auto engine =
+      dr::make_device_spec("comet").make_engine(std::nullopt, 1);
+  for (const std::size_t blocks : {2u, 9u}) {
+    const std::string label = "after " + std::to_string(blocks) + " blocks";
+    const auto run = [&](bool slow, std::uint64_t& fed, int& off_caller) {
+      comet::prof::Profiler profiler{comet::prof::ProfSpec{}};
+      engine->attach_profiler(&profiler);
+      FailingSource failing(long_trace(), blocks);
+      SlowSource source(failing,
+                        slow ? kSlowPull : std::chrono::milliseconds(0));
+      const Failure failure =
+          failure_of([&] { engine->run(source, "failing"); });
+      engine->attach_profiler(nullptr);
+      fed = profiler.progress();
+      off_caller = source.pulls_off_caller();
+      return failure;
+    };
+    std::uint64_t inline_fed = 0;
+    int inline_off_caller = 0;
+    const Failure inline_failure = run(false, inline_fed, inline_off_caller);
+    ASSERT_FALSE(inline_failure.type.empty()) << label;
+    EXPECT_EQ(inline_fed, blocks * ms::kFeedBlockRequests) << label;
+    EXPECT_EQ(inline_off_caller, 0) << label;
+    const int before = threads_before();
+    std::uint64_t slow_fed = 0;
+    int slow_off_caller = 0;
+    EXPECT_EQ(run(true, slow_fed, slow_off_caller), inline_failure) << label;
+    EXPECT_EQ(slow_fed, inline_fed) << label;
+    // The four probe pulls stay on the caller: the fault after 2 blocks
+    // is inline, the one after 9 comes from the producer.
+    EXPECT_EQ(slow_off_caller, blocks < 4 ? 0 : static_cast<int>(blocks) - 3)
+        << label;
+    EXPECT_EQ(settled_threads(before), before) << label;
+    EXPECT_EQ(ms::running_replay_threads(), 0) << label;
+  }
+}
+
 // ------------------------------------------------------ block ring
 //
 // The one handoff between the threaded replay's threads. Each case runs
@@ -633,4 +712,74 @@ TEST(BlockRing, AbandonReleasesABlockedProducer) {
   EXPECT_TRUE(released.load());
   EXPECT_EQ(committed.load(), 2);
   EXPECT_EQ(settled_threads(before), before);
+}
+
+// ------------------------------------------- serial pipelined replay
+//
+// A serial flat run (run_sessions) pulls its first blocks inline and
+// moves the source to a producer thread only where that pays: pulling
+// costs at least a quarter of feeding and a hardware thread is spare.
+
+TEST(SerialPipeline, CostlySourcePipelinesCheapOneStaysInlineSameStats) {
+  const auto engine =
+      dr::make_device_spec("comet").make_engine(std::nullopt, 1);
+  const auto run = [&](ms::RequestSource& source, double& wait_s) {
+    comet::prof::Profiler profiler{comet::prof::ProfSpec{}};
+    engine->attach_profiler(&profiler);
+    const ms::SimStats stats = engine->run(source, "lbm_like");
+    engine->attach_profiler(nullptr);
+    wait_s = profiler.source_wait_seconds();
+    return stats;
+  };
+  // A pre-drawn vector costs a copy per block: no producer.
+  ms::VectorSource vector(long_trace());
+  double vector_wait_s = -1.0;
+  const ms::SimStats inline_stats = run(vector, vector_wait_s);
+  EXPECT_EQ(vector_wait_s, 0.0);
+  EXPECT_EQ(ms::running_replay_threads(), 0);
+
+  if (std::thread::hardware_concurrency() < 2) {
+    GTEST_SKIP() << "no spare hardware thread for a source producer";
+  }
+  const int before = threads_before();
+  ms::VectorSource inner(long_trace());
+  SlowSource slow(inner, kSlowPull);
+  double slow_wait_s = 0.0;
+  const ms::SimStats piped_stats = run(slow, slow_wait_s);
+  EXPECT_GT(slow_wait_s, 0.0);
+  // Every pull after the four probe blocks, the final empty one too.
+  const int blocks = static_cast<int>(
+      (long_trace().size() + ms::kFeedBlockRequests - 1) /
+      ms::kFeedBlockRequests);
+  EXPECT_EQ(slow.pulls_off_caller(), blocks + 1 - 4);
+  EXPECT_EQ(slow.most_replay_threads(), 2);  // The caller and the producer.
+  EXPECT_TRUE(piped_stats == inline_stats);
+  EXPECT_EQ(settled_threads(before), before);
+  EXPECT_EQ(ms::running_replay_threads(), 0);
+}
+
+TEST(SerialPipeline, StaysInlineWhenReplayThreadsFillTheHardware) {
+  // Pool workers waiting for blocks count as running replay threads;
+  // with as many as hardware threads, no CPU is spare for a producer.
+  const int hw = ms::resolve_run_threads(0);
+  if (hw > 64) GTEST_SKIP() << "would start " << hw << " idle workers";
+  const int before = threads_before();
+  const int workers = std::max(hw, 2);
+  std::vector<std::unique_ptr<ms::ShardLane>> idle;
+  for (int i = 0; i < workers; ++i) {
+    idle.push_back(std::make_unique<ThrowingLane>(1u << 30));
+  }
+  ms::LanePool busy(std::move(idle), workers);
+  ASSERT_TRUE(
+      eventually([&] { return ms::running_replay_threads() == workers; }));
+  const auto engine =
+      dr::make_device_spec("comet").make_engine(std::nullopt, 1);
+  ms::VectorSource inner(long_trace());
+  SlowSource slow(inner, std::chrono::milliseconds(1));
+  engine->run(slow, "lbm_like");
+  EXPECT_EQ(slow.pulls_off_caller(), 0);
+  EXPECT_EQ(slow.most_replay_threads(), workers + 1);
+  busy.finish();
+  EXPECT_EQ(settled_threads(before), before);
+  EXPECT_EQ(ms::running_replay_threads(), 0);
 }
