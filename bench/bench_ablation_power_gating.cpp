@@ -12,8 +12,8 @@
 
 #include "core/comet_memory.hpp"
 #include "core/power_model.hpp"
-#include "memsim/system.hpp"
 #include "memsim/trace_gen.hpp"
+#include "sched/controller.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -44,9 +44,9 @@ int main() {
     const comet::memsim::TraceGenerator gen(profile, 42);
     const auto trace = gen.generate(40000, 128);
     const auto fixed_stats =
-        comet::memsim::MemorySystem(baseline).run(trace, profile.name);
+        comet::sched::FlatSystem(baseline).run(trace, profile.name);
     const auto gated_stats =
-        comet::memsim::MemorySystem(gated).run(trace, profile.name);
+        comet::sched::FlatSystem(gated).run(trace, profile.name);
     const int banks = baseline.timing.channels *
                       baseline.timing.banks_per_channel;
     const double fixed_epb = fixed_stats.epb_pj_per_bit();

@@ -10,8 +10,8 @@
 
 #include "core/comet_memory.hpp"
 #include "core/gain_lut.hpp"
-#include "memsim/system.hpp"
 #include "memsim/trace_gen.hpp"
+#include "sched/controller.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -72,7 +72,7 @@ int main() {
     const auto device = comet::core::CometMemory::device_model(
         comet::core::CometConfig::comet_4b(), losses, v.serialize_switch,
         v.serialize_erase);
-    const comet::memsim::MemorySystem system(device);
+    const comet::sched::FlatSystem system(device);
     const auto stats = system.run(trace, profile.name);
     const double bw = stats.bandwidth_gbps();
     if (baseline_bw == 0.0) baseline_bw = bw;

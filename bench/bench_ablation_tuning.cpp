@@ -7,9 +7,9 @@
 #include <iostream>
 
 #include "core/comet_memory.hpp"
-#include "memsim/system.hpp"
 #include "memsim/trace_gen.hpp"
 #include "photonics/microring.hpp"
+#include "sched/controller.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -52,7 +52,7 @@ int main() {
                                       : eo.tuning_latency_ns();
     const auto device =
         comet::core::CometMemory::device_model(config, losses);
-    const comet::memsim::MemorySystem system(device);
+    const comet::sched::FlatSystem system(device);
     const auto stats = system.run(trace, profile.name);
     arch.add_row({use_thermal ? "thermo-optic tuning" : "electro-optic tuning",
                   Table::num(

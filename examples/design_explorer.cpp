@@ -8,10 +8,10 @@
 
 #include <iostream>
 
+#include "config/device_spec.hpp"
 #include "core/comet_memory.hpp"
 #include "core/gain_lut.hpp"
 #include "core/power_model.hpp"
-#include "memsim/system.hpp"
 #include "memsim/trace_gen.hpp"
 #include "photonics/waveguide.hpp"
 #include "util/table.hpp"
@@ -24,8 +24,9 @@ double measure_bw(const comet::core::CometConfig& config) {
   auto profile = comet::memsim::profile_by_name("gcc_like");
   profile.avg_interarrival_ns = 0.5;
   const comet::memsim::TraceGenerator gen(profile, 3);
-  return comet::memsim::MemorySystem(device)
-      .run(gen.generate(20000, 128))
+  return comet::config::DeviceSpec(device)
+      .make_engine()
+      ->run(gen.generate(20000, 128))
       .bandwidth_gbps();
 }
 

@@ -12,11 +12,11 @@
 #include <iostream>
 #include <string>
 
+#include "config/device_spec.hpp"
 #include "core/comet_memory.hpp"
 #include "cosmos/cosmos_memory.hpp"
 #include "dram/dram_device.hpp"
 #include "dram/epcm.hpp"
-#include "memsim/system.hpp"
 #include "memsim/trace_gen.hpp"
 #include "util/table.hpp"
 
@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
   Table table({"architecture", "BW (GB/s)", "avg latency (ns)",
                "p95 queueing (ns)", "EPB (pJ/bit)", "bank util (%)"});
   for (const auto& device : devices) {
-    const comet::memsim::MemorySystem system(device);
-    const auto stats = system.run(trace, profile.name);
+    const auto engine = comet::config::DeviceSpec(device).make_engine();
+    const auto stats = engine->run(trace, profile.name);
     const int banks =
         device.timing.channels * device.timing.banks_per_channel;
     table.add_row({device.name, Table::num(stats.bandwidth_gbps(), 2),

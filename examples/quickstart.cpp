@@ -11,8 +11,8 @@
 #include <iostream>
 #include <vector>
 
+#include "config/device_spec.hpp"
 #include "core/comet_memory.hpp"
-#include "memsim/system.hpp"
 #include "memsim/trace_gen.hpp"
 
 int main() {
@@ -52,15 +52,17 @@ int main() {
             << "\n\n";
 
   // 3. The architecture simulator: replay a SPEC-like trace against the
-  //    full 8 GB COMET device model.
+  //    full 8 GB COMET device model. make_engine() builds the replay
+  //    engine of any architecture, flat or hybrid; it also takes a
+  //    controller config and a run-thread count.
   const auto device = comet::core::CometMemory::device_model(
       comet::core::CometConfig::comet_4b(),
       comet::photonics::LossParameters::paper());
-  const comet::memsim::MemorySystem system(device);
+  const auto engine = comet::config::DeviceSpec(device).make_engine();
 
   const auto profile = comet::memsim::profile_by_name("gcc_like");
   const comet::memsim::TraceGenerator gen(profile, /*seed=*/1);
-  const auto stats = system.run(gen.generate(20000, 128), profile.name);
+  const auto stats = engine->run(gen.generate(20000, 128), profile.name);
 
   std::cout << "trace replay (" << profile.name << ", 20k requests)\n"
             << "  bandwidth:   " << stats.bandwidth_gbps() << " GB/s\n"

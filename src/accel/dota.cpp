@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "memsim/sharded.hpp"
 #include "memsim/trace_gen.hpp"
 
 namespace comet::accel {
@@ -22,7 +23,8 @@ double measure_streaming_bw(const memsim::MemorySystem& memory) {
   profile.avg_interarrival_ns = 0.5;  // saturating
   const memsim::TraceGenerator gen(profile, /*seed=*/0xD07A);
   const auto trace = gen.generate(60000, 128);
-  return memory.run(trace, profile.name).bandwidth_gbps();
+  memsim::VectorSource source(trace);
+  return memsim::run_sessions(memory, source, profile.name).bandwidth_gbps();
 }
 
 }  // namespace

@@ -155,7 +155,6 @@ struct LanePool::Impl {
     /// ring's lock or the join publishes them to the caller.
     std::exception_ptr error;
     std::size_t error_lane = 0;  ///< The lane whose feed or finish threw.
-    double busy_s = 0.0;
     std::thread thread;  ///< Last: starts once the Worker is built.
   };
 
@@ -204,16 +203,14 @@ struct LanePool::Impl {
   /// of its slot first so the ring queues kWorkerRingBlocks besides the
   /// one being fed. When finishing, then runs finish_slice() on every
   /// lane `w` owns, so the controllers drain their backlogs in parallel
-  /// instead of one after another on the caller. Both count as lane and
-  /// worker busy time. A failure abandons the ring: the caller's next
-  /// push to `w` rethrows it.
+  /// instead of one after another on the caller. Both count as lane
+  /// busy time. A failure abandons the ring: the caller's next push to
+  /// `w` rethrows it.
   void worker_loop(Worker& w) {
     const ReplayThread counted;
     std::size_t lane = w.index;  // The lane being fed or finished.
     const auto charge = [&](ProfClock::time_point since) {
-      const double busy = seconds_since(since);
-      w.busy_s += busy;
-      lane_profiles[lane].busy_s += busy;
+      lane_profiles[lane].busy_s += seconds_since(since);
     };
     std::vector<Request> requests;  // The block being fed.
     requests.reserve(kFeedBlockRequests);
@@ -274,7 +271,8 @@ struct LanePool::Impl {
     }
   }
 
-  /// Copies the counters into the profile; the workers are joined.
+  /// Copies the counters into the profile; the workers are joined. A
+  /// worker's busy time is its lanes' busy times, summed in lane order.
   void publish_profile() {
     profile->threads = static_cast<int>(workers.size());
     profile->wall_s = seconds_since(start);
@@ -283,7 +281,10 @@ struct LanePool::Impl {
     for (std::size_t i = 0; i < workers.size(); ++i) {
       const BlockRing::Stats ring = workers[i]->ring.stats();
       prof::WorkerProfile& wprof = profile->workers[i];
-      wprof.busy_s = workers[i]->busy_s;
+      wprof.busy_s = 0.0;
+      for (std::size_t lane = i; lane < lanes.size(); lane += workers.size()) {
+        wprof.busy_s += lane_profiles[lane].busy_s;
+      }
       wprof.idle_s = ring.empty.wall_s;
       wprof.pop_waits = ring.empty.count;
       profile->blocks_pushed += ring.commits;

@@ -20,8 +20,9 @@
 /// enforces the global sorted-by-arrival contract, hands each block to
 /// the engine's ReplayStage, times the stages and ticks progress for an
 /// attached profiler, then drains the stage and merges its per-channel
-/// slices into finalized per-tier results. Engines supply only the
-/// stage that consumes the requests: one ReplaySession per channel fed
+/// slices into finalized per-tier results. The two engines,
+/// sched::FlatSystem and hybrid::TieredSystem, supply only the stage
+/// that consumes the requests: one ReplaySession per channel fed
 /// directly (run_sessions: flat, unscheduled, one thread), per-channel
 /// lanes on a LanePool (run_sharded), or the hybrid cache filter
 /// feeding both tiers' lanes. The lanes are the replay objects
@@ -266,7 +267,8 @@ SimStats run_sharded(const MemorySystem& system,
 /// stage is SourceMode::kAdaptive: a costly source, such as a generator
 /// or a trace file, moves to a producer thread after four inline blocks
 /// when a hardware thread is spare; results are the same either way.
-/// The sessions record into `telemetry` when it is non-null.
+/// The sessions record into `telemetry` when it is non-null. This is
+/// sched::FlatSystem's serial unscheduled replay.
 SimStats run_sessions(const MemorySystem& system, RequestSource& source,
                       const std::string& workload_name,
                       telemetry::Recorder* telemetry = nullptr,

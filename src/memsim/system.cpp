@@ -4,7 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "memsim/sharded.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/ring.hpp"
 
@@ -138,8 +137,8 @@ struct ReplaySession::Impl {
   Impl(const MemorySystem& sys, std::string workload_name,
        telemetry::Recorder* recorder)
       : system(sys), telemetry(recorder) {
-    const DeviceTiming& t = sys.model_.timing;
-    totals.stats.device_name = sys.model_.name;
+    const DeviceTiming& t = sys.model().timing;
+    totals.stats.device_name = sys.model().name;
     totals.stats.workload_name = std::move(workload_name);
     banks.resize(static_cast<std::size_t>(t.banks_per_channel));
     inflight_completions.reserve(static_cast<std::size_t>(t.queue_depth));
@@ -148,7 +147,7 @@ struct ReplaySession::Impl {
   /// Schedules one placed request; returns its completion time.
   std::uint64_t feed(const Request& req, const RequestPlacement& placement,
                      std::uint64_t issue_ps) {
-    const DeviceModel& model = system.model_;
+    const DeviceModel& model = system.model();
     const DeviceTiming& t = model.timing;
 
     if (totals.fed == 0) channel = placement.channel;
@@ -165,7 +164,7 @@ struct ReplaySession::Impl {
     // lines, and narrow-subarray architectures (corrected COSMOS) need
     // several accesses per line.
     const std::uint64_t accesses =
-        system.map_.lines_needed(req.size_bytes) *
+        system.address_map().lines_needed(req.size_bytes) *
         static_cast<std::uint64_t>(t.accesses_per_line);
 
     std::uint64_t earliest = issue_ps;
@@ -309,20 +308,22 @@ ReplaySession::~ReplaySession() = default;
 
 void ReplaySession::feed(const Request& request) {
   if (impl_->finished) {
-    throw std::logic_error("ReplaySession: feed() after finish()");
+    throw std::logic_error("ReplaySession: feed() after finish_slice()");
   }
   if (impl_->totals.fed > 0) {
     check_arrival_order(impl_->totals.fed, impl_->prev_arrival,
                         request.arrival_ps);
   }
-  impl_->feed(request, impl_->system.map_.place(request), request.arrival_ps);
+  impl_->feed(request, impl_->system.address_map().place(request),
+              request.arrival_ps);
 }
 
 std::uint64_t ReplaySession::feed_issued(const Request& request,
                                          const RequestPlacement& placement,
                                          std::uint64_t issue_ps) {
   if (impl_->finished) {
-    throw std::logic_error("ReplaySession: feed_issued() after finish()");
+    throw std::logic_error(
+        "ReplaySession: feed_issued() after finish_slice()");
   }
   // Violations here are scheduler bugs, not malformed input traces.
   if (issue_ps < request.arrival_ps) {
@@ -330,7 +331,7 @@ std::uint64_t ReplaySession::feed_issued(const Request& request,
         "ReplaySession: request issued before its arrival");
   }
 #ifndef NDEBUG
-  if (placement != impl_->system.map_.place(request)) {
+  if (placement != impl_->system.address_map().place(request)) {
     throw std::logic_error(
         "ReplaySession: request issued with a stale placement");
   }
@@ -338,17 +339,11 @@ std::uint64_t ReplaySession::feed_issued(const Request& request,
   return impl_->feed(request, placement, issue_ps);
 }
 
-std::uint64_t ReplaySession::fed() const { return impl_->totals.fed; }
-
 std::span<const BankState> ReplaySession::banks() const { return impl_->banks; }
-
-SimStats ReplaySession::finish() {
-  return finalize_slice(finish_slice(), impl_->system.model_);
-}
 
 ReplaySlice ReplaySession::finish_slice() {
   if (impl_->finished) {
-    throw std::logic_error("ReplaySession: finish() called twice");
+    throw std::logic_error("ReplaySession: finish_slice() called twice");
   }
   return impl_->finish_slice();
 }
@@ -356,12 +351,6 @@ ReplaySlice ReplaySession::finish_slice() {
 MemorySystem::MemorySystem(DeviceModel model)
     : model_(std::move(model)), map_(model_.timing) {
   model_.validate();
-}
-
-SimStats MemorySystem::run(RequestSource& source,
-                           const std::string& workload_name) const {
-  return run_sessions(*this, source, workload_name, telemetry_stage(model_),
-                      profiler());
 }
 
 }  // namespace comet::memsim

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "memsim/device.hpp"
-#include "memsim/engine.hpp"
 #include "memsim/request.hpp"
 #include "memsim/stats.hpp"
 
@@ -16,7 +15,10 @@ namespace comet::telemetry {
 class Recorder;
 }
 
-/// Trace-replay engine (the NVMain-2.0 substitute).
+/// The device side of trace replay (the NVMain-2.0 substitute): the
+/// MemorySystem device (a validated DeviceModel and its AddressMap) and
+/// ReplaySession, the device timing of one channel. The engines that
+/// drive them are sched::FlatSystem and hybrid::TieredSystem.
 ///
 /// One generic controller serves every architecture in the study, driven
 /// entirely by the DeviceModel descriptor: requests are interleaved over
@@ -36,8 +38,8 @@ class Recorder;
 /// sorted by arrival_ps: the loop and each session verify monotonicity
 /// and throw std::invalid_argument naming the offending (0-based) index
 /// and both out-of-order timestamps. Results are bit-identical whether a
-/// trace is streamed or materialized first: the vector entry point is a
-/// thin VectorSource adapter over the same loop.
+/// trace is streamed or materialized first: Engine::run's vector
+/// overload is a thin VectorSource adapter over the same loop.
 namespace comet::memsim {
 
 /// The sorted-stream check: throws std::invalid_argument naming request
@@ -146,7 +148,6 @@ void merge_slice(ReplaySlice& into, const ReplaySlice& from);
 /// Closes a merged slice into final statistics: derives span_ps from
 /// the arrival/completion window and charges span-proportional
 /// background energy (always-on plus activity-gated) for `model`.
-/// ReplaySession::finish is finalize_slice(finish_slice()).
 SimStats finalize_slice(ReplaySlice slice, const DeviceModel& model);
 
 class MemorySystem;
@@ -173,8 +174,8 @@ struct BankState {
 
 /// Push-mode incremental replay of one channel of a MemorySystem: feed()
 /// schedules one request at a time (verifying the sorted-stream
-/// contract), finish() closes the run and returns the channel's
-/// statistics. The session serves the channel the first request places
+/// contract), finish_slice() closes the run and returns the channel's
+/// slice. The session serves the channel the first request places
 /// on; a later request placed on any other channel is a routing bug and
 /// throws std::logic_error. This is the primitive every engine builds
 /// on, and the lane of an unscheduled channel: a serial flat run feeds
@@ -200,8 +201,8 @@ class ReplaySession final : public ShardLane {
   ~ReplaySession() override;
 
   /// Schedules one request. Throws std::invalid_argument if it arrives
-  /// before its predecessor, std::logic_error after finish() or if it
-  /// places on another channel than the first request.
+  /// before its predecessor, std::logic_error after finish_slice() or
+  /// if it places on another channel than the first request.
   void feed(const Request& request) override;
 
   /// Scheduled-controller entry point: schedules `request` as if it
@@ -221,22 +222,15 @@ class ReplaySession final : public ShardLane {
                             const RequestPlacement& placement,
                             std::uint64_t issue_ps);
 
-  /// Number of requests fed so far.
-  std::uint64_t fed() const;
-
   /// The channel's banks, read-only; valid for the session's lifetime.
   /// A line-striped device occupies every bank at once, so all of them
   /// hold the same state and bank 0 speaks for the channel.
   std::span<const BankState> banks() const;
 
-  /// Closes the run: charges span-proportional background energy and
-  /// returns the statistics. May be called once; throws std::logic_error
-  /// on a second call. Equivalent to finalize_slice(finish_slice()).
-  SimStats finish();
-
   /// Closes the run without finalizing: returns the channel's slice,
   /// ready for merge_slice with the other channels' slices (then
-  /// finalize_slice once). Same once-only contract as finish().
+  /// finalize_slice once). May be called once; throws std::logic_error
+  /// on a second call.
   ReplaySlice finish_slice() override;
 
  private:
@@ -246,9 +240,8 @@ class ReplaySession final : public ShardLane {
 
 /// The device a run replays on: the validated model and its address
 /// map, shared read-only by every session and controller of the run.
-/// As an Engine it is the serial unscheduled replay (run_sessions);
-/// sched::FlatSystem chooses between that and per-channel lanes.
-class MemorySystem final : public Engine {
+/// It replays nothing itself; sched::FlatSystem is the flat engine.
+class MemorySystem {
  public:
   /// Validates the model.
   explicit MemorySystem(DeviceModel model);
@@ -256,16 +249,7 @@ class MemorySystem final : public Engine {
   const DeviceModel& model() const { return model_; }
   const AddressMap& address_map() const { return map_; }
 
-  using Engine::run;
-
-  /// Streams the source (see the header comment for the streaming
-  /// contract) into one ReplaySession per channel on the caller's
-  /// thread.
-  SimStats run(RequestSource& source,
-               const std::string& workload_name = "") const override;
-
  private:
-  friend class ReplaySession;
   DeviceModel model_;
   AddressMap map_;
 };

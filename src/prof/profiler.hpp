@@ -66,14 +66,15 @@ struct StageStats {
 
 /// One shard lane's share of a pool's work.
 struct LaneProfile {
-  double busy_s = 0.0;  ///< Wall time inside this lane's feed() calls.
+  /// Wall time inside this lane's feed() and finish_slice() calls.
+  double busy_s = 0.0;
   std::uint64_t blocks = 0;
   std::uint64_t requests = 0;
 };
 
 /// One pool worker's time split.
 struct WorkerProfile {
-  double busy_s = 0.0;       ///< Executing blocks (all of its lanes).
+  double busy_s = 0.0;       ///< Its lanes' busy_s, summed in lane order.
   double idle_s = 0.0;       ///< Blocked on an empty ring.
   std::uint64_t pop_waits = 0;  ///< Times the ring ran dry.
 };

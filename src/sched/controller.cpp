@@ -620,18 +620,15 @@ Controller::~Controller() = default;
 
 void Controller::feed(const memsim::Request& request) {
   if (impl_->finished) {
-    throw std::logic_error("sched::Controller: feed() after finish()");
+    throw std::logic_error("sched::Controller: feed() after finish_slice()");
   }
   impl_->feed(request);
 }
 
-memsim::SimStats Controller::finish() {
-  return memsim::finalize_slice(finish_slice(), impl_->system.model());
-}
-
 memsim::ReplaySlice Controller::finish_slice() {
   if (impl_->finished) {
-    throw std::logic_error("sched::Controller: finish() called twice");
+    throw std::logic_error(
+        "sched::Controller: finish_slice() called twice");
   }
   return impl_->finish_slice();
 }

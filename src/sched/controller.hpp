@@ -158,10 +158,11 @@ struct ControllerConfig {
 /// ReplaySession of the scheduler world, and the lane of a scheduled
 /// channel (make_lanes). feed() admits demand requests in arrival
 /// order; the controller queues, reorders and issues them into its own
-/// ReplaySession (in issue order, via feed_issued), and finish() drains
-/// every queue and returns the statistics with the scheduler breakdown
-/// filled in. Like the session, it serves the channel its first request
-/// places on. The MemorySystem must outlive the controller.
+/// ReplaySession (in issue order, via feed_issued), and finish_slice()
+/// drains every queue and returns the channel's slice with the
+/// scheduler breakdown filled in. Like the session, it serves the
+/// channel its first request places on. The MemorySystem must outlive
+/// the controller.
 class Controller final : public memsim::ShardLane {
  public:
   /// Validates the config. `telemetry`, when non-null, receives one
@@ -179,18 +180,14 @@ class Controller final : public memsim::ShardLane {
   ~Controller() override;
 
   /// Admits one demand request. Throws std::invalid_argument if it
-  /// arrives before its predecessor, std::logic_error after finish() or
-  /// if it places on another channel than the first request.
+  /// arrives before its predecessor, std::logic_error after
+  /// finish_slice() or if it places on another channel than the first
+  /// request.
   void feed(const memsim::Request& request) override;
 
-  /// Drains every queue, closes the run and returns the statistics.
-  /// May be called once; throws std::logic_error on a second call.
-  /// Equivalent to memsim::finalize_slice(finish_slice()).
-  memsim::SimStats finish();
-
-  /// Closes the run without finalizing: the channel's slice, the
-  /// session's with the scheduler breakdown merged in. Same once-only
-  /// contract as finish().
+  /// Drains every queue and closes the run without finalizing: the
+  /// channel's slice, the session's with the scheduler breakdown merged
+  /// in. May be called once; throws std::logic_error on a second call.
   memsim::ReplaySlice finish_slice() override;
 
  private:
@@ -211,8 +208,9 @@ std::vector<std::unique_ptr<memsim::ShardLane>> make_lanes(
     const std::optional<ControllerConfig>& controller,
     const std::string& workload_name, telemetry::Recorder* telemetry = nullptr);
 
-/// The flat engine: one device, optionally behind a Controller per
-/// channel, replayed on `run_threads` (as in
+/// The one engine of a flat device (memsim::MemorySystem is only the
+/// device it replays on): optionally a Controller per channel, replayed
+/// on `run_threads` (as in
 /// memsim::resolve_run_threads). Const and stateless across runs like
 /// every Engine — the lanes live on the stack of each run() call. A
 /// serial unscheduled run feeds its sessions directly

@@ -8,14 +8,15 @@
 #include "cosmos/cosmos_config.hpp"
 #include "cosmos/cosmos_memory.hpp"
 #include "cosmos/crossbar.hpp"
-#include "memsim/system.hpp"
 #include "memsim/trace_gen.hpp"
 #include "photonics/losses.hpp"
+#include "sched/controller.hpp"
 
 namespace cx = comet::cosmos;
 namespace cc = comet::core;
 namespace cp = comet::photonics;
 namespace ms = comet::memsim;
+namespace sc = comet::sched;
 
 // ------------------------------------------------------------- config
 
@@ -179,12 +180,12 @@ TEST(CosmosDevice, CometOutperformsOnSaturatedTrace) {
   const auto trace = gen.generate(20000, 128);
 
   const auto cosmos_stats =
-      ms::MemorySystem(cx::cosmos_device_model(cx::CosmosConfig::paper(),
-                                               losses))
+      sc::FlatSystem(cx::cosmos_device_model(cx::CosmosConfig::paper(),
+                                             losses))
           .run(trace);
   const auto comet_stats =
-      ms::MemorySystem(cc::CometMemory::device_model(
-                           cc::CometConfig::comet_4b(), losses))
+      sc::FlatSystem(cc::CometMemory::device_model(
+                         cc::CometConfig::comet_4b(), losses))
           .run(trace);
   // Paper: ~5.1x bandwidth, ~13x EPB, ~3x latency. Accept broad bands
   // (the single-workload factor varies around the 8-workload average).

@@ -2,11 +2,12 @@
 
 #include "dram/dram_device.hpp"
 #include "dram/epcm.hpp"
-#include "memsim/system.hpp"
 #include "memsim/trace_gen.hpp"
+#include "sched/controller.hpp"
 
 namespace cd = comet::dram;
 namespace ms = comet::memsim;
+namespace sc = comet::sched;
 
 namespace {
 
@@ -15,7 +16,7 @@ double saturated_bw(const ms::DeviceModel& device) {
   profile.avg_interarrival_ns = 0.5;
   const ms::TraceGenerator gen(profile, 11);
   const auto trace = gen.generate(20000, 128);
-  return ms::MemorySystem(device).run(trace).bandwidth_gbps();
+  return sc::FlatSystem(device).run(trace).bandwidth_gbps();
 }
 
 }  // namespace
@@ -88,7 +89,7 @@ TEST(Dram, ThreeDEpbBeatsTwoD) {
     auto profile = ms::profile_by_name("gcc_like");
     profile.avg_interarrival_ns = 0.5;
     const ms::TraceGenerator gen(profile, 11);
-    return ms::MemorySystem(d).run(gen.generate(20000, 128)).epb_pj_per_bit();
+    return sc::FlatSystem(d).run(gen.generate(20000, 128)).epb_pj_per_bit();
   };
   EXPECT_LT(run(cd::ddr3_3d()), run(cd::ddr3_2d()) / 3.0);
   EXPECT_LT(run(cd::ddr4_3d()), run(cd::ddr4_2d()) / 3.0);

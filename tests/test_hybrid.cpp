@@ -18,10 +18,12 @@
 #include "hybrid/tiered_system.hpp"
 #include "memsim/system.hpp"
 #include "memsim/trace_gen.hpp"
+#include "sched/controller.hpp"
 #include "util/units.hpp"
 
 namespace hy = comet::hybrid;
 namespace ms = comet::memsim;
+namespace sc = comet::sched;
 namespace cu = comet::util;
 
 namespace {
@@ -370,7 +372,7 @@ TEST(TieredSystem, HitsAreFasterThanFlatBackend) {
   // read latency must beat the slow flat backend's.
   const auto config = tiered_config();
   const hy::TieredSystem hybrid(config);
-  const ms::MemorySystem flat(simple_backend());
+  const sc::FlatSystem flat(simple_backend());
   std::vector<ms::Request> reqs;
   for (int i = 0; i < 500; ++i) {
     reqs.push_back(

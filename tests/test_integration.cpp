@@ -11,10 +11,10 @@
 #include "core/power_model.hpp"
 #include "cosmos/cosmos_memory.hpp"
 #include "dram/dram_device.hpp"
-#include "memsim/system.hpp"
 #include "memsim/trace.hpp"
 #include "memsim/trace_gen.hpp"
 #include "photonics/gst_cell.hpp"
+#include "sched/controller.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -22,6 +22,7 @@ namespace cc = comet::core;
 namespace cm = comet::materials;
 namespace cp = comet::photonics;
 namespace ms = comet::memsim;
+namespace sc = comet::sched;
 
 namespace {
 
@@ -120,7 +121,7 @@ TEST(Integration, TraceFileRoundTripPreservesSimulation) {
   const auto reloaded = ms::read_trace(buffer, tc);
   ASSERT_EQ(reloaded.size(), original.size());
 
-  const ms::MemorySystem system(comet::dram::ddr4_2d());
+  const sc::FlatSystem system(comet::dram::ddr4_2d());
   const auto a = system.run(original);
   const auto b = system.run(reloaded);
   // The text format quantizes arrivals to CPU cycles (0.5 ns), so spans
@@ -130,7 +131,7 @@ TEST(Integration, TraceFileRoundTripPreservesSimulation) {
   EXPECT_DOUBLE_EQ(a.dynamic_energy_pj, b.dynamic_energy_pj);
 }
 
-// Same seed, same device -> identical stats across MemorySystem
+// Same seed, same device -> identical stats across FlatSystem
 // instances (no hidden global state anywhere in the stack).
 TEST(Integration, SimulationIsDeterministic) {
   const auto losses = cp::LossParameters::paper();
@@ -138,8 +139,8 @@ TEST(Integration, SimulationIsDeterministic) {
       cc::CometConfig::comet_4b(), losses);
   const ms::TraceGenerator gen(ms::profile_by_name("milc_like"), 123);
   const auto trace = gen.generate(8000, 128);
-  const auto a = ms::MemorySystem(device).run(trace);
-  const auto b = ms::MemorySystem(device).run(trace);
+  const auto a = sc::FlatSystem(device).run(trace);
+  const auto b = sc::FlatSystem(device).run(trace);
   EXPECT_TRUE(a == b);
 }
 
@@ -201,10 +202,10 @@ TEST(Integration, OrderingHoldsPerWorkloadClass) {
     profile.avg_interarrival_ns = 0.5;
     const ms::TraceGenerator gen(profile, 31);
     const auto trace = gen.generate(15000, 128);
-    const double bw_comet = ms::MemorySystem(comet).run(trace).bandwidth_gbps();
+    const double bw_comet = sc::FlatSystem(comet).run(trace).bandwidth_gbps();
     const double bw_cosmos =
-        ms::MemorySystem(cosmos).run(trace).bandwidth_gbps();
-    const double bw_ddr3 = ms::MemorySystem(ddr3).run(trace).bandwidth_gbps();
+        sc::FlatSystem(cosmos).run(trace).bandwidth_gbps();
+    const double bw_ddr3 = sc::FlatSystem(ddr3).run(trace).bandwidth_gbps();
     EXPECT_GT(bw_comet, 3.0 * bw_cosmos) << name;
     // COSMOS beats DRAM on streaming classes; random pointer-chase is its
     // worst case (region switches + destructive-read restores), where it

@@ -3,12 +3,13 @@
 #include <sstream>
 
 #include "memsim/device.hpp"
-#include "memsim/system.hpp"
 #include "memsim/trace.hpp"
 #include "memsim/trace_gen.hpp"
+#include "sched/controller.hpp"
 #include "util/units.hpp"
 
 namespace ms = comet::memsim;
+namespace sc = comet::sched;
 namespace cu = comet::util;
 
 namespace {
@@ -230,7 +231,7 @@ TEST(DeviceModel, ValidateCatchesBadness) {
 // ------------------------------------------------------------- system
 
 TEST(System, SingleReadLatency) {
-  const ms::MemorySystem sys(simple_device());
+  const sc::FlatSystem sys(simple_device());
   const auto stats = sys.run({make_req(0, 0, ms::Op::kRead, 0)});
   // 10 ns occupancy + 1 ns burst + 5 ns interface = 16 ns.
   EXPECT_EQ(stats.reads, 1u);
@@ -238,13 +239,13 @@ TEST(System, SingleReadLatency) {
 }
 
 TEST(System, WriteSlowerThanRead) {
-  const ms::MemorySystem sys(simple_device());
+  const sc::FlatSystem sys(simple_device());
   const auto stats = sys.run({make_req(0, 0, ms::Op::kWrite, 0)});
   EXPECT_DOUBLE_EQ(stats.write_latency_ns.mean(), 26.0);
 }
 
 TEST(System, BankConflictSerializes) {
-  const ms::MemorySystem sys(simple_device());
+  const sc::FlatSystem sys(simple_device());
   // Same line twice: second read waits for the first's occupancy.
   const auto stats = sys.run({make_req(0, 0, ms::Op::kRead, 0),
                               make_req(1, 0, ms::Op::kRead, 0)});
@@ -256,7 +257,7 @@ TEST(System, BankConflictSerializes) {
 
 TEST(System, MultipleBanksOverlap) {
   // Two banks: two different lines can be served concurrently.
-  const ms::MemorySystem sys(simple_device(1, 2));
+  const sc::FlatSystem sys(simple_device(1, 2));
   std::vector<ms::Request> reqs;
   for (int i = 0; i < 16; ++i) {
     reqs.push_back(make_req(i, 0, ms::Op::kRead, std::uint64_t(i) * 64));
@@ -267,12 +268,12 @@ TEST(System, MultipleBanksOverlap) {
   const double span_ns = double(stats.span_ps) * 1e-3;
   EXPECT_LT(span_ns, 160.0);
   EXPECT_GT(stats.bandwidth_gbps(),
-            ms::MemorySystem(simple_device(1, 1)).run(reqs).bandwidth_gbps());
+            sc::FlatSystem(simple_device(1, 1)).run(reqs).bandwidth_gbps());
 }
 
 TEST(System, QueueDepthLimitsOverlap) {
   // Depth 1 forces full serialization even across banks.
-  const ms::MemorySystem sys(simple_device(1, 4, /*queue_depth=*/1));
+  const sc::FlatSystem sys(simple_device(1, 4, /*queue_depth=*/1));
   std::vector<ms::Request> reqs;
   for (int i = 0; i < 8; ++i) {
     reqs.push_back(make_req(i, 0, ms::Op::kRead, std::uint64_t(i) * 64));
@@ -288,7 +289,7 @@ TEST(System, RowBufferHitFaster) {
   d.timing.has_row_buffer = true;
   d.timing.row_size_bytes = 8192;
   d.timing.row_hit_saving_ps = cu::ns_to_ps(6);
-  const ms::MemorySystem sys(d);
+  const sc::FlatSystem sys(d);
   // Both lines in the same 8 KB row; second is a row hit.
   const auto stats = sys.run({make_req(0, 0, ms::Op::kRead, 0),
                               make_req(1, 1000, ms::Op::kRead, 64)});
@@ -299,7 +300,7 @@ TEST(System, RefreshBlocksBank) {
   auto d = simple_device();
   d.timing.refresh_interval_ps = cu::ns_to_ps(1000);
   d.timing.refresh_duration_ps = cu::ns_to_ps(100);
-  const ms::MemorySystem sys(d);
+  const sc::FlatSystem sys(d);
   // Arrival at t = 1010 ns falls inside the second refresh window
   // [1000, 1100): service is pushed to 1100.
   const auto stats = sys.run({make_req(0, 1010, ms::Op::kRead, 0)});
@@ -310,7 +311,7 @@ TEST(System, RegionSwitchCharged) {
   auto d = simple_device();
   d.timing.region_size_bytes = 4096;
   d.timing.region_switch_ps = cu::ns_to_ps(100);
-  const ms::MemorySystem sys(d);
+  const sc::FlatSystem sys(d);
   // First access pays the switch (cold region), second stays within it.
   const auto stats = sys.run({make_req(0, 0, ms::Op::kRead, 0),
                               make_req(1, 500, ms::Op::kRead, 64)});
@@ -321,7 +322,7 @@ TEST(System, RegionSwitchCharged) {
 TEST(System, ReadTailOccupiesBankOffLatencyPath) {
   auto d = simple_device();
   d.timing.read_tail_ps = cu::ns_to_ps(50);
-  const ms::MemorySystem sys(d);
+  const sc::FlatSystem sys(d);
   const auto stats = sys.run({make_req(0, 0, ms::Op::kRead, 0),
                               make_req(1, 0, ms::Op::kRead, 0)});
   // First read completes at 16 ns (tail hidden), but the second waits
@@ -333,7 +334,7 @@ TEST(System, ReadTailOccupiesBankOffLatencyPath) {
 TEST(System, StripedAccessBlocksAllBanks) {
   auto d = simple_device(1, 4);
   d.timing.line_striped_across_banks = true;
-  const ms::MemorySystem sys(d);
+  const sc::FlatSystem sys(d);
   std::vector<ms::Request> reqs;
   for (int i = 0; i < 8; ++i) {
     reqs.push_back(make_req(i, 0, ms::Op::kRead, std::uint64_t(i) * 64));
@@ -347,7 +348,7 @@ TEST(System, StripedAccessBlocksAllBanks) {
 TEST(System, AccessesPerLineMultiplies) {
   auto d = simple_device();
   d.timing.accesses_per_line = 4;
-  const ms::MemorySystem sys(d);
+  const sc::FlatSystem sys(d);
   const auto stats = sys.run({make_req(0, 0, ms::Op::kRead, 0)});
   // 4 x 10 ns occupancy + 4 x 1 ns burst + 5 ns interface.
   EXPECT_DOUBLE_EQ(stats.read_latency_ns.mean(), 49.0);
@@ -356,7 +357,7 @@ TEST(System, AccessesPerLineMultiplies) {
 TEST(System, EnergyAccounting) {
   auto d = simple_device();
   d.energy.background_power_w = 1.0;
-  const ms::MemorySystem sys(d);
+  const sc::FlatSystem sys(d);
   const auto stats = sys.run({make_req(0, 0, ms::Op::kRead, 0),
                               make_req(1, 0, ms::Op::kWrite, 64)});
   // Dynamic: 512 bits x 1 pJ/bit + 512 x 2 pJ/bit = 1536 pJ.
@@ -367,14 +368,14 @@ TEST(System, EnergyAccounting) {
 }
 
 TEST(System, RejectsUnsortedTrace) {
-  const ms::MemorySystem sys(simple_device());
+  const sc::FlatSystem sys(simple_device());
   EXPECT_THROW(sys.run({make_req(0, 100, ms::Op::kRead, 0),
                         make_req(1, 50, ms::Op::kRead, 64)}),
                std::invalid_argument);
 }
 
 TEST(System, UnsortedTraceErrorNamesIndexAndTimestamps) {
-  const ms::MemorySystem sys(simple_device());
+  const sc::FlatSystem sys(simple_device());
   try {
     sys.run({make_req(0, 10, ms::Op::kRead, 0),
              make_req(1, 100, ms::Op::kRead, 64),
@@ -390,7 +391,7 @@ TEST(System, UnsortedTraceErrorNamesIndexAndTimestamps) {
 }
 
 TEST(System, EmptyTraceIsSafe) {
-  const ms::MemorySystem sys(simple_device());
+  const sc::FlatSystem sys(simple_device());
   const auto stats = sys.run({});
   EXPECT_EQ(stats.reads, 0u);
   EXPECT_DOUBLE_EQ(stats.bandwidth_gbps(), 0.0);
@@ -399,7 +400,7 @@ TEST(System, EmptyTraceIsSafe) {
 
 TEST(System, BandwidthMatchesHandComputation) {
   // Saturating single-bank reads: one line per 11 ns (occupancy+burst).
-  const ms::MemorySystem sys(simple_device());
+  const sc::FlatSystem sys(simple_device());
   std::vector<ms::Request> reqs;
   for (int i = 0; i < 1000; ++i) {
     reqs.push_back(make_req(i, 0, ms::Op::kRead, std::uint64_t(i) * 64));
@@ -409,7 +410,7 @@ TEST(System, BandwidthMatchesHandComputation) {
 }
 
 TEST(System, UtilizationBounded) {
-  const ms::MemorySystem sys(simple_device(2, 4));
+  const sc::FlatSystem sys(simple_device(2, 4));
   std::vector<ms::Request> reqs;
   for (int i = 0; i < 2000; ++i) {
     reqs.push_back(make_req(i, i / 4, ms::Op::kRead, std::uint64_t(i) * 64));
@@ -446,8 +447,8 @@ TEST(System, GateablePowerScalesWithUtilization) {
   for (int i = 0; i < 200; ++i) {
     reqs.push_back(make_req(i, i * 100, ms::Op::kRead, std::uint64_t(i) * 64));
   }
-  const auto f = ms::MemorySystem(fixed).run(reqs);
-  const auto g = ms::MemorySystem(gated).run(reqs);
+  const auto f = sc::FlatSystem(fixed).run(reqs);
+  const auto g = sc::FlatSystem(gated).run(reqs);
   EXPECT_LT(g.background_energy_pj, f.background_energy_pj);
   // Sparse arrivals (100 ns apart, 11 ns busy): roughly 11 % utilization,
   // so the gated half of the power shrinks accordingly.
@@ -466,6 +467,6 @@ TEST(System, GatedEpbNeverWorse) {
   const auto profile = ms::profile_by_name("gcc_like");
   const ms::TraceGenerator gen(profile, 19);
   const auto trace = gen.generate(5000, 64);
-  EXPECT_LE(ms::MemorySystem(gated).run(trace).epb_pj_per_bit(),
-            ms::MemorySystem(fixed).run(trace).epb_pj_per_bit());
+  EXPECT_LE(sc::FlatSystem(gated).run(trace).epb_pj_per_bit(),
+            sc::FlatSystem(fixed).run(trace).epb_pj_per_bit());
 }

@@ -466,13 +466,20 @@ TEST(ProfiledStages, ThreadedHybridCallerStagesPlusSourceWaitCoverTheRun) {
       << "caller " << caller_s << " s of " << wall_s << " s";
 
   // Workers finish their own lanes, and that time is lane busy time.
+  // Each worker's busy time is its own lanes' (lane % workers), summed
+  // in lane order, so the sums agree exactly.
   ASSERT_EQ(profiler.pools().size(), 1u);
   const pf::PoolProfile& pool = *profiler.pools()[0];
-  double lane_busy_s = 0.0, worker_busy_s = 0.0;
-  for (const auto& lane : pool.lanes) lane_busy_s += lane.busy_s;
-  for (const auto& worker : pool.workers) worker_busy_s += worker.busy_s;
-  EXPECT_GT(lane_busy_s, 0.0);
-  EXPECT_DOUBLE_EQ(lane_busy_s, worker_busy_s);
+  ASSERT_FALSE(pool.workers.empty());
+  for (std::size_t w = 0; w < pool.workers.size(); ++w) {
+    double lane_busy_s = 0.0;
+    for (std::size_t lane = w; lane < pool.lanes.size();
+         lane += pool.workers.size()) {
+      lane_busy_s += pool.lanes[lane].busy_s;
+    }
+    EXPECT_GT(lane_busy_s, 0.0) << "worker " << w;
+    EXPECT_EQ(pool.workers[w].busy_s, lane_busy_s) << "worker " << w;
+  }
 }
 
 TEST(ProfiledStages, SerialCallerStagesCoverTheRun) {

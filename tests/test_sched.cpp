@@ -351,18 +351,19 @@ TEST(SchedController, FeedAfterFinishAndDoubleFinishThrow) {
   const ms::MemorySystem system(asym_device());
   sc::Controller controller(system, unbounded(sc::Policy::kReadFirst), "t");
   controller.feed(make_req(0, 0, ms::Op::kRead, 0));
-  (void)controller.finish();
+  EXPECT_EQ(controller.finish_slice().fed, 1u);
   EXPECT_THROW(controller.feed(make_req(1, 1, ms::Op::kRead, 64)),
                std::logic_error);
-  EXPECT_THROW(controller.finish(), std::logic_error);
+  EXPECT_THROW(controller.finish_slice(), std::logic_error);
 }
 
 TEST(SchedController, EmptyStreamFinishes) {
   const ms::MemorySystem system(asym_device());
   sc::Controller controller(system, unbounded(sc::Policy::kFrFcfs), "t");
-  const auto stats = controller.finish();
-  EXPECT_TRUE(stats.is_scheduled());
-  EXPECT_EQ(stats.reads + stats.writes, 0u);
+  const ms::ReplaySlice slice = controller.finish_slice();
+  EXPECT_EQ(slice.fed, 0u);
+  EXPECT_TRUE(slice.stats.is_scheduled());
+  EXPECT_EQ(slice.stats.reads + slice.stats.writes, 0u);
 }
 
 TEST(SchedEngine, FlatSystemIsStatelessAcrossRuns) {

@@ -147,7 +147,7 @@ TEST(ShardedBitIdentity, EveryHybridRegistryDeviceEveryPolicyEveryThreadCount) {
   }
 }
 
-TEST(ShardedBitIdentity, MemorySystemMatchesWholeStreamSession) {
+TEST(ShardedBitIdentity, FlatSystemMatchesWholeStreamSession) {
   const ms::DeviceModel model = dr::make_device("comet");
   const ms::SimStats reference =
       whole_stream_reference(ms::MemorySystem(model), std::nullopt);

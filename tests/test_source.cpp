@@ -146,10 +146,9 @@ TEST(ReplaySession, FeedAfterFinishThrows) {
   const ms::MemorySystem system(comet::driver::make_device("comet"));
   ms::ReplaySession session(system, "test");
   session.feed(ms::Request{});
-  EXPECT_EQ(session.fed(), 1u);
-  (void)session.finish();
+  EXPECT_EQ(session.finish_slice().fed, 1u);
   EXPECT_THROW(session.feed(ms::Request{}), std::logic_error);
-  EXPECT_THROW(session.finish(), std::logic_error);
+  EXPECT_THROW(session.finish_slice(), std::logic_error);
 }
 
 TEST(ReplaySession, RejectsOutOfOrderFeeds) {
@@ -191,7 +190,7 @@ TEST(ReplaySession, FeedIssuedRejectsAStalePlacement) {
   stale.bank ^= 1;
   EXPECT_THROW(session.feed_issued(req, stale, 1000), std::logic_error);
   session.feed_issued(req, system.address_map().place(req), 1000);
-  EXPECT_EQ(session.fed(), 1u);
+  EXPECT_EQ(session.finish_slice().fed, 1u);
 #endif
 }
 
