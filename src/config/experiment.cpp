@@ -15,7 +15,7 @@ void ExperimentSpec::validate() const {
   if (name.empty()) {
     throw std::invalid_argument("experiment: empty name");
   }
-  if (device_tokens.empty() && devices.empty()) {
+  if (devices.empty()) {
     throw std::invalid_argument("experiment '" + name +
                                 "' defines no devices");
   }
@@ -33,18 +33,18 @@ void ExperimentSpec::validate() const {
           "' sets trace_file and [tenant] streams; a trace tenant's file "
           "belongs on its own spec");
     }
-    if (!workload_names.empty() || !workloads.empty()) {
+    if (!workloads.empty()) {
       throw std::invalid_argument(
           "experiment '" + name +
           "' sets workloads and [tenant] streams; the tenant specs define "
           "the demand of a multi-tenant run");
     }
   } else if (trace_file.empty()) {
-    if (workload_names.empty() && workloads.empty()) {
+    if (workloads.empty()) {
       throw std::invalid_argument("experiment '" + name +
                                   "' defines no workloads and no trace_file");
     }
-  } else if (!workload_names.empty() || !workloads.empty()) {
+  } else if (!workloads.empty()) {
     throw std::invalid_argument(
         "experiment '" + name +
         "' sets trace_file and workloads; a trace replay has exactly one "
@@ -108,29 +108,30 @@ ExperimentSpec parse_experiment(const toml::Document& doc,
     anchor_line = experiment->line;
     TableReader reader(*experiment, doc.source, "[experiment]");
     if (auto v = reader.get_string("name")) spec.name = *v;
-    // Names expand later (driver::resolve_experiment); a typo fails here,
-    // at its line. `all` / `hybrid-all` name several registry devices.
+    // Names resolve here, ahead of the inline [[device]] and
+    // [[workload]] tables; a typo fails at its line.
     if (auto v = reader.get_string_list("devices")) {
       for (const auto& token : *v) {
-        if (!resolver || token == "all" || token == "hybrid-all") continue;
-        try {
-          (void)resolver(token);
-        } catch (const std::exception& e) {
-          reader.fail_at(reader.key_line("devices"), e.what());
+        for (auto& device : resolve_devices(reader, "devices", token,
+                                            resolver)) {
+          spec.devices.push_back(std::move(device));
         }
       }
-      spec.device_tokens = *v;
     }
     if (auto v = reader.get_string_list("workloads")) {
       for (const auto& name : *v) {
-        if (name == "all") continue;
+        if (name == "all") {
+          for (auto& profile : memsim::spec_like_profiles()) {
+            spec.workloads.push_back(std::move(profile));
+          }
+          continue;
+        }
         try {
-          (void)memsim::profile_by_name(name);
+          spec.workloads.push_back(memsim::profile_by_name(name));
         } catch (const std::exception& e) {
           reader.fail_at(reader.key_line("workloads"), e.what());
         }
       }
-      spec.workload_names = *v;
     }
     if (auto v = reader.get_u64_list("requests", 1, SIZE_MAX)) {
       spec.requests = *v;
@@ -214,27 +215,12 @@ void write_axis(std::ostream& os, const char* key, const std::vector<T>& axis,
 
 std::string format_integer(std::uint64_t v) { return std::to_string(v); }
 
-void write_string_list(std::ostream& os, const char* key,
-                       const std::vector<std::string>& values) {
-  os << key << " = [";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    os << (i ? ", " : "") << toml::format_string(values[i]);
-  }
-  os << "]\n";
-}
-
 }  // namespace
 
 void write_experiment(std::ostream& os, const ExperimentSpec& spec) {
   os << "# comet_sim experiment specification\n"
      << "[experiment]\n"
      << "name = " << toml::format_string(spec.name) << "\n";
-  if (!spec.device_tokens.empty()) {
-    write_string_list(os, "devices", spec.device_tokens);
-  }
-  if (!spec.workload_names.empty()) {
-    write_string_list(os, "workloads", spec.workload_names);
-  }
   write_axis(os, "requests", spec.requests, format_integer);
   write_axis(os, "seed", spec.seeds, format_integer);
   write_axis(os, "channels", spec.channels,

@@ -14,6 +14,8 @@
 /// overrides and trace files — and expands into the sweep matrix
 /// without touching C++. The comet_sim flags are a second spelling of
 /// the same document (config/knobs.hpp maps each flag to its key).
+/// Device tokens and workload names resolve to definitions when the
+/// document is read, so a spec holds definitions only.
 ///
 /// Document shape (`--config`):
 ///
@@ -28,7 +30,7 @@
 ///     line_bytes = 128
 ///
 ///     [[device]]                            # inline device definitions
-///     base = "comet"                        # (appended after tokens)
+///     base = "comet"                        # (appended after names)
 ///     name = "comet-16ch"
 ///     [device.timing]
 ///     channels = 16
@@ -74,21 +76,14 @@
 ///
 /// The matrix expands devices × channels × policies × run_threads ×
 /// workloads × requests × seeds in that nesting order, devices ordered
-/// tokens-first then inline definitions (same for workloads).
+/// as read: named ones first, then inline definitions (same for
+/// workloads).
 namespace comet::config {
 
 struct ExperimentSpec {
   std::string name = "experiment";
 
-  /// Registry tokens (including `all` / `hybrid-all`), expanded before
-  /// the inline `devices` below. The config layer cannot resolve these
-  /// itself — the driver's registry does (resolve_experiment).
-  std::vector<std::string> device_tokens;
-  std::vector<DeviceSpec> devices;  ///< Inline / resolved definitions.
-
-  /// Built-in profile names (including `all`), expanded before the
-  /// inline `workloads`.
-  std::vector<std::string> workload_names;
+  std::vector<DeviceSpec> devices;
   std::vector<memsim::WorkloadProfile> workloads;
 
   // --- Sweep axes. Single-element vectors reproduce the CLI flags; a
@@ -144,22 +139,20 @@ struct ExperimentSpec {
   void validate() const;
 };
 
-/// Parses a whole experiment document. `resolver` resolves `base`
-/// references inside inline [[device]] tables and checks the registry
-/// tokens of the `devices` list, which stay symbolic until the driver's
-/// resolve_experiment (an empty resolver skips the check). Profile
-/// names in `workloads` are checked too. Throws toml::ParseError with
-/// source:line diagnostics.
+/// Parses a whole experiment document. `resolver` expands the tokens of
+/// the `devices` list and `base` references inside inline [[device]]
+/// tables (an empty one rejects both); `workloads` names expand to
+/// built-in profiles, `all` to memsim::spec_like_profiles(). Throws
+/// toml::ParseError with source:line diagnostics.
 ExperimentSpec parse_experiment(const toml::Document& doc,
                                 const DeviceResolver& resolver);
 
 ExperimentSpec parse_experiment_file(const std::string& path,
                                      const DeviceResolver& resolver);
 
-/// Serializes a spec as a parse_experiment-compatible document. Inline
-/// devices/workloads are written in full; token lists are written
-/// symbolically — resolve first (driver::resolve_experiment) for a
-/// registry-independent dump.
+/// Serializes a spec as a parse_experiment-compatible document, every
+/// device and workload written in full, so it reads back without a
+/// registry.
 void write_experiment(std::ostream& os, const ExperimentSpec& spec);
 
 std::string experiment_to_toml(const ExperimentSpec& spec);

@@ -457,22 +457,17 @@ void apply_model_keys(TableReader& reader, memsim::DeviceModel& model,
   }
 }
 
-/// Resolves a base token, re-anchoring resolver errors (unknown token,
-/// etc.) to the `base` key's line.
+/// Resolves a base token to the one device it names.
 DeviceSpec resolve_base(TableReader& reader, const DeviceResolver& resolver,
                         const std::string& base) {
-  if (!resolver) {
+  std::vector<DeviceSpec> specs =
+      resolve_devices(reader, "base", base, resolver);
+  if (specs.size() != 1) {
     reader.fail_at(reader.key_line("base"),
-                   "'base' references are not available here (no device "
-                   "registry to resolve '" + base + "')");
+                   "'base' must name one device; '" + base + "' names " +
+                       std::to_string(specs.size()));
   }
-  try {
-    return resolver(base);
-  } catch (const toml::ParseError&) {
-    throw;
-  } catch (const std::exception& e) {
-    reader.fail_at(reader.key_line("base"), e.what());
-  }
+  return std::move(specs.front());
 }
 
 /// Parses a [..backend] table: a flat model, optionally starting from a
@@ -503,13 +498,10 @@ memsim::DeviceModel parse_backend(const toml::Table& table,
 
 void apply_cache_keys(const toml::Table& table, const std::string& source,
                       const std::string& section,
-                      hybrid::DramCacheConfig& cache, bool& capacity_set) {
+                      hybrid::DramCacheConfig& cache) {
   TableReader reader(table, source, section);
   const bool has_bytes = reader.has("capacity_bytes");
-  if (auto v = reader.get_u64("capacity_bytes", 1)) {
-    cache.capacity_bytes = *v;
-    capacity_set = true;
-  }
+  if (auto v = reader.get_u64("capacity_bytes", 1)) cache.capacity_bytes = *v;
   if (auto v = reader.get_u64("capacity_mb", 1, 1ull << 30)) {
     if (has_bytes) {
       reader.fail_at(reader.key_line("capacity_mb"),
@@ -517,7 +509,6 @@ void apply_cache_keys(const toml::Table& table, const std::string& source,
                      "exclusive");
     }
     cache.capacity_bytes = *v << 20;
-    capacity_set = true;
   }
   if (auto v = reader.get_int("ways", 1, INT_MAX)) cache.ways = int(*v);
   if (auto v = reader.get_u64("line_bytes", 1, UINT32_MAX)) {
@@ -534,6 +525,25 @@ void apply_cache_keys(const toml::Table& table, const std::string& source,
 }
 
 }  // namespace
+
+std::vector<DeviceSpec> resolve_devices(TableReader& reader,
+                                        const std::string& key,
+                                        const std::string& token,
+                                        const DeviceResolver& resolver) {
+  if (!resolver) {
+    reader.fail_at(reader.key_line(key),
+                   "'" + key +
+                       "' references are not available here (no device "
+                       "registry to resolve '" + token + "')");
+  }
+  try {
+    return resolver(token);
+  } catch (const toml::ParseError&) {
+    throw;
+  } catch (const std::exception& e) {
+    reader.fail_at(reader.key_line(key), e.what());
+  }
+}
 
 DeviceSpec parse_device(const toml::Table& table, const std::string& source,
                         const DeviceResolver& resolver) {
@@ -582,8 +592,11 @@ DeviceSpec parse_device(const toml::Table& table, const std::string& source,
   }
 
   // --- Hybrid: assemble cache + dram tier + backend.
+  // The DRAM tier is derived from the cache capacity (HBM-class model
+  // scaled to size) unless the document pins it down explicitly; a
+  // hybrid base brings its own.
   hybrid::TieredConfig config;
-  bool cache_capacity_set = false;
+  config.dram = hybrid::dram_cache_tier_model(config.cache.capacity_bytes);
 
   if (base_hybrid) {
     config = *base_spec.tiered;
@@ -631,15 +644,10 @@ DeviceSpec parse_device(const toml::Table& table, const std::string& source,
   }
 
   if (cache_table) {
+    hybrid::DramCacheConfig cache = config.cache;
     apply_cache_keys(*cache_table, source, reader.section() + ".cache",
-                     config.cache, cache_capacity_set);
-  }
-
-  // The DRAM tier is derived from the cache capacity (HBM-class model
-  // scaled to size) unless the document pins it down explicitly.
-  const bool rebuild_dram = !base_hybrid || cache_capacity_set;
-  if (rebuild_dram) {
-    config.dram = hybrid::dram_cache_tier_model(config.cache.capacity_bytes);
+                     cache);
+    config.set_cache(cache);
   }
   if (dram_table) {
     TableReader d(*dram_table, source, reader.section() + ".dram");

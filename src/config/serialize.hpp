@@ -24,14 +24,18 @@
 /// out-of-range values all raise toml::ParseError anchored to the
 /// offending line. Writing emits every field with round-trip precision,
 /// so `parse(write(x)) == x` for any valid spec — the invariant behind
-/// `--dump-config`.
+/// `--dump-config`. Device tokens (`base`, an experiment's `devices`)
+/// resolve through a DeviceResolver as they are read, so every parsed
+/// spec holds definitions only.
 namespace comet::config {
 
-/// Maps a `base = "<token>"` reference to a resolved built-in spec. The
-/// driver registry supplies one (registry_resolver()); pass an empty
-/// function where base references must be rejected. Expected to throw
-/// std::invalid_argument on unknown tokens.
-using DeviceResolver = std::function<DeviceSpec(const std::string& token)>;
+/// Maps a device token to the built-in specs it names: one for a single
+/// device, several for a group such as `all`. The driver registry's
+/// resolve_device_specs is one; pass an empty function where token
+/// references must be rejected. Expected to throw std::invalid_argument
+/// on unknown tokens.
+using DeviceResolver =
+    std::function<std::vector<DeviceSpec>(const std::string& token)>;
 
 /// Schema-checking view over one parsed table: typed getters with range
 /// checks, consumed-key tracking, and a finish() pass that rejects any
@@ -130,15 +134,24 @@ std::string workload_to_toml(const memsim::WorkloadProfile& profile);
 
 // --- Readers.
 
+/// The specs `resolver` returns for a device `token` read from `key`.
+/// An empty resolver and resolver errors (unknown token, etc.) raise
+/// toml::ParseError at the key's line.
+std::vector<DeviceSpec> resolve_devices(TableReader& reader,
+                                        const std::string& key,
+                                        const std::string& token,
+                                        const DeviceResolver& resolver);
+
 /// Parses one device table (the contents of a `[device]` section or a
 /// `[[device]]` element) into a resolved spec. Semantics:
-///   - `base = "<token>"` starts from the resolver's spec for that
-///     token; all other keys are overrides on top of it.
+///   - `base = "<token>"` starts from the one spec the resolver returns
+///     for that token (a group such as `all` is rejected); all other
+///     keys are overrides on top of it.
 ///   - a flat base (or no base) plus a [cache] section *promotes* the
 ///     device to a hybrid: the flat model becomes the backend.
 ///   - hybrid tables take [cache] / [backend] / [dram] sections; the
-///     DRAM tier is re-derived from the cache capacity unless [dram] is
-///     given explicitly.
+///     DRAM tier is re-derived when the cache capacity changes
+///     (TieredConfig::set_cache), then [dram] keys apply on top.
 /// Throws toml::ParseError with source:line on any schema violation and
 /// on model validation failures.
 DeviceSpec parse_device(const toml::Table& table, const std::string& source,

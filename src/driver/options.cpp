@@ -11,7 +11,6 @@
 #include "config/knobs.hpp"
 #include "config/serialize.hpp"
 #include "driver/registry.hpp"
-#include "driver/sweep.hpp"
 #include "memsim/trace_gen.hpp"
 
 namespace comet::driver {
@@ -298,7 +297,7 @@ Options parse_args(const std::vector<std::string>& args) {
       } else if (flag == "--device-file") {
         const std::string& file = path();
         // Checked on its own first, so its errors carry its own file:line.
-        (void)config::parse_device_file(file, registry_resolver());
+        (void)config::parse_device_file(file, resolve_device_specs);
         doc.root.arrays["device"].push_back(
             toml::parse_file(file).root.children.at("device"));
       } else if (flag == "--cache-mb") {
@@ -331,7 +330,7 @@ Options parse_args(const std::vector<std::string>& args) {
           "--config cannot be combined with " + matrix_flag +
           " (the config file defines the whole experiment)");
     }
-    opt.spec = config::parse_experiment_file(opt.config, registry_resolver());
+    opt.spec = config::parse_experiment_file(opt.config, resolve_device_specs);
   } else {
     // What the flags leave implicit: every device unless --device or
     // --device-file names some, every workload unless --workload,
@@ -348,15 +347,13 @@ Options parse_args(const std::vector<std::string>& args) {
       experiment.values["workloads"] = string_value("all", 0);
     }
     try {
-      opt.spec = config::parse_experiment(doc, registry_resolver());
+      opt.spec = config::parse_experiment(doc, resolve_device_specs);
     } catch (const toml::ParseError& e) {
       throw flag_error(e, args);
     }
     opt.spec.source.clear();  // Flag runs name no config file.
   }
 
-  // The readers checked every name; expand them to inline definitions.
-  opt.spec = resolve_experiment(std::move(opt.spec));
   for (auto& device : opt.spec.devices) {
     device = apply_hybrid_overrides(std::move(device), cache);
   }

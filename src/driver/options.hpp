@@ -30,9 +30,9 @@ struct Options {
                                  ///< exit (no simulation runs).
 
   /// The experiment: the --config document, or the document the flags
-  /// spell. Registry tokens and profile names are already resolved to
-  /// inline definitions (resolve_experiment), with the --cache-*
-  /// overrides applied to every hybrid device.
+  /// spell. The reader resolved its device tokens and profile names to
+  /// definitions, and the --cache-* overrides are applied to every
+  /// hybrid device.
   config::ExperimentSpec spec;
 };
 

@@ -99,11 +99,8 @@ const std::string& hybrid_table_name(const config::toml::Table& table) {
 
 /// Base resolver for the built-in hybrid specs: flat tokens only (the
 /// built-ins never reference each other).
-DeviceSpec resolve_flat_base(const std::string& token) {
-  if (auto model = try_make_device(token)) {
-    return DeviceSpec(*std::move(model));
-  }
-  throw unknown_token(token, /*include_hybrid=*/false);
+std::vector<DeviceSpec> resolve_flat_base(const std::string& token) {
+  return {DeviceSpec(make_device(token))};
 }
 
 }  // namespace
@@ -140,16 +137,17 @@ DeviceSpec make_device_spec(const std::string& token) {
 DeviceSpec apply_hybrid_overrides(DeviceSpec spec,
                                   const HybridOverrides& overrides) {
   if (!spec.is_hybrid() || !overrides.any()) return spec;
-  // The DRAM tier model is re-derived from the adjusted cache capacity
-  // (make_tiered_config), like any declarative cache change.
   hybrid::DramCacheConfig cache = spec.tiered->cache;
   if (overrides.cache_mb) cache.capacity_bytes = *overrides.cache_mb << 20;
   if (overrides.cache_ways) cache.ways = *overrides.cache_ways;
   if (overrides.cache_policy) {
     cache.write_allocate = hybrid::parse_cache_policy(*overrides.cache_policy);
   }
-  return DeviceSpec(hybrid::make_tiered_config(
-      spec.name, std::move(spec.tiered->backend), cache));
+  // Like a declarative cache change: the DRAM tier is re-derived only
+  // when the capacity changes.
+  spec.tiered->set_cache(cache);
+  spec.tiered->validate();
+  return spec;
 }
 
 std::vector<DeviceSpec> resolve_device_specs(const std::string& spec) {
@@ -167,10 +165,6 @@ std::vector<DeviceSpec> resolve_device_specs(const std::string& spec) {
     specs.push_back(make_device_spec(spec));
   }
   return specs;
-}
-
-config::DeviceResolver registry_resolver() {
-  return [](const std::string& token) { return make_device_spec(token); };
 }
 
 }  // namespace comet::driver

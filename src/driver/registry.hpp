@@ -18,7 +18,8 @@
 /// config::parse_device, so built-ins and user files flow through one
 /// code path. `all` expands to the seven Fig. 9 architectures in the
 /// paper's presentation order; `hybrid-all` expands to every hybrid
-/// design point.
+/// design point. The config readers resolve every token through
+/// resolve_device_specs as they read it.
 namespace comet::driver {
 
 /// The resolved-device type is shared with the config layer (it is what
@@ -59,24 +60,21 @@ memsim::DeviceModel make_device(const std::string& token);
 /// std::invalid_argument on unknown tokens.
 DeviceSpec make_device_spec(const std::string& token);
 
-/// Applies the `--cache-*` overrides to a hybrid spec, re-deriving the
-/// DRAM tier model from the adjusted cache capacity; flat specs pass
-/// through untouched. One path for registry tokens and --device-file
-/// specs alike, so the flags are never silently ignored for
-/// file-defined hybrids. Throws std::invalid_argument on an invalid
-/// resulting geometry or policy.
+/// Applies the `--cache-*` overrides to a hybrid spec; flat specs pass
+/// through untouched. The DRAM tier model is re-derived only when the
+/// capacity changes (hybrid::TieredConfig::set_cache, the rule the
+/// config reader applies too), so a --device-file's custom tier
+/// survives --cache-ways and --cache-policy. One path for registry
+/// tokens and --device-file specs alike. Throws std::invalid_argument
+/// on an invalid resulting geometry or policy.
 DeviceSpec apply_hybrid_overrides(DeviceSpec spec,
                                   const HybridOverrides& overrides);
 
-/// Expands a `--device` argument: `all` → every flat device,
-/// `hybrid-all` → every hybrid design point, otherwise the single named
-/// one. Throws std::invalid_argument on unknown tokens.
+/// Expands a device token: `all` → every flat device, `hybrid-all` →
+/// every hybrid design point, otherwise the single named one. Throws
+/// std::invalid_argument on unknown tokens. This is the
+/// config::DeviceResolver the readers take, so documents can write
+/// `devices = ["all"]` and `base = "comet"`.
 std::vector<DeviceSpec> resolve_device_specs(const std::string& spec);
-
-/// The registry as a config-layer base resolver: maps any single
-/// flat/hybrid token to its spec (no CLI overrides). Hand this to
-/// config::parse_device / parse_experiment so user documents can write
-/// `base = "comet"`.
-config::DeviceResolver registry_resolver();
 
 }  // namespace comet::driver

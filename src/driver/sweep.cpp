@@ -7,7 +7,6 @@
 #include <mutex>
 #include <thread>
 
-#include "driver/registry.hpp"
 #include "memsim/sharded.hpp"
 #include "memsim/trace.hpp"
 #include "tenant/runner.hpp"
@@ -24,101 +23,69 @@ std::string trace_display_name(const std::string& path) {
 
 }  // namespace
 
-config::ExperimentSpec resolve_experiment(config::ExperimentSpec spec) {
-  std::vector<DeviceSpec> devices;
-  for (const auto& token : spec.device_tokens) {
-    for (auto& resolved : resolve_device_specs(token)) {
-      devices.push_back(std::move(resolved));
-    }
-  }
-  for (auto& inline_device : spec.devices) {
-    devices.push_back(std::move(inline_device));
-  }
-  spec.devices = std::move(devices);
-  spec.device_tokens.clear();
-
-  std::vector<memsim::WorkloadProfile> workloads;
-  for (const auto& name : spec.workload_names) {
-    if (name == "all") {
-      for (auto& profile : memsim::spec_like_profiles()) {
-        workloads.push_back(std::move(profile));
-      }
-    } else {
-      workloads.push_back(memsim::profile_by_name(name));
-    }
-  }
-  for (auto& inline_workload : spec.workloads) {
-    workloads.push_back(std::move(inline_workload));
-  }
-  spec.workloads = std::move(workloads);
-  spec.workload_names.clear();
-  return spec;
-}
-
 std::vector<SweepJob> build_matrix(const config::ExperimentSpec& spec) {
-  const config::ExperimentSpec resolved = resolve_experiment(spec);
-  resolved.validate();
+  spec.validate();
 
   std::vector<memsim::WorkloadProfile> profiles;
-  if (!resolved.tenants.empty()) {
+  if (!spec.tenants.empty()) {
     // Multi-tenant run: one pseudo-workload labelled like the shared
     // run; the tenant specs carry the actual demand.
     memsim::WorkloadProfile pseudo;
-    pseudo.name = tenant::multi_workload_name(resolved.tenants);
+    pseudo.name = tenant::multi_workload_name(spec.tenants);
     profiles.push_back(std::move(pseudo));
-  } else if (!resolved.trace_file.empty()) {
+  } else if (!spec.trace_file.empty()) {
     // On-disk replay: one pseudo-workload per trace file, labelled with
     // its basename; the profile is never used for synthesis.
     memsim::WorkloadProfile pseudo;
-    pseudo.name = trace_display_name(resolved.trace_file);
+    pseudo.name = trace_display_name(spec.trace_file);
     profiles.push_back(std::move(pseudo));
   } else {
-    profiles = resolved.workloads;
+    profiles = spec.workloads;
   }
 
   // The scheduler axis: no [controller] section runs the legacy direct
   // replay (one cell, no controller); otherwise one cell per policy.
   std::vector<std::optional<sched::ControllerConfig>> controllers;
-  if (resolved.policies.empty()) {
+  if (spec.policies.empty()) {
     controllers.push_back(std::nullopt);
   } else {
-    for (const auto policy : resolved.policies) {
-      sched::ControllerConfig controller = resolved.controller;
+    for (const auto policy : spec.policies) {
+      sched::ControllerConfig controller = spec.controller;
       controller.policy = policy;
       controllers.emplace_back(controller);
     }
   }
 
   std::vector<SweepJob> jobs;
-  jobs.reserve(resolved.devices.size() * resolved.channels.size() *
-               controllers.size() * resolved.run_threads.size() *
-               profiles.size() * resolved.requests.size() *
-               resolved.seeds.size());
-  for (const auto& device : resolved.devices) {
-    for (const int channels : resolved.channels) {
+  jobs.reserve(spec.devices.size() * spec.channels.size() *
+               controllers.size() * spec.run_threads.size() *
+               profiles.size() * spec.requests.size() *
+               spec.seeds.size());
+  for (const auto& device : spec.devices) {
+    for (const int channels : spec.channels) {
       DeviceSpec configured = device;
       if (channels > 0) configured.set_channels(channels);
       for (const auto& controller : controllers) {
-        for (const int run_threads : resolved.run_threads) {
+        for (const int run_threads : spec.run_threads) {
           for (const auto& profile : profiles) {
-            for (const auto requests : resolved.requests) {
-              for (const auto seed : resolved.seeds) {
+            for (const auto requests : spec.requests) {
+              for (const auto seed : spec.seeds) {
                 SweepJob job;
                 job.device = configured;
                 job.profile = profile;
                 job.requests = static_cast<std::size_t>(requests);
                 job.seed = seed;
-                job.line_bytes = resolved.line_bytes;
-                job.trace_path = resolved.trace_file;
-                job.cpu_ghz = resolved.cpu_ghz;
+                job.line_bytes = spec.line_bytes;
+                job.trace_path = spec.trace_file;
+                job.cpu_ghz = spec.cpu_ghz;
                 job.controller = controller;
                 job.run_threads = run_threads;
-                job.telemetry = resolved.telemetry;
-                job.profile_spec = resolved.profile;
-                job.tenants = resolved.tenants;
-                job.tenant_mapping = resolved.tenant_mapping;
-                job.experiment = resolved.name;
-                job.config_file = resolved.source;
+                job.telemetry = spec.telemetry;
+                job.profile_spec = spec.profile;
+                job.tenants = spec.tenants;
+                job.tenant_mapping = spec.tenant_mapping;
+                job.experiment = spec.name;
+                job.config_file = spec.source;
                 jobs.push_back(std::move(job));
               }
             }

@@ -23,8 +23,9 @@
 /// parallelises with near-linear speedup.
 ///
 /// The matrix itself comes from a config::ExperimentSpec — the document
-/// the CLI flags spell or a `--config` one (parse_args reads both) — so
-/// both entry points expand through one path.
+/// the CLI flags spell or a `--config` one (parse_args reads both), its
+/// device tokens and workload names already resolved to definitions by
+/// the reader — so both entry points expand through one path.
 namespace comet::driver {
 
 /// One cell of the sweep matrix. `device` is either a flat architecture
@@ -73,16 +74,9 @@ struct SweepJob {
   std::string config_file;  ///< The --config path; empty for flag runs.
 };
 
-/// Expands every registry token (`all`, `hybrid-all`, single names) and
-/// workload name in the spec into inline definitions, in tokens-first
-/// order. The result is registry-independent — what --dump-config
-/// writes. Throws std::invalid_argument on unknown tokens/names.
-config::ExperimentSpec resolve_experiment(config::ExperimentSpec spec);
-
-/// Expands a spec into the job matrix: devices × channels × policies ×
-/// run_threads × workloads × requests × seeds (resolving registry
-/// tokens first). The channel override re-validates each adjusted
-/// model.
+/// Validates a spec and expands it into the job matrix: devices ×
+/// channels × policies × run_threads × workloads × requests × seeds.
+/// The channel override re-validates each adjusted model.
 std::vector<SweepJob> build_matrix(const config::ExperimentSpec& spec);
 
 /// Runs one job serially (the reference path the tests compare against):

@@ -24,6 +24,13 @@ void TieredConfig::validate() const {
   }
 }
 
+void TieredConfig::set_cache(const DramCacheConfig& next) {
+  if (next.capacity_bytes != cache.capacity_bytes) {
+    dram = dram_cache_tier_model(next.capacity_bytes);
+  }
+  cache = next;
+}
+
 memsim::DeviceModel dram_cache_tier_model(std::uint64_t capacity_bytes) {
   // HBM-class stacked DRAM with a streaming cache controller: 256 B
   // burst granularity (a 2 KB fill is eight back-to-back beats in one
@@ -61,18 +68,6 @@ memsim::DeviceModel dram_cache_tier_model(std::uint64_t capacity_bytes) {
       kControllerFloorW +
       kFullStackPowerW * static_cast<double>(capacity_bytes) / kFullStackBytes;
   return model;
-}
-
-TieredConfig make_tiered_config(const std::string& name,
-                                memsim::DeviceModel backend,
-                                const DramCacheConfig& cache) {
-  TieredConfig config;
-  config.name = name;
-  config.cache = cache;
-  config.dram = dram_cache_tier_model(cache.capacity_bytes);
-  config.backend = std::move(backend);
-  config.validate();
-  return config;
 }
 
 TieredSystem::TieredSystem(

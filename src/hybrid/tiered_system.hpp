@@ -41,6 +41,11 @@ struct TieredConfig {
   /// Validates all three components; additionally rejects an empty name
   /// and a cache at least as large as the backend (that is not a cache).
   void validate() const;
+
+  /// Replaces the cache geometry and policy. The DRAM tier is re-derived
+  /// (dram_cache_tier_model) only when the capacity changes, so a custom
+  /// tier survives a change of ways or policy.
+  void set_cache(const DramCacheConfig& next);
 };
 
 /// Per-tier view of one tiered replay. `combined` is what the driver
@@ -57,12 +62,6 @@ struct TieredStats {
 /// capacity — and the capacity-proportional share of background power —
 /// scaled down to the cache size, plus a fixed tag/controller floor.
 memsim::DeviceModel dram_cache_tier_model(std::uint64_t capacity_bytes);
-
-/// Builds a full hybrid design point around an existing backend model.
-/// `cache` defaults apply where fields are left at their defaults.
-TieredConfig make_tiered_config(const std::string& name,
-                                memsim::DeviceModel backend,
-                                const DramCacheConfig& cache);
 
 class TieredSystem final : public memsim::Engine {
  public:

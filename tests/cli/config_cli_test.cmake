@@ -9,8 +9,9 @@
 # every scheduling policy with its refining flag and a traced
 # multi-tenant run;
 # a custom device defined only in a config file runs end-to-end with no
-# registry edit; the committed example specs stay valid; missing files
-# and schema errors exit 2 with file:line diagnostics; --config rejects
+# registry edit; the committed example specs stay valid; missing files,
+# schema errors and a group token as a device's base exit 2 with
+# file:line diagnostics; --config rejects
 # matrix flags; a section validator's error on the command line names
 # the flags.
 
@@ -214,6 +215,22 @@ execute_process(
 expect_rc("bad type" "${rc}" 2)
 expect_contains("bad type" "${err}" "badtype.toml:4")
 expect_contains("bad type" "${err}" "expects integer")
+
+# A base names one device: a group token is rejected at its line, by
+# the number of devices it names.
+foreach(group "all;7" "hybrid-all;5")
+  list(GET group 0 token)
+  list(GET group 1 count)
+  file(WRITE ${WORK_DIR}/base_${token}.toml
+       "[device]\nbase = \"${token}\"\nname = \"g\"\n")
+  execute_process(
+    COMMAND ${COMET_SIM} --device-file ${WORK_DIR}/base_${token}.toml
+    RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  expect_rc("base ${token}" "${rc}" 2)
+  expect_contains("base ${token}" "${err}" "base_${token}.toml:2")
+  expect_contains("base ${token}" "${err}"
+                  "'base' must name one device; '${token}' names ${count}")
+endforeach()
 
 # A zero row size is rejected at its line, flat or as a hybrid's
 # backend, instead of dividing by zero in the replay.

@@ -25,7 +25,7 @@ using comet::config::ExperimentSpec;
 using comet::config::parse_device;
 using comet::config::parse_workload;
 using comet::driver::make_device_spec;
-using comet::driver::registry_resolver;
+using comet::driver::resolve_device_specs;
 namespace toml = comet::config::toml;
 
 // --- Parser --------------------------------------------------------------
@@ -191,7 +191,7 @@ TEST(DeviceSerialization, BadTypeAndOutOfRangeDiagnostics) {
     const auto doc = toml::parse_string(body, "bad.toml");
     try {
       parse_device(doc.root.children.at("device"), doc.source,
-                   registry_resolver());
+                   resolve_device_specs);
       FAIL() << "expected error containing: " << fragment;
     } catch (const toml::ParseError& e) {
       EXPECT_EQ(e.line(), line) << e.what();
@@ -222,6 +222,26 @@ TEST(DeviceSerialization, BadTypeAndOutOfRangeDiagnostics) {
       "line size must be 2^k", 1);
 }
 
+TEST(DeviceSerialization, BaseMustNameOneDevice) {
+  const std::pair<std::string, std::string> groups[] = {{"all", "7"},
+                                                        {"hybrid-all", "5"}};
+  for (const auto& [token, count] : groups) {
+    const auto doc = toml::parse_string(
+        "[device]\nname = \"g\"\nbase = \"" + token + "\"\n", "g.toml");
+    try {
+      (void)parse_device(doc.root.children.at("device"), doc.source,
+                         resolve_device_specs);
+      FAIL() << "expected a ParseError for base " << token;
+    } catch (const toml::ParseError& e) {
+      EXPECT_EQ(e.line(), 3u) << e.what();
+      EXPECT_NE(std::string(e.what()).find("'base' must name one device; '" +
+                                           token + "' names " + count),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(DeviceSerialization, FlatBasePromotesToHybrid) {
   // base = "comet" + [cache] is exactly the registry's own hybrid-comet
   // expressed by a user: the two must be indistinguishable.
@@ -234,7 +254,7 @@ TEST(DeviceSerialization, FlatBasePromotesToHybrid) {
   const auto doc = toml::parse_string(text, "user.toml");
   const DeviceSpec user =
       parse_device(doc.root.children.at("device"), doc.source,
-                   registry_resolver());
+                   resolve_device_specs);
   ASSERT_TRUE(user.is_hybrid());
   EXPECT_TRUE(probe(user) == probe(make_device_spec("hybrid-comet")));
 }
@@ -248,7 +268,7 @@ TEST(DeviceSerialization, HybridBaseOverridesRebuildDramTier) {
       "capacity_mb = 128\n";
   const auto doc = toml::parse_string(text, "user.toml");
   const DeviceSpec spec = parse_device(doc.root.children.at("device"),
-                                       doc.source, registry_resolver());
+                                       doc.source, resolve_device_specs);
   ASSERT_TRUE(spec.is_hybrid());
   EXPECT_EQ(spec.name, "big-cache");
   EXPECT_EQ(spec.tiered->cache.capacity_bytes, 128ull << 20);
@@ -259,7 +279,7 @@ TEST(DeviceSerialization, HybridBaseOverridesRebuildDramTier) {
       "[device]\nbase = \"hybrid-comet\"\n[device.timing]\nchannels = 4\n";
   const auto bad = toml::parse_string(ambiguous, "user.toml");
   EXPECT_THROW(parse_device(bad.root.children.at("device"), bad.source,
-                            registry_resolver()),
+                            resolve_device_specs),
                toml::ParseError);
 }
 
@@ -273,7 +293,7 @@ TEST(DeviceSerialization, BackendSectionOverridesBackendModel) {
       "channels = 32\n";
   const auto doc = toml::parse_string(text, "user.toml");
   const DeviceSpec spec = parse_device(doc.root.children.at("device"),
-                                       doc.source, registry_resolver());
+                                       doc.source, resolve_device_specs);
   EXPECT_EQ(spec.channels(), 32);
   // The cache geometry is untouched.
   EXPECT_EQ(spec.tiered->cache.capacity_bytes,
@@ -326,9 +346,9 @@ TEST(WorkloadSerialization, RangeAndPatternDiagnostics) {
 TEST(ExperimentApi, BuilderValidates) {
   ExperimentSpec spec;
   EXPECT_THROW(spec.validate(), std::invalid_argument);  // No devices.
-  spec.device_tokens = {"comet"};
+  spec.devices = resolve_device_specs("comet");
   EXPECT_THROW(spec.validate(), std::invalid_argument);  // No demand.
-  spec.workload_names = {"gcc_like"};
+  spec.workloads = {comet::memsim::profile_by_name("gcc_like")};
   spec.trace_file = "x.trace";
   EXPECT_THROW(spec.validate(), std::invalid_argument);  // Two demands.
   spec.trace_file.clear();
@@ -342,8 +362,8 @@ TEST(ExperimentApi, BuilderValidates) {
 
 TEST(ExperimentApi, AxesMultiplyTheMatrix) {
   ExperimentSpec spec;
-  spec.device_tokens = {"comet", "epcm"};
-  spec.workload_names = {"gcc_like"};
+  spec.devices = {make_device_spec("comet"), make_device_spec("epcm")};
+  spec.workloads = {comet::memsim::profile_by_name("gcc_like")};
   spec.channels = {0, 4};
   spec.requests = {500, 1000};
   spec.seeds = {1, 2, 3};
@@ -379,14 +399,14 @@ TEST(ExperimentApi, ParseExperimentDocument) {
       "pattern = \"streaming\"\n"
       "read_fraction = 0.5\n";
   const auto spec = comet::config::parse_experiment(
-      toml::parse_string(text, "demo.toml"), registry_resolver());
+      toml::parse_string(text, "demo.toml"), resolve_device_specs);
   EXPECT_EQ(spec.name, "demo");
   EXPECT_EQ(spec.source, "demo.toml");
-  ASSERT_EQ(spec.device_tokens.size(), 2u);
-  ASSERT_EQ(spec.devices.size(), 1u);
-  EXPECT_EQ(spec.devices[0].channels(), 16);
-  ASSERT_EQ(spec.workloads.size(), 1u);
-  EXPECT_EQ(spec.workloads[0].name, "scan");
+  // Names resolve as they are read, ahead of the inline definitions.
+  ASSERT_EQ(spec.devices.size(), 3u);
+  EXPECT_EQ(spec.devices[2].channels(), 16);
+  ASSERT_EQ(spec.workloads.size(), 2u);
+  EXPECT_EQ(spec.workloads[1].name, "scan");
 
   const auto jobs = comet::driver::build_matrix(spec);
   // (2 tokens + 1 inline) devices × (1 named + 1 inline) workloads × 2
@@ -397,6 +417,59 @@ TEST(ExperimentApi, ParseExperimentDocument) {
   EXPECT_EQ(jobs.back().profile.name, "scan");
   EXPECT_EQ(jobs[0].experiment, "demo");
   EXPECT_EQ(jobs[0].config_file, "demo.toml");
+}
+
+TEST(ExperimentApi, NamesResolveWhenReadAheadOfInlineTables) {
+  const std::string text =
+      "[experiment]\n"
+      "devices = [\"all\", \"comet\"]\n"
+      "workloads = [\"all\"]\n"
+      "\n"
+      "[[device]]\n"
+      "name = \"comet-16ch\"\n"
+      "base = \"comet\"\n"
+      "[device.timing]\n"
+      "channels = 16\n"
+      "\n"
+      "[[workload]]\n"
+      "name = \"scan\"\n";
+  const auto spec = comet::config::parse_experiment(
+      toml::parse_string(text, "names.toml"), resolve_device_specs);
+  const auto all = resolve_device_specs("all");
+  ASSERT_EQ(all.size(), 7u);
+  ASSERT_EQ(spec.devices.size(), 9u);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(spec.devices[i].name, all[i].name) << i;
+  }
+  EXPECT_EQ(spec.devices[7].name, make_device_spec("comet").name);
+  EXPECT_EQ(spec.devices[8].name, "comet-16ch");
+
+  const auto profiles = comet::memsim::spec_like_profiles();
+  ASSERT_EQ(spec.workloads.size(), profiles.size() + 1);
+  ASSERT_EQ(spec.workloads.size(), 9u);
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    EXPECT_EQ(spec.workloads[i].name, profiles[i].name) << i;
+  }
+  EXPECT_EQ(spec.workloads[8].name, "scan");
+}
+
+TEST(ExperimentApi, DevicesKeyWithoutAResolverFailsAtItsLine) {
+  const std::string text =
+      "[experiment]\n"
+      "name = \"x\"\n"
+      "devices = [\"comet\"]\n"
+      "workloads = [\"gcc_like\"]\n";
+  try {
+    (void)comet::config::parse_experiment(
+        toml::parse_string(text, "names.toml"), nullptr);
+    FAIL() << "expected a ParseError";
+  } catch (const toml::ParseError& e) {
+    EXPECT_EQ(e.line(), 3u) << e.what();
+    EXPECT_NE(std::string(e.what()).find(
+                  "'devices' references are not available here"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ExperimentApi, UnknownTopLevelSectionRejected) {
@@ -423,7 +496,7 @@ TEST(ExperimentApi, ConfigMatrixMatchesCliFlagMatrix) {
       "channels = 8\n";
   const auto cfg_jobs = comet::driver::build_matrix(
       comet::config::parse_experiment(toml::parse_string(text, "cli.toml"),
-                                      registry_resolver()));
+                                      resolve_device_specs));
   ASSERT_EQ(cli_jobs.size(), cfg_jobs.size());
   const auto cli_results = comet::driver::run_sweep(cli_jobs, 1);
   const auto cfg_results = comet::driver::run_sweep(cfg_jobs, 1);
@@ -439,9 +512,9 @@ TEST(ExperimentApi, ResolvedExperimentRoundTripsThroughToml) {
   const auto options = comet::driver::parse_args(
       {"--device", "hybrid-comet-small", "--workload", "lbm_like",
        "--requests", "500"});
-  const auto& resolved = options.spec;  // parse_args resolves names.
-  EXPECT_TRUE(resolved.device_tokens.empty());
-  EXPECT_TRUE(resolved.workload_names.empty());
+  const auto& resolved = options.spec;  // The reader resolves names.
+  ASSERT_EQ(resolved.devices.size(), 1u);
+  ASSERT_EQ(resolved.workloads.size(), 1u);
 
   const std::string text = comet::config::experiment_to_toml(resolved);
   const auto reparsed = comet::config::parse_experiment(
@@ -466,7 +539,7 @@ TEST(ExperimentApi, ControllerSectionParsesAndDerivesWatermarks) {
       "policy = [\"fcfs\", \"read-first\"]\n"
       "write_queue_depth = 16\n";
   const auto spec = comet::config::parse_experiment(
-      toml::parse_string(text, "sched.toml"), nullptr);
+      toml::parse_string(text, "sched.toml"), resolve_device_specs);
   ASSERT_EQ(spec.policies.size(), 2u);
   EXPECT_EQ(spec.policies[0], comet::sched::Policy::kFcfs);
   EXPECT_EQ(spec.policies[1], comet::sched::Policy::kReadFirst);
@@ -489,7 +562,7 @@ TEST(ExperimentApi, ControllerSectionParsesAndDerivesWatermarks) {
       "write_queue_depth = 8\n"
       "drain_low_watermark = 2\n";
   const auto mixed = comet::config::parse_experiment(
-      toml::parse_string(partial, "sched.toml"), nullptr);
+      toml::parse_string(partial, "sched.toml"), resolve_device_specs);
   EXPECT_EQ(mixed.controller.drain_high_watermark, 7);  // derived: 8 * 7/8
   EXPECT_EQ(mixed.controller.drain_low_watermark, 2);   // explicit
   const auto jobs = comet::driver::build_matrix(spec);
@@ -503,7 +576,7 @@ TEST(ExperimentApi, ControllerSectionDiagnostics) {
                                const std::string& fragment) {
     try {
       (void)comet::config::parse_experiment(
-          toml::parse_string(text, "sched.toml"), nullptr);
+          toml::parse_string(text, "sched.toml"), resolve_device_specs);
       FAIL() << "expected error containing: " << fragment;
     } catch (const toml::ParseError& e) {
       EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos)
@@ -540,7 +613,7 @@ TEST(ExperimentApi, ControllerSectionDiagnostics) {
                              "policy = [\"frfcfs\", \"token-budget\"]\n"
                              "tenant_tokens = 4\n",
                          "sched.toml"),
-      nullptr));
+      resolve_device_specs));
 }
 
 TEST(ExperimentApi, RunThreadsAloneShardsWithoutEngagingScheduling) {
@@ -554,7 +627,7 @@ TEST(ExperimentApi, RunThreadsAloneShardsWithoutEngagingScheduling) {
       "[controller]\n"
       "run_threads = [1, 8]\n";
   const auto spec = comet::config::parse_experiment(
-      toml::parse_string(text, "sharded.toml"), nullptr);
+      toml::parse_string(text, "sharded.toml"), resolve_device_specs);
   EXPECT_TRUE(spec.policies.empty());
   EXPECT_EQ(spec.run_threads, (std::vector<int>{1, 8}));
 
@@ -569,8 +642,7 @@ TEST(ExperimentApi, RunThreadsAloneShardsWithoutEngagingScheduling) {
   EXPECT_TRUE(results[1] == results[0]);
 
   // And it survives the --dump-config round trip.
-  const std::string dumped = comet::config::experiment_to_toml(
-      comet::driver::resolve_experiment(spec));
+  const std::string dumped = comet::config::experiment_to_toml(spec);
   EXPECT_NE(dumped.find("run_threads = [1, 8]"), std::string::npos) << dumped;
   const auto reparsed = comet::config::parse_experiment(
       toml::parse_string(dumped, "dump.toml"), nullptr);
@@ -588,7 +660,7 @@ TEST(ExperimentApi, RunThreadsCombinesWithThePolicyAxis) {
       "policy = [\"fcfs\", \"frfcfs\"]\n"
       "run_threads = [1, 2]\n";
   const auto spec = comet::config::parse_experiment(
-      toml::parse_string(text, "sharded.toml"), nullptr);
+      toml::parse_string(text, "sharded.toml"), resolve_device_specs);
   ASSERT_EQ(spec.policies.size(), 2u);
   const auto jobs = comet::driver::build_matrix(spec);
   ASSERT_EQ(jobs.size(), 4u);  // policies × run_threads
@@ -640,7 +712,7 @@ TEST(ExperimentApi, ScheduledExperimentRoundTripsThroughToml) {
 
 TEST(ExperimentApi, TraceExperimentValidates) {
   ExperimentSpec spec;
-  spec.device_tokens = {"comet"};
+  spec.devices = resolve_device_specs("comet");
   spec.trace_file = "some.trace";
   spec.cpu_ghz = 3.0;
   EXPECT_NO_THROW(spec.validate());
@@ -659,7 +731,7 @@ TEST(ExperimentApi, TraceExperimentValidates) {
       "workloads = [\"gcc_like\"]\n"
       "trace_file = \"t.nvt\"\n";
   EXPECT_THROW(comet::config::parse_experiment(
-                   toml::parse_string(text, "t.toml"), nullptr),
+                   toml::parse_string(text, "t.toml"), resolve_device_specs),
                toml::ParseError);
 }
 
@@ -676,7 +748,7 @@ TEST(ExperimentApi, TelemetrySectionParses) {
       "metrics_interval_ns = 250000\n"
       "metrics_csv = \"run.csv\"\n";
   const auto spec = comet::config::parse_experiment(
-      toml::parse_string(text, "t.toml"), nullptr);
+      toml::parse_string(text, "t.toml"), resolve_device_specs);
   EXPECT_EQ(spec.telemetry.trace_path, "run.json");
   EXPECT_EQ(spec.telemetry.trace_limit, 5000u);
   EXPECT_EQ(spec.telemetry.metrics_interval_ps, 250'000'000u);  // ns -> ps.
@@ -693,7 +765,7 @@ TEST(ExperimentApi, TelemetrySectionDiagnostics) {
                                       "[telemetry]\n"
                                       "trace_limit = 100\n",
                                       "t.toml"),
-                   nullptr),
+                   resolve_device_specs),
                toml::ParseError);
   // metrics_csv without an interval: no timeline to write.
   EXPECT_THROW(comet::config::parse_experiment(
@@ -703,7 +775,7 @@ TEST(ExperimentApi, TelemetrySectionDiagnostics) {
                                       "[telemetry]\n"
                                       "metrics_csv = \"t.csv\"\n",
                                       "t.toml"),
-                   nullptr),
+                   resolve_device_specs),
                toml::ParseError);
   // A zero interval is degenerate (0 already means "disabled").
   EXPECT_THROW(comet::config::parse_experiment(
@@ -713,7 +785,7 @@ TEST(ExperimentApi, TelemetrySectionDiagnostics) {
                                       "[telemetry]\n"
                                       "metrics_interval_ns = 0\n",
                                       "t.toml"),
-                   nullptr),
+                   resolve_device_specs),
                toml::ParseError);
   // Unknown keys are rejected like every other section.
   EXPECT_THROW(comet::config::parse_experiment(
@@ -723,7 +795,7 @@ TEST(ExperimentApi, TelemetrySectionDiagnostics) {
                                       "[telemetry]\n"
                                       "tracing = true\n",
                                       "t.toml"),
-                   nullptr),
+                   resolve_device_specs),
                toml::ParseError);
 }
 
@@ -772,7 +844,7 @@ TEST(ExperimentApi, TenantSectionParses) {
       "burstiness = 0.5\n"
       "requests = 3000\n";
   const auto spec = comet::config::parse_experiment(
-      toml::parse_string(text, "t.toml"), nullptr);
+      toml::parse_string(text, "t.toml"), resolve_device_specs);
   ASSERT_EQ(spec.tenants.size(), 2u);
   // Streams come out name-ordered regardless of document order: name
   // order fixes tenant ids and per-tenant seeds, so two documents
@@ -795,7 +867,7 @@ TEST(ExperimentApi, TenantSectionDiagnostics) {
                            "devices = [\"comet\"]\n" +
                                tenant_block,
                            "t.toml"),
-        nullptr);
+        resolve_device_specs);
   };
   // Unknown mapping names the two valid spellings.
   EXPECT_THROW(parse("[tenant]\n"
@@ -832,7 +904,7 @@ TEST(ExperimentApi, TenantStreamsConflictWithOtherDemandAxes) {
   tenant.name = "web";
   tenant.profile = comet::memsim::profile_by_name("gcc_like");
   ExperimentSpec spec;
-  spec.device_tokens = {"comet"};
+  spec.devices = resolve_device_specs("comet");
   spec.tenants = {tenant};
   EXPECT_NO_THROW(spec.validate());
   // Tenants own the demand: a workload axis on top is ambiguous.

@@ -321,6 +321,28 @@ TEST(OptionsTest, CacheOverridesReachDeviceFileHybrids) {
   EXPECT_EQ(jobs[0].device.tiered->dram.capacity_bytes, 64ull << 20);
 }
 
+TEST(OptionsTest, CacheOverridesKeepACustomDramTier) {
+  // The DRAM tier is re-derived only when the capacity changes: a
+  // file's custom tier survives --cache-ways and --cache-policy.
+  const TempTomlFile hybrid_file(
+      "[device]\nbase = \"hybrid-comet\"\n"
+      "[device.dram.timing]\nread_occupancy_ps = 99000\n");
+  const auto dram_read_ps = [&](std::vector<std::string> flags) {
+    flags.insert(flags.begin(), {"--device-file", hybrid_file.path()});
+    const auto spec = parse_args(flags).spec;
+    EXPECT_EQ(spec.devices.size(), 1u);
+    return spec.devices.at(0).tiered->dram.timing.read_occupancy_ps;
+  };
+  EXPECT_EQ(dram_read_ps({}), 99000u);
+  EXPECT_EQ(dram_read_ps({"--cache-ways", "8"}), 99000u);
+  EXPECT_EQ(dram_read_ps({"--cache-ways", "16"}), 99000u);
+  EXPECT_EQ(dram_read_ps({"--cache-policy", "write-no-allocate"}), 99000u);
+  // A new capacity derives a new tier.
+  EXPECT_EQ(dram_read_ps({"--cache-mb", "128"}),
+            comet::hybrid::dram_cache_tier_model(128ull << 20)
+                .timing.read_occupancy_ps);
+}
+
 TEST(OptionsTest, DumpConfigConflictsWithDumpTrace) {
   EXPECT_THROW(parse_args({"--dump-config", "a.toml", "--dump-trace",
                            "b.nvt", "--workload", "gcc_like"}),
@@ -335,8 +357,7 @@ TEST(SweepTest, CliOptionsLiftIntoExperimentSpec) {
                   "--requests", "123", "--seed", "9", "--channels", "4"})
           .spec;
   EXPECT_EQ(spec.name, "cli");
-  EXPECT_TRUE(spec.device_tokens.empty());  // Resolved inline.
-  ASSERT_EQ(spec.devices.size(), 1u);
+  ASSERT_EQ(spec.devices.size(), 1u);  // Resolved by the reader.
   ASSERT_EQ(spec.workloads.size(), 1u);
   EXPECT_EQ(spec.workloads[0].name, "lbm_like");
   EXPECT_EQ(spec.requests, std::vector<std::uint64_t>{123});
@@ -1084,7 +1105,7 @@ TEST_P(KnobRow, FlagRoundTripsThroughTheDocument) {
   const std::string written = comet::config::experiment_to_toml(opt.spec);
   const auto reparsed = comet::config::parse_experiment(
       toml::parse_string(written, "dump.toml"),
-      comet::driver::registry_resolver());
+      comet::driver::resolve_device_specs);
   EXPECT_TRUE(GetParam().landed(reparsed)) << written;
   EXPECT_EQ(comet::config::experiment_to_toml(reparsed), written);
 }

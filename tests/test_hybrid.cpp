@@ -57,7 +57,12 @@ ms::DeviceModel simple_backend() {
 }
 
 hy::TieredConfig tiered_config(hy::DramCacheConfig cache = small_cache()) {
-  return hy::make_tiered_config("hybrid-test", simple_backend(), cache);
+  hy::TieredConfig config;
+  config.name = "hybrid-test";
+  config.cache = cache;
+  config.dram = hy::dram_cache_tier_model(cache.capacity_bytes);
+  config.backend = simple_backend();
+  return config;
 }
 
 ms::Request make_req(std::uint64_t id, std::uint64_t arrival_ns, ms::Op op,
@@ -419,6 +424,26 @@ TEST(HybridRegistry, OverridesApply) {
   EXPECT_THROW(comet::driver::apply_hybrid_overrides(
                    comet::driver::make_device_spec("hybrid-comet"), overrides),
                std::invalid_argument);
+}
+
+TEST(HybridConfig, SetCacheRederivesTheDramTierOnlyOnANewCapacity) {
+  hy::TieredConfig config = tiered_config();
+  config.dram.timing.read_occupancy_ps = 99000;  // A custom tier.
+  hy::DramCacheConfig cache = config.cache;
+  cache.ways *= 2;
+  cache.write_allocate = !cache.write_allocate;
+  config.set_cache(cache);
+  EXPECT_EQ(config.cache.ways, cache.ways);
+  EXPECT_EQ(config.cache.write_allocate, cache.write_allocate);
+  EXPECT_EQ(config.dram.timing.read_occupancy_ps, 99000u);
+
+  cache.capacity_bytes *= 2;
+  config.set_cache(cache);
+  EXPECT_EQ(config.cache.capacity_bytes, cache.capacity_bytes);
+  EXPECT_EQ(config.dram.capacity_bytes, cache.capacity_bytes);
+  EXPECT_EQ(config.dram.timing.read_occupancy_ps,
+            hy::dram_cache_tier_model(cache.capacity_bytes)
+                .timing.read_occupancy_ps);
 }
 
 TEST(HybridOptions, CacheFlagsParseAndValidate) {

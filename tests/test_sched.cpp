@@ -459,8 +459,9 @@ TEST(SchedOptions, FlagsParseAndValidate) {
 TEST(SchedSweep, PolicyAxisExpandsTheMatrix) {
   comet::config::ExperimentSpec spec;
   spec.name = "axis";
-  spec.device_tokens = {"comet", "hybrid-comet"};
-  spec.workload_names = {"gcc_like"};
+  spec.devices = {comet::driver::make_device_spec("comet"),
+                  comet::driver::make_device_spec("hybrid-comet")};
+  spec.workloads = {comet::memsim::profile_by_name("gcc_like")};
   spec.policies = {sc::Policy::kFcfs, sc::Policy::kFrFcfs,
                    sc::Policy::kReadFirst};
   spec.requests = {500};
@@ -483,8 +484,10 @@ TEST(SchedSweep, ThreadedMatchesSerialForEveryPolicy) {
   // (plus flat COMET), the scheduler analogue of the hybrid sweep gate.
   comet::config::ExperimentSpec spec;
   spec.name = "policies";
-  spec.device_tokens = {"comet", "hybrid-all"};
-  spec.workload_names = {"gcc_like"};
+  spec.devices = comet::driver::resolve_device_specs("hybrid-all");
+  spec.devices.insert(spec.devices.begin(),
+                      comet::driver::make_device_spec("comet"));
+  spec.workloads = {comet::memsim::profile_by_name("gcc_like")};
   spec.policies = {sc::Policy::kFcfs, sc::Policy::kFrFcfs,
                    sc::Policy::kReadFirst};
   spec.controller =
