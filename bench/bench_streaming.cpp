@@ -144,9 +144,8 @@ int main(int argc, char** argv) {
     }));
     comet::prof::Profiler profiler(pspec);
     profiled_runs.push_back(timed_phase("flat_serial_profiled", 1, [&] {
-      const auto engine = flat.make_engine(std::nullopt, 1);
-      engine->attach_profiler(&profiler);
-      return engine->run(trace, profile.name);
+      return flat.make_engine(std::nullopt, 1)
+          ->run(trace, profile.name, nullptr, &profiler);
     }));
     profiled_stages = profiler.stages().size();
     overhead_ratios.push_back(profiled_runs.back().seconds /
@@ -172,9 +171,8 @@ int main(int argc, char** argv) {
   tspec.metrics_interval_ps = 1'000'000'000;
   comet::telemetry::Collector collector(tspec);
   phases.push_back(timed_phase("flat_serial_telemetry", 1, [&] {
-    const auto engine = flat.make_engine(std::nullopt, 1);
-    engine->attach_telemetry(&collector);
-    return engine->run(trace, profile.name);
+    return flat.make_engine(std::nullopt, 1)
+        ->run(trace, profile.name, &collector);
   }));
 
   phases.push_back(median_phase(profiled_runs));

@@ -100,8 +100,6 @@ std::vector<SweepJob> build_matrix(const config::ExperimentSpec& spec) {
 memsim::SimStats run_job(const SweepJob& job, telemetry::Collector* collector,
                          prof::Profiler* profiler) {
   const auto engine = job.device.make_engine(job.controller, job.run_threads);
-  if (collector) engine->attach_telemetry(collector);
-  if (profiler) engine->attach_profiler(profiler);
   const auto started = std::chrono::steady_clock::now();
   const auto finish = [&](memsim::SimStats stats) {
     if (profiler) {
@@ -121,17 +119,19 @@ memsim::SimStats run_job(const SweepJob& job, telemetry::Collector* collector,
     multi.seed = job.seed;
     multi.line_bytes = job.line_bytes;
     multi.cpu_ghz = job.cpu_ghz;
-    return finish(tenant::run_multi_tenant(*engine, multi));
+    return finish(
+        tenant::run_multi_tenant(*engine, multi, collector, profiler));
   }
   if (!job.trace_path.empty()) {
     memsim::TraceFileSource source(
         job.trace_path, memsim::TraceConfig{.cpu_clock_ghz = job.cpu_ghz,
                                             .line_bytes = job.line_bytes});
-    return finish(engine->run(source, job.profile.name));
+    return finish(
+        engine->run(source, job.profile.name, collector, profiler));
   }
   auto source = memsim::TraceGenerator(job.profile, job.seed)
                     .stream(job.requests, job.line_bytes);
-  return finish(engine->run(source, job.profile.name));
+  return finish(engine->run(source, job.profile.name, collector, profiler));
 }
 
 std::vector<std::unique_ptr<prof::Profiler>> make_profilers(

@@ -81,9 +81,9 @@ std::vector<SweepJob> build_matrix(const config::ExperimentSpec& spec);
 
 /// Runs one job serially (the reference path the tests compare against):
 /// streams the job's source through the device's engine in O(1) memory.
-/// A non-null `collector` is attached to the engine for the run (the
-/// caller builds it from job.telemetry and reads it back afterwards).
-/// A non-null `profiler` is likewise attached and additionally receives
+/// A non-null `collector` is passed to the engine's run (the caller
+/// builds it from job.telemetry and reads it back afterwards). A
+/// non-null `profiler` is likewise passed and additionally receives
 /// the job's wall time and request total (set_run_totals) when the run
 /// finishes; neither observer changes the simulated stats.
 memsim::SimStats run_job(const SweepJob& job,
@@ -112,12 +112,12 @@ std::uint64_t estimate_sweep_requests(const std::vector<SweepJob>& jobs);
 ///
 /// A non-null `collectors` receives one Collector per job (indexed like
 /// `jobs`; null entries for jobs whose telemetry is disabled), built on
-/// the calling thread before any worker starts and attached to each
-/// job's engine — each job records into its own collector, so the sweep
+/// the calling thread before any worker starts and passed to each
+/// job's run — each job records into its own collector, so the sweep
 /// pool needs no telemetry synchronization.
 ///
 /// A non-null `profilers` (from make_profilers, indexed like `jobs`)
-/// attaches each entry to its job's engine the same way. The caller
+/// passes each entry to its job's run the same way. The caller
 /// owns the vector so the heartbeat can poll the progress counters —
 /// the only profiler state written while a job is still running.
 std::vector<memsim::SimStats> run_sweep(

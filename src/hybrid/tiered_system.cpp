@@ -230,7 +230,9 @@ class TierStage final : public memsim::ReplayStage {
 }  // namespace
 
 TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
-                                     const std::string& workload_name) const {
+                                     const std::string& workload_name,
+                                     telemetry::Collector* collector,
+                                     prof::Profiler* profiler) const {
   TieredStats stats;
   stats.combined.device_name = config_.name;
   stats.combined.workload_name = workload_name;
@@ -242,7 +244,7 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
   // the tiers (0 = unlimited splits to unlimited on both).
   telemetry::Recorder* dram_recorder = nullptr;
   telemetry::Recorder* backend_recorder = nullptr;
-  if (telemetry::Collector* collector = telemetry()) {
+  if (collector != nullptr) {
     const std::uint64_t limit = collector->spec().trace_limit;
     dram_recorder = collector->add_stage(
         "dram", config_.dram.timing.channels,
@@ -253,9 +255,9 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
   }
   TierStage stage(config_.cache, dram_system, backend_system,
                   backend_controller_, workload_name, run_threads_,
-                  dram_recorder, backend_recorder, profiler(), stats.combined);
+                  dram_recorder, backend_recorder, profiler, stats.combined);
   std::vector<memsim::ReplaySlice> tiers = memsim::run_replay(
-      source, stage, {&config_.dram, &config_.backend}, profiler());
+      source, stage, {&config_.dram, &config_.backend}, profiler);
   // Fold the tier replays into the combined demand-level view with the
   // one slice reduction. Latency distributions, energies, busy time and
   // a scheduled backend's controller breakdown (the DRAM tier is always
@@ -311,8 +313,10 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
 }
 
 memsim::SimStats TieredSystem::run(memsim::RequestSource& source,
-                                   const std::string& workload_name) const {
-  return run_tiered(source, workload_name).combined;
+                                   const std::string& workload_name,
+                                   telemetry::Collector* collector,
+                                   prof::Profiler* profiler) const {
+  return run_tiered(source, workload_name, collector, profiler).combined;
 }
 
 }  // namespace comet::hybrid

@@ -91,15 +91,20 @@ class TieredSystem final : public memsim::Engine {
   /// index otherwise) through the cache filter and both tiers. Const and
   /// deterministic: the cache state lives on the stack of each call, so
   /// concurrent sweeps over the same TieredSystem are bit-identical to
-  /// serial ones.
+  /// serial ones. `collector` and `profiler` observe this run only (as
+  /// in Engine::run); the collector gets one stage per tier.
   TieredStats run_tiered(memsim::RequestSource& source,
-                         const std::string& workload_name = "") const;
+                         const std::string& workload_name = "",
+                         telemetry::Collector* collector = nullptr,
+                         prof::Profiler* profiler = nullptr) const;
 
   using Engine::run;
 
   /// Engine entry point: the combined view only (what SweepJob records).
   memsim::SimStats run(memsim::RequestSource& source,
-                       const std::string& workload_name = "") const override;
+                       const std::string& workload_name = "",
+                       telemetry::Collector* collector = nullptr,
+                       prof::Profiler* profiler = nullptr) const override;
 
  private:
   TieredConfig config_;

@@ -18,8 +18,8 @@
 /// run_replay is the only place a RequestSource is drained. It pulls
 /// the stream in kFeedBlockRequests blocks (sources are single-pass),
 /// enforces the global sorted-by-arrival contract, hands each block to
-/// the engine's ReplayStage, times the stages and ticks progress for an
-/// attached profiler, then drains the stage and merges its per-channel
+/// the engine's ReplayStage, times the stages and ticks progress for the
+/// run's profiler, if any, then drains the stage and merges its per-channel
 /// slices into finalized per-tier results. The two engines,
 /// sched::FlatSystem and hybrid::TieredSystem, supply only the stage
 /// that consumes the requests: one ReplaySession per channel fed

@@ -103,10 +103,10 @@ struct PoolProfile {
 };
 
 /// Per-run (per sweep job) host-profiling root: engines write stage
-/// timings and pool profiles through the same nullable seam as
-/// telemetry (Engine::attach_profiler), the heartbeat polls the atomic
-/// progress counters while the run executes, and the driver reads the
-/// aggregate back afterwards.
+/// timings and pool profiles into the profiler passed to Engine::run
+/// (a nullable argument, like the telemetry collector), the heartbeat
+/// polls the atomic progress counters while the run executes, and the
+/// driver reads the aggregate back afterwards.
 class Profiler {
  public:
   explicit Profiler(ProfSpec spec);

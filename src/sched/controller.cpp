@@ -660,15 +660,24 @@ FlatSystem::FlatSystem(memsim::DeviceModel model,
 }
 
 memsim::SimStats FlatSystem::run(memsim::RequestSource& source,
-                                 const std::string& workload_name) const {
-  telemetry::Recorder* recorder = telemetry_stage(system_.model());
+                                 const std::string& workload_name,
+                                 telemetry::Collector* collector,
+                                 prof::Profiler* profiler) const {
+  // One telemetry stage spans every channel and bank with the
+  // collector's whole event budget.
+  const memsim::DeviceTiming& timing = system_.model().timing;
+  telemetry::Recorder* recorder =
+      collector ? collector->add_stage("", timing.channels,
+                                       timing.banks_per_channel,
+                                       collector->spec().trace_limit)
+                : nullptr;
   if (!controller_ && run_threads_ == 1) {
     return memsim::run_sessions(system_, source, workload_name, recorder,
-                                profiler());
+                                profiler);
   }
   return memsim::run_sharded(
       system_, make_lanes(system_, controller_, workload_name, recorder),
-      run_threads_, source, profiler());
+      run_threads_, source, profiler);
 }
 
 }  // namespace comet::sched

@@ -228,7 +228,9 @@ class FlatSystem final : public memsim::Engine {
   using Engine::run;
 
   memsim::SimStats run(memsim::RequestSource& source,
-                       const std::string& workload_name = "") const override;
+                       const std::string& workload_name = "",
+                       telemetry::Collector* collector = nullptr,
+                       prof::Profiler* profiler = nullptr) const override;
 
  private:
   memsim::MemorySystem system_;

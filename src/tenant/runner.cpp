@@ -83,16 +83,18 @@ std::string multi_workload_name(
   return name;
 }
 
-memsim::SimStats run_multi_tenant(memsim::Engine& engine,
-                                  const MultiTenantJob& job) {
+memsim::SimStats run_multi_tenant(const memsim::Engine& engine,
+                                  const MultiTenantJob& job,
+                                  telemetry::Collector* collector,
+                                  prof::Profiler* profiler) {
   config::validate_tenants(job.tenants);
   if (job.tenants.empty()) {
     throw std::invalid_argument("run_multi_tenant: no tenants");
   }
 
   const auto multi = make_multi_stream(job);
-  memsim::SimStats stats =
-      engine.run(*multi, multi_workload_name(job.tenants));
+  memsim::SimStats stats = engine.run(
+      *multi, multi_workload_name(job.tenants), collector, profiler);
 
   // A tenant whose stream produced no requests never reached a lane;
   // make the breakdown dense before naming it.
@@ -104,22 +106,19 @@ memsim::SimStats run_multi_tenant(memsim::Engine& engine,
   }
 
   // Run-alone baselines: the identical sub-stream on the identical
-  // engine (controller, thread count and all), telemetry detached so
-  // the shared run's trace stays the run's trace. The profiler stays
-  // attached — baseline replays are host work worth seeing (they
+  // engine (controller, thread count and all), without the collector so
+  // the shared run's trace stays the run's trace. The profiler observes
+  // them too — baseline replays are host work worth seeing (they
   // roughly double a multi-tenant run's wall time), so they keep
   // ticking the progress counter and land in a stage of their own.
-  telemetry::Collector* const collector = engine.telemetry();
-  engine.attach_telemetry(nullptr);
-  prof::StageTimer baseline_timer(engine.profiler(), "baseline_replays");
+  prof::StageTimer baseline_timer(profiler, "baseline_replays");
   for (std::size_t i = 0; i < job.tenants.size(); ++i) {
     const auto alone = make_tenant_stream(job, i);
     const memsim::SimStats alone_stats =
-        engine.run(*alone, job.tenants[i].name);
+        engine.run(*alone, job.tenants[i].name, nullptr, profiler);
     stats.tenants[i].alone_avg_latency_ns = alone_stats.avg_latency_ns();
   }
   baseline_timer.stop();
-  engine.attach_telemetry(collector);
 
   apply_fairness(stats);
   return stats;

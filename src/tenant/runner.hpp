@@ -45,12 +45,16 @@ std::string multi_workload_name(
     const std::vector<config::TenantSpec>& tenants);
 
 /// Runs the interleaved stream through `engine` (recording into
-/// whatever telemetry collector is attached), then replays every
-/// tenant's identical sub-stream alone — same engine, same controller
-/// and thread count, telemetry detached — to fill the run-alone
-/// baselines, per-tenant slowdown, max_slowdown and Jain's index.
-/// Throws std::invalid_argument on an invalid tenant list.
-memsim::SimStats run_multi_tenant(memsim::Engine& engine,
-                                  const MultiTenantJob& job);
+/// `collector` when set), then replays every tenant's identical
+/// sub-stream alone — same engine, same controller and thread count,
+/// no collector — to fill the run-alone baselines, per-tenant
+/// slowdown, max_slowdown and Jain's index. `profiler`, when set,
+/// observes both: the baselines tick its progress counter and time
+/// into its "baseline_replays" stage. Throws std::invalid_argument on
+/// an invalid tenant list.
+memsim::SimStats run_multi_tenant(const memsim::Engine& engine,
+                                  const MultiTenantJob& job,
+                                  telemetry::Collector* collector = nullptr,
+                                  prof::Profiler* profiler = nullptr);
 
 }  // namespace comet::tenant

@@ -77,8 +77,7 @@ ms::SimStats run_spec(const dr::DeviceSpec& spec,
                       const std::optional<sc::ControllerConfig>& controller,
                       int threads, pf::Profiler* profiler) {
   const auto engine = spec.make_engine(controller, threads);
-  if (profiler) engine->attach_profiler(profiler);
-  return engine->run(shared_trace(), "gcc_like");
+  return engine->run(shared_trace(), "gcc_like", nullptr, profiler);
 }
 
 }  // namespace
@@ -446,9 +445,8 @@ TEST(ProfiledStages, ThreadedHybridCallerStagesPlusSourceWaitCoverTheRun) {
                                            sc::Policy::kFrFcfsCap, 32, 32),
                                        3);
   pf::Profiler profiler(profiling_spec());
-  engine->attach_profiler(&profiler);
   const auto start = std::chrono::steady_clock::now();
-  engine->run(trace, "mcf_like");
+  engine->run(trace, "mcf_like", nullptr, &profiler);
   const double wall_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();
@@ -498,9 +496,8 @@ TEST(ProfiledStages, SerialCallerStagesCoverTheRun) {
     const auto engine = spec.make_engine(controller);
     ms::GeneratorSource source(ms::profile_by_name("lbm_like"), 5, 200000, 64);
     pf::Profiler profiler(profiling_spec());
-    engine->attach_profiler(&profiler);
     const auto start = std::chrono::steady_clock::now();
-    engine->run(source, "lbm_like");
+    engine->run(source, "lbm_like", nullptr, &profiler);
     const double wall_s = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)
                               .count();

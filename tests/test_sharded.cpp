@@ -451,10 +451,9 @@ TEST(PipelinedFailure, SourceThrowingAfterKBlocksReachesTheCaller) {
         const auto engine = dr::make_device_spec(kind.token)
                                 .make_engine(kind.controller, threads);
         comet::prof::Profiler profiler{comet::prof::ProfSpec{}};
-        engine->attach_profiler(&profiler);
         FailingSource source(long_trace(), blocks);
-        const Failure failure =
-            failure_of([&] { engine->run(source, "failing"); });
+        const Failure failure = failure_of(
+            [&] { engine->run(source, "failing", nullptr, &profiler); });
         fed = profiler.progress();
         return failure;
       };
@@ -554,13 +553,11 @@ TEST(PipelinedFailure, SourceThrowingInAPipelinedSerialRunReachesTheCaller) {
     const std::string label = "after " + std::to_string(blocks) + " blocks";
     const auto run = [&](bool slow, std::uint64_t& fed, int& off_caller) {
       comet::prof::Profiler profiler{comet::prof::ProfSpec{}};
-      engine->attach_profiler(&profiler);
       FailingSource failing(long_trace(), blocks);
       SlowSource source(failing,
                         slow ? kSlowPull : std::chrono::milliseconds(0));
-      const Failure failure =
-          failure_of([&] { engine->run(source, "failing"); });
-      engine->attach_profiler(nullptr);
+      const Failure failure = failure_of(
+          [&] { engine->run(source, "failing", nullptr, &profiler); });
       fed = profiler.progress();
       off_caller = source.pulls_off_caller();
       return failure;
@@ -725,9 +722,8 @@ TEST(SerialPipeline, CostlySourcePipelinesCheapOneStaysInlineSameStats) {
       dr::make_device_spec("comet").make_engine(std::nullopt, 1);
   const auto run = [&](ms::RequestSource& source, double& wait_s) {
     comet::prof::Profiler profiler{comet::prof::ProfSpec{}};
-    engine->attach_profiler(&profiler);
-    const ms::SimStats stats = engine->run(source, "lbm_like");
-    engine->attach_profiler(nullptr);
+    const ms::SimStats stats =
+        engine->run(source, "lbm_like", nullptr, &profiler);
     wait_s = profiler.source_wait_seconds();
     return stats;
   };

@@ -9,7 +9,8 @@
 //     events, marks, heatmap and epoch accumulators), so a trace is a
 //     stable artifact whatever thread count produced it.
 //
-// Plus the reconciliation invariants (timeline sums == run totals),
+// Plus one engine serving concurrent runs, each with its own observers,
+// the reconciliation invariants (timeline sums == run totals),
 // the truncation-cap mechanics, and TelemetrySpec validation.
 
 #include <gtest/gtest.h>
@@ -20,11 +21,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "config/device_spec.hpp"
 #include "driver/registry.hpp"
 #include "memsim/trace_gen.hpp"
+#include "prof/profiler.hpp"
 #include "sched/controller.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
@@ -33,6 +36,7 @@ namespace ms = comet::memsim;
 namespace sc = comet::sched;
 namespace dr = comet::driver;
 namespace tl = comet::telemetry;
+namespace pf = comet::prof;
 
 namespace {
 
@@ -72,13 +76,12 @@ tl::TelemetrySpec full_spec() {
   return spec;
 }
 
-/// Runs one job with an attached collector (null = untraced).
+/// Runs one job recording into `collector` (null = untraced).
 ms::SimStats run_device(const dr::DeviceSpec& spec,
                         const std::optional<sc::ControllerConfig>& controller,
                         int threads, tl::Collector* collector) {
   const auto engine = spec.make_engine(controller, threads);
-  if (collector != nullptr) engine->attach_telemetry(collector);
-  return engine->run(shared_trace(), "gcc_like");
+  return engine->run(shared_trace(), "gcc_like", collector);
 }
 
 /// Byte-for-byte telemetry comparison: every stage, lane, event, mark,
@@ -214,6 +217,73 @@ TEST(TelemetryBitIdentity, SerialAndShardedRunsRecordIdenticalTelemetry) {
         expect_same_telemetry(serial, sharded,
                               token + "/" + axis_name(controller) + "/t" +
                                   std::to_string(threads));
+      }
+    }
+  }
+}
+
+// ------------------------------------- one engine, concurrent runs
+
+TEST(ConcurrentEngine, TwoThreadsShareOneEngineWithTheirOwnObservers) {
+  // An engine holds no per-run state: two threads run the same engine
+  // at once, each recording into its own collector and profiler, and
+  // each gets a serial run's stats, telemetry and profile stages.
+  struct EngineCase {
+    std::string token;
+    std::optional<sc::ControllerConfig> controller;
+    int threads;
+  };
+  const std::vector<EngineCase> cases = {
+      {"comet", std::nullopt, 1},
+      {"comet", sc::ControllerConfig::with_depths(sc::Policy::kFrFcfs, 8, 8),
+       3},
+      {dr::known_hybrid_devices().front(), std::nullopt, 1},
+  };
+  pf::ProfSpec profiling;
+  profiling.profile = true;
+  for (const EngineCase& c : cases) {
+    const std::string label =
+        c.token + "/" + axis_name(c.controller) + "/t" +
+        std::to_string(c.threads);
+    const auto engine =
+        dr::make_device_spec(c.token).make_engine(c.controller, c.threads);
+    tl::Collector serial_collector(full_spec());
+    pf::Profiler serial_profiler(profiling);
+    const ms::SimStats serial = engine->run(
+        shared_trace(), "gcc_like", &serial_collector, &serial_profiler);
+
+    constexpr int kRunners = 2;
+    std::vector<std::unique_ptr<tl::Collector>> collectors;
+    std::vector<std::unique_ptr<pf::Profiler>> profilers;
+    for (int i = 0; i < kRunners; ++i) {
+      collectors.push_back(std::make_unique<tl::Collector>(full_spec()));
+      profilers.push_back(std::make_unique<pf::Profiler>(profiling));
+    }
+    std::vector<ms::SimStats> results(kRunners);
+    std::vector<std::string> errors(kRunners);
+    std::vector<std::thread> runners;
+    for (int i = 0; i < kRunners; ++i) {
+      runners.emplace_back([&, i] {
+        try {
+          results[i] = engine->run(shared_trace(), "gcc_like",
+                                   collectors[i].get(), profilers[i].get());
+        } catch (const std::exception& e) {
+          errors[i] = e.what();
+        }
+      });
+    }
+    for (std::thread& runner : runners) runner.join();
+
+    for (int i = 0; i < kRunners; ++i) {
+      const std::string at = label + "/runner " + std::to_string(i);
+      ASSERT_EQ(errors[i], "") << at;
+      EXPECT_TRUE(results[i] == serial) << at;
+      expect_same_telemetry(serial_collector, *collectors[i], at);
+      const auto& stages = profilers[i]->stages();
+      ASSERT_EQ(stages.size(), serial_profiler.stages().size()) << at;
+      for (const auto& [name, stage] : serial_profiler.stages()) {
+        ASSERT_EQ(stages.count(name), 1u) << at << " " << name;
+        EXPECT_EQ(stages.at(name).calls, stage.calls) << at << " " << name;
       }
     }
   }

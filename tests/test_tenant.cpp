@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -19,7 +20,10 @@
 #include "memsim/source.hpp"
 #include "memsim/system.hpp"
 #include "memsim/trace_gen.hpp"
+#include "prof/profiler.hpp"
 #include "sched/controller.hpp"
+#include "telemetry/export.hpp"
+#include "telemetry/telemetry.hpp"
 #include "tenant/fairness.hpp"
 #include "tenant/multi_source.hpp"
 #include "tenant/runner.hpp"
@@ -27,8 +31,10 @@
 namespace cf = comet::config;
 namespace dr = comet::driver;
 namespace ms = comet::memsim;
+namespace pf = comet::prof;
 namespace sc = comet::sched;
 namespace tn = comet::tenant;
+namespace tl = comet::telemetry;
 
 namespace {
 
@@ -336,6 +342,47 @@ TEST(MultiTenantRunTest, SharedRunMatchesMergedSubStreams) {
   EXPECT_EQ(first.tenants[0].latency_ns.sum(),
             second.tenants[0].latency_ns.sum());
   EXPECT_EQ(first.fairness_index, second.fairness_index);
+}
+
+TEST(MultiTenantRunTest, CollectorSeesTheSharedRunProfilerSeesBaselines) {
+  // The collector records the shared run only: it must equal one
+  // recorded by a bare run of the merged stream. The profiler sees the
+  // baselines too: one baseline_replays stage, and progress ticks for
+  // the shared run plus every tenant's run alone.
+  const tn::MultiTenantJob job = two_tenant_job();
+  auto engine = dr::make_device_spec("comet").make_engine(
+      sc::ControllerConfig::with_depths(sc::Policy::kFrFcfs, 16, 16), 1);
+  tl::TelemetrySpec spec;
+  spec.trace_path = "unused.json";  // Only tracing() matters in-process.
+  spec.trace_limit = 0;             // Unlimited.
+  spec.metrics_interval_ps = 5'000'000;
+  pf::ProfSpec profiling;
+  profiling.profile = true;
+  tl::Collector collector(spec);
+  pf::Profiler profiler(profiling);
+  const ms::SimStats stats =
+      tn::run_multi_tenant(*engine, job, &collector, &profiler);
+
+  tl::Collector shared_only(spec);
+  const ms::SimStats shared =
+      engine->run(*tn::make_multi_stream(job),
+                  tn::multi_workload_name(job.tenants), &shared_only);
+  ASSERT_EQ(collector.stages().size(), shared_only.stages().size());
+  EXPECT_GT(collector.recorded_events(), 0u);
+  EXPECT_EQ(collector.recorded_events(), shared_only.recorded_events());
+  const auto exported = [](const tl::Collector& c) {
+    std::ostringstream os;
+    tl::write_chrome_trace(os, {{"run", &c}});
+    tl::write_timeline_csv(os, {{"run", &c}});
+    return os.str();
+  };
+  EXPECT_EQ(exported(collector), exported(shared_only));
+
+  EXPECT_EQ(profiler.stages().at("baseline_replays").calls, 1u);
+  std::uint64_t alone_requests = 0;
+  for (const auto& tenant : stats.tenants) alone_requests += tenant.requests();
+  EXPECT_EQ(profiler.progress(),
+            shared.reads + shared.writes + alone_requests);
 }
 
 // ------------------------------------- sharded bit-identity (tenants)
