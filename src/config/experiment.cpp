@@ -3,6 +3,7 @@
 #include <climits>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -103,6 +104,12 @@ ExperimentSpec parse_experiment(const toml::Document& doc,
 
   TableReader root(doc.root, doc.source, "experiment file");
   std::uint64_t anchor_line = 0;
+  // The cache_* keys, folded into the hybrid devices once all are read.
+  std::optional<std::uint64_t> cache_mb;
+  std::optional<std::int64_t> cache_ways;
+  std::optional<bool> write_allocate;
+  std::string cache_key;  // The first one set: a bad fold fails at its line.
+  std::uint64_t cache_line = 0;
 
   if (const toml::Table* experiment = root.child("experiment")) {
     anchor_line = experiment->line;
@@ -146,6 +153,15 @@ ExperimentSpec parse_experiment(const toml::Document& doc,
     }
     if (auto v = reader.get_path("trace_file")) spec.trace_file = *v;
     if (auto v = reader.get_double("cpu_ghz", 1e-6, 1e6)) spec.cpu_ghz = *v;
+    cache_mb = reader.get_u64("cache_mb", 1, 1ull << 30);
+    cache_ways = reader.get_int("cache_ways", 1, INT_MAX);
+    write_allocate =
+        reader.get_parsed("cache_policy", hybrid::parse_cache_policy);
+    for (const char* key : {"cache_mb", "cache_ways", "cache_policy"}) {
+      if (!cache_key.empty() || !reader.has(key)) continue;
+      cache_key = key;
+      cache_line = reader.key_line(key);
+    }
     reader.finish();
   }
 
@@ -173,7 +189,8 @@ ExperimentSpec parse_experiment(const toml::Document& doc,
 
   if (const auto* devices = root.array_of_tables("device")) {
     for (const auto& table : *devices) {
-      spec.devices.push_back(parse_device(table, doc.source, resolver));
+      spec.devices.push_back(parse_device(
+          table, table.source.empty() ? doc.source : table.source, resolver));
     }
   }
   if (const auto* workloads = root.array_of_tables("workload")) {
@@ -183,17 +200,29 @@ ExperimentSpec parse_experiment(const toml::Document& doc,
   }
   root.finish();
 
+  for (auto& device : spec.devices) {
+    if (cache_key.empty() || !device.is_hybrid()) continue;
+    hybrid::DramCacheConfig cache = device.tiered->cache;
+    if (cache_mb) cache.capacity_bytes = *cache_mb << 20;
+    if (cache_ways) cache.ways = int(*cache_ways);
+    if (write_allocate) cache.write_allocate = *write_allocate;
+    device.tiered->set_cache(cache);
+    try {
+      device.tiered->validate();
+    } catch (const std::exception& e) {
+      throw toml::ParseError(doc.source, cache_line,
+                             "[experiment]: '" + cache_key +
+                                 "' does not fit device '" + device.name +
+                                 "': " + e.what());
+    }
+  }
+
   try {
     spec.validate();
   } catch (const std::exception& e) {
     throw toml::ParseError(doc.source, anchor_line, e.what());
   }
   return spec;
-}
-
-ExperimentSpec parse_experiment_file(const std::string& path,
-                                     const DeviceResolver& resolver) {
-  return parse_experiment(toml::parse_file(path), resolver);
 }
 
 namespace {

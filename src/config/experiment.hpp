@@ -28,6 +28,9 @@
 ///     channels = [8, 16]                    # scalar or array (axis);
 ///                                           # 0 keeps the device default
 ///     line_bytes = 128
+///     cache_mb = 128                        # every hybrid device's cache:
+///     cache_ways = 16                       # folded in once all devices
+///     cache_policy = "write-no-allocate"    # are read; flat ones stay flat
 ///
 ///     [[device]]                            # inline device definitions
 ///     base = "comet"                        # (appended after names)
@@ -142,13 +145,14 @@ struct ExperimentSpec {
 /// Parses a whole experiment document. `resolver` expands the tokens of
 /// the `devices` list and `base` references inside inline [[device]]
 /// tables (an empty one rejects both); `workloads` names expand to
-/// built-in profiles, `all` to memsim::spec_like_profiles(). Throws
+/// built-in profiles, `all` to memsim::spec_like_profiles(). A
+/// [[device]] table with its own `source` (toml::Table) reports its
+/// errors against that source. The `cache_*` keys fold into every
+/// hybrid device through hybrid::TieredConfig::set_cache; a device they
+/// make invalid fails at the first such key's line. Throws
 /// toml::ParseError with source:line diagnostics.
 ExperimentSpec parse_experiment(const toml::Document& doc,
                                 const DeviceResolver& resolver);
-
-ExperimentSpec parse_experiment_file(const std::string& path,
-                                     const DeviceResolver& resolver);
 
 /// Serializes a spec as a parse_experiment-compatible document, every
 /// device and workload written in full, so it reads back without a

@@ -32,6 +32,13 @@ const std::vector<Knob>& knobs() {
        "synthetic\nworkload; ignores --requests/--seed"},
       {"--cpu-ghz", "X", "experiment", "cpu_ghz", KnobKind::kDecimal, 0,
        "CPU clock for trace cycle->time\nconversion (default: 2.0)"},
+      {"--cache-mb", "N", "experiment", "cache_mb", KnobKind::kInteger, 0,
+       "hybrid devices: DRAM cache capacity [MiB]"},
+      {"--cache-ways", "N", "experiment", "cache_ways", KnobKind::kInteger, 0,
+       "hybrid devices: cache associativity"},
+      {"--cache-policy", "<p>", "experiment", "cache_policy",
+       KnobKind::kString, 0,
+       "hybrid devices: write-allocate (default)\nor write-no-allocate"},
       {"--run-threads", "N", "controller", "run_threads", KnobKind::kInteger, 0,
        "per-channel replay worker threads inside\neach run (default: 1 = "
        "serial; 0 =\nhardware threads); N > 1 adds one thread\nthat pulls "

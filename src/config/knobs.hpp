@@ -12,7 +12,8 @@
 /// parse_experiment reader `--config` uses — so value types, ranges and
 /// cross-key rules live once, in the section readers. The help text,
 /// the "matrix flag conflicts with --config" rule and `--list-policies`
-/// are derived from the rows.
+/// are derived from the rows. Every experiment flag is a row except
+/// --tenants and --device-file, which spell whole tables.
 ///
 /// Rows carry no accessors: the section readers and write_experiment
 /// stay hand-written, and the per-knob property test in

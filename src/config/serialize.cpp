@@ -514,12 +514,8 @@ void apply_cache_keys(const toml::Table& table, const std::string& source,
   if (auto v = reader.get_u64("line_bytes", 1, UINT32_MAX)) {
     cache.line_bytes = std::uint32_t(*v);
   }
-  if (auto policy = reader.get_string("policy")) {
-    try {
-      cache.write_allocate = hybrid::parse_cache_policy(*policy);
-    } catch (const std::invalid_argument& e) {
-      reader.fail_at(reader.key_line("policy"), e.what());
-    }
+  if (auto v = reader.get_parsed("policy", hybrid::parse_cache_policy)) {
+    cache.write_allocate = *v;
   }
   reader.finish();
 }
@@ -665,16 +661,16 @@ DeviceSpec parse_device(const toml::Table& table, const std::string& source,
   return spec;
 }
 
-DeviceSpec parse_device_file(const std::string& path,
-                             const DeviceResolver& resolver) {
-  const toml::Document doc = toml::parse_file(path);
+toml::Table read_device_file(const std::string& path) {
+  toml::Document doc = toml::parse_file(path);
   TableReader root(doc.root, doc.source, "device file");
-  const toml::Table* device = root.child("device");
-  if (!device) {
+  if (!root.child("device")) {
     root.fail("expected a [device] section");
   }
   root.finish();
-  return parse_device(*device, doc.source, resolver);
+  toml::Table device = std::move(doc.root.children.at("device"));
+  device.source = doc.source;
+  return device;
 }
 
 memsim::WorkloadProfile parse_workload(const toml::Table& table,
@@ -686,12 +682,8 @@ memsim::WorkloadProfile parse_workload(const toml::Table& table,
   } else {
     reader.fail("'name' is required");
   }
-  if (auto pattern = reader.get_string("pattern")) {
-    try {
-      profile.pattern = pattern_from_name(*pattern);
-    } catch (const std::exception& e) {
-      reader.fail_at(reader.key_line("pattern"), e.what());
-    }
+  if (auto v = reader.get_parsed("pattern", pattern_from_name)) {
+    profile.pattern = *v;
   }
   if (auto v = reader.get_double("read_fraction", 0.0, 1.0)) {
     profile.read_fraction = *v;
@@ -876,12 +868,8 @@ void parse_tenant_section(const toml::Table& table, const std::string& source,
                           std::vector<TenantSpec>& tenants,
                           TenantMapping& mapping) {
   TableReader reader(table, source, "[tenant]");
-  if (auto name = reader.get_string("mapping")) {
-    try {
-      mapping = tenant_mapping_from_name(*name);
-    } catch (const std::exception& e) {
-      reader.fail_at(reader.key_line("mapping"), e.what());
-    }
+  if (auto v = reader.get_parsed("mapping", tenant_mapping_from_name)) {
+    mapping = *v;
   }
   tenants.clear();
   // toml::Table keeps sub-sections name-sorted, so stream order — and
@@ -892,12 +880,8 @@ void parse_tenant_section(const toml::Table& table, const std::string& source,
     TableReader t(child, source, "[tenant." + name + "]");
     TenantSpec spec;
     spec.name = name;
-    if (auto workload = t.get_string("workload")) {
-      try {
-        spec.profile = memsim::profile_by_name(*workload);
-      } catch (const std::exception& e) {
-        t.fail_at(t.key_line("workload"), e.what());
-      }
+    if (auto v = t.get_parsed("workload", memsim::profile_by_name)) {
+      spec.profile = *std::move(v);
     }
     if (auto v = t.get_string("trace_file")) spec.trace_file = *v;
     if (auto v = t.get_double("interarrival_ns", 0.0, 1e12)) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <iosfwd>
 #include <optional>
@@ -76,6 +77,21 @@ class TableReader {
       std::uint64_t max = UINT64_MAX);
   std::optional<std::vector<std::string>> get_string_list(
       const std::string& key);
+
+  /// A string key through `parse` (a name lookup such as
+  /// pattern_from_name); a std::exception it throws fails at the key's
+  /// line.
+  template <typename Parse>
+  auto get_parsed(const std::string& key, Parse&& parse)
+      -> std::optional<decltype(parse(std::string()))> {
+    const auto text = get_string(key);
+    if (!text) return std::nullopt;
+    try {
+      return parse(*text);
+    } catch (const std::exception& e) {
+      fail_at(key_line(key), e.what());
+    }
+  }
 
   /// Named sub-table, or nullptr when absent. Fails when the key is a
   /// scalar or an array of tables.
@@ -157,9 +173,12 @@ std::vector<DeviceSpec> resolve_devices(TableReader& reader,
 DeviceSpec parse_device(const toml::Table& table, const std::string& source,
                         const DeviceResolver& resolver);
 
-/// Parses a file containing exactly one `[device]` section.
-DeviceSpec parse_device_file(const std::string& path,
-                             const DeviceResolver& resolver);
+/// The `[device]` table of a file holding exactly that section (the
+/// `--device-file` format), its `source` set to the path: a document it
+/// is spliced into as a `[[device]]` reports the table's errors against
+/// the file. Throws toml::ParseError naming the file when it cannot be
+/// read, has no `[device]` section or holds other top-level keys.
+toml::Table read_device_file(const std::string& path);
 
 /// Parses one workload table; `name` is required, everything else
 /// defaults to the WorkloadProfile defaults.

@@ -77,6 +77,9 @@ struct Table {
   std::map<std::string, std::vector<Table>> arrays;
   std::uint64_t line = 0;  ///< Header line (0 for the root / implicit).
   bool defined = false;    ///< An explicit `[header]` opened this table.
+  /// Diagnostics label of a table spliced in from another document
+  /// (a --device-file's [device]); empty = its document's source.
+  std::string source;
 
   bool empty() const {
     return values.empty() && children.empty() && arrays.empty();

@@ -242,7 +242,6 @@ Options parse_args(const std::vector<std::string>& args) {
   // First flag that describes the experiment, for the --config conflict
   // diagnostic: a config file owns the whole experiment.
   std::string matrix_flag;
-  HybridOverrides cache;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& flag = args[i];
     const std::uint64_t line = i + 1;
@@ -295,25 +294,8 @@ Options parse_args(const std::vector<std::string>& args) {
       } else if (flag == "--tenants") {
         add_tenant_tables(doc.root.children["tenant"], next(), line);
       } else if (flag == "--device-file") {
-        const std::string& file = path();
-        // Checked on its own first, so its errors carry its own file:line.
-        (void)config::parse_device_file(file, resolve_device_specs);
-        doc.root.arrays["device"].push_back(
-            toml::parse_file(file).root.children.at("device"));
-      } else if (flag == "--cache-mb") {
-        // Bounded so the capacity in bytes fits comfortably in 64 bits.
-        cache.cache_mb = parse_u64(flag, next(), 1ull << 30);
-        if (*cache.cache_mb == 0) {
-          throw std::invalid_argument("--cache-mb must be >= 1");
-        }
-      } else if (flag == "--cache-ways") {
-        cache.cache_ways = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-        if (*cache.cache_ways == 0) {
-          throw std::invalid_argument("--cache-ways must be >= 1");
-        }
-      } else if (flag == "--cache-policy") {
-        cache.cache_policy = next();
-        (void)hybrid::parse_cache_policy(*cache.cache_policy);
+        // Read once; the table keeps the file as its diagnostics source.
+        doc.root.arrays["device"].push_back(config::read_device_file(path()));
       } else if (flag == "--dump-trace") {
         opt.dump_trace = path();
       } else {
@@ -330,7 +312,8 @@ Options parse_args(const std::vector<std::string>& args) {
           "--config cannot be combined with " + matrix_flag +
           " (the config file defines the whole experiment)");
     }
-    opt.spec = config::parse_experiment_file(opt.config, resolve_device_specs);
+    opt.spec = config::parse_experiment(toml::parse_file(opt.config),
+                                        resolve_device_specs);
   } else {
     // What the flags leave implicit: every device unless --device or
     // --device-file names some, every workload unless --workload,
@@ -349,14 +332,12 @@ Options parse_args(const std::vector<std::string>& args) {
     try {
       opt.spec = config::parse_experiment(doc, resolve_device_specs);
     } catch (const toml::ParseError& e) {
+      if (e.source() != kCommandLine) throw;  // A --device-file's error.
       throw flag_error(e, args);
     }
     opt.spec.source.clear();  // Flag runs name no config file.
   }
 
-  for (auto& device : opt.spec.devices) {
-    device = apply_hybrid_overrides(std::move(device), cache);
-  }
   check_trace_files(opt.spec, opt.config);
 
   if (!opt.dump_trace.empty()) {
@@ -423,10 +404,6 @@ std::string usage() {
          "file to the sweep (repeatable; replaces the\n"
          "default --device all)\n"
          "config: one [[device]] table per file");
-  option("--cache-mb N", "hybrid devices: DRAM cache capacity [MiB]");
-  option("--cache-ways N", "hybrid devices: cache associativity");
-  option("--cache-policy <p>",
-         "hybrid devices: write-allocate (default)\nor write-no-allocate");
   option("--dump-trace <path>",
          "write the synthesized trace for a single\n--workload to <path> and "
          "exit");

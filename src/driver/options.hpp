@@ -31,7 +31,7 @@ struct Options {
 
   /// The experiment: the --config document, or the document the flags
   /// spell. The reader resolved its device tokens and profile names to
-  /// definitions, and the --cache-* overrides are applied to every
+  /// definitions and folded the cache_* keys (--cache-*) into every
   /// hybrid device.
   config::ExperimentSpec spec;
 };
@@ -39,9 +39,10 @@ struct Options {
 /// Parses argv-style arguments (excluding argv[0]). Each knob flag
 /// becomes its `[section] key` in a "command line" document (a value's
 /// line is its argv position) that config::parse_experiment reads —
-/// the reader --config uses. Only flags without a key are translated
-/// by hand: --tenants (into [tenant.NAME] tables), --device-file (into
-/// [[device]] tables) and the --cache-* overrides.
+/// the reader --config uses. Only the two flags without a key are
+/// translated by hand: --tenants (into [tenant.NAME] tables) and
+/// --device-file (its [device] table, read once, becomes a [[device]]
+/// table that keeps the file as its diagnostics source).
 ///
 /// Throws std::invalid_argument on unknown flags, malformed values,
 /// schema violations of the flags (naming the flag), unknown device or

@@ -1,5 +1,6 @@
 #include "driver/registry.hpp"
 
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -53,21 +54,17 @@ base = "cosmos"
 capacity_mb = 64
 )";
 
-std::invalid_argument unknown_token(const std::string& token,
-                                    bool include_hybrid) {
+std::invalid_argument unknown_token(const std::string& token) {
   std::ostringstream msg;
   msg << "unknown device '" << token << "'; expected one of: all";
   for (const auto& name : known_devices()) msg << ", " << name;
-  if (include_hybrid) {
-    msg << ", hybrid-all";
-    for (const auto& name : known_hybrid_devices()) msg << ", " << name;
-  }
+  msg << ", hybrid-all";
+  for (const auto& name : known_hybrid_devices()) msg << ", " << name;
   return std::invalid_argument(msg.str());
 }
 
-/// The flat factories, or nullopt for anything else (including hybrid
-/// tokens) so each caller can raise the error naming its own valid set.
-std::optional<memsim::DeviceModel> try_make_device(const std::string& token) {
+/// The flat factories, or nullopt for any other token.
+std::optional<memsim::DeviceModel> flat_model(const std::string& token) {
   if (token == "ddr3") return dram::ddr3_2d();
   if (token == "ddr3_3d") return dram::ddr3_3d();
   if (token == "ddr4") return dram::ddr4_2d();
@@ -93,16 +90,6 @@ const std::vector<config::toml::Table>& builtin_hybrid_tables() {
   return doc.root.arrays.at("device");
 }
 
-const std::string& hybrid_table_name(const config::toml::Table& table) {
-  return table.values.at("name").str;
-}
-
-/// Base resolver for the built-in hybrid specs: flat tokens only (the
-/// built-ins never reference each other).
-std::vector<DeviceSpec> resolve_flat_base(const std::string& token) {
-  return {DeviceSpec(make_device(token))};
-}
-
 }  // namespace
 
 std::vector<std::string> known_devices() {
@@ -113,41 +100,21 @@ std::vector<std::string> known_devices() {
 std::vector<std::string> known_hybrid_devices() {
   std::vector<std::string> tokens;
   for (const auto& table : builtin_hybrid_tables()) {
-    tokens.push_back(hybrid_table_name(table));
+    tokens.push_back(table.values.at("name").str);
   }
   return tokens;
 }
 
-memsim::DeviceModel make_device(const std::string& token) {
-  if (auto model = try_make_device(token)) return *std::move(model);
-  throw unknown_token(token, /*include_hybrid=*/false);
-}
-
 DeviceSpec make_device_spec(const std::string& token) {
-  if (auto model = try_make_device(token)) {
+  if (auto model = flat_model(token)) {
     return DeviceSpec(*std::move(model));
   }
   for (const auto& table : builtin_hybrid_tables()) {
-    if (hybrid_table_name(table) != token) continue;
-    return config::parse_device(table, "<registry>", resolve_flat_base);
+    if (table.values.at("name").str != token) continue;
+    // The built-ins' bases are flat tokens.
+    return config::parse_device(table, "<registry>", resolve_device_specs);
   }
-  throw unknown_token(token, /*include_hybrid=*/true);
-}
-
-DeviceSpec apply_hybrid_overrides(DeviceSpec spec,
-                                  const HybridOverrides& overrides) {
-  if (!spec.is_hybrid() || !overrides.any()) return spec;
-  hybrid::DramCacheConfig cache = spec.tiered->cache;
-  if (overrides.cache_mb) cache.capacity_bytes = *overrides.cache_mb << 20;
-  if (overrides.cache_ways) cache.ways = *overrides.cache_ways;
-  if (overrides.cache_policy) {
-    cache.write_allocate = hybrid::parse_cache_policy(*overrides.cache_policy);
-  }
-  // Like a declarative cache change: the DRAM tier is re-derived only
-  // when the capacity changes.
-  spec.tiered->set_cache(cache);
-  spec.tiered->validate();
-  return spec;
+  throw unknown_token(token);
 }
 
 std::vector<DeviceSpec> resolve_device_specs(const std::string& spec) {

@@ -13,7 +13,8 @@
 # schema errors and a group token as a device's base exit 2 with
 # file:line diagnostics; --config rejects
 # matrix flags; a section validator's error on the command line names
-# the flags.
+# the flags; the --cache-* flags and their [experiment] cache_* keys
+# dump the same spec.
 
 if(NOT DEFINED COMET_SIM OR NOT DEFINED WORK_DIR OR NOT DEFINED EXAMPLES_DIR)
   message(FATAL_ERROR "pass -DCOMET_SIM=..., -DWORK_DIR=... and -DEXAMPLES_DIR=...")
@@ -276,5 +277,40 @@ execute_process(
 expect_rc("inverted watermarks" "${rc}" 2)
 expect_contains("inverted watermarks" "${err}"
                 "0 <= --drain-low <= --drain-high")
+
+# --- 8. The --cache-* flags are knob rows: the flags and a document
+# ---    holding their [experiment] cache_* keys dump the same bytes,
+# ---    the folded device and no cache key. A bad value names its flag.
+execute_process(
+  COMMAND ${COMET_SIM} --device hybrid-comet --cache-mb 64 --cache-ways 8
+          --cache-policy write-no-allocate --dump-config ${WORK_DIR}/cache_a.toml
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+expect_rc("cache flags dump" "${rc}" 0)
+file(WRITE ${WORK_DIR}/cache_keys.toml
+     "[experiment]\nname = \"cli\"\ndevices = [\"hybrid-comet\"]\n"
+     "workloads = [\"all\"]\ncache_mb = 64\ncache_ways = 8\n"
+     "cache_policy = \"write-no-allocate\"\n")
+execute_process(
+  COMMAND ${COMET_SIM} --config ${WORK_DIR}/cache_keys.toml
+          --dump-config ${WORK_DIR}/cache_b.toml
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+expect_rc("cache keys dump" "${rc}" 0)
+file(READ ${WORK_DIR}/cache_a.toml cache_a)
+file(READ ${WORK_DIR}/cache_b.toml cache_b)
+if(NOT cache_a STREQUAL cache_b)
+  message(FATAL_ERROR "--cache-* flags and cache_* keys dumped different "
+                      "specs:\n${cache_a}\n--- vs ---\n${cache_b}")
+endif()
+expect_contains("cache flags dump" "${cache_a}"
+                "policy = \"write-no-allocate\"")
+string(FIND "${cache_a}" "cache_mb" pos)
+if(NOT pos EQUAL -1)
+  message(FATAL_ERROR "cache flags dump: the folded spec writes a cache_* key")
+endif()
+execute_process(
+  COMMAND ${COMET_SIM} --cache-mb 0
+  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+expect_rc("cache-mb 0" "${rc}" 2)
+expect_contains("cache-mb 0" "${err}" "--cache-mb")
 
 message(STATUS "config CLI tests passed")

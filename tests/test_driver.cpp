@@ -14,12 +14,14 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "config/knobs.hpp"
+#include "config/serialize.hpp"
 #include "config/toml.hpp"
 #include "driver/options.hpp"
 #include "driver/registry.hpp"
@@ -306,7 +308,7 @@ TEST(OptionsTest, DeviceFilesAddDevicesToTheMatrix) {
 TEST(OptionsTest, CacheOverridesReachDeviceFileHybrids) {
   // --cache-* must not be silently ignored for a file-defined hybrid:
   // the flags apply to every hybrid in the matrix, token- or
-  // file-sourced, through the same apply_hybrid_overrides path.
+  // file-sourced, through the reader's one cache_* fold.
   const TempTomlFile hybrid_file(
       "[device]\nname = \"hc\"\nbase = \"comet\"\n"
       "[device.cache]\ncapacity_mb = 32\n");
@@ -341,6 +343,77 @@ TEST(OptionsTest, CacheOverridesKeepACustomDramTier) {
   EXPECT_EQ(dram_read_ps({"--cache-mb", "128"}),
             comet::hybrid::dram_cache_tier_model(128ull << 20)
                 .timing.read_occupancy_ps);
+}
+
+/// The message of the exception `fn` throws ("" when it returns).
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(OptionsTest, CacheLargerThanTheBackendFailsAtItsKey) {
+  const auto backend =
+      comet::driver::make_device_spec("hybrid-comet").tiered->backend;
+  const std::string mb =
+      std::to_string((backend.capacity_bytes + (1ull << 20) - 1) >> 20);
+  // As a flag, the error names the flag.
+  const std::string flag_error = error_of([&] {
+    parse_args({"--device", "hybrid-comet", "--workload", "gcc_like",
+                "--cache-mb", mb});
+  });
+  EXPECT_NE(flag_error.find("--cache-mb"), std::string::npos) << flag_error;
+  EXPECT_NE(flag_error.find("smaller than the backend"), std::string::npos)
+      << flag_error;
+  // As a key, it fails at the key's line.
+  const std::string experiment =
+      "[experiment]\ndevices = [\"hybrid-comet\"]\n"
+      "workloads = [\"gcc_like\"]\n";
+  const TempTomlFile file(experiment + "cache_mb = " + mb + "\n");
+  const std::string key_error =
+      error_of([&] { parse_args({"--config", file.path()}); });
+  EXPECT_NE(key_error.find(file.path() + ":4"), std::string::npos)
+      << key_error;
+  EXPECT_NE(key_error.find("'cache_mb'"), std::string::npos) << key_error;
+}
+
+TEST(OptionsTest, CacheKnobsLeaveFlatDevicesFlat) {
+  const auto check = [](const Options& opt) {
+    ASSERT_EQ(opt.spec.devices.size(), 2u);
+    const auto& flat = opt.spec.devices[0];
+    EXPECT_FALSE(flat.is_hybrid());
+    EXPECT_EQ(comet::config::device_spec_to_toml(flat),
+              comet::config::device_spec_to_toml(
+                  comet::driver::make_device_spec("comet")));
+    ASSERT_TRUE(opt.spec.devices[1].is_hybrid());
+    EXPECT_EQ(opt.spec.devices[1].tiered->cache.capacity_bytes, 32ull << 20);
+  };
+  const TempTomlFile hybrid_file("[device]\nbase = \"hybrid-comet\"\n");
+  check(parse_args({"--device", "comet", "--device-file", hybrid_file.path(),
+                    "--workload", "gcc_like", "--cache-mb", "32"}));
+  const TempTomlFile file(
+      "[experiment]\ndevices = [\"comet\", \"hybrid-comet\"]\n"
+      "workloads = [\"gcc_like\"]\ncache_mb = 32\n");
+  check(parse_args({"--config", file.path()}));
+}
+
+TEST(OptionsTest, DeviceFileErrorsNameTheFile) {
+  // The file's shape, and the schema of its [device] table once it is
+  // spliced into the flags' document, are reported against the file.
+  const auto expect_at = [](const std::string& text, const char* where) {
+    const TempTomlFile file(text);
+    const std::string error = error_of([&] {
+      parse_args({"--device-file", file.path(), "--workload", "gcc_like"});
+    });
+    EXPECT_EQ(error.rfind(file.path() + where, 0), 0u) << error;
+  };
+  expect_at("[experiment]\nname = \"x\"\n", ": device file: expected");
+  expect_at("stray = 1\n[device]\nbase = \"comet\"\n", ":1: ");
+  expect_at("[device]\nbase = \"comet\"\nbogus = 1\n", ":3: [device]: ");
 }
 
 TEST(OptionsTest, DumpConfigConflictsWithDumpTrace) {
@@ -485,8 +558,8 @@ TEST(RegistryTest, AllExpandsToSevenUniqueModels) {
 }
 
 TEST(RegistryTest, HbmAliasesTheStackedDdr4Part) {
-  EXPECT_EQ(comet::driver::make_device("hbm").name,
-            comet::driver::make_device("ddr4_3d").name);
+  EXPECT_EQ(comet::driver::make_device_spec("hbm").flat->name,
+            comet::driver::make_device_spec("ddr4_3d").flat->name);
 }
 
 TEST(RegistryTest, UnknownTokenThrows) {
@@ -843,6 +916,16 @@ void PrintTo(const KnobCase& knob_case, std::ostream* os) {
 std::vector<KnobCase> knob_cases() {
   const std::vector<std::string> device_only = {"--device", "comet"};
   const std::string device_line = "devices = [\"comet\"]\n";
+  // The cache_* knobs change every hybrid device of the sweep.
+  const std::vector<std::string> hybrid_base = {"--device", "hybrid-comet",
+                                                "--workload", "gcc_like"};
+  const std::string hybrid_lines =
+      "devices = [\"hybrid-comet\"]\nworkloads = [\"gcc_like\"]\n";
+  const auto cache = [](const ExperimentSpec& spec) {
+    return spec.devices.size() == 1 && spec.devices[0].is_hybrid()
+               ? std::optional(spec.devices[0].tiered->cache)
+               : std::nullopt;
+  };
   return {
       {.flag = "--device",
        .valid = "epcm",
@@ -911,6 +994,34 @@ std::vector<KnobCase> knob_cases() {
            [](const ExperimentSpec& spec) { return spec.cpu_ghz == 3.5; },
        .base = {"--device", "comet", "--trace-file", "{trace}"},
        .experiment = device_line + "trace_file = \"{trace}\"\n"},
+      // The [device.cache] bounds: 1 to 2^30 MiB, >= 1 way, two policies.
+      {.flag = "--cache-mb",
+       .valid = "32",
+       .bounds = {{"0", false}, {"1073741825", false}, {"64", true}},
+       .landed =
+           [cache](const ExperimentSpec& spec) {
+             return cache(spec) && cache(spec)->capacity_bytes == 32ull << 20;
+           },
+       .base = hybrid_base,
+       .experiment = hybrid_lines},
+      {.flag = "--cache-ways",
+       .valid = "16",
+       .bounds = {{"0", false}, {"4", true}},
+       .landed =
+           [cache](const ExperimentSpec& spec) {
+             return cache(spec) && cache(spec)->ways == 16;
+           },
+       .base = hybrid_base,
+       .experiment = hybrid_lines},
+      {.flag = "--cache-policy",
+       .valid = "write-no-allocate",
+       .bounds = {{"write-no-allocate", true}, {"lru", false}},
+       .landed =
+           [cache](const ExperimentSpec& spec) {
+             return cache(spec) && !cache(spec)->write_allocate;
+           },
+       .base = hybrid_base,
+       .experiment = hybrid_lines},
       {.flag = "--run-threads",
        .valid = "2",
        .bounds = {{"0", true}, {"2147483648", false}},

@@ -9,8 +9,11 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "config/experiment.hpp"
+#include "config/toml.hpp"
 #include "driver/options.hpp"
 #include "driver/registry.hpp"
 #include "driver/sweep.hpp"
@@ -409,21 +412,25 @@ TEST(HybridRegistry, FlatAllIsUnchanged) {
 }
 
 TEST(HybridRegistry, OverridesApply) {
-  comet::driver::HybridOverrides overrides;
-  overrides.cache_mb = 32;
-  overrides.cache_ways = 16;
-  overrides.cache_policy = "write-no-allocate";
-  const auto spec = comet::driver::apply_hybrid_overrides(
-      comet::driver::make_device_spec("hybrid-comet"), overrides);
+  // The --cache-* knobs in their document spelling, [experiment] cache_*.
+  const std::string document =
+      "[experiment]\ndevices = [\"hybrid-comet\"]\n"
+      "workloads = [\"gcc_like\"]\ncache_mb = 32\ncache_ways = 16\n";
+  const auto read = [&](const std::string& policy) {
+    return comet::config::parse_experiment(
+        comet::config::toml::parse_string(
+            document + "cache_policy = \"" + policy + "\"\n", "o.toml"),
+        comet::driver::resolve_device_specs);
+  };
+  const auto experiment = read("write-no-allocate");
+  ASSERT_EQ(experiment.devices.size(), 1u);
+  const auto& spec = experiment.devices[0];
   EXPECT_EQ(spec.tiered->cache.capacity_bytes, 32ull << 20);
   EXPECT_EQ(spec.tiered->cache.ways, 16);
   EXPECT_FALSE(spec.tiered->cache.write_allocate);
   EXPECT_EQ(spec.tiered->dram.capacity_bytes, 32ull << 20);
 
-  overrides.cache_policy = "write-through";
-  EXPECT_THROW(comet::driver::apply_hybrid_overrides(
-                   comet::driver::make_device_spec("hybrid-comet"), overrides),
-               std::invalid_argument);
+  EXPECT_THROW(read("write-through"), comet::config::toml::ParseError);
 }
 
 TEST(HybridConfig, SetCacheRederivesTheDramTierOnlyOnANewCapacity) {

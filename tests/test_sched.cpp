@@ -335,7 +335,8 @@ TEST(SchedController, RejectsUnsortedDemandWithContext) {
 }
 
 TEST(SchedController, RejectsASecondChannel) {
-  const ms::MemorySystem system(comet::driver::make_device("comet"));
+  const ms::MemorySystem system(
+      *comet::driver::make_device_spec("comet").flat);
   const ms::Request first = make_req(0, 0, ms::Op::kRead, 0);
   ms::Request other = make_req(1, 1000, ms::Op::kRead, 64);
   while (system.address_map().channel(other) ==

@@ -148,7 +148,7 @@ TEST(ShardedBitIdentity, EveryHybridRegistryDeviceEveryPolicyEveryThreadCount) {
 }
 
 TEST(ShardedBitIdentity, FlatSystemMatchesWholeStreamSession) {
-  const ms::DeviceModel model = dr::make_device("comet");
+  const ms::DeviceModel model = *dr::make_device_spec("comet").flat;
   const ms::SimStats reference =
       whole_stream_reference(ms::MemorySystem(model), std::nullopt);
   for (const int threads : {1, 2, 8}) {
@@ -208,7 +208,8 @@ TEST(ShardedContract, ResolveRunThreads) {
 }
 
 TEST(ShardedContract, RunShardedRejectsLaneCountMismatch) {
-  const ms::MemorySystem system(dr::make_device("comet"));  // 8 channels
+  // 8 channels.
+  const ms::MemorySystem system(*dr::make_device_spec("comet").flat);
   for (const int threads : {1, 2}) {
     std::vector<std::unique_ptr<ms::ShardLane>> lanes;
     lanes.push_back(std::make_unique<ms::ReplaySession>(system, "w"));
@@ -493,7 +494,7 @@ TEST(PipelinedFailure, UnsortedStreamNamesTheSerialGlobalIndex) {
 }
 
 TEST(PipelinedFailure, LaneThrowingWhileTheProducerWaitsOnAFullRing) {
-  const ms::MemorySystem system(dr::make_device("comet"));
+  const ms::MemorySystem system(*dr::make_device_spec("comet").flat);
   const auto run = [&](int threads) {
     std::vector<std::unique_ptr<ms::ShardLane>> lanes;
     for (int c = 0; c < system.model().timing.channels; ++c) {
@@ -517,7 +518,7 @@ TEST(PipelinedFailure, LaneFailingToFinishOnItsWorker) {
   // Lanes 2 and 3 both fail; at 3 threads worker 0 owns lane 3 and
   // worker 2 owns lane 2. The serial run reports lane 2, the first to
   // finish, and so must the threaded one.
-  const ms::MemorySystem system(dr::make_device("comet"));
+  const ms::MemorySystem system(*dr::make_device_spec("comet").flat);
   const auto run = [&](int threads) {
     std::vector<std::unique_ptr<ms::ShardLane>> lanes;
     for (int c = 0; c < system.model().timing.channels; ++c) {

@@ -143,7 +143,8 @@ TEST(GeneratorSource, RejectsBadLineSizeAndProfile) {
 // ----------------------------------------------------- ReplaySession
 
 TEST(ReplaySession, FeedAfterFinishThrows) {
-  const ms::MemorySystem system(comet::driver::make_device("comet"));
+  const ms::MemorySystem system(
+      *comet::driver::make_device_spec("comet").flat);
   ms::ReplaySession session(system, "test");
   session.feed(ms::Request{});
   EXPECT_EQ(session.finish_slice().fed, 1u);
@@ -152,7 +153,8 @@ TEST(ReplaySession, FeedAfterFinishThrows) {
 }
 
 TEST(ReplaySession, RejectsOutOfOrderFeeds) {
-  const ms::MemorySystem system(comet::driver::make_device("comet"));
+  const ms::MemorySystem system(
+      *comet::driver::make_device_spec("comet").flat);
   ms::ReplaySession session(system, "test");
   session.feed(ms::Request{.arrival_ps = 1000});
   try {
@@ -167,7 +169,8 @@ TEST(ReplaySession, RejectsOutOfOrderFeeds) {
 }
 
 TEST(ReplaySession, RejectsASecondChannel) {
-  const ms::MemorySystem system(comet::driver::make_device("comet"));
+  const ms::MemorySystem system(
+      *comet::driver::make_device_spec("comet").flat);
   const ms::Request first{.arrival_ps = 0, .address = 0};
   ms::Request other{.arrival_ps = 1000, .address = 64};
   while (system.address_map().channel(other) ==
@@ -183,7 +186,8 @@ TEST(ReplaySession, FeedIssuedRejectsAStalePlacement) {
 #ifdef NDEBUG
   GTEST_SKIP() << "the placement guard is compiled only without NDEBUG";
 #else
-  const ms::MemorySystem system(comet::driver::make_device("comet"));
+  const ms::MemorySystem system(
+      *comet::driver::make_device_spec("comet").flat);
   ms::ReplaySession session(system, "test");
   const ms::Request req{.arrival_ps = 1000, .address = 0x12345680};
   ms::RequestPlacement stale = system.address_map().place(req);
@@ -208,14 +212,16 @@ struct Geometry {
 std::vector<Geometry> placement_geometries() {
   std::vector<Geometry> out;
   for (const auto& token : comet::driver::known_devices()) {
-    out.push_back({token, comet::driver::make_device(token).timing});
+    out.push_back(
+        {token, comet::driver::make_device_spec(token).flat->timing});
   }
   for (const auto& token : comet::driver::known_hybrid_devices()) {
     const auto spec = comet::driver::make_device_spec(token);
     out.push_back({token + " dram tier", spec.tiered->dram.timing});
     out.push_back({token + " backend tier", spec.tiered->backend.timing});
   }
-  const ms::DeviceTiming base = comet::driver::make_device("comet").timing;
+  const ms::DeviceTiming base =
+      comet::driver::make_device_spec("comet").flat->timing;
   const auto variant = [&](const std::string& name, auto edit) {
     ms::DeviceTiming t = base;
     edit(t);
