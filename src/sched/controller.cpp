@@ -176,7 +176,7 @@ struct Controller::Impl {
   struct Pick {
     Rank rank = kNoRank;
     std::uint32_t bank = 0;  ///< Lead bank the candidate is filed under.
-    bool from_writes = false;
+    std::uint32_t kind = kReads;  ///< The queue it waits in.
 
     bool valid() const { return rank != kNoRank; }
     std::uint64_t issue_ps() const {
@@ -188,9 +188,10 @@ struct Controller::Impl {
     bool beats(const Pick& other) const { return rank < other.rank; }
   };
 
-  /// One queue's schedulable candidates on one bank, unordered (a
-  /// pick's rank ends in its seq, so scan order never matters), with
-  /// the best of them cached until something it depends on changes.
+  /// One queue's schedulable candidates on one bank, in admission order
+  /// (ascending seq and non-decreasing admit_ps, which lets a rescan
+  /// stop early: scan_from_oldest), with the best of them cached until
+  /// something it depends on changes.
   struct BankQueue {
     std::vector<Candidate> candidates;
     std::vector<memsim::Request> requests;  ///< Parallel to candidates.
@@ -296,15 +297,46 @@ struct Controller::Impl {
     return Rank{unboosted} << 127 | issue_ps << 63 | Rank{miss} << 62 | c.seq;
   }
 
+  /// The best rank among bank `b`'s candidates `cs`, which are in
+  /// admission order. The walk stops at the first candidate `c` whose
+  /// floor the best so far already beats: the least rank of a candidate
+  /// issuing when `c` can with `c`'s seq (a hit, tenant-rank bit clear).
+  /// Within one queue kind admit_ps never decreases as seq grows (direct
+  /// admits come in arrival order, overflow admits at issue instants no
+  /// later than the current arrival, and the window slides FIFO), so no
+  /// later candidate issues earlier, and on an equal instant it loses to
+  /// a hit or to a lower seq. A best pick whose tenant-rank bit is set
+  /// beats no floor, so it never stops the walk.
+  Rank scan_from_oldest(std::size_t b,
+                        const std::vector<Candidate>& cs) const {
+    const std::uint64_t free_ps = bank_state[b].free_ps;
+    Rank best = kNoRank;
+    for (const Candidate& c : cs) {
+      const Rank floor = Rank{std::max(c.admit_ps, free_ps)} << 63 | c.seq;
+      if (best < floor) break;
+      best = std::min(best, rank_of(b, c));
+    }
+    return best;
+  }
+
   /// Bank `b`'s best `kind` candidate, rescanning only if stale.
   const Pick& bank_pick(std::size_t b, std::size_t kind) {
     BankQueue& bq = banks[b].queues[kind];
     if (bq.dirty) {
-      Rank best = kNoRank;
+      const Rank best = scan_from_oldest(b, bq.candidates);
+#ifndef NDEBUG
+      Rank full = kNoRank;
       for (const Candidate& c : bq.candidates) {
-        best = std::min(best, rank_of(b, c));
+        full = std::min(full, rank_of(b, c));
       }
-      bq.pick = Pick{best, static_cast<std::uint32_t>(b), kind == kWrites};
+      if (best != full) {
+        throw std::logic_error(
+            "sched::Controller: an early-exit bank pick differs from the "
+            "full scan");
+      }
+#endif
+      bq.pick = Pick{best, static_cast<std::uint32_t>(b),
+                     static_cast<std::uint32_t>(kind)};
       bq.dirty = false;
     }
     return bq.pick;
@@ -389,11 +421,18 @@ struct Controller::Impl {
     Candidate c{tx.seq, tx.admit_ps, tx.placement.row, tx.placement.region,
                 tx.request.tenant};
     c.bank = tx.placement.bank;
+#ifndef NDEBUG
+    if (!bq.candidates.empty() &&
+        bq.candidates.back().admit_ps > c.admit_ps) {
+      throw std::logic_error(
+          "sched::Controller: a bank queue's admit_ps would decrease");
+    }
+#endif
     bq.candidates.push_back(c);
     bq.requests.push_back(tx.request);
     ++queues[kind].in_window;
     const Pick p{rank_of(b, c), static_cast<std::uint32_t>(b),
-                 kind == kWrites};
+                 static_cast<std::uint32_t>(kind)};
     if (!bq.dirty && p.beats(bq.pick)) bq.pick = p;
     return p;
   }
@@ -457,16 +496,11 @@ struct Controller::Impl {
   /// only when a tenant's rank flips — refills the window and the
   /// queue from behind, and re-evaluates write-drain hysteresis.
   void issue(Pick pick) {
-    const std::size_t kind = pick.from_writes ? kWrites : kReads;
+    const std::size_t kind = pick.kind;
     BankQueue& bq = banks[pick.bank].queues[kind];
     std::size_t i = 0;
     while (bq.candidates[i].seq != pick.seq()) ++i;
-    const Candidate c = bq.candidates[i];
-    const memsim::Request request = bq.requests[i];
-    bq.candidates[i] = bq.candidates.back();
-    bq.candidates.pop_back();
-    bq.requests[i] = bq.requests.back();
-    bq.requests.pop_back();
+    const Candidate& c = bq.candidates[i];
     TxQueue& q = queues[kind];
     --q.in_window;
 
@@ -491,9 +525,13 @@ struct Controller::Impl {
       if (flipped) invalidate_banks();
     }
 
-    dispatch(request, {channel, c.bank, c.row, c.region}, pick.issue_ps());
+    dispatch(bq.requests[i], {channel, c.bank, c.row, c.region},
+             pick.issue_ps());
+    // Erase in order: the bank queue stays in admission order.
+    bq.candidates.erase(bq.candidates.begin() + static_cast<std::ptrdiff_t>(i));
+    bq.requests.erase(bq.requests.begin() + static_cast<std::ptrdiff_t>(i));
 
-    if (pick.from_writes && draining) {
+    if (kind == kWrites && draining) {
       ++totals.stats.drained_writes;
       if (telemetry) telemetry->record_drained_write(channel, last_issue);
       if (queues[kReads].size() != 0) ++totals.stats.drain_stalls;

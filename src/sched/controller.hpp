@@ -74,8 +74,7 @@
 /// Arbitration is incremental. Each schedulable transaction is filed
 /// under its target bank (bank 0 on line-striped devices), each bank
 /// caches its best pick per queue, and the controller's pick is the
-/// best over its banks. A cached bank pick is recomputed, by scanning
-/// only that bank's candidates, when:
+/// best over its banks. A cached bank pick is recomputed when:
 ///   - a transaction issues from the bank (its busy window and open
 ///     row/region move);
 ///   - a tenant's rank flips, which invalidates every bank of the
@@ -86,6 +85,23 @@
 /// decision thus costs O(banks + candidates on the issuing bank) rather
 /// than O(window), and a controller with nothing queued looks at no
 /// bank at all.
+///
+/// Each bank queue stays in admission order: an issue erases its
+/// candidate in place. A recompute walks the queue from the oldest
+/// candidate and stops at the first one whose floor the best so far
+/// already beats. The floor is the least rank any candidate could have
+/// that issues when this one can and has its seq: a hit, with the
+/// tenant-rank bit clear. Stopping there is sound because within one
+/// queue kind admit_ps never decreases as seq grows: direct admits come
+/// in arrival order, overflow admits at issue instants no later than
+/// the current arrival, and the window slides FIFO. So a later
+/// candidate never issues earlier, and on an equal issue instant it
+/// loses to a hit or to any lower seq. A best pick whose tenant-rank
+/// bit is set (an unboosted one under frfcfs-cap) beats no floor, so it
+/// never stops the walk. On a busy bank the walk thus ends at the
+/// oldest hit. A build without NDEBUG re-derives every such pick with
+/// the full scan, and checks every filing for a decreasing admit_ps;
+/// either mismatch throws std::logic_error.
 ///
 /// Everything is deterministic; each Controller is single-threaded and
 /// lives on the stack of one Engine::run call, so sweeps stay

@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
 #include <stdexcept>
@@ -9,26 +8,9 @@
 
 namespace comet::util {
 
+namespace histogram {
+
 namespace {
-
-// Percentile histogram geometry: log2 buckets with kSubBuckets per
-// octave spanning [2^kMinExponent, 2^kMaxExponent), plus one underflow
-// bucket at index 0 for samples below the range (including <= 0).
-// Values above the range clamp into the last bucket; percentile()
-// clamps its answer to [min, max] anyway.
-constexpr int kSubBuckets = 8;
-constexpr int kMinExponent = -20;  // ~1e-6
-constexpr int kMaxExponent = 40;   // ~1e12
-constexpr std::size_t kHistogramBuckets =
-    static_cast<std::size_t>((kMaxExponent - kMinExponent) * kSubBuckets) + 1;
-
-/// An in-range sample's bin is its exponent and top kMantissaBits
-/// mantissa bits, counted from the bin that starts at 2^kMinExponent.
-constexpr int kMantissaBits = 5;
-constexpr std::uint64_t kBins =
-    std::uint64_t{kMaxExponent - kMinExponent} << kMantissaBits;
-constexpr std::uint64_t kFirstBin =
-    std::uint64_t{1023 + kMinExponent} << kMantissaBits;
 
 /// The bucket definition, rounded as written: bucket i >= 1 holds the
 /// samples whose position has floor i - 1 (clamped to the last bucket).
@@ -36,83 +18,62 @@ double position(double x) {
   return (std::log2(x) - kMinExponent) * static_cast<double>(kSubBuckets);
 }
 
-/// The lookup behind histogram_bucket. `guess` holds the bucket of each
-/// bin's lower edge; a bin spans at most one bucket bound, so one
-/// compare against `bounds` finishes the lookup. bounds[i] is the least
-/// double of bucket i or above, bisected from position() itself, so
-/// lookup and formula agree by construction where it is monotone.
-struct BucketTable {
-  std::array<double, kHistogramBuckets + 1> bounds{};  ///< Last is +inf.
-  std::array<std::uint16_t, kBins> guess{};
+}  // namespace
 
-  BucketTable() {
-    // log2 is coarser than x (~40 ulps of x near 2^40), so a bound lies
-    // within kSlack ulps of exp2, not at it; the bracket is checked.
-    constexpr std::uint64_t kSlack = 64;
-    bounds[1] = std::ldexp(1.0, kMinExponent);
-    bounds[kHistogramBuckets] = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 2; i < kHistogramBuckets; ++i) {
-      const double target = static_cast<double>(i - 1);
-      const auto reaches = [target](std::uint64_t bits) {
-        return position(std::bit_cast<double>(bits)) >= target;
-      };
-      const auto near = std::bit_cast<std::uint64_t>(
-          std::exp2(target / kSubBuckets + kMinExponent));
-      std::uint64_t lo = near - kSlack;
-      std::uint64_t hi = near + kSlack;
-      if (reaches(lo) || !reaches(hi) ||
-          !(std::bit_cast<double>(lo) > bounds[i - 1])) {
-        throw std::logic_error("RunningStats: histogram bound " +
-                               std::to_string(i) + " not bracketed");
-      }
-      while (hi - lo > 1) {
-        const std::uint64_t mid = lo + (hi - lo) / 2;
-        (reaches(mid) ? hi : lo) = mid;
-      }
-      bounds[i] = std::bit_cast<double>(hi);
+/// bounds[i] is bisected from position() itself, so lookup and formula
+/// agree by construction where the formula is monotone.
+BucketTable::BucketTable() {
+  // log2 is coarser than x (~40 ulps of x near 2^40), so a bound lies
+  // within kSlack ulps of exp2, not at it; the bracket is checked.
+  constexpr std::uint64_t kSlack = 64;
+  bounds[1] = kLowest;
+  bounds[kBuckets] = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 2; i < kBuckets; ++i) {
+    const double target = static_cast<double>(i - 1);
+    const auto reaches = [target](std::uint64_t bits) {
+      return position(std::bit_cast<double>(bits)) >= target;
+    };
+    const auto near = std::bit_cast<std::uint64_t>(
+        std::exp2(target / kSubBuckets + kMinExponent));
+    std::uint64_t lo = near - kSlack;
+    std::uint64_t hi = near + kSlack;
+    if (reaches(lo) || !reaches(hi) ||
+        !(std::bit_cast<double>(lo) > bounds[i - 1])) {
+      throw std::logic_error("RunningStats: histogram bound " +
+                             std::to_string(i) + " not bracketed");
     }
-    std::uint16_t bucket = 1;
-    for (std::uint64_t bin = 0; bin < kBins; ++bin) {
-      const auto edge =
-          std::bit_cast<double>((kFirstBin + bin) << (52 - kMantissaBits));
-      while (bounds[bucket + 1] <= edge) ++bucket;
-      guess[bin] = bucket;
+    while (hi - lo > 1) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      (reaches(mid) ? hi : lo) = mid;
     }
+    bounds[i] = std::bit_cast<double>(hi);
   }
-};
+  std::uint16_t bucket = 1;
+  for (std::uint64_t bin = 0; bin < kBins; ++bin) {
+    const auto edge =
+        std::bit_cast<double>((kFirstBin + bin) << (52 - kMantissaBits));
+    while (bounds[bucket + 1] <= edge) ++bucket;
+    guess[bin] = bucket;
+  }
+}
+
+}  // namespace histogram
+
+namespace {
 
 /// Geometric midpoint of a bucket (its representative value).
 double histogram_bucket_value(std::size_t index) {
   if (index == 0) return 0.0;  // caller clamps to min()
   const double lo_exponent =
-      kMinExponent + static_cast<double>(index - 1) / kSubBuckets;
-  return std::exp2(lo_exponent + 0.5 / kSubBuckets);
+      histogram::kMinExponent +
+      static_cast<double>(index - 1) / histogram::kSubBuckets;
+  return std::exp2(lo_exponent + 0.5 / histogram::kSubBuckets);
 }
 
 }  // namespace
 
-std::size_t histogram_bucket(double x) {
-  if (!(x >= std::ldexp(1.0, kMinExponent))) return 0;  // underflow, <=0, NaN
-  // The sign bit is clear, so the top bits are exponent then mantissa.
-  const std::uint64_t bin =
-      (std::bit_cast<std::uint64_t>(x) >> (52 - kMantissaBits)) - kFirstBin;
-  if (bin >= kBins) return kHistogramBuckets - 1;  // >= 2^kMaxExponent, inf
-  static const BucketTable table;
-  std::size_t bucket = table.guess[bin];
-  while (x >= table.bounds[bucket + 1]) ++bucket;
-  return bucket;
-}
-
-void RunningStats::add(double x) {
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  if (x < min_) min_ = x;
-  if (x > max_) max_ = x;
-  if (histogram_.empty()) histogram_.assign(kHistogramBuckets, 0);
-  ++histogram_[histogram_bucket(x)];
+void RunningStats::allocate_histogram() {
+  histogram_.assign(histogram::kBuckets, 0);
 }
 
 void RunningStats::merge(const RunningStats& other) {

@@ -1,4 +1,5 @@
-// Long equivalence run of util::histogram_bucket against the log2
+// Long equivalence run of util::histogram_bucket, the one bucket
+// lookup RunningStats::add files its samples through, against the log2
 // formula it replaced, on the seeded sample mix of
 // stats_bucket_reference.hpp. The samples split evenly over four
 // threads, each with its own seed.

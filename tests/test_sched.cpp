@@ -20,12 +20,14 @@
 #include "memsim/system.hpp"
 #include "memsim/trace_gen.hpp"
 #include "sched/controller.hpp"
+#include "tenant/runner.hpp"
 #include "util/units.hpp"
 
 namespace ms = comet::memsim;
 namespace sc = comet::sched;
 namespace cu = comet::util;
 namespace hy = comet::hybrid;
+namespace tn = comet::tenant;
 
 namespace {
 
@@ -365,6 +367,51 @@ TEST(SchedController, EmptyStreamFinishes) {
   EXPECT_EQ(slice.fed, 0u);
   EXPECT_TRUE(slice.stats.is_scheduled());
   EXPECT_EQ(slice.stats.reads + slice.stats.writes, 0u);
+}
+
+// A build without NDEBUG re-derives every early-exit bank pick with
+// the full scan and checks that each bank queue's admit_ps never
+// decreases; either check throws std::logic_error. Two tenants on a GST
+// region device (comet), a row-buffer device (ddr4) and a line-striped
+// one (cosmos), every policy, bounded and unbounded queues: the
+// unbounded runs arrive fast enough to overflow the 256-entry window.
+TEST(SchedController, EarlyExitPicksMatchTheFullScan) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the pick cross-check is compiled only without NDEBUG";
+#else
+  tn::MultiTenantJob job;
+  comet::config::TenantSpec chase;
+  chase.name = "chase";
+  chase.profile = ms::profile_by_name("mcf_like");
+  comet::config::TenantSpec stream;
+  stream.name = "stream";
+  stream.profile = ms::profile_by_name("lbm_like");
+  stream.interarrival_ns = 0.5;
+  stream.burstiness = 0.5;
+  job.tenants = {chase, stream};
+  job.default_requests = 3000;
+  job.line_bytes = 64;
+  bool window_bound = false;
+  for (const char* device : {"comet", "ddr4", "cosmos"}) {
+    const ms::DeviceModel model = *comet::driver::make_device_spec(device).flat;
+    for (const sc::PolicyInfo& info : sc::known_policies()) {
+      for (const int depth : {8, 32, 0}) {
+        SCOPED_TRACE(std::string(device) + " " + info.name + " depth " +
+                     std::to_string(depth));
+        const auto config =
+            sc::ControllerConfig::with_depths(info.policy, depth, depth);
+        const sc::FlatSystem system(model, config);
+        ms::SimStats stats;
+        ASSERT_NO_THROW(stats = system.run(*tn::make_multi_stream(job)));
+        EXPECT_EQ(stats.reads + stats.writes, 2 * job.default_requests);
+        window_bound = window_bound ||
+                       stats.read_queue_occupancy.max() > 256.0 ||
+                       stats.write_queue_occupancy.max() > 256.0;
+      }
+    }
+  }
+  EXPECT_TRUE(window_bound) << "no run filled the scheduling window";
+#endif
 }
 
 TEST(SchedEngine, FlatSystemIsStatelessAcrossRuns) {

@@ -483,6 +483,57 @@ TEST(HistogramBucket, MatchesTheLog2FormulaOnSeededSamples) {
   EXPECT_EQ(mismatches, 0u) << "first mismatch at " << first;
 }
 
+// RunningStats::add files each sample through histogram_bucket; an
+// accumulator whose samples are filed by the reference formula's
+// bucket must equal it, on the edge samples and around every bound.
+TEST(HistogramBucket, AddFilesSamplesAsTheLog2FormulaDoes) {
+  using limits = std::numeric_limits<double>;
+  constexpr double kInf = limits::infinity();
+  const double low = std::ldexp(1.0, -20);
+  const double high = std::ldexp(1.0, 40);
+  std::vector<double> samples = {0.0, -1.0, low, high};
+  for (const double edge : {low, high}) {
+    samples.push_back(std::nextafter(edge, 0.0));
+    samples.push_back(std::nextafter(edge, kInf));
+  }
+  for (std::size_t i = 2; i < ct::kHistogramBuckets; ++i) {
+    const double bound = reference_bound(i);
+    samples.push_back(std::nextafter(bound, 0.0));
+    samples.push_back(bound);
+  }
+  cu::RunningStats added;
+  cu::RunningStats reference;
+  for (const double x : samples) {
+    added.add(x);
+    reference.add(x, ct::histogram_bucket(x));
+  }
+  EXPECT_EQ(added.count(), samples.size());
+  EXPECT_TRUE(added == reference);
+
+  // NaN and +inf make the moments NaN, and NaN != NaN, so no two
+  // accumulators holding one compare equal; their buckets show in the
+  // percentiles instead. The formula's bucket of +inf is undefined
+  // behaviour, so its reference is the last bucket, where the table
+  // clamps every sample from 2^40 up.
+  for (const double x : {limits::quiet_NaN(), kInf}) {
+    const std::size_t bucket =
+        std::isnan(x) ? ct::histogram_bucket(x) : ct::kHistogramBuckets - 1;
+    cu::RunningStats with_add;
+    cu::RunningStats with_reference;
+    for (const double y : {1.0, 4.0}) {
+      with_add.add(y);
+      with_reference.add(y, ct::histogram_bucket(y));
+    }
+    with_add.add(x);
+    with_reference.add(x, bucket);
+    for (int p = 1; p < 100; ++p) {
+      EXPECT_EQ(with_add.percentile(p / 100.0),
+                with_reference.percentile(p / 100.0))
+          << x << " at p" << p;
+    }
+  }
+}
+
 // ---------------------------------------------------------------- table
 
 TEST(Table, AlignedOutputContainsCells) {
