@@ -11,7 +11,8 @@
 // the interleave mapping forces line-granular contention. One more cell
 // runs the pair on hybrid-comet behind frfcfs-cap with 3 run threads:
 // the threaded pipeline (source producer, cache filter on the caller,
-// lanes finished on their workers) that multi-tenant hybrid runs take.
+// lanes finished on their workers) that multi-tenant hybrid runs take,
+// with both run-alone baselines replayed on helper threads beside it.
 // Each cell is timed individually (cells run one after another, so
 // wall clocks don't contend) as the median of kRepetitions runs, and
 // the matrix lands in BENCH_tenants.json (bench/bench_json.hpp schema);

@@ -319,4 +319,10 @@ memsim::SimStats TieredSystem::run(memsim::RequestSource& source,
   return run_tiered(source, workload_name, collector, profiler).combined;
 }
 
+std::unique_ptr<memsim::Engine> TieredSystem::serial_twin() const {
+  auto twin = std::make_unique<TieredSystem>(*this);
+  twin->run_threads_ = 1;
+  return twin;
+}
+
 }  // namespace comet::hybrid

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -105,6 +106,9 @@ class TieredSystem final : public memsim::Engine {
                        const std::string& workload_name = "",
                        telemetry::Collector* collector = nullptr,
                        prof::Profiler* profiler = nullptr) const override;
+
+  int run_threads() const override { return run_threads_; }
+  std::unique_ptr<memsim::Engine> serial_twin() const override;
 
  private:
   TieredConfig config_;

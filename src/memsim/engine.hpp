@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,7 +27,10 @@ class Profiler;
 /// Engines are const and stateless across runs: all replay state lives
 /// on the stack of each run() call, and a run's observers (telemetry
 /// collector, host profiler) are arguments of that call, so one Engine
-/// may serve concurrent sweep workers with bit-identical results. Every
+/// may serve concurrent sweep workers with bit-identical results. The
+/// results do not depend on the run thread count either, so the
+/// engine's one-thread twin (serial_twin) replays any stream to the
+/// same statistics. Every
 /// run() drains its source through the one replay loop,
 /// memsim::run_replay (memsim/sharded.hpp); engines differ only in the
 /// stage that consumes the requests.
@@ -60,6 +64,14 @@ class Engine {
                const std::string& workload_name = "",
                telemetry::Collector* collector = nullptr,
                prof::Profiler* profiler = nullptr) const;
+
+  /// Threads each run() replays on (memsim::resolve_run_threads'
+  /// resolution of the count the engine was built with).
+  virtual int run_threads() const = 0;
+
+  /// A copy of this engine that replays on one thread. Its statistics
+  /// are bit-identical to this engine's on every stream.
+  virtual std::unique_ptr<Engine> serial_twin() const = 0;
 };
 
 }  // namespace comet::memsim

@@ -601,4 +601,59 @@ SimStats run_sessions(const MemorySystem& system, RequestSource& source,
       run_replay(source, stage, {&system.model()}, profiler).front().stats);
 }
 
+namespace {
+
+/// Counts up to `wanted` more threads in running_replay_threads(), as
+/// many as keep it within the hardware thread count, in one atomic step
+/// so that concurrent callers cannot claim the same hardware thread.
+/// Returns how many it counted.
+int claim_hardware_threads(int wanted) {
+  const int hardware = resolve_run_threads(0);
+  std::atomic<int>& count = g_running_replay_threads;
+  int running = count.load();
+  int claimed = 0;
+  do {
+    claimed = std::clamp(hardware - running, 0, wanted);
+  } while (claimed > 0 &&
+           !count.compare_exchange_weak(running, running + claimed));
+  return claimed;
+}
+
+}  // namespace
+
+void run_alongside(const std::function<void()>& work, std::size_t count,
+                   std::size_t helpers,
+                   const std::function<void(std::size_t, bool)>& task) {
+  std::vector<std::exception_ptr> errors(count);
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&](bool on_caller) {
+    for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      try {
+        task(i, on_caller);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  // The caller's claim covers its own `work`; each helper needs one more.
+  const std::size_t wanted = helpers == 0 ? 0 : std::min(helpers, count) + 1;
+  const int claimed = claim_hardware_threads(static_cast<int>(wanted));
+  std::vector<std::thread> threads;
+  std::exception_ptr shared;
+  try {
+    for (int h = 1; h < claimed; ++h) threads.emplace_back(drain, false);
+    work();
+  } catch (...) {
+    shared = std::current_exception();
+    next.store(count);
+  }
+  drain(true);
+  for (std::thread& thread : threads) thread.join();
+  g_running_replay_threads.fetch_sub(claimed);
+  if (shared) std::rethrow_exception(shared);
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+}
+
 }  // namespace comet::memsim

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -82,7 +83,9 @@ namespace comet::memsim {
 int resolve_run_threads(int requested);
 
 /// Replay threads running in this process now: each run_replay caller,
-/// each source producer and each pool worker, counted while it runs. A
+/// each source producer and each pool worker, counted while it runs,
+/// plus the hardware threads run_alongside holds for its caller and
+/// helpers. A
 /// serial run starts a source producer only while this count is below
 /// the hardware thread count, so a sweep that already keeps every CPU
 /// busy stays inline.
@@ -273,5 +276,25 @@ SimStats run_sessions(const MemorySystem& system, RequestSource& source,
                       const std::string& workload_name,
                       telemetry::Recorder* telemetry = nullptr,
                       prof::Profiler* profiler = nullptr);
+
+/// Runs `work` on the caller's thread and `task(i, on_caller)` once for
+/// every i in [0, count) beside it. One counter hands the indices out
+/// in order: up to `helpers` threads, started before `work`, take them
+/// until none is left, and the caller takes the rest once `work`
+/// returns (`on_caller` tells the two apart). Helpers
+/// start only on hardware threads that the running replays leave spare:
+/// the call counts itself and its helpers in running_replay_threads()
+/// until it returns, claiming at most enough to reach the hardware
+/// thread count, so concurrent calls (a sweep's jobs) share the spare
+/// threads instead of each taking them all. Every helper is joined
+/// before the call returns or throws. An exception from `work` is
+/// rethrown first (the counter then stops handing out indices, and the
+/// tasks already running finish); otherwise the error of the
+/// lowest-indexed task that threw is rethrown, once every task has run.
+/// With no helper it is `work` followed by the tasks in index order, on
+/// the caller's thread.
+void run_alongside(const std::function<void()>& work, std::size_t count,
+                   std::size_t helpers,
+                   const std::function<void(std::size_t, bool)>& task);
 
 }  // namespace comet::memsim

@@ -58,7 +58,12 @@ struct ProfSpec {
 };
 
 /// Accumulated wall time of one named replay stage (source pull, engine
-/// feed, shard merge, baseline replays, ...).
+/// feed, shard merge, baseline replays, ...). Stages timed on other
+/// threads overlap the caller's: source_pull runs on a producer thread,
+/// and baseline_replays, recorded once per multi-tenant run as the
+/// summed wall time of its run-alone replays
+/// (tenant::run_multi_tenant), overlaps the shared run's stages when
+/// the run has more than one run thread.
 struct StageStats {
   std::uint64_t calls = 0;
   double wall_s = 0.0;

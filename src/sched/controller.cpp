@@ -115,13 +115,21 @@ constexpr std::size_t kScanWindow = 256;
 constexpr std::size_t kReads = 0;
 constexpr std::size_t kWrites = 1;
 
-/// An admitted transaction waiting outside the scheduling window, or an
-/// arrival waiting for a queue slot (admission overflow).
+/// An admitted transaction waiting outside the scheduling window.
 struct QueuedTx {
   std::uint64_t seq = 0;
   memsim::Request request;
   std::uint64_t admit_ps = 0;  ///< When it entered the transaction queue.
   memsim::RequestPlacement placement;
+};
+
+/// An arrival waiting for a queue slot (admission overflow). A
+/// saturated run's overflow grows with its length, so an entry keeps
+/// only what admission cannot re-derive: the placement is recomputed
+/// and admit_ps set when a slot frees.
+struct StalledTx {
+  std::uint64_t seq = 0;
+  memsim::Request request;
 };
 
 /// A schedulable transaction as arbitration sees it: everything its
@@ -215,7 +223,7 @@ struct Controller::Impl {
   struct TxQueue {
     std::size_t in_window = 0;
     util::RingQueue<QueuedTx> beyond;
-    util::RingQueue<QueuedTx> stalled;
+    util::RingQueue<StalledTx> stalled;
 
     std::size_t size() const { return in_window + beyond.size(); }
   };
@@ -467,9 +475,11 @@ struct Controller::Impl {
         kind == kWrites ? config.write_queue_depth : config.read_queue_depth;
     while (!q.stalled.empty() &&
            (depth == 0 || static_cast<int>(q.size()) < depth)) {
-      QueuedTx tx = std::move(q.stalled.front());
+      const StalledTx& stalled = q.stalled.front();
+      QueuedTx tx{stalled.seq, stalled.request,
+                  std::max(stalled.request.arrival_ps, at_ps),
+                  system.address_map().place(stalled.request)};
       q.stalled.pop_front();
-      tx.admit_ps = std::max(tx.request.arrival_ps, at_ps);
       enqueue(kind, std::move(tx));
     }
   }
@@ -617,7 +627,7 @@ struct Controller::Impl {
         telemetry->record_mark(channel, telemetry::MarkKind::kAdmitStall,
                                req.arrival_ps);
       }
-      q.stalled.push_back(std::move(tx));
+      q.stalled.push_back({tx.seq, tx.request});
     } else {
       const Pick p = enqueue(kind, std::move(tx));
       update_drain(req.arrival_ps);
@@ -695,6 +705,12 @@ FlatSystem::FlatSystem(memsim::DeviceModel model,
       controller_(std::move(controller)),
       run_threads_(memsim::resolve_run_threads(run_threads)) {
   if (controller_) controller_->validate();
+}
+
+std::unique_ptr<memsim::Engine> FlatSystem::serial_twin() const {
+  auto twin = std::make_unique<FlatSystem>(*this);
+  twin->run_threads_ = 1;
+  return twin;
 }
 
 memsim::SimStats FlatSystem::run(memsim::RequestSource& source,

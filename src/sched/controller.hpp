@@ -248,6 +248,9 @@ class FlatSystem final : public memsim::Engine {
                        telemetry::Collector* collector = nullptr,
                        prof::Profiler* profiler = nullptr) const override;
 
+  int run_threads() const override { return run_threads_; }
+  std::unique_ptr<memsim::Engine> serial_twin() const override;
+
  private:
   memsim::MemorySystem system_;
   std::optional<ControllerConfig> controller_;

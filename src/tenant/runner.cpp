@@ -1,8 +1,11 @@
 #include "tenant/runner.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <utility>
 
+#include "memsim/sharded.hpp"
 #include "memsim/trace.hpp"
 #include "memsim/trace_gen.hpp"
 #include "prof/profiler.hpp"
@@ -92,33 +95,59 @@ memsim::SimStats run_multi_tenant(const memsim::Engine& engine,
     throw std::invalid_argument("run_multi_tenant: no tenants");
   }
 
+  // Run-alone baselines: the identical sub-stream on the same
+  // controller (bit-identical at any thread count), without the
+  // collector so the shared run's trace stays the run's trace, and
+  // without the profiler so its stages and pools describe the shared
+  // run. Up to run_threads - 1 helpers replay them beside the shared
+  // run on one-thread twins of the engine, as many as the hardware
+  // threads the running replays leave spare (memsim::run_alongside).
+  // The caller replays whatever is left after the shared run on the
+  // engine itself, threads and all, so at one run thread, or on a busy
+  // host, the baselines replay one after another on the engine once the
+  // shared run is done.
+  const std::size_t tenants = job.tenants.size();
   const auto multi = make_multi_stream(job);
-  memsim::SimStats stats = engine.run(
-      *multi, multi_workload_name(job.tenants), collector, profiler);
+  const auto alone_engine = engine.serial_twin();
+  memsim::SimStats stats;
+  std::vector<double> alone_avg_latency_ns(tenants);
+  std::vector<double> alone_wall_s(tenants);
+  memsim::run_alongside(
+      [&] {
+        stats = engine.run(*multi, multi_workload_name(job.tenants),
+                           collector, profiler);
+      },
+      tenants,
+      std::min(tenants, static_cast<std::size_t>(engine.run_threads() - 1)),
+      [&](std::size_t i, bool on_caller) {
+        const auto start = std::chrono::steady_clock::now();
+        const auto alone = make_tenant_stream(job, i);
+        const memsim::Engine& replayer = on_caller ? engine : *alone_engine;
+        const memsim::SimStats alone_stats =
+            replayer.run(*alone, job.tenants[i].name);
+        alone_avg_latency_ns[i] = alone_stats.avg_latency_ns();
+        if (profiler) {
+          profiler->add_progress(alone_stats.reads + alone_stats.writes);
+        }
+        alone_wall_s[i] = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+      });
+  if (profiler) {
+    double wall_s = 0.0;
+    for (const double s : alone_wall_s) wall_s += s;
+    profiler->record_stage("baseline_replays", wall_s);
+  }
 
   // A tenant whose stream produced no requests never reached a lane;
   // make the breakdown dense before naming it.
-  if (stats.tenants.size() < job.tenants.size()) {
-    stats.tenants.resize(job.tenants.size());
+  if (stats.tenants.size() < tenants) {
+    stats.tenants.resize(tenants);
   }
-  for (std::size_t i = 0; i < job.tenants.size(); ++i) {
+  for (std::size_t i = 0; i < tenants; ++i) {
     stats.tenants[i].name = job.tenants[i].name;
+    stats.tenants[i].alone_avg_latency_ns = alone_avg_latency_ns[i];
   }
-
-  // Run-alone baselines: the identical sub-stream on the identical
-  // engine (controller, thread count and all), without the collector so
-  // the shared run's trace stays the run's trace. The profiler observes
-  // them too — baseline replays are host work worth seeing (they
-  // roughly double a multi-tenant run's wall time), so they keep
-  // ticking the progress counter and land in a stage of their own.
-  prof::StageTimer baseline_timer(profiler, "baseline_replays");
-  for (std::size_t i = 0; i < job.tenants.size(); ++i) {
-    const auto alone = make_tenant_stream(job, i);
-    const memsim::SimStats alone_stats =
-        engine.run(*alone, job.tenants[i].name, nullptr, profiler);
-    stats.tenants[i].alone_avg_latency_ns = alone_stats.avg_latency_ns();
-  }
-  baseline_timer.stop();
 
   apply_fairness(stats);
   return stats;

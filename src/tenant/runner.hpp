@@ -12,7 +12,9 @@
 
 /// Multi-tenant run orchestration: the shared interleaved run plus the
 /// per-tenant run-alone baselines that turn raw per-tenant latency
-/// into slowdown and fairness numbers.
+/// into slowdown and fairness numbers. The baselines replay on
+/// one-thread twins of the engine beside a threaded shared run while
+/// the host has hardware threads spare.
 namespace comet::tenant {
 
 /// Everything a multi-tenant run needs beyond the engine itself.
@@ -45,13 +47,31 @@ std::string multi_workload_name(
     const std::vector<config::TenantSpec>& tenants);
 
 /// Runs the interleaved stream through `engine` (recording into
-/// `collector` when set), then replays every tenant's identical
-/// sub-stream alone — same engine, same controller and thread count,
-/// no collector — to fill the run-alone baselines, per-tenant
-/// slowdown, max_slowdown and Jain's index. `profiler`, when set,
-/// observes both: the baselines tick its progress counter and time
-/// into its "baseline_replays" stage. Throws std::invalid_argument on
-/// an invalid tenant list.
+/// `collector` when set) and replays every tenant's identical
+/// sub-stream alone — same controller, no collector — to fill the
+/// run-alone baselines, per-tenant slowdown, max_slowdown and Jain's
+/// index. Results do not depend on the thread count.
+///
+/// The baselines do not wait for the shared run. Up to min(tenants,
+/// run_threads - 1) helper threads start with it, no more than the
+/// hardware threads the running replays leave spare (memsim::
+/// run_alongside counts the caller and its helpers, so a sweep's
+/// concurrent jobs share them), and replay tenants in index order,
+/// taken from one counter, on one-thread twins of the engine
+/// (Engine::serial_twin). The caller replays whatever is left on the
+/// engine itself once its shared run is done, and joins the helpers.
+/// At one run thread, or with no hardware thread spare, there is no
+/// helper, and the baselines replay one after another after the
+/// shared run. Every thread is joined before the call returns or
+/// throws. A failed shared run throws its own error; otherwise a failed
+/// baseline throws the error of the lowest-indexed tenant that failed.
+///
+/// `profiler`, when set, observes the shared run's stages and pools
+/// only. Each baseline replay adds its demand requests to the progress
+/// counter when it ends, and the "baseline_replays" stage records once
+/// the replays' summed wall time; with helpers, that time overlaps the
+/// shared run's stages. Throws std::invalid_argument on an invalid
+/// tenant list.
 memsim::SimStats run_multi_tenant(const memsim::Engine& engine,
                                   const MultiTenantJob& job,
                                   telemetry::Collector* collector = nullptr,

@@ -2,21 +2,32 @@
 // and owned), PacedSource determinism and contracts, address-mapping
 // disjointness, the fairness arithmetic edge cases from the issue
 // (single tenant, zero-request tenants, saturated baselines), the
-// two-tenant end-to-end acceptance run, and serial-vs-sharded
+// two-tenant end-to-end acceptance run, serial-vs-sharded
 // bit-identity of tenant breakdowns for every controller policy —
-// fairness variants included.
+// fairness variants included — and the run-alone baselines replayed
+// beside the shared run: equal results at every thread count, and the
+// failure rules (which error wins, no thread left running).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "config/tenant_spec.hpp"
 #include "driver/registry.hpp"
+#include "memsim/sharded.hpp"
 #include "memsim/source.hpp"
 #include "memsim/system.hpp"
 #include "memsim/trace_gen.hpp"
@@ -397,6 +408,192 @@ TEST(MultiTenantShardingTest, SerialAndShardedBreakdownsAreBitIdentical) {
     const ms::SimStats serial = tn::run_multi_tenant(*serial_engine, job);
     const ms::SimStats sharded = tn::run_multi_tenant(*sharded_engine, job);
     EXPECT_TRUE(serial == sharded) << info.name;
+  }
+}
+
+// ------------------------------ baselines beside the shared run
+//
+// run_multi_tenant replays the run-alone baselines on one-thread twins
+// of the engine: up to run_threads - 1 helpers, as many as the hardware
+// threads left spare, start with the shared run, and the caller takes
+// the tenants left after it. The ctest
+// tenant_concurrent_baselines_repeat runs these cases 30 times under
+// load.
+
+namespace {
+
+tn::MultiTenantJob three_tenant_job() {
+  tn::MultiTenantJob job = two_tenant_job();
+  cf::TenantSpec c;
+  c.name = "stream";
+  c.profile = ms::profile_by_name("lbm_like");
+  job.tenants.push_back(c);
+  job.default_requests = 1500;
+  return job;
+}
+
+/// A file in the working directory, deleted on scope exit. Pid-qualified
+/// so parallel ctest invocations of this binary never collide.
+class TempFile {
+ public:
+  TempFile(const std::string& tag, const std::string& text)
+      : path_("test_tenant_" + tag + "_" + std::to_string(::getpid()) +
+              ".nvt") {
+    std::ofstream(path_) << text;
+  }
+  ~TempFile() { std::remove(path_.c_str()); }
+  TempFile(const TempFile&) = delete;
+  TempFile& operator=(const TempFile&) = delete;
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// Replays like `inner`, then throws for the workload names in
+/// `failing`: the shared run is named after every tenant
+/// ("web+batch+stream"), each baseline after its own tenant. Its twins
+/// fail the same way.
+class FailingEngine final : public ms::Engine {
+ public:
+  FailingEngine(std::unique_ptr<ms::Engine> inner,
+                std::set<std::string> failing)
+      : inner_(std::move(inner)), failing_(std::move(failing)) {}
+
+  using Engine::run;
+
+  ms::SimStats run(ms::RequestSource& source, const std::string& name,
+                   tl::Collector* collector,
+                   pf::Profiler* profiler) const override {
+    ms::SimStats stats = inner_->run(source, name, collector, profiler);
+    if (failing_.count(name) != 0) {
+      throw std::runtime_error("failed: " + name);
+    }
+    return stats;
+  }
+
+  int run_threads() const override { return inner_->run_threads(); }
+
+  std::unique_ptr<ms::Engine> serial_twin() const override {
+    return std::make_unique<FailingEngine>(inner_->serial_twin(), failing_);
+  }
+
+ private:
+  std::unique_ptr<ms::Engine> inner_;
+  std::set<std::string> failing_;
+};
+
+/// What run_multi_tenant threw ("" if it returned), checking that it
+/// left no replay thread running.
+std::string failure_of(const ms::Engine& engine,
+                       const tn::MultiTenantJob& job) {
+  const int before = ms::running_replay_threads();
+  std::string what;
+  try {
+    tn::run_multi_tenant(engine, job);
+  } catch (const std::exception& e) {
+    what = e.what();
+  }
+  EXPECT_EQ(ms::running_replay_threads(), before) << what;
+  return what;
+}
+
+}  // namespace
+
+TEST(ConcurrentBaselines, EveryThreadCountGivesEqualStats) {
+  // Two run threads start at most one helper for three tenants, so the
+  // caller replays the rest; four start up to one per tenant, as many as
+  // the host has hardware threads spare.
+  const int before = ms::running_replay_threads();
+  const tn::MultiTenantJob job = three_tenant_job();
+  for (const char* device : {"comet", "hybrid-comet"}) {
+    const dr::DeviceSpec spec = dr::make_device_spec(device);
+    for (const auto& info : sc::known_policies()) {
+      const auto config = sc::ControllerConfig::with_depths(info.policy, 8, 8);
+      const ms::SimStats serial =
+          tn::run_multi_tenant(*spec.make_engine(config, 1), job);
+      ASSERT_EQ(serial.tenants.size(), 3u);
+      for (const auto& tenant : serial.tenants) {
+        EXPECT_GT(tenant.alone_avg_latency_ns, 0.0) << device << info.name;
+      }
+      for (const int threads : {2, 4}) {
+        auto engine = spec.make_engine(config, threads);
+        EXPECT_EQ(engine->run_threads(), threads);
+        EXPECT_EQ(engine->serial_twin()->run_threads(), 1);
+        EXPECT_TRUE(tn::run_multi_tenant(*engine, job) == serial)
+            << device << " " << info.name << " at " << threads;
+        EXPECT_EQ(ms::running_replay_threads(), before);
+      }
+    }
+  }
+}
+
+TEST(ConcurrentBaselines, MissingOrUnsortedTraceTenantThrowsItsError) {
+  const TempFile unsorted("unsorted",
+                          "10 R 0x1000\n30 W 0x2000\n20 R 0x3000\n");
+  tn::MultiTenantJob job = three_tenant_job();
+  job.tenants[1].trace_file = unsorted.path();
+  tn::MultiTenantJob missing = job;
+  missing.tenants[1].trace_file = unsorted.path() + ".missing";
+  const dr::DeviceSpec spec = dr::make_device_spec("comet");
+  for (const int threads : {1, 2, 4}) {
+    auto engine = spec.make_engine(
+        sc::ControllerConfig::with_depths(sc::Policy::kFrFcfs, 8, 8),
+        threads);
+    const std::string what = failure_of(*engine, job);
+    EXPECT_NE(what.find(unsorted.path() + ": non-monotonic cycle"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(failure_of(*engine, missing)
+                  .find("cannot open trace file '" + unsorted.path() +
+                        ".missing'"),
+              std::string::npos);
+  }
+}
+
+TEST(ConcurrentBaselines, HelpersClaimOnlyTheSpareHardwareThreads) {
+  // An outer call asks for more helpers than the host has; a nested
+  // call inside its work then finds none spare. All helper threads
+  // together stay within the hardware threads left beside the caller,
+  // the count never passes the hardware threads, and the claims are
+  // released on return.
+  const int hardware = ms::resolve_run_threads(0);
+  const int before = ms::running_replay_threads();
+  std::mutex mutex;
+  std::set<std::thread::id> helpers;
+  int peak = before;
+  const auto task = [&](std::size_t, bool on_caller) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (!on_caller) helpers.insert(std::this_thread::get_id());
+    peak = std::max(peak, ms::running_replay_threads());
+  };
+  const std::size_t many = static_cast<std::size_t>(hardware) + 4;
+  ms::run_alongside(
+      [&] { ms::run_alongside([] {}, many, many, task); }, many, many, task);
+  EXPECT_LE(static_cast<int>(helpers.size()),
+            std::max(0, hardware - before - 1));
+  EXPECT_LE(peak, std::max(hardware, before));
+  EXPECT_EQ(ms::running_replay_threads(), before);
+}
+
+TEST(ConcurrentBaselines, LowestFailingTenantWinsAndTheSharedRunWinsOverAll) {
+  const tn::MultiTenantJob job = three_tenant_job();
+  const std::string shared = tn::multi_workload_name(job.tenants);
+  const dr::DeviceSpec spec = dr::make_device_spec("comet");
+  for (const int threads : {1, 2, 4}) {
+    const auto engine = [&](std::set<std::string> failing) {
+      return FailingEngine(
+          spec.make_engine(
+              sc::ControllerConfig::with_depths(sc::Policy::kFrFcfs, 8, 8),
+              threads),
+          std::move(failing));
+    };
+    EXPECT_EQ(failure_of(engine({"stream"}), job), "failed: stream");
+    EXPECT_EQ(failure_of(engine({"stream", "batch"}), job), "failed: batch");
+    EXPECT_EQ(failure_of(engine({"stream", "batch", shared}), job),
+              "failed: " + shared);
+    EXPECT_EQ(failure_of(engine({shared}), job), "failed: " + shared);
+    EXPECT_EQ(failure_of(engine({}), job), "");
   }
 }
 
