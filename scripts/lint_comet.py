@@ -3,18 +3,18 @@
 
 Every PR so far has defended a handful of cross-cutting invariants by
 convention only — determinism of the engine layers (the bit-identity
-test contract), thread containment (all threading lives in LanePool and
-the driver sweep pool), console-silent library code, the PR 6 std::deque
-ban on hot-path layers, header hygiene, and the CMake layer DAG. This
-linter turns each of those conventions into a machine-checked rule with
-file:line diagnostics, so a violation fails CI instead of waiting for a
-reviewer to notice.
+test contract), thread containment (all threading lives in
+memsim/sharded.cpp and the progress heartbeat), console-silent library
+code, the PR 6 std::deque ban on hot-path layers, header hygiene, and
+the CMake layer DAG. This linter turns each of those conventions into
+a machine-checked rule with file:line diagnostics, so a violation fails
+CI instead of waiting for a reviewer to notice.
 
 Rules (select a subset with --rules, list them with --list-rules):
 
   thread-containment  std::thread / std::jthread / std::async only in
-                      memsim/sharded.cpp, driver/sweep.cpp and
-                      prof/heartbeat.cpp.
+                      memsim/sharded.cpp (the replay threads and the
+                      for_each_index loop) and prof/heartbeat.cpp.
   determinism         no rand()/srand()/std::random_device and no
                       wall-clock (system_clock, time(NULL), ...) inside
                       the engine layers (everything under src/ except
@@ -79,8 +79,7 @@ LAYER_DEPS = {
 
 # Files allowed to spawn threads: the two sanctioned pools plus the
 # progress-heartbeat thread (PR 10), which only ever reads atomics.
-THREAD_ALLOWLIST = {"memsim/sharded.cpp", "driver/sweep.cpp",
-                    "prof/heartbeat.cpp"}
+THREAD_ALLOWLIST = {"memsim/sharded.cpp", "prof/heartbeat.cpp"}
 
 # Layers where std::deque is banned (PR 6: RingQueue on the hot path).
 DEQUE_BANNED_LAYERS = {"util", "memsim", "sched", "hybrid", "telemetry"}
@@ -187,9 +186,9 @@ def scan_file(path, src_root, rules, out):
 
         if rel not in THREAD_ALLOWLIST and THREAD_RE.search(code):
             hit(i, "thread-containment",
-                "thread primitive outside LanePool (memsim/sharded.cpp), "
-                "the driver sweep pool (driver/sweep.cpp) and the "
-                "progress heartbeat (prof/heartbeat.cpp)")
+                "thread primitive outside the replay threads "
+                "(memsim/sharded.cpp) and the progress heartbeat "
+                "(prof/heartbeat.cpp)")
 
         if layer != FRONTEND_LAYER:
             for pattern, what in DETERMINISM_RES:

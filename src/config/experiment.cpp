@@ -94,7 +94,6 @@ void ExperimentSpec::validate() const {
   }
   if (!policies.empty()) controller.validate();
   telemetry.validate();
-  profile.validate();
 }
 
 ExperimentSpec parse_experiment(const toml::Document& doc,

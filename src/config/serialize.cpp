@@ -829,7 +829,6 @@ void parse_profile_section(const toml::Table& table, const std::string& source,
   if (auto v = reader.get_bool("enabled")) spec.profile = *v;
   if (auto v = reader.get_u64("progress_ms", 1)) spec.progress_ms = *v;
   reader.finish();
-  validated(reader, table.line, [&] { spec.validate(); });
 }
 
 void parse_slo_section(const toml::Table& table, const std::string& source,
@@ -861,7 +860,6 @@ void parse_slo_section(const toml::Table& table, const std::string& source,
     }
   }
   reader.finish();
-  validated(reader, table.line, [&] { spec.validate(); });
 }
 
 void parse_tenant_section(const toml::Table& table, const std::string& source,

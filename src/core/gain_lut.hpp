@@ -37,13 +37,8 @@ class GainLut {
   /// Number of distinct LUT entries (paper: 5 / 12 / 46 for b=1/2/4).
   int entries() const { return static_cast<int>(gains_db_.size()); }
 
-  /// Rows between gain refreshes = floor(tolerance / MR through loss).
-  double rows_per_step() const { return rows_per_step_; }
-
   /// The b-bit readout loss tolerance [dB].
   double tolerance_db() const { return tolerance_db_; }
-
-  const std::vector<double>& gains_db() const { return gains_db_; }
 
  private:
   CometConfig config_;

@@ -1,11 +1,6 @@
 #include "driver/sweep.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <exception>
-#include <mutex>
-#include <thread>
 
 #include "memsim/sharded.hpp"
 #include "memsim/trace.hpp"
@@ -171,7 +166,7 @@ std::vector<memsim::SimStats> run_sweep(
   std::vector<memsim::SimStats> results(jobs.size());
   if (collectors) {
     // One collector per telemetry-enabled job, created before any
-    // worker starts so the pool only ever reads the vector.
+    // helper starts so the jobs only ever read the vector.
     collectors->clear();
     collectors->resize(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -187,44 +182,11 @@ std::vector<memsim::SimStats> run_sweep(
   const auto job_profiler = [&](std::size_t i) -> prof::Profiler* {
     return profilers ? (*profilers)[i].get() : nullptr;
   };
-  if (jobs.empty()) return results;
-
-  threads = std::min(memsim::resolve_run_threads(threads),
-                     static_cast<int>(jobs.size()));
-
-  if (threads == 1) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      results[i] = run_job(jobs[i], job_collector(i), job_profiler(i));
-    }
-    return results;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-
-  const auto worker = [&]() {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= jobs.size()) return;
-      try {
+  memsim::for_each_index(
+      jobs.size(), memsim::resolve_run_threads(threads),
+      [&](std::size_t i, bool) {
         results[i] = run_job(jobs[i], job_collector(i), job_profiler(i));
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        // Drain the queue so peers stop picking up new work.
-        next.store(jobs.size(), std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (auto& thread : pool) thread.join();
-
-  if (first_error) std::rethrow_exception(first_error);
+      });
   return results;
 }
 

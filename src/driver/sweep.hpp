@@ -14,13 +14,13 @@
 #include "sched/controller.hpp"
 #include "telemetry/telemetry.hpp"
 
-/// Parallel sweep engine: fans the experiment matrix out across a
-/// thread pool. Each job is fully independent — the request stream is
-/// either synthesized lazily inside the worker from (profile, seed) or
-/// streamed from an on-disk NVMain trace, and the polymorphic
-/// memsim::Engine built per job (DeviceSpec::make_engine) is const — so
-/// results are bit-identical for any thread count, and the Fig. 9 matrix
-/// parallelises with near-linear speedup.
+/// Parallel sweep engine: fans the experiment matrix out across threads
+/// (memsim::for_each_index). Each job is fully independent — the
+/// request stream is either synthesized lazily inside the job from
+/// (profile, seed) or streamed from an on-disk NVMain trace, and the
+/// polymorphic memsim::Engine built per job (DeviceSpec::make_engine)
+/// is const — so results are bit-identical for any thread count, and
+/// the Fig. 9 matrix parallelises with near-linear speedup.
 ///
 /// The matrix itself comes from a config::ExperimentSpec — the document
 /// the CLI flags spell or a `--config` one (parse_args reads both), its
@@ -49,7 +49,7 @@ struct SweepJob {
 
   /// Per-channel replay worker threads inside this one job
   /// (memsim::resolve_run_threads semantics; orthogonal to the sweep's
-  /// own job-level `--threads` pool). Results are bit-identical across
+  /// own job-level `--threads`). Results are bit-identical across
   /// values — the axis only moves wall-clock.
   int run_threads = 1;
 
@@ -104,17 +104,19 @@ std::vector<std::unique_ptr<prof::Profiler>> make_profilers(
 /// trace-only sweep reports progress without an ETA.
 std::uint64_t estimate_sweep_requests(const std::vector<SweepJob>& jobs);
 
-/// Runs every job across `threads` workers (resolved as in
-/// memsim::resolve_run_threads, so 0 → hardware concurrency, then
-/// clamped to the job count; 1 → fully serial in the calling thread).
-/// Results are indexed like `jobs` regardless of execution order. A
-/// throwing job aborts the sweep and rethrows on the calling thread.
+/// Runs every job on the calling thread and up to `threads` - 1 helper
+/// threads (memsim::for_each_index; `threads` is resolved as in
+/// memsim::resolve_run_threads, so 0 → hardware concurrency; 1 → fully
+/// serial in the calling thread). Results are indexed like `jobs`
+/// regardless of execution order. A throwing job stops the sweep from
+/// starting more jobs; once every thread is joined, the error of the
+/// lowest-indexed job that threw is rethrown on the calling thread.
 ///
 /// A non-null `collectors` receives one Collector per job (indexed like
 /// `jobs`; null entries for jobs whose telemetry is disabled), built on
 /// the calling thread before any worker starts and passed to each
 /// job's run — each job records into its own collector, so the sweep
-/// pool needs no telemetry synchronization.
+/// needs no telemetry synchronization.
 ///
 /// A non-null `profilers` (from make_profilers, indexed like `jobs`)
 /// passes each entry to its job's run the same way. The caller

@@ -621,39 +621,63 @@ int claim_hardware_threads(int wanted) {
 
 }  // namespace
 
-void run_alongside(const std::function<void()>& work, std::size_t count,
-                   std::size_t helpers,
-                   const std::function<void(std::size_t, bool)>& task) {
+void for_each_index(std::size_t count, int threads,
+                    const std::function<void(std::size_t, bool)>& task) {
+  if (count == 0) return;
   std::vector<std::exception_ptr> errors(count);
-  std::atomic<std::size_t> next{0};
-  const auto drain = [&](bool on_caller) {
-    for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
-      try {
-        task(i, on_caller);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
+  std::atomic<std::size_t> next{1};  // The caller holds index 0.
+  const auto run = [&](std::size_t i, bool on_caller) {
+    try {
+      task(i, on_caller);
+    } catch (...) {
+      errors[i] = std::current_exception();
+      next.store(count);
     }
   };
-  // The caller's claim covers its own `work`; each helper needs one more.
-  const std::size_t wanted = helpers == 0 ? 0 : std::min(helpers, count) + 1;
-  const int claimed = claim_hardware_threads(static_cast<int>(wanted));
-  std::vector<std::thread> threads;
-  std::exception_ptr shared;
+  const auto drain = [&](bool on_caller) {
+    for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      run(i, on_caller);
+    }
+  };
+  const std::size_t helpers =
+      std::min(static_cast<std::size_t>(std::max(threads, 1) - 1), count - 1);
+  std::vector<std::thread> pool;
+  std::exception_ptr start_error;
   try {
-    for (int h = 1; h < claimed; ++h) threads.emplace_back(drain, false);
-    work();
+    pool.reserve(helpers);
+    for (std::size_t h = 0; h < helpers; ++h) pool.emplace_back(drain, false);
   } catch (...) {
-    shared = std::current_exception();
+    start_error = std::current_exception();
     next.store(count);
   }
+  run(0, true);
   drain(true);
-  for (std::thread& thread : threads) thread.join();
-  g_running_replay_threads.fetch_sub(claimed);
-  if (shared) std::rethrow_exception(shared);
+  for (std::thread& thread : pool) thread.join();
+  if (start_error) std::rethrow_exception(start_error);
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
   }
+}
+
+void run_alongside(const std::function<void()>& work, std::size_t count,
+                   std::size_t helpers,
+                   const std::function<void(std::size_t, bool)>& task) {
+  // The caller's claim covers its own `work`; each helper needs one more.
+  const std::size_t wanted = helpers == 0 ? 0 : std::min(helpers, count) + 1;
+  const int claimed = claim_hardware_threads(static_cast<int>(wanted));
+  try {
+    for_each_index(count + 1, claimed, [&](std::size_t i, bool on_caller) {
+      if (i == 0) {
+        work();
+      } else {
+        task(i - 1, on_caller);
+      }
+    });
+  } catch (...) {
+    g_running_replay_threads.fetch_sub(claimed);
+    throw;
+  }
+  g_running_replay_threads.fetch_sub(claimed);
 }
 
 }  // namespace comet::memsim

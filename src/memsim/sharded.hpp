@@ -277,22 +277,31 @@ SimStats run_sessions(const MemorySystem& system, RequestSource& source,
                       telemetry::Recorder* telemetry = nullptr,
                       prof::Profiler* profiler = nullptr);
 
+/// Runs `task(i, on_caller)` once for every i in [0, count), on the
+/// caller's thread and on up to `threads` - 1 helper threads (none when
+/// `threads` <= 1, never more than count - 1). The caller takes index 0
+/// before any helper starts; then the helpers and the caller take the
+/// other indices in order from one counter (`on_caller` tells them
+/// apart). `count` == 0 runs nothing and starts no thread. The first
+/// task that throws stops the counter, and so does a helper that fails
+/// to start; the tasks already running finish. Every helper is joined
+/// before the call returns or throws. A failed thread start is then
+/// rethrown first, else the error of the lowest-indexed task that threw:
+/// since indices are handed out in order, every index below a failing
+/// one has started, so that error does not depend on the timing. With
+/// one thread it is the tasks in index order, up to the first failure.
+void for_each_index(std::size_t count, int threads,
+                    const std::function<void(std::size_t, bool)>& task);
+
 /// Runs `work` on the caller's thread and `task(i, on_caller)` once for
-/// every i in [0, count) beside it. One counter hands the indices out
-/// in order: up to `helpers` threads, started before `work`, take them
-/// until none is left, and the caller takes the rest once `work`
-/// returns (`on_caller` tells the two apart). Helpers
-/// start only on hardware threads that the running replays leave spare:
-/// the call counts itself and its helpers in running_replay_threads()
-/// until it returns, claiming at most enough to reach the hardware
-/// thread count, so concurrent calls (a sweep's jobs) share the spare
-/// threads instead of each taking them all. Every helper is joined
-/// before the call returns or throws. An exception from `work` is
-/// rethrown first (the counter then stops handing out indices, and the
-/// tasks already running finish); otherwise the error of the
-/// lowest-indexed task that threw is rethrown, once every task has run.
-/// With no helper it is `work` followed by the tasks in index order, on
-/// the caller's thread.
+/// every i in [0, count) beside it: for_each_index over count + 1
+/// indices, with `work` as index 0, so its error wins over every task's.
+/// Helpers (at most `helpers`) start only on hardware threads that the
+/// running replays leave spare: the call counts itself and its helpers
+/// in running_replay_threads() until it returns, claiming at most
+/// enough to reach the hardware thread count, so concurrent calls (a
+/// sweep's jobs) share the spare threads instead of each taking them
+/// all.
 void run_alongside(const std::function<void()>& work, std::size_t count,
                    std::size_t helpers,
                    const std::function<void(std::size_t, bool)>& task);

@@ -27,8 +27,9 @@
 /// stages in creation order and lanes in channel order, keeping every
 /// export deterministic.
 ///
-/// Cost discipline: engines hold a `telemetry::Collector*` that is
-/// nullptr on untraced runs, so the hot replay path pays one
+/// Cost discipline: engines hold no collector (a run receives it as an
+/// argument); the replay sessions and controllers hold a `Recorder*`
+/// that is nullptr on untraced runs, so the hot replay path pays one
 /// pointer-null branch per request and nothing else — the perf lane's
 /// 15% gate keeps that honest.
 namespace comet::telemetry {

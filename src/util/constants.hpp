@@ -8,9 +8,6 @@ namespace comet::util {
 /// Speed of light in vacuum [m/s].
 inline constexpr double kSpeedOfLight = 2.99792458e8;
 
-/// Planck constant [J*s].
-inline constexpr double kPlanck = 6.62607015e-34;
-
 /// Boltzmann constant [J/K].
 inline constexpr double kBoltzmann = 1.380649e-23;
 

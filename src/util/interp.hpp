@@ -5,9 +5,9 @@
 #include <utility>
 #include <vector>
 
-/// Small numeric helpers: linear interpolation over tabulated data and a
-/// fixed-step RK4 integrator. These back the material dispersion tables and
-/// the transient thermal model.
+/// Small numeric helpers: linear interpolation over tabulated data and an
+/// even grid. These back the material dispersion tables and the transient
+/// thermal model.
 namespace comet::util {
 
 /// A strictly-increasing (x, y) table with linear interpolation and flat
@@ -38,23 +38,6 @@ class LinearTable {
 inline double lerp(double x0, double y0, double x1, double y1, double x) {
   if (x1 == x0) return y0;
   return y0 + (y1 - y0) * (x - x0) / (x1 - x0);
-}
-
-/// Classic fixed-step RK4 for dy/dt = f(t, y). Returns y(t0 + n*dt).
-/// `f` is any callable double(double t, double y).
-template <typename F>
-double rk4(F&& f, double y0, double t0, double dt, std::size_t steps) {
-  double y = y0;
-  double t = t0;
-  for (std::size_t i = 0; i < steps; ++i) {
-    const double k1 = f(t, y);
-    const double k2 = f(t + dt / 2, y + dt / 2 * k1);
-    const double k3 = f(t + dt / 2, y + dt / 2 * k2);
-    const double k4 = f(t + dt, y + dt * k3);
-    y += dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4);
-    t += dt;
-  }
-  return y;
 }
 
 /// Evenly spaced grid of n points covering [lo, hi] inclusive (n >= 2).

@@ -21,12 +21,6 @@ inline double mw_to_dbm(double mw) { return 10.0 * std::log10(mw); }
 /// Convert dBm to absolute power in milliwatts.
 inline double dbm_to_mw(double dbm) { return std::pow(10.0, dbm / 10.0); }
 
-/// Convert watts to dBm.
-inline double w_to_dbm(double w) { return mw_to_dbm(w * 1e3); }
-
-/// Convert dBm to watts.
-inline double dbm_to_w(double dbm) { return dbm_to_mw(dbm) * 1e-3; }
-
 /// Transmission (0..1] expressed as a positive insertion loss in dB.
 inline double transmission_to_loss_db(double t) { return -ratio_to_db(t); }
 
@@ -38,31 +32,17 @@ inline double wavelength_nm_to_hz(double nm) {
   return kSpeedOfLight / (nm * 1e-9);
 }
 
-/// Optical frequency [Hz] to wavelength [nm].
-inline double hz_to_wavelength_nm(double hz) {
-  return kSpeedOfLight / hz * 1e9;
-}
-
-/// Photon energy [J] at a wavelength [nm].
-inline double photon_energy_j(double nm) {
-  return kPlanck * wavelength_nm_to_hz(nm);
-}
-
 // --- Time helpers. The memory simulator's native tick is 1 ps so that
 // --- photonic (ns) and DRAM (sub-ns) events share one integer timeline.
 inline constexpr double kPsPerNs = 1e3;
 inline constexpr double kPsPerUs = 1e6;
 inline constexpr double kPsPerMs = 1e9;
-inline constexpr double kPsPerS = 1e12;
 
 inline constexpr std::uint64_t ns_to_ps(double ns) {
   return static_cast<std::uint64_t>(ns * kPsPerNs + 0.5);
 }
 inline constexpr double ps_to_ns(std::uint64_t ps) {
   return static_cast<double>(ps) / kPsPerNs;
-}
-inline constexpr double ps_to_s(std::uint64_t ps) {
-  return static_cast<double>(ps) / kPsPerS;
 }
 
 /// Energy [pJ] from power [mW] over a duration [ns]: mW * ns == pJ.

@@ -28,6 +28,7 @@
 #include "driver/report.hpp"
 #include "driver/sweep.hpp"
 #include "memsim/metrics.hpp"
+#include "memsim/sharded.hpp"
 #include "memsim/trace.hpp"
 #include "memsim/trace_gen.hpp"
 #include "prof/profiler.hpp"
@@ -589,6 +590,42 @@ TEST(SweepTest, ThreadedMatchesSerialBitExactly) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(serial[i] == threaded[i]) << i;
   }
+}
+
+TEST(SweepTest, ThreadedSweepRethrowsTheLowestFailingJob) {
+  // Job 1 fails late (its bad line follows 200k good ones), job 3 at
+  // once (its trace file is missing): the sweep rethrows job 1's error,
+  // not the one that came first in time, and leaves no replay running.
+  const std::string unsorted =
+      "test_driver_unsorted_" + std::to_string(::getpid()) + ".trace";
+  {
+    std::ofstream out(unsorted);
+    for (std::uint64_t i = 1; i <= 200000; ++i) {
+      out << i * 10 << " R 0x" << std::hex << i * 64 << std::dec << '\n';
+    }
+    out << "5 R 0x40\n";
+  }
+  const Options opt = parse_args({"--device", "comet", "--workload",
+                                  "gcc_like", "--requests", "2000"});
+  const auto cell = build_matrix(opt.spec);
+  ASSERT_EQ(cell.size(), 1u);
+  std::vector<comet::driver::SweepJob> jobs(6, cell.front());
+  jobs[1].trace_path = unsorted;
+  jobs[3].trace_path = unsorted + ".missing";
+  const int before = comet::memsim::running_replay_threads();
+  for (int sweep = 0; sweep < 5; ++sweep) {
+    std::string what;
+    try {
+      run_sweep(jobs, 4);
+    } catch (const std::exception& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find(unsorted + ": non-monotonic cycle"),
+              std::string::npos)
+        << what;
+    EXPECT_EQ(comet::memsim::running_replay_threads(), before);
+  }
+  std::remove(unsorted.c_str());
 }
 
 TEST(SweepTest, RepeatedRunsAreDeterministic) {

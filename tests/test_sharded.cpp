@@ -780,3 +780,69 @@ TEST(SerialPipeline, StaysInlineWhenReplayThreadsFillTheHardware) {
   EXPECT_EQ(settled_threads(before), before);
   EXPECT_EQ(ms::running_replay_threads(), 0);
 }
+
+// -------------------------------------------------------- ForEachIndex
+
+TEST(ForEachIndex, RunsEveryIndexOnceWithIndexZeroOnTheCaller) {
+  // Sixteen threads for ten indices start only nine helpers.
+  const int before = threads_before();
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const int threads : {1, 2, 4, 16}) {
+    std::vector<std::atomic<int>> runs(10);
+    std::atomic<bool> zero_on_caller{false};
+    ms::for_each_index(runs.size(), threads,
+                       [&](std::size_t i, bool on_caller) {
+                         runs[i].fetch_add(1);
+                         EXPECT_EQ(on_caller,
+                                   std::this_thread::get_id() == caller);
+                         if (i == 0) zero_on_caller = on_caller;
+                       });
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << i << " at " << threads;
+    }
+    EXPECT_TRUE(zero_on_caller.load()) << threads;
+    EXPECT_EQ(settled_threads(before), before) << threads;
+  }
+}
+
+TEST(ForEachIndex, OneThreadStopsAtTheFirstFailure) {
+  std::vector<std::size_t> ran;
+  const Failure failure = failure_of([&] {
+    ms::for_each_index(10, 1, [&](std::size_t i, bool on_caller) {
+      EXPECT_TRUE(on_caller);
+      ran.push_back(i);
+      if (i == 2) throw std::runtime_error("index 2");
+    });
+  });
+  EXPECT_EQ(failure.what, "index 2");
+  EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(ForEachIndex, RethrowsTheLowestFailingIndex) {
+  // Index 3 fails at once and index 1 only later, so the first error in
+  // time is index 3's; the lowest index's error must still win.
+  const int before = threads_before();
+  for (const int threads : {1, 2, 4}) {
+    for (int repeat = 0; repeat < 5; ++repeat) {
+      const Failure failure = failure_of([&] {
+        ms::for_each_index(6, threads, [](std::size_t i, bool) {
+          if (i == 1) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            throw std::runtime_error("index 1");
+          }
+          if (i == 3) throw std::logic_error("index 3");
+        });
+      });
+      EXPECT_EQ(failure.what, "index 1") << threads;
+      EXPECT_EQ(settled_threads(before), before) << threads;
+    }
+  }
+}
+
+TEST(ForEachIndex, NoIndexRunsNothing) {
+  const int before = threads_before();
+  int calls = 0;
+  ms::for_each_index(0, 4, [&](std::size_t, bool) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(settled_threads(before), before);
+}

@@ -36,7 +36,6 @@ TEST(Units, DbmKnownValues) {
   EXPECT_NEAR(cu::mw_to_dbm(1.0), 0.0, 1e-12);
   EXPECT_NEAR(cu::mw_to_dbm(5.0), 6.9897, 1e-4);
   EXPECT_NEAR(cu::dbm_to_mw(10.0), 10.0, 1e-12);
-  EXPECT_NEAR(cu::dbm_to_w(30.0), 1.0, 1e-12);
 }
 
 TEST(Units, LossTransmissionInverse) {
@@ -48,18 +47,11 @@ TEST(Units, LossTransmissionInverse) {
 TEST(Units, WavelengthFrequency) {
   const double f = cu::wavelength_nm_to_hz(1550.0);
   EXPECT_NEAR(f, 193.414e12, 0.01e12);
-  EXPECT_NEAR(cu::hz_to_wavelength_nm(f), 1550.0, 1e-9);
-}
-
-TEST(Units, PhotonEnergyAt1550) {
-  // ~0.8 eV photon in the C-band.
-  EXPECT_NEAR(cu::photon_energy_j(1550.0) / 1.602176634e-19, 0.8, 0.01);
 }
 
 TEST(Units, TimeConversions) {
   EXPECT_EQ(cu::ns_to_ps(2.0), 2000u);
   EXPECT_DOUBLE_EQ(cu::ps_to_ns(1500), 1.5);
-  EXPECT_DOUBLE_EQ(cu::ps_to_s(1'000'000'000'000ULL), 1.0);
 }
 
 TEST(Units, EnergyHelpers) {
@@ -300,13 +292,6 @@ TEST(LinearTable, Inverse) {
   cu::LinearTable t({0.0, 1.0, 2.0}, {0.0, 10.0, 40.0});
   EXPECT_DOUBLE_EQ(t.inverse(5.0), 0.5);
   EXPECT_DOUBLE_EQ(t.inverse(25.0), 1.5);
-}
-
-TEST(Rk4, ExponentialDecay) {
-  // dy/dt = -y, y(0)=1 -> y(1) = 1/e.
-  const double y = cu::rk4([](double, double v) { return -v; }, 1.0, 0.0,
-                           0.01, 100);
-  EXPECT_NEAR(y, std::exp(-1.0), 1e-8);
 }
 
 TEST(Linspace, EndpointsAndCount) {
