@@ -26,16 +26,41 @@ double seconds_since(ProfClock::time_point start) {
 }
 
 std::atomic<int> g_running_replay_threads{0};
+thread_local int t_depth = 0;  ///< ReplayThreads alive on this thread.
 
 /// Counts the constructing thread in running_replay_threads() until
-/// destruction.
+/// destruction, once: a ReplayThread on a thread that already holds one
+/// (a replay nested in a counted caller) adds nothing. `claimed` adopts
+/// the count the new thread's starter took for it (claim_spare_threads).
 class ReplayThread {
  public:
-  ReplayThread() { g_running_replay_threads.fetch_add(1); }
-  ~ReplayThread() { g_running_replay_threads.fetch_sub(1); }
+  explicit ReplayThread(bool claimed = false) {
+    if (t_depth++ == 0 && !claimed) g_running_replay_threads.fetch_add(1);
+  }
+  ~ReplayThread() {
+    if (--t_depth == 0) release(1);
+  }
   ReplayThread(const ReplayThread&) = delete;
   ReplayThread& operator=(const ReplayThread&) = delete;
+
+  /// Returns `n` claims whose threads ended, or never started.
+  static void release(int n) { g_running_replay_threads.fetch_sub(n); }
 };
+
+/// Counts up to `wanted` more threads in running_replay_threads(), as
+/// many as keep it within the hardware thread count, in one atomic step
+/// so that concurrent callers cannot claim the same hardware thread.
+/// Returns how many it counted; each becomes a ReplayThread(true).
+int claim_spare_threads(int wanted) {
+  const int hardware = resolve_run_threads(0);
+  int running = g_running_replay_threads.load();
+  int claimed = 0;
+  do {
+    claimed = std::clamp(hardware - running, 0, wanted);
+  } while (claimed > 0 && !g_running_replay_threads.compare_exchange_weak(
+                              running, running + claimed));
+  return claimed;
+}
 
 }  // namespace
 
@@ -343,11 +368,20 @@ namespace {
 /// of the stream into one BlockRing, timing each next_batch call, and
 /// closes it at the end of the stream or with the source's exception.
 /// The destructor abandons the ring and joins, so a caller that unwinds
-/// early (a lane error, an unsorted stream) never leaks the thread.
+/// early (a lane error, an unsorted stream) never leaks the thread. A
+/// `claimed` producer adopts a claim_spare_threads count, returned if
+/// it cannot start.
 class SourceProducer {
  public:
-  SourceProducer(RequestSource& source, std::size_t slots)
-      : source_(source), ring_(slots), thread_([this] { produce(); }) {}
+  SourceProducer(RequestSource& source, std::size_t slots, bool claimed)
+      : source_(source), ring_(slots) {
+    try {
+      thread_ = std::thread([this, claimed] { produce(claimed); });
+    } catch (...) {
+      if (claimed) ReplayThread::release(1);
+      throw;
+    }
+  }
 
   ~SourceProducer() {
     ring_.abandon();
@@ -364,8 +398,8 @@ class SourceProducer {
   double pull_s() const { return pull_s_; }
 
  private:
-  void produce() {
-    const ReplayThread counted;
+  void produce(bool claimed) {
+    const ReplayThread counted(claimed);
     std::exception_ptr error;
     try {
       while (RequestBlock* block = ring_.reserve()) {
@@ -387,7 +421,7 @@ class SourceProducer {
   RequestSource& source_;
   BlockRing ring_;
   double pull_s_ = 0.0;
-  std::thread thread_;  ///< Last: starts once every member is built.
+  std::thread thread_;
 };
 
 /// Blocks an adaptive stage pulls inline and times before it decides
@@ -401,11 +435,6 @@ constexpr std::uint64_t kProbeBlocks = 4;
 /// where a producer costs more than it saves, 0.4 to 0.9 for the
 /// generators and over 1 for an NVMain trace file.
 constexpr double kMinPullShare = 0.25;
-
-/// True while the running replay threads leave a hardware thread spare.
-bool spare_hardware_thread() {
-  return running_replay_threads() < resolve_run_threads(0);
-}
 
 /// The one feed loop. It takes each block from a SourceProducer's ring
 /// or pulls it inline with next_batch: a threaded stage starts the
@@ -423,7 +452,7 @@ void feed_blocks(RequestSource& source, ReplayStage& stage,
   std::optional<SourceProducer> producer;
   std::vector<Request> pulled;  // The inline block.
   if (mode == SourceMode::kProducer) {
-    producer.emplace(source, kSourceRingBlocks);
+    producer.emplace(source, kSourceRingBlocks, /*claimed=*/false);
   } else {
     pulled.resize(kFeedBlockRequests);
   }
@@ -473,8 +502,8 @@ void feed_blocks(RequestSource& source, ReplayStage& stage,
     if (profiler) profiler->add_progress(count);
     if (blocks == probe &&
         fastest_pull_s >= kMinPullShare * fastest_feed_s &&
-        spare_hardware_thread()) {
-      producer.emplace(source, kSerialSourceRingBlocks);
+        claim_spare_threads(1) == 1) {
+      producer.emplace(source, kSerialSourceRingBlocks, /*claimed=*/true);
     }
   }
   if (!profiler) return;
@@ -601,29 +630,11 @@ SimStats run_sessions(const MemorySystem& system, RequestSource& source,
       run_replay(source, stage, {&system.model()}, profiler).front().stats);
 }
 
-namespace {
-
-/// Counts up to `wanted` more threads in running_replay_threads(), as
-/// many as keep it within the hardware thread count, in one atomic step
-/// so that concurrent callers cannot claim the same hardware thread.
-/// Returns how many it counted.
-int claim_hardware_threads(int wanted) {
-  const int hardware = resolve_run_threads(0);
-  std::atomic<int>& count = g_running_replay_threads;
-  int running = count.load();
-  int claimed = 0;
-  do {
-    claimed = std::clamp(hardware - running, 0, wanted);
-  } while (claimed > 0 &&
-           !count.compare_exchange_weak(running, running + claimed));
-  return claimed;
-}
-
-}  // namespace
-
 void for_each_index(std::size_t count, int threads,
-                    const std::function<void(std::size_t, bool)>& task) {
+                    const std::function<void(std::size_t, bool)>& task,
+                    bool spare_only) {
   if (count == 0) return;
+  const ReplayThread counted;
   std::vector<std::exception_ptr> errors(count);
   std::atomic<std::size_t> next{1};  // The caller holds index 0.
   const auto run = [&](std::size_t i, bool on_caller) {
@@ -639,16 +650,23 @@ void for_each_index(std::size_t count, int threads,
       run(i, on_caller);
     }
   };
-  const std::size_t helpers =
-      std::min(static_cast<std::size_t>(std::max(threads, 1) - 1), count - 1);
+  const int wanted = static_cast<int>(
+      std::min(static_cast<std::size_t>(std::max(threads, 1) - 1), count - 1));
+  const int helpers = spare_only ? claim_spare_threads(wanted) : wanted;
+  const auto helper = [&] {
+    const ReplayThread counted_helper(spare_only);
+    drain(false);
+  };
   std::vector<std::thread> pool;
   std::exception_ptr start_error;
   try {
     pool.reserve(helpers);
-    for (std::size_t h = 0; h < helpers; ++h) pool.emplace_back(drain, false);
+    for (int h = 0; h < helpers; ++h) pool.emplace_back(helper);
   } catch (...) {
     start_error = std::current_exception();
     next.store(count);
+    const int unstarted = helpers - static_cast<int>(pool.size());
+    if (spare_only) ReplayThread::release(unstarted);
   }
   run(0, true);
   drain(true);
@@ -657,27 +675,6 @@ void for_each_index(std::size_t count, int threads,
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
   }
-}
-
-void run_alongside(const std::function<void()>& work, std::size_t count,
-                   std::size_t helpers,
-                   const std::function<void(std::size_t, bool)>& task) {
-  // The caller's claim covers its own `work`; each helper needs one more.
-  const std::size_t wanted = helpers == 0 ? 0 : std::min(helpers, count) + 1;
-  const int claimed = claim_hardware_threads(static_cast<int>(wanted));
-  try {
-    for_each_index(count + 1, claimed, [&](std::size_t i, bool on_caller) {
-      if (i == 0) {
-        work();
-      } else {
-        task(i - 1, on_caller);
-      }
-    });
-  } catch (...) {
-    g_running_replay_threads.fetch_sub(claimed);
-    throw;
-  }
-  g_running_replay_threads.fetch_sub(claimed);
 }
 
 }  // namespace comet::memsim

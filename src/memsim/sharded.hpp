@@ -49,8 +49,8 @@
 /// exception is run_sessions: it pulls and times its first few blocks
 /// inline, then hands the rest of the stream to a source producer
 /// (stage 1 below, with a 4-slot ring) when pulling took at least a
-/// quarter of feeding and running_replay_threads() leaves a hardware
-/// thread spare. A threaded run is a three-stage pipeline:
+/// quarter of feeding and it can claim a spare hardware thread (see
+/// running_replay_threads). A threaded run is a three-stage pipeline:
 ///   1. a source producer thread pulls next_batch blocks into a 16-slot
 ///      BlockRing, and the feed loop takes them in order (an exception
 ///      from the source closes the ring, so the caller receives it
@@ -82,13 +82,16 @@ namespace comet::memsim {
 /// std::invalid_argument on negative values.
 int resolve_run_threads(int requested);
 
-/// Replay threads running in this process now: each run_replay caller,
-/// each source producer and each pool worker, counted while it runs,
-/// plus the hardware threads run_alongside holds for its caller and
-/// helpers. A
-/// serial run starts a source producer only while this count is below
-/// the hardware thread count, so a sweep that already keeps every CPU
-/// busy stays inline.
+/// Replay threads running in this process now, each counted once, from
+/// its start to its exit: every run_replay and for_each_index caller
+/// (a call nested in a counted thread adds nothing), every
+/// for_each_index helper, source producer and pool worker. A thread
+/// asked for explicitly (a --threads helper, a pool worker, a threaded
+/// run's producer) counts without condition. A serial run's adaptive
+/// producer and spare_only helpers start only on a hardware thread
+/// this count leaves spare, claimed in one atomic step, so concurrent
+/// replays (a sweep's jobs) share the spare threads, and a sweep that
+/// already keeps every CPU busy stays inline.
 int running_replay_threads();
 
 /// The lane class's name before ReplaySession implemented ShardLane
@@ -214,8 +217,8 @@ class ReplayStage {
     kInline,    ///< Every block on the caller's thread.
     kProducer,  ///< Every block on a producer thread (lanes on workers).
     /// The first blocks inline and timed; the rest on a producer when
-    /// pulling cost at least a quarter of feeding and a hardware thread
-    /// is spare (running_replay_threads()).
+    /// pulling cost at least a quarter of feeding and a spare hardware
+    /// thread can be claimed for it (running_replay_threads()).
     kAdaptive,
   };
   virtual SourceMode source_mode() const { return SourceMode::kInline; }
@@ -279,31 +282,23 @@ SimStats run_sessions(const MemorySystem& system, RequestSource& source,
 
 /// Runs `task(i, on_caller)` once for every i in [0, count), on the
 /// caller's thread and on up to `threads` - 1 helper threads (none when
-/// `threads` <= 1, never more than count - 1). The caller takes index 0
-/// before any helper starts; then the helpers and the caller take the
-/// other indices in order from one counter (`on_caller` tells them
-/// apart). `count` == 0 runs nothing and starts no thread. The first
-/// task that throws stops the counter, and so does a helper that fails
-/// to start; the tasks already running finish. Every helper is joined
-/// before the call returns or throws. A failed thread start is then
-/// rethrown first, else the error of the lowest-indexed task that threw:
-/// since indices are handed out in order, every index below a failing
-/// one has started, so that error does not depend on the timing. With
-/// one thread it is the tasks in index order, up to the first failure.
+/// `threads` <= 1, never more than count - 1). With `spare_only`, only
+/// as many helpers start as running_replay_threads() leaves hardware
+/// threads spare; without it, all of them do. running_replay_threads()
+/// counts the caller for the whole call, each helper until it exits.
+/// The caller takes index 0 before any helper starts; then the helpers
+/// and the caller take the other indices in order from one counter
+/// (`on_caller` tells them apart). `count` == 0 runs nothing and starts
+/// no thread. The first task that throws stops the counter, and so does
+/// a helper that fails to start; the tasks already running finish.
+/// Every helper is joined before the call returns or throws. A failed
+/// thread start is then rethrown first, else the error of the
+/// lowest-indexed task that threw: since indices are handed out in
+/// order, every index below a failing one has started, so that error
+/// does not depend on the timing. With one thread it is the tasks in
+/// index order, up to the first failure.
 void for_each_index(std::size_t count, int threads,
-                    const std::function<void(std::size_t, bool)>& task);
-
-/// Runs `work` on the caller's thread and `task(i, on_caller)` once for
-/// every i in [0, count) beside it: for_each_index over count + 1
-/// indices, with `work` as index 0, so its error wins over every task's.
-/// Helpers (at most `helpers`) start only on hardware threads that the
-/// running replays leave spare: the call counts itself and its helpers
-/// in running_replay_threads() until it returns, claiming at most
-/// enough to reach the hardware thread count, so concurrent calls (a
-/// sweep's jobs) share the spare threads instead of each taking them
-/// all.
-void run_alongside(const std::function<void()>& work, std::size_t count,
-                   std::size_t helpers,
-                   const std::function<void(std::size_t, bool)>& task);
+                    const std::function<void(std::size_t, bool)>& task,
+                    bool spare_only = false);
 
 }  // namespace comet::memsim

@@ -1,6 +1,5 @@
 #include "tenant/runner.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -99,27 +98,28 @@ memsim::SimStats run_multi_tenant(const memsim::Engine& engine,
   // controller (bit-identical at any thread count), without the
   // collector so the shared run's trace stays the run's trace, and
   // without the profiler so its stages and pools describe the shared
-  // run. Up to run_threads - 1 helpers replay them beside the shared
-  // run on one-thread twins of the engine, as many as the hardware
-  // threads the running replays leave spare (memsim::run_alongside).
-  // The caller replays whatever is left after the shared run on the
-  // engine itself, threads and all, so at one run thread, or on a busy
-  // host, the baselines replay one after another on the engine once the
-  // shared run is done.
+  // run. Index 0 is the shared run, on the caller; index i + 1 replays
+  // tenant i. Up to run_threads - 1 helpers replay baselines beside the
+  // shared run on one-thread twins of the engine, on hardware threads
+  // the running replays leave spare (memsim::for_each_index). The
+  // caller replays whatever is left on the engine itself, threads and
+  // all, so at one run thread, or on a busy host, the baselines replay
+  // one after another once the shared run is done.
   const std::size_t tenants = job.tenants.size();
   const auto multi = make_multi_stream(job);
   const auto alone_engine = engine.serial_twin();
   memsim::SimStats stats;
   std::vector<double> alone_avg_latency_ns(tenants);
   std::vector<double> alone_wall_s(tenants);
-  memsim::run_alongside(
-      [&] {
-        stats = engine.run(*multi, multi_workload_name(job.tenants),
-                           collector, profiler);
-      },
-      tenants,
-      std::min(tenants, static_cast<std::size_t>(engine.run_threads() - 1)),
-      [&](std::size_t i, bool on_caller) {
+  memsim::for_each_index(
+      tenants + 1, engine.run_threads(),
+      [&](std::size_t index, bool on_caller) {
+        if (index == 0) {
+          stats = engine.run(*multi, multi_workload_name(job.tenants),
+                             collector, profiler);
+          return;
+        }
+        const std::size_t i = index - 1;
         const auto start = std::chrono::steady_clock::now();
         const auto alone = make_tenant_stream(job, i);
         const memsim::Engine& replayer = on_caller ? engine : *alone_engine;
@@ -132,7 +132,8 @@ memsim::SimStats run_multi_tenant(const memsim::Engine& engine,
         alone_wall_s[i] = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)
                               .count();
-      });
+      },
+      /*spare_only=*/true);
   if (profiler) {
     double wall_s = 0.0;
     for (const double s : alone_wall_s) wall_s += s;

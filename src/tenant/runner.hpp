@@ -52,12 +52,14 @@ std::string multi_workload_name(
 /// run-alone baselines, per-tenant slowdown, max_slowdown and Jain's
 /// index. Results do not depend on the thread count.
 ///
-/// The baselines do not wait for the shared run. Up to min(tenants,
+/// The baselines do not wait for the shared run: one
+/// memsim::for_each_index loop runs the shared run as index 0 on the
+/// caller and tenant i as index i + 1. Up to min(tenants,
 /// run_threads - 1) helper threads start with it, no more than the
-/// hardware threads the running replays leave spare (memsim::
-/// run_alongside counts the caller and its helpers, so a sweep's
-/// concurrent jobs share them), and replay tenants in index order,
-/// taken from one counter, on one-thread twins of the engine
+/// hardware threads the running replays leave spare (spare_only: each
+/// helper claims one in running_replay_threads() until it exits, so a
+/// sweep's concurrent jobs share them), and replay tenants in index
+/// order, taken from one counter, on one-thread twins of the engine
 /// (Engine::serial_twin). The caller replays whatever is left on the
 /// engine itself once its shared run is done, and joins the helpers.
 /// At one run thread, or with no hardware thread spare, there is no

@@ -8,12 +8,6 @@ namespace comet::util {
 /// Speed of light in vacuum [m/s].
 inline constexpr double kSpeedOfLight = 2.99792458e8;
 
-/// Boltzmann constant [J/K].
-inline constexpr double kBoltzmann = 1.380649e-23;
-
-/// Elementary charge [C].
-inline constexpr double kElementaryCharge = 1.602176634e-19;
-
 /// Vacuum permittivity [F/m].
 inline constexpr double kVacuumPermittivity = 8.8541878128e-12;
 

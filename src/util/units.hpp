@@ -35,8 +35,6 @@ inline double wavelength_nm_to_hz(double nm) {
 // --- Time helpers. The memory simulator's native tick is 1 ps so that
 // --- photonic (ns) and DRAM (sub-ns) events share one integer timeline.
 inline constexpr double kPsPerNs = 1e3;
-inline constexpr double kPsPerUs = 1e6;
-inline constexpr double kPsPerMs = 1e9;
 
 inline constexpr std::uint64_t ns_to_ps(double ns) {
   return static_cast<std::uint64_t>(ns * kPsPerNs + 0.5);

@@ -846,3 +846,71 @@ TEST(ForEachIndex, NoIndexRunsNothing) {
   EXPECT_EQ(calls, 0);
   EXPECT_EQ(settled_threads(before), before);
 }
+
+TEST(ForEachIndex, SpareHelperReleasesItsCountWhenItExits) {
+  // A serial replay inside a spare-only loop, once the loop's helper has
+  // exited, reads the same running replay threads as it does alone: the
+  // loop counts its caller once, the nested replay adds nothing, and a
+  // helper's count ends with the helper, not with the loop.
+  const auto engine =
+      dr::make_device_spec("comet").make_engine(std::nullopt, 1);
+  const auto replay = [&] {
+    ms::VectorSource inner(long_trace());
+    SlowSource slow(inner, kSlowPull);
+    engine->run(slow, "lbm_like");
+    return slow.most_replay_threads();
+  };
+  const int alone = replay();
+  const int before = threads_before();
+  int nested = 0;
+  ms::for_each_index(
+      2, 2,
+      [&](std::size_t i, bool) {
+        if (i != 0) return;
+        ASSERT_TRUE(
+            eventually([] { return ms::running_replay_threads() == 1; }));
+        nested = replay();
+      },
+      /*spare_only=*/true);
+  EXPECT_EQ(nested, alone);
+  EXPECT_EQ(settled_threads(before), before);
+  EXPECT_EQ(ms::running_replay_threads(), 0);
+}
+
+TEST(ForEachIndex, ExplicitThreadsStartEveryHelperOnAFullHost) {
+  // Pool workers fill every hardware thread. A sweep-style loop asks
+  // for its threads explicitly, so it still runs four indices at once,
+  // each thread counted; a spare-only loop finds no thread to claim and
+  // runs every index on the caller.
+  const int hw = ms::resolve_run_threads(0);
+  if (hw > 64) GTEST_SKIP() << "would start " << hw << " idle workers";
+  const int before = threads_before();
+  const int workers = std::max(hw, 2);
+  std::vector<std::unique_ptr<ms::ShardLane>> idle;
+  for (int i = 0; i < workers; ++i) {
+    idle.push_back(std::make_unique<ThrowingLane>(1u << 30));
+  }
+  ms::LanePool busy(std::move(idle), workers);
+  ASSERT_TRUE(
+      eventually([&] { return ms::running_replay_threads() == workers; }));
+  constexpr int kThreads = 4;
+  std::atomic<int> inside{0};
+  std::atomic<int> counted{0};
+  ms::for_each_index(kThreads, kThreads, [&](std::size_t, bool) {
+    inside.fetch_add(1);
+    EXPECT_TRUE(eventually([&] { return inside.load() == kThreads; }));
+    EXPECT_EQ(ms::running_replay_threads(), workers + kThreads);
+    counted.fetch_add(1);
+    EXPECT_TRUE(eventually([&] { return counted.load() == kThreads; }));
+  });
+  std::atomic<int> off_caller{0};
+  ms::for_each_index(
+      kThreads, kThreads,
+      [&](std::size_t, bool on_caller) { off_caller += on_caller ? 0 : 1; },
+      /*spare_only=*/true);
+  EXPECT_EQ(off_caller.load(), 0);
+  EXPECT_EQ(ms::running_replay_threads(), workers);
+  busy.finish();
+  EXPECT_EQ(settled_threads(before), before);
+  EXPECT_EQ(ms::running_replay_threads(), 0);
+}

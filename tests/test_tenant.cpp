@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -552,24 +553,42 @@ TEST(ConcurrentBaselines, MissingOrUnsortedTraceTenantThrowsItsError) {
 }
 
 TEST(ConcurrentBaselines, HelpersClaimOnlyTheSpareHardwareThreads) {
-  // An outer call asks for more helpers than the host has; a nested
-  // call inside its work then finds none spare. All helper threads
-  // together stay within the hardware threads left beside the caller,
-  // the count never passes the hardware threads, and the claims are
-  // released on return.
+  // An outer spare-only loop asks for more helpers than the host has; a
+  // nested one on the caller's index 0 then finds none spare, since the
+  // outer helpers hold their claims until the nested loop returns. All
+  // helper threads together stay within the hardware threads left
+  // beside the caller, the count never passes the hardware threads, and
+  // the claims are released on return.
   const int hardware = ms::resolve_run_threads(0);
   const int before = ms::running_replay_threads();
   std::mutex mutex;
   std::set<std::thread::id> helpers;
   int peak = before;
-  const auto task = [&](std::size_t, bool on_caller) {
+  const auto record = [&](bool on_caller) {
     const std::lock_guard<std::mutex> lock(mutex);
     if (!on_caller) helpers.insert(std::this_thread::get_id());
     peak = std::max(peak, ms::running_replay_threads());
   };
+  std::atomic<bool> nested_done{false};
   const std::size_t many = static_cast<std::size_t>(hardware) + 4;
-  ms::run_alongside(
-      [&] { ms::run_alongside([] {}, many, many, task); }, many, many, task);
+  const int threads = static_cast<int>(many) + 1;
+  ms::for_each_index(
+      many + 1, threads,
+      [&](std::size_t i, bool on_caller) {
+        if (i == 0) {
+          ms::for_each_index(
+              many + 1, threads,
+              [&](std::size_t j, bool nested_on_caller) {
+                if (j != 0) record(nested_on_caller);
+              },
+              /*spare_only=*/true);
+          nested_done = true;
+          return;
+        }
+        record(on_caller);
+        while (!nested_done) std::this_thread::yield();
+      },
+      /*spare_only=*/true);
   EXPECT_LE(static_cast<int>(helpers.size()),
             std::max(0, hardware - before - 1));
   EXPECT_LE(peak, std::max(hardware, before));
