@@ -45,17 +45,26 @@ void DramCacheConfig::validate() const {
   }
 }
 
-DramCache::DramCache(DramCacheConfig config) : config_(config) {
-  config_.validate();
-  sets_ = config_.sets();
-  lines_.resize(sets_ * static_cast<std::uint64_t>(config_.ways));
+namespace {
+
+DramCacheConfig validated(const DramCacheConfig& config) {
+  config.validate();
+  return config;
 }
+
+}  // namespace
+
+DramCache::DramCache(DramCacheConfig config)
+    : config_(validated(config)),
+      line_(config_.line_bytes),
+      sets_(config_.sets()),
+      lines_(sets_.d * static_cast<std::uint64_t>(config_.ways)) {}
 
 DramCache::Access DramCache::access(std::uint64_t address, bool is_write) {
   ++tick_;
-  const std::uint64_t line_index = address / config_.line_bytes;
-  const std::uint64_t set = line_index % sets_;
-  const std::uint64_t tag = line_index / sets_;
+  const std::uint64_t line_index = line_.div(address);
+  const std::uint64_t set = sets_.mod(line_index);
+  const std::uint64_t tag = sets_.div(line_index);
   Line* const ways = &lines_[set * static_cast<std::uint64_t>(config_.ways)];
 
   for (int w = 0; w < config_.ways; ++w) {
@@ -81,7 +90,7 @@ DramCache::Access DramCache::access(std::uint64_t address, bool is_write) {
   if (victim->valid && victim->dirty) {
     result.writeback = true;
     result.writeback_address =
-        (victim->tag * sets_ + set) * config_.line_bytes;
+        (victim->tag * sets_.d + set) * config_.line_bytes;
   }
   victim->tag = tag;
   victim->valid = true;

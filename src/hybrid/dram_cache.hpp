@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "util/divisor.hpp"
+
 /// Functional set-associative DRAM cache model for the hybrid tier.
 ///
 /// The cache tracks tags only (no data): the hybrid TieredSystem uses it
@@ -75,9 +77,10 @@ class DramCache {
   };
 
   DramCacheConfig config_;
-  std::uint64_t sets_;
-  std::uint64_t tick_ = 0;         ///< LRU clock (one per access).
-  std::vector<Line> lines_;        ///< sets_ x ways, row-major by set.
+  util::Divisor line_;       ///< config_.line_bytes, a power of two.
+  util::Divisor sets_;       ///< config_.sets(), any positive count.
+  std::uint64_t tick_ = 0;   ///< LRU clock (one per access).
+  std::vector<Line> lines_;  ///< sets x ways, row-major by set.
 };
 
 }  // namespace comet::hybrid

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -10,6 +9,7 @@
 #include "memsim/device.hpp"
 #include "memsim/request.hpp"
 #include "memsim/stats.hpp"
+#include "util/divisor.hpp"
 
 namespace comet::telemetry {
 class Recorder;
@@ -94,23 +94,6 @@ class AddressMap {
   }
 
  private:
-  /// x / d and x % d for a divisor fixed at construction.
-  struct Divisor {
-    explicit Divisor(std::uint64_t divisor)
-        : d(divisor),
-          shift(std::has_single_bit(d) ? std::countr_zero(d) : -1) {}
-
-    std::uint64_t div(std::uint64_t x) const {
-      return shift >= 0 ? x >> shift : x / d;
-    }
-    std::uint64_t mod(std::uint64_t x) const {
-      return shift >= 0 ? x & (d - 1) : x % d;
-    }
-
-    std::uint64_t d;
-    int shift;  ///< log2(d) when d is a power of two, else -1.
-  };
-
   std::uint64_t hashed_line(const Request& request) const {
     std::uint64_t x = line_.div(request.address);
     x ^= x >> 13;
@@ -119,7 +102,7 @@ class AddressMap {
     return x;
   }
 
-  Divisor line_, channels_, banks_, row_, region_;  ///< Region 0: none.
+  util::Divisor line_, channels_, banks_, row_, region_;  ///< Region 0: none.
 };
 
 /// A partial replay result: the statistics of some subset of a run's

@@ -1,11 +1,13 @@
 #include "memsim/trace.hpp"
 
+#include <array>
 #include <cstring>
 #include <istream>
 #include <memory>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace comet::memsim {
 
@@ -18,7 +20,7 @@ struct TraceRecord {
 };
 
 [[noreturn]] void parse_error(const std::string& context,
-                              std::uint64_t line_no, const std::string& line,
+                              std::uint64_t line_no, std::string_view line,
                               const std::string& reason) {
   std::ostringstream msg;
   msg << context << ": malformed line " << line_no << ": '" << line << "' ("
@@ -28,10 +30,12 @@ struct TraceRecord {
 
 /// Parses one record line (never a comment/blank — callers skip those).
 /// Trailing fields beyond the address (NVMain data payload, thread id)
-/// are ignored.
-TraceRecord parse_record(const std::string& context, std::uint64_t line_no,
-                         const std::string& line) {
-  std::istringstream ls(line);
+/// are ignored. Kept out of line, so that the stream's state stays out
+/// of the frame of TraceFileSource::pull.
+[[gnu::noinline]] TraceRecord parse_record(const std::string& context,
+                                           std::uint64_t line_no,
+                                           std::string_view line) {
+  std::istringstream ls{std::string(line)};
   TraceRecord rec;
   std::string op;
   std::string addr;
@@ -61,7 +65,7 @@ TraceRecord parse_record(const std::string& context, std::uint64_t line_no,
 /// once the order has failed, so a good line never builds its text.
 [[noreturn]] void cycle_order_error(const std::string& context,
                                     std::uint64_t line_no,
-                                    const std::string& line,
+                                    std::string_view line,
                                     std::uint64_t prev_cycle,
                                     std::uint64_t cycle) {
   std::ostringstream msg;
@@ -76,7 +80,7 @@ constexpr double kArrivalLimitPs = 18446744073709551616.0;
 
 [[noreturn]] void arrival_overflow_error(const std::string& context,
                                          std::uint64_t line_no,
-                                         const std::string& line,
+                                         std::string_view line,
                                          std::uint64_t cycle,
                                          double cpu_clock_ghz) {
   std::ostringstream msg;
@@ -88,20 +92,36 @@ constexpr double kArrivalLimitPs = 18446744073709551616.0;
 
 bool is_blank(char c) { return c == ' ' || c == '\t'; }
 
-int hex_value(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
+/// kDigit[c] is the value of the hex digit c (0-9 for the decimal ones),
+/// else kNotADigit: one load replaces the range tests of each character.
+constexpr std::uint8_t kNotADigit = 0xff;
+constexpr std::array<std::uint8_t, 256> kDigit = [] {
+  std::array<std::uint8_t, 256> table{};
+  table.fill(kNotADigit);
+  for (int i = 0; i < 10; ++i) table['0' + i] = static_cast<std::uint8_t>(i);
+  for (int i = 0; i < 6; ++i) {
+    table['a' + i] = table['A' + i] = static_cast<std::uint8_t>(10 + i);
+  }
+  return table;
+}();
+
+std::uint8_t digit_of(char c) {
+  return kDigit[static_cast<unsigned char>(c)];
 }
 
-/// The fast path: parses a record line of the canonical form
+/// The fast path: parses the fields of a record line of the canonical
+/// form
 ///
 ///     <1-19 decimal digits> [ \t]+ <R|r|W|w> [ \t]+ [0x|0X]<1-16 hex digits>
 ///
-/// followed by the end of the line, a space, a tab or '\r' (anything
-/// after that is ignored). Returns false, leaving `rec` untouched, for
-/// every other line; those go to parse_record.
+/// from `p`, which a '\n' must follow in readable memory: the line's
+/// own, or the one TraceFileSource keeps just past its block's data.
+/// Every loop stops at that '\n' (a '\n' also fails the 0x test), so
+/// no field reads into the next line and the answer is the one for the
+/// line alone. Returns the position just past the hex digits, having
+/// filled `rec`, or nullptr. The line is canonical only if the end of
+/// the line, a space, a tab or '\r' follows (anything after that is
+/// ignored: canonical_line_end); every other line goes to parse_record.
 ///
 /// Why the two paths agree. The fast path only answers lines it
 /// accepts, so it suffices that parse_record returns the same record
@@ -123,40 +143,48 @@ int hex_value(char c) {
 ///     (consumed == addr.size()) and cannot overflow (16 hex digits fit
 ///     in 64 bits), so its value is the one accumulated here.
 ///   - Both ignore whatever follows the address.
-bool parse_canonical(const char* p, const char* end, TraceRecord& rec) {
+const char* parse_canonical(const char* p, TraceRecord& rec) {
   const char* const cycle_begin = p;
   std::uint64_t cycle = 0;
-  while (p < end && *p >= '0' && *p <= '9') {
-    cycle = cycle * 10 + static_cast<std::uint64_t>(*p - '0');
-    ++p;
+  for (std::uint8_t digit; (digit = digit_of(*p)) < 10; ++p) {
+    cycle = cycle * 10 + digit;
   }
-  if (p == cycle_begin || p - cycle_begin > 19) return false;
-  if (p == end || !is_blank(*p)) return false;
-  while (p < end && is_blank(*p)) ++p;
-  if (p == end) return false;
+  if (p == cycle_begin || p - cycle_begin > 19 || !is_blank(*p)) {
+    return nullptr;
+  }
+  while (is_blank(*p)) ++p;
   Op op;
   if (*p == 'R' || *p == 'r') {
     op = Op::kRead;
   } else if (*p == 'W' || *p == 'w') {
     op = Op::kWrite;
   } else {
-    return false;
+    return nullptr;
   }
   ++p;
-  if (p == end || !is_blank(*p)) return false;
-  while (p < end && is_blank(*p)) ++p;
-  if (end - p >= 2 && p[0] == '0' && (p[1] == 'x' || p[1] == 'X')) p += 2;
+  if (!is_blank(*p)) return nullptr;
+  while (is_blank(*p)) ++p;
+  if (p[0] == '0' && (p[1] == 'x' || p[1] == 'X')) p += 2;
   const char* const hex_begin = p;
   std::uint64_t address = 0;
-  for (int digit; p < end && (digit = hex_value(*p)) >= 0; ++p) {
-    address = address << 4 | static_cast<std::uint64_t>(digit);
+  for (std::uint8_t digit; (digit = digit_of(*p)) < 16; ++p) {
+    address = address << 4 | digit;
   }
-  if (p == hex_begin || p - hex_begin > 16) return false;
-  if (p != end && !is_blank(*p) && *p != '\r') return false;
+  if (p == hex_begin || p - hex_begin > 16) return nullptr;
   rec.cycle = cycle;
   rec.op = op;
   rec.address = address;
-  return true;
+  return p;
+}
+
+/// The '\n' that ends a line whose fields parse_canonical read up to
+/// `tail`, or nullptr when the line is not canonical. The search stops
+/// at the '\n' at `stop`, so `stop` itself means the line's '\n' was
+/// not found before it.
+const char* canonical_line_end(const char* tail, const char* stop) {
+  if (*tail == '\n') return tail;
+  if (!is_blank(*tail) && *tail != '\r') return nullptr;
+  return static_cast<const char*>(std::memchr(tail, '\n', stop - tail + 1));
 }
 
 void validate_config(const TraceConfig& config) {
@@ -194,7 +222,7 @@ TraceFileSource::TraceFileSource(std::istream& in, const TraceConfig& config,
 
 void TraceFileSource::refill() {
   if (!block_) {
-    block_ = std::make_unique_for_overwrite<char[]>(kBlockBytes);
+    block_ = std::make_unique<char[]>(kBlockBytes + 1);
     capacity_ = kBlockBytes;
   }
   const std::size_t carry = end_ - begin_;
@@ -203,11 +231,15 @@ void TraceFileSource::refill() {
   begin_ = 0;
   end_ = carry;
   if (end_ == capacity_) {  // One line fills the block: grow the carry.
-    auto grown = std::make_unique_for_overwrite<char[]>(2 * capacity_);
+    auto grown = std::make_unique<char[]>(2 * capacity_ + 1);
     std::memcpy(grown.get(), block_.get(), carry);
     block_ = std::move(grown);
     capacity_ *= 2;
   }
+  // The '\n' after the data stops parse_canonical, so it moves with
+  // end_. Should the stream throw mid-refill, the zero-filled allocation
+  // still keeps the parse from reading an unset byte or past the block.
+  block_[end_] = '\n';
   // readsome() copies only what the streambuf already holds and peek()
   // forces each underflow on its own, so a streambuf that throws from
   // underflow (istream turns that into badbit) loses none of the bytes
@@ -216,7 +248,7 @@ void TraceFileSource::refill() {
   while (end_ < capacity_) {
     if (in_->peek() == std::char_traits<char>::eof()) {
       drained_ = true;  // End of stream, or a fault: next_line tells.
-      return;
+      break;
     }
     std::streamsize got = in_->readsome(block_.get() + end_,
                                         static_cast<std::streamsize>(
@@ -228,6 +260,7 @@ void TraceFileSource::refill() {
       got = 1;
     }
     end_ += static_cast<std::size_t>(got);
+    block_[end_] = '\n';
   }
 }
 
@@ -266,22 +299,39 @@ bool TraceFileSource::next_line(const char*& begin, const char*& end) {
 }
 
 bool TraceFileSource::pull(Request& out) {
+  TraceRecord rec;
   const char* begin = nullptr;
   const char* end = nullptr;
-  do {
+  for (;;) {
+    // The common line, a canonical record whose '\n' the block holds,
+    // is parsed in place and ends at that '\n'.
+    if (begin_ < end_) {
+      char* const base = block_.get();
+      const char* const stop = base + end_;
+      begin = base + begin_;
+      const char* const tail = parse_canonical(begin, rec);
+      end = tail != nullptr ? canonical_line_end(tail, stop) : nullptr;
+      if (end != nullptr && end != stop) {
+        begin_ = scanned_ = static_cast<std::size_t>(end - base) + 1;
+        ++line_no_;
+        break;
+      }
+    }
+    // Comments, blanks, other records and a line the block does not
+    // hold whole. On a canonical line parse_record returns the fast
+    // path's record, so which path reads a line never shows.
     if (!next_line(begin, end)) return false;
-  } while (begin == end || *begin == '#');
-  TraceRecord rec;
-  if (!parse_canonical(begin, end, rec)) {
-    rec = parse_record(name_, line_no_, std::string(begin, end));
+    if (begin == end || *begin == '#') continue;
+    rec = parse_record(name_, line_no_, std::string_view(begin, end));
+    break;
   }
   if (emitted_ > 0 && rec.cycle < prev_cycle_) {
-    cycle_order_error(name_, line_no_, std::string(begin, end), prev_cycle_,
-                      rec.cycle);
+    cycle_order_error(name_, line_no_, std::string_view(begin, end),
+                      prev_cycle_, rec.cycle);
   }
   const double arrival_ps = static_cast<double>(rec.cycle) * ps_per_cycle_;
   if (!(arrival_ps < kArrivalLimitPs)) {
-    arrival_overflow_error(name_, line_no_, std::string(begin, end),
+    arrival_overflow_error(name_, line_no_, std::string_view(begin, end),
                            rec.cycle, config_.cpu_clock_ghz);
   }
   prev_cycle_ = rec.cycle;

@@ -22,21 +22,26 @@
 /// (NVMain traces are recorded in CPU cycles).
 ///
 /// Reading: TraceFileSource pulls the stream in fixed blocks of
-/// kBlockBytes, allocated on the first pull, and splits lines with
-/// memchr, carrying a partial line across a refill. A line longer than
-/// the block grows the carry, so memory is bounded by the block or the
-/// longest line, never by the trace length. The std::istream&
-/// constructor therefore reads ahead of the records it has returned, by
-/// up to a block. Lines are counted exactly as std::getline counts them;
-/// a last line without '\n' is still a line.
+/// kBlockBytes, allocated on the first pull, and keeps a '\n' just past
+/// the data of each block. A canonical record line (below) whose '\n'
+/// is in the block is parsed in place, and ends at that '\n', which the
+/// parse reaches without a search unless trailing fields follow. Every
+/// other line (a comment, a blank line, a non-canonical record, or a
+/// line the block does not hold whole) is split with memchr, carrying a
+/// partial line across a refill. A line longer than the block grows the
+/// carry, so memory is bounded by the block or the longest line, never
+/// by the trace length. The std::istream& constructor therefore reads
+/// ahead of the records it has returned, by up to a block. Lines are
+/// counted exactly as std::getline counts them; a last line without
+/// '\n' is still a line.
 ///
 /// Parsing: the canonical form (decimal cycle of at most 19 digits,
 /// one-letter op, hex address of at most 16 digits with an optional 0x)
-/// is parsed in place without allocation. Every other line goes to the
-/// stream-extraction parser the reader has always used. On each line the
-/// fast path accepts, that parser returns the same record (the argument
-/// is in trace.cpp), so the fast path changes speed only, never a record
-/// or a diagnostic.
+/// is parsed in place without allocation, one table load per digit.
+/// Every other line goes to the stream-extraction parser the reader has
+/// always used. On each line the fast path accepts, that parser returns
+/// the same record (the argument is in trace.cpp), so which path reads a
+/// line changes speed only, never a record or a diagnostic.
 ///
 /// Diagnostics: every parse error is a std::runtime_error naming the
 /// 1-based line number and the offending line text; records whose cycle
@@ -110,7 +115,8 @@ class TraceFileSource final : public RequestSource {
   std::uint64_t emitted_ = 0;
   std::uint64_t prev_cycle_ = 0;
   std::unique_ptr<char[]> block_;  ///< Allocated on the first pull.
-  std::size_t capacity_ = 0;       ///< Size of block_.
+  std::size_t capacity_ = 0;       ///< Data bytes block_ can hold; one
+                                   ///< more holds the '\n' after them.
   std::size_t begin_ = 0;          ///< Unconsumed bytes are
   std::size_t end_ = 0;            ///< block_[begin_, end_).
   std::size_t scanned_ = 0;        ///< block_[begin_, scanned_) has no '\n'.

@@ -170,9 +170,10 @@ struct Controller::Impl {
   /// A candidate's arbitration rank, packed so that one unsigned
   /// compare orders two candidates and the smaller issues first, from
   /// the most significant field down:
-  ///   bit 127      tenant rank — 0 when frfcfs-cap boosts a tenant at
-  ///                its starvation cap (every other policy leaves all
-  ///                candidates at 0, so the field never decides);
+  ///   bit 127      tenant rank — 1 when frfcfs-cap boosts some tenant
+  ///                at its starvation cap and not this one (with no
+  ///                tenant boosted, and under every other policy, all
+  ///                candidates are at 0, so the field never decides);
   ///   bits 63-126  issue instant in ps;
   ///   bit 62       hit rank — 0 for an open-row/-region hit;
   ///   bits 0-61    admission seq, unique, so ranks never tie (a run
@@ -241,6 +242,9 @@ struct Controller::Impl {
   std::vector<int> tokens;  ///< token-budget: issues left this epoch.
   std::vector<std::uint64_t> starved;  ///< frfcfs-cap: passes endured.
   std::vector<std::uint64_t> queued_per_tenant;  ///< frfcfs-cap.
+  /// frfcfs-cap: tenants whose starved count is at the cap or above.
+  /// Every change of it flips ranks, which invalidates every bank.
+  std::uint64_t tenants_at_cap = 0;
   // The channel pick: the best of the banks' cached picks over the
   // queue(s) the policy currently counts, invalid while nothing is
   // queued. An issue marks it dirty, and recomputing it rescans only
@@ -288,9 +292,9 @@ struct Controller::Impl {
   /// issue. The rank reads only the session's bank state and the tenant
   /// state: ready once the bank frees (never before admission),
   /// preferring FR-FCFS open-row / open-region hits (a photonic GST
-  /// region's switch penalty behaves like a row miss). token-budget skips tenants with
-  /// an empty bucket (one the controller has not seen yet is full);
-  /// frfcfs-cap boosts tenants at the starvation cap.
+  /// region's switch penalty behaves like a row miss). token-budget
+  /// skips tenants with an empty bucket (one the controller has not seen
+  /// yet is full); frfcfs-cap boosts tenants at the starvation cap.
   Rank rank_of(std::size_t b, const Candidate& c) const {
     const memsim::BankState& bank = bank_state[b];
     const std::size_t tenant = c.tenant;
@@ -300,7 +304,8 @@ struct Controller::Impl {
     const bool hit = (has_row_buffer && bank.open_row == c.row) ||
                      (has_regions && bank.open_region == c.region);
     const bool miss = !prefer_hits || !hit;
-    const bool unboosted = use_starvation && starved[tenant] < cap;
+    const bool unboosted =
+        use_starvation && tenants_at_cap != 0 && starved[tenant] < cap;
     const Rank issue_ps = std::max(c.admit_ps, bank.free_ps);
     return Rank{unboosted} << 127 | issue_ps << 63 | Rank{miss} << 62 | c.seq;
   }
@@ -314,7 +319,8 @@ struct Controller::Impl {
   /// later than the current arrival, and the window slides FIFO), so no
   /// later candidate issues earlier, and on an equal instant it loses to
   /// a hit or to a lower seq. A best pick whose tenant-rank bit is set
-  /// beats no floor, so it never stops the walk.
+  /// beats no floor, so it never stops the walk; the bit is clear for
+  /// every candidate while frfcfs-cap boosts no tenant.
   Rank scan_from_oldest(std::size_t b,
                         const std::vector<Candidate>& cs) const {
     const std::uint64_t free_ps = bank_state[b].free_ps;
@@ -525,12 +531,16 @@ struct Controller::Impl {
       // The issuer's patience resets; every other tenant still holding
       // schedulable work was passed over once more.
       bool flipped = starved[tenant] >= cap;
+      if (flipped) --tenants_at_cap;
       --queued_per_tenant[tenant];
       starved[tenant] = 0;
       for (std::size_t t = 0; t < queued_per_tenant.size(); ++t) {
         if (t == tenant || queued_per_tenant[t] == 0) continue;
         ++starved[t];
-        if (starved[t] == cap) flipped = true;
+        if (starved[t] == cap) {
+          flipped = true;
+          ++tenants_at_cap;
+        }
       }
       if (flipped) invalidate_banks();
     }

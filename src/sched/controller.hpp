@@ -97,11 +97,14 @@
 /// the current arrival, and the window slides FIFO. So a later
 /// candidate never issues earlier, and on an equal issue instant it
 /// loses to a hit or to any lower seq. A best pick whose tenant-rank
-/// bit is set (an unboosted one under frfcfs-cap) beats no floor, so it
-/// never stops the walk. On a busy bank the walk thus ends at the
-/// oldest hit. A build without NDEBUG re-derives every such pick with
-/// the full scan, and checks every filing for a decreasing admit_ps;
-/// either mismatch throws std::logic_error.
+/// bit is set (an unboosted one under frfcfs-cap while another tenant
+/// is at its cap) beats no floor, so it never stops the walk. While no
+/// tenant is at its cap, frfcfs-cap leaves the bit clear for every
+/// candidate, which keeps their order and lets the walk stop. On a busy
+/// bank the walk thus ends at the oldest hit. A build without NDEBUG
+/// re-derives every such pick with the full scan, and checks every
+/// filing for a decreasing admit_ps; either mismatch throws
+/// std::logic_error.
 ///
 /// Everything is deterministic; each Controller is single-threaded and
 /// lives on the stack of one Engine::run call, so sweeps stay

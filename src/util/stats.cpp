@@ -54,6 +54,16 @@ BucketTable::BucketTable() {
         std::bit_cast<double>((kFirstBin + bin) << (52 - kMantissaBits));
     while (bounds[bucket + 1] <= edge) ++bucket;
     guess[bin] = bucket;
+    // histogram_bucket compares a sample with bounds[bucket + 1] only:
+    // the next bound must lie at or above the next bin's lower edge.
+    const auto next_edge =
+        std::bit_cast<double>((kFirstBin + bin + 1) << (52 - kMantissaBits));
+    const std::size_t above = std::size_t{bucket} + 2;
+    if (above <= kBuckets && bounds[above] < next_edge) {
+      throw std::logic_error("RunningStats: histogram bin " +
+                             std::to_string(bin) +
+                             " spans more than one bucket bound");
+    }
   }
 }
 

@@ -37,9 +37,10 @@ inline constexpr std::uint64_t kFirstBin =
     std::uint64_t{1023 + kMinExponent} << kMantissaBits;
 
 /// `guess` holds the bucket of each bin's lower edge; a bin spans at
-/// most one bucket bound, so one compare against `bounds` finishes a
-/// lookup. bounds[i] is the least double of bucket i or above, bisected
-/// from the bucket definition itself (see stats.cpp).
+/// most one bucket bound (the constructor throws std::logic_error
+/// otherwise), so one compare against `bounds` finishes a lookup.
+/// bounds[i] is the least double of bucket i or above, bisected from
+/// the bucket definition itself (see stats.cpp).
 struct BucketTable {
   std::array<double, kBuckets + 1> bounds{};  ///< Last is +inf.
   std::array<std::uint16_t, kBins> guess{};
@@ -60,8 +61,8 @@ inline const BucketTable& table() {
 /// negatives, NaN), else 1 + floor((log2 x + 20) * 8) rounded as
 /// written, clamped to the last bucket (480) from 2^40 up, +inf
 /// included. Read from the exponent bits and a table built once per
-/// process, without calling log2. The one bucket lookup: RunningStats
-/// files every sample through it.
+/// process, with one branchless compare and without calling log2. The
+/// one bucket lookup: RunningStats files every sample through it.
 inline std::size_t histogram_bucket(double x) {
   if (!(x >= histogram::kLowest)) return 0;  // underflow, <= 0, NaN
   // The sign bit is clear, so the top bits are exponent then mantissa.
@@ -70,9 +71,8 @@ inline std::size_t histogram_bucket(double x) {
       histogram::kFirstBin;
   if (bin >= histogram::kBins) return histogram::kBuckets - 1;  // inf too
   const histogram::BucketTable& table = histogram::table();
-  std::size_t bucket = table.guess[bin];
-  while (x >= table.bounds[bucket + 1]) ++bucket;
-  return bucket;
+  const std::size_t guess = table.guess[bin];
+  return guess + (x >= table.bounds[guess + 1]);
 }
 
 /// Welford-style running mean/variance plus min/max, and a fixed-size

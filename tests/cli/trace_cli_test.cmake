@@ -7,7 +7,9 @@
 # Covers: missing trace file exits 2 (bad-args class) naming the path;
 # parse errors, unsorted cycles and overflowing arrivals name the 1-based
 # line number and exit 1; --dump-trace then --trace-file round-trips
-# through a flat and a hybrid device, emitting valid JSON.
+# through a flat and a hybrid device, emitting valid JSON; a threaded
+# replay, and a replay of a CRLF twin with trailing fields, give the
+# serial replay's record.
 
 if(NOT DEFINED COMET_SIM OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "pass -DCOMET_SIM=... and -DWORK_DIR=...")
@@ -62,10 +64,22 @@ expect_rc("overflowing cycle" "${rc}" 1)
 expect_contains("overflowing cycle" "${err}" "line 2")
 expect_contains("overflowing cycle" "${err}" "arrival overflow")
 
-# --- 4. Dump a generated trace, replay it flat and hybrid, check JSON.
+# The one record of a --json report without the fields that name the
+# host, the run threads or the trace file.
+function(read_record file out_var)
+  file(READ ${file} json)
+  string(JSON record GET "${json}" results 0)
+  foreach(key host run_threads trace_file workload experiment config_file)
+    string(JSON record REMOVE "${record}" ${key})
+  endforeach()
+  set(${out_var} "${record}" PARENT_SCOPE)
+endfunction()
+
+# --- 4. Dump a generated trace (several times the reader's 64 KiB
+# block), replay it flat and hybrid, check JSON.
 execute_process(
   COMMAND ${COMET_SIM} --dump-trace ${WORK_DIR}/gen.trace
-          --workload gcc_like --requests 500
+          --workload gcc_like --requests 20000
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
 expect_rc("dump-trace" "${rc}" 0)
 
@@ -80,6 +94,27 @@ foreach(device comet hybrid-comet)
   file(READ ${WORK_DIR}/${device}.json json)
   expect_contains("json ${device}" "${json}" "\"trace_file\": ")
   expect_contains("json ${device}" "${json}" "gen.trace")
+endforeach()
+
+# --- 4b. The same trace replayed at --run-threads 4, and its twin with
+# CRLF endings and trailing fields replayed serially, give the serial
+# replay's record.
+file(READ ${WORK_DIR}/gen.trace text)
+string(REPLACE "\n" " 0xdeadbeef\t3\r\n" text "${text}")
+file(WRITE ${WORK_DIR}/gen_crlf.trace "${text}")
+read_record(${WORK_DIR}/comet.json serial)
+foreach(variant "gen.trace;--run-threads;4" "gen_crlf.trace")
+  list(POP_FRONT variant trace)
+  execute_process(
+    COMMAND ${COMET_SIM} --device comet --trace-file ${WORK_DIR}/${trace}
+            ${variant} --json ${WORK_DIR}/variant.json
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  expect_rc("replay ${trace} ${variant}" "${rc}" 0)
+  read_record(${WORK_DIR}/variant.json record)
+  if(NOT record STREQUAL serial)
+    message(FATAL_ERROR "replay of ${trace} ${variant} diverged from the "
+                        "serial replay:\n${record}\n--- vs ---\n${serial}")
+  endif()
 endforeach()
 
 # --- 5. --dump-trace without a single workload: exit 2.

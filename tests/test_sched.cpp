@@ -411,6 +411,36 @@ TEST(SchedController, EarlyExitPicksMatchTheFullScan) {
     }
   }
   EXPECT_TRUE(window_bound) << "no run filled the scheduling window";
+
+  // frfcfs-cap clears every candidate's tenant-rank bit while no tenant
+  // is at its cap, which lets the walk stop early: one tenant never
+  // reaches the cap, and two reach it often at a low cap, so both
+  // states and the changes between them meet the cross-check.
+  const std::vector<comet::config::TenantSpec> one_tenant = {chase};
+  for (const auto& tenants : {one_tenant, job.tenants}) {
+    tn::MultiTenantJob capped = job;
+    capped.tenants = tenants;
+    for (const char* device : {"comet", "ddr4", "cosmos"}) {
+      const ms::DeviceModel model =
+          *comet::driver::make_device_spec(device).flat;
+      for (const int cap : {1, 4, 16}) {
+        for (const int depth : {8, 32, 0}) {
+          SCOPED_TRACE(std::string(device) + " frfcfs-cap, " +
+                       std::to_string(tenants.size()) + " tenant(s), cap " +
+                       std::to_string(cap) + ", depth " +
+                       std::to_string(depth));
+          auto config = sc::ControllerConfig::with_depths(
+              sc::Policy::kFrFcfsCap, depth, depth);
+          config.starvation_cap = cap;
+          const sc::FlatSystem system(model, config);
+          ms::SimStats stats;
+          ASSERT_NO_THROW(stats = system.run(*tn::make_multi_stream(capped)));
+          EXPECT_EQ(stats.reads + stats.writes,
+                    tenants.size() * capped.default_requests);
+        }
+      }
+    }
+  }
 #endif
 }
 

@@ -204,9 +204,10 @@ void replace_field(std::string& line, int index, const std::string& with) {
 }
 
 std::string mutant(std::mt19937_64& rng) {
-  // One in 200 is a few thousand lines, so records straddle refills.
-  std::vector<std::string> lines =
-      valid_trace(rng, rng() % 200 == 0 ? 6000 : 1 + rng() % 30);
+  // One in 50 is several thousand lines, longer than the reader's block
+  // (kBlockBytes), so canonical records straddle refills.
+  std::vector<std::string> lines = valid_trace(
+      rng, rng() % 50 == 0 ? 4000 + rng() % 6000 : 1 + rng() % 30);
   const int edits = static_cast<int>(rng() % 5);
   for (int e = 0; e < edits; ++e) {
     std::string& line = lines[rng() % lines.size()];
@@ -285,13 +286,14 @@ TEST(TraceReaderFuzz, MatchesTheGetlineReaderOnSeededMutants) {
   int accepted = 0;
   int rejected = 0;
   int overflows = 0;
+  int past_block = 0;
   for (int i = 0; i < kMutants; ++i) {
     const std::string text = mutant(rng);
+    past_block += text.size() > ms::TraceFileSource::kBlockBytes;
     const ms::TraceConfig config{.cpu_clock_ghz = kClocks[rng() % 4],
                                  .line_bytes = 64};
     static const std::size_t kChunks[] = {0, 1, 7, 4096, 1 << 20};
-    const std::size_t chunk =
-        text.size() > 20'000 ? 1 << 20 : kChunks[rng() % 5];
+    const std::size_t chunk = kChunks[rng() % 5];
     const Outcome want = run_reference(text, config);
     const Outcome got = run_library(text, config, chunk, rng);
 
@@ -320,4 +322,66 @@ TEST(TraceReaderFuzz, MatchesTheGetlineReaderOnSeededMutants) {
   EXPECT_GT(accepted, kMutants / 10);
   EXPECT_GT(rejected, kMutants / 10);
   EXPECT_GT(overflows, kMutants / 100);
+  EXPECT_GT(past_block, kMutants / 100);
+}
+
+// The reader parses a canonical record in place when the block holds
+// its '\n', and reads any other line, or one cut by the block's end,
+// through its line splitter. Each edge line here starts at every offset
+// around the end of the first block, so that both paths see it whole
+// and cut at every character, with and without a line after it.
+TEST(TraceReaderFuzz, EdgeLinesMatchAcrossTheBlockEnd) {
+  static const char* const kEdges[] = {
+      "7 R 0x1f",                     // Canonical.
+      "7\tr\t0X1F",                   // Tabs, a lower-case op, 0X.
+      "7 w ffffffffffffffff",         // 16 hex digits.
+      "7 W 0x1ffffffffffffffff",      // 17: too many for the fast path.
+      "7 W 1ffffffffffffffff",        // 17 without a prefix.
+      "9999999999999999999 R 0x40",   // 19 decimal digits.
+      "18446744073709551615 R 0x40",  // 20 digits: 2^64 - 1.
+      "18446744073709551616 R 0x40",  // 2^64.
+      "7 R 0x40\r",                   // CRLF.
+      "7 R 0x40 0xdeadbeef 3",        // Trailing fields.
+      "7 R 0x40\t# note\r",           // A trailing field and CRLF.
+      "7  \t R \t 0x40 \t",           // Runs of mixed blanks.
+      "7 R 0x",                       // A prefix without digits.
+      "7 R 0xg",                      // A bad digit.
+      "7 R 0x40\v",                   // Not canonical, yet a record.
+      "7 R",                          // No address.
+      "# 7 R 0x40",                   // A comment.
+      "",                             // A blank line.
+  };
+  const ms::TraceConfig config{.cpu_clock_ghz = 1e6, .line_bytes = 64};
+  const std::string lead = "5 R 0x40\n";  // Canonical lines before the edge.
+  std::mt19937_64 rng(20261020);
+  int runs = 0;
+  for (const std::string edge : kEdges) {
+    for (std::size_t cut = 0; cut <= edge.size() + 1; ++cut) {
+      // After the edge line: one more record, its '\n' alone, or nothing.
+      for (const char* const after : {"\n9 W 0x80\n", "\n", ""}) {
+        // A comment pads the block so that the edge line starts `cut`
+        // bytes before its end.
+        const std::size_t pad =
+            ms::TraceFileSource::kBlockBytes - cut - 8 * lead.size() - 2;
+        std::string text(pad + 2, 'c');
+        text.front() = '#';
+        text.back() = '\n';
+        for (int i = 0; i < 8; ++i) text += lead;
+        text += edge + after;
+        const Outcome want = run_reference(text, config);
+        const Outcome got = run_library(text, config, 1 << 20, rng);
+        ++runs;
+        const std::string where =
+            "edge '" + printable(edge) + "' cut " + std::to_string(cut);
+        ASSERT_EQ(got.error, want.error) << where;
+        ASSERT_EQ(want.overflow_line, 0u) << where;
+        ASSERT_EQ(got.records.size(), want.records.size()) << where;
+        for (std::size_t r = 0; r < got.records.size(); ++r) {
+          ASSERT_TRUE(same_request(got.records[r], want.records[r]))
+              << where << " record " << r;
+        }
+      }
+    }
+  }
+  EXPECT_GT(runs, 400);
 }

@@ -519,6 +519,32 @@ TEST(HistogramBucket, AddFilesSamplesAsTheLog2FormulaDoes) {
   }
 }
 
+// histogram_bucket answers with one compare against the bound above the
+// bucket of a bin's lower edge, which is exact only while no bin spans
+// two bucket bounds (BucketTable's constructor throws otherwise). Count
+// the bounds inside every bin, and check the lookup at both ends of each
+// bin against the reference formula.
+TEST(HistogramBucket, EveryBinSpansAtMostOneBound) {
+  namespace hg = cu::histogram;
+  const hg::BucketTable& table = hg::table();
+  const auto edge = [](std::uint64_t bin) {
+    return (hg::kFirstBin + bin) << (52 - hg::kMantissaBits);
+  };
+  for (std::uint64_t bin = 0; bin < hg::kBins; ++bin) {
+    const double lo = from_bits(edge(bin));
+    const double hi = from_bits(edge(bin + 1) - 1);  // The bin's last double.
+    const auto inside = std::count_if(
+        table.bounds.begin() + 1, table.bounds.end(),
+        [&](double bound) { return lo < bound && bound <= hi; });
+    ASSERT_LE(inside, 1) << "bin " << bin << " = [" << lo << ", " << hi
+                         << "]";
+    ASSERT_EQ(cu::histogram_bucket(lo), ct::histogram_bucket(lo))
+        << "bin " << bin;
+    ASSERT_EQ(cu::histogram_bucket(hi), ct::histogram_bucket(hi))
+        << "bin " << bin;
+  }
+}
+
 // ---------------------------------------------------------------- table
 
 TEST(Table, AlignedOutputContainsCells) {
