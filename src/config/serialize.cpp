@@ -300,8 +300,6 @@ void write_device_model_body(std::ostream& os, const memsim::DeviceModel& model,
      << "channels = " << t.channels << "\n"
      << "banks_per_channel = " << t.banks_per_channel << "\n"
      << "line_bytes = " << t.line_bytes << "\n"
-     << "line_striped_across_banks = "
-     << toml::format_boolean(t.line_striped_across_banks) << "\n"
      << "accesses_per_line = " << t.accesses_per_line << "\n"
      << "read_occupancy_ps = " << t.read_occupancy_ps << "\n"
      << "write_occupancy_ps = " << t.write_occupancy_ps << "\n"
@@ -412,9 +410,6 @@ void apply_model_keys(TableReader& reader, memsim::DeviceModel& model,
     }
     if (auto v = t.get_u64("line_bytes", 1, UINT32_MAX)) {
       m.line_bytes = std::uint32_t(*v);
-    }
-    if (auto v = t.get_bool("line_striped_across_banks")) {
-      m.line_striped_across_banks = *v;
     }
     if (auto v = t.get_int("accesses_per_line", 1, INT_MAX)) {
       m.accesses_per_line = int(*v);

@@ -139,7 +139,6 @@ memsim::DeviceModel CometMemory::device_model(
   t.line_bytes = static_cast<std::uint32_t>(config.line_bytes());
   // Every bank owns an MDM mode of the link: banks serve whole lines
   // independently (Section III.C's MDM-parallel bank access).
-  t.line_striped_across_banks = false;
   t.accesses_per_line = 1;
   t.read_occupancy_ps =
       util::ns_to_ps(config.mr_tuning_ns + config.read_ns);

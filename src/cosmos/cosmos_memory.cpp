@@ -74,7 +74,6 @@ memsim::DeviceModel cosmos_device_model(
   t.channels = config.channels;
   t.banks_per_channel = config.banks;
   t.line_bytes = static_cast<std::uint32_t>(config.line_bytes());
-  t.line_striped_across_banks = false;
   t.accesses_per_line = 1;
   // Subtractive read on the latency path: read + row reset + read.
   t.read_occupancy_ps =

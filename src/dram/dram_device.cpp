@@ -16,7 +16,6 @@ memsim::DeviceModel from_config(const DramConfig& c, const std::string& name) {
   t.channels = c.channels;
   t.banks_per_channel = c.banks_per_channel;
   t.line_bytes = 64;  // 64-bit bus x BL8.
-  t.line_striped_across_banks = false;
   t.accesses_per_line = 1;
   t.read_occupancy_ps = util::ns_to_ps(double(c.row_cycle_ns));
   t.write_occupancy_ps = util::ns_to_ps(double(c.row_cycle_ns));

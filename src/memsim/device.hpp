@@ -20,14 +20,10 @@ struct DeviceTiming {
   int banks_per_channel = 8;     ///< Concurrent banks within a channel.
   std::uint32_t line_bytes = 64; ///< Data returned per line access.
 
-  /// True for COMET/COSMOS-style MDM interleaving: one line access
-  /// occupies *all* banks of the channel simultaneously (the line is
-  /// striped across them); false for DRAM-style one-bank-per-line.
-  bool line_striped_across_banks = false;
-
-  /// How many sequential device accesses one line requires (1 normally;
-  /// >1 for the corrected COSMOS, whose 32-column subarrays deliver only
-  /// a fraction of a line per access — Section IV.B).
+  /// How many sequential device accesses one line requires. Every
+  /// built-in device uses 1; a device file may set more for an
+  /// architecture whose subarrays deliver only part of a line per access
+  /// (whether COSMOS's 32-column subarrays should is an open question).
   int accesses_per_line = 1;
 
   std::uint64_t read_occupancy_ps = 0;   ///< Bank busy time per read access.

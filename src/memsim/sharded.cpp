@@ -31,7 +31,8 @@ thread_local int t_depth = 0;  ///< ReplayThreads alive on this thread.
 /// Counts the constructing thread in running_replay_threads() until
 /// destruction, once: a ReplayThread on a thread that already holds one
 /// (a replay nested in a counted caller) adds nothing. `claimed` adopts
-/// the count the new thread's starter took for it (claim_spare_threads).
+/// the count the new thread's starter took for it (claim_threads or
+/// claim_spare_threads).
 class ReplayThread {
  public:
   explicit ReplayThread(bool claimed = false) {
@@ -46,6 +47,14 @@ class ReplayThread {
   /// Returns `n` claims whose threads ended, or never started.
   static void release(int n) { g_running_replay_threads.fetch_sub(n); }
 };
+
+/// Counts `n` threads about to start in running_replay_threads(), so
+/// that they count from before their start; each becomes a
+/// ReplayThread(true). Returns `n`.
+int claim_threads(int n) {
+  g_running_replay_threads.fetch_add(n);
+  return n;
+}
 
 /// Counts up to `wanted` more threads in running_replay_threads(), as
 /// many as keep it within the hardware thread count, in one atomic step
@@ -216,9 +225,19 @@ struct LanePool::Impl {
       workers.push_back(std::make_unique<Worker>(i));
     }
     // Spawn only once every Worker is at its final address.
-    for (auto& worker : workers) {
-      Worker& w = *worker;
-      w.thread = std::thread([this, &w] { worker_loop(w); });
+    int unstarted = claim_threads(static_cast<int>(worker_count));
+    try {
+      for (auto& worker : workers) {
+        Worker& w = *worker;
+        w.thread = std::thread([this, &w] { worker_loop(w); });
+        --unstarted;
+      }
+    } catch (...) {
+      // No destructor runs for a throwing constructor: join the workers
+      // already started, or their std::thread destructors terminate.
+      ReplayThread::release(unstarted);
+      shutdown();
+      throw;
     }
   }
 
@@ -232,7 +251,7 @@ struct LanePool::Impl {
   /// busy time. A failure abandons the ring: the caller's next push to
   /// `w` rethrows it.
   void worker_loop(Worker& w) {
-    const ReplayThread counted;
+    const ReplayThread counted(/*claimed=*/true);
     std::size_t lane = w.index;  // The lane being fed or finished.
     const auto charge = [&](ProfClock::time_point since) {
       lane_profiles[lane].busy_s += seconds_since(since);
@@ -368,19 +387,15 @@ namespace {
 /// of the stream into one BlockRing, timing each next_batch call, and
 /// closes it at the end of the stream or with the source's exception.
 /// The destructor abandons the ring and joins, so a caller that unwinds
-/// early (a lane error, an unsorted stream) never leaks the thread. A
-/// `claimed` producer adopts a claim_spare_threads count, returned if
-/// it cannot start.
+/// early (a lane error, an unsorted stream) never leaks the thread. The
+/// producer adopts the count its starter claimed for it (claim_threads
+/// or claim_spare_threads), returned if it cannot start.
 class SourceProducer {
  public:
-  SourceProducer(RequestSource& source, std::size_t slots, bool claimed)
-      : source_(source), ring_(slots) {
-    try {
-      thread_ = std::thread([this, claimed] { produce(claimed); });
-    } catch (...) {
-      if (claimed) ReplayThread::release(1);
-      throw;
-    }
+  SourceProducer(RequestSource& source, std::size_t slots) try
+      : source_(source), ring_(slots), thread_([this] { produce(); }) {
+  } catch (...) {
+    ReplayThread::release(1);  // The exception propagates on its own.
   }
 
   ~SourceProducer() {
@@ -398,8 +413,8 @@ class SourceProducer {
   double pull_s() const { return pull_s_; }
 
  private:
-  void produce(bool claimed) {
-    const ReplayThread counted(claimed);
+  void produce() {
+    const ReplayThread counted(/*claimed=*/true);
     std::exception_ptr error;
     try {
       while (RequestBlock* block = ring_.reserve()) {
@@ -421,7 +436,7 @@ class SourceProducer {
   RequestSource& source_;
   BlockRing ring_;
   double pull_s_ = 0.0;
-  std::thread thread_;
+  std::thread thread_;  ///< Last: starts once the other members are built.
 };
 
 /// Blocks an adaptive stage pulls inline and times before it decides
@@ -452,7 +467,8 @@ void feed_blocks(RequestSource& source, ReplayStage& stage,
   std::optional<SourceProducer> producer;
   std::vector<Request> pulled;  // The inline block.
   if (mode == SourceMode::kProducer) {
-    producer.emplace(source, kSourceRingBlocks, /*claimed=*/false);
+    claim_threads(1);
+    producer.emplace(source, kSourceRingBlocks);
   } else {
     pulled.resize(kFeedBlockRequests);
   }
@@ -503,7 +519,7 @@ void feed_blocks(RequestSource& source, ReplayStage& stage,
     if (blocks == probe &&
         fastest_pull_s >= kMinPullShare * fastest_feed_s &&
         claim_spare_threads(1) == 1) {
-      producer.emplace(source, kSerialSourceRingBlocks, /*claimed=*/true);
+      producer.emplace(source, kSerialSourceRingBlocks);
     }
   }
   if (!profiler) return;
@@ -652,9 +668,10 @@ void for_each_index(std::size_t count, int threads,
   };
   const int wanted = static_cast<int>(
       std::min(static_cast<std::size_t>(std::max(threads, 1) - 1), count - 1));
-  const int helpers = spare_only ? claim_spare_threads(wanted) : wanted;
+  const int helpers =
+      spare_only ? claim_spare_threads(wanted) : claim_threads(wanted);
   const auto helper = [&] {
-    const ReplayThread counted_helper(spare_only);
+    const ReplayThread counted_helper(/*claimed=*/true);
     drain(false);
   };
   std::vector<std::thread> pool;
@@ -665,8 +682,7 @@ void for_each_index(std::size_t count, int threads,
   } catch (...) {
     start_error = std::current_exception();
     next.store(count);
-    const int unstarted = helpers - static_cast<int>(pool.size());
-    if (spare_only) ReplayThread::release(unstarted);
+    ReplayThread::release(helpers - static_cast<int>(pool.size()));
   }
   run(0, true);
   drain(true);

@@ -82,16 +82,17 @@ namespace comet::memsim {
 /// std::invalid_argument on negative values.
 int resolve_run_threads(int requested);
 
-/// Replay threads running in this process now, each counted once, from
-/// its start to its exit: every run_replay and for_each_index caller
-/// (a call nested in a counted thread adds nothing), every
-/// for_each_index helper, source producer and pool worker. A thread
-/// asked for explicitly (a --threads helper, a pool worker, a threaded
-/// run's producer) counts without condition. A serial run's adaptive
-/// producer and spare_only helpers start only on a hardware thread
-/// this count leaves spare, claimed in one atomic step, so concurrent
-/// replays (a sweep's jobs) share the spare threads, and a sweep that
-/// already keeps every CPU busy stays inline.
+/// Replay threads running in this process now, each counted once, until
+/// its exit: every run_replay and for_each_index caller (a call nested
+/// in a counted thread adds nothing), every for_each_index helper,
+/// source producer and pool worker. A thread that is started counts from
+/// before its start: its starter adds it, and the thread adopts the
+/// count. A thread asked for explicitly (a --threads helper, a pool
+/// worker, a threaded run's producer) counts without condition. A
+/// serial run's adaptive producer and spare_only helpers start only on
+/// a hardware thread this count leaves spare, claimed in one atomic
+/// step, so concurrent replays (a sweep's jobs) share the spare threads,
+/// and a sweep that already keeps every CPU busy stays inline.
 int running_replay_threads();
 
 /// The lane class's name before ReplaySession implemented ShardLane
@@ -285,7 +286,8 @@ SimStats run_sessions(const MemorySystem& system, RequestSource& source,
 /// `threads` <= 1, never more than count - 1). With `spare_only`, only
 /// as many helpers start as running_replay_threads() leaves hardware
 /// threads spare; without it, all of them do. running_replay_threads()
-/// counts the caller for the whole call, each helper until it exits.
+/// counts the caller for the whole call, each helper from before it
+/// starts until it exits.
 /// The caller takes index 0 before any helper starts; then the helpers
 /// and the caller take the other indices in order from one counter
 /// (`on_caller` tells them apart). `count` == 0 runs nothing and starts

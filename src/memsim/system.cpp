@@ -161,8 +161,8 @@ struct ReplaySession::Impl {
     prev_issue = issue_ps;
 
     // One request may need several device accesses: large requests span
-    // lines, and narrow-subarray architectures (corrected COSMOS) need
-    // several accesses per line.
+    // lines, and a device may need several accesses per line (no
+    // built-in device does).
     const std::uint64_t accesses =
         system.address_map().lines_needed(req.size_bytes) *
         static_cast<std::uint64_t>(t.accesses_per_line);
@@ -176,32 +176,19 @@ struct ReplaySession::Impl {
       inflight_completions.pop_front();
     }
 
-    // Resolve the serving bank set.
-    const auto bank_index = static_cast<std::size_t>(placement.bank);
-
-    std::uint64_t bank_free = 0;
-    if (t.line_striped_across_banks) {
-      for (const auto& bank : banks) {
-        bank_free = std::max(bank_free, bank.free_ps);
-      }
-    } else {
-      bank_free = banks[bank_index].free_ps;
-    }
-
-    std::uint64_t start = std::max(earliest, bank_free);
+    BankState& bank = banks[static_cast<std::size_t>(placement.bank)];
+    std::uint64_t start = std::max(earliest, bank.free_ps);
     start = avoid_refresh(start, t);
 
     // Per-access occupancy, adjusted by the row buffer / region switch.
     std::uint64_t per_access = req.op == Op::kRead ? t.read_occupancy_ps
                                                    : t.write_occupancy_ps;
-    BankState& lead_bank =
-        t.line_striped_across_banks ? banks.front() : banks[bank_index];
-    if (t.has_row_buffer && lead_bank.open_row == placement.row &&
+    if (t.has_row_buffer && bank.open_row == placement.row &&
         per_access > t.row_hit_saving_ps) {
       per_access -= t.row_hit_saving_ps;
     }
     std::uint64_t occupancy = per_access * accesses;
-    if (t.region_size_bytes && lead_bank.open_region != placement.region) {
+    if (t.region_size_bytes && bank.open_region != placement.region) {
       occupancy += t.region_switch_ps;
     }
 
@@ -218,18 +205,9 @@ struct ReplaySession::Impl {
         std::max(transfer_end, busy_until + tail);
 
     // Commit state.
-    if (t.line_striped_across_banks) {
-      for (auto& bank : banks) {
-        bank.free_ps = bank_busy_until;
-        bank.open_row = placement.row;
-        bank.open_region = placement.region;
-      }
-    } else {
-      auto& bank = banks[bank_index];
-      bank.free_ps = bank_busy_until;
-      bank.open_row = placement.row;
-      bank.open_region = placement.region;
-    }
+    bank.free_ps = bank_busy_until;
+    bank.open_row = placement.row;
+    bank.open_region = placement.region;
     inflight_completions.push_back(completion);
 
     // Statistics.
@@ -248,8 +226,7 @@ struct ReplaySession::Impl {
         std::max(totals.last_completion_ps, completion);
     stats.queue_delay_ns.add(queue_ns);
     stats.total_bank_busy_ns +=
-        static_cast<double>(bank_busy_until - start) * 1e-3 *
-        (t.line_striped_across_banks ? t.banks_per_channel : 1);
+        static_cast<double>(bank_busy_until - start) * 1e-3;
     if (req.op == Op::kRead) {
       ++stats.reads;
       stats.read_latency_ns.add(latency_ns);

@@ -49,11 +49,10 @@ void check_arrival_order(std::uint64_t index, std::uint64_t prev_ps,
                          std::uint64_t arrival_ps);
 
 /// Where the controller address hash places one request: the serving
-/// channel, the bank within it (the lead bank for striped devices,
-/// which occupy every bank of the channel), and the row / photonic
-/// region the first line falls into. The sched::Controller carries the
-/// AddressMap::place result from admission to ReplaySession::feed_issued,
-/// so queue arbitration and bank timing always agree on the mapping.
+/// channel, the bank within it, and the row / photonic region the first
+/// line falls into. The sched::Controller carries the AddressMap::place
+/// result from admission to ReplaySession::feed_issued, so queue
+/// arbitration and bank timing always agree on the mapping.
 struct RequestPlacement {
   int channel = 0;
   int bank = 0;
@@ -206,8 +205,6 @@ class ReplaySession final : public ShardLane {
                             std::uint64_t issue_ps);
 
   /// The channel's banks, read-only; valid for the session's lifetime.
-  /// A line-striped device occupies every bank at once, so all of them
-  /// hold the same state and bank 0 speaks for the channel.
   std::span<const BankState> banks() const;
 
   /// Closes the run without finalizing: returns the channel's slice,

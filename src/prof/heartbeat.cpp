@@ -151,8 +151,8 @@ Heartbeat::Heartbeat(std::ostream& out, std::uint64_t interval_ms,
   impl_->total = total_requests;
   impl_->started = std::chrono::steady_clock::now();
   impl_->last_tick = impl_->started;
-  impl_->thread =
-      std::thread([impl = impl_.get(), interval_ms] { impl->run(interval_ms); });
+  impl_->thread = std::thread(
+      [impl = impl_.get(), interval_ms] { impl->run(interval_ms); });
 }
 
 Heartbeat::~Heartbeat() { stop(); }

@@ -11,9 +11,10 @@ class Profiler;
 
 /// Live progress heartbeat: a background thread that periodically
 /// rewrites a single status line on the given stream (the driver passes
-/// stderr) while a sweep runs:
+/// stderr) while a sweep runs (one line, wrapped here):
 ///
-///   [comet] 1.2M/5.0M req (24.0%)  8.31M req/s (avg 7.9M)  ETA 0.5s  RSS 212 MiB
+///   [comet] 1.2M/5.0M req (24.0%)  8.31M req/s (avg 7.9M)  ETA 0.5s
+///   RSS 212 MiB
 ///
 /// Progress is summed over the profilers' atomic counters, so it is
 /// safe under threaded sweeps and sharded (--run-threads) replay; the

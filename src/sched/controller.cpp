@@ -133,16 +133,16 @@ struct StalledTx {
 };
 
 /// A schedulable transaction as arbitration sees it: everything its
-/// rank depends on, plus the bank that completes its placement for
-/// issue, so the per-bank scans stay dense. The Request itself rides in
-/// a parallel array (BankQueue::requests) that only issue touches.
+/// rank depends on and the rest of its placement (the bank is the one
+/// it is filed under), so the per-bank scans stay dense. The Request
+/// itself rides in a parallel array (BankQueue::requests) that only
+/// issue touches.
 struct Candidate {
   std::uint64_t seq = 0;
   std::uint64_t admit_ps = 0;
   std::uint64_t row = 0;
   std::uint64_t region = 0;
   std::uint16_t tenant = 0;
-  int bank = 0;  ///< The placement's bank (not the lead bank if striped).
 };
 
 }  // namespace
@@ -153,13 +153,11 @@ struct Controller::Impl {
   telemetry::Recorder* const telemetry;  ///< Null = no observability cost.
   memsim::ReplaySession session;
   /// The session's banks: the busy windows and open rows/regions every
-  /// rank reads. Striped devices rank on bank 0, which the session
-  /// keeps equal to every other bank.
+  /// rank reads.
   const std::span<const memsim::BankState> bank_state;
 
   // Policy traits and the timing inputs of every rank, hoisted out of
   // the scans.
-  const bool striped;
   const bool has_row_buffer;
   const bool has_regions;
   const bool prefer_hits;
@@ -184,7 +182,7 @@ struct Controller::Impl {
 
   struct Pick {
     Rank rank = kNoRank;
-    std::uint32_t bank = 0;  ///< Lead bank the candidate is filed under.
+    std::uint32_t bank = 0;  ///< The bank the candidate is filed under.
     std::uint32_t kind = kReads;  ///< The queue it waits in.
 
     bool valid() const { return rank != kNoRank; }
@@ -208,9 +206,7 @@ struct Controller::Impl {
     bool dirty = false;
   };
 
-  /// The candidates filed under one bank. Striped devices occupy every
-  /// bank of the channel at once, so they file every candidate under
-  /// lead bank 0.
+  /// The candidates filed under one bank.
   struct Bank {
     BankQueue queues[2];  ///< Indexed by kReads / kWrites.
   };
@@ -273,22 +269,16 @@ struct Controller::Impl {
         telemetry(recorder),
         session(sys, std::move(workload_name), recorder),
         bank_state(session.banks()),
-        striped(sys.model().timing.line_striped_across_banks),
         has_row_buffer(sys.model().timing.has_row_buffer),
         has_regions(sys.model().timing.region_size_bytes != 0),
         prefer_hits(cfg.policy != Policy::kReadFirst),
         use_tokens(cfg.policy == Policy::kTokenBudget),
         use_starvation(cfg.policy == Policy::kFrFcfsCap),
         cap(static_cast<std::uint64_t>(cfg.starvation_cap)),
-        banks(striped ? 1
-                      : static_cast<std::size_t>(
-                            sys.model().timing.banks_per_channel)) {}
+        banks(static_cast<std::size_t>(
+            sys.model().timing.banks_per_channel)) {}
 
-  std::size_t lead_bank(const memsim::RequestPlacement& placement) const {
-    return striped ? 0 : static_cast<std::size_t>(placement.bank);
-  }
-
-  /// Candidate `c`'s rank on lead bank `b`, or kNoRank if it may not
+  /// Candidate `c`'s rank on bank `b`, or kNoRank if it may not
   /// issue. The rank reads only the session's bank state and the tenant
   /// state: ready once the bank frees (never before admission),
   /// preferring FR-FCFS open-row / open-region hits (a photonic GST
@@ -425,16 +415,15 @@ struct Controller::Impl {
     }
   }
 
-  /// Files `tx` as a candidate under its lead bank and returns its pick
+  /// Files `tx` as a candidate under its bank and returns its pick
   /// (invalid if its tenant has no tokens). A new candidate can only
   /// improve its bank's cached pick, so a clean pick absorbs it without
   /// a rescan.
   Pick file_candidate(std::size_t kind, const QueuedTx& tx) {
-    const std::size_t b = lead_bank(tx.placement);
+    const auto b = static_cast<std::size_t>(tx.placement.bank);
     BankQueue& bq = banks[b].queues[kind];
-    Candidate c{tx.seq, tx.admit_ps, tx.placement.row, tx.placement.region,
-                tx.request.tenant};
-    c.bank = tx.placement.bank;
+    const Candidate c{tx.seq, tx.admit_ps, tx.placement.row,
+                      tx.placement.region, tx.request.tenant};
 #ifndef NDEBUG
     if (!bq.candidates.empty() &&
         bq.candidates.back().admit_ps > c.admit_ps) {
@@ -504,7 +493,7 @@ struct Controller::Impl {
         static_cast<double>(issue_ps - request.arrival_ps) * 1e-3);
     totals.stats.service_latency_ns.add(
         static_cast<double>(completion_ps - issue_ps) * 1e-3);
-    invalidate_bank(banks[lead_bank(placement)]);
+    invalidate_bank(banks[static_cast<std::size_t>(placement.bank)]);
   }
 
   /// Issues the candidate `pick` names (found by seq in its bank
@@ -545,7 +534,8 @@ struct Controller::Impl {
       if (flipped) invalidate_banks();
     }
 
-    dispatch(bq.requests[i], {channel, c.bank, c.row, c.region},
+    dispatch(bq.requests[i],
+             {channel, static_cast<int>(pick.bank), c.row, c.region},
              pick.issue_ps());
     // Erase in order: the bank queue stays in admission order.
     bq.candidates.erase(bq.candidates.begin() + static_cast<std::ptrdiff_t>(i));
@@ -621,8 +611,9 @@ struct Controller::Impl {
 
     if (config.policy == Policy::kFcfs) {
       // In-order immediate handoff: the device's own outstanding window
-      // does all buffering — exactly the legacy arrival-order replay,
-      // so unbounded-queue fcfs is bit-identical to no controller.
+      // does all buffering — exactly the legacy arrival-order replay.
+      // It comes before the depth check, so fcfs at any depth is
+      // bit-identical to no controller.
       dispatch(req, tx.placement, req.arrival_ps);
       return;
     }

@@ -24,8 +24,10 @@
 ///
 ///   - `fcfs`: in-order immediate handoff — every request is issued to
 ///     the device the instant it arrives, exactly the legacy
-///     arrival-order replay. With unbounded queues this is bit-identical
-///     to running without a controller (the regression anchor).
+///     arrival-order replay. The handoff comes before any queue-depth
+///     check, so the depths never bind: at every depth this is
+///     bit-identical to running without a controller (the regression
+///     anchor).
 ///   - `frfcfs`: first-ready FCFS — a transaction issues when its
 ///     target bank frees, oldest-first among ready candidates but
 ///     preferring open-row hits (DRAM row buffer) and open-region hits
@@ -72,9 +74,9 @@
 /// disagree; the controller keeps no copy of it.
 ///
 /// Arbitration is incremental. Each schedulable transaction is filed
-/// under its target bank (bank 0 on line-striped devices), each bank
-/// caches its best pick per queue, and the controller's pick is the
-/// best over its banks. A cached bank pick is recomputed when:
+/// under its target bank, each bank caches its best pick per queue, and
+/// the controller's pick is the best over its banks. A cached bank pick
+/// is recomputed when:
 ///   - a transaction issues from the bank (its busy window and open
 ///     row/region move);
 ///   - a tenant's rank flips, which invalidates every bank of the

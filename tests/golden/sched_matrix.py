@@ -7,8 +7,7 @@ records to equal the committed ones exactly.
     sched_matrix.py --comet-sim build/comet_sim --record    # rewrite
 
 The devices cover every arbitration input: comet (photonic GST regions),
-ddr4 (DRAM row buffer), epcm, and a COMET variant whose lines stripe
-across every bank of a channel (striped.toml next to this script).
+ddr4 (DRAM row buffer) and epcm.
 Queue depth 0 is unbounded; its frfcfs ddr4 cell must queue more reads
 than the 256-entry scheduling window, which this check asserts so the
 window provably binds. Records drop the fields that describe how a run
@@ -24,7 +23,6 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "sched_matrix.json"
-STRIPED = HERE / "striped.toml"
 
 POLICIES = ["fcfs", "frfcfs", "read-first", "token-budget", "frfcfs-cap"]
 # Label -> comet_sim device arguments.
@@ -32,7 +30,6 @@ DEVICES = {
     "comet": ["--device", "comet"],
     "ddr4": ["--device", "ddr4"],
     "epcm": ["--device", "epcm"],
-    "striped": ["--device-file", str(STRIPED)],
 }
 DEPTHS = [8, 32, 0]
 STREAMS = {

@@ -216,6 +216,12 @@ TEST(DeviceSerialization, BadTypeAndOutOfRangeDiagnostics) {
       "[device]\nname = \"h\"\nkind = \"flat\"\n[device.cache]\n"
       "capacity_mb = 64\n",
       "contradicts", 3);
+  // No device model stripes a line across banks: a file that asks for
+  // it fails at the key's line instead of being silently ignored.
+  expect_device_error(
+      "[device]\nbase = \"comet\"\n[device.timing]\n"
+      "line_striped_across_banks = true\n",
+      "unknown key 'line_striped_across_banks'", 4);
   // Validation failures are re-anchored to the document too.
   expect_device_error(
       "[device]\nbase = \"comet\"\n[device.timing]\nline_bytes = 96\n",

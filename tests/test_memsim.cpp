@@ -331,20 +331,6 @@ TEST(System, ReadTailOccupiesBankOffLatencyPath) {
   EXPECT_DOUBLE_EQ(stats.read_latency_ns.max(), 60.0 + 16.0);
 }
 
-TEST(System, StripedAccessBlocksAllBanks) {
-  auto d = simple_device(1, 4);
-  d.timing.line_striped_across_banks = true;
-  const sc::FlatSystem sys(d);
-  std::vector<ms::Request> reqs;
-  for (int i = 0; i < 8; ++i) {
-    reqs.push_back(make_req(i, 0, ms::Op::kRead, std::uint64_t(i) * 64));
-  }
-  const auto stats = sys.run(reqs);
-  // Striping serializes: every line blocks all four banks for 10 ns.
-  const double span_ns = double(stats.span_ps) * 1e-3;
-  EXPECT_GE(span_ns, 8 * 10.0);
-}
-
 TEST(System, AccessesPerLineMultiplies) {
   auto d = simple_device();
   d.timing.accesses_per_line = 4;

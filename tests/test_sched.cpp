@@ -164,11 +164,12 @@ TEST(SchedConfig, WithDepthsDerivesWatermarks) {
 
 // ------------------------------------------- the bit-identity anchor
 
-TEST(SchedFcfs, UnboundedIsBitIdenticalOnEveryRegistryDevice) {
-  // The acceptance criterion: an unbounded-queue fcfs controller must
-  // reproduce today's arrival-order replay bit for bit on every flat
-  // and hybrid registry device, so every existing result stays a
-  // regression gate.
+TEST(SchedFcfs, IsBitIdenticalAtAnyDepthOnEveryRegistryDevice) {
+  // The acceptance criterion: an fcfs controller must reproduce today's
+  // arrival-order replay bit for bit on every flat and hybrid registry
+  // device, so every existing result stays a regression gate. fcfs
+  // hands each request to the device at arrival, before any queue
+  // bound could bind, so the depths change nothing either.
   std::vector<std::string> tokens = comet::driver::known_devices();
   for (const auto& token : comet::driver::known_hybrid_devices()) {
     tokens.push_back(token);
@@ -178,19 +179,26 @@ TEST(SchedFcfs, UnboundedIsBitIdenticalOnEveryRegistryDevice) {
     for (const auto& token : tokens) {
       const auto spec = comet::driver::make_device_spec(token);
       const auto legacy_engine = spec.make_engine();
-      const auto sched_engine = spec.make_engine(unbounded(sc::Policy::kFcfs));
       auto legacy_source = ms::TraceGenerator(profile, 7).stream(2000, 128);
-      auto sched_source = ms::TraceGenerator(profile, 7).stream(2000, 128);
       const auto legacy = legacy_engine->run(legacy_source, workload);
-      const auto scheduled = sched_engine->run(sched_source, workload);
       EXPECT_FALSE(legacy.is_scheduled()) << token;
-      EXPECT_TRUE(scheduled.is_scheduled()) << token;
-      EXPECT_EQ(scheduled.sched_policy, "fcfs") << token;
-      // fcfs hands off at arrival: zero controller-queue time, and the
-      // device service interval is the whole end-to-end latency.
-      EXPECT_EQ(scheduled.sched_queue_delay_ns.max(), 0.0) << token;
-      EXPECT_TRUE(with_sched_breakdown(legacy, scheduled) == scheduled)
-          << token << "/" << workload;
+      for (const int depth : {0, 1, 32}) {
+        SCOPED_TRACE(token + "/" + workload + " depth " +
+                     std::to_string(depth));
+        const auto sched_engine = spec.make_engine(
+            sc::ControllerConfig::with_depths(sc::Policy::kFcfs, depth,
+                                              depth));
+        auto sched_source = ms::TraceGenerator(profile, 7).stream(2000, 128);
+        const auto scheduled = sched_engine->run(sched_source, workload);
+        EXPECT_TRUE(scheduled.is_scheduled());
+        EXPECT_EQ(scheduled.sched_policy, "fcfs");
+        // fcfs hands off at arrival: zero controller-queue time, no
+        // admit stall, and the device service interval is the whole
+        // end-to-end latency.
+        EXPECT_EQ(scheduled.sched_queue_delay_ns.max(), 0.0);
+        EXPECT_EQ(scheduled.admit_stalls, 0u);
+        EXPECT_TRUE(with_sched_breakdown(legacy, scheduled) == scheduled);
+      }
     }
   }
 }
@@ -372,9 +380,10 @@ TEST(SchedController, EmptyStreamFinishes) {
 // A build without NDEBUG re-derives every early-exit bank pick with
 // the full scan and checks that each bank queue's admit_ps never
 // decreases; either check throws std::logic_error. Two tenants on a GST
-// region device (comet), a row-buffer device (ddr4) and a line-striped
-// one (cosmos), every policy, bounded and unbounded queues: the
-// unbounded runs arrive fast enough to overflow the 256-entry window.
+// region device (comet), a row-buffer device (ddr4) and a region device
+// whose reads keep the bank busy after the data (cosmos), every policy,
+// bounded and unbounded queues: the unbounded runs arrive fast enough to
+// overflow the 256-entry window.
 TEST(SchedController, EarlyExitPicksMatchTheFullScan) {
 #ifdef NDEBUG
   GTEST_SKIP() << "the pick cross-check is compiled only without NDEBUG";

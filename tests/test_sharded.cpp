@@ -20,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <latch>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -767,8 +768,8 @@ TEST(SerialPipeline, StaysInlineWhenReplayThreadsFillTheHardware) {
     idle.push_back(std::make_unique<ThrowingLane>(1u << 30));
   }
   ms::LanePool busy(std::move(idle), workers);
-  ASSERT_TRUE(
-      eventually([&] { return ms::running_replay_threads() == workers; }));
+  // The pool counts its workers before they start.
+  ASSERT_EQ(ms::running_replay_threads(), workers);
   const auto engine =
       dr::make_device_spec("comet").make_engine(std::nullopt, 1);
   ms::VectorSource inner(long_trace());
@@ -891,8 +892,8 @@ TEST(ForEachIndex, ExplicitThreadsStartEveryHelperOnAFullHost) {
     idle.push_back(std::make_unique<ThrowingLane>(1u << 30));
   }
   ms::LanePool busy(std::move(idle), workers);
-  ASSERT_TRUE(
-      eventually([&] { return ms::running_replay_threads() == workers; }));
+  // The pool counts its workers before they start.
+  ASSERT_EQ(ms::running_replay_threads(), workers);
   constexpr int kThreads = 4;
   std::atomic<int> inside{0};
   std::atomic<int> counted{0};
@@ -911,6 +912,29 @@ TEST(ForEachIndex, ExplicitThreadsStartEveryHelperOnAFullHost) {
   EXPECT_EQ(off_caller.load(), 0);
   EXPECT_EQ(ms::running_replay_threads(), workers);
   busy.finish();
+  EXPECT_EQ(settled_threads(before), before);
+  EXPECT_EQ(ms::running_replay_threads(), 0);
+}
+
+TEST(ForEachIndex, ExplicitHelpersCountBeforeTheyStart) {
+  // Index 0 runs on the caller while the helpers' indices wait for it.
+  // The starter counts each explicit helper before its thread starts,
+  // so index 0 reads the caller and both helpers even when a helper has
+  // not run its first line yet.
+  const int before = threads_before();
+  for (int repeat = 0; repeat < 200; ++repeat) {
+    std::latch index_zero_done(1);
+    int seen = 0;
+    ms::for_each_index(3, 3, [&](std::size_t i, bool) {
+      if (i != 0) {
+        index_zero_done.wait();
+        return;
+      }
+      seen = ms::running_replay_threads();
+      index_zero_done.count_down();
+    });
+    ASSERT_EQ(seen, 3) << "repeat " << repeat;
+  }
   EXPECT_EQ(settled_threads(before), before);
   EXPECT_EQ(ms::running_replay_threads(), 0);
 }
